@@ -5,10 +5,49 @@
 //! the predictive uncertainty is the standard deviation across trees. Small
 //! and dependency-free — training sets in the predicate search are a few
 //! hundred points.
+//!
+//! **Split rule.** A node becomes a leaf at `max_depth`, below
+//! `2 * min_leaf` rows, at near-zero target variance, or when no split
+//! qualifies. Otherwise it draws a random feature subset and, per feature,
+//! tries at most [`MAX_THRESHOLDS`] thresholds: the midpoints between the
+//! sorted distinct values at positions `⌊k·(m−1)/12⌋` (`k = 0..12`, `m`
+//! distinct values, repeats skipped). A threshold qualifies when both sides
+//! keep `min_leaf` rows; the lowest sum of squared errors wins, the first
+//! one in (feature draw, `k`) order on ties.
+//!
+//! **Flat layout.** Each tree is a pre-order `Vec<Node>`: a split's left
+//! child sits right after it and its right child at `Node::right`. A fit
+//! transposes `x` once into column-major storage and sorts each column's
+//! row order once; all trees share both. Each tree keeps its bootstrap rows
+//! twice: in draw order, and per feature in value order (the fit's order
+//! expanded by draw counts). A node owns the same range of every list, and
+//! a split partitions each list in place and stably, so a child sees its
+//! rows in draw order and already sorted by every feature. Split search
+//! therefore never sorts, and no node allocates. Its two passes score all
+//! thresholds of a feature at once (see `kernel`).
+//!
+//! **Bit-identity contract.** Trees and `(mean, σ)` are bit-identical to
+//! the recursive formulation kept as the test oracle (`forest/reference.rs`):
+//! the RNG draws happen in the same order (bootstrap, then each split
+//! node's feature shuffle, left subtree before right), every float
+//! accumulator adds the same terms in the same (draw) order, and the
+//! sorted values are the same sequence, since values that `total_cmp`
+//! calls equal are bit-equal.
 
 use crate::parallel::{parallel_map, split_seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod kernel;
+#[cfg(test)]
+mod reference;
+
+/// Candidate thresholds tried per feature at a split.
+const MAX_THRESHOLDS: usize = 12;
+
+/// Forests up to this size buffer their per-tree predictions on the stack
+/// in [`RandomForest::predict`]; larger ones walk each tree once per moment.
+const STACK_TREES: usize = 32;
 
 /// Forest hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,43 +80,67 @@ impl Default for ForestConfig {
 /// A trained random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<Tree>,
+    trees: Vec<Vec<Node>>,
 }
 
-#[derive(Debug, Clone)]
-enum Tree {
-    Leaf(f64),
-    Node { feature: usize, threshold: f64, left: Box<Tree>, right: Box<Tree> },
+/// One pre-order tree node. A split (`right != 0`) sends
+/// `point[feature] <= value` to the next node and everything else to
+/// `right`; a leaf (`right == 0`, never a child's index) predicts `value`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    value: f64,
+    feature: u32,
+    right: u32,
 }
 
 impl RandomForest {
     /// Fit a forest on `(x, y)`; `x` rows are unit-hypercube points.
     ///
     /// # Panics
-    /// Panics when `x` and `y` lengths differ or the training set is empty.
+    /// Panics when `x` and `y` lengths differ, the training set is empty,
+    /// or a row is shorter than the first.
     pub fn fit(x: &[Vec<f64>], y: &[f64], config: ForestConfig) -> RandomForest {
-        assert_eq!(x.len(), y.len(), "x/y length mismatch");
-        assert!(!x.is_empty(), "empty training set");
-        let n = x.len();
+        RandomForest::fit_points(x.iter().map(Vec::as_slice), y, config)
+    }
+
+    /// [`RandomForest::fit`] over borrowed rows, for callers whose points
+    /// live inside other records.
+    pub(crate) fn fit_points<'a>(
+        points: impl ExactSizeIterator<Item = &'a [f64]>,
+        y: &[f64],
+        config: ForestConfig,
+    ) -> RandomForest {
+        assert_eq!(points.len(), y.len(), "x/y length mismatch");
+        assert!(!y.is_empty(), "empty training set");
+        let data = Training::new(points, y, config);
         let tree_ids: Vec<u64> = (0..config.n_trees as u64).collect();
         let trees = parallel_map(config.threads.max(1), &tree_ids, |_, &tree| {
             let mut rng = StdRng::seed_from_u64(split_seed(config.seed, tree));
             // Bootstrap sample.
-            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            build_tree(x, y, &indices, 0, &config, &mut rng)
+            let n = data.n;
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let mut builder = TreeBuilder::new(&data, rows);
+            builder.grow(0, n, 0, &mut rng);
+            builder.nodes
         });
         RandomForest { trees }
     }
 
     /// Predictive mean and standard deviation at a point.
+    // detlint::hot
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        let predictions: Vec<f64> =
-            self.trees.iter().map(|t| predict_tree(t, point)).collect();
-        let n = predictions.len() as f64;
-        let mean = predictions.iter().sum::<f64>() / n;
-        let variance =
-            predictions.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
-        (mean, variance.sqrt())
+        let n = self.trees.len();
+        let walks = self.trees.iter().map(|tree| walk(tree, point));
+        let mut buffer = [0.0; STACK_TREES];
+        match buffer.get_mut(..n) {
+            Some(slots) => {
+                for (slot, prediction) in slots.iter_mut().zip(walks) {
+                    *slot = prediction;
+                }
+                moments(n, slots.iter().copied())
+            }
+            None => moments(n, walks),
+        }
     }
 
     /// Number of trees (for diagnostics).
@@ -86,102 +149,254 @@ impl RandomForest {
     }
 }
 
-fn build_tree(
-    x: &[Vec<f64>],
-    y: &[f64],
-    indices: &[usize],
-    depth: usize,
-    config: &ForestConfig,
-    rng: &mut StdRng,
-) -> Tree {
-    let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / indices.len() as f64;
-    if depth >= config.max_depth || indices.len() < 2 * config.min_leaf {
-        return Tree::Leaf(mean);
-    }
-    let variance =
-        indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum::<f64>();
-    if variance < 1e-12 {
-        return Tree::Leaf(mean);
-    }
+/// Mean and standard deviation of `n` per-tree predictions, each moment an
+/// `Iterator::sum` in tree order (the float `Sum` fold starts at -0.0, so a
+/// hand-rolled fold from 0.0 would differ when every term is -0.0).
+fn moments(n: usize, predictions: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let n = n as f64;
+    let mean = predictions.clone().sum::<f64>() / n;
+    let variance = predictions.map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+    (mean, variance.sqrt())
+}
 
-    let d = x[0].len();
-    if d == 0 {
-        return Tree::Leaf(mean);
-    }
-    let n_features = ((d as f64 * config.feature_fraction).ceil() as usize).clamp(1, d);
-    // Random feature subset without replacement (d is small).
-    let mut features: Vec<usize> = (0..d).collect();
-    for i in 0..n_features {
-        let j = rng.gen_range(i..d);
-        features.swap(i, j);
-    }
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-    for &feature in &features[..n_features] {
-        let mut values: Vec<f64> = indices.iter().map(|&i| x[i][feature]).collect();
-        values.sort_by(|a, b| a.total_cmp(b));
-        values.dedup();
-        if values.len() < 2 {
-            continue;
+/// The leaf value `point` reaches in a pre-order tree.
+// detlint::hot
+fn walk(tree: &[Node], point: &[f64]) -> f64 {
+    let mut i = 0;
+    loop {
+        let node = tree[i];
+        if node.right == 0 {
+            return node.value;
         }
-        // Try up to 12 candidate thresholds (midpoints).
-        let step = (values.len() - 1).max(1) as f64 / 12.0;
-        let mut tried = std::collections::BTreeSet::new();
-        for k in 0..12 {
-            let idx = ((k as f64 * step) as usize).min(values.len() - 2);
-            if !tried.insert(idx) {
-                continue;
-            }
-            let threshold = (values[idx] + values[idx + 1]) / 2.0;
-            let (mut ln, mut ls, mut rn, mut rs) = (0usize, 0.0f64, 0usize, 0.0f64);
-            for &i in indices {
-                if x[i][feature] <= threshold {
-                    ln += 1;
-                    ls += y[i];
-                } else {
-                    rn += 1;
-                    rs += y[i];
-                }
-            }
-            if ln < config.min_leaf || rn < config.min_leaf {
-                continue;
-            }
-            let (lm, rm) = (ls / ln as f64, rs / rn as f64);
-            let mut sse = 0.0;
-            for &i in indices {
-                let m = if x[i][feature] <= threshold { lm } else { rm };
-                sse += (y[i] - m) * (y[i] - m);
-            }
-            if best.is_none_or(|(_, _, b)| sse < b) {
-                best = Some((feature, threshold, sse));
-            }
-        }
-    }
-
-    let Some((feature, threshold, _)) = best else {
-        return Tree::Leaf(mean);
-    };
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-        indices.iter().partition(|&&i| x[i][feature] <= threshold);
-    Tree::Node {
-        feature,
-        threshold,
-        left: Box::new(build_tree(x, y, &left_idx, depth + 1, config, rng)),
-        right: Box::new(build_tree(x, y, &right_idx, depth + 1, config, rng)),
+        i = if point[node.feature as usize] <= node.value { i + 1 } else { node.right as usize };
     }
 }
 
-fn predict_tree(tree: &Tree, point: &[f64]) -> f64 {
-    match tree {
-        Tree::Leaf(v) => *v,
-        Tree::Node { feature, threshold, left, right } => {
-            if point[*feature] <= *threshold {
-                predict_tree(left, point)
-            } else {
-                predict_tree(right, point)
+/// What every tree of one fit shares.
+struct Training<'a> {
+    n: usize,
+    d: usize,
+    /// Column-major `x`: feature `f` of row `i` at `columns[f * n + i]`.
+    columns: Vec<f64>,
+    /// Per feature, the rows `0..n` ordered by that feature's value
+    /// (`total_cmp`), feature `f` at `by_value[f * n..(f + 1) * n]`.
+    by_value: Vec<usize>,
+    y: &'a [f64],
+    config: ForestConfig,
+}
+
+impl<'a> Training<'a> {
+    fn new<'p>(
+        points: impl Iterator<Item = &'p [f64]>,
+        y: &'a [f64],
+        config: ForestConfig,
+    ) -> Training<'a> {
+        let n = y.len();
+        let mut points = points.peekable();
+        let d = points.peek().map_or(0, |p| p.len());
+        let mut columns = vec![0.0; n * d];
+        for (i, point) in points.enumerate() {
+            for (f, &v) in point[..d].iter().enumerate() {
+                columns[f * n + i] = v;
             }
         }
+        let mut by_value: Vec<usize> = (0..d).flat_map(|_| 0..n).collect();
+        for (column, order) in columns.chunks_exact(n).zip(by_value.chunks_exact_mut(n)) {
+            order.sort_unstable_by(|&a, &b| column[a].total_cmp(&column[b]));
+        }
+        Training { n, d, columns, by_value, y, config }
     }
+
+    fn column(&self, feature: usize) -> &[f64] {
+        &self.columns[feature * self.n..(feature + 1) * self.n]
+    }
+}
+
+/// One tree's fitting state. Each node owns the range `lo..hi` of both
+/// row lists, and scratch buffers are reused by every node.
+struct TreeBuilder<'a> {
+    data: &'a Training<'a>,
+    /// The bootstrap rows; a node's range holds its rows in draw order.
+    rows: Vec<usize>,
+    /// Per feature (`f * n` offset), a node's range holds its rows ordered
+    /// by that feature, so split search reads sorted values without sorting.
+    sorted: Vec<usize>,
+    /// The current node's targets, in draw order.
+    ys: Vec<f64>,
+    /// One feature of the current node's rows, in draw order.
+    xs: Vec<f64>,
+    /// That feature's distinct values, ascending.
+    distinct: Vec<f64>,
+    /// Right-side rows while partitioning.
+    spill: Vec<usize>,
+    features: Vec<usize>,
+    nodes: Vec<Node>,
+}
+
+impl<'a> TreeBuilder<'a> {
+    fn new(data: &'a Training<'a>, rows: Vec<usize>) -> TreeBuilder<'a> {
+        let (n, d) = (data.n, data.d);
+        // The bootstrap keeps each row's draw count; expanding the fit's
+        // per-feature orders by those counts sorts the sample per feature.
+        let mut copies = vec![0; n];
+        for &row in &rows {
+            copies[row] += 1;
+        }
+        let mut sorted = Vec::with_capacity(n * d);
+        for &row in &data.by_value {
+            sorted.extend(std::iter::repeat_n(row, copies[row]));
+        }
+        // Every leaf below the root keeps ≥ max(min_leaf, 1) rows.
+        let max_leaves = n / data.config.min_leaf.max(1) + 1;
+        TreeBuilder {
+            data,
+            rows,
+            sorted,
+            ys: Vec::with_capacity(n),
+            xs: Vec::with_capacity(n),
+            distinct: Vec::with_capacity(n),
+            spill: Vec::with_capacity(n),
+            features: Vec::with_capacity(d),
+            nodes: Vec::with_capacity(2 * max_leaves),
+        }
+    }
+
+    /// Append the pre-order subtree over `rows[lo..hi]`.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut StdRng) {
+        let data = self.data;
+        let config = &data.config;
+        self.ys.clear();
+        self.ys.extend(self.rows[lo..hi].iter().map(|&i| data.y[i]));
+        let len = hi - lo;
+        let mean = self.ys.iter().sum::<f64>() / len as f64;
+        let at = self.nodes.len();
+        self.nodes.push(Node { value: mean, feature: 0, right: 0 });
+        if depth >= config.max_depth || len < 2 * config.min_leaf {
+            return;
+        }
+        let variance = self.ys.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>();
+        let d = data.d;
+        if variance < 1e-12 || d == 0 {
+            return;
+        }
+        let n_features = ((d as f64 * config.feature_fraction).ceil() as usize).clamp(1, d);
+        // Random feature subset without replacement (d is small).
+        self.features.clear();
+        self.features.extend(0..d);
+        for i in 0..n_features {
+            let j = rng.gen_range(i..d);
+            self.features.swap(i, j);
+        }
+        let Some((feature, threshold)) = self.best_split(lo, hi, n_features) else {
+            return;
+        };
+        let mid = self.partition(lo, hi, feature, threshold);
+        let feature = u32::try_from(feature).expect("feature index fits u32");
+        self.nodes[at] = Node { value: threshold, feature, right: 0 };
+        self.grow(lo, mid, depth + 1, rng);
+        self.nodes[at].right = u32::try_from(self.nodes.len()).expect("node index fits u32");
+        self.grow(mid, hi, depth + 1, rng);
+    }
+
+    /// The lowest-SSE qualifying `(feature, threshold)` over the first
+    /// `n_features` drawn features, scoring every threshold of a feature
+    /// in two fused passes over the node's rows (`ys` must hold its
+    /// targets).
+    // detlint::hot
+    fn best_split(&mut self, lo: usize, hi: usize, n_features: usize) -> Option<(usize, f64)> {
+        let data = self.data;
+        let (n, min_leaf, len) = (data.n, data.config.min_leaf, hi - lo);
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+        for &feature in &self.features[..n_features] {
+            let column = data.column(feature);
+            self.xs.clear();
+            self.xs.extend(self.rows[lo..hi].iter().map(|&i| column[i]));
+            let sorted = &self.sorted[feature * n..][lo..hi];
+            self.distinct.clear();
+            self.distinct.extend(sorted.iter().map(|&i| column[i]));
+            self.distinct.dedup();
+            let values = &self.distinct;
+            if values.len() < 2 {
+                continue;
+            }
+            // Unused lanes keep a NaN threshold (every row goes right);
+            // only the first `m` lanes are read back.
+            let mut thresholds = [f64::NAN; MAX_THRESHOLDS];
+            let mut m = 0;
+            let step = (values.len() - 1).max(1) as f64 / MAX_THRESHOLDS as f64;
+            let mut last = usize::MAX;
+            for k in 0..MAX_THRESHOLDS {
+                // `idx` never decreases in `k`, so a repeat is always the
+                // previous index.
+                let idx = ((k as f64 * step) as usize).min(values.len() - 2);
+                if idx == last {
+                    continue;
+                }
+                last = idx;
+                thresholds[m] = (values[idx] + values[idx + 1]) / 2.0;
+                m += 1;
+            }
+
+            let sums = kernel::side_sums(&self.xs, &self.ys, &thresholds);
+            let mut left_mean = [0.0f64; MAX_THRESHOLDS];
+            let mut right_mean = [0.0f64; MAX_THRESHOLDS];
+            let mut qualifies = [false; MAX_THRESHOLDS];
+            for t in 0..m {
+                let (ln, rn) = (sums.left_n[t], len - sums.left_n[t]);
+                qualifies[t] = ln >= min_leaf && rn >= min_leaf;
+                left_mean[t] = sums.left_sum[t] / ln as f64;
+                right_mean[t] = sums.right_sum[t] / rn as f64;
+            }
+            if !qualifies.contains(&true) {
+                continue;
+            }
+            let sse = kernel::side_sse(&self.xs, &self.ys, &thresholds, &left_mean, &right_mean);
+            for t in (0..m).filter(|&t| qualifies[t]) {
+                if best.is_none_or(|(_, _, b)| sse[t] < b) {
+                    best = Some((feature, thresholds[t], sse[t]));
+                }
+            }
+        }
+        best.map(|(feature, threshold, _)| (feature, threshold))
+    }
+
+    /// Split the node `lo..hi` on `x[feature] <= threshold`, keeping each
+    /// side's rows in their order in every list; returns where the right
+    /// side starts.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let data = self.data;
+        let column = data.column(feature);
+        let goes_left = |row: usize| column[row] <= threshold;
+        let mid = lo + stable_partition(&mut self.rows[lo..hi], &mut self.spill, goes_left);
+        for f in 0..data.d {
+            let sorted = &mut self.sorted[f * data.n..][lo..hi];
+            stable_partition(sorted, &mut self.spill, goes_left);
+        }
+        mid
+    }
+}
+
+/// Stable in-place partition of `rows`, those where `goes_left` holds
+/// first; returns how many do. Branch-free: every row is written to both
+/// sides and only the matching cursor advances.
+fn stable_partition(
+    rows: &mut [usize],
+    spill: &mut Vec<usize>,
+    goes_left: impl Fn(usize) -> bool,
+) -> usize {
+    spill.clear();
+    spill.resize(rows.len(), 0);
+    let (mut left, mut right) = (0, 0);
+    for read in 0..rows.len() {
+        let row = rows[read];
+        let le = goes_left(row);
+        rows[left] = row;
+        spill[right] = row;
+        left += usize::from(le);
+        right += usize::from(!le);
+    }
+    rows[left..].copy_from_slice(&spill[..right]);
+    left
 }
 
 #[cfg(test)]
@@ -216,17 +431,22 @@ mod tests {
     }
 
     #[test]
-    fn uncertainty_is_higher_off_data() {
-        // Train only on the left half; the right half should show larger
-        // across-tree disagreement.
+    fn points_beyond_the_data_share_the_rightmost_leaves() {
+        // Train only on [0, 0.495]. Every threshold is a midpoint between
+        // two training values, so any point past the largest one goes
+        // right at every split: each tree routes it to its rightmost leaf
+        // and all such points get the same prediction bits. Bootstrap
+        // resampling makes those leaves disagree, so σ stays positive.
         let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 200.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (p[0] * 20.0).sin()).collect();
         let forest = RandomForest::fit(&x, &y, ForestConfig::default());
-        let (_, sigma_in) = forest.predict(&[0.25]);
-        let (_, sigma_out) = forest.predict(&[0.95]);
-        // Out-of-distribution σ collapses to leaf agreement; at minimum it
-        // must not be dramatically smaller than in-distribution σ.
-        assert!(sigma_out >= 0.0 && sigma_in >= 0.0);
+        let (mean, sigma) = forest.predict(&[0.5]);
+        assert!(sigma > 0.0, "σ {sigma}");
+        for p in [0.6, 0.75, 0.95, 1.0, 7.0, f64::INFINITY] {
+            let (m, s) = forest.predict(&[p]);
+            assert_eq!(m.to_bits(), mean.to_bits(), "mean differs at {p}");
+            assert_eq!(s.to_bits(), sigma.to_bits(), "σ differs at {p}");
+        }
     }
 
     #[test]
@@ -275,6 +495,107 @@ mod tests {
             let (m2, s2) = parallel.predict(&p);
             assert_eq!(m1.to_bits(), m2.to_bits(), "mean differs at {p:?}");
             assert_eq!(s1.to_bits(), s2.to_bits(), "sigma differs at {p:?}");
+        }
+    }
+
+    mod equivalence {
+        use super::super::reference;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A training set of `n` rows in `d` dimensions: x uniform, on a
+        /// coarse grid, drawn from three repeated values, or from two
+        /// neighbouring floats; y uniform,
+        /// constant (possibly -0.0), or mostly ±0.0.
+        fn training_set(
+            n: usize,
+            d: usize,
+            x_shape: u8,
+            y_shape: u8,
+            seed: u64,
+        ) -> (Vec<Vec<f64>>, Vec<f64>) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let levels = rng.gen_range(2..=6);
+            let pool: Vec<f64> = (0..3).map(|_| rng.gen()).collect();
+            // Neighbouring floats: their midpoint rounds onto one of them,
+            // so a threshold equals a training value.
+            let base: f64 = rng.gen();
+            let neighbours = [base, f64::from_bits(base.to_bits() + 1)];
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..d)
+                        .map(|_| match x_shape {
+                            0 => rng.gen(),
+                            1 => rng.gen_range(0..levels) as f64 / (levels - 1) as f64,
+                            2 => pool[rng.gen_range(0..pool.len())],
+                            _ => neighbours[rng.gen_range(0..2)],
+                        })
+                        .collect()
+                })
+                .collect();
+            let constant = if rng.gen() { -0.0 } else { rng.gen_range(-5.0..5.0) };
+            let y: Vec<f64> = (0..n)
+                .map(|_| match y_shape {
+                    0 => rng.gen_range(-5.0..5.0),
+                    1 => constant,
+                    _ => match rng.gen_range(0..10) {
+                        0..=3 => 0.0,
+                        4..=7 => -0.0,
+                        _ => rng.gen_range(-5.0..5.0),
+                    },
+                })
+                .collect();
+            (x, y)
+        }
+
+        /// Query points: training rows (which sit on split boundaries),
+        /// grid points, and uniform points reaching past the unit cube.
+        fn query_points(x: &[Vec<f64>], d: usize, seed: u64) -> Vec<Vec<f64>> {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut points: Vec<Vec<f64>> = x.iter().take(15).cloned().collect();
+            points.extend((0..15).map(|i| vec![i as f64 / 14.0; d]));
+            while points.len() < 50 {
+                points.push((0..d).map(|_| rng.gen_range(-0.2..1.2)).collect());
+            }
+            points
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn flat_forest_matches_the_recursive_reference_bit_for_bit(
+                n in 1usize..=400,
+                d in 0usize..=5,
+                x_shape in 0u8..4,
+                y_shape in 0u8..3,
+                data_seed in any::<u64>(),
+                n_trees in 1usize..=2 * STACK_TREES,
+                max_depth in 0usize..=14,
+                min_leaf in 0usize..=8,
+                fraction_twentieths in 0u8..=20,
+                seed in any::<u64>(),
+                threads in prop::sample::select(vec![1usize, 4]),
+            ) {
+                let (x, y) = training_set(n, d, x_shape, y_shape, data_seed);
+                let config = ForestConfig {
+                    n_trees,
+                    max_depth,
+                    min_leaf,
+                    feature_fraction: f64::from(fraction_twentieths) / 20.0,
+                    seed,
+                    threads,
+                };
+                let flat = RandomForest::fit(&x, &y, config);
+                let oracle = reference::RandomForest::fit(&x, &y, ForestConfig { threads: 1, ..config });
+                prop_assert_eq!(flat.n_trees(), oracle.n_trees());
+                for point in query_points(&x, d, data_seed) {
+                    let (m1, s1) = flat.predict(&point);
+                    let (m2, s2) = oracle.predict(&point);
+                    prop_assert_eq!(m1.to_bits(), m2.to_bits(), "mean at {:?}", point);
+                    prop_assert_eq!(s1.to_bits(), s2.to_bits(), "σ at {:?}", point);
+                }
+            }
         }
     }
 }

@@ -148,10 +148,9 @@ impl Optimizer {
             }
         };
         if needs_refit {
-            let x: Vec<Vec<f64>> = self.history.iter().map(|e| e.point.clone()).collect();
             let y: Vec<f64> = self.history.iter().map(|e| e.value).collect();
-            let forest = RandomForest::fit(
-                &x,
+            let forest = RandomForest::fit_points(
+                self.history.iter().map(|e| e.point.as_slice()),
                 &y,
                 ForestConfig {
                     n_trees: self.config.n_trees,
@@ -176,11 +175,9 @@ impl Optimizer {
         for slot in candidates.iter_mut().take(n_random) {
             self.space.sample_unit_into(&mut self.rng, slot);
         }
-        let mut incumbents: Vec<&Evaluation> = self.history.iter().collect();
-        incumbents.sort_by(|a, b| a.value.total_cmp(&b.value));
-        let top = incumbents.into_iter().take(5).map(|e| e.point.clone()).collect::<Vec<_>>();
+        let (top, n_top) = incumbents(&self.history);
         for slot in candidates.iter_mut().skip(n_random) {
-            let base = &top[self.rng.gen_range(0..top.len())];
+            let base = &self.history[top[self.rng.gen_range(0..n_top)]].point;
             self.space.perturb_into(base, 0.08, &mut self.rng, slot);
         }
 
@@ -235,6 +232,28 @@ impl Optimizer {
     }
 }
 
+/// Incumbents whose neighbourhoods `ask` perturbs.
+const INCUMBENTS: usize = 5;
+
+/// Indices of the (up to) [`INCUMBENTS`] lowest-valued evaluations and how
+/// many there are, listed as a stable sort by value would list them (ties
+/// in history order).
+fn incumbents(history: &[Evaluation]) -> ([usize; INCUMBENTS], usize) {
+    let mut top = [0; INCUMBENTS];
+    let mut len = 0;
+    for (i, e) in history.iter().enumerate() {
+        // After every kept entry that does not sort above `e`.
+        let at = top[..len].partition_point(|&j| history[j].value.total_cmp(&e.value).is_le());
+        if at == INCUMBENTS {
+            continue;
+        }
+        len = (len + 1).min(INCUMBENTS);
+        top.copy_within(at..len - 1, at + 1);
+        top[at] = i;
+    }
+    (top, len)
+}
+
 /// Expected improvement of a candidate under the surrogate (minimization).
 fn expected_improvement(forest: &RandomForest, point: &[f64], best: f64) -> f64 {
     let (mean, sigma) = forest.predict(point);
@@ -271,6 +290,22 @@ mod tests {
 
     fn unit_space(d: usize) -> Space {
         Space::new(vec![Dimension::Float { lo: 0.0, hi: 1.0 }; d])
+    }
+
+    #[test]
+    fn incumbents_match_a_stable_sort() {
+        let values = [3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.5, 9.0, f64::NAN, -0.0, 0.0];
+        for n in 0..=values.len() {
+            let history: Vec<Evaluation> = values[..n]
+                .iter()
+                .map(|&value| Evaluation { point: Vec::new(), value })
+                .collect();
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by(|&a, &b| history[a].value.total_cmp(&history[b].value));
+            sorted.truncate(INCUMBENTS);
+            let (top, len) = incumbents(&history);
+            assert_eq!(&top[..len], &sorted[..], "first {n} values");
+        }
     }
 
     #[test]

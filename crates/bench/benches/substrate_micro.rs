@@ -30,18 +30,29 @@ fn bench(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         b.iter(|| std::hint::black_box(bayesopt::latin_hypercube(100, 5, &mut rng)))
     });
-    c.bench_function("bayesopt/forest_fit_200x3", |b| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    // 200 training rows in 3 dimensions, and query points for 32 rounds of
+    // 200 lookups (one EI-scoring round each). Each round scores fresh
+    // points, as `ask` does: repeating one set lets the branch predictor
+    // learn the tree walks.
+    let (x, y, points) = {
         use rand::Rng;
-        let x: Vec<Vec<f64>> =
-            (0..200).map(|_| (0..3).map(|_| rng.gen::<f64>()).collect()).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut points = |n: usize| -> Vec<Vec<f64>> {
+            (0..n).map(|_| (0..3).map(|_| rng.gen::<f64>()).collect()).collect()
+        };
+        let x = points(200);
         let y: Vec<f64> = x.iter().map(|p| p[0] * 10.0 + p[1] * p[2]).collect();
+        (x, y, points(200 * 32))
+    };
+    let fit = || bayesopt::RandomForest::fit(&x, &y, bayesopt::forest::ForestConfig::default());
+    c.bench_function("bayesopt/forest_fit_200x3", |b| b.iter(|| std::hint::black_box(fit())));
+    c.bench_function("bayesopt/forest_predict", |b| {
+        let forest = fit();
+        let mut rounds = points.chunks(200).cycle();
         b.iter(|| {
-            std::hint::black_box(bayesopt::RandomForest::fit(
-                &x,
-                &y,
-                bayesopt::forest::ForestConfig::default(),
-            ))
+            for point in rounds.next().expect("cycle is endless") {
+                std::hint::black_box(forest.predict(point));
+            }
         })
     });
 
