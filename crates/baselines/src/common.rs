@@ -9,7 +9,7 @@ use minidb::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlbarber::cost::CostType;
-use sqlbarber::oracle::{CostOracle, PreparedHandle};
+use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use sqlbarber::sampler::PlaceholderSpace;
 use sqlkit::{BinaryOp, ColumnRef, Expr, Select, Template, Value};
 use std::collections::{HashMap, HashSet};
@@ -148,37 +148,31 @@ impl<'t> Acceptance<'t> {
     }
 }
 
-/// Decode a point and cost it — through the prepared plan skeleton when
-/// one is available, falling back to render-and-memoize otherwise.
-/// Returns the bindings (so the caller can defer SQL rendering until
-/// [`Acceptance::would_consider`] says the probe is worth keeping) and
-/// the cost.
+/// Decode a point and cost it through the template's prepared plan, as
+/// an oracle batch of one. Returns the bindings (so the caller can defer
+/// SQL rendering until [`Acceptance::would_consider`] says the probe is
+/// worth keeping) and the cost; `None` when the template failed to
+/// prepare (no probe is issued) or the probe errs.
 ///
 /// Both baselines probe one point at a time on purpose: hill climbing
 /// must see a probe's cost before choosing the next neighbour, and
 /// Q-learning must observe the reward before the next action, so their
-/// loops are sequentially dependent and cannot form the binding batches
-/// the oracle's columnar path consumes. They still ride its supporting
-/// work — inline binding keys make each `cost_prepared` memo lookup
-/// allocation-free, and `would_consider` defers SQL rendering exactly
-/// like the scheduler's batched path does.
+/// loops are sequentially dependent. The reused `scratch` keeps each
+/// warm memo lookup allocation-free, and `would_consider` defers SQL
+/// rendering exactly like the scheduler's batched path does.
 pub(crate) fn evaluate(
     oracle: &CostOracle,
     entry: &PooledTemplate,
     prepared: Option<&PreparedHandle>,
     point: &[f64],
     cost_type: CostType,
+    scratch: &mut ColumnarScratch,
 ) -> Option<(HashMap<u32, Value>, f64)> {
+    let handle = prepared?;
     let bindings = entry.space.decode(point);
-    let cost = match prepared {
-        Some(handle) => oracle.cost_prepared(handle, &bindings, cost_type).ok()?,
-        None => {
-            let query = entry.template.instantiate(&bindings).ok()?;
-            // Render once: the SQL text doubles as the memo-cache key.
-            let sql = query.to_string();
-            oracle.cost_rendered(&sql, &query, cost_type).ok()?
-        }
-    };
+    let batch = std::slice::from_ref(&bindings);
+    let results = oracle.cost_prepared_batch_columnar(handle, batch, cost_type, scratch);
+    let cost = *results[0].as_ref().ok()?;
     Some((bindings, cost))
 }
 

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlbarber::bo_search::interval_objective;
 use sqlbarber::cost::CostType;
-use sqlbarber::oracle::{CostOracle, PreparedHandle};
+use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use std::time::Instant;
 use workload::TargetDistribution;
 
@@ -61,6 +61,7 @@ impl HillClimbing {
         // only re-costs the cached skeleton for its bindings.
         let prepared: Vec<Option<PreparedHandle>> =
             self.pool.iter().map(|e| oracle.prepare(&e.template).ok()).collect();
+        let mut scratch = ColumnarScratch::new();
 
         let iterations = self.config.iterations.unwrap_or(target.intervals.count);
         for round in 0..iterations {
@@ -83,6 +84,7 @@ impl HillClimbing {
                         prepared[template_idx].as_ref(),
                         &[],
                         cost_type,
+                        &mut scratch,
                     ) {
                         report.evaluations += 1;
                         accept_costed(
@@ -114,6 +116,7 @@ impl HillClimbing {
                         prepared[template_idx].as_ref(),
                         &point,
                         cost_type,
+                        &mut scratch,
                     ) else {
                         break;
                     };

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlbarber::bo_search::interval_objective;
 use sqlbarber::cost::CostType;
-use sqlbarber::oracle::{CostOracle, PreparedHandle};
+use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use std::collections::HashMap;
 use std::time::Instant;
 use workload::TargetDistribution;
@@ -93,6 +93,7 @@ impl LearnedSqlGen {
         // only re-costs the cached skeleton for its bindings.
         let prepared: Vec<Option<PreparedHandle>> =
             self.pool.iter().map(|e| oracle.prepare(&e.template).ok()).collect();
+        let mut scratch = ColumnarScratch::new();
 
         let iterations = self.config.iterations.unwrap_or(target.intervals.count);
         for round in 0..iterations {
@@ -138,6 +139,7 @@ impl LearnedSqlGen {
                         prepared[template_idx].as_ref(),
                         &point,
                         cost_type,
+                        &mut scratch,
                     ) else {
                         break;
                     };

@@ -100,17 +100,7 @@ fn run_bo_phase(
     threads: usize,
     latency: Duration,
 ) -> (Vec<(String, u64)>, Duration, OracleStats) {
-    run_bo_phase_columnar(db, threads, latency, true)
-}
-
-fn run_bo_phase_columnar(
-    db: &minidb::Database,
-    threads: usize,
-    latency: Duration,
-    columnar: bool,
-) -> (Vec<(String, u64)>, Duration, OracleStats) {
-    let oracle =
-        CostOracle::new(db, threads).with_probe_latency(latency).with_columnar(columnar);
+    let oracle = CostOracle::new(db, threads).with_probe_latency(latency);
     let mut rng = StdRng::seed_from_u64(7);
     let mut templates = profiled_pool(&oracle, &mut rng);
     // Default weighted_sample (10) would let the first interval claim
@@ -203,17 +193,14 @@ fn bench(c: &mut Criterion) {
 
     // Latency-free runs: tracks the scheduler's own CPU overhead.
     // `iter_custom` sums only the BO-phase wall-clock that `run_bo_phase`
-    // measures (profiling and pool setup excluded). The `_no_columnar`
-    // variant costs mini-batches one probe at a time (`--no-columnar`);
-    // the gap to `cpu_1_thread` is the columnar batch path's BO-phase
-    // CPU win.
-    let time_bo_phase = |threads: usize, columnar: bool| {
+    // measures (profiling and pool setup excluded).
+    let time_bo_phase = |threads: usize| {
         let db = &db;
         move |iters: u64| {
             let mut total = Duration::ZERO;
             for _ in 0..iters {
                 let (fingerprint, elapsed, _) =
-                    run_bo_phase_columnar(db, threads, Duration::ZERO, columnar);
+                    run_bo_phase(db, threads, Duration::ZERO);
                 std::hint::black_box(fingerprint);
                 total += elapsed;
             }
@@ -221,13 +208,10 @@ fn bench(c: &mut Criterion) {
         }
     };
     c.bench_function("bo_scheduler/cpu_1_thread", |bencher| {
-        bencher.iter_custom(time_bo_phase(1, true))
-    });
-    c.bench_function("bo_scheduler/cpu_1_thread_no_columnar", |bencher| {
-        bencher.iter_custom(time_bo_phase(1, false))
+        bencher.iter_custom(time_bo_phase(1))
     });
     c.bench_function("bo_scheduler/cpu_8_threads", |bencher| {
-        bencher.iter_custom(time_bo_phase(8, true))
+        bencher.iter_custom(time_bo_phase(8))
     });
 }
 

@@ -8,8 +8,8 @@
 //! * `recost_batch`: the columnar batch path — one skeleton walk for the
 //!   whole 256-binding batch, tight per-column selectivity loops, and a
 //!   caller-owned scratch arena (zero steady-state allocation);
-//! * memo hits: a warm oracle answering repeats from the rendered-text
-//!   memo and from the prepared binding-key memo.
+//! * memo hits: a warm oracle answering repeats from its binding-key
+//!   memo, one probe per call through the oracle's batch entry point.
 //!
 //! Distinct bindings are the case the memo cache cannot help with, so
 //! `from_scratch` vs `recost` is the honest measure of the fast path.
@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use minidb::{BindingBatch, Database, PreparedTemplate, RecostScratch};
-use sqlbarber::oracle::CostOracle;
+use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Template, Value};
 use std::collections::HashMap;
@@ -59,6 +59,22 @@ fn cost_from_scratch(db: &Database, template: &Template, binding: &HashMap<u32, 
     std::hint::black_box(db.explain(&query).expect("plans"));
 }
 
+/// Cost each binding as an oracle batch of one (the sequential callers'
+/// access pattern), reusing one scratch arena.
+fn cost_one_at_a_time(
+    oracle: &CostOracle,
+    handle: &PreparedHandle,
+    points: &[HashMap<u32, Value>],
+    scratch: &mut ColumnarScratch,
+) {
+    for binding in points {
+        let batch = std::slice::from_ref(binding);
+        let result =
+            oracle.cost_prepared_batch_columnar(handle, batch, CostType::PlanCost, scratch);
+        std::hint::black_box(result[0].as_ref().unwrap());
+    }
+}
+
 fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Value>]) {
     let prepared = PreparedTemplate::prepare(db, template).expect("prepares");
 
@@ -90,28 +106,10 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
     // Warm memo hits: one priming pass, then measure the repeat.
     let oracle = CostOracle::new(db, 1);
     let handle = oracle.prepare(template).expect("prepares");
-    let rendered: Vec<(String, sqlkit::Select)> = points
-        .iter()
-        .map(|b| {
-            let q = template.instantiate(b).unwrap();
-            (q.to_string(), q)
-        })
-        .collect();
-    oracle.cost_batch(&rendered, CostType::PlanCost);
-    for binding in points {
-        oracle.cost_prepared(&handle, binding, CostType::PlanCost).unwrap();
-    }
+    let mut memo_scratch = ColumnarScratch::new();
+    cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
     let start = Instant::now();
-    for (sql, query) in &rendered {
-        std::hint::black_box(oracle.cost_rendered(sql, query, CostType::PlanCost).unwrap());
-    }
-    let text_hit = start.elapsed();
-    let start = Instant::now();
-    for binding in points {
-        std::hint::black_box(
-            oracle.cost_prepared(&handle, binding, CostType::PlanCost).unwrap(),
-        );
-    }
+    cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
     let binding_hit = start.elapsed();
 
     let per_probe = |d: std::time::Duration| d.as_nanos() as f64 / points.len() as f64;
@@ -129,12 +127,6 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
         "recost_batch_256",
         per_probe(batch_time),
         scratch.as_secs_f64() / batch_time.as_secs_f64()
-    );
-    println!(
-        "{:<22} {:>14.0} {:>11.2}x",
-        "text_memo_hit",
-        per_probe(text_hit),
-        scratch.as_secs_f64() / text_hit.as_secs_f64()
     );
     println!(
         "{:<22} {:>14.0} {:>11.2}x",
@@ -194,16 +186,9 @@ fn bench(c: &mut Criterion) {
     c.bench_function("prepared/binding_memo_hit", |bencher| {
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&template).expect("prepares");
-        for binding in &points {
-            oracle.cost_prepared(&handle, binding, CostType::PlanCost).unwrap();
-        }
-        bencher.iter(|| {
-            for binding in &points {
-                std::hint::black_box(
-                    oracle.cost_prepared(&handle, binding, CostType::PlanCost).unwrap(),
-                );
-            }
-        })
+        let mut scratch = ColumnarScratch::new();
+        cost_one_at_a_time(&oracle, &handle, &points, &mut scratch);
+        bencher.iter(|| cost_one_at_a_time(&oracle, &handle, &points, &mut scratch))
     });
 }
 

@@ -1,7 +1,7 @@
 //! `figures` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! cargo run --release -p sqlbarber-bench --bin figures -- <target> [--quick] [--threads N] [--no-prepared] [--no-columnar]
+//! cargo run --release -p sqlbarber-bench --bin figures -- <target> [--quick] [--threads N]
 //!                                                         [--bo-rounds-concurrency K]
 //!                                                         [--amplify N] [--amplify-shards K] [--amplify-out PATH]
 //!                                                         [--transport-faults R] [--retry-budget N] [--no-circuit-breaker]
@@ -13,11 +13,8 @@
 //! JSON artifact under `results/`. `--quick` (or `SQLBARBER_QUICK=1`)
 //! shrinks database scale and baseline budgets for smoke runs.
 //! `--threads N` sets the cost-oracle worker count (0 = all cores);
-//! results are bit-identical at any thread count. `--no-prepared`
-//! disables the prepared-plan fast path (plan every probe from scratch;
-//! results are bit-identical either way); `--no-columnar` disables the
-//! oracle's columnar batch costing (one probe at a time; results and
-//! oracle accounting are bit-identical either way). `--transport-faults R` injects
+//! results are bit-identical at any thread count. Any other flag is a
+//! usage error (exit status 2). `--transport-faults R` injects
 //! LLM transport faults at rate R (deterministic per seed; SQLBarber's
 //! resilience layer absorbs them — the baselines never call the LLM);
 //! `--retry-budget N` and `--no-circuit-breaker` tune that layer.
@@ -57,8 +54,7 @@ fn main() {
                 }
                 i += 1; // skip the value
             }
-            "--no-prepared" => config.use_prepared = false,
-            "--no-columnar" => config.use_columnar = false,
+            "--quick" => {} // handled above
             "--bo-rounds-concurrency" => {
                 if let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) {
                     config.bo_rounds_concurrency = k;
@@ -117,7 +113,10 @@ fn main() {
                 i += 1;
             }
             arg if !arg.starts_with("--") => positional.push(arg),
-            _ => {}
+            other => {
+                eprintln!("unknown flag `{other}`");
+                std::process::exit(2);
+            }
         }
         i += 1;
     }

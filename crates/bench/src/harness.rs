@@ -33,12 +33,6 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Cost-oracle worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Route probes through prepared template plans (`--no-prepared`
-    /// turns this off; results are bit-identical either way).
-    pub use_prepared: bool,
-    /// Columnar batch costing in the oracle (`--no-columnar` turns this
-    /// off; results and oracle accounting are bit-identical either way).
-    pub use_columnar: bool,
     /// LLM transport fault-injection rate in [0, 1] (`--transport-faults`;
     /// 0 = healthy transport). Only SQLBarber talks to the LLM, so the
     /// baselines are unaffected.
@@ -90,8 +84,6 @@ impl Default for HarnessConfig {
             pool_size: 2_000,
             seed: 2025,
             threads: 0,
-            use_prepared: true,
-            use_columnar: true,
             transport_fault_rate: 0.0,
             retry_budget: llm::RetryPolicy::default().retry_budget,
             breaker_enabled: true,
@@ -116,8 +108,6 @@ impl HarnessConfig {
             pool_size: 200,
             seed: 2025,
             threads: 0,
-            use_prepared: true,
-            use_columnar: true,
             transport_fault_rate: 0.0,
             retry_budget: llm::RetryPolicy::default().retry_budget,
             breaker_enabled: true,
@@ -146,8 +136,6 @@ impl HarnessConfig {
         let mut config = SqlBarberConfig {
             seed: self.seed,
             threads: self.threads,
-            use_prepared: self.use_prepared,
-            use_columnar: self.use_columnar,
             transport: llm::TransportFaultConfig::uniform(self.transport_fault_rate),
             retry: llm::RetryPolicy {
                 retry_budget: self.retry_budget,
@@ -306,10 +294,7 @@ pub fn run_baseline(
         scheduling,
         seed: harness.seed,
     };
-    let oracle =
-        CostOracle::new(db, harness.threads)
-            .with_prepared(harness.use_prepared)
-            .with_columnar(harness.use_columnar);
+    let oracle = CostOracle::new(db, harness.threads);
     let report = match kind {
         BaselineKind::HillClimbing => {
             HillClimbing::new(config, pool).generate(&oracle, target, cost_type)

@@ -142,10 +142,6 @@ pub struct AmplifyStats {
     /// engine costs through the prepared plan directly, so this is 0 —
     /// near-zero oracle misses per accepted query is the whole point.
     pub oracle_misses: u64,
-    /// Retained for output-format compatibility; always `false` now that
-    /// every cost type amplifies (execution-based metrics replay through
-    /// the vectorized execution plan instead of the recost skeleton).
-    pub unsupported_cost_type: bool,
 }
 
 impl AmplifyStats {
@@ -852,7 +848,6 @@ mod tests {
                     &oracle, &profiled, &target, cost_type, &config, 7, &mut buf,
                 )
                 .unwrap();
-                assert!(!stats.unsupported_cost_type, "{cost_type:?} must amplify");
                 assert!(stats.emitted > 0, "{cost_type:?}: nothing amplified");
                 assert_eq!(
                     stats.oracle_misses, 0,

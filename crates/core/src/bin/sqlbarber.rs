@@ -9,7 +9,6 @@
 //!                    [--spec "tables=2 joins=1; use GROUP BY"]... [--seed S]
 //!                    [--threads N] [--bo-rounds-concurrency K]
 //!                    [--transport-faults R] [--retry-budget N]
-//!                    [--no-prepared] [--no-columnar]
 //!                    [--no-circuit-breaker] [--out PREFIX]
 //!                    [--amplify N] [--amplify-shards K] [--amplify-batch N]
 //!                    [--amplify-out PATH]
@@ -18,6 +17,9 @@
 //! sqlbarber schema   [--db tpch|imdb] [--scale F]
 //! sqlbarber explain  [--db tpch|imdb] [--scale F] --sql "SELECT …" [--analyze]
 //! ```
+//!
+//! Every command accepts the common flags plus its own; any other flag
+//! is a usage error (exit 2), never silently ignored.
 //!
 //! `generate` writes `PREFIX.sql` (replayable statements) and
 //! `PREFIX.json` (machine-readable manifest). With `--samples`, the target
@@ -55,7 +57,8 @@ USAGE:
   sqlbarber schema   [OPTIONS]      print the database schema summary
   sqlbarber explain  [OPTIONS]      plan (and optionally run) one statement
 
-COMMON OPTIONS:
+COMMON OPTIONS (every command; a flag its command does not list below
+is a usage error, exit status 2):
   --db tpch|imdb          database to generate against      [default: tpch]
   --scale F               dataset scale factor/multiplier   [default: 0.05 / 4.0]
   --seed S                master seed                       [default: 42]
@@ -79,12 +82,6 @@ GENERATE OPTIONS:
   --spec \"...\"            declarative template spec, repeatable;
                           e.g. \"tables=2 joins=1; use GROUP BY\"
                           (default: the 24 Redset template profiles)
-  --no-prepared           disable the prepared-plan fast path (plan every
-                          probe from scratch; output is bit-identical)
-  --no-columnar           disable the columnar batch fast path — recost
-                          and vectorized-execution alike (cost each probe
-                          one at a time; output and oracle stats are
-                          bit-identical)
   --bo-rounds-concurrency K
                           pin the deficit scheduler to K concurrent
                           (interval, template) searches per round; 0 lets
@@ -136,12 +133,47 @@ EXPLAIN OPTIONS:
   --analyze               also execute and report actuals
 ";
 
+/// `(flag, value count)` accepted by every command.
+const COMMON_FLAGS: &[(&str, usize)] =
+    &[("--db", 1), ("--scale", 1), ("--seed", 1), ("--threads", 1)];
+
+const GENERATE_FLAGS: &[(&str, usize)] = &[
+    ("--benchmark", 1),
+    ("--distribution", 1),
+    ("--samples", 1),
+    ("--queries", 1),
+    ("--intervals", 1),
+    ("--range", 2),
+    ("--cost-type", 1),
+    ("--spec", 1),
+    ("--bo-rounds-concurrency", 1),
+    ("--transport-faults", 1),
+    ("--retry-budget", 1),
+    ("--no-circuit-breaker", 0),
+    ("--out", 1),
+    ("--amplify", 1),
+    ("--amplify-shards", 1),
+    ("--amplify-batch", 1),
+    ("--amplify-out", 1),
+    ("--checkpoint-dir", 1),
+    ("--checkpoint-every", 1),
+    ("--resume", 1),
+    ("--kill-at", 1),
+];
+
+const SCHEMA_FLAGS: &[(&str, usize)] = &[];
+
+const EXPLAIN_FLAGS: &[(&str, usize)] = &[("--sql", 1), ("--analyze", 0)];
+
 struct Flags {
     values: Vec<(String, Vec<String>)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parse `args` against the common flags plus `known` (the command's
+    /// own); an unknown flag is an error, so a typo or a removed flag
+    /// cannot swallow the next argument unnoticed.
+    fn parse(args: &[String], known: &[(&str, usize)]) -> Result<Flags, String> {
         let mut values: Vec<(String, Vec<String>)> = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -149,10 +181,10 @@ impl Flags {
             if !flag.starts_with("--") {
                 return Err(format!("unexpected argument `{flag}`"));
             }
-            let arity = match flag.as_str() {
-                "--analyze" | "--no-prepared" | "--no-columnar" | "--no-circuit-breaker" => 0,
-                "--range" => 2,
-                _ => 1,
+            let Some(&(_, arity)) =
+                COMMON_FLAGS.iter().chain(known).find(|(name, _)| name == flag)
+            else {
+                return Err(format!("unknown flag `{flag}`; see --help"));
             };
             if i + arity >= args.len() + usize::from(arity == 0) {
                 return Err(format!("missing value for `{flag}`"));
@@ -273,7 +305,7 @@ fn load_db(flags: &Flags) -> Result<minidb::Database, String> {
 }
 
 fn generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, GENERATE_FLAGS) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
@@ -433,8 +465,6 @@ fn generate(args: &[String]) -> i32 {
         cost_type
     );
     let threads: usize = try_flag!(flags.parsed("--threads", 0));
-    let use_prepared = !flags.has("--no-prepared");
-    let use_columnar = !flags.has("--no-columnar");
     let mut retry = llm::RetryPolicy::default();
     if let Some(budget) = try_flag!(flags.parsed_opt("--retry-budget")) {
         retry.retry_budget = budget;
@@ -447,8 +477,6 @@ fn generate(args: &[String]) -> i32 {
     let mut config = SqlBarberConfig {
         seed,
         threads,
-        use_prepared,
-        use_columnar,
         transport: llm::TransportFaultConfig::uniform(fault_rate),
         retry,
         ..Default::default()
@@ -520,7 +548,7 @@ fn generate(args: &[String]) -> i32 {
 }
 
 fn schema(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, SCHEMA_FLAGS) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
@@ -532,7 +560,7 @@ fn schema(args: &[String]) -> i32 {
 }
 
 fn explain(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, EXPLAIN_FLAGS) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");

@@ -16,14 +16,15 @@
 //! barrier, so the output is bit-identical at any thread count.
 
 use crate::cost::CostType;
-use crate::oracle::CostOracle;
+use crate::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use crate::profiler::ProfiledTemplate;
 use crate::scheduler::{deficit_schedule, RoundControl};
 use bayesopt::BoConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
-use sqlkit::Select;
-use std::collections::HashSet;
+use minidb::DbError;
+use sqlkit::Value;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use workload::TargetDistribution;
 
 /// Probes drawn per mini-batch while the conforming region is still
@@ -250,9 +251,7 @@ pub fn bo_predicate_search(
 
 /// The "Naive-Search" ablation: undirected uniform sampling of
 /// (template, predicate values) pairs until the budget runs out or the
-/// distribution is matched. Deliberately stays on the render-then-cost
-/// path (its batches mix templates, and the ablation measures the naive
-/// strategy, not the prepared fast path). Without closeness-guided template selection
+/// distribution is matched. Without closeness-guided template selection
 /// and without a surrogate, the last queries of sparsely-hit intervals
 /// arrive at the uniform hit rate — which is why the paper observes this
 /// variant "fails to reduce the distance to zero".
@@ -270,6 +269,11 @@ pub(crate) fn naive_random_search(
     let total = target.total();
     let budget = (config.naive_budget_factor * total).ceil() as usize;
     let n_templates = templates.len();
+    // Templates that fail to prepare stay in the draw (the draws are the
+    // ablation's RNG stream) but are never costed.
+    let handles: Vec<Option<PreparedHandle>> =
+        templates.iter().map(|t| oracle.prepare(&t.template).ok()).collect();
+    let mut scratch = ColumnarScratch::new();
     let mut evaluations = 0usize;
     let mut drawn = 0usize;
     'runs: while drawn < budget {
@@ -279,31 +283,40 @@ pub(crate) fn naive_random_search(
         if remaining <= 0.0 {
             break;
         }
-        // Draw a fixed-size mini-batch serially, cost it in parallel,
-        // process in order (same structure as `optimize_template`).
+        // Draw a fixed-size mini-batch serially, cost it grouped by
+        // template in ascending template order, then process the draws
+        // in order (same structure as `optimize_template`).
         let batch_size = BATCH_HARVEST.min(budget - drawn);
-        let mut picks: Vec<usize> = Vec::with_capacity(batch_size);
-        let mut probes: Vec<(String, Select)> = Vec::with_capacity(batch_size);
+        let mut picks: Vec<(usize, usize)> = Vec::with_capacity(batch_size);
+        let mut groups: BTreeMap<usize, Vec<HashMap<u32, Value>>> = BTreeMap::new();
         for _ in 0..batch_size {
             drawn += 1;
             let template_idx = rng.gen_range(0..n_templates);
             let template = &templates[template_idx];
             let point = template.space.space.sample_unit(rng);
-            let bindings = template.space.decode(&point);
-            let Ok(query) = template.template.instantiate(&bindings) else { continue };
-            picks.push(template_idx);
-            probes.push((query.to_string(), query));
+            let group = groups.entry(template_idx).or_default();
+            picks.push((template_idx, group.len()));
+            group.push(template.space.decode(&point));
         }
-        let costs = oracle.cost_batch(&probes, cost_type);
-        for ((template_idx, (sql, _)), cost) in
-            picks.into_iter().zip(probes).zip(costs)
-        {
-            let Ok(cost) = cost else { continue };
-            evaluations += 1;
+        let mut costs: BTreeMap<usize, Vec<Result<f64, DbError>>> = BTreeMap::new();
+        for (&template_idx, bindings) in &groups {
+            if let Some(handle) = &handles[template_idx] {
+                let results =
+                    oracle.cost_prepared_batch_columnar(handle, bindings, cost_type, &mut scratch);
+                costs.insert(template_idx, results.to_vec());
+            }
+        }
+        for (template_idx, slot) in picks {
+            let Some(&Ok(cost)) = costs.get(&template_idx).map(|c| &c[slot]) else { continue };
             let template = &mut templates[template_idx];
+            let query = template
+                .template
+                .instantiate(&groups[&template_idx][slot])
+                .expect("a successfully costed binding binds every placeholder");
+            evaluations += 1;
             template.consumed += 1.0;
             template.costs.push(cost);
-            state.try_accept(sql, cost, target);
+            state.try_accept(query.to_string(), cost, target);
             if evaluations.is_multiple_of(256) {
                 on_progress(&state.d);
             }

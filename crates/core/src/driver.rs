@@ -90,15 +90,6 @@ pub struct SqlBarberConfig {
     /// surrogate forest (`0` = use all available cores). Results are
     /// bit-identical at any thread count.
     pub threads: usize,
-    /// Prepared-plan fast path in the cost oracle: plan each template
-    /// once, re-cost per binding (default on). `false` is the CLIs'
-    /// `--no-prepared` escape hatch — slower, bit-identical output.
-    pub use_prepared: bool,
-    /// Columnar batch fast path in the cost oracle: cost each BO
-    /// mini-batch through struct-of-arrays recost with one memo-shard lock
-    /// per batch (default on). `false` is the CLIs' `--no-columnar`
-    /// escape hatch — slower, bit-identical output and accounting.
-    pub use_columnar: bool,
     /// Post-convergence amplification stage (`--amplify N`): stream
     /// cost-matched queries from the converged BO state through the
     /// prepared plans, bypassing the oracle memo. `None` disables it.
@@ -124,8 +115,6 @@ impl Default for SqlBarberConfig {
             enable_refine: true,
             max_outer_rounds: 3,
             threads: 0,
-            use_prepared: true,
-            use_columnar: true,
             amplify: None,
             checkpoint: None,
         }
@@ -775,9 +764,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
     ) -> Result<GenerationReport, GenerateError> {
         let width = target.intervals.width();
         let total_queries = target.total() as usize;
-        let oracle = CostOracle::new(self.db, self.config.threads)
-            .with_prepared(self.config.use_prepared)
-            .with_columnar(self.config.use_columnar);
+        let oracle = CostOracle::new(self.db, self.config.threads);
         if let Some(state) = oracle_state {
             oracle.restore_state(state).map_err(GenerateError::Checkpoint)?;
         }

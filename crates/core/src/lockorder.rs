@@ -10,7 +10,7 @@
 //! divergence between the declared order and real behavior panics the
 //! test suite instead of deadlocking it.
 //!
-// detlint::lock_order(payloads < templates < interner < text_shards < prepared_shards < lanes)
+// detlint::lock_order(payloads < templates < interner < prepared_shards < lanes)
 //!
 //! The order reads outermost-to-innermost. A scheduler task holds its
 //! `payloads` lock for the task's whole run — every oracle acquisition
@@ -18,8 +18,8 @@
 //! inside it, so `payloads` is the outermost class (the first tracker
 //! run caught exactly this: the draft order had it innermost and the BO
 //! suite panicked immediately). The template registry is held across
-//! plan construction, the interner feeds key construction, the two memo
-//! shard families are taken one-at-a-time per batch phase, and the
+//! plan construction, the interner feeds key construction, the memo
+//! shards are taken one at a time per batch phase, and the
 //! amplification lanes are true leaves (`Lane::run` costs against the
 //! prepared plan directly and never touches an oracle lock).
 //!
@@ -62,9 +62,7 @@ pub const PAYLOADS: LockRank = LockRank::new(10, "payloads");
 pub const TEMPLATES: LockRank = LockRank::new(20, "templates");
 /// Oracle string interner (feeds binding-key construction).
 pub const INTERNER: LockRank = LockRank::new(30, "interner");
-/// Text-keyed memo shards (one at a time per batch phase).
-pub const TEXT_SHARDS: LockRank = LockRank::new(40, "text_shards");
-/// Prepared-keyed memo shards (one at a time per batch phase).
+/// Memo shards (one at a time per batch phase).
 pub const PREPARED_SHARDS: LockRank = LockRank::new(50, "prepared_shards");
 /// Amplification lane scratch (leaf; one worker per lane per wave,
 /// costing straight against the prepared plan — no oracle locks).
@@ -74,7 +72,7 @@ pub const LANES: LockRank = LockRank::new(60, "lanes");
 /// release builds compile the tracker out).
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 const DECLARED: &str =
-    "payloads < templates < interner < text_shards < prepared_shards < lanes";
+    "payloads < templates < interner < prepared_shards < lanes";
 
 #[cfg(debug_assertions)]
 mod tracker {
@@ -207,7 +205,7 @@ mod tests {
 
     #[test]
     fn sequential_reacquisition_is_allowed() {
-        let m = OrderedMutex::new(TEXT_SHARDS, 0u32);
+        let m = OrderedMutex::new(PREPARED_SHARDS, 0u32);
         *m.lock() += 1;
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
@@ -255,10 +253,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn same_rank_nesting_trips_the_tracker() {
-        let a = OrderedMutex::new(TEXT_SHARDS, ());
-        let b = OrderedMutex::new(TEXT_SHARDS, ());
+        let a = OrderedMutex::new(PREPARED_SHARDS, ());
+        let b = OrderedMutex::new(PREPARED_SHARDS, ());
         let _held = a.lock();
         // detlint::allow(lock_order): deliberate same-class nesting; the should_panic expectation proves the runtime tracker rejects it
-        let _violation = b.lock(); // two shards of one family at once
+        let _violation = b.lock(); // two memo shards at once
     }
 }

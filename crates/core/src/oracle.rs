@@ -1,56 +1,58 @@
 //! Shared cost oracle: memoized, thread-parallel DBMS costing.
 //!
 //! Every phase of the pipeline — profiling (§5.1), refinement (§5.2), the
-//! BO predicate search (§5.3), and the baselines — ultimately asks the
-//! DBMS the same question: *what does this statement cost?* The
-//! [`CostOracle`] centralizes that question behind three optimizations:
+//! BO predicate search (§5.3), the naive-search ablation and the
+//! baselines — asks the DBMS one question: *what does this statement
+//! cost?* The [`CostOracle`] answers it through one entry point,
+//! [`CostOracle::cost_prepared_batch_columnar_on`] (and its full-budget
+//! shorthand [`CostOracle::cost_prepared_batch_columnar`]): a batch of
+//! bindings of one prepared template, costed into a caller-owned
+//! [`ColumnarScratch`]. Callers that must see each cost before choosing
+//! the next probe pass a batch of one.
 //!
-//! * **Prepared plans.** The hot loop costs thousands of bindings of the
-//!   *same* template. [`CostOracle::prepare`] plans the template once
-//!   (via [`minidb::PreparedTemplate`]) and
-//!   [`CostOracle::cost_prepared`] re-costs the cached skeleton per
-//!   binding — no rendering, lexing, parsing, or join-order search. Its
-//!   memo is keyed by the compact `(template id, cost type, binding
-//!   vector)` triple rather than kilobytes of rendered SQL.
-//! * **Memoization.** Results are cached in sharded, mutex-guarded,
+//! * **Prepared plans.** [`CostOracle::prepare`] plans a template once
+//!   (via [`minidb::PreparedTemplate`]) and is the only admission test: a
+//!   template that fails it is never costed. Each binding then re-costs
+//!   the cached skeleton — no rendering, lexing, parsing, or join-order
+//!   search — or, for the execution-based cost types, runs through the
+//!   template's vectorized [`minidb::PreparedExec`] plan.
+//! * **Memoization.** Results are cached under the compact `(template
+//!   id, cost type, binding vector)` key in sharded, mutex-guarded,
 //!   *bounded* maps (per-shard capacity with second-chance eviction, so
-//!   long runs cannot grow the cache without limit). One-off statements
-//!   use the rendered-text key; prepared probes use the binding key.
+//!   long runs cannot grow the cache without limit).
 //!   [`CostType::ExecutionTimeMicros`] is *never* memoized — the metric
 //!   is a deterministic work-unit proxy, but it is kept as the
 //!   always-execute control path so every probe exercises the executor.
-//! * **Batch parallelism.** [`CostOracle::cost_batch`] and
-//!   [`CostOracle::cost_prepared_batch`] evaluate a slice of probes on a
-//!   `std::thread::scope` worker pool. A serial pre-pass resolves cache
-//!   hits and dedupes the misses, so each distinct probe is planned once
-//!   per batch and the hit/eval accounting is the same at any thread
-//!   count; results are merged in submission order, making a batch
-//!   bit-identical to a serial loop.
+//! * **Batching.** Keys are partitioned by memo shard, so a batch takes
+//!   each shard lock once for its hit lookups and once for its inserts.
+//!   Distinct misses are deduplicated serially and costed as columnar
+//!   batches, split into contiguous chunks across up to the batch's
+//!   thread budget. Results come back in submission order, and results
+//!   and accounting are identical at any thread count.
 //!
 //! **Probe accounting.** The oracle distinguishes *logical probes* (what
 //! the algorithms asked for — the paper's evaluation-budget currency,
 //! counted even on cache hits) from *physical evaluations* (statements
 //! actually planned or executed). Physical counts are derived from the
 //! number of distinct cache entries plus evictions plus un-memoized
-//! probes, so they are deterministic even when concurrent workers race to
+//! probes, so they are deterministic even when concurrent batches race to
 //! fill the same entry (the duplicated plan work is wasted, not counted).
 //! With the default capacity the pipeline never evicts; tiny capacities
 //! (set via [`CostOracle::with_cache_capacity`]) trade that determinism
-//! guarantee for bounded memory under concurrent single probes.
+//! guarantee for bounded memory under concurrent batches.
 //!
-//! [`CostOracle::with_prepared`]`(false)` (the CLIs' `--no-prepared`)
-//! reroutes the prepared API through instantiate-render-plan — the exact
-//! pre-prepared behavior — as an escape hatch and an A/B lever; pipeline
-//! output is bit-identical either way because recosting is a pure
-//! function of the skeleton and bindings.
+//! The scalar `Database::explain` / `execute` path
+//! ([`crate::cost::query_cost`] on an instantiated statement) is the
+//! reference the tests hold this entry point to, bit for bit; the
+//! pipeline itself never calls it.
 
-use crate::cost::{query_cost, CostType};
+use crate::cost::CostType;
+use crate::lockorder::{self, OrderedMutex};
 use bayesopt::parallel::parallel_map;
 use minidb::{
     BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate,
     RecostScratch,
 };
-use crate::lockorder::{self, OrderedMutex};
 use sqlkit::{Select, Template, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -58,7 +60,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Shard count for the memo caches (reduces lock contention; must be a
+/// Shard count for the memo cache (reduces lock contention; must be a
 /// power of two).
 const SHARDS: usize = 16;
 
@@ -76,13 +78,16 @@ pub struct OracleStats {
     /// (including since-evicted ones) plus every non-memoizable
     /// (execution-time) probe.
     pub physical_evals: u64,
-    /// Probes answered from a memo cache: `logical - physical`.
+    /// Probes answered from the memo cache: `logical - physical`.
     pub cache_hits: u64,
-    /// Prepared-path probes answered from the binding-key memo.
+    /// Probes answered from the binding-key memo. Every probe is a
+    /// prepared probe, so this always equals `cache_hits`; kept so
+    /// manifests keep their shape.
     pub prepared_hits: u64,
-    /// Prepared-path probes that had to recost (or execute) the skeleton.
+    /// Probes that had to recost (or execute) the skeleton; always equals
+    /// `physical_evals`.
     pub prepared_misses: u64,
-    /// Memo entries discarded by second-chance eviction (both caches).
+    /// Memo entries discarded by second-chance eviction.
     pub evictions: u64,
     /// Deficit-scheduler rounds that executed at least one interval task.
     pub scheduler_rounds: u64,
@@ -96,8 +101,8 @@ pub struct OracleStats {
 }
 
 /// A template planned once by the oracle; cheap to clone and share across
-/// worker threads. Probe it with [`CostOracle::cost_prepared`] /
-/// [`CostOracle::cost_prepared_batch`].
+/// worker threads. Probe it with
+/// [`CostOracle::cost_prepared_batch_columnar_on`].
 #[derive(Debug, Clone)]
 pub struct PreparedHandle {
     /// Oracle-assigned id; the first component of the memo key.
@@ -200,6 +205,9 @@ impl Hash for BindingKey {
     }
 }
 
+/// Template id + cost type + binding vector → result.
+type PreparedKey = (u64, CostType, BindingKey);
+
 /// One bounded memo shard with second-chance (clock) eviction.
 ///
 /// Entries are kept in a FIFO queue alongside the map; a lookup sets the
@@ -207,15 +215,15 @@ impl Hash for BindingKey {
 /// entries a second pass (re-queued with the bit cleared) and discarding
 /// the first unreferenced one. Evictions are counted so physical-eval
 /// accounting stays exact even after entries are dropped.
-struct BoundedShard<K> {
-    map: HashMap<K, (Result<f64, DbError>, bool)>,
-    queue: VecDeque<K>,
+struct BoundedShard {
+    map: HashMap<PreparedKey, (Result<f64, DbError>, bool)>,
+    queue: VecDeque<PreparedKey>,
     capacity: usize,
     evicted: u64,
 }
 
-impl<K: Hash + Eq + Clone> BoundedShard<K> {
-    fn new(capacity: usize) -> BoundedShard<K> {
+impl BoundedShard {
+    fn new(capacity: usize) -> BoundedShard {
         BoundedShard {
             map: HashMap::new(),
             queue: VecDeque::new(),
@@ -225,16 +233,16 @@ impl<K: Hash + Eq + Clone> BoundedShard<K> {
     }
 
     // detlint::hot
-    fn get(&mut self, key: &K) -> Option<Result<f64, DbError>> {
+    fn get(&mut self, key: &PreparedKey) -> Option<Result<f64, DbError>> {
         self.map.get_mut(key).map(|(value, referenced)| {
             *referenced = true;
             value.clone()
         })
     }
 
-    fn insert(&mut self, key: K, value: Result<f64, DbError>) {
+    fn insert(&mut self, key: PreparedKey, value: Result<f64, DbError>) {
         match self.map.entry(key.clone()) {
-            // Concurrent workers racing on the same probe: keep one entry,
+            // Concurrent batches racing on the same probe: keep one entry,
             // don't re-queue.
             Entry::Occupied(mut slot) => {
                 slot.get_mut().0 = value;
@@ -268,20 +276,15 @@ impl<K: Hash + Eq + Clone> BoundedShard<K> {
     }
 }
 
-/// Rendered statement + cost type → result (one-off statements).
-type TextKey = (CostType, String);
-/// Template id + cost type + binding vector → result (prepared probes).
-type PreparedKey = (u64, CostType, BindingKey);
-
 /// Caller-owned scratch arena for
-/// [`CostOracle::cost_prepared_batch_columnar`].
+/// [`CostOracle::cost_prepared_batch_columnar_on`].
 ///
-/// Holds every buffer the columnar batch path needs — binding keys, the
-/// per-shard probe partition, miss bookkeeping, and the [`BindingBatch`] /
-/// [`RecostScratch`] handed to the recost layer — so repeated batches on a
-/// warm oracle allocate nothing. Reusable across handles, cost types, and
-/// batch sizes; `results` holds the last batch's outputs until the next
-/// call.
+/// Holds every buffer a batch needs — binding keys, the per-shard probe
+/// partition, miss bookkeeping, and the [`BindingBatch`] /
+/// [`RecostScratch`] / [`ExecScratch`] handed to the engine — so repeated
+/// batches on a warm oracle allocate nothing. Reusable across handles,
+/// cost types, and batch sizes; `results` holds the last batch's outputs
+/// until the next call.
 #[derive(Debug, Default)]
 pub struct ColumnarScratch {
     /// One result per probe, in submission order (the returned slice).
@@ -294,16 +297,18 @@ pub struct ColumnarScratch {
     by_shard: Vec<Vec<u32>>,
     /// First-appearance dedup of missed binding keys → miss slot.
     miss_slots: HashMap<BindingKey, usize>,
-    /// Probe index of each distinct miss, per-shard submission order.
+    /// Probe index of each probe to evaluate, in evaluation-slot order:
+    /// the distinct misses (per-shard submission order), or every probe
+    /// for the un-memoized cost type.
     misses: Vec<usize>,
     /// `(probe index, miss slot)` pairs to fill after evaluation.
     resolve_later: Vec<(usize, usize)>,
     /// One result per distinct miss.
     miss_results: Vec<Result<f64, DbError>>,
-    /// `(miss slot, probe index)` of misses that passed binding
-    /// validation and actually recost.
+    /// `(slot, probe index)` of probes that passed binding validation
+    /// and actually reach the engine.
     evals: Vec<(usize, usize)>,
-    /// Columnar bindings for the serial recost path.
+    /// Columnar bindings for the serial evaluation path.
     batch: BindingBatch,
     /// Plan-replay arena for the serial recost path.
     recost: RecostScratch,
@@ -322,21 +327,15 @@ impl ColumnarScratch {
 pub struct CostOracle<'db> {
     db: &'db Database,
     threads: usize,
-    use_prepared: bool,
-    /// Columnar batch fast path (default on; the `--no-columnar` escape
-    /// hatch routes [`CostOracle::cost_prepared_batch_columnar`] through
-    /// the per-probe batch path instead).
-    use_columnar: bool,
     /// Artificial per-physical-probe latency. Models the ≥1 ms per
     /// `EXPLAIN` a real DBMS charges (the paper's setup), which the
     /// in-memory engine answers in microseconds. The sleep happens inside
-    /// the worker that plans the probe, so concurrent tasks overlap it —
+    /// the worker that costs the probe, so concurrent tasks overlap it —
     /// the `bo_scheduler` bench uses this to measure how much DBMS
     /// latency the deficit scheduler hides. `None` (default) adds
     /// nothing; results are identical either way.
     probe_latency: Option<std::time::Duration>,
-    text_shards: Vec<OrderedMutex<BoundedShard<TextKey>>>,
-    prepared_shards: Vec<OrderedMutex<BoundedShard<PreparedKey>>>,
+    prepared_shards: Vec<OrderedMutex<BoundedShard>>,
     /// Template text → handle, so re-preparing a template yields the same
     /// id (and therefore the same memo namespace). Held across plan
     /// construction so racing prepares of one template cannot split ids.
@@ -347,12 +346,8 @@ pub struct CostOracle<'db> {
     /// results or counters, so id assignment order cannot affect output.
     interner: OrderedMutex<HashMap<Box<str>, u32>>,
     logical: AtomicU64,
-    /// Execution-time probes (bypass the caches entirely).
+    /// Execution-time probes (bypass the cache entirely).
     unmemoized: AtomicU64,
-    /// Prepared-path logical probes (subset of `logical`).
-    prepared_logical: AtomicU64,
-    /// Prepared-path execution-time probes (subset of `unmemoized`).
-    prepared_unmemoized: AtomicU64,
     scheduler_rounds: AtomicU64,
     scheduler_tasks: AtomicU64,
     scheduler_peak_tasks: AtomicU64,
@@ -366,17 +361,7 @@ impl<'db> CostOracle<'db> {
         CostOracle {
             db,
             threads: bayesopt::parallel::resolve_threads(threads),
-            use_prepared: true,
-            use_columnar: true,
             probe_latency: None,
-            text_shards: (0..SHARDS)
-                .map(|_| {
-                    OrderedMutex::new(
-                        lockorder::TEXT_SHARDS,
-                        BoundedShard::new(DEFAULT_SHARD_CAPACITY),
-                    )
-                })
-                .collect(),
             prepared_shards: (0..SHARDS)
                 .map(|_| {
                     OrderedMutex::new(
@@ -390,8 +375,6 @@ impl<'db> CostOracle<'db> {
             interner: OrderedMutex::new(lockorder::INTERNER, HashMap::new()),
             logical: AtomicU64::new(0),
             unmemoized: AtomicU64::new(0),
-            prepared_logical: AtomicU64::new(0),
-            prepared_unmemoized: AtomicU64::new(0),
             scheduler_rounds: AtomicU64::new(0),
             scheduler_tasks: AtomicU64::new(0),
             scheduler_peak_tasks: AtomicU64::new(0),
@@ -428,28 +411,6 @@ impl<'db> CostOracle<'db> {
         })
     }
 
-    /// Toggle the prepared-plan fast path (default on). When off, the
-    /// prepared API falls back to instantiate → render → plan with the
-    /// rendered-text memo — the `--no-prepared` escape hatch.
-    pub fn with_prepared(mut self, enabled: bool) -> CostOracle<'db> {
-        self.use_prepared = enabled;
-        self
-    }
-
-    /// Toggle the columnar batch fast path (default on). When off,
-    /// [`CostOracle::cost_prepared_batch_columnar`] delegates to the
-    /// per-probe batch path — the `--no-columnar` escape hatch. Results
-    /// and accounting are bit-identical either way.
-    pub fn with_columnar(mut self, enabled: bool) -> CostOracle<'db> {
-        self.use_columnar = enabled;
-        self
-    }
-
-    /// Whether batched prepared probes take the columnar fast path.
-    pub fn columnar_enabled(&self) -> bool {
-        self.use_columnar
-    }
-
     /// Charge an artificial latency for every *physical* probe (planned
     /// or executed statement; memo hits stay free). A modeling knob for
     /// benchmarks: a real DBMS charges ≥1 ms per `EXPLAIN` round-trip,
@@ -474,9 +435,6 @@ impl<'db> CostOracle<'db> {
     /// Intended for tests and memory-constrained runs; the pipeline
     /// default never evicts in practice.
     pub fn with_cache_capacity(self, per_shard: usize) -> CostOracle<'db> {
-        for shard in &self.text_shards {
-            shard.lock().capacity = per_shard.max(1);
-        }
         for shard in &self.prepared_shards {
             shard.lock().capacity = per_shard.max(1);
         }
@@ -491,11 +449,6 @@ impl<'db> CostOracle<'db> {
     /// Resolved worker-thread count (≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether prepared probes take the recost fast path.
-    pub fn prepared_enabled(&self) -> bool {
-        self.use_prepared
     }
 
     /// Plan a template once for repeated recosting. Validates it exactly
@@ -520,197 +473,8 @@ impl<'db> CostOracle<'db> {
         Ok(handle)
     }
 
-    /// Cost one statement, rendering its SQL internally. Counts one
-    /// logical probe; memoized unless `cost_type` requires execution.
-    pub fn query_cost(
-        &self,
-        select: &sqlkit::Select,
-        cost_type: CostType,
-    ) -> Result<f64, DbError> {
-        self.cost_rendered(&select.to_string(), select, cost_type)
-    }
-
-    /// Cost one statement whose SQL text the caller already rendered
-    /// (avoids re-rendering when the text is needed for acceptance
-    /// bookkeeping anyway).
-    pub fn cost_rendered(
-        &self,
-        sql: &str,
-        select: &sqlkit::Select,
-        cost_type: CostType,
-    ) -> Result<f64, DbError> {
-        self.logical.fetch_add(1, Ordering::Relaxed);
-        self.cost_text(sql, select, cost_type)
-    }
-
-    /// Text-keyed costing without the logical-probe count (shared by the
-    /// rendered API and the prepared fallback path).
-    fn cost_text(
-        &self,
-        sql: &str,
-        select: &sqlkit::Select,
-        cost_type: CostType,
-    ) -> Result<f64, DbError> {
-        // ActualCardinality requires execution but is still a pure
-        // function of the statement, so it stays memoizable; only
-        // wall-clock timings bypass the cache.
-        if cost_type == CostType::ExecutionTimeMicros {
-            self.unmemoized.fetch_add(1, Ordering::Relaxed);
-            self.charge_latency();
-            return query_cost(self.db, select, cost_type);
-        }
-        let key = (cost_type, sql.to_string());
-        let shard = &self.text_shards[shard_index(&key)];
-        if let Some(cached) = shard.lock().get(&key) {
-            return cached;
-        }
-        self.charge_latency();
-        let result = query_cost(self.db, select, cost_type);
-        shard.lock().insert(key, result.clone());
-        result
-    }
-
-    /// Cost one binding of a prepared template. Counts one logical probe;
-    /// memoized under the `(template id, cost type, binding vector)` key
-    /// unless `cost_type` requires execution.
-    pub fn cost_prepared(
-        &self,
-        handle: &PreparedHandle,
-        bindings: &HashMap<u32, Value>,
-        cost_type: CostType,
-    ) -> Result<f64, DbError> {
-        self.logical.fetch_add(1, Ordering::Relaxed);
-        if !self.use_prepared {
-            let select = instantiate(handle, bindings)?;
-            return self.cost_text(&select.to_string(), &select, cost_type);
-        }
-        self.prepared_logical.fetch_add(1, Ordering::Relaxed);
-        if cost_type == CostType::ExecutionTimeMicros {
-            self.unmemoized.fetch_add(1, Ordering::Relaxed);
-            self.prepared_unmemoized.fetch_add(1, Ordering::Relaxed);
-            return self.eval_prepared(handle, bindings, cost_type);
-        }
-        let key = (handle.id, cost_type, self.binding_key(handle, bindings));
-        let shard = &self.prepared_shards[shard_index(&key)];
-        if let Some(cached) = shard.lock().get(&key) {
-            return cached;
-        }
-        let result = self.eval_prepared(handle, bindings, cost_type);
-        shard.lock().insert(key, result.clone());
-        result
-    }
-
-    /// Cost a batch of bindings of one prepared template, in submission
-    /// order. Counts one logical probe per binding; cache misses are
-    /// deduplicated serially (by binding key) and recosted on up to
-    /// [`CostOracle::threads`] scoped workers, so the result vector — and
-    /// the hit/eval accounting — is identical to a serial loop.
-    pub fn cost_prepared_batch(
-        &self,
-        handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
-        cost_type: CostType,
-    ) -> Vec<Result<f64, DbError>> {
-        self.cost_prepared_batch_on(self.threads, handle, bindings_list, cost_type)
-    }
-
-    /// [`CostOracle::cost_prepared_batch`] with an explicit worker-thread
-    /// budget for this batch only. The deficit scheduler uses this to
-    /// split the global thread budget between concurrent interval tasks
-    /// and each task's inner batch costing; results and accounting are
-    /// identical at any `threads` value.
-    pub fn cost_prepared_batch_on(
-        &self,
-        threads: usize,
-        handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
-        cost_type: CostType,
-    ) -> Vec<Result<f64, DbError>> {
-        let threads = threads.clamp(1, self.threads);
-        self.logical.fetch_add(bindings_list.len() as u64, Ordering::Relaxed);
-        if !self.use_prepared {
-            return self.fallback_batch(threads, handle, bindings_list, cost_type);
-        }
-        self.prepared_logical.fetch_add(bindings_list.len() as u64, Ordering::Relaxed);
-        if cost_type == CostType::ExecutionTimeMicros {
-            // Not memoizable; still parallel, still order-preserving.
-            self.unmemoized.fetch_add(bindings_list.len() as u64, Ordering::Relaxed);
-            self.prepared_unmemoized.fetch_add(bindings_list.len() as u64, Ordering::Relaxed);
-            return parallel_map(threads, bindings_list, |_, bindings| {
-                self.eval_prepared(handle, bindings, cost_type)
-            });
-        }
-
-        // Serial pre-pass: resolve cache hits, dedupe misses in
-        // first-appearance order.
-        let keys: Vec<BindingKey> =
-            bindings_list.iter().map(|b| self.binding_key(handle, b)).collect();
-        let mut results: Vec<Option<Result<f64, DbError>>> = vec![None; bindings_list.len()];
-        let mut miss_slots: HashMap<&BindingKey, usize> = HashMap::new();
-        let mut misses: Vec<usize> = Vec::new(); // probe index of first appearance
-        let mut resolve_later: Vec<(usize, usize)> = Vec::new(); // (probe, miss slot)
-        for (i, key) in keys.iter().enumerate() {
-            let full_key = (handle.id, cost_type, key.clone());
-            let shard = &self.prepared_shards[shard_index(&full_key)];
-            if let Some(cached) = shard.lock().get(&full_key) {
-                results[i] = Some(cached);
-            } else if let Some(&slot) = miss_slots.get(key) {
-                resolve_later.push((i, slot));
-            } else {
-                let slot = misses.len();
-                miss_slots.insert(key, slot);
-                misses.push(i);
-                resolve_later.push((i, slot));
-            }
-        }
-
-        // Recost each distinct miss exactly once, in parallel.
-        let computed = parallel_map(threads, &misses, |_, &probe_idx| {
-            self.eval_prepared(handle, &bindings_list[probe_idx], cost_type)
-        });
-        for (slot, &probe_idx) in misses.iter().enumerate() {
-            let full_key = (handle.id, cost_type, keys[probe_idx].clone());
-            self.prepared_shards[shard_index(&full_key)]
-                .lock()
-                .insert(full_key, computed[slot].clone());
-        }
-        for (probe_idx, slot) in resolve_later {
-            results[probe_idx] = Some(computed[slot].clone());
-        }
-        results.into_iter().map(|r| r.expect("every probe resolved")).collect()
-    }
-
-    /// `--no-prepared` batch path: instantiate every binding and route
-    /// through the rendered-text batch machinery (exact pre-prepared
-    /// behavior, including the text-keyed memo).
-    fn fallback_batch(
-        &self,
-        threads: usize,
-        handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
-        cost_type: CostType,
-    ) -> Vec<Result<f64, DbError>> {
-        let mut results: Vec<Option<Result<f64, DbError>>> = vec![None; bindings_list.len()];
-        let mut slots: Vec<usize> = Vec::new();
-        let mut probes: Vec<(String, sqlkit::Select)> = Vec::new();
-        for (i, bindings) in bindings_list.iter().enumerate() {
-            match instantiate(handle, bindings) {
-                Ok(select) => {
-                    slots.push(i);
-                    probes.push((select.to_string(), select));
-                }
-                Err(error) => results[i] = Some(Err(error)),
-            }
-        }
-        let computed = self.cost_batch_inner(threads, &probes, cost_type);
-        for (&slot, result) in slots.iter().zip(computed) {
-            results[slot] = Some(result);
-        }
-        results.into_iter().map(|r| r.expect("every probe resolved")).collect()
-    }
-
-    /// Columnar batch costing with this oracle's full thread budget; see
-    /// [`CostOracle::cost_prepared_batch_columnar_on`].
+    /// [`CostOracle::cost_prepared_batch_columnar_on`] with this oracle's
+    /// full thread budget.
     pub fn cost_prepared_batch_columnar<'s>(
         &self,
         handle: &PreparedHandle,
@@ -721,31 +485,29 @@ impl<'db> CostOracle<'db> {
         self.cost_prepared_batch_columnar_on(self.threads, handle, bindings_list, cost_type, scratch)
     }
 
-    /// Columnar batch fast path: bit-identical results and identical
-    /// hit/eval/eviction accounting to
-    /// [`CostOracle::cost_prepared_batch_on`], with the per-probe
-    /// overheads batched away:
+    /// Cost a batch of bindings of one prepared template, in submission
+    /// order — the oracle's only costing entry point. Counts one logical
+    /// probe per binding. `threads` caps this batch's worker budget (the
+    /// deficit scheduler splits the global budget between concurrent
+    /// interval tasks this way); results and accounting are identical at
+    /// any value.
     ///
-    /// * binding keys are built inline (no per-probe allocation) and
+    /// * Binding keys are built inline (no per-probe allocation) and
     ///   partitioned by memo shard, so each shard lock is taken **once**
-    ///   for the batch's bulk hit-lookup and once for its bulk insert —
-    ///   not once per probe;
-    /// * deduplicated misses are recosted through
-    ///   [`minidb::PreparedTemplate::recost_batch`]'s columnar replay
-    ///   (chunked across workers when the miss count warrants it);
-    /// * results land in the caller-owned [`ColumnarScratch`], so a
+    ///   for the batch's bulk hit-lookup and once for its bulk insert.
+    /// * Distinct misses are evaluated exactly once each: recosted through
+    ///   [`minidb::PreparedTemplate::recost_batch`]'s columnar replay, or,
+    ///   for the execution-based cost types, executed through
+    ///   [`minidb::PreparedExec::execute_batch`]. `ActualCardinality` is
+    ///   memoized like the estimates; `ExecutionTimeMicros` executes every
+    ///   probe and is never memoized.
+    /// * Results land in the caller-owned [`ColumnarScratch`], so a
     ///   fully-warm batch performs no allocation at all.
     ///
-    /// Within each shard, probes keep submission order — lookups set the
-    /// same reference bits and inserts happen in the same first-appearance
-    /// order as the per-probe path, so second-chance eviction behaves
-    /// identically at any thread count. The execution-based cost types
-    /// route their evaluations through the vectorized execution path
-    /// ([`minidb::PreparedExec::execute_batch`]) with the same semantics:
-    /// `ActualCardinality` keeps the memo (execute each distinct miss
-    /// once), `ExecutionTimeMicros` stays unmemoized (execute every
-    /// probe). The escape hatches (`--no-columnar`, `--no-prepared`)
-    /// delegate to the per-probe path wholesale.
+    /// Within each shard, probes keep submission order for both lookups
+    /// and inserts, so second-chance eviction behaves identically at any
+    /// thread count. A probe with an unbound placeholder yields (and
+    /// memoizes) the error the scalar path reports for it.
     pub fn cost_prepared_batch_columnar_on<'s>(
         &self,
         threads: usize,
@@ -754,18 +516,9 @@ impl<'db> CostOracle<'db> {
         cost_type: CostType,
         scratch: &'s mut ColumnarScratch,
     ) -> &'s [Result<f64, DbError>] {
-        if !self.use_columnar || !self.use_prepared {
-            // Delegate before touching any counter — the per-probe path
-            // does its own accounting.
-            let results = self.cost_prepared_batch_on(threads, handle, bindings_list, cost_type);
-            scratch.results.clear();
-            scratch.results.extend(results);
-            return &scratch.results;
-        }
         let threads = threads.clamp(1, self.threads);
         let n = bindings_list.len();
         self.logical.fetch_add(n as u64, Ordering::Relaxed);
-        self.prepared_logical.fetch_add(n as u64, Ordering::Relaxed);
 
         let ColumnarScratch {
             results,
@@ -781,39 +534,25 @@ impl<'db> CostOracle<'db> {
             recost,
             exec,
         } = scratch;
+        results.clear();
+        results.resize(n, Ok(0.0)); // placeholder; every slot overwritten below
 
         if cost_type == CostType::ExecutionTimeMicros {
-            // Never memoized: every probe executes, like the per-probe
-            // path (same unmemoized counters, latency charged per row).
-            // The columnar win here is the prepared execution plan —
-            // hoisted subqueries and selection-vector kernels — not the
-            // memo.
+            // Never memoized: every probe executes. The win here is the
+            // prepared execution plan — hoisted subqueries and
+            // selection-vector kernels — not the memo.
             self.unmemoized.fetch_add(n as u64, Ordering::Relaxed);
-            self.prepared_unmemoized.fetch_add(n as u64, Ordering::Relaxed);
-            let ids = handle.plan().placeholder_ids();
-            results.clear();
-            results.resize(n, Ok(0.0)); // placeholder; every slot overwritten
-            evals.clear();
-            for (i, bindings) in bindings_list.iter().enumerate() {
-                if ids.iter().all(|id| bindings.contains_key(id)) {
-                    evals.push((i, i));
-                } else {
-                    // Match the per-probe path's instantiate error for a
-                    // missing binding.
-                    self.charge_latency();
-                    results[i] = Err(match instantiate(handle, bindings) {
-                        Err(error) => error,
-                        Ok(_) => unreachable!("missing binding fails instantiation"),
-                    });
-                }
-            }
-            self.exec_batch_fill(
+            misses.clear();
+            misses.extend(0..n);
+            self.evaluate(
                 threads,
                 handle,
                 bindings_list,
-                evals,
+                misses,
                 cost_type,
+                evals,
                 batch,
+                recost,
                 exec,
                 results,
             );
@@ -838,12 +577,9 @@ impl<'db> CostOracle<'db> {
         }
 
         // ---- phase 1: bulk hit lookup, one lock per populated shard --
-        // Within a shard, probes run in submission order, so reference
-        // bits are set exactly as the per-probe pre-pass would set them;
-        // misses are discovered (and deduplicated) in an order that
-        // preserves per-shard first appearance.
-        results.clear();
-        results.resize(n, Ok(0.0)); // placeholder; every slot overwritten below
+        // Within a shard, probes run in submission order; misses are
+        // discovered (and deduplicated) in an order that preserves
+        // per-shard first appearance.
         miss_slots.clear();
         misses.clear();
         resolve_later.clear();
@@ -870,136 +606,22 @@ impl<'db> CostOracle<'db> {
         // ---- phase 2: evaluate each distinct miss exactly once -------
         miss_results.clear();
         miss_results.resize(misses.len(), Ok(0.0));
-        if !misses.is_empty() {
-            match cost_type {
-                CostType::Cardinality | CostType::PlanCost => {
-                    // Pre-validate so every batched row recosts cleanly;
-                    // an unbound row gets the scalar error (smallest
-                    // missing id), exactly like `recost` would return.
-                    let ids = handle.plan().placeholder_ids();
-                    evals.clear();
-                    for (slot, &probe_idx) in misses.iter().enumerate() {
-                        match ids.iter().find(|id| !bindings_list[probe_idx].contains_key(id)) {
-                            Some(&id) => {
-                                miss_results[slot] = Err(DbError::UnboundPlaceholder(id));
-                            }
-                            None => evals.push((slot, probe_idx)),
-                        }
-                    }
-                    let pick = |rows: f64, cost: f64| {
-                        if cost_type == CostType::Cardinality {
-                            rows
-                        } else {
-                            cost
-                        }
-                    };
-                    let chunks = threads.min(evals.len());
-                    if chunks <= 1 {
-                        // Serial: reuse the scratch-owned batch + arena
-                        // (zero steady-state allocation).
-                        batch.reset(ids);
-                        for &(_, probe_idx) in evals.iter() {
-                            self.charge_latency();
-                            batch
-                                .push_row(&bindings_list[probe_idx])
-                                .expect("miss bindings pre-validated");
-                        }
-                        match handle.plan().recost_batch(self.db, batch, recost) {
-                            Ok(values) => {
-                                for (&(slot, _), &(rows, cost)) in evals.iter().zip(values) {
-                                    miss_results[slot] = Ok(pick(rows, cost));
-                                }
-                            }
-                            Err(error) => {
-                                for &(slot, _) in evals.iter() {
-                                    miss_results[slot] = Err(error.clone());
-                                }
-                            }
-                        }
-                    } else {
-                        // Contiguous chunks across workers; each worker
-                        // recosts its sub-batch columnar-style. Chunk
-                        // boundaries cannot affect results (each row is a
-                        // pure function of its bindings).
-                        let per = evals.len().div_ceil(chunks);
-                        let ranges: Vec<(usize, usize)> = (0..chunks)
-                            .map(|c| (c * per, ((c + 1) * per).min(evals.len())))
-                            .filter(|&(start, end)| start < end)
-                            .collect();
-                        let computed = parallel_map(threads, &ranges, |_, &(start, end)| {
-                            let mut chunk_batch = BindingBatch::new(ids.to_vec());
-                            let mut chunk_scratch = RecostScratch::new();
-                            for &(_, probe_idx) in &evals[start..end] {
-                                self.charge_latency();
-                                chunk_batch
-                                    .push_row(&bindings_list[probe_idx])
-                                    .expect("miss bindings pre-validated");
-                            }
-                            match handle.plan().recost_batch(
-                                self.db,
-                                &chunk_batch,
-                                &mut chunk_scratch,
-                            ) {
-                                Ok(values) => values
-                                    .iter()
-                                    .map(|&(rows, cost)| Ok(pick(rows, cost)))
-                                    .collect::<Vec<_>>(),
-                                Err(error) => {
-                                    (start..end).map(|_| Err(error.clone())).collect()
-                                }
-                            }
-                        });
-                        for (&(start, end), chunk) in ranges.iter().zip(computed) {
-                            for (&(slot, _), result) in
-                                evals[start..end].iter().zip(chunk)
-                            {
-                                miss_results[slot] = result;
-                            }
-                        }
-                    }
-                }
-                CostType::ActualCardinality | CostType::ExecutionTimeMicros => {
-                    // ExecutionTimeMicros took the unmemoized arm above;
-                    // actual cardinality executes each distinct miss
-                    // through the vectorized execution path, then
-                    // memoizes like any other estimate.
-                    let ids = handle.plan().placeholder_ids();
-                    evals.clear();
-                    for (slot, &probe_idx) in misses.iter().enumerate() {
-                        let bindings = &bindings_list[probe_idx];
-                        if ids.iter().all(|id| bindings.contains_key(id)) {
-                            evals.push((slot, probe_idx));
-                        } else {
-                            // Match the per-probe path's instantiate
-                            // error for a missing binding.
-                            self.charge_latency();
-                            miss_results[slot] = Err(match instantiate(handle, bindings) {
-                                Err(error) => error,
-                                Ok(_) => {
-                                    unreachable!("missing binding fails instantiation")
-                                }
-                            });
-                        }
-                    }
-                    self.exec_batch_fill(
-                        threads,
-                        handle,
-                        bindings_list,
-                        evals,
-                        cost_type,
-                        batch,
-                        exec,
-                        miss_results,
-                    );
-                }
-            }
-        }
+        self.evaluate(
+            threads,
+            handle,
+            bindings_list,
+            misses,
+            cost_type,
+            evals,
+            batch,
+            recost,
+            exec,
+            miss_results,
+        );
 
         // ---- phase 3: bulk insert, one lock per populated shard ------
         // `misses` is already shard-grouped (phase 1 walked the shards in
-        // order) with submission order preserved within each shard, so
-        // per-shard insert order — and therefore second-chance eviction
-        // accounting — matches the per-probe path exactly.
+        // order) with submission order preserved within each shard.
         let mut slot = 0;
         while slot < misses.len() {
             let shard_idx = shard_of[misses[slot]];
@@ -1017,226 +639,171 @@ impl<'db> CostOracle<'db> {
         results.as_slice()
     }
 
-    /// Evaluate `(output slot, probe index)` pairs through the prepared
-    /// vectorized execution path ([`minidb::PreparedExec::execute_batch`]),
-    /// writing each probe's result — `ActualCardinality` takes the
-    /// cardinality, `ExecutionTimeMicros` the work-unit time — into
-    /// `out[slot]`. Callers pre-validate bindings, so every pair
-    /// instantiates cleanly. A serial batch reuses the caller-owned
+    /// Evaluate probe `probes[slot]` of `bindings_list` into `out[slot]`,
+    /// bypassing the memo. Unbound probes get the scalar path's error
+    /// (`recost`'s smallest missing id for the estimates, the failed
+    /// instantiation for the execution-based types); the rest reach the
+    /// engine as columnar batches. A serial batch reuses the caller-owned
     /// scratch (zero steady-state allocation); larger batches split into
     /// contiguous chunks across workers — chunk boundaries cannot affect
-    /// results, each row being a pure function of its bindings. Every
-    /// row charges the probe latency on the worker that executes it,
-    /// like the per-probe path.
+    /// results, each row being a pure function of its bindings.
     #[allow(clippy::too_many_arguments)]
-    fn exec_batch_fill(
+    fn evaluate(
         &self,
         threads: usize,
         handle: &PreparedHandle,
         bindings_list: &[HashMap<u32, Value>],
-        evals: &[(usize, usize)],
+        probes: &[usize],
         cost_type: CostType,
+        evals: &mut Vec<(usize, usize)>,
         batch: &mut BindingBatch,
+        recost: &mut RecostScratch,
         exec_scratch: &mut ExecScratch,
         out: &mut [Result<f64, DbError>],
     ) {
+        let ids = handle.plan().placeholder_ids();
+        evals.clear();
+        for (slot, &probe_idx) in probes.iter().enumerate() {
+            let bindings = &bindings_list[probe_idx];
+            match ids.iter().find(|id| !bindings.contains_key(id)) {
+                None => evals.push((slot, probe_idx)),
+                Some(&id) if !cost_type.requires_execution() => {
+                    out[slot] = Err(DbError::UnboundPlaceholder(id));
+                }
+                Some(_) => {
+                    self.charge_latency();
+                    out[slot] = Err(instantiate(handle, bindings)
+                        .expect_err("a missing binding fails instantiation"));
+                }
+            }
+        }
         if evals.is_empty() {
             return;
         }
-        let pick = |&(cardinality, work_micros): &(f64, f64)| {
-            if cost_type == CostType::ActualCardinality {
-                cardinality
-            } else {
-                work_micros
-            }
-        };
-        let ids = handle.plan().placeholder_ids();
+        let evals: &[(usize, usize)] = evals;
         // Build the execution plan serially so parallel chunks share one
         // classification pass.
-        let exec = handle.exec_plan(self.db);
+        let exec = cost_type.requires_execution().then(|| handle.exec_plan(self.db));
         let chunks = threads.min(evals.len());
         if chunks <= 1 {
-            batch.reset(ids);
-            for &(_, probe_idx) in evals {
-                self.charge_latency();
-                batch
-                    .push_row(&bindings_list[probe_idx])
-                    .expect("eval bindings pre-validated");
+            self.evaluate_chunk(
+                handle,
+                exec.as_deref(),
+                bindings_list,
+                evals,
+                cost_type,
+                batch,
+                recost,
+                exec_scratch,
+                |slot, result| out[slot] = result,
+            );
+            return;
+        }
+        let per = evals.len().div_ceil(chunks);
+        let ranges: Vec<(usize, usize)> = (0..chunks)
+            .map(|c| (c * per, ((c + 1) * per).min(evals.len())))
+            .filter(|&(start, end)| start < end)
+            .collect();
+        let computed = parallel_map(threads, &ranges, |_, &(start, end)| {
+            let mut chunk = Vec::with_capacity(end - start);
+            self.evaluate_chunk(
+                handle,
+                exec.as_deref(),
+                bindings_list,
+                &evals[start..end],
+                cost_type,
+                &mut BindingBatch::default(),
+                &mut RecostScratch::new(),
+                &mut ExecScratch::new(),
+                |_, result| chunk.push(result),
+            );
+            chunk
+        });
+        for (&(start, end), chunk) in ranges.iter().zip(computed) {
+            for (&(slot, _), result) in evals[start..end].iter().zip(chunk) {
+                out[slot] = result;
             }
-            match exec.execute_batch(self.db, batch, exec_scratch) {
+        }
+    }
+
+    /// Cost pre-validated `(slot, probe index)` pairs as one columnar
+    /// batch — recost for the estimates, `exec` for the execution-based
+    /// types — calling `emit(slot, result)` once per pair, in order.
+    /// Every row charges the probe latency on the calling worker.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_chunk(
+        &self,
+        handle: &PreparedHandle,
+        exec: Option<&PreparedExec>,
+        bindings_list: &[HashMap<u32, Value>],
+        evals: &[(usize, usize)],
+        cost_type: CostType,
+        batch: &mut BindingBatch,
+        recost: &mut RecostScratch,
+        exec_scratch: &mut ExecScratch,
+        mut emit: impl FnMut(usize, Result<f64, DbError>),
+    ) {
+        batch.reset(handle.plan().placeholder_ids());
+        for &(_, probe_idx) in evals {
+            self.charge_latency();
+            batch
+                .push_row(&bindings_list[probe_idx])
+                .expect("eval bindings pre-validated");
+        }
+        match exec {
+            None => match handle.plan().recost_batch(self.db, batch, recost) {
+                Ok(values) => {
+                    for (&(slot, _), &(rows, cost)) in evals.iter().zip(values) {
+                        let value = if cost_type == CostType::Cardinality { rows } else { cost };
+                        emit(slot, Ok(value));
+                    }
+                }
+                Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
+            },
+            Some(exec) => match exec.execute_batch(self.db, batch, exec_scratch) {
                 Ok(values) => {
                     for (&(slot, _), value) in evals.iter().zip(values) {
-                        out[slot] = value.as_ref().map(pick).map_err(DbError::clone);
+                        let value = value.as_ref().map_err(DbError::clone);
+                        emit(
+                            slot,
+                            value.map(|&(cardinality, work_micros)| {
+                                if cost_type == CostType::ActualCardinality {
+                                    cardinality
+                                } else {
+                                    work_micros
+                                }
+                            }),
+                        );
                     }
                 }
-                Err(error) => {
-                    for &(slot, _) in evals {
-                        out[slot] = Err(error.clone());
-                    }
-                }
-            }
-        } else {
-            let per = evals.len().div_ceil(chunks);
-            let ranges: Vec<(usize, usize)> = (0..chunks)
-                .map(|c| (c * per, ((c + 1) * per).min(evals.len())))
-                .filter(|&(start, end)| start < end)
-                .collect();
-            let computed = parallel_map(threads, &ranges, |_, &(start, end)| {
-                let mut chunk_batch = BindingBatch::new(ids.to_vec());
-                let mut chunk_scratch = ExecScratch::new();
-                for &(_, probe_idx) in &evals[start..end] {
-                    self.charge_latency();
-                    chunk_batch
-                        .push_row(&bindings_list[probe_idx])
-                        .expect("eval bindings pre-validated");
-                }
-                match exec.execute_batch(self.db, &chunk_batch, &mut chunk_scratch) {
-                    Ok(values) => values
-                        .iter()
-                        .map(|value| value.as_ref().map(pick).map_err(DbError::clone))
-                        .collect::<Vec<_>>(),
-                    Err(error) => (start..end).map(|_| Err(error.clone())).collect(),
-                }
-            });
-            for (&(start, end), chunk) in ranges.iter().zip(computed) {
-                for (&(slot, _), result) in evals[start..end].iter().zip(chunk) {
-                    out[slot] = result;
-                }
-            }
+                Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
+            },
         }
-    }
-
-    /// Recost (or, for execution metrics, instantiate and execute) one
-    /// prepared probe, bypassing the caches.
-    fn eval_prepared(
-        &self,
-        handle: &PreparedHandle,
-        bindings: &HashMap<u32, Value>,
-        cost_type: CostType,
-    ) -> Result<f64, DbError> {
-        self.charge_latency();
-        match cost_type {
-            CostType::Cardinality => {
-                self.handle_recost(handle, bindings).map(|(rows, _)| rows)
-            }
-            CostType::PlanCost => {
-                self.handle_recost(handle, bindings).map(|(_, cost)| cost)
-            }
-            CostType::ActualCardinality | CostType::ExecutionTimeMicros => {
-                let select = instantiate(handle, bindings)?;
-                query_cost(self.db, &select, cost_type)
-            }
-        }
-    }
-
-    fn handle_recost(
-        &self,
-        handle: &PreparedHandle,
-        bindings: &HashMap<u32, Value>,
-    ) -> Result<(f64, f64), DbError> {
-        handle.plan.recost(self.db, bindings)
-    }
-
-    /// Cost a batch of `(sql, statement)` probes, in submission order.
-    ///
-    /// Counts one logical probe per item. Cache misses are deduplicated
-    /// serially and then planned on up to [`CostOracle::threads`] scoped
-    /// workers, so the result vector — and the hit/eval accounting — is
-    /// identical to costing the batch serially.
-    pub fn cost_batch(
-        &self,
-        probes: &[(String, sqlkit::Select)],
-        cost_type: CostType,
-    ) -> Vec<Result<f64, DbError>> {
-        self.logical.fetch_add(probes.len() as u64, Ordering::Relaxed);
-        self.cost_batch_inner(self.threads, probes, cost_type)
-    }
-
-    fn cost_batch_inner(
-        &self,
-        threads: usize,
-        probes: &[(String, sqlkit::Select)],
-        cost_type: CostType,
-    ) -> Vec<Result<f64, DbError>> {
-        if cost_type == CostType::ExecutionTimeMicros {
-            // Not memoizable; still parallel, still order-preserving.
-            self.unmemoized.fetch_add(probes.len() as u64, Ordering::Relaxed);
-            return parallel_map(threads, probes, |_, (_, select)| {
-                self.charge_latency();
-                query_cost(self.db, select, cost_type)
-            });
-        }
-
-        // Serial pre-pass: resolve cache hits, dedupe misses in
-        // first-appearance order.
-        let mut results: Vec<Option<Result<f64, DbError>>> = vec![None; probes.len()];
-        let mut miss_slots: HashMap<&str, usize> = HashMap::new();
-        let mut misses: Vec<usize> = Vec::new(); // probe index of first appearance
-        let mut resolve_later: Vec<(usize, usize)> = Vec::new(); // (probe, miss slot)
-        for (i, (sql, _)) in probes.iter().enumerate() {
-            let key = (cost_type, sql.clone());
-            let shard = &self.text_shards[shard_index(&key)];
-            if let Some(cached) = shard.lock().get(&key) {
-                results[i] = Some(cached);
-            } else if let Some(&slot) = miss_slots.get(sql.as_str()) {
-                resolve_later.push((i, slot));
-            } else {
-                let slot = misses.len();
-                miss_slots.insert(sql.as_str(), slot);
-                misses.push(i);
-                resolve_later.push((i, slot));
-            }
-        }
-
-        // Plan each distinct miss exactly once, in parallel.
-        let computed = parallel_map(threads, &misses, |_, &probe_idx| {
-            self.charge_latency();
-            query_cost(self.db, &probes[probe_idx].1, cost_type)
-        });
-        for (slot, &probe_idx) in misses.iter().enumerate() {
-            let key = (cost_type, probes[probe_idx].0.clone());
-            self.text_shards[shard_index(&key)].lock().insert(key, computed[slot].clone());
-        }
-        for (probe_idx, slot) in resolve_later {
-            results[probe_idx] = Some(computed[slot].clone());
-        }
-        results.into_iter().map(|r| r.expect("every probe resolved")).collect()
     }
 
     /// Current probe counters. Derived from deterministic quantities
     /// (logical counters, cache sizes, eviction and un-memoized
     /// counters), so identical runs report identical stats at any thread
-    /// count (provided the caches are not evicting, which the default
+    /// count (provided the cache is not evicting, which the default
     /// capacity guarantees in practice).
     pub fn stats(&self) -> OracleStats {
-        let mut text_distinct = 0u64;
-        let mut text_evicted = 0u64;
-        for shard in &self.text_shards {
-            let guard = shard.lock();
-            text_distinct += guard.len() as u64;
-            text_evicted += guard.evicted;
-        }
-        let mut prepared_distinct = 0u64;
-        let mut prepared_evicted = 0u64;
+        let mut distinct = 0u64;
+        let mut evicted = 0u64;
         for shard in &self.prepared_shards {
             let guard = shard.lock();
-            prepared_distinct += guard.len() as u64;
-            prepared_evicted += guard.evicted;
+            distinct += guard.len() as u64;
+            evicted += guard.evicted;
         }
         let logical = self.logical.load(Ordering::Relaxed);
-        let unmemoized = self.unmemoized.load(Ordering::Relaxed);
-        let prepared_logical = self.prepared_logical.load(Ordering::Relaxed);
-        let prepared_unmemoized = self.prepared_unmemoized.load(Ordering::Relaxed);
-        let physical =
-            text_distinct + text_evicted + prepared_distinct + prepared_evicted + unmemoized;
-        let prepared_misses = prepared_distinct + prepared_evicted + prepared_unmemoized;
+        let physical = distinct + evicted + self.unmemoized.load(Ordering::Relaxed);
+        let cache_hits = logical.saturating_sub(physical);
         OracleStats {
             logical_probes: logical,
             physical_evals: physical,
-            cache_hits: logical.saturating_sub(physical),
-            prepared_hits: prepared_logical.saturating_sub(prepared_misses),
-            prepared_misses,
-            evictions: text_evicted + prepared_evicted,
+            cache_hits,
+            prepared_hits: cache_hits,
+            prepared_misses: physical,
+            evictions: evicted,
             scheduler_rounds: self.scheduler_rounds.load(Ordering::Relaxed),
             scheduler_tasks: self.scheduler_tasks.load(Ordering::Relaxed),
             scheduler_peak_tasks: self.scheduler_peak_tasks.load(Ordering::Relaxed),
@@ -1256,13 +823,13 @@ impl<'db> CostOracle<'db> {
     }
 
     /// Serialize the oracle's full state for a checkpoint: interner,
-    /// prepared-template registry, both memo caches (entries in
-    /// clock-queue order, with reference bits and eviction counts), and
-    /// the raw counters. [`CostOracle::restore_state`] of this value into
-    /// a fresh oracle reproduces every future memo hit, eviction, and
-    /// derived [`OracleStats`] field exactly.
+    /// prepared-template registry, the memo cache (entries in clock-queue
+    /// order, with reference bits and eviction counts), and the raw
+    /// counters. [`CostOracle::restore_state`] of this value into a fresh
+    /// oracle reproduces every future memo hit, eviction, and derived
+    /// [`OracleStats`] field exactly.
     pub fn export_state(&self) -> crate::snapshot::OracleState {
-        use crate::snapshot::{OracleCounters, OracleState, PreparedEntry, ShardState, TextEntry};
+        use crate::snapshot::{OracleCounters, OracleState, PreparedEntry, ShardState};
 
         // The interner and registry are hash maps; inverting them into
         // vectors indexed by their (densely assigned) ids yields a
@@ -1281,28 +848,7 @@ impl<'db> CostOracle<'db> {
         }
         drop(registry);
 
-        let text_shards = self
-            .text_shards
-            .iter()
-            .map(|mutex| {
-                let shard = mutex.lock();
-                let entries = shard
-                    .queue
-                    .iter()
-                    .filter_map(|key| {
-                        shard.map.get(key).map(|(value, referenced)| TextEntry {
-                            cost_type: key.0,
-                            sql: key.1.clone(),
-                            value: value.clone(),
-                            referenced: *referenced,
-                        })
-                    })
-                    .collect();
-                ShardState { capacity: shard.capacity as u64, evicted: shard.evicted, entries }
-            })
-            .collect();
-
-        let prepared_shards = self
+        let shards = self
             .prepared_shards
             .iter()
             .map(|mutex| {
@@ -1327,13 +873,10 @@ impl<'db> CostOracle<'db> {
         OracleState {
             interner,
             templates,
-            text_shards,
-            prepared_shards,
+            shards,
             counters: OracleCounters {
                 logical: self.logical.load(Ordering::Relaxed),
                 unmemoized: self.unmemoized.load(Ordering::Relaxed),
-                prepared_logical: self.prepared_logical.load(Ordering::Relaxed),
-                prepared_unmemoized: self.prepared_unmemoized.load(Ordering::Relaxed),
                 scheduler_rounds: self.scheduler_rounds.load(Ordering::Relaxed),
                 scheduler_tasks: self.scheduler_tasks.load(Ordering::Relaxed),
                 scheduler_peak_tasks: self.scheduler_peak_tasks.load(Ordering::Relaxed),
@@ -1351,11 +894,10 @@ impl<'db> CostOracle<'db> {
     /// longer prepares) leave a partially restored oracle — callers
     /// should discard it on `Err`.
     pub fn restore_state(&self, state: &crate::snapshot::OracleState) -> Result<(), String> {
-        if state.text_shards.len() != SHARDS || state.prepared_shards.len() != SHARDS {
+        if state.shards.len() != SHARDS {
             return Err(format!(
-                "snapshot has {}+{} memo shards, this build uses {SHARDS}+{SHARDS}",
-                state.text_shards.len(),
-                state.prepared_shards.len()
+                "snapshot has {} memo shards, this build uses {SHARDS}",
+                state.shards.len()
             ));
         }
 
@@ -1388,20 +930,7 @@ impl<'db> CostOracle<'db> {
             self.next_template_id.store(state.templates.len() as u64, Ordering::Relaxed);
         }
 
-        for (mutex, stored) in self.text_shards.iter().zip(&state.text_shards) {
-            let mut shard = mutex.lock();
-            shard.map.clear();
-            shard.queue.clear();
-            shard.capacity = usize::try_from(stored.capacity).unwrap_or(usize::MAX).max(1);
-            shard.evicted = stored.evicted;
-            for entry in &stored.entries {
-                let key = (entry.cost_type, entry.sql.clone());
-                shard.map.insert(key.clone(), (entry.value.clone(), entry.referenced));
-                shard.queue.push_back(key);
-            }
-        }
-
-        for (mutex, stored) in self.prepared_shards.iter().zip(&state.prepared_shards) {
+        for (mutex, stored) in self.prepared_shards.iter().zip(&state.shards) {
             let mut shard = mutex.lock();
             shard.map.clear();
             shard.queue.clear();
@@ -1420,8 +949,6 @@ impl<'db> CostOracle<'db> {
         let c = &state.counters;
         self.logical.store(c.logical, Ordering::Relaxed);
         self.unmemoized.store(c.unmemoized, Ordering::Relaxed);
-        self.prepared_logical.store(c.prepared_logical, Ordering::Relaxed);
-        self.prepared_unmemoized.store(c.prepared_unmemoized, Ordering::Relaxed);
         self.scheduler_rounds.store(c.scheduler_rounds, Ordering::Relaxed);
         self.scheduler_tasks.store(c.scheduler_tasks, Ordering::Relaxed);
         self.scheduler_peak_tasks.store(c.scheduler_peak_tasks, Ordering::Relaxed);
@@ -1498,28 +1025,111 @@ fn shard_index<K: Hash>(key: &K) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::query_cost;
     use sqlkit::parse_template;
 
     fn tpch() -> Database {
         minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
     }
 
-    fn select(sql: &str) -> sqlkit::Select {
-        sqlkit::parse_select(sql).unwrap()
-    }
-
     fn bindings(values: &[(u32, Value)]) -> HashMap<u32, Value> {
         values.iter().cloned().collect()
     }
+
+    /// Cost `batch` through the entry point with the oracle's full budget.
+    fn cost(
+        oracle: &CostOracle,
+        handle: &PreparedHandle,
+        batch: &[HashMap<u32, Value>],
+        cost_type: CostType,
+    ) -> Vec<Result<f64, DbError>> {
+        let mut scratch = ColumnarScratch::new();
+        oracle.cost_prepared_batch_columnar(handle, batch, cost_type, &mut scratch).to_vec()
+    }
+
+    /// Cost one binding as a batch of one.
+    fn cost_one(
+        oracle: &CostOracle,
+        handle: &PreparedHandle,
+        binding: &HashMap<u32, Value>,
+        cost_type: CostType,
+    ) -> Result<f64, DbError> {
+        cost(oracle, handle, std::slice::from_ref(binding), cost_type).remove(0)
+    }
+
+    /// Bits of an all-`Ok` result vector.
+    fn bits(results: &[Result<f64, DbError>]) -> Vec<u64> {
+        results.iter().map(|r| r.as_ref().unwrap().to_bits()).collect()
+    }
+
+    /// The scalar reference: instantiate, then plan or execute from
+    /// scratch (`cost::query_cost`).
+    fn scalar(
+        db: &Database,
+        template: &Template,
+        binding: &HashMap<u32, Value>,
+        cost_type: CostType,
+    ) -> Result<f64, DbError> {
+        let select =
+            template.instantiate(binding).map_err(|e| DbError::Unsupported(e.to_string()))?;
+        query_cost(db, &select, cost_type)
+    }
+
+    /// Every result equals the scalar reference bit for bit (errors only
+    /// have to be errors on both sides).
+    fn assert_matches_scalar(
+        db: &Database,
+        template: &Template,
+        batch: &[HashMap<u32, Value>],
+        results: &[Result<f64, DbError>],
+        cost_type: CostType,
+    ) {
+        assert_eq!(batch.len(), results.len());
+        for (i, (binding, got)) in batch.iter().zip(results).enumerate() {
+            match (got, scalar(db, template, binding, cost_type)) {
+                (Ok(x), Ok(y)) => {
+                    assert_eq!(x.to_bits(), y.to_bits(), "probe {i} diverged ({cost_type:?})")
+                }
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!("probe {i}: {got:?} vs scalar {want:?}"),
+            }
+        }
+    }
+
+    /// Cost `batch` on a fresh oracle at `threads`, check it against the
+    /// scalar reference, and return the results and stats.
+    fn run_checked(
+        db: &Database,
+        template_sql: &str,
+        batch: &[HashMap<u32, Value>],
+        cost_type: CostType,
+        threads: usize,
+    ) -> (Vec<Result<f64, DbError>>, OracleStats) {
+        let template = parse_template(template_sql).unwrap();
+        let oracle = CostOracle::new(db, threads);
+        let handle = oracle.prepare(&template).unwrap();
+        let results = cost(&oracle, &handle, batch, cost_type);
+        assert_matches_scalar(db, &template, batch, &results, cost_type);
+        (results, oracle.stats())
+    }
+
+    const QUANTITY: &str =
+        "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}";
+    const PRICE: &str = "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}";
+    const NATION: &str = "SELECT nation.n_name FROM nation WHERE nation.n_nationkey > {p_1}";
 
     #[test]
     fn repeat_probes_hit_the_cache() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let q = select("SELECT COUNT(*) FROM nation");
-        let first = oracle.query_cost(&q, CostType::PlanCost).unwrap();
-        let second = oracle.query_cost(&q, CostType::PlanCost).unwrap();
+        let template = parse_template("SELECT COUNT(*) FROM nation").unwrap();
+        let handle = oracle.prepare(&template).unwrap();
+        let ground = HashMap::new();
+        let first = cost_one(&oracle, &handle, &ground, CostType::PlanCost).unwrap();
+        let second = cost_one(&oracle, &handle, &ground, CostType::PlanCost).unwrap();
         assert_eq!(first.to_bits(), second.to_bits());
+        let reference = scalar(&db, &template, &ground, CostType::PlanCost).unwrap();
+        assert_eq!(first.to_bits(), reference.to_bits());
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 2);
         assert_eq!(stats.physical_evals, 1);
@@ -1530,9 +1140,10 @@ mod tests {
     fn cost_types_do_not_share_entries() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let q = select("SELECT COUNT(*) FROM region");
-        oracle.query_cost(&q, CostType::PlanCost).unwrap();
-        oracle.query_cost(&q, CostType::Cardinality).unwrap();
+        let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
+        let b = bindings(&[(1, Value::Int(3))]);
+        cost_one(&oracle, &handle, &b, CostType::PlanCost).unwrap();
+        cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
         assert_eq!(oracle.stats().physical_evals, 2);
         assert_eq!(oracle.stats().cache_hits, 0);
     }
@@ -1541,9 +1152,14 @@ mod tests {
     fn execution_time_is_never_memoized() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let q = select("SELECT COUNT(*) FROM nation");
-        oracle.query_cost(&q, CostType::ExecutionTimeMicros).unwrap();
-        oracle.query_cost(&q, CostType::ExecutionTimeMicros).unwrap();
+        let template = parse_template(NATION).unwrap();
+        let handle = oracle.prepare(&template).unwrap();
+        let b = bindings(&[(1, Value::Int(3))]);
+        let first = cost_one(&oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
+        let second = cost_one(&oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
+        let reference = scalar(&db, &template, &b, CostType::ExecutionTimeMicros).unwrap();
+        assert_eq!(first.to_bits(), reference.to_bits());
+        assert_eq!(second.to_bits(), reference.to_bits());
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 2);
         assert_eq!(stats.physical_evals, 2);
@@ -1554,9 +1170,10 @@ mod tests {
     fn errors_are_cached_too() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let q = select("SELECT no_such_col FROM nation");
-        assert!(oracle.query_cost(&q, CostType::Cardinality).is_err());
-        assert!(oracle.query_cost(&q, CostType::Cardinality).is_err());
+        let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
+        let unbound = HashMap::new();
+        assert!(cost_one(&oracle, &handle, &unbound, CostType::Cardinality).is_err());
+        assert!(cost_one(&oracle, &handle, &unbound, CostType::Cardinality).is_err());
         let stats = oracle.stats();
         assert_eq!(stats.physical_evals, 1);
         assert_eq!(stats.cache_hits, 1);
@@ -1565,28 +1182,24 @@ mod tests {
     #[test]
     fn batch_dedupes_and_preserves_order() {
         let db = tpch();
-        let oracle = CostOracle::new(&db, 4);
-        let sqls = [
-            "SELECT COUNT(*) FROM nation",
-            "SELECT COUNT(*) FROM region",
-            "SELECT COUNT(*) FROM nation", // duplicate of probe 0
-            "SELECT COUNT(*) FROM customer",
+        let batch = vec![
+            bindings(&[(1, Value::Int(5))]),
+            bindings(&[(1, Value::Int(20))]),
+            bindings(&[(1, Value::Int(5))]), // duplicate of probe 0
+            bindings(&[(1, Value::Int(40))]),
         ];
-        let probes: Vec<(String, sqlkit::Select)> =
-            sqls.iter().map(|s| (s.to_string(), select(s))).collect();
-        let results = oracle.cost_batch(&probes, CostType::Cardinality);
-        assert_eq!(results.len(), 4);
-        assert_eq!(
-            results[0].as_ref().unwrap().to_bits(),
-            results[2].as_ref().unwrap().to_bits()
-        );
+        let template = parse_template(QUANTITY).unwrap();
+        let oracle = CostOracle::new(&db, 4);
+        let handle = oracle.prepare(&template).unwrap();
+        let results = cost(&oracle, &handle, &batch, CostType::Cardinality);
+        assert_matches_scalar(&db, &template, &batch, &results, CostType::Cardinality);
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 4);
-        assert_eq!(stats.physical_evals, 3, "duplicate must be planned once");
+        assert_eq!(stats.physical_evals, 3, "duplicate must be costed once");
         assert_eq!(stats.cache_hits, 1);
 
         // A second identical batch is all hits.
-        oracle.cost_batch(&probes, CostType::Cardinality);
+        assert_eq!(bits(&cost(&oracle, &handle, &batch, CostType::Cardinality)), bits(&results));
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 8);
         assert_eq!(stats.physical_evals, 3);
@@ -1595,29 +1208,14 @@ mod tests {
 
     #[test]
     fn batch_results_and_stats_match_across_thread_counts() {
+        // 40 probes over 13 distinct bindings → in-batch duplicates.
         let db = tpch();
-        let probes: Vec<(String, sqlkit::Select)> = (0..40)
-            .map(|i| {
-                let sql = format!(
-                    "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > {}",
-                    i % 13 // forces in-batch duplicates
-                );
-                let parsed = select(&sql);
-                (sql, parsed)
-            })
-            .collect();
-        let run = |threads: usize| {
-            let oracle = CostOracle::new(&db, threads);
-            let costs: Vec<u64> = oracle
-                .cost_batch(&probes, CostType::Cardinality)
-                .into_iter()
-                .map(|r| r.unwrap().to_bits())
-                .collect();
-            (costs, oracle.stats())
-        };
-        let (serial, serial_stats) = run(1);
-        let (parallel, parallel_stats) = run(4);
-        assert_eq!(serial, parallel);
+        let batch: Vec<HashMap<u32, Value>> =
+            (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
+        let (serial, serial_stats) = run_checked(&db, QUANTITY, &batch, CostType::Cardinality, 1);
+        let (parallel, parallel_stats) =
+            run_checked(&db, QUANTITY, &batch, CostType::Cardinality, 4);
+        assert_eq!(bits(&serial), bits(&parallel));
         assert_eq!(serial_stats, parallel_stats);
         assert_eq!(serial_stats.logical_probes, 40);
         assert_eq!(serial_stats.physical_evals, 13);
@@ -1625,23 +1223,23 @@ mod tests {
 
     #[test]
     fn prepared_probe_matches_rendered_path() {
+        // One binding at a time, against the scalar planner/executor on
+        // the rendered statement.
         let db = tpch();
-        let template = parse_template(
-            "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}",
-        )
-        .unwrap();
+        let template = parse_template(QUANTITY).unwrap();
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&template).unwrap();
         for value in [Value::Int(5), Value::Int(30), Value::Float(48.5)] {
             let binding = bindings(&[(1, value)]);
-            for cost_type in
-                [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality]
-            {
-                let prepared = oracle.cost_prepared(&handle, &binding, cost_type).unwrap();
-                let rendered = oracle
-                    .query_cost(&template.instantiate(&binding).unwrap(), cost_type)
-                    .unwrap();
-                assert_eq!(prepared.to_bits(), rendered.to_bits(), "{cost_type:?}");
+            for cost_type in [
+                CostType::Cardinality,
+                CostType::PlanCost,
+                CostType::ActualCardinality,
+                CostType::ExecutionTimeMicros,
+            ] {
+                let got = cost_one(&oracle, &handle, &binding, cost_type).unwrap();
+                let want = scalar(&db, &template, &binding, cost_type).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{cost_type:?}");
             }
         }
     }
@@ -1649,23 +1247,19 @@ mod tests {
     #[test]
     fn prepared_repeat_bindings_hit_the_binding_key_cache() {
         let db = tpch();
-        let template = parse_template(
-            "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}",
-        )
-        .unwrap();
         let oracle = CostOracle::new(&db, 1);
-        let handle = oracle.prepare(&template).unwrap();
+        let handle = oracle.prepare(&parse_template(PRICE).unwrap()).unwrap();
         let b1 = bindings(&[(1, Value::Float(100.0))]);
         let b2 = bindings(&[(1, Value::Float(5000.0))]);
-        oracle.cost_prepared(&handle, &b1, CostType::PlanCost).unwrap();
-        oracle.cost_prepared(&handle, &b1, CostType::PlanCost).unwrap();
-        oracle.cost_prepared(&handle, &b2, CostType::PlanCost).unwrap();
+        cost_one(&oracle, &handle, &b1, CostType::PlanCost).unwrap();
+        cost_one(&oracle, &handle, &b1, CostType::PlanCost).unwrap();
+        cost_one(&oracle, &handle, &b2, CostType::PlanCost).unwrap();
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 3);
         assert_eq!(stats.physical_evals, 2);
         assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.prepared_hits, 1);
-        assert_eq!(stats.prepared_misses, 2);
+        assert_eq!(stats.prepared_hits, stats.cache_hits);
+        assert_eq!(stats.prepared_misses, stats.physical_evals);
         assert_eq!(stats.evictions, 0);
     }
 
@@ -1674,92 +1268,56 @@ mod tests {
         // Idempotent prepare: profiling the same template twice (e.g. a
         // second pipeline round) keeps hitting the first round's cache.
         let db = tpch();
-        let template = parse_template(
-            "SELECT nation.n_name FROM nation WHERE nation.n_nationkey > {p_1}",
-        )
-        .unwrap();
+        let template = parse_template(NATION).unwrap();
         let oracle = CostOracle::new(&db, 1);
         let h1 = oracle.prepare(&template).unwrap();
         let h2 = oracle.prepare(&template).unwrap();
         assert_eq!(h1.id, h2.id);
         let b = bindings(&[(1, Value::Int(3))]);
-        let c1 = oracle.cost_prepared(&h1, &b, CostType::Cardinality).unwrap();
-        let c2 = oracle.cost_prepared(&h2, &b, CostType::Cardinality).unwrap();
+        let c1 = cost_one(&oracle, &h1, &b, CostType::Cardinality).unwrap();
+        let c2 = cost_one(&oracle, &h2, &b, CostType::Cardinality).unwrap();
         assert_eq!(c1.to_bits(), c2.to_bits());
         let stats = oracle.stats();
-        assert_eq!(stats.prepared_misses, 1);
-        assert_eq!(stats.prepared_hits, 1);
+        assert_eq!(stats.physical_evals, 1);
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]
     fn prepared_batch_matches_serial_and_thread_counts() {
+        // One batch of 40 at 1 and 4 threads equals 40 batches of one.
         let db = tpch();
-        let template = parse_template(
-            "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}",
-        )
-        .unwrap();
+        let template = parse_template(QUANTITY).unwrap();
         let batch: Vec<HashMap<u32, Value>> =
             (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
-        let run = |threads: usize| {
-            let oracle = CostOracle::new(&db, threads);
+        let one_at_a_time = {
+            let oracle = CostOracle::new(&db, 1);
             let handle = oracle.prepare(&template).unwrap();
-            let costs: Vec<u64> = oracle
-                .cost_prepared_batch(&handle, &batch, CostType::Cardinality)
-                .into_iter()
-                .map(|r| r.unwrap().to_bits())
+            let results: Vec<_> = batch
+                .iter()
+                .map(|b| cost_one(&oracle, &handle, b, CostType::Cardinality))
                 .collect();
-            (costs, oracle.stats())
+            (bits(&results), oracle.stats())
         };
-        let (serial, serial_stats) = run(1);
-        let (parallel, parallel_stats) = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_stats, parallel_stats);
-        assert_eq!(serial_stats.logical_probes, 40);
-        assert_eq!(serial_stats.physical_evals, 13);
-        assert_eq!(serial_stats.prepared_misses, 13);
-        assert_eq!(serial_stats.prepared_hits, 27);
-    }
-
-    #[test]
-    fn disabled_prepared_path_falls_back_to_text_memo() {
-        let db = tpch();
-        let template = parse_template(
-            "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}",
-        )
-        .unwrap();
-        let oracle = CostOracle::new(&db, 1).with_prepared(false);
-        assert!(!oracle.prepared_enabled());
-        let handle = oracle.prepare(&template).unwrap();
-        let b = bindings(&[(1, Value::Float(700.0))]);
-        let via_prepared_api = oracle.cost_prepared(&handle, &b, CostType::PlanCost).unwrap();
-        let via_text = oracle
-            .query_cost(&template.instantiate(&b).unwrap(), CostType::PlanCost)
-            .unwrap();
-        assert_eq!(via_prepared_api.to_bits(), via_text.to_bits());
-        let stats = oracle.stats();
-        // Second probe was a text-cache hit: same rendered statement.
-        assert_eq!(stats.logical_probes, 2);
-        assert_eq!(stats.physical_evals, 1);
-        assert_eq!(stats.prepared_hits, 0);
-        assert_eq!(stats.prepared_misses, 0);
-
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..6).map(|i| bindings(&[(1, Value::Float(f64::from(i) * 100.0))])).collect();
-        let results = oracle.cost_prepared_batch(&handle, &batch, CostType::PlanCost);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(oracle.stats().prepared_misses, 0);
+        for threads in [1, 4] {
+            let (results, stats) =
+                run_checked(&db, QUANTITY, &batch, CostType::Cardinality, threads);
+            assert_eq!((bits(&results), stats), one_at_a_time, "{threads} threads");
+        }
+        let stats = one_at_a_time.1;
+        assert_eq!(stats.logical_probes, 40);
+        assert_eq!(stats.physical_evals, 13);
+        assert_eq!(stats.cache_hits, 27);
     }
 
     #[test]
     fn bounded_cache_evicts_with_second_chance_and_counts_it() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1).with_cache_capacity(1);
-        // Far more distinct statements than 16 shards × 1 entry can hold.
+        let handle = oracle.prepare(&parse_template(QUANTITY).unwrap()).unwrap();
+        // Far more distinct bindings than 16 shards × 1 entry can hold.
         for i in 0..64 {
-            let q = select(&format!(
-                "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > {i}"
-            ));
-            oracle.query_cost(&q, CostType::Cardinality).unwrap();
+            let b = bindings(&[(1, Value::Int(i))]);
+            cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
         }
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 64);
@@ -1770,69 +1328,28 @@ mod tests {
         assert!(resident <= SHARDS, "at most one resident entry per shard");
     }
 
-    /// Runs one batch per-probe and columnar on fresh oracles and asserts
-    /// bit-identical results plus identical oracle accounting.
-    fn assert_columnar_matches_per_probe(
-        template_sql: &str,
-        batch: &[HashMap<u32, Value>],
-        cost_type: CostType,
-        threads: usize,
-    ) -> (Vec<Result<f64, DbError>>, OracleStats) {
-        let db = tpch();
-        let template = parse_template(template_sql).unwrap();
-        let per_probe = {
-            let oracle = CostOracle::new(&db, threads);
-            let handle = oracle.prepare(&template).unwrap();
-            let results = oracle.cost_prepared_batch(&handle, batch, cost_type);
-            (results, oracle.stats())
-        };
-        let columnar = {
-            let oracle = CostOracle::new(&db, threads);
-            assert!(oracle.columnar_enabled());
-            let handle = oracle.prepare(&template).unwrap();
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(&handle, batch, cost_type, &mut scratch)
-                .to_vec();
-            (results, oracle.stats())
-        };
-        assert_eq!(per_probe.0.len(), columnar.0.len());
-        for (i, (a, b)) in per_probe.0.iter().zip(columnar.0.iter()).enumerate() {
-            match (a, b) {
-                (Ok(x), Ok(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "probe {i} diverged ({cost_type:?}, {threads} threads)"
-                ),
-                (Err(x), Err(y)) => assert_eq!(format!("{x:?}"), format!("{y:?}")),
-                _ => panic!("probe {i}: ok/err mismatch: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(
-            per_probe.1, columnar.1,
-            "oracle accounting diverged ({cost_type:?}, {threads} threads)"
-        );
-        columnar
-    }
-
     #[test]
     fn columnar_batch_matches_per_probe_across_threads() {
         // 40 probes, 13 distinct bindings → in-batch duplicates that span
-        // multiple memo shards.
+        // multiple memo shards; every probe equals the per-probe scalar
+        // reference, and accounting is arithmetic in the batch shape.
+        let db = tpch();
         let batch: Vec<HashMap<u32, Value>> =
             (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
-        let sql = "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}";
-        for cost_type in [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality] {
+        for cost_type in [
+            CostType::Cardinality,
+            CostType::PlanCost,
+            CostType::ActualCardinality,
+            CostType::ExecutionTimeMicros,
+        ] {
             let mut baseline: Option<Vec<u64>> = None;
             for threads in [1, 2, 8] {
-                let (results, stats) =
-                    assert_columnar_matches_per_probe(sql, &batch, cost_type, threads);
+                let (results, stats) = run_checked(&db, QUANTITY, &batch, cost_type, threads);
+                let physical = if cost_type == CostType::ExecutionTimeMicros { 40 } else { 13 };
                 assert_eq!(stats.logical_probes, 40);
-                assert_eq!(stats.physical_evals, 13);
-                assert_eq!(stats.prepared_misses, 13);
-                assert_eq!(stats.prepared_hits, 27);
-                let bits: Vec<u64> =
-                    results.iter().map(|r| r.as_ref().unwrap().to_bits()).collect();
+                assert_eq!(stats.physical_evals, physical, "{cost_type:?}");
+                assert_eq!(stats.cache_hits, 40 - physical, "{cost_type:?}");
+                let bits = bits(&results);
                 match &baseline {
                     None => baseline = Some(bits),
                     Some(expected) => assert_eq!(expected, &bits, "{cost_type:?}"),
@@ -1844,54 +1361,48 @@ mod tests {
     #[test]
     fn columnar_warm_batch_is_all_hits() {
         let db = tpch();
-        let template = parse_template(
-            "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}",
-        )
-        .unwrap();
         let oracle = CostOracle::new(&db, 2);
-        let handle = oracle.prepare(&template).unwrap();
+        let handle = oracle.prepare(&parse_template(PRICE).unwrap()).unwrap();
         let batch: Vec<HashMap<u32, Value>> =
             (0..16).map(|i| bindings(&[(1, Value::Float(f64::from(i) * 250.0))])).collect();
         let mut scratch = ColumnarScratch::new();
-        let cold: Vec<u64> = oracle
-            .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
-            .iter()
-            .map(|r| r.as_ref().unwrap().to_bits())
-            .collect();
+        let cold = bits(oracle.cost_prepared_batch_columnar(
+            &handle,
+            &batch,
+            CostType::PlanCost,
+            &mut scratch,
+        ));
         let evals_after_cold = oracle.stats().physical_evals;
-        let warm: Vec<u64> = oracle
-            .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
-            .iter()
-            .map(|r| r.as_ref().unwrap().to_bits())
-            .collect();
+        let warm = bits(oracle.cost_prepared_batch_columnar(
+            &handle,
+            &batch,
+            CostType::PlanCost,
+            &mut scratch,
+        ));
         assert_eq!(cold, warm);
         let stats = oracle.stats();
         assert_eq!(stats.physical_evals, evals_after_cold, "warm batch must not recost");
-        assert_eq!(stats.prepared_hits, 16);
+        assert_eq!(stats.cache_hits, 16);
     }
 
     #[test]
     fn columnar_memoizes_unbound_errors_identically() {
+        let db = tpch();
         let batch = vec![
             bindings(&[(1, Value::Int(10))]),
             bindings(&[]), // missing p_1
             bindings(&[]), // duplicate of the error probe
             bindings(&[(1, Value::Int(10))]),
         ];
-        let sql = "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}";
         for threads in [1, 4] {
-            let (results, stats) = assert_columnar_matches_per_probe(
-                sql,
-                &batch,
-                CostType::Cardinality,
-                threads,
-            );
+            let (results, stats) =
+                run_checked(&db, QUANTITY, &batch, CostType::Cardinality, threads);
             assert!(matches!(results[1], Err(DbError::UnboundPlaceholder(1))));
             assert!(results[0].is_ok() && results[3].is_ok());
             // The error entry is memoized like any result: 4 logical, 2
             // distinct (ok + err), 2 duplicate hits.
-            assert_eq!(stats.prepared_misses, 2);
-            assert_eq!(stats.prepared_hits, 2);
+            assert_eq!(stats.physical_evals, 2);
+            assert_eq!(stats.cache_hits, 2);
         }
     }
 
@@ -1899,6 +1410,7 @@ mod tests {
     fn columnar_heap_keys_match_per_probe() {
         // Five placeholders exceed the inline binding-key capacity, forcing
         // the heap key representation through the same shard routing.
+        let db = tpch();
         let sql = "SELECT lineitem.l_orderkey FROM lineitem \
                    WHERE lineitem.l_quantity > {p_1} AND lineitem.l_extendedprice > {p_2} \
                    AND lineitem.l_discount > {p_3} AND lineitem.l_suppkey > {p_4} \
@@ -1915,132 +1427,86 @@ mod tests {
             })
             .collect();
         for threads in [1, 4] {
-            assert_columnar_matches_per_probe(sql, &batch, CostType::PlanCost, threads);
+            let (_, stats) = run_checked(&db, sql, &batch, CostType::PlanCost, threads);
+            assert_eq!(stats.logical_probes, 12);
+            assert_eq!(stats.physical_evals, 12, "all 12 bindings are distinct");
         }
-    }
-
-    #[test]
-    fn columnar_disabled_delegates_to_per_probe_path() {
-        let db = tpch();
-        let template = parse_template(
-            "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}",
-        )
-        .unwrap();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..8).map(|i| bindings(&[(1, Value::Float(f64::from(i) * 300.0))])).collect();
-        let via_batch = {
-            let oracle = CostOracle::new(&db, 1);
-            let handle = oracle.prepare(&template).unwrap();
-            let results = oracle.cost_prepared_batch(&handle, &batch, CostType::Cardinality);
-            (results, oracle.stats())
-        };
-        let via_disabled_columnar = {
-            let oracle = CostOracle::new(&db, 1).with_columnar(false);
-            assert!(!oracle.columnar_enabled());
-            let handle = oracle.prepare(&template).unwrap();
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(
-                    &handle,
-                    &batch,
-                    CostType::Cardinality,
-                    &mut scratch,
-                )
-                .to_vec();
-            (results, oracle.stats())
-        };
-        let bits = |rs: &[Result<f64, DbError>]| -> Vec<u64> {
-            rs.iter().map(|r| r.as_ref().unwrap().to_bits()).collect()
-        };
-        assert_eq!(bits(&via_batch.0), bits(&via_disabled_columnar.0));
-        assert_eq!(via_batch.1, via_disabled_columnar.1);
     }
 
     #[test]
     fn columnar_eviction_accounting_matches_under_tiny_capacity() {
         // Capacity 2 with 64 distinct bindings forces second-chance
-        // eviction; the columnar path must evict identically because
-        // per-shard lookup and insert order match the per-probe path.
+        // eviction; per-shard lookup and insert order do not depend on
+        // the worker count, so results and stats agree at 1 and 4
+        // threads.
         let db = tpch();
-        let template = parse_template(
-            "SELECT nation.n_name FROM nation WHERE nation.n_nationkey > {p_1}",
-        )
-        .unwrap();
+        let template = parse_template(NATION).unwrap();
         let batch: Vec<HashMap<u32, Value>> =
             (0..64).map(|i| bindings(&[(1, Value::Int(i))])).collect();
-        let run = |columnar: bool| {
-            let oracle = CostOracle::new(&db, 1).with_cache_capacity(2).with_columnar(columnar);
+        let run = |threads: usize| {
+            let oracle = CostOracle::new(&db, threads).with_cache_capacity(2);
             let handle = oracle.prepare(&template).unwrap();
-            let mut scratch = ColumnarScratch::new();
-            let results: Vec<u64> = oracle
-                .cost_prepared_batch_columnar(&handle, &batch, CostType::Cardinality, &mut scratch)
-                .iter()
-                .map(|r| r.as_ref().unwrap().to_bits())
-                .collect();
-            (results, oracle.stats())
+            let results = cost(&oracle, &handle, &batch, CostType::Cardinality);
+            assert_matches_scalar(&db, &template, &batch, &results, CostType::Cardinality);
+            (bits(&results), oracle.stats())
         };
-        let (per_probe, per_probe_stats) = run(false);
-        let (columnar, columnar_stats) = run(true);
-        assert_eq!(per_probe, columnar);
-        assert_eq!(per_probe_stats, columnar_stats);
-        assert!(columnar_stats.evictions > 0, "capacity 2 must evict: {columnar_stats:?}");
+        let (serial, serial_stats) = run(1);
+        let (parallel, parallel_stats) = run(4);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial_stats, parallel_stats);
+        assert_eq!(serial_stats.physical_evals, 64);
+        assert!(serial_stats.evictions > 0, "capacity 2 must evict: {serial_stats:?}");
     }
 
     #[test]
     fn eviction_keeps_recent_entries_reachable() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1).with_cache_capacity(2);
-        let template = parse_template(
-            "SELECT nation.n_name FROM nation WHERE nation.n_nationkey > {p_1}",
-        )
-        .unwrap();
-        let handle = oracle.prepare(&template).unwrap();
+        let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
         for i in 0..32 {
             let b = bindings(&[(1, Value::Int(i))]);
-            oracle.cost_prepared(&handle, &b, CostType::Cardinality).unwrap();
+            cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
         }
         // The most recent binding is still cached (fresh entries are
         // admitted referenced, so the clock cannot evict them instantly).
         let before = oracle.stats();
         let b = bindings(&[(1, Value::Int(31))]);
-        oracle.cost_prepared(&handle, &b, CostType::Cardinality).unwrap();
+        cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
         let after = oracle.stats();
-        assert_eq!(after.prepared_misses, before.prepared_misses);
-        assert_eq!(after.prepared_hits, before.prepared_hits + 1);
+        assert_eq!(after.physical_evals, before.physical_evals);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
     }
 
     #[test]
     fn state_round_trip_reproduces_stats_and_future_behavior() {
-        // Warm an oracle through both memo paths (text + prepared, with
-        // string-interned bindings, a memoized error, and tiny-capacity
-        // evictions), export, restore into a fresh oracle, and require
-        // (a) identical derived stats and (b) an identical probe future.
+        // Warm an oracle (string-interned bindings, a memoized error,
+        // tiny-capacity evictions, an un-memoized probe), export, restore
+        // into a fresh oracle, and require (a) identical derived stats and
+        // (b) an identical probe future.
         let db = tpch();
-        let template = parse_template(
-            "SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
+                .unwrap();
         let warm = |oracle: &CostOracle| -> PreparedHandle {
             let handle = oracle.prepare(&template).unwrap();
             for i in 0..24 {
                 let b = bindings(&[(1, Value::Str(format!("N{:02}", i % 9)))]);
-                oracle.cost_prepared(&handle, &b, CostType::Cardinality).unwrap();
+                cost_one(oracle, &handle, &b, CostType::Cardinality).unwrap();
             }
-            let q = select("SELECT COUNT(*) FROM region");
-            oracle.query_cost(&q, CostType::PlanCost).unwrap();
-            let bad = select("SELECT no_such_col FROM nation");
-            assert!(oracle.query_cost(&bad, CostType::Cardinality).is_err());
+            assert!(cost_one(oracle, &handle, &HashMap::new(), CostType::PlanCost).is_err());
+            let b = bindings(&[(1, Value::Str("N03".into()))]);
+            cost_one(oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
             oracle.note_scheduler_round(3, 1);
             handle
         };
         let probe_future = |oracle: &CostOracle, handle: &PreparedHandle| {
-            let mut costs = Vec::new();
-            for i in 0..40 {
-                let b = bindings(&[(1, Value::Str(format!("N{:02}", i % 13)))]);
-                costs.push(
-                    oracle.cost_prepared(handle, &b, CostType::Cardinality).unwrap().to_bits(),
-                );
-            }
+            let batch: Vec<HashMap<u32, Value>> = (0..40)
+                .map(|i| bindings(&[(1, Value::Str(format!("N{:02}", i % 13)))]))
+                .collect();
+            let costs: Vec<u64> = batch
+                .iter()
+                .map(|b| cost_one(oracle, handle, b, CostType::Cardinality).unwrap().to_bits())
+                .collect();
             (costs, oracle.stats())
         };
 
@@ -2068,7 +1534,7 @@ mod tests {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
         let mut state = oracle.export_state();
-        state.text_shards.pop();
+        state.shards.pop();
         let err = CostOracle::new(&db, 1).restore_state(&state).unwrap_err();
         assert!(err.contains("memo shards"), "{err}");
     }

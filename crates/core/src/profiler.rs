@@ -7,7 +7,7 @@
 //! optimizer (§5.3's history reuse).
 
 use crate::cost::CostType;
-use crate::oracle::CostOracle;
+use crate::oracle::{ColumnarScratch, CostOracle};
 use crate::sampler::PlaceholderSpace;
 use bayesopt::parallel::{parallel_map, split_seed};
 use bayesopt::{latin_hypercube, Evaluation};
@@ -121,9 +121,13 @@ impl ProfiledTemplate {
     }
 }
 
-/// Profile one template with `n_samples` LHS-sampled instantiations.
-/// Costing goes through the oracle's memo cache; a cache hit still counts
-/// toward `consumed` (the probe was logically spent).
+/// Profile one template with `n_samples` LHS-sampled instantiations,
+/// costed as one oracle batch on a single worker ([`profile_batch`] fans
+/// templates out over the thread budget instead). Costing goes through
+/// the oracle's memo cache; a cache hit still counts toward `consumed`
+/// (the probe was logically spent). A template that fails
+/// [`CostOracle::prepare`] is charged its whole design but issues no
+/// probe, leaving `costs` empty.
 pub fn profile_template(
     oracle: &CostOracle,
     template: Template,
@@ -142,21 +146,14 @@ pub fn profile_template(
     // A ground template has exactly one instantiation.
     let n = if profiled.space.arity() == 0 { 1 } else { n_samples.max(1) };
     let points = latin_hypercube(n, profiled.space.arity(), rng);
-    // Plan the template once and recost per point; templates the planner
-    // rejects outright fall back to per-point instantiation (keeping the
-    // old skip-on-error behavior).
-    let prepared = oracle.prepare(&profiled.template).ok();
-    for point in points {
-        profiled.consumed += 1.0;
-        let bindings = profiled.space.decode(&point);
-        let cost = match &prepared {
-            Some(handle) => oracle.cost_prepared(handle, &bindings, cost_type),
-            None => {
-                let Ok(query) = profiled.template.instantiate(&bindings) else { continue };
-                oracle.query_cost(&query, cost_type)
-            }
-        };
-        let Ok(cost) = cost else { continue };
+    profiled.consumed = points.len() as f64;
+    let Ok(handle) = oracle.prepare(&profiled.template) else { return profiled };
+    let bindings: Vec<_> = points.iter().map(|point| profiled.space.decode(point)).collect();
+    let mut scratch = ColumnarScratch::new();
+    let costs =
+        oracle.cost_prepared_batch_columnar_on(1, &handle, &bindings, cost_type, &mut scratch);
+    for (point, cost) in points.into_iter().zip(costs) {
+        let &Ok(cost) = cost else { continue };
         if cost.is_finite() {
             profiled.costs.push(cost);
             profiled.evaluations.push(Evaluation { point, value: cost });
@@ -216,6 +213,44 @@ mod tests {
         assert_eq!(profiled.costs.len(), 20);
         assert!(profiled.variety() > 0.5, "variety {}", profiled.variety());
         assert_eq!(profiled.consumed, 20.0);
+    }
+
+    #[test]
+    fn batch_costs_equal_scalar_costs_point_by_point() {
+        // Each profiled cost must be what planning (or executing) the
+        // rendered statement from scratch reports for that design point.
+        let db = tpch();
+        let template = parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l \
+             WHERE l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2}",
+        )
+        .unwrap();
+        for cost_type in [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality]
+        {
+            let oracle = CostOracle::new(&db, 2);
+            let mut rng = StdRng::seed_from_u64(11);
+            let profiled = profile_template(&oracle, template.clone(), cost_type, 24, &mut rng);
+            assert_eq!(profiled.evaluations.len(), 24, "{cost_type:?}");
+            for evaluation in &profiled.evaluations {
+                let bindings = profiled.space.decode(&evaluation.point);
+                let query = template.instantiate(&bindings).unwrap();
+                let scalar = crate::cost::query_cost(&db, &query, cost_type).unwrap();
+                assert_eq!(evaluation.value.to_bits(), scalar.to_bits(), "{cost_type:?}: {query}");
+            }
+        }
+    }
+
+    #[test]
+    fn unpreparable_template_is_charged_but_never_probed() {
+        let db = tpch();
+        let oracle = CostOracle::new(&db, 1);
+        let template = parse_template("SELECT * FROM ghosts WHERE ghosts.g > {p_1}").unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let profiled = profile_template(&oracle, template, CostType::PlanCost, 9, &mut rng);
+        assert!(profiled.costs.is_empty());
+        assert!(profiled.evaluations.is_empty());
+        assert_eq!(profiled.consumed, 9.0);
+        assert_eq!(oracle.stats().logical_probes, 0);
     }
 
     #[test]

@@ -99,9 +99,11 @@ pub struct GenerationReport {
     pub oracle_physical_evals: u64,
     /// Probes answered from the memo cache (`probes - physical`).
     pub oracle_cache_hits: u64,
-    /// Prepared-path probes answered from the binding-key memo.
+    /// Probes answered from the binding-key memo; every probe is a
+    /// prepared probe, so this equals `oracle_cache_hits`.
     pub oracle_prepared_hits: u64,
-    /// Prepared-path probes that recosted (or executed) a plan skeleton.
+    /// Probes that recosted (or executed) a plan skeleton; equals
+    /// `oracle_physical_evals`.
     pub oracle_prepared_misses: u64,
     /// Memo entries discarded by the oracle's second-chance eviction.
     pub oracle_evictions: u64,
@@ -178,13 +180,6 @@ impl GenerationReport {
     /// near-zero-misses claim, printed even when it is 0).
     pub fn amplify_summary(&self) -> Option<String> {
         let a = self.amplify.as_ref()?;
-        if a.unsupported_cost_type {
-            return Some(
-                "amplify: skipped (cost type requires execution; amplification \
-                 replays optimizer estimates)"
-                    .to_string(),
-            );
-        }
         let mut line = format!(
             "amplify: {} / {} queries ({:.1}% accept rate over {} candidates, \
              {} pairs), W1 {:.1}, {} oracle misses ({:.4}/query)",
@@ -345,16 +340,6 @@ mod tests {
         assert!(text.contains("0 oracle misses (0.0000/query)"), "{text}");
         assert!(text.contains("10 short"), "{text}");
         assert!(!text.contains("unserved"), "no unserved intervals listed");
-
-        let skipped = GenerationReport {
-            amplify: Some(AmplifyStats {
-                unsupported_cost_type: true,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let text = skipped.amplify_summary().unwrap();
-        assert!(text.contains("skipped"), "{text}");
     }
 
     #[test]
@@ -514,7 +499,6 @@ impl GenerationReport {
                         "wasserstein": a.wasserstein,
                         "oracle_misses": a.oracle_misses,
                         "accept_rate": a.accept_rate(),
-                        "unsupported_cost_type": a.unsupported_cost_type,
                     }),
                 ));
             }

@@ -37,7 +37,7 @@
 //! The thread budget is split between the round's tasks and each task's
 //! inner oracle batches: with T threads and K tasks, each task costs its
 //! mini-batches on `max(1, T/K)` workers
-//! ([`CostOracle::cost_prepared_batch_on`]).
+//! ([`CostOracle::cost_prepared_batch_columnar_on`]).
 
 use crate::bo_search::{
     interval_objective, weighted_sample, BoSearchConfig, GeneratedQuery, SearchResult,

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"SQBS";
 /// Codec version; bumped on any layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Header length in bytes: magic + version + payload_len + crc32.
 pub const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 /// Maximum model-stack nesting the decoder accepts (the pipeline stacks
@@ -284,19 +284,6 @@ pub enum ValueKeySnap {
     Null,
 }
 
-/// One rendered-text memo entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TextEntry {
-    /// Cost metric of the probe.
-    pub cost_type: CostType,
-    /// Rendered statement text.
-    pub sql: String,
-    /// Memoized result.
-    pub value: Result<f64, DbError>,
-    /// Second-chance reference bit.
-    pub referenced: bool,
-}
-
 /// One prepared-probe memo entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedEntry {
@@ -315,13 +302,13 @@ pub struct PreparedEntry {
 /// One bounded memo shard, entries in clock-queue order (front first) so
 /// future second-chance evictions replay identically.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardState<E> {
+pub struct ShardState {
     /// Shard capacity.
     pub capacity: u64,
     /// Entries already evicted from this shard.
     pub evicted: u64,
     /// Live entries in queue order.
-    pub entries: Vec<E>,
+    pub entries: Vec<PreparedEntry>,
 }
 
 /// The oracle's atomic counters (raw, pre-derivation — `stats()` derives
@@ -332,10 +319,6 @@ pub struct OracleCounters {
     pub logical: u64,
     /// Unmemoized (execution-time) probes.
     pub unmemoized: u64,
-    /// Prepared-path logical probes.
-    pub prepared_logical: u64,
-    /// Prepared-path unmemoized probes.
-    pub prepared_unmemoized: u64,
     /// Scheduler rounds.
     pub scheduler_rounds: u64,
     /// Scheduler tasks.
@@ -356,10 +339,8 @@ pub struct OracleState {
     /// Prepared-template registry; index = template id, value = SQL
     /// (plans are rebuilt by re-preparing on resume).
     pub templates: Vec<String>,
-    /// Rendered-text memo shards, by shard index.
-    pub text_shards: Vec<ShardState<TextEntry>>,
-    /// Prepared-probe memo shards, by shard index.
-    pub prepared_shards: Vec<ShardState<PreparedEntry>>,
+    /// Memo shards, by shard index.
+    pub shards: Vec<ShardState>,
     /// Raw atomic counters.
     pub counters: OracleCounters,
 }
@@ -989,20 +970,8 @@ fn dec_acc(dec: &mut Dec) -> Result<ReportAcc, SnapshotError> {
 fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
     enc_str_vec(enc, &oracle.interner);
     enc_str_vec(enc, &oracle.templates);
-    enc.usize(oracle.text_shards.len());
-    for shard in &oracle.text_shards {
-        enc.u64(shard.capacity);
-        enc.u64(shard.evicted);
-        enc.usize(shard.entries.len());
-        for entry in &shard.entries {
-            enc_cost_type(enc, entry.cost_type);
-            enc.str(&entry.sql);
-            enc_cost_result(enc, &entry.value);
-            enc.bool(entry.referenced);
-        }
-    }
-    enc.usize(oracle.prepared_shards.len());
-    for shard in &oracle.prepared_shards {
+    enc.usize(oracle.shards.len());
+    for shard in &oracle.shards {
         enc.u64(shard.capacity);
         enc.u64(shard.evicted);
         enc.usize(shard.entries.len());
@@ -1021,8 +990,6 @@ fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
     for v in [
         c.logical,
         c.unmemoized,
-        c.prepared_logical,
-        c.prepared_unmemoized,
         c.scheduler_rounds,
         c.scheduler_tasks,
         c.scheduler_peak_tasks,
@@ -1036,22 +1003,7 @@ fn dec_oracle(dec: &mut Dec) -> Result<OracleState, SnapshotError> {
     let interner = dec_str_vec(dec)?;
     let templates = dec_str_vec(dec)?;
     let n = dec.len(16)?;
-    let mut text_shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        let capacity = dec.u64()?;
-        let evicted = dec.u64()?;
-        let m = dec.len(8)?;
-        let mut entries = Vec::with_capacity(m);
-        for _ in 0..m {
-            let cost_type = dec_cost_type(dec)?;
-            let sql = dec.str()?;
-            let value = dec_cost_result(dec)?;
-            entries.push(TextEntry { cost_type, sql, value, referenced: dec.bool()? });
-        }
-        text_shards.push(ShardState { capacity, evicted, entries });
-    }
-    let n = dec.len(16)?;
-    let mut prepared_shards = Vec::with_capacity(n);
+    let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         let capacity = dec.u64()?;
         let evicted = dec.u64()?;
@@ -1074,19 +1026,17 @@ fn dec_oracle(dec: &mut Dec) -> Result<OracleState, SnapshotError> {
                 referenced: dec.bool()?,
             });
         }
-        prepared_shards.push(ShardState { capacity, evicted, entries });
+        shards.push(ShardState { capacity, evicted, entries });
     }
     let counters = OracleCounters {
         logical: dec.u64()?,
         unmemoized: dec.u64()?,
-        prepared_logical: dec.u64()?,
-        prepared_unmemoized: dec.u64()?,
         scheduler_rounds: dec.u64()?,
         scheduler_tasks: dec.u64()?,
         scheduler_peak_tasks: dec.u64()?,
         scheduler_overadmissions: dec.u64()?,
     };
-    Ok(OracleState { interner, templates, text_shards, prepared_shards, counters })
+    Ok(OracleState { interner, templates, shards, counters })
 }
 
 impl Snapshot {
@@ -1347,37 +1297,36 @@ mod tests {
             oracle: Some(OracleState {
                 interner: vec!["BRAZIL".into(), "ASIA".into()],
                 templates: vec!["SELECT 1".into()],
-                text_shards: vec![ShardState {
-                    capacity: 65_536,
-                    evicted: 1,
-                    entries: vec![TextEntry {
-                        cost_type: CostType::Cardinality,
-                        sql: "SELECT 1".into(),
-                        value: Err(DbError::UnknownTable("foo".into())),
-                        referenced: true,
-                    }],
-                }],
-                prepared_shards: vec![ShardState {
+                shards: vec![ShardState {
                     capacity: 4,
-                    evicted: 0,
-                    entries: vec![PreparedEntry {
-                        template_id: 0,
-                        cost_type: CostType::PlanCost,
-                        key: vec![
-                            Some(ValueKeySnap::Int(-5)),
-                            Some(ValueKeySnap::Float(f64::NAN.to_bits())),
-                            Some(ValueKeySnap::Str(1)),
-                            Some(ValueKeySnap::Bool(true)),
-                            Some(ValueKeySnap::Null),
-                            None,
-                        ],
-                        value: Ok(42.5),
-                        referenced: false,
-                    }],
+                    evicted: 1,
+                    entries: vec![
+                        PreparedEntry {
+                            template_id: 0,
+                            cost_type: CostType::Cardinality,
+                            key: vec![None],
+                            value: Err(DbError::UnknownTable("foo".into())),
+                            referenced: true,
+                        },
+                        PreparedEntry {
+                            template_id: 0,
+                            cost_type: CostType::PlanCost,
+                            key: vec![
+                                Some(ValueKeySnap::Int(-5)),
+                                Some(ValueKeySnap::Float(f64::NAN.to_bits())),
+                                Some(ValueKeySnap::Str(1)),
+                                Some(ValueKeySnap::Bool(true)),
+                                Some(ValueKeySnap::Null),
+                                None,
+                            ],
+                            value: Ok(42.5),
+                            referenced: false,
+                        },
+                    ],
                 }],
                 counters: OracleCounters {
                     logical: 1000,
-                    prepared_logical: 900,
+                    unmemoized: 100,
                     scheduler_rounds: 12,
                     ..Default::default()
                 },
@@ -1450,6 +1399,16 @@ mod tests {
         bytes[0] = b'X';
         assert!(matches!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic)));
         assert!(matches!(Snapshot::decode(b""), Err(SnapshotError::Truncated)));
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused_with_a_typed_error() {
+        // Version 1 carried a rendered-text memo family this build no
+        // longer has. A v1 frame with an intact checksum must still be
+        // refused by version, before any payload is interpreted.
+        let mut bytes = sample_snapshot().encode();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadVersion(1)));
     }
 
     #[test]

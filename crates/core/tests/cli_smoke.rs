@@ -23,6 +23,37 @@ fn unknown_command_exits_nonzero() {
 }
 
 #[test]
+fn removed_escape_hatch_flags_are_usage_errors() {
+    // The removed prepared-plan and columnar escape hatches: an old
+    // script passing one must fail loudly instead of having it swallow
+    // the next argument (`--threads` here) as its value.
+    for hatch in ["prepared", "columnar"] {
+        let flag = format!("--no-{hatch}");
+        let out = cli()
+            .args(["generate", &flag, "--threads", "4", "--out", "unused"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+}
+
+#[test]
+fn misspelled_flags_are_usage_errors() {
+    for args in [
+        &["generate", "--thread", "4"][..],
+        &["schema", "--bogus-flag", "7"][..],
+        &["explain", "--sql", "SELECT 1", "--analyse"][..],
+    ] {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn schema_lists_tpch_tables() {
     let out = cli().args(["schema", "--scale", "0.001"]).output().unwrap();
     assert!(out.status.success());

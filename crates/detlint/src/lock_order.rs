@@ -16,8 +16,8 @@
 //!    transitive closure must stay acyclic.
 //! 3. **Acquisition extraction.** Every `.lock()` (and `.read()` /
 //!    `.write()` on a known class) is resolved to its class through the
-//!    receiver text, local aliases (`let shard = &self.text_shards[i]`,
-//!    `for (mutex, _) in self.text_shards.iter().zip(..)`, closure
+//!    receiver text, local aliases (`let shard = &self.prepared_shards[i]`,
+//!    `for (mutex, _) in self.prepared_shards.iter().zip(..)`, closure
 //!    params), or an explicit `detlint::lock_class` comment. Guard
 //!    liveness is block-scoped for named guards (`let g = m.lock();` —
 //!    until the enclosing block ends or `drop(g)`), statement-scoped
@@ -618,7 +618,7 @@ fn collect_aliases(
                 }
             }
         }
-        // `let shard = &self.text_shards[idx];`
+        // `let shard = &self.prepared_shards[idx];`
         if let Some(let_pos) = word_occurrences(code, "let").into_iter().next() {
             if let Some(eq) = code[let_pos..].find('=').map(|p| p + let_pos) {
                 if let Some(class) = the_class(&code[eq + 1..]) {
@@ -632,7 +632,7 @@ fn collect_aliases(
                 }
             }
         }
-        // `for (mutex, stored) in self.text_shards.iter().zip(..) {`
+        // `for (mutex, stored) in self.prepared_shards.iter().zip(..) {`
         let trimmed = code.trim_start();
         if let Some(rest) = trimmed.strip_prefix("for ") {
             if let Some(in_pos) = rest.find(" in ") {
@@ -734,7 +734,7 @@ fn resolve_class(
         return Some(name.clone());
     }
     let mut tail = receiver.trim_end();
-    // Strip a trailing index expression: `self.text_shards[hash(k)]`.
+    // Strip a trailing index expression: `self.prepared_shards[hash(k)]`.
     if tail.ends_with(']') {
         let chars: Vec<char> = tail.chars().collect();
         let mut depth = 0i32;

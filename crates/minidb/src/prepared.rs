@@ -471,18 +471,18 @@ impl PreparedTemplate {
                 let bound = BoundRow::collect(&self.placeholder_ids, &map)
                     .expect("batch columns validated above");
                 let (rows_scalar, cost_scalar) = self.body.recost(db, &bound);
-                let (rows_batch, cost_batch) = scratch.results[row];
+                let (rows_batched, cost_batched) = scratch.results[row];
                 debug_assert_eq!(
-                    rows_batch.to_bits(),
+                    rows_batched.to_bits(),
                     rows_scalar.to_bits(),
                     "batch recost rows diverged from scalar at row {row}: \
-                     {rows_batch} vs {rows_scalar}",
+                     {rows_batched} vs {rows_scalar}",
                 );
                 debug_assert_eq!(
-                    cost_batch.to_bits(),
+                    cost_batched.to_bits(),
                     cost_scalar.to_bits(),
                     "batch recost cost diverged from scalar at row {row}: \
-                     {cost_batch} vs {cost_scalar}",
+                     {cost_batched} vs {cost_scalar}",
                 );
             }
         }

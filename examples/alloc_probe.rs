@@ -1,9 +1,10 @@
 //! Throwaway measurement: heap allocations per warm prepared-memo lookup.
 //! (Used to record the before/after numbers for EXPERIMENTS.md.)
 //!
-//! Default mode probes one binding at a time; `--batch 256` (any size)
-//! additionally measures the columnar batch path with a reused
-//! [`ColumnarScratch`], reporting amortized allocations per probe;
+//! Default mode probes one binding at a time (oracle batches of one with
+//! a reused [`ColumnarScratch`]); `--batch 256` (any size) additionally
+//! measures whole batches through the same entry point, reporting
+//! amortized allocations per probe;
 //! `--amplify` measures the warm amplification emission loop (draw →
 //! decode → columnar recost → render → stream) over one million emitted
 //! queries, asserting 0.000 allocs/query — which simultaneously
@@ -64,15 +65,22 @@ fn main() {
     let bindings: Vec<_> = (0..256)
         .map(|i| space.decode(&[(i % 5) as f64 / 5.0, (i as f64) / 256.0]))
         .collect();
+    let mut scratch = ColumnarScratch::new();
+    let mut cost_one = |b: &std::collections::HashMap<u32, sqlkit::Value>| {
+        let batch = std::slice::from_ref(b);
+        let results =
+            oracle.cost_prepared_batch_columnar(&handle, batch, CostType::Cardinality, &mut scratch);
+        assert!(results[0].is_ok());
+    };
     for b in &bindings {
-        oracle.cost_prepared(&handle, b, CostType::Cardinality).unwrap();
+        cost_one(b);
     }
     // Measure: warm lookups only (every probe is a binding-key cache hit).
     const ROUNDS: u64 = 100;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..ROUNDS {
         for b in &bindings {
-            oracle.cost_prepared(&handle, b, CostType::Cardinality).unwrap();
+            cost_one(b);
         }
     }
     let after = ALLOCS.load(Ordering::Relaxed);

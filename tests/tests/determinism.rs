@@ -1,10 +1,7 @@
 //! Cross-crate determinism: the pipeline must produce bit-identical
 //! output at any thread count. Parallelism only changes *when* probes are
 //! planned, never *which* probes are requested or what they return — the
-//! seed-split RNG scheme and order-preserving merges guarantee it. The
-//! prepared-plan fast path is held to the same bar: turning it off with
-//! `use_prepared: false` (the CLIs' `--no-prepared`) must not change a
-//! single bit of the output either.
+//! seed-split RNG scheme and order-preserving merges guarantee it.
 
 use sqlbarber::cost::CostType;
 use sqlbarber::oracle::OracleStats;
@@ -16,26 +13,11 @@ fn tpch() -> minidb::Database {
     minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
 }
 
-fn run(
-    db: &minidb::Database,
-    threads: usize,
-    use_prepared: bool,
-) -> (GenerationReport, OracleStats) {
-    run_columnar(db, threads, use_prepared, true)
-}
-
-fn run_columnar(
-    db: &minidb::Database,
-    threads: usize,
-    use_prepared: bool,
-    use_columnar: bool,
-) -> (GenerationReport, OracleStats) {
+fn run(db: &minidb::Database, threads: usize) -> (GenerationReport, OracleStats) {
     let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 80);
     let specs = redset_template_specs(3);
     let config = SqlBarberConfig {
         threads,
-        use_prepared,
-        use_columnar,
         ..SqlBarberConfig::fast_test()
     };
     let mut barber = SqlBarber::new(db, config);
@@ -89,17 +71,15 @@ fn end_to_end_is_bit_identical_across_thread_counts() {
     // threads: the workload, every counter, and the on-disk manifest
     // (minus wall-clock) must match the serial run bit for bit.
     let db = tpch();
-    let (serial, serial_stats) = run(&db, 1, true);
+    let (serial, serial_stats) = run(&db, 1);
     let serial_manifest = manifest_without_wallclock(&serial);
     assert!(serial_stats.logical_probes > 0, "oracle was never consulted");
     assert_eq!(
         serial_stats.cache_hits,
         serial_stats.logical_probes - serial_stats.physical_evals
     );
-    assert!(
-        serial_stats.prepared_hits + serial_stats.prepared_misses > 0,
-        "prepared path never exercised"
-    );
+    assert_eq!(serial_stats.prepared_hits, serial_stats.cache_hits);
+    assert_eq!(serial_stats.prepared_misses, serial_stats.physical_evals);
     assert!(serial_stats.scheduler_rounds > 0, "scheduler never ran a round");
     assert!(
         serial_stats.scheduler_tasks >= serial_stats.scheduler_rounds,
@@ -107,7 +87,7 @@ fn end_to_end_is_bit_identical_across_thread_counts() {
     );
 
     for threads in [2usize, 8] {
-        let (parallel, parallel_stats) = run(&db, threads, true);
+        let (parallel, parallel_stats) = run(&db, threads);
         assert_eq!(
             serial.final_distance.to_bits(),
             parallel.final_distance.to_bits(),
@@ -137,85 +117,6 @@ fn end_to_end_is_bit_identical_across_thread_counts() {
         assert_eq!(
             serial_manifest,
             manifest_without_wallclock(&parallel),
-            "threads={threads}: manifests diverged"
-        );
-    }
-}
-
-#[test]
-fn prepared_plans_are_an_invisible_optimization() {
-    // Identical output with the prepared-plan fast path on and off, at
-    // both thread counts. Only the *workload* must match: the prepared
-    // counters are zero when disabled, and physical-eval counts may
-    // legitimately differ because the rendered-SQL memo dedupes identical
-    // statements across templates while binding keys are per-template.
-    let db = tpch();
-    for threads in [1usize, 4] {
-        let (on, on_stats) = run(&db, threads, true);
-        let (off, off_stats) = run(&db, threads, false);
-        assert_eq!(
-            on.final_distance.to_bits(),
-            off.final_distance.to_bits(),
-            "threads={threads}: distance diverged: {} vs {}",
-            on.final_distance,
-            off.final_distance
-        );
-        assert_eq!(
-            flatten(&on),
-            flatten(&off),
-            "threads={threads}: query sets diverged"
-        );
-        assert_eq!(on.distribution, off.distribution, "threads={threads}");
-        assert_eq!(on.evaluations, off.evaluations, "threads={threads}");
-        assert_eq!(on.skipped_intervals, off.skipped_intervals);
-        assert_eq!(on.n_refined_templates, off.n_refined_templates);
-        assert_eq!(
-            on_stats.logical_probes, off_stats.logical_probes,
-            "threads={threads}: the fast path must not change which probes run"
-        );
-        assert!(on_stats.prepared_hits + on_stats.prepared_misses > 0);
-        assert_eq!(
-            off_stats.prepared_hits + off_stats.prepared_misses,
-            0,
-            "disabled path must not touch the binding-key memo"
-        );
-    }
-}
-
-#[test]
-fn columnar_batching_is_an_invisible_optimization() {
-    // Identical output with the columnar batch path on and off
-    // (`--no-columnar`), at 1 and 4 threads. Unlike the prepared on/off
-    // comparison, the columnar path promises *identical oracle
-    // accounting* too — it memoizes the same binding keys, so every
-    // counter and the on-disk manifest must match bit for bit.
-    let db = tpch();
-    for threads in [1usize, 4] {
-        let (on, on_stats) = run_columnar(&db, threads, true, true);
-        let (off, off_stats) = run_columnar(&db, threads, true, false);
-        assert_eq!(
-            on.final_distance.to_bits(),
-            off.final_distance.to_bits(),
-            "threads={threads}: distance diverged: {} vs {}",
-            on.final_distance,
-            off.final_distance
-        );
-        assert_eq!(
-            flatten(&on),
-            flatten(&off),
-            "threads={threads}: query sets diverged"
-        );
-        assert_eq!(on.distribution, off.distribution, "threads={threads}");
-        assert_eq!(on.evaluations, off.evaluations, "threads={threads}");
-        assert_eq!(on.skipped_intervals, off.skipped_intervals);
-        assert_eq!(on.n_refined_templates, off.n_refined_templates);
-        assert_eq!(
-            on_stats, off_stats,
-            "threads={threads}: columnar batching must not change oracle accounting"
-        );
-        assert_eq!(
-            manifest_without_wallclock(&on),
-            manifest_without_wallclock(&off),
             "threads={threads}: manifests diverged"
         );
     }
@@ -297,8 +198,8 @@ fn repeated_runs_on_one_database_are_reproducible() {
     // Two runs with the same seed and thread count must agree exactly —
     // the memo cache is per-run state, not hidden global state.
     let db = tpch();
-    let (first, first_stats) = run(&db, 2, true);
-    let (second, second_stats) = run(&db, 2, true);
+    let (first, first_stats) = run(&db, 2);
+    let (second, second_stats) = run(&db, 2);
     assert_eq!(first.final_distance.to_bits(), second.final_distance.to_bits());
     assert_eq!(first.queries.len(), second.queries.len());
     assert_eq!(first_stats, second_stats);

@@ -3,16 +3,17 @@
 //! empty/inverted BETWEEN intervals, duplicate rows — the batch executor
 //! [`PreparedExec::execute_batch`] must return exactly, bit for bit, the
 //! `(cardinality, work_micros)` pairs that per-row instantiate-and-
-//! `Database::execute` produces, and the oracle's columnar dispatch for
-//! execution-based cost types must match the per-probe path in results
-//! *and* in memo accounting, even under capacity-2 eviction pressure.
+//! `Database::execute` produces, and the oracle's entry point for
+//! execution-based cost types must match that scalar path probe by probe
+//! with exact memo accounting, even under capacity-2 eviction pressure.
 
 use minidb::{BindingBatch, Database, DbError, ExecScratch, PreparedExec};
 use proptest::prelude::*;
+use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 fn db() -> &'static Database {
@@ -183,11 +184,12 @@ proptest! {
         }
     }
 
-    /// Oracle-level contract for execution-based cost types: the
-    /// columnar dispatch (`cost_prepared_batch_columnar` →
-    /// `execute_batch`) returns the same bits and the same
-    /// hit/eval/eviction accounting as the per-probe path, across
-    /// thread counts and under capacity-2 memo eviction pressure.
+    /// Oracle-level contract for execution-based cost types: the entry
+    /// point (`cost_prepared_batch_columnar` → `execute_batch`) returns,
+    /// probe by probe, the same bits as instantiate-and-execute, across
+    /// thread counts and under capacity-2 memo eviction pressure — with
+    /// one logical probe per binding and one physical evaluation per
+    /// distinct binding (per binding for the un-memoized time metric).
     #[test]
     fn oracle_columnar_execution_matches_per_probe(
         skeleton_idx in 0usize..SKELETONS.len(),
@@ -210,35 +212,43 @@ proptest! {
         batch.push(batch[0].clone()); // in-batch duplicate: memo-hit dedup
 
         let capacity = if squeeze_cache { 2 } else { 1024 };
-        let per_probe = {
-            let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let results = oracle.cost_prepared_batch(&handle, &batch, cost_type);
-            (results, oracle.stats())
-        };
-        let columnar = {
-            let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(&handle, &batch, cost_type, &mut scratch)
-                .to_vec();
-            (results, oracle.stats())
-        };
+        let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
+        let handle = oracle.prepare(&template).expect("prepare");
+        let mut scratch = ColumnarScratch::new();
+        let results = oracle
+            .cost_prepared_batch_columnar(&handle, &batch, cost_type, &mut scratch)
+            .to_vec();
 
-        prop_assert_eq!(per_probe.0.len(), columnar.0.len());
-        for (a, b) in per_probe.0.iter().zip(columnar.0.iter()) {
-            match (a, b) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(
-                    x.to_bits(), y.to_bits(), "{} vs {}", x, y
-                ),
-                (Err(x), Err(y)) => {
-                    prop_assert_eq!(format!("{x:?}"), format!("{y:?}"))
-                }
-                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", a, b),
+        prop_assert_eq!(results.len(), batch.len());
+        for (row, got) in batch.iter().zip(&results) {
+            let expected = match template.instantiate(row) {
+                Ok(select) => query_cost(db, &select, cost_type),
+                Err(e) => Err(DbError::Unsupported(e.to_string())),
+            };
+            match (got, &expected) {
+                (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y),
+                (Err(x), Err(y)) => prop_assert_eq!(format!("{x:?}"), format!("{y:?}")),
+                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", got, expected),
             }
         }
-        prop_assert_eq!(per_probe.1, columnar.1, "oracle accounting diverged");
+        let distinct: HashSet<Vec<(u32, String)>> = batch
+            .iter()
+            .map(|row| {
+                let mut key: Vec<(u32, String)> =
+                    row.iter().map(|(&id, v)| (id, format!("{v:?}"))).collect();
+                key.sort();
+                key
+            })
+            .collect();
+        let physical = if cost_type == CostType::ExecutionTimeMicros {
+            batch.len()
+        } else {
+            distinct.len()
+        };
+        let stats = oracle.stats();
+        prop_assert_eq!(stats.logical_probes, batch.len() as u64);
+        prop_assert_eq!(stats.physical_evals, physical as u64);
+        prop_assert_eq!(stats.cache_hits, (batch.len() - physical) as u64);
     }
 
     /// Thread-count invariance: the columnar execution dispatch returns

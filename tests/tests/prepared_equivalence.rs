@@ -7,10 +7,11 @@
 
 use minidb::{BindingBatch, Database, PreparedTemplate, RecostScratch};
 use proptest::prelude::*;
+use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 fn db() -> &'static Database {
@@ -199,10 +200,12 @@ proptest! {
         }
     }
 
-    /// Oracle-level contract: `cost_prepared_batch_columnar` (shard-bulk
-    /// locking + columnar recost) returns the same bits and the same
-    /// hit/eval/eviction accounting as the per-probe batch path, for
-    /// batches whose binding keys span multiple memo shards.
+    /// Oracle-level contract: the oracle's entry point
+    /// (`cost_prepared_batch_columnar`: shard-bulk locking + columnar
+    /// recost) returns, probe by probe, the same bits as planning each
+    /// rendered statement from scratch, for batches whose binding keys
+    /// span multiple memo shards — with one logical probe per binding and
+    /// one physical evaluation per distinct binding.
     #[test]
     fn oracle_columnar_batch_matches_per_probe_batch(
         skeleton_idx in 0usize..SKELETONS.len(),
@@ -230,30 +233,35 @@ proptest! {
             .collect();
         batch.push(batch[0].clone()); // force an in-batch memo-hit dedup
 
-        let per_probe = {
-            let oracle = CostOracle::new(db, threads);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let results = oracle.cost_prepared_batch(&handle, &batch, CostType::PlanCost);
-            (results, oracle.stats())
-        };
-        let columnar = {
-            let oracle = CostOracle::new(db, threads);
-            let handle = oracle.prepare(&template).expect("prepare");
-            let mut scratch = ColumnarScratch::new();
-            let results = oracle
-                .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
-                .to_vec();
-            (results, oracle.stats())
-        };
+        let oracle = CostOracle::new(db, threads);
+        let handle = oracle.prepare(&template).expect("prepare");
+        let mut scratch = ColumnarScratch::new();
+        let results = oracle
+            .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
+            .to_vec();
 
-        prop_assert_eq!(per_probe.0.len(), columnar.0.len());
-        for (a, b) in per_probe.0.iter().zip(columnar.0.iter()) {
-            match (a, b) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits()),
-                (Err(x), Err(y)) => prop_assert_eq!(format!("{x:?}"), format!("{y:?}")),
-                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", a, b),
+        prop_assert_eq!(results.len(), batch.len());
+        for (bindings, got) in batch.iter().zip(&results) {
+            let query = template.instantiate(bindings).expect("all ids bound");
+            let scalar = query_cost(db, &query, CostType::PlanCost);
+            match (got, &scalar) {
+                (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits(), "{}", query),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", got, scalar),
             }
         }
-        prop_assert_eq!(per_probe.1, columnar.1, "oracle accounting diverged");
+        let distinct: HashSet<Vec<(u32, String)>> = batch
+            .iter()
+            .map(|bindings| {
+                let mut key: Vec<(u32, String)> =
+                    bindings.iter().map(|(&id, v)| (id, format!("{v:?}"))).collect();
+                key.sort();
+                key
+            })
+            .collect();
+        let stats = oracle.stats();
+        prop_assert_eq!(stats.logical_probes, batch.len() as u64);
+        prop_assert_eq!(stats.physical_evals, distinct.len() as u64);
+        prop_assert_eq!(stats.cache_hits, (batch.len() - distinct.len()) as u64);
     }
 }
