@@ -1,19 +1,27 @@
 //! Prepared-plan micro-benchmark: costing many *distinct* bindings of a
-//! single template, three ways —
+//! single template, four ways —
 //!
 //! * `from_scratch`: instantiate + render + full `Database::explain`
 //!   (what every distinct probe cost before prepared plans);
-//! * `recost`: `PreparedTemplate::recost`, which replays only the
-//!   selectivity and cost arithmetic over the cached plan skeleton;
-//! * `recost_batch`: the columnar batch path — one skeleton walk for the
-//!   whole 256-binding batch, tight per-column selectivity loops, and a
-//!   caller-owned scratch arena (zero steady-state allocation);
+//! * `recost_batch_1`: `PreparedTemplate::recost_batch` on a batch of one
+//!   per binding — the path sequential callers (profiler, baselines)
+//!   take, replaying only the selectivity and cost arithmetic over the
+//!   cached plan skeleton;
+//! * `recost_batch_256`: the same replay over one 256-binding batch — one
+//!   skeleton walk for the whole batch, tight per-column selectivity
+//!   loops, and a caller-owned scratch arena (zero steady-state
+//!   allocation);
 //! * memo hits: a warm oracle answering repeats from its binding-key
 //!   memo, one probe per call through the oracle's batch entry point.
 //!
+//! A second template adds a placeholder inside an `IN` subquery (the
+//! synthesizer's nested-subquery shape) and measures its 256-binding
+//! batch against its own from-scratch cost.
+//!
 //! Distinct bindings are the case the memo cache cannot help with, so
-//! `from_scratch` vs `recost` is the honest measure of the fast path.
-//! The printed table is the source of the numbers in EXPERIMENTS.md.
+//! `from_scratch` vs `recost_batch_1` is the honest measure of the fast
+//! path. The printed table is the source of the numbers in
+//! EXPERIMENTS.md.
 
 // Wall-clock timing is this harness's entire purpose; detlint
 // exempts crates/bench/ from R2 for the same reason.
@@ -25,19 +33,26 @@ use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Template, Value};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const N_BINDINGS: usize = 256;
 
-fn template() -> Template {
-    parse_template(
-        "SELECT o.o_orderkey, SUM(l.l_extendedprice) \
-         FROM orders AS o, lineitem AS l \
-         WHERE o.o_orderkey = l.l_orderkey \
-         AND l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2} \
-         GROUP BY o.o_orderkey",
-    )
-    .expect("template parses")
+const JOIN_AGG: &str = "SELECT o.o_orderkey, SUM(l.l_extendedprice) \
+     FROM orders AS o, lineitem AS l \
+     WHERE o.o_orderkey = l.l_orderkey \
+     AND l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2} \
+     GROUP BY o.o_orderkey";
+
+const JOIN_AGG_IN_SUBQUERY: &str = "SELECT o.o_orderkey, SUM(l.l_extendedprice) \
+     FROM orders AS o, lineitem AS l \
+     WHERE o.o_orderkey = l.l_orderkey \
+     AND l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2} \
+     AND o.o_orderkey IN \
+     (SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_3}) \
+     GROUP BY o.o_orderkey";
+
+fn template(sql: &str) -> Template {
+    parse_template(sql).expect("template parses")
 }
 
 fn bindings() -> Vec<HashMap<u32, Value>> {
@@ -46,6 +61,7 @@ fn bindings() -> Vec<HashMap<u32, Value>> {
             HashMap::from([
                 (1, Value::Float(100.0 + i as f64 * 17.0)),
                 (2, Value::Float(1.0 + (i % 50) as f64)),
+                (3, Value::Float(500.0 + i as f64 * 311.0)),
             ])
         })
         .collect()
@@ -57,6 +73,57 @@ fn cost_from_scratch(db: &Database, template: &Template, binding: &HashMap<u32, 
     // its memo on, so the string build is part of the replaced work.
     std::hint::black_box(query.to_string());
     std::hint::black_box(db.explain(&query).expect("plans"));
+}
+
+fn from_scratch_time(
+    db: &Database,
+    template: &Template,
+    points: &[HashMap<u32, Value>],
+) -> Duration {
+    let start = Instant::now();
+    for binding in points {
+        cost_from_scratch(db, template, binding);
+    }
+    start.elapsed()
+}
+
+/// Recost each binding as a batch of one, reusing one batch and one
+/// scratch arena (the sequential callers' access pattern).
+fn recost_one_at_a_time(
+    db: &Database,
+    prepared: &PreparedTemplate,
+    points: &[HashMap<u32, Value>],
+    batch: &mut BindingBatch,
+    scratch: &mut RecostScratch,
+) {
+    for binding in points {
+        batch.clear();
+        batch.push_row(binding).expect("binding complete");
+        std::hint::black_box(prepared.recost_batch(db, batch, scratch).expect("recosts"));
+    }
+}
+
+/// One warm-up to size the arenas, then one measured 256-row batch.
+fn batch_time(
+    db: &Database,
+    prepared: &PreparedTemplate,
+    points: &[HashMap<u32, Value>],
+) -> Duration {
+    let batch =
+        BindingBatch::from_rows(prepared.placeholder_ids(), points).expect("bindings complete");
+    let mut scratch = RecostScratch::new();
+    std::hint::black_box(
+        prepared
+            .recost_batch(db, &batch, &mut scratch)
+            .expect("batch recosts"),
+    );
+    let start = Instant::now();
+    std::hint::black_box(
+        prepared
+            .recost_batch(db, &batch, &mut scratch)
+            .expect("batch recosts"),
+    );
+    start.elapsed()
 }
 
 /// Cost each binding as an oracle batch of one (the sequential callers'
@@ -75,88 +142,101 @@ fn cost_one_at_a_time(
     }
 }
 
-fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Value>]) {
-    let prepared = PreparedTemplate::prepare(db, template).expect("prepares");
+fn speedup_table(db: &Database, points: &[HashMap<u32, Value>]) {
+    let template = template(JOIN_AGG);
+    let prepared = PreparedTemplate::prepare(db, &template).expect("prepares");
+    let scratch = from_scratch_time(db, &template, points);
 
+    // Batches of one: one warm-up pass to size the arenas, then measure.
+    let mut one = BindingBatch::new(prepared.placeholder_ids().to_vec());
+    let mut one_scratch = RecostScratch::new();
+    recost_one_at_a_time(db, &prepared, points, &mut one, &mut one_scratch);
     let start = Instant::now();
-    for binding in points {
-        cost_from_scratch(db, template, binding);
-    }
-    let scratch = start.elapsed();
+    recost_one_at_a_time(db, &prepared, points, &mut one, &mut one_scratch);
+    let batch_one = start.elapsed();
 
-    let start = Instant::now();
-    for binding in points {
-        std::hint::black_box(prepared.recost(db, binding).expect("recosts"));
-    }
-    let recost = start.elapsed();
-
-    // Columnar batch: one warm-up to size the arenas, then measure.
-    let ids: Vec<u32> = vec![1, 2];
-    let batch = BindingBatch::from_rows(&ids, points).expect("bindings complete");
-    let mut batch_scratch = RecostScratch::new();
-    std::hint::black_box(
-        prepared.recost_batch(db, &batch, &mut batch_scratch).expect("batch recosts"),
-    );
-    let start = Instant::now();
-    std::hint::black_box(
-        prepared.recost_batch(db, &batch, &mut batch_scratch).expect("batch recosts"),
-    );
-    let batch_time = start.elapsed();
+    let batch_256 = batch_time(db, &prepared, points);
 
     // Warm memo hits: one priming pass, then measure the repeat.
     let oracle = CostOracle::new(db, 1);
-    let handle = oracle.prepare(template).expect("prepares");
+    let handle = oracle.prepare(&template).expect("prepares");
     let mut memo_scratch = ColumnarScratch::new();
     cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
     let start = Instant::now();
     cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
     let binding_hit = start.elapsed();
 
-    let per_probe = |d: std::time::Duration| d.as_nanos() as f64 / points.len() as f64;
-    let speedup = scratch.as_secs_f64() / recost.as_secs_f64();
-    let batch_speedup = recost.as_secs_f64() / batch_time.as_secs_f64();
+    let in_subquery = self::template(JOIN_AGG_IN_SUBQUERY);
+    let prepared_in_subquery = PreparedTemplate::prepare(db, &in_subquery).expect("prepares");
+    let scratch_in_subquery = from_scratch_time(db, &in_subquery, points);
+    let batch_in_subquery = batch_time(db, &prepared_in_subquery, points);
+
+    let per_probe = |d: Duration| d.as_nanos() as f64 / points.len() as f64;
+    let ratio = |a: Duration, b: Duration| a.as_secs_f64() / b.as_secs_f64();
+    let speedup = ratio(scratch, batch_one);
+    let batch_speedup = ratio(batch_one, batch_256);
+    let in_subquery_speedup = ratio(scratch_in_subquery, batch_in_subquery);
     println!(
         "\nprepared_recost: {} distinct bindings of one join+agg template, tiny TPC-H",
         points.len()
     );
-    println!("{:<22} {:>14} {:>12}", "path", "ns/probe", "speedup");
-    println!("{:<22} {:>14.0} {:>11.2}x", "from_scratch", per_probe(scratch), 1.0);
-    println!("{:<22} {:>14.0} {:>11.2}x", "prepared_recost", per_probe(recost), speedup);
-    println!(
-        "{:<22} {:>14.0} {:>11.2}x",
-        "recost_batch_256",
-        per_probe(batch_time),
-        scratch.as_secs_f64() / batch_time.as_secs_f64()
+    println!("{:<30} {:>14} {:>12}", "path", "ns/probe", "speedup");
+    let row = |name: &str, d: Duration, base: Duration| {
+        println!(
+            "{name:<30} {:>14.0} {:>11.2}x",
+            per_probe(d),
+            ratio(base, d)
+        );
+    };
+    row("from_scratch", scratch, scratch);
+    row("recost_batch_1", batch_one, scratch);
+    row("recost_batch_256", batch_256, scratch);
+    row("binding_memo_hit", binding_hit, scratch);
+    println!("(same template plus `o.o_orderkey IN (SELECT … > {{p_3}})`)");
+    row(
+        "from_scratch_in_subquery",
+        scratch_in_subquery,
+        scratch_in_subquery,
     );
-    println!(
-        "{:<22} {:>14.0} {:>11.2}x",
-        "binding_memo_hit",
-        per_probe(binding_hit),
-        scratch.as_secs_f64() / binding_hit.as_secs_f64()
+    row(
+        "recost_batch_256_in_subquery",
+        batch_in_subquery,
+        scratch_in_subquery,
     );
-    // Acceptance bar for the fast path (debug builds run the planner
-    // cross-check inside recost, so only release numbers are meaningful).
+    // Acceptance bars for the fast path (debug builds cross-check every
+    // row against the planner inside recost_batch, so only release
+    // numbers are meaningful).
     #[cfg(not(debug_assertions))]
-    assert!(speedup >= 5.0, "prepared recost only {speedup:.2}x over from-scratch");
-    // Regression gate for the columnar path: a 256-binding batch must be
-    // at least 3x faster than 256 per-probe recosts (typically well
-    // beyond; see EXPERIMENTS.md). Debug builds run the scalar
-    // cross-check inside recost_batch, so only release numbers count.
-    #[cfg(not(debug_assertions))]
-    assert!(
-        batch_speedup >= 3.0,
-        "columnar recost_batch only {batch_speedup:.2}x over per-probe recost"
-    );
+    {
+        // Gate 1: a batch of one is at least 5x faster than planning
+        // from scratch.
+        assert!(
+            speedup >= 5.0,
+            "recost_batch of one only {speedup:.2}x over from-scratch"
+        );
+        // Gate 2: a 256-binding batch is at least 3x faster per probe
+        // than 256 batches of one.
+        assert!(
+            batch_speedup >= 3.0,
+            "recost_batch of 256 only {batch_speedup:.2}x over batches of one"
+        );
+        // Gate 3: a placeholder inside an IN subquery keeps the columnar
+        // path (at least 5x over its own from-scratch cost).
+        assert!(
+            in_subquery_speedup >= 5.0,
+            "IN-subquery recost_batch of 256 only {in_subquery_speedup:.2}x over from-scratch"
+        );
+    }
     #[cfg(debug_assertions)]
-    let _ = batch_speedup;
+    let _ = (speedup, batch_speedup, in_subquery_speedup);
 }
 
 fn bench(c: &mut Criterion) {
     let db = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny());
-    let template = template();
     let points = bindings();
-    speedup_table(&db, &template, &points);
+    speedup_table(&db, &points);
 
+    let template = template(JOIN_AGG);
     c.bench_function("prepared/from_scratch", |bencher| {
         bencher.iter(|| {
             for binding in &points {
@@ -164,25 +244,33 @@ fn bench(c: &mut Criterion) {
             }
         })
     });
-    c.bench_function("prepared/recost", |bencher| {
+    c.bench_function("prepared/recost_batch_1", |bencher| {
         let prepared = PreparedTemplate::prepare(&db, &template).expect("prepares");
-        bencher.iter(|| {
-            for binding in &points {
-                std::hint::black_box(prepared.recost(&db, binding).expect("recosts"));
-            }
-        })
-    });
-    c.bench_function("prepared/recost_batch_256", |bencher| {
-        let prepared = PreparedTemplate::prepare(&db, &template).expect("prepares");
-        let ids: Vec<u32> = vec![1, 2];
-        let batch = BindingBatch::from_rows(&ids, &points).expect("bindings complete");
+        let mut batch = BindingBatch::new(prepared.placeholder_ids().to_vec());
         let mut scratch = RecostScratch::new();
-        bencher.iter(|| {
-            std::hint::black_box(
-                prepared.recost_batch(&db, &batch, &mut scratch).expect("batch recosts"),
-            );
-        })
+        bencher.iter(|| recost_one_at_a_time(&db, &prepared, &points, &mut batch, &mut scratch))
     });
+    for (name, sql) in [
+        ("prepared/recost_batch_256", JOIN_AGG),
+        (
+            "prepared/recost_batch_256_in_subquery",
+            JOIN_AGG_IN_SUBQUERY,
+        ),
+    ] {
+        c.bench_function(name, |bencher| {
+            let prepared = PreparedTemplate::prepare(&db, &self::template(sql)).expect("prepares");
+            let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &points)
+                .expect("bindings complete");
+            let mut scratch = RecostScratch::new();
+            bencher.iter(|| {
+                std::hint::black_box(
+                    prepared
+                        .recost_batch(&db, &batch, &mut scratch)
+                        .expect("batch recosts"),
+                );
+            })
+        });
+    }
     c.bench_function("prepared/binding_memo_hit", |bencher| {
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&template).expect("prepares");

@@ -283,18 +283,32 @@ macro_rules! try_flag {
     };
 }
 
+/// `--scale` (default `default`): a positive finite number. The
+/// generators would silently clamp anything else to their minimum row
+/// counts.
+fn positive_scale(flags: &Flags, default: f64) -> Result<f64, String> {
+    let scale: f64 = flags.parsed("--scale", default)?;
+    if scale > 0.0 && scale.is_finite() {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "--scale must be a positive finite number, got {scale}"
+        ))
+    }
+}
+
 fn load_db(flags: &Flags) -> Result<minidb::Database, String> {
     let db = flags.get("--db").unwrap_or("tpch");
     Ok(match db {
         "imdb" => {
-            let scale = flags.parsed("--scale", 4.0)?;
+            let scale = positive_scale(flags, 4.0)?;
             minidb::datagen::imdb::generate(minidb::datagen::imdb::ImdbConfig {
                 scale,
                 seed: 1337,
             })
         }
         "tpch" => {
-            let scale = flags.parsed("--scale", 0.05)?;
+            let scale = positive_scale(flags, 0.05)?;
             minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig {
                 scale_factor: scale,
                 seed: 42,
@@ -378,14 +392,26 @@ fn generate(args: &[String]) -> i32 {
         },
         None => None,
     };
+    // Target distribution shape.
+    let queries: usize = try_flag!(flags.parsed("--queries", 1000));
+    if queries == 0 {
+        eprintln!("--queries must be at least 1");
+        return 2;
+    }
+    let intervals_n: usize = try_flag!(flags.parsed("--intervals", 10));
+    if intervals_n == 0 {
+        eprintln!("--intervals must be at least 1");
+        return 2;
+    }
+    let (lo, hi): (f64, f64) = try_flag!(flags.parsed_pair("--range", (0.0, 10_000.0)));
+    if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+        eprintln!("--range needs finite bounds LO < HI, got {lo} {hi}");
+        return 2;
+    }
+    let grid = CostIntervals::new(lo, hi, intervals_n);
+
     eprintln!("loading database…");
     let db = try_flag!(load_db(&flags));
-
-    // Target distribution.
-    let queries: usize = try_flag!(flags.parsed("--queries", 1000));
-    let intervals_n: usize = try_flag!(flags.parsed("--intervals", 10));
-    let (lo, hi) = try_flag!(flags.parsed_pair("--range", (0.0, 10_000.0)));
-    let grid = CostIntervals::new(lo, hi, intervals_n);
 
     let (target, cost_type) = if let Some(name) = flags.get("--benchmark") {
         let Some(bench) = workload::benchmark_by_name(name) else {

@@ -54,6 +54,71 @@ fn misspelled_flags_are_usage_errors() {
 }
 
 #[test]
+fn degenerate_target_flags_are_usage_errors() {
+    // Each is rejected before the database loads, with a message naming
+    // the flag, instead of panicking (exit 101).
+    for (flags, message) in [
+        (&["--queries", "0"][..], "--queries must be at least 1"),
+        (&["--intervals", "0"][..], "--intervals must be at least 1"),
+        (&["--range", "5000", "0"][..], "--range needs finite bounds"),
+        (&["--range", "0", "nan"][..], "--range needs finite bounds"),
+    ] {
+        let out = cli()
+            .arg("generate")
+            .args(flags)
+            .args(["--out", "unused"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{flags:?}: {err}");
+        assert!(!err.contains("loading database"), "{flags:?}: {err}");
+    }
+}
+
+#[test]
+fn non_positive_scale_is_a_usage_error() {
+    // The generators would silently clamp these to their minimum sizes.
+    for args in [
+        &["generate", "--scale", "-1"][..],
+        &["generate", "--scale", "nan"][..],
+        &["schema", "--scale", "0"][..],
+        &["explain", "--scale", "-0.5", "--sql", "SELECT 1"][..],
+    ] {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--scale must be a positive finite number"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn nan_samples_fall_inside_no_interval() {
+    let dir = std::env::temp_dir().join(format!("sqlbarber_cli_nan_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let samples = dir.join("costs.txt");
+    std::fs::write(&samples, "nan\nNaN\n").unwrap();
+    let out = cli()
+        .args([
+            "generate",
+            "--scale",
+            "0.001",
+            "--samples",
+            samples.to_str().unwrap(),
+        ])
+        .args(["--out", dir.join("wl").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("falls inside the target range"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn schema_lists_tpch_tables() {
     let out = cli().args(["schema", "--scale", "0.001"]).output().unwrap();
     assert!(out.status.success());

@@ -119,7 +119,9 @@ impl<'a> Estimator<'a> {
                 self.comparison_selectivity(left, *op, right)
             }
             Expr::Between { expr, negated, low, high } => {
-                let sel = self.range_selectivity(expr, low, high);
+                let stats = self.leaf_column(expr).and_then(|c| self.column_stats(&c));
+                let bound = |e: &Expr| Self::constant_of(e).and_then(|v| v.as_f64());
+                let sel = column_range_selectivity(stats, bound(low), bound(high));
                 if *negated {
                     1.0 - sel
                 } else {
@@ -140,24 +142,13 @@ impl<'a> Estimator<'a> {
                 }
             }
             Expr::InSubquery { expr, negated, subquery } => {
-                // Semijoin selectivity ≈ |distinct subquery keys| / nd(lhs),
-                // capped at 1. Falls back to the classic 0.5 default when
-                // the subquery was not pre-planned.
+                // Semijoin selectivity ≈ |distinct subquery keys| / nd(lhs).
                 let lhs_nd = self
                     .leaf_column(expr)
                     .and_then(|c| self.column_stats(&c))
                     .map(|s| s.n_distinct.max(1.0));
-                let sel = match (self.subquery_rows.get(&subquery.to_string()), lhs_nd) {
-                    (Some(&rows), Some(nd)) => (rows / nd).clamp(0.0, 1.0),
-                    // Without LHS statistics (e.g. an arithmetic LHS) the
-                    // ratio is meaningless — use the classic default.
-                    _ => DEFAULT_SUBQUERY_SEL,
-                };
-                if *negated {
-                    1.0 - sel
-                } else {
-                    sel
-                }
+                let rows = self.subquery_rows.get(&subquery.to_string()).copied();
+                in_subquery_selectivity(rows, lhs_nd, *negated)
             }
             Expr::Exists { negated, subquery } => {
                 // An uncorrelated EXISTS is all-or-nothing; the smooth
@@ -250,58 +241,7 @@ impl<'a> Estimator<'a> {
             (None, None) => return default_for(op),
         };
 
-        let Some(stats) = self.column_stats(&column) else {
-            return default_for(op);
-        };
-        match op {
-            BinaryOp::Eq => equality_selectivity(stats, &constant),
-            BinaryOp::NotEq => 1.0 - equality_selectivity(stats, &constant),
-            BinaryOp::Lt | BinaryOp::LtEq => {
-                match constant.as_f64().and_then(|v| stats.fraction_below(v)) {
-                    Some(f) => {
-                        let eq_bump = if op == BinaryOp::LtEq {
-                            equality_selectivity(stats, &constant)
-                        } else {
-                            0.0
-                        };
-                        ((1.0 - stats.null_frac) * f + eq_bump).min(1.0)
-                    }
-                    None => DEFAULT_INEQ_SEL,
-                }
-            }
-            BinaryOp::Gt | BinaryOp::GtEq => {
-                match constant.as_f64().and_then(|v| stats.fraction_below(v)) {
-                    Some(f) => {
-                        let eq_bump = if op == BinaryOp::GtEq {
-                            equality_selectivity(stats, &constant)
-                        } else {
-                            0.0
-                        };
-                        ((1.0 - stats.null_frac) * (1.0 - f) + eq_bump).min(1.0)
-                    }
-                    None => DEFAULT_INEQ_SEL,
-                }
-            }
-            _ => DEFAULT_INEQ_SEL,
-        }
-    }
-
-    fn range_selectivity(&self, expr: &Expr, low: &Expr, high: &Expr) -> f64 {
-        let stats = match self.leaf_column(expr).and_then(|c| self.column_stats(&c)) {
-            Some(s) => s,
-            None => return DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-        };
-        let lo = Self::constant_of(low).and_then(|v| v.as_f64());
-        let hi = Self::constant_of(high).and_then(|v| v.as_f64());
-        match (lo, hi) {
-            (Some(lo), Some(hi)) if hi >= lo => {
-                let f_lo = stats.fraction_below(lo).unwrap_or(0.0);
-                let f_hi = stats.fraction_below(hi).unwrap_or(1.0);
-                ((1.0 - stats.null_frac) * (f_hi - f_lo)).max(0.0)
-            }
-            (Some(_), Some(_)) => 0.0, // inverted range is empty
-            _ => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-        }
+        column_op_constant_selectivity(self.column_stats(&column), op, &constant)
     }
 
     /// Join selectivity of `left.column = right.column` (equi-join):
@@ -408,9 +348,9 @@ pub(crate) fn group_count_from_nds(nds: &[Option<f64>], input_rows: f64) -> f64 
     expected.clamp(1.0, domain.min(n.max(1.0)))
 }
 
-/// Orientation flip for constant-op-column comparisons. Shared with
-/// [`crate::prepared`]'s batch fast path, which normalizes
-/// `{placeholder} op column` shapes at prepare time.
+/// Orientation flip for constant-op-column comparisons. Shared with the
+/// batch paths, which normalize `{placeholder} op column` shapes at
+/// prepare time.
 pub(crate) fn flip(op: BinaryOp) -> BinaryOp {
     use BinaryOp::*;
     match op {
@@ -423,9 +363,8 @@ pub(crate) fn flip(op: BinaryOp) -> BinaryOp {
 }
 
 /// Default comparison selectivity when operands or statistics are
-/// unavailable. Shared with [`crate::prepared`]'s batch fast path, which
-/// must replay [`Estimator::comparison_selectivity`] bit-for-bit.
-pub(crate) fn default_for(op: BinaryOp) -> f64 {
+/// unavailable.
+fn default_for(op: BinaryOp) -> f64 {
     if op == BinaryOp::Eq {
         DEFAULT_EQ_SEL
     } else if op == BinaryOp::NotEq {
@@ -435,11 +374,100 @@ pub(crate) fn default_for(op: BinaryOp) -> f64 {
     }
 }
 
+/// Selectivity of `column op constant` (op a comparison) from the
+/// column's statistics, or the default for `op` without them. The one
+/// implementation behind [`Estimator::selectivity`]'s comparison arm and
+/// the batch paths' per-row comparison columns.
+pub(crate) fn column_op_constant_selectivity(
+    stats: Option<&ColumnStats>,
+    op: BinaryOp,
+    constant: &Value,
+) -> f64 {
+    let Some(stats) = stats else {
+        return default_for(op);
+    };
+    match op {
+        BinaryOp::Eq => equality_selectivity(stats, constant),
+        BinaryOp::NotEq => 1.0 - equality_selectivity(stats, constant),
+        BinaryOp::Lt | BinaryOp::LtEq => {
+            match constant.as_f64().and_then(|v| stats.fraction_below(v)) {
+                Some(f) => {
+                    let eq_bump = if op == BinaryOp::LtEq {
+                        equality_selectivity(stats, constant)
+                    } else {
+                        0.0
+                    };
+                    ((1.0 - stats.null_frac) * f + eq_bump).min(1.0)
+                }
+                None => DEFAULT_INEQ_SEL,
+            }
+        }
+        BinaryOp::Gt | BinaryOp::GtEq => {
+            match constant.as_f64().and_then(|v| stats.fraction_below(v)) {
+                Some(f) => {
+                    let eq_bump = if op == BinaryOp::GtEq {
+                        equality_selectivity(stats, constant)
+                    } else {
+                        0.0
+                    };
+                    ((1.0 - stats.null_frac) * (1.0 - f) + eq_bump).min(1.0)
+                }
+                None => DEFAULT_INEQ_SEL,
+            }
+        }
+        _ => DEFAULT_INEQ_SEL,
+    }
+}
+
+/// Selectivity of `column BETWEEN lo AND hi` from the column's
+/// statistics; `None` bounds are non-numeric. Shared like
+/// [`column_op_constant_selectivity`].
+pub(crate) fn column_range_selectivity(
+    stats: Option<&ColumnStats>,
+    lo: Option<f64>,
+    hi: Option<f64>,
+) -> f64 {
+    let Some(stats) = stats else {
+        return DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL;
+    };
+    match (lo, hi) {
+        (Some(lo), Some(hi)) if hi >= lo => {
+            let f_lo = stats.fraction_below(lo).unwrap_or(0.0);
+            let f_hi = stats.fraction_below(hi).unwrap_or(1.0);
+            ((1.0 - stats.null_frac) * (f_hi - f_lo)).max(0.0)
+        }
+        (Some(_), Some(_)) => 0.0, // inverted range is empty
+        _ => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
+    }
+}
+
+/// Semijoin selectivity of `lhs [NOT] IN (subquery)`: `|subquery rows| /
+/// nd(lhs)` capped at 1, or the classic default when the subquery was
+/// not pre-planned (`rows` is `None`) or the LHS has no statistics
+/// (`lhs_nd` is `None`). Shared with [`crate::prepared`]'s batch path,
+/// which reads `rows` from a per-row subquery column.
+pub(crate) fn in_subquery_selectivity(
+    rows: Option<f64>,
+    lhs_nd: Option<f64>,
+    negated: bool,
+) -> f64 {
+    let sel = match (rows, lhs_nd) {
+        (Some(rows), Some(nd)) => (rows / nd).clamp(0.0, 1.0),
+        // Without LHS statistics (e.g. an arithmetic LHS) the ratio is
+        // meaningless — use the classic default.
+        _ => DEFAULT_SUBQUERY_SEL,
+    };
+    if negated {
+        1.0 - sel
+    } else {
+        sel
+    }
+}
+
 /// Equality selectivity: exact MCV frequency when the constant is a most
 /// common value, otherwise the remaining mass spread over remaining
-/// distinct values. `pub(crate)` so [`crate::prepared`]'s batch fast path
-/// can replay the identical arithmetic per bound value.
-pub(crate) fn equality_selectivity(stats: &ColumnStats, constant: &Value) -> f64 {
+/// distinct values.
+fn equality_selectivity(stats: &ColumnStats, constant: &Value) -> f64 {
     if stats.n_distinct <= 0.0 {
         return DEFAULT_EQ_SEL;
     }

@@ -55,13 +55,12 @@ use crate::catalog::Database;
 use crate::engine::WORK_UNIT_MICROS;
 use crate::error::DbError;
 use crate::estimator::{
-    default_for, equality_selectivity, flip, Estimator, DEFAULT_INEQ_SEL,
+    column_op_constant_selectivity, column_range_selectivity, flip, Estimator,
 };
 use crate::executor;
 use crate::expr_eval::SubqueryResults;
 use crate::planner;
 use crate::prepared::BindingBatch;
-use crate::stats::ColumnStats;
 use crate::storage::{DataType, Table};
 use sqlkit::{BinaryOp, Expr, Select, Template, Value};
 use std::cmp::Ordering;
@@ -502,10 +501,9 @@ impl Tier1 {
         }
 
         // ---- phase A: columnar selectivities ------------------------
-        // One pass per conjunct over the batch's value columns,
-        // replaying the estimator's arithmetic exactly as
-        // `prepared::fill_column` does (bit-identical to the planner on
-        // the instantiated statement).
+        // One pass per conjunct over the batch's value columns, through
+        // the estimator's own comparison/range helpers (bit-identical to
+        // the planner on the instantiated statement).
         scratch.sels.clear();
         scratch.sels.resize(n_conj * n, 0.0);
         for (c, conjunct) in self.conjuncts.iter().enumerate() {
@@ -517,10 +515,22 @@ impl Tier1 {
             let stats = stats_table.columns.get(&conjunct.name);
             match &conjunct.kind {
                 Tier1Kind::Cmp { op, value } => {
-                    fill_cmp_sels(stats, *op, value, batch, out);
+                    for (row, slot) in out.iter_mut().enumerate() {
+                        let sel =
+                            column_op_constant_selectivity(stats, *op, value.resolve(batch, row));
+                        *slot = sel.clamp(0.0, 1.0);
+                    }
                 }
                 Tier1Kind::Between { negated, low, high } => {
-                    fill_between_sels(stats, *negated, low, high, batch, out);
+                    for (row, slot) in out.iter_mut().enumerate() {
+                        let sel = column_range_selectivity(
+                            stats,
+                            low.resolve(batch, row).as_f64(),
+                            high.resolve(batch, row).as_f64(),
+                        );
+                        let sel = if *negated { 1.0 - sel } else { sel };
+                        *slot = sel.clamp(0.0, 1.0);
+                    }
                 }
             }
         }
@@ -738,89 +748,6 @@ fn probe_bounds(
             low.resolve(batch, row).as_f64(),
             high.resolve(batch, row).as_f64(),
         ),
-    }
-}
-
-// ---- selectivity columns (phase A) ------------------------------------
-
-/// Selectivity column for a `column op value` conjunct: the estimator's
-/// comparison arithmetic replayed per bound value, identical operation
-/// for operation to `prepared::fill_column` (which is itself
-/// debug-asserted against the planner).
-fn fill_cmp_sels(
-    stats: Option<&ColumnStats>,
-    op: BinaryOp,
-    value: &ValueSource,
-    batch: &BindingBatch,
-    out: &mut [f64],
-) {
-    for (row, slot) in out.iter_mut().enumerate() {
-        let value = value.resolve(batch, row);
-        let sel = match stats {
-            None => default_for(op),
-            Some(stats) => match op {
-                BinaryOp::Eq => equality_selectivity(stats, value),
-                BinaryOp::NotEq => 1.0 - equality_selectivity(stats, value),
-                BinaryOp::Lt | BinaryOp::LtEq => {
-                    match value.as_f64().and_then(|v| stats.fraction_below(v)) {
-                        Some(f) => {
-                            let eq_bump = if op == BinaryOp::LtEq {
-                                equality_selectivity(stats, value)
-                            } else {
-                                0.0
-                            };
-                            ((1.0 - stats.null_frac) * f + eq_bump).min(1.0)
-                        }
-                        None => DEFAULT_INEQ_SEL,
-                    }
-                }
-                BinaryOp::Gt | BinaryOp::GtEq => {
-                    match value.as_f64().and_then(|v| stats.fraction_below(v)) {
-                        Some(f) => {
-                            let eq_bump = if op == BinaryOp::GtEq {
-                                equality_selectivity(stats, value)
-                            } else {
-                                0.0
-                            };
-                            ((1.0 - stats.null_frac) * (1.0 - f) + eq_bump).min(1.0)
-                        }
-                        None => DEFAULT_INEQ_SEL,
-                    }
-                }
-                _ => DEFAULT_INEQ_SEL,
-            },
-        };
-        *slot = sel.clamp(0.0, 1.0);
-    }
-}
-
-/// Selectivity column for a `[NOT] BETWEEN` conjunct, replaying the
-/// estimator's range arithmetic per bound pair.
-fn fill_between_sels(
-    stats: Option<&ColumnStats>,
-    negated: bool,
-    low: &ValueSource,
-    high: &ValueSource,
-    batch: &BindingBatch,
-    out: &mut [f64],
-) {
-    for (row, slot) in out.iter_mut().enumerate() {
-        let lo = low.resolve(batch, row).as_f64();
-        let hi = high.resolve(batch, row).as_f64();
-        let sel = match stats {
-            None => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-            Some(stats) => match (lo, hi) {
-                (Some(lo), Some(hi)) if hi >= lo => {
-                    let f_lo = stats.fraction_below(lo).unwrap_or(0.0);
-                    let f_hi = stats.fraction_below(hi).unwrap_or(1.0);
-                    ((1.0 - stats.null_frac) * (f_hi - f_lo)).max(0.0)
-                }
-                (Some(_), Some(_)) => 0.0, // inverted range is empty
-                _ => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-            },
-        };
-        let sel = if negated { 1.0 - sel } else { sel };
-        *slot = sel.clamp(0.0, 1.0);
     }
 }
 

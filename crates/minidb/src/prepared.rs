@@ -1,4 +1,5 @@
-//! Prepared template plans: plan once per template, re-cost per binding.
+//! Prepared template plans: plan once per template, re-cost per binding
+//! batch.
 //!
 //! SQLBarber's hot loop costs thousands of instantiations of the *same*
 //! SQL template that differ only in placeholder values. Planning each
@@ -6,17 +7,20 @@
 //! bindings: scope construction, validation, predicate classification,
 //! equi-join selectivities, and most selectivity arithmetic.
 //! [`PreparedTemplate`] performs that invariant work exactly once and
-//! caches a *plan skeleton*; [`PreparedTemplate::recost`] then replays
-//! only the binding-dependent parts — selectivity of placeholder-bearing
-//! conjuncts, greedy join ordering over the resulting cardinalities, and
-//! the cost roll-up — skipping lexing, parsing, and join-order search.
+//! caches a *plan skeleton*; [`PreparedTemplate::recost_batch`] then
+//! replays only the binding-dependent parts for a whole
+//! [`BindingBatch`] — per-row selectivity columns of placeholder-bearing
+//! predicates and subqueries, greedy join ordering over the resulting
+//! cardinalities, and the cost roll-up — skipping lexing, parsing, and
+//! join-order search. It is the only replay: sequential callers pass a
+//! batch of one.
 //!
 //! The replay is arithmetic-for-arithmetic identical to
 //! [`crate::planner::plan`]: every multiplication, clamp, and comparison
-//! happens in the same order on the same values, so `recost` returns the
-//! planner's estimated rows and total cost **bit-identically** (a
-//! `debug_assertions` cross-check verifies this against a from-scratch
-//! plan on every call in debug builds).
+//! happens in the same order on the same values, so each row's
+//! `(rows, cost)` equals the planner's estimated rows and total cost for
+//! the instantiated statement **bit-identically** (a `debug_assertions`
+//! cross-check compares every row against `Database::explain`).
 //!
 //! ### What may be cached, and why
 //!
@@ -24,39 +28,47 @@
 //!   looks only at column references and `AND` structure — instantiation
 //!   replaces `Placeholder` nodes with `Literal`s and changes neither.
 //! * A conjunct without placeholders (anywhere, including inside subquery
-//!   bodies) has a **fixed selectivity**; one with placeholders is
-//!   re-estimated per binding after substitution.
+//!   bodies) has a **fixed selectivity**; one with placeholders gets a
+//!   per-row selectivity column. Recognized shapes (`column op {p}`,
+//!   `column [NOT] BETWEEN`, `column [NOT] IN (subquery with
+//!   placeholders)`) fill it through the estimator's own helpers;
+//!   anything else substitutes and estimates row by row.
+//! * A subquery without placeholders has fixed rows and cost. One with
+//!   placeholders is prepared itself and recost over the same batch,
+//!   giving per-row `(rows, cost)` columns; each row's subquery cost sums
+//!   them in [`Select::subqueries`] order, as the planner accumulates it.
 //! * Equi-join selectivities depend only on column statistics.
 //! * Per-column distinct counts for `GROUP BY`/`DISTINCT` are fixed, but
 //!   the group-count roll-up also depends on the input cardinality (its
 //!   `sqrt(n)` fallback and coupon-collector curve), so only the distinct
-//!   counts are cached and the curve is replayed per binding.
+//!   counts are cached and the curve is replayed per row.
 //! * Nested `AND` selectivity is a product of already-clamped factors, so
 //!   the planner's interior `clamp(0,1)` calls are identities and the
 //!   replay may fold a flat product in the same association order.
 //!
 //! ### Contract
 //!
-//! `recost` assumes bindings are *type-compatible* with the template (as
-//! produced by the placeholder-space sampler). Wildly mistyped values can
-//! make the from-scratch path fail validation where `recost` still
-//! returns a number; the debug cross-check skips such bindings.
+//! `recost_batch` assumes bindings are *type-compatible* with the
+//! template (as produced by the placeholder-space sampler). Wildly
+//! mistyped values can make the from-scratch path fail validation where
+//! the replay still returns a number; the debug cross-check skips such
+//! rows.
 
 use crate::catalog::Database;
 use crate::error::DbError;
 use crate::estimator::{
-    default_for, equality_selectivity, flip, group_count_from_nds, Estimator, Scope,
-    DEFAULT_INEQ_SEL,
+    column_op_constant_selectivity, column_range_selectivity, flip, group_count_from_nds,
+    in_subquery_selectivity, Estimator, Scope,
 };
 use crate::planner;
 use sqlkit::{BinaryOp, ColumnRef, Expr, JoinKind, Select, Template, Value};
 use std::collections::HashMap;
 
 /// Struct-of-arrays binding batch: one `Vec<Value>` column per
-/// placeholder id, built once from a candidate list. The batch recost
-/// path ([`PreparedTemplate::recost_batch`]) reads values by
-/// `(column, row)` index, so the per-probe `HashMap` lookups of the
-/// scalar path disappear entirely for recognized predicate shapes.
+/// placeholder id, built once from a candidate list.
+/// [`PreparedTemplate::recost_batch`] reads values by `(column, row)`
+/// index, so recognized predicate shapes need no per-row `HashMap`
+/// lookups.
 #[derive(Debug, Clone, Default)]
 pub struct BindingBatch {
     /// Sorted, deduplicated placeholder ids — one per column.
@@ -204,8 +216,8 @@ impl BindingBatch {
         self.ids.binary_search(&id).expect("placeholder id has a batch column")
     }
 
-    /// Rebuild one row as a binding map (scalar-fallback and debug
-    /// cross-check paths).
+    /// Rebuild one row as a binding map (generic predicate shapes and the
+    /// debug cross-check).
     pub(crate) fn fill_row_map(&self, row: usize, map: &mut HashMap<u32, Value>) {
         map.clear();
         for (slot, id) in self.ids.iter().enumerate() {
@@ -239,45 +251,16 @@ pub struct RecostScratch {
     /// One scan's gathered conjunct selectivities (cached and dynamic,
     /// in replay order), consumed by the chunked product kernel.
     conj_sels: Vec<f64>,
+    /// One nested arena per subquery, in [`Select::subqueries`] order;
+    /// a placeholder-bearing subquery's `results` are its per-row
+    /// `(rows, cost)` columns. Grown once, then reused.
+    subqueries: Vec<RecostScratch>,
 }
 
 impl RecostScratch {
     /// Fresh scratch; equivalent to `RecostScratch::default()`.
     pub fn new() -> RecostScratch {
         RecostScratch::default()
-    }
-}
-
-/// One probe's bindings, validated and collected in a single pass over
-/// the template's sorted placeholder ids: `values[i]` binds `ids[i]`,
-/// and `map` backs `Expr::substitute` for generic predicates.
-struct BoundRow<'a> {
-    ids: &'a [u32],
-    values: Vec<&'a Value>,
-    map: &'a HashMap<u32, Value>,
-}
-
-impl<'a> BoundRow<'a> {
-    /// Single validation pass. `ids` is sorted ascending, so the first
-    /// unbound id encountered is the smallest missing one (the
-    /// `UnboundPlaceholder` reporting convention).
-    fn collect(
-        ids: &'a [u32],
-        map: &'a HashMap<u32, Value>,
-    ) -> Result<BoundRow<'a>, DbError> {
-        let mut values = Vec::with_capacity(ids.len());
-        for id in ids {
-            match map.get(id) {
-                Some(value) => values.push(value),
-                None => return Err(DbError::UnboundPlaceholder(*id)),
-            }
-        }
-        Ok(BoundRow { ids, values, map })
-    }
-
-    /// Slot lookup without re-hashing: binary search the sorted ids.
-    fn get(&self, id: u32) -> Option<&'a Value> {
-        self.ids.binary_search(&id).ok().map(|slot| self.values[slot])
     }
 }
 
@@ -293,6 +276,10 @@ enum FastShape {
     /// `column [NOT] BETWEEN bound AND bound` where each bound is a
     /// placeholder or a literal.
     Between { column: ColumnRef, negated: bool, low: FastBound, high: FastBound },
+    /// `column [NOT] IN (subquery)` where the subquery (index `subquery`
+    /// in [`Select::subqueries`] order) holds placeholders; `lhs_nd` is
+    /// the column's distinct count, fixed at prepare time.
+    InSubquery { negated: bool, lhs_nd: Option<f64>, subquery: usize },
 }
 
 /// One bound of a fast-shape `BETWEEN`.
@@ -380,52 +367,15 @@ impl PreparedTemplate {
         &self.placeholder_ids
     }
 
-    /// Re-cost the cached skeleton under a binding: returns
-    /// `(estimated_rows, total_cost)`, bit-identical to
-    /// `db.explain(&template.instantiate(bindings)?)`.
-    pub fn recost(
-        &self,
-        db: &Database,
-        bindings: &HashMap<u32, Value>,
-    ) -> Result<(f64, f64), DbError> {
-        // One pass: validate and collect the bound values together,
-        // instead of a `contains_key` sweep followed by re-lookups in
-        // the replay. The collected slots also serve the dynamic
-        // subquery walk (binary search instead of re-hashing).
-        let bound = BoundRow::collect(&self.placeholder_ids, bindings)?;
-        let (rows, cost) = self.body.recost(db, &bound);
-
-        // Ground truth cross-check: the from-scratch planner must agree
-        // bit-for-bit. Skipped when the instantiation itself fails to
-        // validate (type-incompatible bindings are outside the contract).
-        #[cfg(debug_assertions)]
-        if let Ok(query) = self.template.instantiate(bindings) {
-            if let Ok(explain) = db.explain(&query) {
-                debug_assert_eq!(
-                    rows.to_bits(),
-                    explain.estimated_rows.to_bits(),
-                    "prepared recost rows diverged from planner: {rows} vs {} for {query}",
-                    explain.estimated_rows
-                );
-                debug_assert_eq!(
-                    cost.to_bits(),
-                    explain.total_cost.to_bits(),
-                    "prepared recost cost diverged from planner: {cost} vs {} for {query}",
-                    explain.total_cost
-                );
-            }
-        }
-        Ok((rows, cost))
-    }
-
-    /// Batch recost: `(estimated_rows, total_cost)` per batch row,
-    /// bit-identical to calling [`PreparedTemplate::recost`] on each row
-    /// in isolation (debug-asserted). The binding-invariant skeleton walk
-    /// is hoisted out of the loop: each placeholder-bearing predicate is
-    /// classified once per template, its per-row selectivities are
-    /// computed as a tight columnar loop over the batch's value columns,
-    /// and only the scalar cost roll-up replays per row — no per-probe
-    /// `HashMap` lookups and no per-probe allocation (generic predicate
+    /// Batch recost: `(estimated_rows, total_cost)` per batch row, each
+    /// bit-identical to `db.explain(&template.instantiate(row)?)`
+    /// (debug-asserted). The binding-invariant skeleton walk is hoisted
+    /// out of the loop: each placeholder-bearing predicate is classified
+    /// once per template, its per-row selectivities are computed as a
+    /// tight columnar loop over the batch's value columns, each
+    /// placeholder-bearing subquery is recost over the same batch, and
+    /// only the scalar cost roll-up replays per row — no per-row
+    /// `HashMap` lookups and no per-row allocation (generic predicate
     /// shapes excepted). `scratch` is a caller-owned arena; reusing it
     /// across batches makes the warm path allocation-free.
     ///
@@ -445,44 +395,32 @@ impl PreparedTemplate {
                 return Err(DbError::UnboundPlaceholder(*id));
             }
         }
-        if self.body.subqueries.iter().any(|s| matches!(s, PreparedSubquery::Dynamic { .. }))
-        {
-            // Dynamic subqueries re-render per row; take the scalar path
-            // row by row (identical numbers, none of the columnar wins).
-            scratch.results.clear();
-            for row in 0..batch.len() {
-                batch.fill_row_map(row, &mut scratch.row_bindings);
-                // detlint::allow(hot_alloc): dynamic-subquery fallback replays the scalar path row by row; per-row BoundRow collection is inherent to it
-                let bound = BoundRow::collect(&self.placeholder_ids, &scratch.row_bindings)
-                    .expect("batch columns validated above");
-                scratch.results.push(self.body.recost(db, &bound));
-            }
-        } else {
-            self.body.recost_batch(db, batch, scratch);
-        }
+        self.body.recost_batch(db, batch, scratch);
 
-        // Ground truth cross-check: every row must match the scalar
-        // replay bit-for-bit (which itself cross-checks `db.explain`).
+        // Ground truth cross-check: the from-scratch planner must agree
+        // bit-for-bit on every row. Rows whose instantiation it rejects
+        // (type-incompatible bindings are outside the contract) are
+        // skipped.
         #[cfg(debug_assertions)]
         {
             let mut map = HashMap::new();
-            for row in 0..batch.len() {
+            for (row, &(rows, cost)) in scratch.results.iter().enumerate() {
                 batch.fill_row_map(row, &mut map);
-                let bound = BoundRow::collect(&self.placeholder_ids, &map)
-                    .expect("batch columns validated above");
-                let (rows_scalar, cost_scalar) = self.body.recost(db, &bound);
-                let (rows_batched, cost_batched) = scratch.results[row];
+                let Ok(query) = self.template.instantiate(&map) else { continue };
+                let Ok(explain) = db.explain(&query) else { continue };
                 debug_assert_eq!(
-                    rows_batched.to_bits(),
-                    rows_scalar.to_bits(),
-                    "batch recost rows diverged from scalar at row {row}: \
-                     {rows_batched} vs {rows_scalar}",
+                    rows.to_bits(),
+                    explain.estimated_rows.to_bits(),
+                    "batch recost rows diverged from planner at row {row}: \
+                     {rows} vs {} for {query}",
+                    explain.estimated_rows
                 );
                 debug_assert_eq!(
-                    cost_batched.to_bits(),
-                    cost_scalar.to_bits(),
-                    "batch recost cost diverged from scalar at row {row}: \
-                     {cost_batched} vs {cost_scalar}",
+                    cost.to_bits(),
+                    explain.total_cost.to_bits(),
+                    "batch recost cost diverged from planner at row {row}: \
+                     {cost} vs {} for {query}",
+                    explain.total_cost
                 );
             }
         }
@@ -503,24 +441,27 @@ struct PreparedPredicate {
     /// when the predicate is placeholder-bearing and of a recognized
     /// shape.
     fast: Option<FastShape>,
+    /// Generic-shape predicate holding a placeholder-bearing subquery:
+    /// each row is estimated with that row's rendered subquery texts.
+    row_subqueries: bool,
 }
 
 impl PreparedPredicate {
-    fn prepare(estimator: &Estimator<'_>, expr: Expr) -> PreparedPredicate {
+    fn prepare(
+        estimator: &Estimator<'_>,
+        subqueries: &[PreparedSubquery],
+        expr: Expr,
+    ) -> PreparedPredicate {
         let (cached_sel, fast) = if expr.has_placeholders() {
-            (None, classify_fast(&expr))
+            (None, classify_fast(estimator, subqueries, &expr))
         } else {
             (Some(estimator.selectivity(&expr)), None)
         };
+        let row_subqueries = cached_sel.is_none()
+            && fast.is_none()
+            && expr.subqueries().iter().any(|s| s.has_placeholders());
         let raw_leaves = planner::count_leaves_raw(&expr);
-        PreparedPredicate { expr, cached_sel, raw_leaves, fast }
-    }
-
-    fn selectivity(&self, estimator: &Estimator<'_>, bound: &BoundRow<'_>) -> f64 {
-        match self.cached_sel {
-            Some(sel) => sel,
-            None => estimator.selectivity(&self.expr.substitute(bound.map)),
-        }
+        PreparedPredicate { expr, cached_sel, raw_leaves, fast, row_subqueries }
     }
 }
 
@@ -529,10 +470,15 @@ impl PreparedPredicate {
 /// bit-identical to `Estimator::selectivity` on the substituted
 /// expression, so only shapes whose normalization is trivial are
 /// accepted: a bare `column op {placeholder}` comparison (either
-/// orientation) or `column [NOT] BETWEEN` with placeholder/literal
-/// bounds. Everything else — compound booleans, arithmetic around the
-/// placeholder, negated columns — takes the generic substitute path.
-fn classify_fast(expr: &Expr) -> Option<FastShape> {
+/// orientation), `column [NOT] BETWEEN` with placeholder/literal bounds,
+/// or `column [NOT] IN` a placeholder-bearing subquery. Everything else
+/// — compound booleans, arithmetic around the placeholder, negated
+/// columns, `EXISTS` — takes the generic substitute path.
+fn classify_fast(
+    estimator: &Estimator<'_>,
+    subqueries: &[PreparedSubquery],
+    expr: &Expr,
+) -> Option<FastShape> {
     match expr {
         Expr::Binary { left, op, right } if op.is_comparison() => {
             match (left.as_ref(), right.as_ref()) {
@@ -557,6 +503,19 @@ fn classify_fast(expr: &Expr) -> Option<FastShape> {
                 negated: *negated,
                 low: bound_of(low)?,
                 high: bound_of(high)?,
+            })
+        }
+        Expr::InSubquery { expr: lhs, negated, subquery } => {
+            let Expr::Column(column) = lhs.as_ref() else { return None };
+            // A column LHS has no placeholders, so the subquery does and
+            // was prepared as a dynamic one.
+            let k = subqueries.iter().position(|s| {
+                matches!(s, PreparedSubquery::Dynamic { template, .. } if **template == **subquery)
+            })?;
+            Some(FastShape::InSubquery {
+                negated: *negated,
+                lhs_nd: estimator.column_stats(column).map(|s| s.n_distinct.max(1.0)),
+                subquery: k,
             })
         }
         _ => None,
@@ -594,7 +553,8 @@ struct PreparedScan {
 enum PreparedSubquery {
     /// Placeholder-free: rendered text, rows, and cost never change.
     Fixed { text: String, rows: f64, cost: f64 },
-    /// Placeholder-bearing: recost recursively, re-render the key text.
+    /// Placeholder-bearing: recost over the batch recursively; the
+    /// template renders a row's key text for generic predicates.
     Dynamic { body: Box<PreparedSelect>, template: Box<Select> },
 }
 
@@ -676,7 +636,7 @@ impl PreparedSelect {
                     if indexed { IndexProbe::Always } else { IndexProbe::Never }
                 };
                 conjuncts.push(PreparedConjunct {
-                    predicate: PreparedPredicate::prepare(&estimator, expr.clone()),
+                    predicate: PreparedPredicate::prepare(&estimator, &subqueries, expr.clone()),
                     index_probe,
                 });
             }
@@ -706,7 +666,7 @@ impl PreparedSelect {
             .collect();
         let residuals: Vec<(u64, PreparedPredicate)> = raw_residuals
             .into_iter()
-            .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, expr)))
+            .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, &subqueries, expr)))
             .collect();
 
         let has_outer_join = select.joins.iter().any(|j| j.kind == JoinKind::Left);
@@ -715,7 +675,7 @@ impl PreparedSelect {
         let group_nds = select.group_by.iter().map(|e| estimator.group_nd(e)).collect();
         let having = select.having.as_ref().map(|h| {
             (
-                PreparedPredicate::prepare(&estimator, h.clone()),
+                PreparedPredicate::prepare(&estimator, &subqueries, h.clone()),
                 planner::count_leaves(h),
             )
         });
@@ -741,188 +701,18 @@ impl PreparedSelect {
         })
     }
 
-    /// Replay the planner's cost roll-up for one binding. Pure: no state
-    /// is mutated, so concurrent recosts of one skeleton are safe and
-    /// deterministic.
-    fn recost(&self, db: &Database, bound: &BoundRow<'_>) -> (f64, f64) {
-        let model = db.cost_model();
-
-        // ---- subqueries (planner accumulation order) -----------------
-        let mut subquery_cost = 0.0;
-        let mut subquery_rows = HashMap::new();
-        for subquery in &self.subqueries {
-            match subquery {
-                PreparedSubquery::Fixed { text, rows, cost } => {
-                    subquery_cost += cost;
-                    subquery_rows.insert(text.clone(), *rows);
-                }
-                PreparedSubquery::Dynamic { body, template } => {
-                    let (rows, cost) = body.recost(db, bound);
-                    subquery_cost += cost;
-                    let mut instantiated = template.as_ref().clone();
-                    instantiated.walk_exprs_mut(&mut |e| {
-                        if let Expr::Placeholder(id) = e {
-                            if let Some(value) = bound.get(*id) {
-                                *e = Expr::Literal(value.clone());
-                            }
-                        }
-                    });
-                    subquery_rows.insert(instantiated.to_string(), rows);
-                }
-            }
-        }
-        let estimator = Estimator::new(db, &self.scope).with_subquery_rows(subquery_rows);
-
-        // ---- scans ---------------------------------------------------
-        let mut scan_rows = Vec::with_capacity(self.scans.len());
-        let mut scan_costs = Vec::with_capacity(self.scans.len());
-        for scan in &self.scans {
-            let mut sels = Vec::with_capacity(scan.conjuncts.len());
-            for conjunct in &scan.conjuncts {
-                sels.push(conjunct.predicate.selectivity(&estimator, bound));
-            }
-            let selectivity = product_ordered(&sels);
-            let out_rows = scan.base_rows * selectivity;
-            let mut best_cost = model.seq_scan(scan.base_rows, scan.width, scan.quals, out_rows);
-            for (conjunct, &sel) in scan.conjuncts.iter().zip(&sels) {
-                let probes = match conjunct.index_probe {
-                    IndexProbe::Never => false,
-                    IndexProbe::Always => true,
-                    IndexProbe::Dynamic => {
-                        planner::indexable_bounds(&conjunct.predicate.expr.substitute(bound.map))
-                            .map(|(column, _, _)| db.index_on(&scan.table, &column).is_some())
-                            .unwrap_or(false)
-                    }
-                };
-                if !probes {
-                    continue;
-                }
-                let match_rows = scan.base_rows * sel;
-                let index_cost =
-                    model.index_scan(scan.base_rows, scan.width, match_rows, scan.quals, out_rows);
-                if index_cost < best_cost {
-                    best_cost = index_cost;
-                }
-            }
-            scan_rows.push(out_rows);
-            scan_costs.push(best_cost);
-        }
-
-        // ---- join ordering ------------------------------------------
-        let order: Vec<usize> = if self.syntactic_order {
-            (0..self.scans.len()).collect()
-        } else {
-            planner::greedy_order_core(&scan_rows, &self.edges)
-        };
-
-        let mut joined_mask: u64 = 1 << order[0];
-        let mut current_rows = scan_rows[order[0]];
-        let mut current_cost = scan_costs[order[0]];
-        let mut used_edges = vec![false; self.edges.len()];
-        let mut applied_residuals = vec![false; self.residuals.len()];
-
-        for &next in &order[1..] {
-            let right_rows = scan_rows[next];
-            let right_cost = scan_costs[next];
-            let mut any_edge = false;
-            let mut selectivity = 1.0;
-            for (edge_idx, &(left, right, edge_sel)) in self.edges.iter().enumerate() {
-                if used_edges[edge_idx] {
-                    continue;
-                }
-                let connects = (joined_mask >> left) & 1 == 1 && right == next
-                    || (joined_mask >> right) & 1 == 1 && left == next;
-                if connects {
-                    used_edges[edge_idx] = true;
-                    any_edge = true;
-                    selectivity *= edge_sel;
-                }
-            }
-            let next_mask = joined_mask | (1 << next);
-            for (res_idx, (mask, predicate)) in self.residuals.iter().enumerate() {
-                if !applied_residuals[res_idx]
-                    && mask & !next_mask == 0
-                    && *mask & (1 << next) != 0
-                {
-                    applied_residuals[res_idx] = true;
-                    selectivity *= predicate.selectivity(&estimator, bound);
-                }
-            }
-            let out_rows = current_rows * right_rows * selectivity;
-            let join_cost = if any_edge {
-                model.hash_join(current_rows, right_rows, out_rows)
-            } else {
-                model.nested_loop(current_rows, right_rows, out_rows)
-            };
-            current_cost = current_cost + right_cost + join_cost;
-            current_rows = out_rows;
-            joined_mask = next_mask;
-        }
-
-        // ---- leftover residuals -------------------------------------
-        let mut leftover_sels = Vec::with_capacity(self.residuals.len());
-        let mut leftover_leaves = 0usize;
-        for ((_, predicate), applied) in self.residuals.iter().zip(&applied_residuals) {
-            if *applied {
-                continue;
-            }
-            leftover_sels.push(predicate.selectivity(&estimator, bound));
-            leftover_leaves += predicate.raw_leaves;
-        }
-        if !leftover_sels.is_empty() {
-            let rows = current_rows * product_ordered(&leftover_sels);
-            current_cost += model.filter(current_rows, leftover_leaves.max(1));
-            current_rows = rows;
-        }
-
-        // ---- aggregation / having / distinct / sort / limit ---------
-        if self.grouped {
-            let groups = group_count_from_nds(&self.group_nds, current_rows);
-            current_cost += model.hash_aggregate(current_rows, self.n_aggregates, groups);
-            current_rows = groups;
-        }
-
-        if let Some((predicate, leaves)) = &self.having {
-            let selectivity = predicate.selectivity(&estimator, bound);
-            let rows = current_rows * selectivity;
-            current_cost += model.filter(current_rows, *leaves);
-            current_rows = rows;
-        }
-
-        if let Some(nds) = &self.distinct_nds {
-            let out_rows = group_count_from_nds(nds, current_rows);
-            current_cost += model.distinct(current_rows, out_rows);
-            current_rows = out_rows;
-        }
-
-        if self.has_order_by {
-            current_cost += model.sort(current_rows);
-        }
-
-        if let Some(limit) = self.limit {
-            let rows = current_rows.min(limit as f64);
-            if !(self.limit_breaker || current_rows <= 0.0) {
-                current_cost *= (rows / current_rows).clamp(0.01, 1.0);
-            }
-            current_rows = rows;
-        }
-
-        // ---- root projection ----------------------------------------
-        let total = current_cost + current_rows * model.cpu_tuple_cost + subquery_cost;
-        (current_rows, total)
-    }
-
-    /// Columnar batch replay. Phase A computes every dynamic predicate's
-    /// per-row selectivities as tight loops over the batch's value
-    /// columns (one pass per predicate, no per-row maps for recognized
-    /// shapes) and resolves each conjunct's index-probe decision once
-    /// per batch. Phase B replays the scalar cost roll-up per row,
-    /// consuming the selectivity columns in exactly the scalar order —
-    /// every f64 operation sees the same operands in the same sequence,
-    /// which is what makes the results bit-identical.
+    /// Columnar batch replay. Set-up recosts every placeholder-bearing
+    /// subquery over the same batch (its nested arena's `results` become
+    /// per-row `(rows, cost)` columns). Phase A computes every dynamic
+    /// predicate's per-row selectivities as tight loops over the batch's
+    /// value and subquery columns (one pass per predicate, no per-row
+    /// maps for recognized shapes) and resolves each conjunct's
+    /// index-probe decision once per batch. Phase B replays the planner's
+    /// cost roll-up per row, consuming the selectivity columns in exactly
+    /// the planner's order — every f64 operation sees the same operands in
+    /// the same sequence, which is what makes the results bit-identical.
     ///
-    /// Caller guarantees: no dynamic subqueries, and every placeholder
-    /// id has a batch column.
+    /// Caller guarantee: every placeholder id has a batch column.
     // detlint::hot
     fn recost_batch(&self, db: &Database, batch: &BindingBatch, scratch: &mut RecostScratch) {
         let n = batch.len();
@@ -938,22 +728,35 @@ impl PreparedSelect {
             probes,
             residual_cols,
             conj_sels,
+            subqueries,
         } = scratch;
         results.clear();
 
         let model = db.cost_model();
 
         // ---- batch-invariant setup ----------------------------------
-        let mut subquery_cost = 0.0;
+        // Fixed subqueries contribute constant rows and cost; dynamic ones
+        // are recost over this batch into their own nested arenas.
+        if subqueries.len() < self.subqueries.len() {
+            subqueries.resize_with(self.subqueries.len(), RecostScratch::default);
+        }
+        let mut fixed_subquery_cost = 0.0;
+        let mut dynamic_subqueries = false;
         // detlint::allow(hot_alloc): batch-invariant setup — one small subquery-rows map per batch, not per row
         let mut subquery_rows = HashMap::new();
-        for subquery in &self.subqueries {
-            let PreparedSubquery::Fixed { text, rows, cost } = subquery else {
-                unreachable!("dynamic subqueries take the scalar fallback");
-            };
-            subquery_cost += cost;
-            subquery_rows.insert(text.clone(), *rows);
+        for (subquery, nested) in self.subqueries.iter().zip(subqueries.iter_mut()) {
+            match subquery {
+                PreparedSubquery::Fixed { text, rows, cost } => {
+                    fixed_subquery_cost += cost;
+                    subquery_rows.insert(text.clone(), *rows);
+                }
+                PreparedSubquery::Dynamic { body, .. } => {
+                    body.recost_batch(db, batch, nested);
+                    dynamic_subqueries = true;
+                }
+            }
         }
+        let subqueries = subqueries.as_slice();
         // detlint::allow(hot_alloc): batch-invariant setup — one estimator per batch, amortized over every row; the per-row phases below stay alloc-free
         let estimator = Estimator::new(db, &self.scope).with_subquery_rows(subquery_rows);
 
@@ -989,20 +792,28 @@ impl PreparedSelect {
         sels.resize(n_cols * n, 0.0);
 
         // ---- phase A: columnar selectivities + probe resolution -----
-        let mut column = 0usize;
+        // Dynamic predicates in column-assignment order.
+        let dynamic = self
+            .scans
+            .iter()
+            .flat_map(|scan| scan.conjuncts.iter().map(|c| &c.predicate))
+            .chain(self.residuals.iter().map(|(_, predicate)| predicate))
+            .chain(self.having.iter().map(|(predicate, _)| predicate))
+            .filter(|predicate| predicate.cached_sel.is_none());
+        for (c, predicate) in dynamic.enumerate() {
+            // detlint::allow(hot_alloc): only generic shapes holding a placeholder-bearing subquery build a per-row estimator (rendered subquery texts); recognized shapes stay alloc-free
+            self.fill_column(
+                predicate,
+                &estimator,
+                batch,
+                subqueries,
+                &mut sels[c * n..(c + 1) * n],
+                row_bindings,
+            );
+        }
         probes.clear();
         for scan in &self.scans {
             for conjunct in &scan.conjuncts {
-                if conjunct.predicate.cached_sel.is_none() {
-                    fill_column(
-                        &conjunct.predicate,
-                        &estimator,
-                        batch,
-                        &mut sels[column * n..(column + 1) * n],
-                        row_bindings,
-                    );
-                    column += 1;
-                }
                 probes.push(match conjunct.index_probe {
                     IndexProbe::Never => BatchProbe::Fixed(false),
                     IndexProbe::Always => BatchProbe::Fixed(true),
@@ -1031,24 +842,12 @@ impl PreparedSelect {
                                 BatchProbe::Fixed(false)
                             }
                         }
+                        // `indexable_bounds` never matches `IN`.
+                        Some(FastShape::InSubquery { .. }) => BatchProbe::Fixed(false),
                         None => BatchProbe::Generic,
                     },
                 });
             }
-        }
-        for ((_, predicate), res_col) in self.residuals.iter().zip(residual_cols.iter()) {
-            if let Some(c) = res_col {
-                fill_column(
-                    predicate,
-                    &estimator,
-                    batch,
-                    &mut sels[c * n..(c + 1) * n],
-                    row_bindings,
-                );
-            }
-        }
-        if let (Some((predicate, _)), Some(c)) = (&self.having, having_col) {
-            fill_column(predicate, &estimator, batch, &mut sels[c * n..(c + 1) * n], row_bindings);
         }
 
         // ---- phase B: per-row cost roll-up --------------------------
@@ -1058,7 +857,6 @@ impl PreparedSelect {
             scan_rows.clear();
             scan_costs.clear();
             for scan in &self.scans {
-                let first_column = column;
                 conj_sels.clear();
                 for conjunct in &scan.conjuncts {
                     let sel = match conjunct.predicate.cached_sel {
@@ -1081,16 +879,7 @@ impl PreparedSelect {
                 let out_rows = scan.base_rows * selectivity;
                 let mut best_cost =
                     model.seq_scan(scan.base_rows, scan.width, scan.quals, out_rows);
-                let mut sel_cursor = first_column;
-                for conjunct in &scan.conjuncts {
-                    let sel = match conjunct.predicate.cached_sel {
-                        Some(sel) => sel,
-                        None => {
-                            let sel = sels[sel_cursor * n + row];
-                            sel_cursor += 1;
-                            sel
-                        }
-                    };
+                for (conjunct, &sel) in scan.conjuncts.iter().zip(conj_sels.iter()) {
                     let probes_now = match &probes[probe_idx] {
                         BatchProbe::Fixed(fixed) => *fixed,
                         BatchProbe::Cmp { col } => batch.value(*col, row).as_f64().is_some(),
@@ -1239,8 +1028,118 @@ impl PreparedSelect {
                 current_rows = rows;
             }
 
+            let subquery_cost = if dynamic_subqueries {
+                self.row_subquery_cost(subqueries, row)
+            } else {
+                fixed_subquery_cost
+            };
             let total = current_cost + current_rows * model.cpu_tuple_cost + subquery_cost;
             results.push((current_rows, total));
+        }
+    }
+
+    /// Row `row`'s total subquery cost: fixed costs and the dynamic
+    /// subqueries' cost columns, summed from 0.0 in
+    /// [`Select::subqueries`] order exactly as the planner accumulates.
+    fn row_subquery_cost(&self, nested: &[RecostScratch], row: usize) -> f64 {
+        let mut total = 0.0;
+        for (subquery, nested) in self.subqueries.iter().zip(nested) {
+            total += match subquery {
+                PreparedSubquery::Fixed { cost, .. } => *cost,
+                PreparedSubquery::Dynamic { .. } => nested.results[row].1,
+            };
+        }
+        total
+    }
+
+    /// Estimator for one batch row whose subquery map holds that row's
+    /// rendered subquery texts, inserted in [`Select::subqueries`] order
+    /// as the planner inserts them. Serves only generic predicates that
+    /// hold a placeholder-bearing subquery.
+    fn row_estimator<'e>(
+        &'e self,
+        db: &'e Database,
+        nested: &[RecostScratch],
+        bindings: &HashMap<u32, Value>,
+        row: usize,
+    ) -> Estimator<'e> {
+        let mut subquery_rows = HashMap::with_capacity(self.subqueries.len());
+        for (subquery, nested) in self.subqueries.iter().zip(nested) {
+            match subquery {
+                PreparedSubquery::Fixed { text, rows, .. } => {
+                    subquery_rows.insert(text.clone(), *rows);
+                }
+                PreparedSubquery::Dynamic { template, .. } => {
+                    let mut instantiated = template.as_ref().clone();
+                    instantiated.walk_exprs_mut(&mut |e| {
+                        if let Expr::Placeholder(id) = e {
+                            if let Some(value) = bindings.get(id) {
+                                *e = Expr::Literal(value.clone());
+                            }
+                        }
+                    });
+                    subquery_rows.insert(instantiated.to_string(), nested.results[row].0);
+                }
+            }
+        }
+        Estimator::new(db, &self.scope).with_subquery_rows(subquery_rows)
+    }
+
+    /// Phase A columnar fill: one dynamic predicate's selectivity for
+    /// every batch row, written into its column slice. Fast shapes
+    /// resolve column statistics once and call the estimator's own
+    /// comparison/range/semijoin helpers per value, so the results match
+    /// the substitute-then-estimate path bit for bit. Generic shapes
+    /// rebuild a binding map per row and take that path literally.
+    fn fill_column(
+        &self,
+        predicate: &PreparedPredicate,
+        estimator: &Estimator<'_>,
+        batch: &BindingBatch,
+        nested: &[RecostScratch],
+        out: &mut [f64],
+        row_bindings: &mut HashMap<u32, Value>,
+    ) {
+        match &predicate.fast {
+            Some(FastShape::Cmp { column, op, id }) => {
+                let stats = estimator.column_stats(column);
+                let col = batch.column_of(*id);
+                for (row, slot) in out.iter_mut().enumerate() {
+                    let sel = column_op_constant_selectivity(stats, *op, batch.value(col, row));
+                    *slot = sel.clamp(0.0, 1.0);
+                }
+            }
+            Some(FastShape::Between { column, negated, low, high }) => {
+                let stats = estimator.column_stats(column);
+                let low = BatchBound::of(*low, batch);
+                let high = BatchBound::of(*high, batch);
+                for (row, slot) in out.iter_mut().enumerate() {
+                    let sel = column_range_selectivity(
+                        stats,
+                        low.resolve(batch, row),
+                        high.resolve(batch, row),
+                    );
+                    let sel = if *negated { 1.0 - sel } else { sel };
+                    *slot = sel.clamp(0.0, 1.0);
+                }
+            }
+            Some(FastShape::InSubquery { negated, lhs_nd, subquery }) => {
+                for (slot, &(rows, _)) in out.iter_mut().zip(&nested[*subquery].results) {
+                    *slot = in_subquery_selectivity(Some(rows), *lhs_nd, *negated).clamp(0.0, 1.0);
+                }
+            }
+            None => {
+                for (row, slot) in out.iter_mut().enumerate() {
+                    batch.fill_row_map(row, row_bindings);
+                    let expr = predicate.expr.substitute(row_bindings);
+                    *slot = if predicate.row_subqueries {
+                        self.row_estimator(estimator.db, nested, row_bindings, row)
+                            .selectivity(&expr)
+                    } else {
+                        estimator.selectivity(&expr)
+                    };
+                }
+            }
         }
     }
 }
@@ -1270,93 +1169,6 @@ pub fn product_ordered(sels: &[f64]) -> f64 {
     acc
 }
 
-/// Phase A columnar fill: one dynamic predicate's selectivity for every
-/// batch row, written into its column slice. Fast shapes resolve column
-/// statistics once and replay `Estimator`'s comparison/range arithmetic
-/// per value — the identical operations in the identical order, so the
-/// results match the substitute-then-estimate path bit for bit. Generic
-/// shapes rebuild a binding map per row and take that path literally.
-fn fill_column(
-    predicate: &PreparedPredicate,
-    estimator: &Estimator<'_>,
-    batch: &BindingBatch,
-    out: &mut [f64],
-    row_bindings: &mut HashMap<u32, Value>,
-) {
-    match &predicate.fast {
-        Some(FastShape::Cmp { column, op, id }) => {
-            let op = *op;
-            let stats = estimator.column_stats(column);
-            let col = batch.column_of(*id);
-            for (row, slot) in out.iter_mut().enumerate() {
-                let value = batch.value(col, row);
-                let sel = match stats {
-                    None => default_for(op),
-                    Some(stats) => match op {
-                        BinaryOp::Eq => equality_selectivity(stats, value),
-                        BinaryOp::NotEq => 1.0 - equality_selectivity(stats, value),
-                        BinaryOp::Lt | BinaryOp::LtEq => {
-                            match value.as_f64().and_then(|v| stats.fraction_below(v)) {
-                                Some(f) => {
-                                    let eq_bump = if op == BinaryOp::LtEq {
-                                        equality_selectivity(stats, value)
-                                    } else {
-                                        0.0
-                                    };
-                                    ((1.0 - stats.null_frac) * f + eq_bump).min(1.0)
-                                }
-                                None => DEFAULT_INEQ_SEL,
-                            }
-                        }
-                        BinaryOp::Gt | BinaryOp::GtEq => {
-                            match value.as_f64().and_then(|v| stats.fraction_below(v)) {
-                                Some(f) => {
-                                    let eq_bump = if op == BinaryOp::GtEq {
-                                        equality_selectivity(stats, value)
-                                    } else {
-                                        0.0
-                                    };
-                                    ((1.0 - stats.null_frac) * (1.0 - f) + eq_bump).min(1.0)
-                                }
-                                None => DEFAULT_INEQ_SEL,
-                            }
-                        }
-                        _ => DEFAULT_INEQ_SEL,
-                    },
-                };
-                *slot = sel.clamp(0.0, 1.0);
-            }
-        }
-        Some(FastShape::Between { column, negated, low, high }) => {
-            let stats = estimator.column_stats(column);
-            let low = BatchBound::of(*low, batch);
-            let high = BatchBound::of(*high, batch);
-            for (row, slot) in out.iter_mut().enumerate() {
-                let sel = match stats {
-                    None => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-                    Some(stats) => match (low.resolve(batch, row), high.resolve(batch, row)) {
-                        (Some(lo), Some(hi)) if hi >= lo => {
-                            let f_lo = stats.fraction_below(lo).unwrap_or(0.0);
-                            let f_hi = stats.fraction_below(hi).unwrap_or(1.0);
-                            ((1.0 - stats.null_frac) * (f_hi - f_lo)).max(0.0)
-                        }
-                        (Some(_), Some(_)) => 0.0, // inverted range is empty
-                        _ => DEFAULT_INEQ_SEL * DEFAULT_INEQ_SEL,
-                    },
-                };
-                let sel = if *negated { 1.0 - sel } else { sel };
-                *slot = sel.clamp(0.0, 1.0);
-            }
-        }
-        None => {
-            for (row, slot) in out.iter_mut().enumerate() {
-                batch.fill_row_map(row, row_bindings);
-                *slot = estimator.selectivity(&predicate.expr.substitute(row_bindings));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1366,23 +1178,46 @@ mod tests {
         crate::datagen::tpch::generate(crate::datagen::tpch::TpchConfig::tiny())
     }
 
-    fn assert_recost_matches(db: &Database, sql: &str, bindings_list: &[Vec<(u32, Value)>]) {
+    /// The planner's `(estimated_rows, total_cost)` for one binding row.
+    fn planner_cost(db: &Database, template: &Template, row: &HashMap<u32, Value>) -> (f64, f64) {
+        let explain = db.explain(&template.instantiate(row).unwrap()).unwrap();
+        (explain.estimated_rows, explain.total_cost)
+    }
+
+    /// Batch/planner agreement over one template: build a batch from the
+    /// binding rows plus a duplicate of the first (in-batch repeats must
+    /// recompute identically), recost it, and compare every row bit for
+    /// bit with `db.explain` on the instantiated statement. Rows the
+    /// planner rejects (type-incompatible bindings) have no reference and
+    /// are skipped; at least one row must be checked.
+    fn assert_batch_matches_planner(db: &Database, sql: &str, rows: &[Vec<(u32, Value)>]) {
         let template = parse_template(sql).unwrap();
         let prepared = PreparedTemplate::prepare(db, &template).unwrap();
-        for raw in bindings_list {
-            let bindings: HashMap<u32, Value> = raw.iter().cloned().collect();
-            let (rows, cost) = prepared.recost(db, &bindings).unwrap();
-            let query = template.instantiate(&bindings).unwrap();
-            let explain = db.explain(&query).unwrap();
-            assert_eq!(rows.to_bits(), explain.estimated_rows.to_bits(), "rows for {query}");
-            assert_eq!(cost.to_bits(), explain.total_cost.to_bits(), "cost for {query}");
+        let mut maps: Vec<HashMap<u32, Value>> =
+            rows.iter().map(|raw| raw.iter().cloned().collect()).collect();
+        if let Some(first) = maps.first().cloned() {
+            maps.push(first);
         }
+        let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &maps).unwrap();
+        let mut scratch = RecostScratch::new();
+        let results = prepared.recost_batch(db, &batch, &mut scratch).unwrap().to_vec();
+        assert_eq!(results.len(), maps.len());
+        let mut checked = 0;
+        for (map, (batch_rows, batch_cost)) in maps.iter().zip(results) {
+            let query = template.instantiate(map).unwrap();
+            let Ok(explain) = db.explain(&query) else { continue };
+            let (rows, cost) = (explain.estimated_rows, explain.total_cost);
+            assert_eq!(batch_rows.to_bits(), rows.to_bits(), "rows for {query}");
+            assert_eq!(batch_cost.to_bits(), cost.to_bits(), "cost for {query}");
+            checked += 1;
+        }
+        assert!(checked > 0, "the planner rejected every row of {sql}");
     }
 
     #[test]
     fn single_table_filter_matches_planner() {
         let db = tpch();
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
             &[
@@ -1397,7 +1232,7 @@ mod tests {
     #[test]
     fn join_with_aggregation_matches_planner() {
         let db = tpch();
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT c.c_name, SUM(o.o_totalprice) FROM customer AS c \
              JOIN orders AS o ON c.c_custkey = o.o_custkey \
@@ -1415,7 +1250,7 @@ mod tests {
     #[test]
     fn three_way_join_reorders_identically() {
         let db = tpch();
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT l.l_orderkey FROM lineitem AS l \
              JOIN orders AS o ON l.l_orderkey = o.o_orderkey \
@@ -1432,17 +1267,42 @@ mod tests {
     #[test]
     fn subquery_templates_match_planner() {
         let db = tpch();
-        assert_recost_matches(
+        let totals = [
+            vec![(1, Value::Float(1_000.0))],
+            vec![(1, Value::Float(100_000.0))],
+            vec![(1, Value::Float(-5.0))],
+        ];
+        // `IN` / `NOT IN` a placeholder-bearing subquery (the columnar
+        // semijoin shape).
+        for in_op in ["IN", "NOT IN"] {
+            assert_batch_matches_planner(
+                &db,
+                &format!(
+                    "SELECT c.c_name FROM customer AS c WHERE c.c_custkey {in_op} \
+                     (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {{p_1}})"
+                ),
+                &totals,
+            );
+        }
+        // Generic shapes holding a placeholder-bearing subquery (per-row
+        // rendered texts): EXISTS and a HAVING clause. Disjunctions,
+        // several and nested dynamic subqueries are proptested in
+        // tests/tests/prepared_equivalence.rs.
+        assert_batch_matches_planner(
             &db,
-            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
+            "SELECT c.c_name FROM customer AS c WHERE EXISTS \
+             (SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1})",
+            &totals,
+        );
+        assert_batch_matches_planner(
+            &db,
+            "SELECT c.c_nationkey, COUNT(*) FROM customer AS c GROUP BY c.c_nationkey \
+             HAVING c.c_nationkey IN \
              (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
-            &[
-                vec![(1, Value::Float(1_000.0))],
-                vec![(1, Value::Float(100_000.0))],
-            ],
+            &totals,
         );
         // placeholder-free subquery, placeholder outside
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT c.c_name FROM customer AS c WHERE c.c_acctbal > {p_1} AND \
              EXISTS (SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > 90000)",
@@ -1451,16 +1311,49 @@ mod tests {
     }
 
     #[test]
+    fn in_subquery_conjunct_takes_the_columnar_shape() {
+        let db = tpch();
+        let shape_of = |sql: &str| {
+            let prepared = PreparedTemplate::prepare(&db, &parse_template(sql).unwrap()).unwrap();
+            // The one placeholder-bearing predicate: a scan conjunct, or
+            // a residual when it references no binding (EXISTS).
+            let body = &prepared.body;
+            let predicate = body.scans[0]
+                .conjuncts
+                .iter()
+                .map(|c| &c.predicate)
+                .chain(body.residuals.iter().map(|(_, p)| p))
+                .find(|p| p.cached_sel.is_none())
+                .unwrap();
+            (predicate.fast.clone(), predicate.row_subqueries)
+        };
+        let (fast, row_subqueries) = shape_of(
+            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey NOT IN \
+             (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
+        );
+        assert!(
+            matches!(fast, Some(FastShape::InSubquery { negated: true, lhs_nd: Some(_), subquery: 0 })),
+            "{fast:?}"
+        );
+        assert!(!row_subqueries);
+        let (fast, row_subqueries) = shape_of(
+            "SELECT c.c_name FROM customer AS c WHERE EXISTS \
+             (SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1})",
+        );
+        assert!(fast.is_none() && row_subqueries);
+    }
+
+    #[test]
     fn index_probe_decision_replays() {
         let db = tpch();
         // o_orderkey is the primary key (indexed): point lookups flip to
         // the index path, wide ranges stay sequential — both must match.
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT o.o_totalprice FROM orders AS o WHERE o.o_orderkey = {p_1}",
             &[vec![(1, Value::Int(5))], vec![(1, Value::Int(900))]],
         );
-        assert_recost_matches(
+        assert_batch_matches_planner(
             &db,
             "SELECT o.o_totalprice FROM orders AS o WHERE o.o_orderkey > {p_1}",
             &[vec![(1, Value::Int(0))], vec![(1, Value::Int(999_999))]],
@@ -1475,22 +1368,15 @@ mod tests {
                 .unwrap();
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
         assert_eq!(prepared.arity(), 0);
-        let (rows, cost) = prepared.recost(&db, &HashMap::new()).unwrap();
+        // One row over zero placeholder ids.
+        let batch = BindingBatch::from_rows(&[], &[HashMap::new()]).unwrap();
+        assert_eq!(batch.len(), 1);
+        let mut scratch = RecostScratch::new();
+        let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
         let explain = db.explain(template.select()).unwrap();
-        assert_eq!(rows.to_bits(), explain.estimated_rows.to_bits());
-        assert_eq!(cost.to_bits(), explain.total_cost.to_bits());
-    }
-
-    #[test]
-    fn missing_binding_is_reported() {
-        let db = tpch();
-        let template = parse_template(
-            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-        )
-        .unwrap();
-        let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
-        let err = prepared.recost(&db, &HashMap::new()).unwrap_err();
-        assert!(matches!(err, DbError::UnboundPlaceholder(1)), "{err:?}");
+        assert_eq!(results, [(explain.estimated_rows, explain.total_cost)]);
+        assert_eq!(results[0].0.to_bits(), explain.estimated_rows.to_bits());
+        assert_eq!(results[0].1.to_bits(), explain.total_cost.to_bits());
     }
 
     #[test]
@@ -1502,51 +1388,12 @@ mod tests {
     }
 
     #[test]
-    fn smallest_missing_id_is_reported() {
-        let db = tpch();
-        let template = parse_template(
-            "SELECT l.l_orderkey FROM lineitem AS l \
-             WHERE l.l_quantity > {p_3} AND l.l_extendedprice < {p_7}",
-        )
-        .unwrap();
-        let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
-        // Both missing: the smallest (3) must be named.
-        let err = prepared.recost(&db, &HashMap::new()).unwrap_err();
-        assert!(matches!(err, DbError::UnboundPlaceholder(3)), "{err:?}");
-        // Only the larger missing: it is the smallest missing one.
-        let partial: HashMap<u32, Value> = [(3, Value::Int(5))].into_iter().collect();
-        let err = prepared.recost(&db, &partial).unwrap_err();
-        assert!(matches!(err, DbError::UnboundPlaceholder(7)), "{err:?}");
-    }
-
-    /// Scalar/batch agreement over one template: build a batch from the
-    /// binding rows (plus a duplicate of the first row, exercising
-    /// identical recomputation) and compare bit-for-bit.
-    fn assert_batch_matches_scalar(db: &Database, sql: &str, rows: &[Vec<(u32, Value)>]) {
-        let template = parse_template(sql).unwrap();
-        let prepared = PreparedTemplate::prepare(db, &template).unwrap();
-        let mut maps: Vec<HashMap<u32, Value>> =
-            rows.iter().map(|raw| raw.iter().cloned().collect()).collect();
-        if let Some(first) = maps.first().cloned() {
-            maps.push(first);
-        }
-        let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &maps).unwrap();
-        let mut scratch = RecostScratch::new();
-        let results = prepared.recost_batch(db, &batch, &mut scratch).unwrap().to_vec();
-        assert_eq!(results.len(), maps.len());
-        for (map, (batch_rows, batch_cost)) in maps.iter().zip(results) {
-            let (rows, cost) = prepared.recost(db, map).unwrap();
-            assert_eq!(batch_rows.to_bits(), rows.to_bits(), "rows for {sql}");
-            assert_eq!(batch_cost.to_bits(), cost.to_bits(), "cost for {sql}");
-        }
-    }
-
-    #[test]
     fn batch_recost_matches_scalar_across_shapes() {
         let db = tpch();
-        // Fast comparison shapes, including a flipped orientation and an
-        // indexed equality whose probe decision is value-dependent.
-        assert_batch_matches_scalar(
+        // Fast comparison shapes, including a flipped orientation. The
+        // non-numeric value is outside the contract (the planner rejects
+        // it) and must not disturb the other rows.
+        assert_batch_matches_planner(
             &db,
             "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
             &[
@@ -1556,37 +1403,20 @@ mod tests {
                 vec![(1, Value::Str("not-a-number".into()))],
             ],
         );
-        assert_batch_matches_scalar(
+        assert_batch_matches_planner(
             &db,
             "SELECT o.o_totalprice FROM orders AS o WHERE {p_1} < o.o_totalprice",
             &[vec![(1, Value::Float(100.0))], vec![(1, Value::Float(90_000.0))]],
         );
-        assert_batch_matches_scalar(
-            &db,
-            "SELECT o.o_totalprice FROM orders AS o WHERE o.o_orderkey = {p_1}",
-            &[vec![(1, Value::Int(5))], vec![(1, Value::Int(900))]],
-        );
-        // BETWEEN with two placeholder bounds (including inverted) and
-        // with a literal bound.
-        assert_batch_matches_scalar(
-            &db,
-            "SELECT c.c_name, SUM(o.o_totalprice) FROM customer AS c \
-             JOIN orders AS o ON c.c_custkey = o.o_custkey \
-             WHERE o.o_totalprice BETWEEN {p_1} AND {p_2} \
-             GROUP BY c.c_name ORDER BY c.c_name LIMIT 10",
-            &[
-                vec![(1, Value::Float(100.0)), (2, Value::Float(50_000.0))],
-                vec![(1, Value::Float(9_000.0)), (2, Value::Float(1_000.0))],
-            ],
-        );
-        assert_batch_matches_scalar(
+        // BETWEEN with a literal bound.
+        assert_batch_matches_planner(
             &db,
             "SELECT o.o_orderkey FROM orders AS o \
              WHERE o.o_totalprice NOT BETWEEN 1000 AND {p_1}",
             &[vec![(1, Value::Float(2_000.0))], vec![(1, Value::Float(500.0))]],
         );
-        // String equality (generic-estimator arithmetic, MCV lookups).
-        assert_batch_matches_scalar(
+        // String equality (MCV lookups).
+        assert_batch_matches_planner(
             &db,
             "SELECT c.c_custkey FROM customer AS c WHERE c.c_mktsegment = {p_1}",
             &[
@@ -1595,29 +1425,10 @@ mod tests {
             ],
         );
         // Generic shape: arithmetic around the placeholder.
-        assert_batch_matches_scalar(
+        assert_batch_matches_planner(
             &db,
             "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity + 1 > {p_1}",
             &[vec![(1, Value::Int(10))], vec![(1, Value::Int(40))]],
-        );
-        // Join reorder + residual with placeholders on both tables.
-        assert_batch_matches_scalar(
-            &db,
-            "SELECT l.l_orderkey FROM lineitem AS l \
-             JOIN orders AS o ON l.l_orderkey = o.o_orderkey \
-             JOIN customer AS c ON o.o_custkey = c.c_custkey \
-             WHERE l.l_quantity < {p_1} AND c.c_acctbal > {p_2}",
-            &[
-                vec![(1, Value::Int(3)), (2, Value::Float(0.0))],
-                vec![(1, Value::Int(49)), (2, Value::Float(9_000.0))],
-            ],
-        );
-        // Dynamic subquery: scalar fallback path.
-        assert_batch_matches_scalar(
-            &db,
-            "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
-             (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
-            &[vec![(1, Value::Float(1_000.0))], vec![(1, Value::Float(100_000.0))]],
         );
     }
 
@@ -1625,10 +1436,17 @@ mod tests {
     fn batch_scratch_reuse_is_clean_across_templates() {
         let db = tpch();
         let mut scratch = RecostScratch::new();
+        // The subquery template grows the nested arenas; the templates
+        // after it must not see their stale columns.
         for (sql, value) in [
             (
                 "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
                 Value::Int(7),
+            ),
+            (
+                "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
+                 (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
+                Value::Float(20_000.0),
             ),
             (
                 "SELECT o.o_orderkey FROM orders AS o WHERE o.o_totalprice < {p_1}",
@@ -1642,7 +1460,7 @@ mod tests {
                 BindingBatch::from_rows(prepared.placeholder_ids(), std::slice::from_ref(&map))
                     .unwrap();
             let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
-            let (rows, cost) = prepared.recost(&db, &map).unwrap();
+            let (rows, cost) = planner_cost(&db, &template, &map);
             assert_eq!(results[0].0.to_bits(), rows.to_bits());
             assert_eq!(results[0].1.to_bits(), cost.to_bits());
         }
@@ -1664,6 +1482,42 @@ mod tests {
     }
 
     #[test]
+    fn missing_binding_is_reported() {
+        let db = tpch();
+        let template = parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
+        )
+        .unwrap();
+        let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
+        let batch = BindingBatch::new(vec![]);
+        let mut scratch = RecostScratch::new();
+        let err = prepared.recost_batch(&db, &batch, &mut scratch).unwrap_err();
+        assert!(matches!(err, DbError::UnboundPlaceholder(1)), "{err:?}");
+    }
+
+    #[test]
+    fn smallest_missing_id_is_reported() {
+        let db = tpch();
+        let template = parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l \
+             WHERE l.l_quantity > {p_3} AND l.l_extendedprice < {p_7}",
+        )
+        .unwrap();
+        let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
+        let mut scratch = RecostScratch::new();
+        // Both missing: the smallest (3) must be named.
+        let err = prepared
+            .recost_batch(&db, &BindingBatch::new(vec![]), &mut scratch)
+            .unwrap_err();
+        assert!(matches!(err, DbError::UnboundPlaceholder(3)), "{err:?}");
+        // Only the larger missing: it is the smallest missing one.
+        let err = prepared
+            .recost_batch(&db, &BindingBatch::new(vec![3]), &mut scratch)
+            .unwrap_err();
+        assert!(matches!(err, DbError::UnboundPlaceholder(7)), "{err:?}");
+    }
+
+    #[test]
     fn batch_extra_columns_are_ignored_and_empty_batch_is_ok() {
         let db = tpch();
         let template = parse_template(
@@ -1677,7 +1531,7 @@ mod tests {
             BindingBatch::from_rows(&[1, 42], std::slice::from_ref(&map)).unwrap();
         let mut scratch = RecostScratch::new();
         let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
-        let (rows, cost) = prepared.recost(&db, &map).unwrap();
+        let (rows, cost) = planner_cost(&db, &template, &map);
         assert_eq!(results[0].0.to_bits(), rows.to_bits());
         assert_eq!(results[0].1.to_bits(), cost.to_bits());
 

@@ -38,9 +38,9 @@ impl CostIntervals {
     }
 
     /// Index of the interval containing `cost`, or `None` when the cost
-    /// falls outside the working range.
+    /// falls outside the working range or is NaN.
     pub fn interval_of(&self, cost: f64) -> Option<usize> {
-        if cost < self.lo || cost > self.hi {
+        if !(cost >= self.lo && cost <= self.hi) {
             return None;
         }
         let idx = ((cost - self.lo) / self.width()) as usize;
@@ -111,6 +111,16 @@ mod tests {
         assert_eq!(h[0], 2.0);
         assert_eq!(h[2], 1.0);
         assert_eq!(h.iter().sum::<f64>(), 3.0);
+    }
+
+    #[test]
+    fn nan_cost_falls_in_no_interval() {
+        let grid = CostIntervals::paper_default(10);
+        assert_eq!(grid.interval_of(f64::NAN), None);
+        assert_eq!(grid.interval_of(f64::INFINITY), None);
+        let h = grid.histogram(&[f64::NAN, 100.0, f64::NAN]);
+        assert_eq!(h[0], 1.0);
+        assert_eq!(h.iter().sum::<f64>(), 1.0);
     }
 
     #[test]

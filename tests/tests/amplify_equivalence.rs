@@ -2,13 +2,13 @@
 //! generator only produces bindings the columnar batch accepts (no
 //! unbound or unknown placeholders), and every query an emission lane
 //! accepts recosts into the claimed interval bit-for-bit against the
-//! scalar `PreparedTemplate::recost` path, with the rendered text equal
-//! to `instantiate(..).to_string()`. A plain N = 100k test then checks
+//! from-scratch planner (`Database::explain`), with the rendered text
+//! equal to `instantiate(..).to_string()`. A plain N = 100k test then checks
 //! the acceptance bar: the amplified histogram's Wasserstein distance to
 //! the target (per query) stays within tolerance of the BO-phase
 //! workload's distance.
 
-use minidb::{BindingBatch, Database, PreparedTemplate};
+use minidb::{BindingBatch, Database};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,7 +118,7 @@ proptest! {
         }
     }
 
-    /// Replaying a lane's RNG stream through the scalar path reproduces
+    /// Replaying a lane's RNG stream through the planner reproduces
     /// its accepts exactly: same candidates accepted, the same cost bits,
     /// every accepted cost inside the claimed interval, and the rendered
     /// record text equal to `instantiate(..).to_string()`.
@@ -147,9 +147,7 @@ proptest! {
         lane.run(db, &ctx, batch_seed, batch_size).expect("lane recosts");
         prop_assert_eq!(lane.candidates(), batch_size);
 
-        // Scalar replay of the identical RNG stream.
-        let prepared =
-            PreparedTemplate::prepare(db, &profiled.template).expect("prepares");
+        // Planner replay of the identical RNG stream.
         let mut rng = StdRng::seed_from_u64(batch_seed);
         let mut point = Vec::new();
         let mut row = Vec::new();
@@ -158,11 +156,12 @@ proptest! {
             ctx.generator().draw(&mut rng, &mut point);
             profiled.space.decode_into(&point, &mut row);
             let map: HashMap<u32, Value> = row.iter().cloned().collect();
-            let (rows, _cost) = prepared.recost(db, &map).expect("recosts");
+            let query = profiled.template.instantiate(&map).expect("binds");
+            let rows = db.explain(&query).expect("plans").estimated_rows;
             if intervals.interval_of(rows) != Some(interval) {
                 continue;
             }
-            let sql = profiled.template.instantiate(&map).expect("binds").to_string();
+            let sql = query.to_string();
             expected.push((rows, format!("-- cost: {rows:.2}\n{sql};\n")));
         }
 
@@ -170,11 +169,11 @@ proptest! {
         prop_assert_eq!(accepts.len(), expected.len(), "accept sets diverged");
         let rendered = lane.accepted_chunk(accepts.len());
         let mut start = 0usize;
-        for ((end, cost), (scalar_cost, record)) in accepts.iter().zip(&expected) {
+        for ((end, cost), (planner_cost, record)) in accepts.iter().zip(&expected) {
             prop_assert_eq!(
                 cost.to_bits(),
-                scalar_cost.to_bits(),
-                "accepted cost diverged from scalar recost"
+                planner_cost.to_bits(),
+                "accepted cost diverged from the planner"
             );
             prop_assert!(
                 intervals.interval_of(*cost) == Some(interval),

@@ -1,9 +1,9 @@
 //! Property test for the prepared-plan fast path: over randomly varied
-//! templates and randomly drawn bindings, `PreparedTemplate::recost`
-//! must return exactly — bit for bit — the cardinality and plan cost the
-//! from-scratch planner (`Database::explain`) computes for the rendered
-//! statement. This is the contract the cost oracle's binding-key memo
-//! rests on.
+//! templates and randomly drawn binding batches,
+//! `PreparedTemplate::recost_batch` must return for every row exactly —
+//! bit for bit — the cardinality and plan cost the from-scratch planner
+//! (`Database::explain`) computes for the rendered statement. This is
+//! the contract the cost oracle's binding-key memo rests on.
 
 use minidb::{BindingBatch, Database, PreparedTemplate, RecostScratch};
 use proptest::prelude::*;
@@ -76,6 +76,53 @@ const SKELETONS: &[Skeleton] = &[
         kinds: &[(1, false), (2, false)],
         extras: &[("c.c_nationkey", true)],
     },
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE c.c_custkey NOT IN \
+              (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1}){EXTRA}",
+        kinds: &[(1, false)],
+        extras: &[("c.c_acctbal", false)],
+    },
+    // Placeholder inside EXISTS (a generic shape, estimated per row with
+    // that row's rendered subquery text).
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE c.c_acctbal > {p_1} AND EXISTS \
+              (SELECT o.o_orderkey FROM orders AS o WHERE o.o_totalprice > {p_2}){EXTRA}",
+        kinds: &[(1, false), (2, false)],
+        extras: &[("c.c_nationkey", true)],
+    },
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE (c.c_custkey IN \
+              (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1}) \
+              OR c.c_acctbal < {p_2}){EXTRA}",
+        kinds: &[(1, false), (2, false)],
+        extras: &[("c.c_nationkey", true)],
+    },
+    // Two dynamic subqueries around a fixed one: pins the order in which
+    // subquery costs accumulate.
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE c.c_custkey IN \
+              (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1}) \
+              AND c.c_nationkey IN \
+              (SELECT n.n_nationkey FROM nation AS n WHERE n.n_regionkey < 3) \
+              AND c.c_custkey IN \
+              (SELECT o2.o_custkey FROM orders AS o2 WHERE o2.o_orderkey < {p_2}){EXTRA}",
+        kinds: &[(1, false), (2, true)],
+        extras: &[("c.c_acctbal", false)],
+    },
+    // A dynamic subquery nested in a dynamic one.
+    Skeleton {
+        sql: "SELECT c.c_custkey FROM customer AS c \
+              WHERE c.c_custkey IN \
+              (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_1} \
+               AND o.o_orderkey IN \
+               (SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity < {p_2})){EXTRA}",
+        kinds: &[(1, false), (2, false)],
+        extras: &[("c.c_acctbal", false)],
+    },
 ];
 
 const OPS: &[&str] = &[">", "<", ">=", "<="];
@@ -98,14 +145,48 @@ fn build_template(
     (skeleton.sql.replace("{EXTRA}", &extra), kinds)
 }
 
+/// One binding map per drawn row (typed per placeholder), plus a copy
+/// of the first row at the end when `duplicate_first` is set.
+fn binding_rows(
+    kinds: &[(u32, bool)],
+    rows_raw: &[Vec<f64>],
+    duplicate_first: bool,
+) -> Vec<HashMap<u32, Value>> {
+    let mut rows: Vec<HashMap<u32, Value>> = rows_raw
+        .iter()
+        .map(|raw| {
+            kinds
+                .iter()
+                .zip(raw)
+                .map(|(&(id, is_int), &x)| {
+                    (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
+                })
+                .collect()
+        })
+        .collect();
+    if duplicate_first {
+        // In-batch duplicates must produce identical (deduplicable)
+        // outputs, not merely close ones.
+        rows.push(rows[0].clone());
+    }
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// For arbitrary templates and binding batches of 1–6 rows (plus an
+    /// optional in-batch duplicate), every row's `(rows, cost)` equals
+    /// the planner's on the instantiated statement, bit for bit.
     #[test]
     fn recost_is_bit_identical_to_from_scratch_planning(
         skeleton_idx in 0usize..SKELETONS.len(),
         picks in prop::collection::vec((0usize..8, 0usize..OPS.len()), 0..3),
-        raw in prop::collection::vec(-1_000.0f64..50_000.0, 8..9),
+        rows_raw in prop::collection::vec(
+            prop::collection::vec(-1_000.0f64..50_000.0, 8..9),
+            1..7,
+        ),
+        duplicate_first in any::<bool>(),
     ) {
         let db = db();
         let (sql, kinds) = build_template(&SKELETONS[skeleton_idx], &picks);
@@ -113,36 +194,38 @@ proptest! {
         let prepared =
             PreparedTemplate::prepare(db, &template).expect("skeleton plans");
 
-        let bindings: HashMap<u32, Value> = kinds
-            .iter()
-            .zip(&raw)
-            .map(|(&(id, is_int), &x)| {
-                (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
-            })
-            .collect();
+        let rows = binding_rows(&kinds, &rows_raw, duplicate_first);
 
-        let (rows, cost) = prepared.recost(db, &bindings).expect("recost succeeds");
-        let query = template.instantiate(&bindings).expect("all ids bound");
-        let explain = db.explain(&query).expect("planner handles the statement");
+        let ids: Vec<u32> = kinds.iter().map(|&(id, _)| id).collect();
+        let batch = BindingBatch::from_rows(&ids, &rows).expect("all ids bound");
+        let mut scratch = RecostScratch::new();
+        let batched = prepared
+            .recost_batch(db, &batch, &mut scratch)
+            .expect("batch recost succeeds");
 
-        prop_assert_eq!(
-            rows.to_bits(),
-            explain.estimated_rows.to_bits(),
-            "cardinality diverged: {} vs {} for {}",
-            rows, explain.estimated_rows, query
-        );
-        prop_assert_eq!(
-            cost.to_bits(),
-            explain.total_cost.to_bits(),
-            "plan cost diverged: {} vs {} for {}",
-            cost, explain.total_cost, query
-        );
+        prop_assert_eq!(batched.len(), rows.len());
+        for (bindings, &(rows_est, cost)) in rows.iter().zip(batched) {
+            let query = template.instantiate(bindings).expect("all ids bound");
+            let explain = db.explain(&query).expect("planner handles the statement");
+            prop_assert_eq!(
+                rows_est.to_bits(),
+                explain.estimated_rows.to_bits(),
+                "cardinality diverged: {} vs {} for {}",
+                rows_est, explain.estimated_rows, query
+            );
+            prop_assert_eq!(
+                cost.to_bits(),
+                explain.total_cost.to_bits(),
+                "plan cost diverged: {} vs {} for {}",
+                cost, explain.total_cost, query
+            );
+        }
     }
 
-    /// The columnar batch path must replay the exact scalar arithmetic:
-    /// for arbitrary templates and binding batches — including duplicate
-    /// rows within one batch — `recost_batch` returns bit-for-bit the
-    /// `(rows, cost)` pairs that per-row `recost` produces.
+    /// Rows of one batch are independent: recosting a batch of 1–6 rows
+    /// (plus an optional in-batch duplicate) returns bit for bit what
+    /// recosting each row alone, as a batch of one, returns — with one
+    /// scratch reused across all the calls.
     #[test]
     fn recost_batch_is_bit_identical_to_per_row_recost(
         skeleton_idx in 0usize..SKELETONS.len(),
@@ -158,24 +241,7 @@ proptest! {
         let template = parse_template(&sql).expect("skeleton SQL parses");
         let prepared =
             PreparedTemplate::prepare(db, &template).expect("skeleton plans");
-
-        let mut rows: Vec<HashMap<u32, Value>> = rows_raw
-            .iter()
-            .map(|raw| {
-                kinds
-                    .iter()
-                    .zip(raw)
-                    .map(|(&(id, is_int), &x)| {
-                        (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
-                    })
-                    .collect()
-            })
-            .collect();
-        if duplicate_first {
-            // In-batch duplicates must produce identical (deduplicable)
-            // outputs, not merely close ones.
-            rows.push(rows[0].clone());
-        }
+        let rows = binding_rows(&kinds, &rows_raw, duplicate_first);
 
         let ids: Vec<u32> = kinds.iter().map(|&(id, _)| id).collect();
         let batch = BindingBatch::from_rows(&ids, &rows).expect("all ids bound");
@@ -187,10 +253,14 @@ proptest! {
 
         prop_assert_eq!(batched.len(), rows.len());
         for (row, &(batch_rows, batch_cost)) in rows.iter().zip(batched.iter()) {
-            let (scalar_rows, scalar_cost) =
-                prepared.recost(db, row).expect("scalar recost succeeds");
-            prop_assert_eq!(batch_rows.to_bits(), scalar_rows.to_bits());
-            prop_assert_eq!(batch_cost.to_bits(), scalar_cost.to_bits());
+            let single = BindingBatch::from_rows(&ids, std::slice::from_ref(row))
+                .expect("all ids bound");
+            let alone = prepared
+                .recost_batch(db, &single, &mut scratch)
+                .expect("single-row recost succeeds");
+            prop_assert_eq!(alone.len(), 1);
+            prop_assert_eq!(batch_rows.to_bits(), alone[0].0.to_bits());
+            prop_assert_eq!(batch_cost.to_bits(), alone[0].1.to_bits());
         }
         if duplicate_first {
             let first = batched[0];
