@@ -88,7 +88,7 @@ pub(crate) struct Acceptance<'t> {
 }
 
 impl<'t> Acceptance<'t> {
-    pub fn new(target: &'t TargetDistribution, _n_templates: usize) -> Self {
+    pub fn new(target: &'t TargetDistribution) -> Self {
         Acceptance {
             target,
             d: vec![0.0; target.intervals.count],
@@ -100,13 +100,7 @@ impl<'t> Acceptance<'t> {
 
     /// Accept a query when its interval has a deficit (and is the active
     /// interval, if restricted) and its SQL text is new.
-    pub fn try_accept(
-        &mut self,
-        _template_idx: usize,
-        _point: &[f64],
-        sql: String,
-        cost: f64,
-    ) -> bool {
+    pub fn try_accept(&mut self, sql: String, cost: f64) -> bool {
         let Some(j) = self.target.intervals.interval_of(cost) else { return false };
         if let Some(active) = self.restrict_to {
             if j != active {
@@ -180,8 +174,6 @@ pub(crate) fn evaluate(
 /// the cost alone says the query could still be accepted.
 pub(crate) fn accept_costed(
     acceptance: &mut Acceptance<'_>,
-    template_idx: usize,
-    point: &[f64],
     entry: &PooledTemplate,
     bindings: &HashMap<u32, Value>,
     cost: f64,
@@ -190,7 +182,7 @@ pub(crate) fn accept_costed(
         return false;
     }
     let Ok(query) = entry.template.instantiate(bindings) else { return false };
-    acceptance.try_accept(template_idx, point, query.to_string(), cost)
+    acceptance.try_accept(query.to_string(), cost)
 }
 
 /// Pick the next interval to optimize under a scheduling heuristic.
@@ -349,15 +341,15 @@ mod tests {
     fn acceptance_respects_deficits_and_uniqueness() {
         let target =
             TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
-        let mut acceptance = Acceptance::new(&target, 1);
-        assert!(acceptance.try_accept(0, &[0.1], "q1".into(), 10.0));
+        let mut acceptance = Acceptance::new(&target);
+        assert!(acceptance.try_accept("q1".into(), 10.0));
         // duplicate point rejected
-        assert!(!acceptance.try_accept(0, &[0.1], "q1".into(), 10.0));
+        assert!(!acceptance.try_accept("q1".into(), 10.0));
         // interval 0 full (target 1 per interval)
-        assert!(!acceptance.try_accept(0, &[0.2], "q2".into(), 20.0));
+        assert!(!acceptance.try_accept("q2".into(), 20.0));
         // out of range rejected
-        assert!(!acceptance.try_accept(0, &[0.3], "q3".into(), 999.0));
-        assert!(acceptance.try_accept(0, &[0.4], "q4".into(), 60.0));
+        assert!(!acceptance.try_accept("q3".into(), 999.0));
+        assert!(acceptance.try_accept("q4".into(), 60.0));
         assert_eq!(acceptance.distance(), 0.0);
     }
 
@@ -365,14 +357,14 @@ mod tests {
     fn would_consider_mirrors_try_accept_cost_gates() {
         let target =
             TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
-        let mut acceptance = Acceptance::new(&target, 1);
+        let mut acceptance = Acceptance::new(&target);
         assert!(acceptance.would_consider(10.0));
         assert!(!acceptance.would_consider(999.0), "out of range");
         acceptance.restrict_to = Some(1);
         assert!(!acceptance.would_consider(10.0), "wrong active interval");
         assert!(acceptance.would_consider(60.0));
         acceptance.restrict_to = None;
-        acceptance.try_accept(0, &[0.1], "q1".into(), 10.0);
+        acceptance.try_accept("q1".into(), 10.0);
         assert!(!acceptance.would_consider(20.0), "interval 0 already full");
     }
 
@@ -380,10 +372,10 @@ mod tests {
     fn scheduling_heuristics_differ() {
         let target =
             TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 4), 8);
-        let mut acceptance = Acceptance::new(&target, 1);
+        let mut acceptance = Acceptance::new(&target);
         // fill interval 0 fully, leave 1..3 empty
-        acceptance.try_accept(0, &[0.0], "a".into(), 1.0);
-        acceptance.try_accept(0, &[0.01], "b".into(), 2.0);
+        acceptance.try_accept("a".into(), 1.0);
+        acceptance.try_accept("b".into(), 2.0);
         assert_eq!(schedule_interval(Scheduling::Order, 0, &acceptance), 0);
         assert_eq!(schedule_interval(Scheduling::Order, 2, &acceptance), 2);
         let prioritized = schedule_interval(Scheduling::Priority, 0, &acceptance);

@@ -49,7 +49,7 @@ impl HillClimbing {
         // detlint::allow(ambient_nondet): baseline wall-time is reporting-only
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut acceptance = Acceptance::new(target, self.pool.len());
+        let mut acceptance = Acceptance::new(target);
         let mut report = BaselineReport::default();
         if self.pool.is_empty() {
             report.final_distance = acceptance.distance();
@@ -87,14 +87,7 @@ impl HillClimbing {
                         &mut scratch,
                     ) {
                         report.evaluations += 1;
-                        accept_costed(
-                            &mut acceptance,
-                            template_idx,
-                            &[],
-                            entry,
-                            &bindings,
-                            cost,
-                        );
+                        accept_costed(&mut acceptance, entry, &bindings, cost);
                     }
                     continue;
                 }
@@ -120,14 +113,7 @@ impl HillClimbing {
                     ) else {
                         break;
                     };
-                    accept_costed(
-                        &mut acceptance,
-                        template_idx,
-                        &point,
-                        entry,
-                        &bindings,
-                        cost,
-                    );
+                    accept_costed(&mut acceptance, entry, &bindings, cost);
                     let objective = interval_objective(cost, lo, hi);
                     if objective == 0.0 {
                         // Inside the interval: restart nearby to harvest

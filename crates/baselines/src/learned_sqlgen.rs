@@ -81,7 +81,7 @@ impl LearnedSqlGen {
         // detlint::allow(ambient_nondet): baseline wall-time is reporting-only
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut acceptance = Acceptance::new(target, self.pool.len());
+        let mut acceptance = Acceptance::new(target);
         let mut report = BaselineReport::default();
         if self.pool.is_empty() {
             report.final_distance = acceptance.distance();
@@ -143,14 +143,7 @@ impl LearnedSqlGen {
                     ) else {
                         break;
                     };
-                    accept_costed(
-                        &mut acceptance,
-                        template_idx,
-                        &point,
-                        entry,
-                        &bindings,
-                        cost,
-                    );
+                    accept_costed(&mut acceptance, entry, &bindings, cost);
                     let reward = 1.0 - interval_objective(cost, lo, hi);
                     episode_reward += reward;
                     let state = Self::state_of(cost, center);

@@ -20,9 +20,10 @@
 #![allow(clippy::disallowed_methods)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use minidb::{BindingBatch, Database, ExecScratch, PreparedExec};
+use minidb::{BindingBatch, Database, ExecScratch, PreparedExec, PreparedTemplate};
 use sqlkit::{parse_template, Template, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 const N_BINDINGS: usize = 256;
@@ -46,13 +47,18 @@ fn bindings() -> Vec<HashMap<u32, Value>> {
         .collect()
 }
 
+fn prepare(db: &Database, template: &Template) -> PreparedExec {
+    let plan = PreparedTemplate::prepare(db, template).expect("template prepares");
+    PreparedExec::prepare(db, Arc::new(plan))
+}
+
 fn execute_per_query(db: &Database, template: &Template, binding: &HashMap<u32, Value>) {
     let query = template.instantiate(binding).expect("binding complete");
     std::hint::black_box(db.execute(&query).expect("executes"));
 }
 
 fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Value>]) {
-    let exec = PreparedExec::prepare(db, template);
+    let exec = prepare(db, template);
     assert_eq!(exec.tier(), "columnar", "bench template must take the kernel tier");
 
     let start = Instant::now();
@@ -111,7 +117,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     c.bench_function("exec/execute_batch_256", |bencher| {
-        let exec = PreparedExec::prepare(&db, &template);
+        let exec = prepare(&db, &template);
         let ids: Vec<u32> = vec![1, 2];
         let batch = BindingBatch::from_rows(&ids, &points).expect("bindings complete");
         let mut scratch = ExecScratch::new();

@@ -38,11 +38,11 @@
 //! [`DistributionAccumulator`]: workload::stream::DistributionAccumulator
 
 use crate::cost::CostType;
-use crate::oracle::{CostOracle, PreparedHandle};
+use crate::oracle::{CostOracle, EngineScratch, PreparedHandle};
 use crate::profiler::ProfiledTemplate;
 use crate::sampler::PlaceholderSpace;
 use bayesopt::parallel::{parallel_map, split_seed};
-use minidb::{BindingBatch, Database, DbError, ExecScratch, RecostScratch};
+use minidb::{BindingBatch, Database, DbError};
 use crate::lockorder::{self, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -306,25 +306,12 @@ impl RenderedSkeleton {
     }
 }
 
-/// Which per-row value of the batched replay a candidate is accepted on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AcceptMetric {
-    /// Optimizer-estimated rows (`recost_batch`).
-    EstimatedRows,
-    /// Optimizer-estimated plan cost (`recost_batch`).
-    EstimatedCost,
-    /// Executed output cardinality (`execute_batch`).
-    ExecutedRows,
-    /// Executed work-unit time in microseconds (`execute_batch`).
-    ExecutedMicros,
-}
-
 /// Read-only emission context for one (interval, template) pair.
 pub struct PairContext<'a> {
     interval: usize,
     intervals: CostIntervals,
-    /// Which replayed value acceptance filters on.
-    metric: AcceptMetric,
+    /// The cost acceptance filters on.
+    cost_type: CostType,
     space: &'a PlaceholderSpace,
     ids: Vec<u32>,
     skeleton: RenderedSkeleton,
@@ -342,12 +329,6 @@ impl<'a> PairContext<'a> {
         intervals: CostIntervals,
         interval: usize,
     ) -> Option<PairContext<'a>> {
-        let metric = match cost_type {
-            CostType::Cardinality => AcceptMetric::EstimatedRows,
-            CostType::PlanCost => AcceptMetric::EstimatedCost,
-            CostType::ActualCardinality => AcceptMetric::ExecutedRows,
-            CostType::ExecutionTimeMicros => AcceptMetric::ExecutedMicros,
-        };
         let generator = FittedGenerator::fit(
             profiled.space.arity(),
             profiled
@@ -359,7 +340,7 @@ impl<'a> PairContext<'a> {
         Some(PairContext {
             interval,
             intervals,
-            metric,
+            cost_type,
             space: &profiled.space,
             ids: profiled.template.placeholders(),
             skeleton: RenderedSkeleton::new(&profiled.template),
@@ -380,15 +361,14 @@ impl<'a> PairContext<'a> {
 }
 
 /// One emission shard's reusable scratch: candidate point and binding
-/// buffers, the columnar batch, the recost and execution arenas, and the
-/// rendered-record string. Warm batches allocate nothing (string
-/// dimensions excepted — they clone the chosen MCV).
+/// buffers, the columnar batch, the engine arenas, and the rendered-record
+/// string. Warm batches allocate nothing (string dimensions excepted —
+/// they clone the chosen MCV).
 pub struct Lane {
     point: Vec<f64>,
     row: Vec<(u32, sqlkit::Value)>,
     batch: BindingBatch,
-    recost: RecostScratch,
-    exec: ExecScratch,
+    engine: EngineScratch,
     sql: String,
     /// `(byte offset after record k, accepted cost of record k)` into
     /// `sql`, in candidate order.
@@ -403,8 +383,7 @@ impl Lane {
             point: Vec::new(),
             row: Vec::new(),
             batch: BindingBatch::default(),
-            recost: RecostScratch::new(),
-            exec: ExecScratch::new(),
+            engine: EngineScratch::default(),
             sql: String::new(),
             accepts: Vec::new(),
             candidates: 0,
@@ -412,11 +391,10 @@ impl Lane {
     }
 
     /// Cost one candidate batch: draw `batch_size` candidates from
-    /// `StdRng(seed)`, replay them columnar — estimate metrics through
-    /// the recost skeleton, execution metrics through the vectorized
-    /// execution plan — and render the accepts. The result is a pure
-    /// function of `(ctx, seed, batch_size)` — which shard runs it, and
-    /// when, is invisible.
+    /// `StdRng(seed)`, cost them as one columnar batch through the
+    /// oracle's dispatch ([`PreparedHandle::cost_rows`]), and render the
+    /// accepts. The result is a pure function of `(ctx, seed,
+    /// batch_size)` — which shard runs it, and when, is invisible.
     // detlint::hot
     pub fn run(
         &mut self,
@@ -435,51 +413,22 @@ impl Lane {
             ctx.space.decode_into(&self.point, &mut self.row);
             self.batch.push_row_slice(&self.row)?;
         }
-        match ctx.metric {
-            AcceptMetric::EstimatedRows | AcceptMetric::EstimatedCost => {
-                let results =
-                    ctx.handle.plan().recost_batch(db, &self.batch, &mut self.recost)?;
-                for (row, &(rows, cost)) in results.iter().enumerate() {
-                    let metric = if ctx.metric == AcceptMetric::EstimatedRows {
-                        rows
-                    } else {
-                        cost
-                    };
-                    if ctx.intervals.interval_of(metric) != Some(ctx.interval) {
-                        continue;
-                    }
-                    let _ = writeln!(self.sql, "-- cost: {metric:.2}");
-                    ctx.skeleton.render_row(&self.batch, row, &mut self.sql);
-                    self.sql.push_str(";\n");
-                    self.accepts.push((self.sql.len(), metric));
-                }
+        let costs = ctx.handle.cost_rows(db, ctx.cost_type, &self.batch, &mut self.engine)?;
+        for (row, cost) in costs.iter().enumerate() {
+            // Candidates come from the template's own profiled
+            // placeholder space, so a per-row failure indicates a broken
+            // pair — fail the batch like a batch-level error.
+            let metric = match cost {
+                Ok(metric) => *metric,
+                Err(error) => return Err(error.clone()),
+            };
+            if ctx.intervals.interval_of(metric) != Some(ctx.interval) {
+                continue;
             }
-            AcceptMetric::ExecutedRows | AcceptMetric::ExecutedMicros => {
-                // detlint::allow(hot_alloc): the exec plan is built once per template behind get_or_init and cached; steady-state batches only clone the Arc
-                let plan = ctx.handle.exec_plan(db);
-                let results = plan.execute_batch(db, &self.batch, &mut self.exec)?;
-                for (row, result) in results.iter().enumerate() {
-                    // Candidates come from the template's own profiled
-                    // placeholder space, so per-row failures indicate a
-                    // broken pair — fail the batch like a recost error.
-                    let (rows, micros) = match result {
-                        Ok(pair) => *pair,
-                        Err(error) => return Err(error.clone()),
-                    };
-                    let metric = if ctx.metric == AcceptMetric::ExecutedRows {
-                        rows
-                    } else {
-                        micros
-                    };
-                    if ctx.intervals.interval_of(metric) != Some(ctx.interval) {
-                        continue;
-                    }
-                    let _ = writeln!(self.sql, "-- cost: {metric:.2}");
-                    ctx.skeleton.render_row(&self.batch, row, &mut self.sql);
-                    self.sql.push_str(";\n");
-                    self.accepts.push((self.sql.len(), metric));
-                }
-            }
+            let _ = writeln!(self.sql, "-- cost: {metric:.2}");
+            ctx.skeleton.render_row(&self.batch, row, &mut self.sql);
+            self.sql.push_str(";\n");
+            self.accepts.push((self.sql.len(), metric));
         }
         Ok(())
     }

@@ -327,13 +327,7 @@ fn generate(args: &[String]) -> i32 {
         }
     };
     let seed: u64 = try_flag!(flags.parsed("--seed", 42));
-    // Validate cheap inputs before paying for database generation.
-    if let Some(name) = flags.get("--benchmark") {
-        if workload::benchmark_by_name(name).is_none() {
-            eprintln!("unknown benchmark `{name}`; run `figures table1` for the registry");
-            return 2;
-        }
-    }
+    // Every flag is checked below before paying for database generation.
     let fault_rate: f64 = try_flag!(flags.parsed("--transport-faults", 0.0));
     if !(0.0..=1.0).contains(&fault_rate) {
         eprintln!("--transport-faults must be in [0, 1], got {fault_rate}");
@@ -410,18 +404,23 @@ fn generate(args: &[String]) -> i32 {
     }
     let grid = CostIntervals::new(lo, hi, intervals_n);
 
-    eprintln!("loading database…");
-    let db = try_flag!(load_db(&flags));
-
+    let cost_type = match flags.get("--cost-type").unwrap_or("cardinality") {
+        "cardinality" => CostType::Cardinality,
+        "plan-cost" => CostType::PlanCost,
+        "actual-cardinality" => CostType::ActualCardinality,
+        "execution-time" => CostType::ExecutionTimeMicros,
+        other => {
+            eprintln!("unknown cost type `{other}`");
+            return 2;
+        }
+    };
     let (target, cost_type) = if let Some(name) = flags.get("--benchmark") {
         let Some(bench) = workload::benchmark_by_name(name) else {
             eprintln!("unknown benchmark `{name}`; see `figures table1` for the registry");
             return 2;
         };
-        let cost_type = CostType::from_benchmark(
-            bench.cost_type,
-            flags.get("--cost-type").unwrap_or("cardinality") == "cardinality",
-        );
+        let cost_type =
+            CostType::from_benchmark(bench.cost_type, cost_type == CostType::Cardinality);
         (bench.target(), cost_type)
     } else {
         let target = if let Some(path) = flags.get("--samples") {
@@ -459,16 +458,6 @@ fn generate(args: &[String]) -> i32 {
                 }
             }
         };
-        let cost_type = match flags.get("--cost-type").unwrap_or("cardinality") {
-            "cardinality" => CostType::Cardinality,
-            "plan-cost" => CostType::PlanCost,
-            "actual-cardinality" => CostType::ActualCardinality,
-            "execution-time" => CostType::ExecutionTimeMicros,
-            other => {
-                eprintln!("unknown cost type `{other}`");
-                return 2;
-            }
-        };
         (target, cost_type)
     };
 
@@ -484,12 +473,6 @@ fn generate(args: &[String]) -> i32 {
             .collect()
     };
 
-    eprintln!(
-        "generating {} queries over {} intervals ({:?})…",
-        target.total(),
-        target.intervals.count,
-        cost_type
-    );
     let threads: usize = try_flag!(flags.parsed("--threads", 0));
     let mut retry = llm::RetryPolicy::default();
     if let Some(budget) = try_flag!(flags.parsed_opt("--retry-budget")) {
@@ -500,6 +483,16 @@ fn generate(args: &[String]) -> i32 {
         try_flag!(flags.parsed("--bo-rounds-concurrency", 0));
     let amplify_shards: usize = try_flag!(flags.parsed("--amplify-shards", 0));
     let amplify_batch: usize = try_flag!(flags.parsed("--amplify-batch", 0));
+
+    eprintln!("loading database…");
+    let db = try_flag!(load_db(&flags));
+
+    eprintln!(
+        "generating {} queries over {} intervals ({:?})…",
+        target.total(),
+        target.intervals.count,
+        cost_type
+    );
     let mut config = SqlBarberConfig {
         seed,
         threads,

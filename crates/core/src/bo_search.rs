@@ -182,24 +182,6 @@ pub(crate) fn seed_search_state(
     state
 }
 
-/// `SQLBARBER_TRACE` dump of the template pool and the seeded deficits.
-pub(crate) fn trace_pool(templates: &[ProfiledTemplate], state: &SearchState) {
-    if std::env::var("SQLBARBER_TRACE").is_ok() {
-        for (idx, t) in templates.iter().enumerate() {
-            let mn = t.costs.iter().cloned().fold(f64::INFINITY, f64::min);
-            if mn < 600.0 {
-                eprintln!(
-                    "[pool] T{idx} min={mn:.0} space={:.1e} var={:.2} sql={}",
-                    t.remaining_space(),
-                    t.variety(),
-                    t.template.sql().chars().take(90).collect::<String>()
-                );
-            }
-        }
-        eprintln!("[pool] seeded d = {:?}", state.d);
-    }
-}
-
 /// Run Algorithm 3. `on_progress` is invoked with the current distribution
 /// after every optimization run (the hook the distance-over-time plots are
 /// recorded through).
@@ -223,7 +205,6 @@ pub fn bo_predicate_search(
 ) -> SearchResult {
     let state = seed_search_state(templates, target);
     on_progress(&state.d);
-    trace_pool(templates, &state);
 
     if !config.use_bo {
         return naive_random_search(

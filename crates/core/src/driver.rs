@@ -18,7 +18,7 @@
 
 use crate::amplify::{amplify_workload, AmplifyConfig};
 use crate::bo_search::{
-    naive_random_search, seed_search_state, trace_pool, BoSearchConfig, GeneratedQuery,
+    naive_random_search, seed_search_state, BoSearchConfig, GeneratedQuery,
     SearchResult, SearchState,
 };
 use crate::cost::CostType;
@@ -884,7 +884,6 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                         }
                         let state = seed_search_state(&profiled, target);
                         push_progress(&state.d);
-                        trace_pool(&profiled, &state);
                         naive_random_search(
                             &oracle,
                             &mut profiled,
@@ -904,8 +903,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                             None => {
                                 let state = seed_search_state(&profiled, target);
                                 push_progress(&state.d);
-                                trace_pool(&profiled, &state);
-                                // Drawn here (not inside the scheduler) so
+                                        // Drawn here (not inside the scheduler) so
                                 // the master-RNG stream stays byte-compatible
                                 // and the snapshot taken above precedes it.
                                 let search_seed: u64 = self.rng.gen();

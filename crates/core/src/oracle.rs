@@ -111,7 +111,7 @@ pub struct PreparedHandle {
     /// Lazily built vectorized execution plan for the execution-based
     /// cost types; shared across clones so the first batch's
     /// classification work is paid once per template.
-    exec: Arc<OnceLock<Arc<PreparedExec>>>,
+    exec: Arc<OnceLock<PreparedExec>>,
 }
 
 impl PreparedHandle {
@@ -125,14 +125,53 @@ impl PreparedHandle {
         &self.plan
     }
 
-    /// The vectorized execution plan ([`minidb::PreparedExec`]), built on
-    /// first use. Preparation is infallible — unsupported shapes demote
-    /// to a per-row scalar tier inside the plan.
-    pub fn exec_plan(&self, db: &Database) -> Arc<PreparedExec> {
-        self.exec
-            .get_or_init(|| Arc::new(PreparedExec::prepare(db, self.plan.template())))
-            .clone()
+    /// Cost every row of `batch` under `cost_type` — the one cost-type →
+    /// engine dispatch, shared by the oracle and amplification. The
+    /// estimates recost the skeleton ([`PreparedTemplate::recost_batch`]):
+    /// estimated rows for `Cardinality`, total cost for `PlanCost`. The
+    /// execution-based types run the vectorized plan
+    /// ([`PreparedExec::execute_batch`], built on first use): output
+    /// cardinality for `ActualCardinality`, work-unit microseconds for
+    /// `ExecutionTimeMicros`. A batch missing a placeholder column fails
+    /// whole; execution errors come back per row.
+    // detlint::hot
+    pub(crate) fn cost_rows<'s>(
+        &self,
+        db: &Database,
+        cost_type: CostType,
+        batch: &BindingBatch,
+        scratch: &'s mut EngineScratch,
+    ) -> Result<&'s [Result<f64, DbError>], DbError> {
+        let EngineScratch { recost, exec, costs } = scratch;
+        costs.clear();
+        if cost_type.requires_execution() {
+            let cardinality = cost_type == CostType::ActualCardinality;
+            // detlint::allow(hot_alloc): the exec plan is built once per template behind get_or_init; steady-state batches only read it
+            let plan = self.exec.get_or_init(|| PreparedExec::prepare(db, self.plan.clone()));
+            costs.extend(plan.execute_batch(db, batch, exec)?.iter().map(|row| match row {
+                Ok((rows, micros)) => Ok(if cardinality { *rows } else { *micros }),
+                Err(error) => Err(error.clone()),
+            }));
+        } else {
+            let estimated_rows = cost_type == CostType::Cardinality;
+            costs.extend(
+                self.plan
+                    .recost_batch(db, batch, recost)?
+                    .iter()
+                    .map(|&(rows, cost)| Ok(if estimated_rows { rows } else { cost })),
+            );
+        }
+        Ok(costs)
     }
+}
+
+/// Reusable engine arenas for [`PreparedHandle::cost_rows`]: the recost
+/// and execution scratch and the per-row cost column it returns.
+#[derive(Debug, Default)]
+pub(crate) struct EngineScratch {
+    recost: RecostScratch,
+    exec: ExecScratch,
+    costs: Vec<Result<f64, DbError>>,
 }
 
 /// Hashable stand-in for a bound [`Value`]. Floats are keyed by bit
@@ -280,8 +319,8 @@ impl BoundedShard {
 /// [`CostOracle::cost_prepared_batch_columnar_on`].
 ///
 /// Holds every buffer a batch needs — binding keys, the per-shard probe
-/// partition, miss bookkeeping, and the [`BindingBatch`] /
-/// [`RecostScratch`] / [`ExecScratch`] handed to the engine — so repeated
+/// partition, miss bookkeeping, and the [`BindingBatch`] and engine
+/// arenas handed to [`PreparedHandle::cost_rows`] — so repeated
 /// batches on a warm oracle allocate nothing. Reusable across handles,
 /// cost types, and batch sizes; `results` holds the last batch's outputs
 /// until the next call.
@@ -310,11 +349,8 @@ pub struct ColumnarScratch {
     evals: Vec<(usize, usize)>,
     /// Columnar bindings for the serial evaluation path.
     batch: BindingBatch,
-    /// Plan-replay arena for the serial recost path.
-    recost: RecostScratch,
-    /// Execution arena for the serial vectorized-execution path
-    /// (execution-based cost types).
-    exec: ExecScratch,
+    /// Engine arenas for the serial evaluation path.
+    engine: EngineScratch,
 }
 
 impl ColumnarScratch {
@@ -498,7 +534,8 @@ impl<'db> CostOracle<'db> {
     /// * Distinct misses are evaluated exactly once each: recosted through
     ///   [`minidb::PreparedTemplate::recost_batch`]'s columnar replay, or,
     ///   for the execution-based cost types, executed through
-    ///   [`minidb::PreparedExec::execute_batch`]. `ActualCardinality` is
+    ///   [`minidb::PreparedExec::execute_batch`] (one dispatch,
+    ///   [`PreparedHandle::cost_rows`]). `ActualCardinality` is
     ///   memoized like the estimates; `ExecutionTimeMicros` executes every
     ///   probe and is never memoized.
     /// * Results land in the caller-owned [`ColumnarScratch`], so a
@@ -531,8 +568,7 @@ impl<'db> CostOracle<'db> {
             miss_results,
             evals,
             batch,
-            recost,
-            exec,
+            engine,
         } = scratch;
         results.clear();
         results.resize(n, Ok(0.0)); // placeholder; every slot overwritten below
@@ -552,8 +588,7 @@ impl<'db> CostOracle<'db> {
                 cost_type,
                 evals,
                 batch,
-                recost,
-                exec,
+                engine,
                 results,
             );
             return results.as_slice();
@@ -614,8 +649,7 @@ impl<'db> CostOracle<'db> {
             cost_type,
             evals,
             batch,
-            recost,
-            exec,
+            engine,
             miss_results,
         );
 
@@ -657,8 +691,7 @@ impl<'db> CostOracle<'db> {
         cost_type: CostType,
         evals: &mut Vec<(usize, usize)>,
         batch: &mut BindingBatch,
-        recost: &mut RecostScratch,
-        exec_scratch: &mut ExecScratch,
+        engine: &mut EngineScratch,
         out: &mut [Result<f64, DbError>],
     ) {
         let ids = handle.plan().placeholder_ids();
@@ -681,20 +714,15 @@ impl<'db> CostOracle<'db> {
             return;
         }
         let evals: &[(usize, usize)] = evals;
-        // Build the execution plan serially so parallel chunks share one
-        // classification pass.
-        let exec = cost_type.requires_execution().then(|| handle.exec_plan(self.db));
         let chunks = threads.min(evals.len());
         if chunks <= 1 {
             self.evaluate_chunk(
                 handle,
-                exec.as_deref(),
                 bindings_list,
                 evals,
                 cost_type,
                 batch,
-                recost,
-                exec_scratch,
+                engine,
                 |slot, result| out[slot] = result,
             );
             return;
@@ -708,13 +736,11 @@ impl<'db> CostOracle<'db> {
             let mut chunk = Vec::with_capacity(end - start);
             self.evaluate_chunk(
                 handle,
-                exec.as_deref(),
                 bindings_list,
                 &evals[start..end],
                 cost_type,
                 &mut BindingBatch::default(),
-                &mut RecostScratch::new(),
-                &mut ExecScratch::new(),
+                &mut EngineScratch::default(),
                 |_, result| chunk.push(result),
             );
             chunk
@@ -727,20 +753,18 @@ impl<'db> CostOracle<'db> {
     }
 
     /// Cost pre-validated `(slot, probe index)` pairs as one columnar
-    /// batch — recost for the estimates, `exec` for the execution-based
-    /// types — calling `emit(slot, result)` once per pair, in order.
-    /// Every row charges the probe latency on the calling worker.
+    /// batch through [`PreparedHandle::cost_rows`], calling
+    /// `emit(slot, result)` once per pair, in order. Every row charges the
+    /// probe latency on the calling worker.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_chunk(
         &self,
         handle: &PreparedHandle,
-        exec: Option<&PreparedExec>,
         bindings_list: &[HashMap<u32, Value>],
         evals: &[(usize, usize)],
         cost_type: CostType,
         batch: &mut BindingBatch,
-        recost: &mut RecostScratch,
-        exec_scratch: &mut ExecScratch,
+        engine: &mut EngineScratch,
         mut emit: impl FnMut(usize, Result<f64, DbError>),
     ) {
         batch.reset(handle.plan().placeholder_ids());
@@ -750,34 +774,13 @@ impl<'db> CostOracle<'db> {
                 .push_row(&bindings_list[probe_idx])
                 .expect("eval bindings pre-validated");
         }
-        match exec {
-            None => match handle.plan().recost_batch(self.db, batch, recost) {
-                Ok(values) => {
-                    for (&(slot, _), &(rows, cost)) in evals.iter().zip(values) {
-                        let value = if cost_type == CostType::Cardinality { rows } else { cost };
-                        emit(slot, Ok(value));
-                    }
+        match handle.cost_rows(self.db, cost_type, batch, engine) {
+            Ok(costs) => {
+                for (&(slot, _), cost) in evals.iter().zip(costs) {
+                    emit(slot, cost.clone());
                 }
-                Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
-            },
-            Some(exec) => match exec.execute_batch(self.db, batch, exec_scratch) {
-                Ok(values) => {
-                    for (&(slot, _), value) in evals.iter().zip(values) {
-                        let value = value.as_ref().map_err(DbError::clone);
-                        emit(
-                            slot,
-                            value.map(|&(cardinality, work_micros)| {
-                                if cost_type == CostType::ActualCardinality {
-                                    cardinality
-                                } else {
-                                    work_micros
-                                }
-                            }),
-                        );
-                    }
-                }
-                Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
-            },
+            }
+            Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
         }
     }
 

@@ -219,7 +219,6 @@ pub(crate) fn deficit_schedule(
     mut on_round: impl FnMut(&RoundSnapshot, &[ProfiledTemplate]) -> RoundControl,
 ) -> SearchResult {
     let n_templates = templates.len();
-    let trace = std::env::var("SQLBARBER_TRACE").is_ok();
 
     let mut bad: BTreeSet<(usize, usize)> = BTreeSet::new(); // (interval, template)
     let mut skip: BTreeSet<usize> = BTreeSet::new();
@@ -272,9 +271,6 @@ pub(crate) fn deficit_schedule(
             if candidates.is_empty() {
                 // Nothing can serve this interval, now or later — same
                 // rule as the serial loop.
-                if trace {
-                    eprintln!("[sched] interval {j} (Δ={delta:.0}): no candidates → skip");
-                }
                 skip.insert(j);
                 continue;
             }
@@ -310,12 +306,6 @@ pub(crate) fn deficit_schedule(
         let threads = oracle.threads();
         let slots = tasks.len().min(threads).max(1);
         let inner_threads = (threads / slots).max(1);
-        if trace {
-            let intervals: Vec<usize> = tasks.iter().map(|t| t.interval).collect();
-            eprintln!(
-                "[sched] round {round}: intervals {intervals:?}, {slots} slots × {inner_threads} inner threads"
-            );
-        }
 
         // Hand each task its claimed templates. The claims are disjoint,
         // so every `&mut ProfiledTemplate` moves to exactly one task; the
@@ -396,12 +386,6 @@ pub(crate) fn deficit_schedule(
             }
         }
         oracle.note_scheduler_round(n_tasks, overadmissions);
-        if trace {
-            eprintln!(
-                "[sched] round {round}: merged, {overadmissions} overadmissions, d = {:?}",
-                state.d
-            );
-        }
 
         // Release the template loans so the observer can read the whole
         // (now merge-consistent) template slice.

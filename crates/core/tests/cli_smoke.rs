@@ -77,6 +77,40 @@ fn degenerate_target_flags_are_usage_errors() {
 }
 
 #[test]
+fn every_generate_flag_is_checked_before_the_database_loads() {
+    // IMDB takes seconds to build; a bad flag must not wait for it.
+    for flags in [
+        &["--cost-type", "bogus"][..],
+        &["--distribution", "bogus"][..],
+        &["--samples", "/nonexistent/costs.txt"][..],
+        &["--threads", "-1"][..],
+        &["--amplify-batch", "x"][..],
+        &["--retry-budget", "x"][..],
+        &["--bo-rounds-concurrency", "x"][..],
+        &["--amplify-shards", "x"][..],
+    ] {
+        let out = cli()
+            .args(["generate", "--db", "imdb"])
+            .args(flags)
+            .args(["--out", "unused"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("loading database"), "{flags:?}: {err}");
+    }
+}
+
+#[test]
+fn explain_rejects_nesting_past_the_parser_limit() {
+    let sql = format!("SELECT {}1{} FROM orders", "(".repeat(5000), ")".repeat(5000));
+    let out = cli().args(["explain", "--scale", "0.001", "--sql", &sql]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nesting exceeds the maximum depth of 64"), "{err}");
+}
+
+#[test]
 fn non_positive_scale_is_a_usage_error() {
     // The generators would silently clamp these to their minimum sizes.
     for args in [

@@ -10,35 +10,36 @@
 //! materializing every scanned row as a `Vec<Value>` just to count the
 //! survivors.
 //!
-//! [`PreparedExec`] mirrors [`crate::prepared::PreparedTemplate`] for
-//! execution: [`PreparedExec::prepare`] classifies a template once into
-//! one of three tiers, and [`PreparedExec::execute_batch`] evaluates a
-//! whole [`BindingBatch`] against it, returning per-row
-//! `(cardinality, work_micros)` results that are **bit-identical** to
-//! instantiating and executing each row through the scalar path (a
-//! `debug_assertions` cross-check verifies exactly that on every batch).
+//! [`PreparedExec`] runs on the [`PreparedTemplate`] the recost path
+//! already holds, so each template is classified and access-path-costed
+//! once: [`PreparedExec::prepare`] picks one of two tiers, and
+//! [`PreparedExec::execute_batch`] evaluates a whole [`BindingBatch`]
+//! against it, returning per-row `(cardinality, work_micros)` results
+//! that are **bit-identical** to instantiating and executing each row
+//! through the scalar path (a `debug_assertions` cross-check verifies
+//! exactly that on every batch).
 //!
 //! ### Tiers
 //!
-//! * **Columnar** — single-table statements whose `WHERE` conjuncts are
-//!   all simple comparisons/`BETWEEN`s over numeric storage columns and
-//!   whose output phase is count-preserving (no grouping, `HAVING`, or
-//!   `DISTINCT`; projections are wildcard/column/literal; `ORDER BY`
-//!   keys are bare columns). Per row, the planner's access-path choice
-//!   (selectivity arithmetic + seq-vs-index argmin) is replayed from the
-//!   cached skeleton, then binding-dependent filters run as *selection
-//!   vectors* over the table's column-major storage
-//!   ([`crate::storage::Column::int_view`]/[`float_view`]) in chunked,
-//!   autovectorization-friendly lane loops — no row materialization, no
-//!   `Value` clones, no allocation on the warm path.
-//! * **Hoisted** — everything else without placeholder-bearing
-//!   subqueries. Uncorrelated subquery results are executed **once** at
-//!   prepare time and injected into every per-row execution (the scalar
-//!   path re-executes them on every call); rows still instantiate and
-//!   run through the row-at-a-time executor.
-//! * **Scalar** — templates with placeholders inside subquery bodies
-//!   (the subquery result genuinely changes per row): instantiate and
-//!   execute each row exactly like the from-scratch path.
+//! * **Columnar** — statements whose recost skeleton is a single scan
+//!   (no joins, subqueries, residuals, grouping, `HAVING`, or
+//!   `DISTINCT`), whose `WHERE` conjuncts are all simple
+//!   comparisons/`BETWEEN`s over numeric storage columns, and whose
+//!   projections are wildcard/column/literal with bare-column `ORDER BY`
+//!   keys. Each batch is recost once through
+//!   [`PreparedTemplate::recost_batch`], which records every row's
+//!   winning access path; the tier runs that scan and evaluates the
+//!   binding-dependent filters as *selection vectors* over the table's
+//!   column-major storage ([`crate::storage::Column::int_view`]/
+//!   [`float_view`]) in chunked, autovectorization-friendly lane loops —
+//!   no row materialization, no `Value` clones, no allocation on the
+//!   warm path.
+//! * **Hoisted** — everything else. Placeholder-free subqueries are
+//!   executed **once** at prepare time and their results injected into
+//!   every per-row execution; a template with a placeholder-bearing
+//!   subquery hoists nothing, and each row collects its own subqueries
+//!   exactly as `executor::execute` does. Rows instantiate and run
+//!   through the row-at-a-time executor.
 //!
 //! ### Work accounting
 //!
@@ -46,25 +47,25 @@
 //! for the work units the executor would have charged: rows scanned
 //! (all rows for a seq scan, the index-probe slice for an index scan),
 //! plus the output phase's sort and projection charges on the filtered
-//! row count. The replayed access-path argmin guarantees the tier
-//! charges the same scan the executor would have run.
+//! row count. The access path is the recost's own seq-vs-index argmin —
+//! the planner's choice, bit for bit — so the tier charges the same scan
+//! the executor would have run.
 //!
 //! [`float_view`]: crate::storage::Column::float_view
 
 use crate::catalog::Database;
 use crate::engine::WORK_UNIT_MICROS;
 use crate::error::DbError;
-use crate::estimator::{
-    column_op_constant_selectivity, column_range_selectivity, flip, Estimator,
-};
+use crate::estimator::flip;
 use crate::executor;
 use crate::expr_eval::SubqueryResults;
 use crate::planner;
-use crate::prepared::BindingBatch;
+use crate::prepared::{BindingBatch, PreparedTemplate, RecostScratch};
 use crate::storage::{DataType, Table};
-use sqlkit::{BinaryOp, Expr, Select, Template, Value};
+use sqlkit::{BinaryOp, Expr, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Lane width of the chunked predicate kernels. 64 boolean lanes fit in
 /// a cache line and give the compiler a fixed-trip-count inner loop to
@@ -85,15 +86,12 @@ pub struct ExecScratch {
     results: Vec<ExecRowResult>,
     /// Selection vector: storage row ids passing the conjuncts so far.
     selection: Vec<u32>,
-    /// Flat column-major selectivity buffer: conjunct `c`, row `r` lives
-    /// at `c * batch_len + r` (mirrors `RecostScratch::sels`).
-    sels: Vec<f64>,
-    /// Rows routed to the scalar fallback (non-numeric bound values).
+    /// Rows the columnar kernels cannot take (non-numeric bound values).
     fallback: Vec<bool>,
-    /// Per-conjunct index existence, resolved once per batch.
-    has_index: Vec<bool>,
-    /// Per-row binding map, rebuilt only for fallback/scalar rows.
+    /// Per-row binding map, rebuilt only for rows the executor runs.
     row_bindings: HashMap<u32, Value>,
+    /// The columnar tier's recost arena, holding each row's access path.
+    recost: RecostScratch,
 }
 
 impl ExecScratch {
@@ -137,106 +135,73 @@ enum Tier1Kind {
 /// One `WHERE` conjunct of a columnar-tier template.
 #[derive(Debug, Clone)]
 struct Tier1Conjunct {
-    /// Column name, for per-batch stats and index lookups.
+    /// Column name, for index lookups.
     name: String,
     /// Storage column index in the table.
     col: usize,
-    /// `planner::count_leaves_raw` of the conjunct (for `quals`).
-    raw_leaves: usize,
-    /// Cached selectivity iff the conjunct is placeholder-free
-    /// (mirrors `PreparedPredicate::cached_sel`).
-    cached_sel: Option<f64>,
-    /// Prepare-time probe decision iff placeholder-free (mirrors
-    /// `IndexProbe::Always`/`Never`).
-    static_probe: Option<bool>,
     kind: Tier1Kind,
 }
 
-/// The columnar tier's cached skeleton: everything `Database::execute`
-/// derives from the statement alone, hoisted out of the per-row loop.
+/// The columnar tier: the scan's kernel-lowered conjuncts, in the
+/// recost skeleton's order (so a recorded access path indexes them), and
+/// the output phase's charges.
 #[derive(Debug, Clone)]
 struct Tier1 {
     table: String,
-    base_rows: f64,
-    width: f64,
-    /// `count_leaves` of the conjoined filter (0 when unfiltered).
-    quals: usize,
     limit: Option<u64>,
     /// `ORDER BY` charges one work unit per sorted record.
     charge_order_by: bool,
     conjuncts: Vec<Tier1Conjunct>,
 }
 
-/// The hoisted tier: uncorrelated subquery results (and the work units
-/// their execution charged) captured once at prepare time.
+/// Subquery results executed at prepare time and the work units their
+/// execution charged, or the error `collect_subquery_results` reported.
+type Hoisted = Result<(SubqueryResults, u64), DbError>;
+
+/// The hoisted tier.
 #[derive(Debug, Clone)]
 struct Tier2 {
-    /// `Ok((results, work))` or the error `collect_subquery_results`
-    /// reported — replayed per row after plan validation, matching the
-    /// scalar path's error order.
-    sub: Result<(SubqueryResults, u64), DbError>,
+    /// `None` when a subquery holds placeholders: its result changes per
+    /// row, so each row collects its own.
+    hoisted: Option<Hoisted>,
 }
 
 #[derive(Debug, Clone)]
 enum Tier {
     Columnar(Tier1),
     Hoisted(Tier2),
-    Scalar,
 }
 
-/// A template classified once, executable per binding batch.
+/// A prepared template classified once, executable per binding batch.
 #[derive(Debug, Clone)]
 pub struct PreparedExec {
-    template: Template,
-    /// Sorted placeholder ids (checked against batches on each call).
-    placeholder_ids: Vec<u32>,
+    plan: Arc<PreparedTemplate>,
     tier: Tier,
 }
 
 impl PreparedExec {
-    /// Classify a template into its execution tier. Infallible:
-    /// anything the columnar tier cannot prove count-exact demotes to
-    /// the hoisted tier, and anything whose subquery results depend on
-    /// the bindings demotes to the scalar tier. Preparation failures
-    /// (e.g. unknown tables) also demote to the scalar tier, which
-    /// reproduces the error per row.
-    pub fn prepare(db: &Database, template: &Template) -> PreparedExec {
-        let select = template.select();
-        let subqueries = select.subqueries();
-        let tier = if subqueries.iter().any(|s| s.has_placeholders()) {
-            Tier::Scalar
-        } else if subqueries.is_empty() {
-            match Tier1::try_prepare(db, select) {
-                Some(tier1) => Tier::Columnar(tier1),
-                None => Tier::Hoisted(Tier2::prepare(db, select)),
-            }
-        } else {
-            Tier::Hoisted(Tier2::prepare(db, select))
+    /// Classify a prepared template into its execution tier. Infallible:
+    /// anything the columnar tier cannot prove count-exact takes the
+    /// hoisted tier.
+    pub fn prepare(db: &Database, plan: Arc<PreparedTemplate>) -> PreparedExec {
+        let tier = match Tier1::try_prepare(db, &plan) {
+            Some(tier1) => Tier::Columnar(tier1),
+            None => Tier::Hoisted(Tier2::prepare(db, &plan)),
         };
-        PreparedExec {
-            template: template.clone(),
-            placeholder_ids: template.placeholders(),
-            tier,
-        }
-    }
-
-    /// The template this plan was prepared from.
-    pub fn template(&self) -> &Template {
-        &self.template
+        PreparedExec { plan, tier }
     }
 
     /// Sorted placeholder ids.
     pub fn placeholder_ids(&self) -> &[u32] {
-        &self.placeholder_ids
+        self.plan.placeholder_ids()
     }
 
-    /// The execution tier this template classified into:
-    /// `"columnar"`, `"hoisted"`, or `"scalar"`.
+    /// The execution tier this template classified into: `"columnar"` or
+    /// `"hoisted"`.
     pub fn tier(&self) -> &'static str {
         match self.tier {
             Tier::Columnar(_) => "columnar",
             Tier::Hoisted(_) => "hoisted",
-            Tier::Scalar => "scalar",
         }
     }
 
@@ -245,9 +210,9 @@ impl PreparedExec {
     /// `db.execute(&template.instantiate(row)?)` — including errors
     /// (compared by value; `DbError` is `PartialEq`).
     ///
-    /// The batch-level error mirrors [`crate::prepared::PreparedTemplate::recost_batch`]:
-    /// a batch missing a placeholder column reports the smallest
-    /// unbound id. Extra batch columns are ignored.
+    /// The batch-level error mirrors [`PreparedTemplate::recost_batch`]:
+    /// a batch missing a placeholder column reports the smallest unbound
+    /// id. Extra batch columns are ignored.
     // detlint::hot
     pub fn execute_batch<'s>(
         &self,
@@ -257,28 +222,15 @@ impl PreparedExec {
     ) -> Result<&'s [ExecRowResult], DbError> {
         // Ids are sorted ascending, so the first gap found is the
         // smallest missing id.
-        for id in &self.placeholder_ids {
+        for id in self.plan.placeholder_ids() {
             if batch.ids().binary_search(id).is_err() {
                 return Err(DbError::UnboundPlaceholder(*id));
             }
         }
         scratch.results.clear();
         match &self.tier {
-            Tier::Columnar(tier1) => tier1.run(self, db, batch, scratch),
-            Tier::Hoisted(tier2) => tier2.run(self, db, batch, scratch),
-            Tier::Scalar => {
-                for row in 0..batch.len() {
-                    // detlint::allow(hot_alloc): the scalar tier instantiates and executes per row and allocates by design; the columnar tier is the alloc-free path and alloc_probe pins it
-                    let result = scalar_row(
-                        db,
-                        &self.template,
-                        batch,
-                        row,
-                        &mut scratch.row_bindings,
-                    );
-                    scratch.results.push(result);
-                }
-            }
+            Tier::Columnar(tier1) => tier1.run(&self.plan, db, batch, scratch)?,
+            Tier::Hoisted(tier2) => tier2.run(&self.plan, db, batch, scratch),
         }
 
         // Ground truth cross-check: every row must match the scalar
@@ -288,7 +240,7 @@ impl PreparedExec {
             let mut map = HashMap::new();
             for row in 0..batch.len() {
                 batch.fill_row_map(row, &mut map);
-                let expected = match self.template.instantiate(&map) {
+                let expected = match self.plan.template().instantiate(&map) {
                     Ok(select) => db
                         .execute(&select)
                         .map(|r| (r.cardinality() as f64, r.work_micros())),
@@ -320,93 +272,76 @@ impl PreparedExec {
     }
 }
 
-/// The scalar path for one row: instantiate and execute from scratch.
-/// Used by the scalar tier and by columnar-tier rows whose bound values
-/// fall outside the kernel's numeric domain.
-fn scalar_row(
+/// Instantiate one row and run it through the row executor: the hoisted
+/// tier's row body, and the columnar tier's path for rows its kernels
+/// cannot take. `hoisted` supplies prepare-time subquery results; `None`
+/// collects them per row, exactly as `executor::execute` does.
+fn execute_row(
     db: &Database,
-    template: &Template,
-    batch: &BindingBatch,
-    row: usize,
-    row_bindings: &mut HashMap<u32, Value>,
-) -> Result<(f64, f64), DbError> {
-    batch.fill_row_map(row, row_bindings);
-    let select = template
-        .instantiate(row_bindings)
+    plan: &PreparedTemplate,
+    hoisted: Option<&Hoisted>,
+    bindings: &HashMap<u32, Value>,
+) -> ExecRowResult {
+    let select = plan
+        .template()
+        .instantiate(bindings)
         .map_err(|e| DbError::Unsupported(e.to_string()))?;
-    let (_, rows, work) = executor::execute(db, &select)?;
+    let (mut work, cached) = match hoisted {
+        None => (0, None),
+        // Work starts at the hoisted subqueries' charge: the counter is a
+        // sum, so charging it up front is identical to the scalar path's
+        // interleaved accounting.
+        Some(Ok((results, sub_work))) => (*sub_work, Some(results)),
+        // The scalar path plans before collecting subqueries, so plan
+        // errors take precedence over the captured collection error.
+        Some(Err(e)) => {
+            planner::plan(db, &select)?;
+            return Err(e.clone());
+        }
+    };
+    let (_, rows) = executor::execute_with(db, &select, cached, &mut work)?;
     Ok((rows.len() as f64, work as f64 * WORK_UNIT_MICROS))
 }
 
 impl Tier2 {
-    fn prepare(db: &Database, select: &Select) -> Tier2 {
-        // Subquery bodies are placeholder-free here (placeholder-bearing
-        // ones take the scalar tier), so their results and the work
-        // charged to execute them are binding-invariant.
-        let mut work = 0u64;
-        let sub = executor::collect_subquery_results(db, select, &mut work)
-            .map(|results| (results, work));
-        Tier2 { sub }
+    fn prepare(db: &Database, plan: &PreparedTemplate) -> Tier2 {
+        // Placeholder-free subquery bodies have binding-invariant results
+        // and work charges; one placeholder anywhere leaves collection to
+        // each row.
+        let select = plan.template().select();
+        let hoisted = select.subqueries().iter().all(|s| !s.has_placeholders()).then(|| {
+            let mut work = 0u64;
+            executor::collect_subquery_results(db, select, &mut work)
+                .map(|results| (results, work))
+        });
+        Tier2 { hoisted }
     }
 
     fn run(
         &self,
-        exec: &PreparedExec,
+        plan: &PreparedTemplate,
         db: &Database,
         batch: &BindingBatch,
         scratch: &mut ExecScratch,
     ) {
         for row in 0..batch.len() {
             batch.fill_row_map(row, &mut scratch.row_bindings);
-            let result = match exec.template.instantiate(&scratch.row_bindings) {
-                Err(e) => Err(DbError::Unsupported(e.to_string())),
-                Ok(select) => match &self.sub {
-                    Ok((results, sub_work)) => {
-                        // Work starts at the hoisted subqueries' charge:
-                        // the counter is a sum, so charging it up front
-                        // is identical to the scalar path's interleaved
-                        // accounting.
-                        let mut work = *sub_work;
-                        executor::execute_with(db, &select, Some(results), &mut work)
-                            .map(|(_, rows)| {
-                                (rows.len() as f64, work as f64 * WORK_UNIT_MICROS)
-                            })
-                    }
-                    Err(e) => {
-                        // The scalar path plans before collecting
-                        // subqueries, so plan errors take precedence
-                        // over the captured collection error.
-                        match planner::plan(db, &select) {
-                            Err(plan_err) => Err(plan_err),
-                            Ok(_) => Err(e.clone()),
-                        }
-                    }
-                },
-            };
+            let result = execute_row(db, plan, self.hoisted.as_ref(), &scratch.row_bindings);
             scratch.results.push(result);
         }
     }
 }
 
 impl Tier1 {
-    /// Admit a statement into the columnar tier, caching its skeleton.
-    /// Returns `None` for any shape the kernels cannot reproduce
-    /// count-exactly; the caller then demotes to the hoisted tier.
-    fn try_prepare(db: &Database, select: &Select) -> Option<Tier1> {
-        let scope = planner::build_scope(db, select).ok()?;
-        if scope.bindings.len() != 1 {
-            return None;
-        }
-        if planner::count_aggregates(select) > 0
-            || !select.group_by.is_empty()
-            || select.having.is_some()
-            || select.distinct
-        {
-            return None;
-        }
+    /// Admit a prepared template into the columnar tier. Returns `None`
+    /// for any shape the kernels cannot reproduce count-exactly; the
+    /// caller then takes the hoisted tier.
+    fn try_prepare(db: &Database, plan: &PreparedTemplate) -> Option<Tier1> {
+        let (table_name, filters) = plan.single_scan()?;
         // The output phase must be count-preserving and error-free for
         // any numeric/null binding: wildcard/column/literal projections
         // and bare-column sort keys cannot fail evaluation.
+        let select = plan.template().select();
         for item in &select.projections {
             match &item.expr {
                 Expr::Wildcard | Expr::Column(_) | Expr::Literal(_) => {}
@@ -418,31 +353,10 @@ impl Tier1 {
                 return None;
             }
         }
-        let (scan_filters, edges, residuals) =
-            planner::classify_predicates(db, select, &scope).ok()?;
-        if !edges.is_empty() || !residuals.is_empty() {
-            return None;
-        }
-
-        let table_name = &scope.bindings[0].1;
         let table = db.table(table_name).ok()?;
-        let stats = db.stats(table_name).ok()?;
-        let estimator = Estimator::new(db, &scope);
-
-        let mut conjuncts = Vec::with_capacity(scan_filters[0].len());
-        for expr in &scan_filters[0] {
-            conjuncts.push(kernelable(db, table_name, table, &estimator, expr)?);
-        }
-        let quals = if conjuncts.is_empty() {
-            0
-        } else {
-            conjuncts.iter().map(|c| c.raw_leaves).sum::<usize>().max(1)
-        };
+        let conjuncts = filters.map(|expr| kernelable(table, expr)).collect::<Option<_>>()?;
         Some(Tier1 {
-            table: table_name.clone(),
-            base_rows: stats.row_count as f64,
-            width: table.row_width() as f64,
-            quals,
+            table: table_name.to_string(),
             limit: select.limit,
             charge_order_by: !select.order_by.is_empty(),
             conjuncts,
@@ -451,169 +365,64 @@ impl Tier1 {
 
     fn run(
         &self,
-        exec: &PreparedExec,
+        plan: &PreparedTemplate,
         db: &Database,
         batch: &BindingBatch,
         scratch: &mut ExecScratch,
-    ) {
+    ) -> Result<(), DbError> {
+        let ExecScratch { results, selection, fallback, row_bindings, recost } = scratch;
         let n = batch.len();
-        let (Ok(table), Ok(stats_table)) =
-            (db.table(&self.table), db.stats(&self.table))
-        else {
+        let Ok(table) = db.table(&self.table) else {
             // Unreachable for a database the template prepared against;
             // reproduce whatever the scalar path reports.
             for row in 0..n {
-                let result = scalar_row(
-                    db,
-                    &exec.template,
-                    batch,
-                    row,
-                    &mut scratch.row_bindings,
-                );
-                scratch.results.push(result);
+                batch.fill_row_map(row, row_bindings);
+                results.push(execute_row(db, plan, None, row_bindings));
             }
-            return;
+            return Ok(());
         };
-        let model = db.cost_model();
         let n_rows = table.row_count();
-        let n_conj = self.conjuncts.len();
 
-        // ---- per-batch resolution -----------------------------------
-        scratch.has_index.clear();
-        for conjunct in &self.conjuncts {
-            scratch
-                .has_index
-                .push(db.index_on(&self.table, &conjunct.name).is_some());
-        }
+        // Every row's access path, from the recost's seq-vs-index argmin
+        // over the same conjuncts in the same order.
+        plan.recost_batch(db, batch, recost)?;
+        let access_paths = recost.access_paths();
 
-        // Rows binding a non-numeric, non-null value fall back to the
-        // scalar path: the planner's validation rejects such literals
-        // with a `TypeMismatch` the kernels cannot reproduce.
-        scratch.fallback.clear();
-        scratch.fallback.resize(n, false);
-        for id in &exec.placeholder_ids {
+        // Rows binding a non-numeric, non-null value take the row
+        // executor: the planner's validation rejects such literals with
+        // a `TypeMismatch` the kernels cannot reproduce.
+        fallback.clear();
+        fallback.resize(n, false);
+        for id in plan.placeholder_ids() {
             let col = batch.column_of(*id);
-            for (row, flag) in scratch.fallback.iter_mut().enumerate() {
+            for (row, flag) in fallback.iter_mut().enumerate() {
                 if matches!(batch.value(col, row), Value::Bool(_) | Value::Str(_)) {
                     *flag = true;
                 }
             }
         }
 
-        // ---- phase A: columnar selectivities ------------------------
-        // One pass per conjunct over the batch's value columns, through
-        // the estimator's own comparison/range helpers (bit-identical to
-        // the planner on the instantiated statement).
-        scratch.sels.clear();
-        scratch.sels.resize(n_conj * n, 0.0);
-        for (c, conjunct) in self.conjuncts.iter().enumerate() {
-            let out = &mut scratch.sels[c * n..(c + 1) * n];
-            if let Some(sel) = conjunct.cached_sel {
-                out.fill(sel);
-                continue;
-            }
-            let stats = stats_table.columns.get(&conjunct.name);
-            match &conjunct.kind {
-                Tier1Kind::Cmp { op, value } => {
-                    for (row, slot) in out.iter_mut().enumerate() {
-                        let sel =
-                            column_op_constant_selectivity(stats, *op, value.resolve(batch, row));
-                        *slot = sel.clamp(0.0, 1.0);
-                    }
-                }
-                Tier1Kind::Between { negated, low, high } => {
-                    for (row, slot) in out.iter_mut().enumerate() {
-                        let sel = column_range_selectivity(
-                            stats,
-                            low.resolve(batch, row).as_f64(),
-                            high.resolve(batch, row).as_f64(),
-                        );
-                        let sel = if *negated { 1.0 - sel } else { sel };
-                        *slot = sel.clamp(0.0, 1.0);
-                    }
-                }
-            }
-        }
-
-        // ---- phase B: per-row access-path replay + selection --------
         for row in 0..n {
-            if scratch.fallback[row] {
-                let result = scalar_row(
-                    db,
-                    &exec.template,
-                    batch,
-                    row,
-                    &mut scratch.row_bindings,
-                );
-                scratch.results.push(result);
+            if fallback[row] {
+                batch.fill_row_map(row, row_bindings);
+                results.push(execute_row(db, plan, None, row_bindings));
                 continue;
-            }
-
-            // Replay the planner's seq-vs-index argmin on the cached
-            // skeleton: same operands, same order, strict `<` keeps the
-            // first winner on ties — so the charged scan is exactly the
-            // one the executor would have run.
-            let mut selectivity = 1.0;
-            for c in 0..n_conj {
-                selectivity *= scratch.sels[c * n + row];
-            }
-            let out_rows = self.base_rows * selectivity;
-            let mut best_cost =
-                model.seq_scan(self.base_rows, self.width, self.quals, out_rows);
-            let mut winner: Option<usize> = None;
-            for (c, conjunct) in self.conjuncts.iter().enumerate() {
-                let probes = match conjunct.static_probe {
-                    Some(fixed) => fixed,
-                    None => {
-                        scratch.has_index[c]
-                            && match &conjunct.kind {
-                                Tier1Kind::Cmp { op, value } => {
-                                    *op != BinaryOp::NotEq
-                                        && value
-                                            .resolve(batch, row)
-                                            .as_f64()
-                                            .is_some()
-                                }
-                                Tier1Kind::Between { negated, low, high } => {
-                                    !*negated
-                                        && low.resolve(batch, row).as_f64().is_some()
-                                        && high.resolve(batch, row).as_f64().is_some()
-                                }
-                            }
-                    }
-                };
-                if !probes {
-                    continue;
-                }
-                let match_rows = self.base_rows * scratch.sels[c * n + row];
-                let index_cost = model.index_scan(
-                    self.base_rows,
-                    self.width,
-                    match_rows,
-                    self.quals,
-                    out_rows,
-                );
-                if index_cost < best_cost {
-                    best_cost = index_cost;
-                    winner = Some(c);
-                }
             }
 
             // Candidate enumeration + selection-vector filtering.
-            let (candidates, selected) = if n_conj == 0 {
+            let (candidates, selected) = if self.conjuncts.is_empty() {
                 (n_rows, n_rows)
             } else {
-                match winner {
+                match access_paths[row] {
                     None => {
                         // Sequential scan: the executor visits every row.
-                        let pred =
-                            pred_for(&self.conjuncts[0], table, batch, row);
-                        fill_range_pred(&pred, n_rows, &mut scratch.selection);
+                        let pred = pred_for(&self.conjuncts[0], table, batch, row);
+                        fill_range_pred(&pred, n_rows, selection);
                         for conjunct in &self.conjuncts[1..] {
                             let pred = pred_for(conjunct, table, batch, row);
-                            retain_pred(&pred, &mut scratch.selection);
+                            retain_pred(&pred, selection);
                         }
-                        (n_rows, scratch.selection.len())
+                        (n_rows, selection.len())
                     }
                     Some(w) => {
                         // Index scan: the executor visits the probe
@@ -623,17 +432,15 @@ impl Tier1 {
                         let (lo, hi) = probe_bounds(conjunct, batch, row);
                         let index = db
                             .index_on(&self.table, &conjunct.name)
-                            .expect("probe decision implies the index exists");
+                            .expect("an index-scan access path implies the index exists");
                         let slice = index.probe_slice(lo, hi);
-                        scratch.selection.clear();
-                        scratch
-                            .selection
-                            .extend(slice.iter().map(|&(_, row_id)| row_id));
+                        selection.clear();
+                        selection.extend(slice.iter().map(|&(_, row_id)| row_id));
                         for conjunct in &self.conjuncts {
                             let pred = pred_for(conjunct, table, batch, row);
-                            retain_pred(&pred, &mut scratch.selection);
+                            retain_pred(&pred, selection);
                         }
-                        (slice.len(), scratch.selection.len())
+                        (slice.len(), selection.len())
                     }
                 }
             };
@@ -650,25 +457,18 @@ impl Tier1 {
                 Some(limit) => selected.min(limit as usize),
                 None => selected,
             };
-            scratch
-                .results
-                .push(Ok((cardinality as f64, work as f64 * WORK_UNIT_MICROS)));
+            results.push(Ok((cardinality as f64, work as f64 * WORK_UNIT_MICROS)));
         }
+        Ok(())
     }
 }
 
 /// Recognize one conjunct as kernel-executable: a comparison or
 /// `BETWEEN` whose column is a numeric *storage* column of the scanned
 /// table and whose non-column operands are placeholders or
-/// `Int`/`Float`/`Null` literals. Mirrors `prepared::classify_fast`,
-/// tightened to the shapes the execution kernels reproduce exactly.
-fn kernelable(
-    db: &Database,
-    table_name: &str,
-    table: &Table,
-    estimator: &Estimator<'_>,
-    expr: &Expr,
-) -> Option<Tier1Conjunct> {
+/// `Int`/`Float`/`Null` literals — the recost skeleton's fast shapes,
+/// tightened to what the execution kernels reproduce exactly.
+fn kernelable(table: &Table, expr: &Expr) -> Option<Tier1Conjunct> {
     let source_of = |e: &Expr| match e {
         Expr::Placeholder(id) => Some(ValueSource::Slot(*id)),
         Expr::Literal(v @ (Value::Int(_) | Value::Float(_) | Value::Null)) => {
@@ -705,30 +505,14 @@ fn kernelable(
     ) {
         return None;
     }
-    // Placeholder-free conjuncts cache the estimator's selectivity and
-    // probe decision at prepare time, exactly like `PreparedPredicate`.
-    let (cached_sel, static_probe) = if expr.has_placeholders() {
-        (None, None)
-    } else {
-        let probes = planner::indexable_bounds(expr)
-            .map(|(column, _, _)| db.index_on(table_name, &column).is_some())
-            .unwrap_or(false);
-        (Some(estimator.selectivity(expr)), Some(probes))
-    };
-    Some(Tier1Conjunct {
-        name,
-        col,
-        raw_leaves: planner::count_leaves_raw(expr),
-        cached_sel,
-        static_probe,
-        kind,
-    })
+    Some(Tier1Conjunct { name, col, kind })
 }
 
 /// Index-probe bounds of the winning conjunct, replaying
 /// `planner::indexable_bounds` on the bound values: `=` gives a point
 /// range, `<`/`<=` an upper bound, `>`/`>=` a lower bound, `BETWEEN`
-/// both. The caller only probes when every needed value is numeric.
+/// both. The recost only picks an index scan when every needed value is
+/// numeric.
 fn probe_bounds(
     conjunct: &Tier1Conjunct,
     batch: &BindingBatch,
@@ -751,7 +535,7 @@ fn probe_bounds(
     }
 }
 
-// ---- predicate kernels (phase B) --------------------------------------
+// ---- predicate kernels ----------------------------------------------
 
 /// One conjunct lowered to a monomorphic row predicate over a column
 /// view for one batch row. Numeric comparisons reproduce
@@ -840,8 +624,8 @@ fn pred_for<'a>(
                 match value {
                     Value::Int(b) => Pred::CmpII { values, valid, op: *op, b },
                     Value::Float(b) => Pred::CmpIF { values, valid, op: *op, b },
-                    // NULL never matches; Bool/Str rows took the scalar
-                    // fallback before reaching the kernels.
+                    // NULL never matches; Bool/Str rows took the row
+                    // executor before reaching the kernels.
                     _ => Pred::Nothing,
                 }
             } else if let Some((values, valid)) = column.float_view() {
@@ -985,6 +769,11 @@ mod tests {
         crate::datagen::tpch::generate(crate::datagen::tpch::TpchConfig::tiny())
     }
 
+    fn prepare(db: &Database, template: &sqlkit::Template) -> PreparedExec {
+        let plan = PreparedTemplate::prepare(db, template).unwrap();
+        PreparedExec::prepare(db, Arc::new(plan))
+    }
+
     fn batch_of(ids: &[u32], rows: &[Vec<(u32, Value)>]) -> BindingBatch {
         let maps: Vec<HashMap<u32, Value>> =
             rows.iter().map(|r| r.iter().cloned().collect()).collect();
@@ -1002,7 +791,7 @@ mod tests {
         rows: &[Vec<(u32, Value)>],
     ) {
         let template = parse_template(sql).unwrap();
-        let prepared = PreparedExec::prepare(db, &template);
+        let prepared = prepare(db, &template);
         assert_eq!(prepared.tier(), expected_tier, "tier for {sql}");
         let ids = prepared.placeholder_ids().to_vec();
         let batch = batch_of(&ids, rows);
@@ -1145,14 +934,14 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_subqueries_take_the_scalar_tier() {
+    fn dynamic_subqueries_take_the_hoisted_tier() {
         let db = tpch();
         assert_batch_matches_scalar(
             &db,
             "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
              (SELECT orders.o_custkey FROM orders \
               WHERE orders.o_totalprice > {p_1})",
-            "scalar",
+            "hoisted",
             &[
                 vec![(1, Value::Float(1_000.0))],
                 vec![(1, Value::Float(100_000.0))],
@@ -1168,7 +957,7 @@ mod tests {
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice < {p_2}",
         )
         .unwrap();
-        let prepared = PreparedExec::prepare(&db, &template);
+        let prepared = prepare(&db, &template);
         let batch = batch_of(&[2], &[vec![(2, Value::Float(100.0))]]);
         let mut scratch = ExecScratch::new();
         assert_eq!(
@@ -1184,7 +973,7 @@ mod tests {
             "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
         )
         .unwrap();
-        let prepared = PreparedExec::prepare(&db, &template);
+        let prepared = prepare(&db, &template);
         let batch = BindingBatch::new(vec![1]);
         let mut scratch = ExecScratch::new();
         let results = prepared.execute_batch(&db, &batch, &mut scratch).unwrap();

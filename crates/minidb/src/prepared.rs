@@ -255,12 +255,22 @@ pub struct RecostScratch {
     /// a placeholder-bearing subquery's `results` are its per-row
     /// `(rows, cost)` columns. Grown once, then reused.
     subqueries: Vec<RecostScratch>,
+    /// Winning access path per (row, scan), row-major.
+    access_paths: Vec<Option<usize>>,
 }
 
 impl RecostScratch {
     /// Fresh scratch; equivalent to `RecostScratch::default()`.
     pub fn new() -> RecostScratch {
         RecostScratch::default()
+    }
+
+    /// The last batch's access path per (row, scan), row-major: the index
+    /// of the scan conjunct whose index probe won the planner's
+    /// seq-vs-index argmin, or `None` for a sequential scan. The
+    /// vectorized executor runs exactly the scan recorded here.
+    pub(crate) fn access_paths(&self) -> &[Option<usize>] {
+        &self.access_paths
     }
 }
 
@@ -367,6 +377,25 @@ impl PreparedTemplate {
         &self.placeholder_ids
     }
 
+    /// The lone scan of a statement with one `FROM` relation and no
+    /// subqueries, join edges, residuals, grouping, `HAVING` or
+    /// `DISTINCT`: its table and its conjuncts, in the order
+    /// [`PreparedTemplate::recost_batch`] ranks their index probes (and
+    /// numbers its recorded access paths). `None` for any other shape.
+    pub(crate) fn single_scan(&self) -> Option<(&str, impl Iterator<Item = &Expr>)> {
+        let body = &self.body;
+        let [scan] = body.scans.as_slice() else { return None };
+        let plain = body.subqueries.is_empty()
+            && body.edges.is_empty()
+            && body.residuals.is_empty()
+            && !body.grouped
+            && body.having.is_none()
+            && body.distinct_nds.is_none();
+        plain.then(|| {
+            (scan.table.as_str(), scan.conjuncts.iter().map(|c| &c.predicate.expr))
+        })
+    }
+
     /// Batch recost: `(estimated_rows, total_cost)` per batch row, each
     /// bit-identical to `db.explain(&template.instantiate(row)?)`
     /// (debug-asserted). The binding-invariant skeleton walk is hoisted
@@ -377,7 +406,9 @@ impl PreparedTemplate {
     /// only the scalar cost roll-up replays per row — no per-row
     /// `HashMap` lookups and no per-row allocation (generic predicate
     /// shapes excepted). `scratch` is a caller-owned arena; reusing it
-    /// across batches makes the warm path allocation-free.
+    /// across batches makes the warm path allocation-free. It also keeps
+    /// each row's winning access path per scan, which the vectorized
+    /// executor runs.
     ///
     /// Extra batch columns beyond the template's placeholders are
     /// ignored; a missing column reports the smallest unbound id.
@@ -729,8 +760,10 @@ impl PreparedSelect {
             residual_cols,
             conj_sels,
             subqueries,
+            access_paths,
         } = scratch;
         results.clear();
+        access_paths.clear();
 
         let model = db.cost_model();
 
@@ -879,7 +912,10 @@ impl PreparedSelect {
                 let out_rows = scan.base_rows * selectivity;
                 let mut best_cost =
                     model.seq_scan(scan.base_rows, scan.width, scan.quals, out_rows);
-                for (conjunct, &sel) in scan.conjuncts.iter().zip(conj_sels.iter()) {
+                let mut winner = None;
+                for (c, (conjunct, &sel)) in
+                    scan.conjuncts.iter().zip(conj_sels.iter()).enumerate()
+                {
                     let probes_now = match &probes[probe_idx] {
                         BatchProbe::Fixed(fixed) => *fixed,
                         BatchProbe::Cmp { col } => batch.value(*col, row).as_f64().is_some(),
@@ -910,10 +946,12 @@ impl PreparedSelect {
                     );
                     if index_cost < best_cost {
                         best_cost = index_cost;
+                        winner = Some(c);
                     }
                 }
                 scan_rows.push(out_rows);
                 scan_costs.push(best_cost);
+                access_paths.push(winner);
             }
 
             if self.syntactic_order {
@@ -1358,6 +1396,60 @@ mod tests {
             "SELECT o.o_totalprice FROM orders AS o WHERE o.o_orderkey > {p_1}",
             &[vec![(1, Value::Int(0))], vec![(1, Value::Int(999_999))]],
         );
+    }
+
+    #[test]
+    fn recorded_access_path_is_the_planners_scan() {
+        let db = tpch();
+        // Two indexable conjuncts on the primary key after an unindexed
+        // one: each row's recorded winner must be the conjunct whose
+        // probe bounds the planner's index scan uses, or `None` where the
+        // planner keeps the sequential scan.
+        let template = parse_template(
+            "SELECT o.o_totalprice FROM orders AS o WHERE o.o_totalprice > {p_1} \
+             AND o.o_orderkey > {p_2} AND o.o_orderkey < {p_3}",
+        )
+        .unwrap();
+        let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
+        let rows: Vec<HashMap<u32, Value>> = [
+            (1_000_000, 2_000_000), // empty lower-bounded range: index on p_2
+            (-5, -1),               // empty upper-bounded range: index on p_3
+            (-5, 2_000_000),        // every row: sequential scan
+            (1_000_000, -1),        // both empty: the first wins the tie
+        ]
+        .into_iter()
+        .map(|(lo, hi)| {
+            [(1, Value::Float(0.0)), (2, Value::Int(lo)), (3, Value::Int(hi))]
+                .into_iter()
+                .collect()
+        })
+        .collect();
+        let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &rows).unwrap();
+        let mut scratch = RecostScratch::new();
+        prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
+        assert_eq!(scratch.access_paths().len(), rows.len(), "one scan per row");
+        let conjuncts = &prepared.body.scans[0].conjuncts;
+        let mut seen = Vec::new();
+        for (i, (row, &recorded)) in rows.iter().zip(scratch.access_paths()).enumerate() {
+            let mut node = planner::plan(&db, &template.instantiate(row).unwrap()).unwrap();
+            while let Some(child) = node.children.first() {
+                node = child.clone();
+            }
+            let planned = match node.kind {
+                crate::plan::NodeKind::SeqScan { .. } => None,
+                crate::plan::NodeKind::IndexScan { column, lo, hi, .. } => {
+                    let probe = Some((column, lo, hi));
+                    let position = conjuncts.iter().position(|c| {
+                        planner::indexable_bounds(&c.predicate.expr.substitute(row)) == probe
+                    });
+                    Some(position.expect("the probe comes from a conjunct"))
+                }
+                other => panic!("leaf is not a scan: {other:?}"),
+            };
+            assert_eq!(recorded, planned, "access path of row {i}");
+            seen.push(recorded);
+        }
+        assert_eq!(seen, [Some(1), Some(2), None, Some(1)]);
     }
 
     #[test]

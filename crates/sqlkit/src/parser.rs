@@ -16,16 +16,28 @@
 //!
 //! The paper's `SELECT UNIQUE(expr)` idiom (Example 2.2) is accepted as a
 //! synonym for `SELECT DISTINCT expr`.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`], so neither the parser nor any
+//! later recursive pass over the tree (printing, planning, evaluation,
+//! `Drop`) can overflow its stack on hostile input.
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer::{tokenize, Keyword, Spanned, Token};
 use crate::template::Template;
 
+/// Deepest nesting the parser accepts. Parentheses, unary operators and
+/// subqueries each open one level while they are parsed, and no
+/// expression — left-associative binary spines included — may be
+/// deeper than this many AST nodes. Deeper input is a [`ParseError`].
+/// Unoptimized builds spend up to ~20 KiB of stack per parenthesis
+/// level, so 64 levels stay well inside a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a single `SELECT` statement. Fails on trailing input.
 pub fn parse_select(input: &str) -> Result<Select, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0, input_len: input.len() };
+    let mut parser = Parser { tokens, pos: 0, input_len: input.len(), depth: 0 };
     let select = parser.parse_select()?;
     parser.eat_optional(&Token::Semicolon);
     if let Some(tok) = parser.peek() {
@@ -74,9 +86,88 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     input_len: usize,
+    /// Levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
+}
+
+/// AST depth of `expr`, subquery bodies included: 1 for a leaf, one more
+/// than the deepest child otherwise. The parser calls it only on trees
+/// it has already bounded, so the recursion is bounded too.
+fn depth(expr: &Expr) -> usize {
+    let children = |exprs: &mut dyn Iterator<Item = &Expr>| exprs.map(depth).max().unwrap_or(0);
+    1 + match expr {
+        Expr::Column(_) | Expr::Literal(_) | Expr::Placeholder(_) | Expr::Wildcard => 0,
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => depth(expr),
+        Expr::Binary { left: a, right: b, .. } | Expr::Like { expr: a, pattern: b, .. } => {
+            depth(a).max(depth(b))
+        }
+        Expr::Between { expr, low, high, .. } => depth(expr).max(depth(low)).max(depth(high)),
+        Expr::InList { expr, list, .. } => depth(expr).max(children(&mut list.iter())),
+        Expr::InSubquery { expr, subquery, .. } => depth(expr).max(select_depth(subquery)),
+        Expr::ScalarSubquery(subquery) | Expr::Exists { subquery, .. } => select_depth(subquery),
+        Expr::Function { args, .. } => children(&mut args.iter()),
+        Expr::Case { operand, branches, else_branch } => children(
+            &mut operand
+                .iter()
+                .chain(else_branch)
+                .map(|e| &**e)
+                .chain(branches.iter().flat_map(|(when, then)| [when, then])),
+        ),
+    }
+}
+
+/// One more than the depth of the deepest expression in `select`.
+fn select_depth(select: &Select) -> usize {
+    let exprs = select
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(select.joins.iter().filter_map(|j| j.on.as_ref()))
+        .chain(&select.where_clause)
+        .chain(&select.group_by)
+        .chain(&select.having)
+        .chain(select.order_by.iter().map(|o| &o.expr));
+    1 + exprs.map(depth).max().unwrap_or(0)
 }
 
 impl Parser {
+    fn too_deep(&self) -> ParseError {
+        ParseError::new(
+            self.here(),
+            format!("nesting exceeds the maximum depth of {MAX_DEPTH}"),
+        )
+    }
+
+    /// Run `parse` one level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Fold `right` onto a left-associative spine whose depth so far is
+    /// `spine`, failing once the spine passes [`MAX_DEPTH`].
+    fn extend_spine(
+        &self,
+        left: Expr,
+        spine: &mut usize,
+        op: BinaryOp,
+        right: Expr,
+    ) -> Result<Expr, ParseError> {
+        *spine = 1 + (*spine).max(depth(&right));
+        if *spine > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(Expr::binary(left, op, right))
+    }
+
     fn peek(&self) -> Option<&Spanned> {
         self.tokens.get(self.pos)
     }
@@ -154,6 +245,10 @@ impl Parser {
     }
 
     fn parse_select(&mut self) -> Result<Select, ParseError> {
+        self.nested(Self::parse_select_body)
+    }
+
+    fn parse_select_body(&mut self) -> Result<Select, ParseError> {
         self.expect_keyword(Keyword::Select)?;
         let mut distinct = self.eat_keyword(Keyword::Distinct);
 
@@ -307,32 +402,39 @@ impl Parser {
         Ok(TableRef { table, alias })
     }
 
-    /// Entry point for expression parsing (lowest precedence: OR).
+    /// Entry point for expression parsing (lowest precedence: OR). Opens
+    /// one level, and rejects a result deeper than [`MAX_DEPTH`].
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        let expr = self.nested(Self::parse_or)?;
+        if depth(&expr) > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(expr)
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_and()?;
+        let mut spine = depth(&left);
         while self.eat_keyword(Keyword::Or) {
             let right = self.parse_and()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
+            left = self.extend_spine(left, &mut spine, BinaryOp::Or, right)?;
         }
         Ok(left)
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_not()?;
+        let mut spine = depth(&left);
         while self.eat_keyword(Keyword::And) {
             let right = self.parse_not()?;
-            left = Expr::binary(left, BinaryOp::And, right);
+            left = self.extend_spine(left, &mut spine, BinaryOp::And, right)?;
         }
         Ok(left)
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
         if self.eat_keyword(Keyword::Not) {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
         }
         self.parse_comparison()
@@ -423,6 +525,7 @@ impl Parser {
 
     fn parse_additive(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_multiplicative()?;
+        let mut spine = depth(&left);
         loop {
             let op = match self.peek_token() {
                 Some(Token::Plus) => BinaryOp::Add,
@@ -431,13 +534,14 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_multiplicative()?;
-            left = Expr::binary(left, op, right);
+            left = self.extend_spine(left, &mut spine, op, right)?;
         }
         Ok(left)
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_unary()?;
+        let mut spine = depth(&left);
         loop {
             let op = match self.peek_token() {
                 Some(Token::Star) => BinaryOp::Mul,
@@ -447,7 +551,7 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_unary()?;
-            left = Expr::binary(left, op, right);
+            left = self.extend_spine(left, &mut spine, op, right)?;
         }
         Ok(left)
     }
@@ -455,12 +559,12 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.peek_token() == Some(&Token::Minus) {
             self.pos += 1;
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.peek_token() == Some(&Token::Plus) {
             self.pos += 1;
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -595,6 +699,43 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse `sql`, expecting the max-depth error.
+    fn assert_too_deep(sql: &str) {
+        let err = parse_select(sql).unwrap_err();
+        assert!(err.message.contains("maximum depth of 64"), "{err}");
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_a_parse_error() {
+        let n = 100_000;
+        assert_too_deep(&format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n)));
+        assert_too_deep(&format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(n)));
+        assert_too_deep(&format!("SELECT {}1 FROM t", "- ".repeat(n)));
+        assert_too_deep(&format!("SELECT 1{} FROM t", " + 1".repeat(n)));
+        assert_too_deep(&format!("SELECT a FROM t WHERE a = 1{}", " AND a = 1".repeat(n)));
+        assert_too_deep(&format!(
+            "SELECT a FROM t WHERE {}SELECT a FROM t{}",
+            "EXISTS (SELECT a FROM t WHERE ".repeat(n),
+            ")".repeat(n),
+        ));
+    }
+
+    #[test]
+    fn nesting_within_max_depth_parses_and_prints() {
+        // The select item opens one level and the select another.
+        let nested = format!("SELECT {}1{} FROM t", "(".repeat(62), ")".repeat(62));
+        let select = parse_select(&nested).unwrap();
+        assert_eq!(parse_select(&select.to_string()).unwrap(), select);
+        assert_too_deep(&format!("SELECT {}1{} FROM t", "(".repeat(63), ")".repeat(63)));
+        // Each `a = 1` is two deep, and each AND adds one above it.
+        let spine = format!("SELECT a FROM t WHERE a = 1{}", " AND a = 1".repeat(62));
+        let select = parse_select(&spine).unwrap();
+        assert_eq!(parse_select(&select.to_string()).unwrap(), select);
+        assert_too_deep(&format!("SELECT a FROM t WHERE a = 1{}", " AND a = 1".repeat(63)));
+        let negations = format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(60));
+        assert!(parse_select(&negations).is_ok());
+    }
 
     #[test]
     fn parses_paper_example_2_2() {

@@ -134,7 +134,8 @@ fn main() {
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
         )
         .unwrap();
-        let exec = minidb::PreparedExec::prepare(&db, &template);
+        let plan = minidb::PreparedTemplate::prepare(&db, &template).unwrap();
+        let exec = minidb::PreparedExec::prepare(&db, std::sync::Arc::new(plan));
         assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier");
         let rows: Vec<std::collections::HashMap<u32, sqlkit::Value>> = (0..batch_size)
             .map(|i| {

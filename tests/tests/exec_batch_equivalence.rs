@@ -7,14 +7,14 @@
 //! execution-based cost types must match that scalar path probe by probe
 //! with exact memo accounting, even under capacity-2 eviction pressure.
 
-use minidb::{BindingBatch, Database, DbError, ExecScratch, PreparedExec};
+use minidb::{BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate};
 use proptest::prelude::*;
 use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
@@ -66,14 +66,22 @@ const SKELETONS: &[Skeleton] = &[
         kinds: &[(1, false)],
         tier: "hoisted",
     },
-    // Placeholder inside the IN-subquery: dynamic per-row subquery,
-    // scalar tier.
+    // Placeholder inside the IN-subquery: hoisted tier with nothing
+    // hoisted, each row collecting its own subquery.
     Skeleton {
         sql: "SELECT c.c_custkey FROM customer AS c \
               WHERE c.c_acctbal > {p_1} AND c.c_custkey IN \
               (SELECT o.o_custkey FROM orders AS o WHERE o.o_totalprice > {p_2})",
         kinds: &[(1, false), (2, false)],
-        tier: "scalar",
+        tier: "hoisted",
+    },
+    // BETWEEN on the indexed primary key: narrow ranges win the index
+    // scan, wide and inverted ones the sequential scan.
+    Skeleton {
+        sql: "SELECT o.o_orderkey FROM orders AS o \
+              WHERE o.o_orderkey BETWEEN {p_1} AND {p_2}",
+        kinds: &[(1, true), (2, true)],
+        tier: "columnar",
     },
 ];
 
@@ -126,7 +134,8 @@ proptest! {
         let db = db();
         let skeleton = &SKELETONS[skeleton_idx];
         let template = parse_template(skeleton.sql).expect("skeleton SQL parses");
-        let exec = PreparedExec::prepare(db, &template);
+        let plan = PreparedTemplate::prepare(db, &template).expect("skeleton prepares");
+        let exec = PreparedExec::prepare(db, Arc::new(plan));
         prop_assert_eq!(exec.tier(), skeleton.tier, "tier for {}", skeleton.sql);
 
         let mut rows: Vec<HashMap<u32, Value>> = rows_raw
