@@ -1,5 +1,5 @@
 //! Microbenchmarks of the substrates: parser, optimizer, executor,
-//! random-forest surrogate, LHS, and the synthetic LLM.
+//! ANALYZE, random-forest surrogate, LHS, and the synthetic LLM.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -24,6 +24,12 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("minidb/execute_three_way_join", |b| {
         b.iter(|| std::hint::black_box(db.execute(&query).unwrap().cardinality()))
+    });
+    // ANALYZE of TPC-H lineitem at the default SF 0.01 (60k rows).
+    c.bench_function("minidb/analyze_lineitem", |b| {
+        let tpch = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::default());
+        let lineitem = tpch.table("lineitem").unwrap();
+        b.iter(|| std::hint::black_box(minidb::stats::analyze_table(lineitem)))
     });
 
     c.bench_function("bayesopt/lhs_100x5", |b| {

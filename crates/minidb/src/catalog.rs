@@ -174,13 +174,6 @@ impl Database {
         self.indexes.get(table)?.iter().find(|i| i.column == column)
     }
 
-    /// Re-run ANALYZE on every table (only needed after manual mutation).
-    pub fn analyze(&mut self) {
-        for (name, table) in &self.tables {
-            self.stats.insert(name.clone(), analyze_table(table));
-        }
-    }
-
     /// Textual schema summary for LLM prompts (§4 Step 1): table-level
     /// (name, tuple count, size), column-level (name, type, distinct
     /// count), constraint-level (PK/FK/index) metadata.
