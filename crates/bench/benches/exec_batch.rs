@@ -1,14 +1,15 @@
 //! Vectorized-executor micro-benchmark: executing many *distinct*
-//! bindings of a single template, two ways —
+//! bindings of one template, two ways, for a single-table filter and for
+//! a hash join with `GROUP BY` —
 //!
 //! * `execute_per_query`: instantiate + `Database::execute` per binding
-//!   (row-at-a-time scan, filter, and materialization — what every
+//!   (row-at-a-time scan, filter, join, and materialization — what every
 //!   execution-based probe cost before the batch executor);
 //! * `execute_batch`: `PreparedExec::execute_batch` — plan once,
 //!   evaluate binding-dependent predicates as selection vectors over
-//!   the columnar storage, replay the output phase analytically, no row
-//!   materialization, caller-owned scratch (zero steady-state
-//!   allocation).
+//!   the columnar storage, join on typed keys over row ids, count the
+//!   output phase, no row materialization, caller-owned scratch (zero
+//!   steady-state allocation).
 //!
 //! Distinct bindings are the case the oracle's binding-key memo cannot
 //! help with, so per-query vs batch is the honest measure of the
@@ -28,23 +29,46 @@ use std::time::Instant;
 
 const N_BINDINGS: usize = 256;
 
-fn template() -> Template {
-    parse_template(
-        "SELECT l.l_orderkey FROM lineitem AS l \
-         WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
-    )
-    .expect("template parses")
+/// One benchmarked template and its distinct bindings.
+struct Case {
+    label: &'static str,
+    template: Template,
+    bindings: Vec<HashMap<u32, Value>>,
 }
 
-fn bindings() -> Vec<HashMap<u32, Value>> {
-    (0..N_BINDINGS)
-        .map(|i| {
-            HashMap::from([
-                (1, Value::Int((i % 50) as i64)),
-                (2, Value::Float(900.0 + i as f64 * 37.0)),
-            ])
-        })
-        .collect()
+fn cases() -> Vec<Case> {
+    let bindings = |p2: fn(usize) -> f64| -> Vec<HashMap<u32, Value>> {
+        (0..N_BINDINGS)
+            .map(|i| {
+                HashMap::from([
+                    (1, Value::Int((i % 50) as i64)),
+                    (2, Value::Float(p2(i))),
+                ])
+            })
+            .collect()
+    };
+    vec![
+        Case {
+            label: "single-table filter",
+            template: parse_template(
+                "SELECT l.l_orderkey FROM lineitem AS l \
+                 WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
+            )
+            .expect("template parses"),
+            bindings: bindings(|i| 900.0 + i as f64 * 37.0),
+        },
+        Case {
+            label: "join + GROUP BY",
+            template: parse_template(
+                "SELECT o.o_orderkey, COUNT(*) FROM orders AS o \
+                 JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
+                 WHERE l.l_quantity > {p_1} AND o.o_totalprice <= {p_2} \
+                 GROUP BY o.o_orderkey",
+            )
+            .expect("template parses"),
+            bindings: bindings(|i| 1_000.0 + i as f64 * 800.0),
+        },
+    ]
 }
 
 fn prepare(db: &Database, template: &Template) -> PreparedExec {
@@ -57,7 +81,8 @@ fn execute_per_query(db: &Database, template: &Template, binding: &HashMap<u32, 
     std::hint::black_box(db.execute(&query).expect("executes"));
 }
 
-fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Value>]) {
+fn speedup_table(db: &Database, case: &Case) {
+    let Case { label, template, bindings: points } = case;
     let exec = prepare(db, template);
     assert_eq!(exec.tier(), "columnar", "bench template must take the kernel tier");
 
@@ -79,7 +104,7 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
     let per_probe = |d: std::time::Duration| d.as_nanos() as f64 / points.len() as f64;
     let batch_speedup = per_query.as_secs_f64() / batch_time.as_secs_f64();
     println!(
-        "\nexec_batch: {} distinct bindings of one single-table template, tiny TPC-H",
+        "\nexec_batch: {} distinct bindings of one {label} template, tiny TPC-H",
         points.len()
     );
     println!("{:<22} {:>14} {:>12}", "path", "ns/probe", "speedup");
@@ -97,7 +122,7 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
     #[cfg(not(debug_assertions))]
     assert!(
         batch_speedup >= 3.0,
-        "vectorized execute_batch only {batch_speedup:.2}x over per-query execute"
+        "vectorized execute_batch only {batch_speedup:.2}x over per-query execute ({label})"
     );
     #[cfg(debug_assertions)]
     let _ = batch_speedup;
@@ -105,28 +130,32 @@ fn speedup_table(db: &Database, template: &Template, points: &[HashMap<u32, Valu
 
 fn bench(c: &mut Criterion) {
     let db = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny());
-    let template = template();
-    let points = bindings();
-    speedup_table(&db, &template, &points);
+    let cases = cases();
+    for case in &cases {
+        speedup_table(&db, case);
+    }
 
-    c.bench_function("exec/execute_per_query", |bencher| {
-        bencher.iter(|| {
-            for binding in &points {
-                execute_per_query(&db, &template, binding);
-            }
-        })
-    });
-    c.bench_function("exec/execute_batch_256", |bencher| {
-        let exec = prepare(&db, &template);
-        let ids: Vec<u32> = vec![1, 2];
-        let batch = BindingBatch::from_rows(&ids, &points).expect("bindings complete");
-        let mut scratch = ExecScratch::new();
-        bencher.iter(|| {
-            std::hint::black_box(
-                exec.execute_batch(&db, &batch, &mut scratch).expect("executes"),
-            );
-        })
-    });
+    for case in &cases {
+        let Case { label, template, bindings: points } = case;
+        c.bench_function(&format!("exec/execute_per_query ({label})"), |bencher| {
+            bencher.iter(|| {
+                for binding in points {
+                    execute_per_query(&db, template, binding);
+                }
+            })
+        });
+        c.bench_function(&format!("exec/execute_batch_256 ({label})"), |bencher| {
+            let exec = prepare(&db, template);
+            let ids: Vec<u32> = vec![1, 2];
+            let batch = BindingBatch::from_rows(&ids, points).expect("bindings complete");
+            let mut scratch = ExecScratch::new();
+            bencher.iter(|| {
+                std::hint::black_box(
+                    exec.execute_batch(&db, &batch, &mut scratch).expect("executes"),
+                );
+            })
+        });
+    }
 }
 
 criterion_group! {

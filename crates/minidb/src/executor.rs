@@ -329,6 +329,20 @@ fn hash_key(v: &Value) -> String {
     }
 }
 
+/// Composite `GROUP BY`/`DISTINCT` key: each part's [`hash_key`],
+/// length-prefixed so the encoding is injective whatever bytes the
+/// parts hold (a plain separator collides once a string contains it).
+fn composite_key(values: &[Value]) -> String {
+    let mut key = String::new();
+    for value in values {
+        let part = hash_key(value);
+        key.push_str(&part.len().to_string());
+        key.push(':');
+        key.push_str(&part);
+    }
+    key
+}
+
 // ---- output phase -----------------------------------------------------
 
 /// One output record: the row (or group representative) plus an optional
@@ -441,11 +455,7 @@ fn output_phase(
     if select.distinct {
         *work += output.len() as u64;
         let mut seen = std::collections::HashSet::new();
-        output.retain(|row| {
-            let key: String =
-                row.iter().map(hash_key).collect::<Vec<_>>().join("\u{1}");
-            seen.insert(key)
-        });
+        output.retain(|row| seen.insert(composite_key(row)));
     }
 
     if let Some(limit) = select.limit {
@@ -491,8 +501,7 @@ fn group_records(
         for group in &select.group_by {
             key_values.push(context.eval(group)?);
         }
-        let key: String =
-            key_values.iter().map(hash_key).collect::<Vec<_>>().join("\u{1}");
+        let key = composite_key(&key_values);
         let group_idx = match group_index.get(&key) {
             Some(&idx) => idx,
             None => {

@@ -257,6 +257,9 @@ pub struct RecostScratch {
     subqueries: Vec<RecostScratch>,
     /// Winning access path per (row, scan), row-major.
     access_paths: Vec<Option<usize>>,
+    /// Join order per row: `scans.len()` scan indices per row,
+    /// row-major.
+    join_orders: Vec<usize>,
 }
 
 impl RecostScratch {
@@ -271,6 +274,13 @@ impl RecostScratch {
     /// vectorized executor runs exactly the scan recorded here.
     pub(crate) fn access_paths(&self) -> &[Option<usize>] {
         &self.access_paths
+    }
+
+    /// The last batch's left-deep join order per row, row-major: one scan
+    /// index per relation, in the order the planner joins them (the
+    /// first is the pipeline's leftmost input).
+    pub(crate) fn join_orders(&self) -> &[usize] {
+        &self.join_orders
     }
 }
 
@@ -377,22 +387,38 @@ impl PreparedTemplate {
         &self.placeholder_ids
     }
 
-    /// The lone scan of a statement with one `FROM` relation and no
-    /// subqueries, join edges, residuals, grouping, `HAVING` or
-    /// `DISTINCT`: its table and its conjuncts, in the order
-    /// [`PreparedTemplate::recost_batch`] ranks their index probes (and
-    /// numbers its recorded access paths). `None` for any other shape.
-    pub(crate) fn single_scan(&self) -> Option<(&str, impl Iterator<Item = &Expr>)> {
+    /// The join pipeline of a statement with no subqueries, residual or
+    /// leftover predicates, or `HAVING`: its scope, its scans (each with
+    /// its conjuncts in the order [`PreparedTemplate::recost_batch`]
+    /// ranks their index probes and numbers its recorded access paths)
+    /// and its equi-join edges. `None` for any other shape.
+    pub(crate) fn pipeline(&self) -> Option<Pipeline<'_>> {
         let body = &self.body;
-        let [scan] = body.scans.as_slice() else { return None };
         let plain = body.subqueries.is_empty()
-            && body.edges.is_empty()
             && body.residuals.is_empty()
-            && !body.grouped
-            && body.having.is_none()
-            && body.distinct_nds.is_none();
-        plain.then(|| {
-            (scan.table.as_str(), scan.conjuncts.iter().map(|c| &c.predicate.expr))
+            && body.having.is_none();
+        plain.then(|| Pipeline {
+            scope: &body.scope,
+            scans: body
+                .scans
+                .iter()
+                .map(|scan| PipelineScan {
+                    table: &scan.table,
+                    conjuncts: scan.conjuncts.iter().map(|c| &c.predicate.expr).collect(),
+                })
+                .collect(),
+            edges: body
+                .edges
+                .iter()
+                .zip(&body.edge_columns)
+                .map(|(&(left, right, _), (left_column, right_column))| PipelineEdge {
+                    left,
+                    right,
+                    left_column,
+                    right_column,
+                })
+                .collect(),
+            syntactic_order: body.syntactic_order,
         })
     }
 
@@ -457,6 +483,37 @@ impl PreparedTemplate {
         }
         Ok(&scratch.results)
     }
+}
+
+/// A statement's left-deep join pipeline, as [`PreparedTemplate::pipeline`]
+/// exposes it to the vectorized executor.
+#[derive(Debug)]
+pub(crate) struct Pipeline<'a> {
+    pub(crate) scope: &'a Scope,
+    /// One scan per `FROM` binding, in scope order.
+    pub(crate) scans: Vec<PipelineScan<'a>>,
+    /// Equi-join edges, in classification order.
+    pub(crate) edges: Vec<PipelineEdge<'a>>,
+    /// The join order is the syntactic one on every row.
+    pub(crate) syntactic_order: bool,
+}
+
+/// One scan of a [`Pipeline`].
+#[derive(Debug)]
+pub(crate) struct PipelineScan<'a> {
+    pub(crate) table: &'a str,
+    /// Pushed-down conjuncts, in recorded-access-path order.
+    pub(crate) conjuncts: Vec<&'a Expr>,
+}
+
+/// One equi-join edge of a [`Pipeline`]: `left.left_column =
+/// right.right_column`, bindings numbered in scope order.
+#[derive(Debug)]
+pub(crate) struct PipelineEdge<'a> {
+    pub(crate) left: usize,
+    pub(crate) right: usize,
+    pub(crate) left_column: &'a ColumnRef,
+    pub(crate) right_column: &'a ColumnRef,
 }
 
 /// A predicate with its binding-invariant facts cached. `cached_sel` is
@@ -599,6 +656,8 @@ struct PreparedSelect {
     /// `(left_binding, right_binding, cached equi-join selectivity)`,
     /// in classification order.
     edges: Vec<(usize, usize, f64)>,
+    /// `(left_column, right_column)` of each edge, qualified.
+    edge_columns: Vec<(ColumnRef, ColumnRef)>,
     /// `(binding bitmask, predicate)`, in classification order.
     residuals: Vec<(u64, PreparedPredicate)>,
     /// Outer joins (or a single relation) pin the syntactic join order.
@@ -695,6 +754,10 @@ impl PreparedSelect {
                 )
             })
             .collect();
+        let edge_columns = raw_edges
+            .into_iter()
+            .map(|e| (e.left_column, e.right_column))
+            .collect();
         let residuals: Vec<(u64, PreparedPredicate)> = raw_residuals
             .into_iter()
             .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, &subqueries, expr)))
@@ -720,6 +783,7 @@ impl PreparedSelect {
             subqueries,
             scans,
             edges,
+            edge_columns,
             residuals,
             n_aggregates,
             grouped,
@@ -761,9 +825,11 @@ impl PreparedSelect {
             conj_sels,
             subqueries,
             access_paths,
+            join_orders,
         } = scratch;
         results.clear();
         access_paths.clear();
+        join_orders.clear();
 
         let model = db.cost_model();
 
@@ -960,6 +1026,7 @@ impl PreparedSelect {
             } else {
                 planner::greedy_order_core_into(scan_rows, &self.edges, order);
             }
+            join_orders.extend_from_slice(order);
 
             let mut joined_mask: u64 = 1 << order[0];
             let mut current_rows = scan_rows[order[0]];

@@ -205,3 +205,23 @@ fn self_join_with_aliases() {
     // tools:2² + toys:2² + food:1² = 9
     assert_eq!(result[0][0], Value::Int(9));
 }
+
+/// Composite `GROUP BY`/`DISTINCT` keys must be injective: these two rows
+/// differ, but joining their parts with U+0001 once made them one key.
+#[test]
+fn composite_keys_do_not_merge_across_a_separator_byte() {
+    let mut t = Table::new(
+        "t",
+        vec![("a".into(), DataType::Str), ("b".into(), DataType::Str)],
+    );
+    t.push_row(vec![Value::Str("a\u{1}sb".into()), Value::Str("x".into())]);
+    t.push_row(vec![Value::Str("a".into()), Value::Str("b\u{1}sx".into())]);
+    let mut db = Database::new("separator");
+    db.add_table(t, None, &[]);
+    for sql in [
+        "SELECT t.a, t.b FROM t AS t GROUP BY t.a, t.b",
+        "SELECT DISTINCT t.a, t.b FROM t AS t",
+    ] {
+        assert_eq!(rows(&db, sql).len(), 2, "{sql}");
+    }
+}

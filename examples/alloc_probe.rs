@@ -11,7 +11,8 @@
 //! demonstrates bounded memory at N = 1M (nothing proportional to the
 //! workload is retained); `--exec-batch 256` measures the vectorized
 //! executor (`PreparedExec::execute_batch`) warm path with a reused
-//! [`ExecScratch`], asserting 0.000 allocs/probe in release builds
+//! [`ExecScratch`], for a single-table filter and for a hash join with
+//! `GROUP BY`, asserting 0.000 allocs/probe in release builds
 //! (debug builds run the per-row scalar cross-check, which allocates
 //! by design).
 
@@ -129,14 +130,15 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok());
     if let Some(batch_size) = exec_batch_size {
-        let template = sqlkit::parse_template(
+        // A single-table filter, and a hash join feeding a GROUP BY.
+        let templates = [
             "SELECT l.l_orderkey FROM lineitem AS l \
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
-        )
-        .unwrap();
-        let plan = minidb::PreparedTemplate::prepare(&db, &template).unwrap();
-        let exec = minidb::PreparedExec::prepare(&db, std::sync::Arc::new(plan));
-        assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier");
+            "SELECT o.o_orderkey, COUNT(*) FROM orders AS o \
+             JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
+             WHERE l.l_quantity > {p_1} AND o.o_totalprice <= {p_2} \
+             GROUP BY o.o_orderkey",
+        ];
         let rows: Vec<std::collections::HashMap<u32, sqlkit::Value>> = (0..batch_size)
             .map(|i| {
                 [
@@ -148,19 +150,30 @@ fn main() {
             })
             .collect();
         let batch = minidb::BindingBatch::from_rows(&[1, 2], &rows).unwrap();
-        let mut scratch = minidb::ExecScratch::new();
-        // Warm call: grows the selection vectors and result arena.
-        exec.execute_batch(&db, &batch, &mut scratch).unwrap();
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..ROUNDS {
-            let results = exec.execute_batch(&db, &batch, &mut scratch).unwrap();
-            assert_eq!(results.len(), batch.len());
-        }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
-        println!("allocs per warm exec-batch probe (batch {}): {per:.3}", batch.len());
-        if cfg!(not(debug_assertions)) {
-            assert!(per < 0.0005, "warm exec-batch loop allocated {per:.5}/probe");
+        for sql in templates {
+            let template = sqlkit::parse_template(sql).unwrap();
+            let plan = minidb::PreparedTemplate::prepare(&db, &template).unwrap();
+            let exec = minidb::PreparedExec::prepare(&db, std::sync::Arc::new(plan));
+            assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier");
+            let mut scratch = minidb::ExecScratch::new();
+            // Warm call: grows the selection vectors, join tables and
+            // result arena.
+            exec.execute_batch(&db, &batch, &mut scratch).unwrap();
+            let before = ALLOCS.load(Ordering::Relaxed);
+            for _ in 0..ROUNDS {
+                let results = exec.execute_batch(&db, &batch, &mut scratch).unwrap();
+                assert_eq!(results.len(), batch.len());
+            }
+            let after = ALLOCS.load(Ordering::Relaxed);
+            let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
+            println!(
+                "allocs per warm exec-batch probe (batch {}): {per:.3} — {}",
+                batch.len(),
+                sql.split_whitespace().collect::<Vec<_>>().join(" ")
+            );
+            if cfg!(not(debug_assertions)) {
+                assert!(per < 0.0005, "warm exec-batch loop allocated {per:.5}/probe: {sql}");
+            }
         }
     }
 

@@ -56,13 +56,78 @@ const SKELETONS: &[Skeleton] = &[
         kinds: &[(1, true)],
         tier: "columnar",
     },
-    // Join + aggregation: per-row scalar execution with the join
-    // pipeline planned once (hoisted tier).
+    // Join + GROUP BY + ORDER BY + LIMIT: a hash join over row ids,
+    // then distinct typed group keys among the joined tuples.
     Skeleton {
         sql: "SELECT o.o_orderkey, SUM(l.l_extendedprice) \
               FROM orders AS o, lineitem AS l \
               WHERE o.o_orderkey = l.l_orderkey AND l.l_extendedprice > {p_1} \
               GROUP BY o.o_orderkey ORDER BY o.o_orderkey LIMIT 25",
+        kinds: &[(1, false)],
+        tier: "columnar",
+    },
+    // 2-way hash join, filters on both sides (the build side's
+    // selection changes per row).
+    Skeleton {
+        sql: "SELECT l.l_orderkey FROM orders AS o \
+              JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
+              WHERE o.o_totalprice > {p_1} AND l.l_quantity < {p_2}",
+        kinds: &[(1, false), (2, false)],
+        tier: "columnar",
+    },
+    // 3-way hash join; the greedy order varies with the bindings.
+    Skeleton {
+        sql: "SELECT ps.ps_suppkey FROM partsupp AS ps \
+              JOIN part AS p ON ps.ps_partkey = p.p_partkey \
+              JOIN lineitem AS l ON l.l_partkey = p.p_partkey \
+              WHERE p.p_retailprice < {p_1} AND l.l_extendedprice > {p_2}",
+        kinds: &[(1, false), (2, false)],
+        tier: "columnar",
+    },
+    // COUNT(*) over a join: one record, whatever the join yields.
+    Skeleton {
+        sql: "SELECT COUNT(*) FROM customer AS c \
+              JOIN orders AS o ON c.c_custkey = o.o_custkey \
+              WHERE c.c_acctbal > {p_1} AND o.o_orderdate < {p_2}",
+        kinds: &[(1, false), (2, true)],
+        tier: "columnar",
+    },
+    // Single-table GROUP BY over two string keys, ORDER BY an aggregate.
+    Skeleton {
+        sql: "SELECT l.l_returnflag, l.l_linestatus, COUNT(*), AVG(l.l_quantity) \
+              FROM lineitem AS l WHERE l.l_extendedprice BETWEEN {p_1} AND {p_2} \
+              GROUP BY l.l_returnflag, l.l_linestatus ORDER BY COUNT(*)",
+        kinds: &[(1, false), (2, false)],
+        tier: "columnar",
+    },
+    // COUNT(DISTINCT …): an ungrouped aggregate is one record.
+    Skeleton {
+        sql: "SELECT COUNT(DISTINCT o.o_custkey), MAX(o.o_totalprice) \
+              FROM orders AS o WHERE o.o_totalprice > {p_1}",
+        kinds: &[(1, false)],
+        tier: "columnar",
+    },
+    // DISTINCT: distinct typed projected keys, then LIMIT.
+    Skeleton {
+        sql: "SELECT DISTINCT c.c_mktsegment, c.c_nationkey FROM customer AS c \
+              WHERE c.c_acctbal < {p_1} LIMIT 30",
+        kinds: &[(1, false)],
+        tier: "columnar",
+    },
+    // HAVING filters on aggregate values the columnar tier never
+    // computes: hoisted.
+    Skeleton {
+        sql: "SELECT o.o_custkey, COUNT(*) FROM orders AS o \
+              WHERE o.o_totalprice > {p_1} \
+              GROUP BY o.o_custkey HAVING COUNT(*) > 1",
+        kinds: &[(1, false)],
+        tier: "hoisted",
+    },
+    // A residual predicate across the join: hoisted.
+    Skeleton {
+        sql: "SELECT o.o_orderkey FROM orders AS o \
+              JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
+              WHERE l.l_extendedprice > {p_1} AND l.l_extendedprice < o.o_totalprice",
         kinds: &[(1, false)],
         tier: "hoisted",
     },
