@@ -26,6 +26,11 @@
 //! therefore never sorts, and no node allocates. Its two passes score all
 //! thresholds of a feature at once (see `kernel`).
 //!
+//! **1-D step table.** A forest fitted on one-dimensional points is an
+//! exact step function of `x`; [`RandomForest::fit`] tabulates it and
+//! [`RandomForest::predict`] looks `x` up instead of walking every tree
+//! (see `Steps`). Forests in any other dimension keep their trees.
+//!
 //! **Bit-identity contract.** Trees and `(mean, σ)` are bit-identical to
 //! the recursive formulation kept as the test oracle (`forest/reference.rs`):
 //! the RNG draws happen in the same order (bootstrap, then each split
@@ -80,7 +85,15 @@ impl Default for ForestConfig {
 /// A trained random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<Vec<Node>>,
+    model: Model,
+}
+
+/// How a forest answers [`RandomForest::predict`]: a 1-D forest holds its
+/// step table instead of its trees.
+#[derive(Debug, Clone)]
+enum Model {
+    Trees(Vec<Vec<Node>>),
+    Steps(Steps),
 }
 
 /// One pre-order tree node. A split (`right != 0`) sends
@@ -113,9 +126,10 @@ impl RandomForest {
         assert_eq!(points.len(), y.len(), "x/y length mismatch");
         assert!(!y.is_empty(), "empty training set");
         let data = Training::new(points, y, config);
-        let tree_ids: Vec<u64> = (0..config.n_trees as u64).collect();
-        let trees = parallel_map(config.threads.max(1), &tree_ids, |_, &tree| {
-            let mut rng = StdRng::seed_from_u64(split_seed(config.seed, tree));
+        // One `()` per tree, so the index is the tree: a vector of
+        // zero-sized items never allocates.
+        let trees = parallel_map(config.threads.max(1), &vec![(); config.n_trees], |tree, ()| {
+            let mut rng = StdRng::seed_from_u64(split_seed(config.seed, tree as u64));
             // Bootstrap sample.
             let n = data.n;
             let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
@@ -123,14 +137,23 @@ impl RandomForest {
             builder.grow(0, n, 0, &mut rng);
             builder.nodes
         });
-        RandomForest { trees }
+        let steps = if data.d == 1 { Steps::new(&trees) } else { None };
+        let model = match steps {
+            Some(steps) => Model::Steps(steps),
+            None => Model::Trees(trees),
+        };
+        RandomForest { model }
     }
 
     /// Predictive mean and standard deviation at a point.
     // detlint::hot
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        let n = self.trees.len();
-        let walks = self.trees.iter().map(|tree| walk(tree, point));
+        let trees = match &self.model {
+            Model::Steps(steps) => return steps.predict(point),
+            Model::Trees(trees) => trees,
+        };
+        let n = trees.len();
+        let walks = trees.iter().map(|tree| walk(tree, point));
         let mut buffer = [0.0; STACK_TREES];
         match buffer.get_mut(..n) {
             Some(slots) => {
@@ -145,8 +168,100 @@ impl RandomForest {
 
     /// Number of trees (for diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        match &self.model {
+            Model::Trees(trees) => trees.len(),
+            Model::Steps(steps) => steps.n_trees,
+        }
     }
+}
+
+/// A 1-D forest as the step function it is. Every split tests `x <= t`
+/// for a `t` among the steps' bounds (the forest's distinct thresholds,
+/// ascending), so all `x` in `(steps[k - 1].upper, steps[k].upper]` take
+/// the same branch at every split of every tree, reach the same leaves and
+/// get the same `(mean, σ)` bits, those of `steps[k]`. The last step has no
+/// bound: it takes everything above the last one, and NaN, which goes
+/// right at every split.
+#[derive(Debug, Clone)]
+struct Steps {
+    n_trees: usize,
+    steps: Vec<Step>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    upper: f64,
+    mean: f64,
+    sigma: f64,
+}
+
+impl Steps {
+    /// Tabulate a forest of 1-D trees; `None` when it has no trees or a NaN
+    /// threshold (which no `x` is within, so it orders nothing).
+    fn new(trees: &[Vec<Node>]) -> Option<Steps> {
+        let thresholds = || trees.iter().flatten().filter(|node| node.right != 0);
+        if trees.is_empty() || thresholds().any(|node| node.value.is_nan()) {
+            return None;
+        }
+        let step = |upper| Step { upper, mean: 0.0, sigma: 0.0 };
+        let mut steps = Vec::with_capacity(thresholds().count() + 1);
+        steps.extend(thresholds().map(|node| step(node.value)));
+        steps.sort_unstable_by(|a, b| a.upper.total_cmp(&b.upper));
+        // `==`, not bits: -0.0 and 0.0 split every point alike.
+        steps.dedup_by(|a, b| a.upper == b.upper);
+        steps.push(step(f64::NAN));
+        // Each step's leaf value in every tree, step-major. A tree's leaves
+        // ascend in x, so one cursor per tree sweeps the steps: step `k`
+        // belongs to the first leaf whose bound its own is within, and the
+        // last leaf (the all-right path) also takes the unbounded step.
+        let (n, last) = (trees.len(), steps.len() - 1);
+        let mut leaves = vec![0.0; steps.len() * n];
+        for (t, tree) in trees.iter().enumerate() {
+            let mut k = 0;
+            for_each_leaf(tree, 0, f64::INFINITY, &mut |upper, value| {
+                while k < last && steps[k].upper <= upper {
+                    leaves[k * n + t] = value;
+                    k += 1;
+                }
+                leaves[last * n + t] = value;
+            });
+        }
+        for (step, row) in steps.iter_mut().zip(leaves.chunks_exact(n)) {
+            (step.mean, step.sigma) = moments(n, row.iter().copied());
+        }
+        Some(Steps { n_trees: n, steps })
+    }
+
+    /// The tabulated `(mean, σ)` at `point[0]`; a table with one step never
+    /// reads the point.
+    // detlint::hot
+    fn predict(&self, point: &[f64]) -> (f64, f64) {
+        let bounded = &self.steps[..self.steps.len() - 1];
+        let k = match bounded {
+            [] => 0,
+            _ => match point[0] {
+                // NaN goes right at every split, past every bound.
+                x if x.is_nan() => bounded.len(),
+                x => bounded.partition_point(|step| step.upper < x),
+            },
+        };
+        let step = &self.steps[k];
+        (step.mean, step.sigma)
+    }
+}
+
+/// Calls `leaf(upper, value)` for each leaf of the 1-D subtree at `i`, in
+/// pre-order, where `upper` is the least of the given `upper` (`+inf` at
+/// the root) and the thresholds of the leaf's left-turn ancestors. An `x`
+/// reaches the first leaf whose `upper` it is within: a leaf before it
+/// branched left where `x` went right, so below a threshold `x` exceeds.
+fn for_each_leaf(tree: &[Node], i: usize, upper: f64, leaf: &mut impl FnMut(f64, f64)) {
+    let node = tree[i];
+    if node.right == 0 {
+        return leaf(upper, node.value);
+    }
+    for_each_leaf(tree, i + 1, upper.min(node.value), leaf);
+    for_each_leaf(tree, node.right as usize, upper, leaf);
 }
 
 /// Mean and standard deviation of `n` per-tree predictions, each moment an
@@ -449,14 +564,73 @@ mod tests {
         }
     }
 
+    /// Fits both forests and checks `(mean, σ)` bits at `points`.
+    fn assert_matches_reference(
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: ForestConfig,
+        points: &[f64],
+    ) -> RandomForest {
+        let flat = RandomForest::fit(x, y, config);
+        let oracle = reference::RandomForest::fit(x, y, config);
+        for &p in points {
+            let (m1, s1) = flat.predict(&[p]);
+            let (m2, s2) = oracle.predict(&[p]);
+            assert_eq!(m1.to_bits(), m2.to_bits(), "mean at {p}");
+            assert_eq!(s1.to_bits(), s2.to_bits(), "σ at {p}");
+        }
+        flat
+    }
+
     #[test]
     fn constant_target_yields_zero_variance() {
-        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 49.0]).collect();
-        let y = vec![3.0; 50];
-        let forest = RandomForest::fit(&x, &y, ForestConfig::default());
-        let (mean, sigma) = forest.predict(&[0.5]);
-        assert!((mean - 3.0).abs() < 1e-9);
-        assert!(sigma < 1e-9);
+        // Every tree is a single leaf, so the 1-D table has one step and
+        // answers without reading the point.
+        let (x, y) = grid_1d(|_| 3.0, 50);
+        let points = [0.5, -0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+        let forest = assert_matches_reference(&x, &y, ForestConfig::default(), &points);
+        let Model::Steps(steps) = &forest.model else { panic!("1-D forest kept its trees") };
+        assert_eq!(steps.steps.len(), 1);
+        assert_eq!(forest.n_trees(), 25);
+        assert_eq!(forest.predict(&[]), (3.0, 0.0));
+    }
+
+    #[test]
+    fn infinite_thresholds_keep_the_table_exact() {
+        // Midpoints between huge values overflow: (MAX + inf) / 2 and
+        // (MAX/2 + MAX) / 2 are +inf, a threshold that `+inf` itself is
+        // within. It sends every row left, which qualifies only at
+        // `min_leaf` 0. Above it only NaN remains, which goes right
+        // everywhere.
+        let values = [-1.0, 0.0, 0.5, f64::MAX / 2.0, f64::MAX, f64::INFINITY];
+        let x: Vec<Vec<f64>> = (0..60).map(|i| vec![values[i % values.len()]]).collect();
+        let y: Vec<f64> = (0..60).map(|i| (i % values.len()) as f64).collect();
+        let config = ForestConfig { min_leaf: 0, max_depth: 6, seed: 4, ..ForestConfig::default() };
+        let oracle = reference::RandomForest::fit(&x, &y, config);
+        let thresholds = oracle.thresholds();
+        assert!(thresholds.contains(&f64::INFINITY), "thresholds {thresholds:?}");
+        let mut points = vec![f64::NEG_INFINITY, -0.0, 0.0, f64::MAX, f64::INFINITY, f64::NAN];
+        for t in thresholds {
+            points.extend([t.next_down(), t, t.next_up()]);
+        }
+        let forest = assert_matches_reference(&x, &y, config, &points);
+        let Model::Steps(steps) = &forest.model else { panic!("1-D forest kept its trees") };
+        let bounds: Vec<f64> = steps.steps.iter().map(|step| step.upper).collect();
+        assert_eq!(bounds[bounds.len() - 2], f64::INFINITY, "bounds {bounds:?}");
+    }
+
+    #[test]
+    fn a_nan_threshold_keeps_the_trees() {
+        // (-inf + inf) / 2 is NaN: no x is within it, so it orders nothing.
+        // It sends every row right, which qualifies only at `min_leaf` 0.
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![if i % 2 == 0 { f64::NEG_INFINITY } else { f64::INFINITY }])
+            .collect();
+        let y: Vec<f64> = (0..40).map(|i| (i % 2) as f64).collect();
+        let config = ForestConfig { min_leaf: 0, max_depth: 3, ..ForestConfig::default() };
+        let points = [f64::NEG_INFINITY, 0.0, f64::INFINITY, f64::NAN];
+        let forest = assert_matches_reference(&x, &y, config, &points);
+        assert!(matches!(forest.model, Model::Trees(_)));
     }
 
     #[test]
@@ -499,14 +673,17 @@ mod tests {
     }
 
     mod equivalence {
-        use super::super::reference;
         use super::*;
         use proptest::prelude::*;
 
         /// A training set of `n` rows in `d` dimensions: x uniform, on a
-        /// coarse grid, drawn from three repeated values, or from two
-        /// neighbouring floats; y uniform,
-        /// constant (possibly -0.0), or mostly ±0.0.
+        /// coarse grid, drawn from three repeated values, from two
+        /// neighbouring floats, or from extremes whose midpoints overflow
+        /// to ±inf or NaN; y uniform, constant (possibly -0.0), or mostly
+        /// ±0.0.
+        const EXTREMES: [f64; 8] =
+            [f64::NEG_INFINITY, f64::MIN, -1.0, -0.0, 0.0, f64::MAX / 2.0, f64::MAX, f64::INFINITY];
+
         fn training_set(
             n: usize,
             d: usize,
@@ -528,7 +705,8 @@ mod tests {
                             0 => rng.gen(),
                             1 => rng.gen_range(0..levels) as f64 / (levels - 1) as f64,
                             2 => pool[rng.gen_range(0..pool.len())],
-                            _ => neighbours[rng.gen_range(0..2)],
+                            3 => neighbours[rng.gen_range(0..2)],
+                            _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
                         })
                         .collect()
                 })
@@ -549,14 +727,26 @@ mod tests {
         }
 
         /// Query points: training rows (which sit on split boundaries),
-        /// grid points, and uniform points reaching past the unit cube.
-        fn query_points(x: &[Vec<f64>], d: usize, seed: u64) -> Vec<Vec<f64>> {
+        /// grid points, uniform points reaching past the unit cube, every
+        /// split threshold of `forest` and both its neighbouring floats,
+        /// and ±0.0, ±inf and NaN (each value in every coordinate).
+        fn query_points(
+            x: &[Vec<f64>],
+            d: usize,
+            seed: u64,
+            forest: &reference::RandomForest,
+        ) -> Vec<Vec<f64>> {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             let mut points: Vec<Vec<f64>> = x.iter().take(15).cloned().collect();
             points.extend((0..15).map(|i| vec![i as f64 / 14.0; d]));
             while points.len() < 50 {
                 points.push((0..d).map(|_| rng.gen_range(-0.2..1.2)).collect());
             }
+            let mut values = vec![-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+            for t in forest.thresholds() {
+                values.extend([t.next_down(), t, t.next_up()]);
+            }
+            points.extend(values.into_iter().map(|v| vec![v; d]));
             points
         }
 
@@ -567,7 +757,7 @@ mod tests {
             fn flat_forest_matches_the_recursive_reference_bit_for_bit(
                 n in 1usize..=400,
                 d in 0usize..=5,
-                x_shape in 0u8..4,
+                x_shape in 0u8..5,
                 y_shape in 0u8..3,
                 data_seed in any::<u64>(),
                 n_trees in 1usize..=2 * STACK_TREES,
@@ -589,7 +779,10 @@ mod tests {
                 let flat = RandomForest::fit(&x, &y, config);
                 let oracle = reference::RandomForest::fit(&x, &y, ForestConfig { threads: 1, ..config });
                 prop_assert_eq!(flat.n_trees(), oracle.n_trees());
-                for point in query_points(&x, d, data_seed) {
+                // Every 1-D forest with trees and no NaN threshold is a table.
+                let tabulated = d == 1 && n_trees > 0 && !oracle.thresholds().iter().any(|t| t.is_nan());
+                prop_assert_eq!(matches!(flat.model, Model::Steps(_)), tabulated);
+                for point in query_points(&x, d, data_seed, &oracle) {
                     let (m1, s1) = flat.predict(&point);
                     let (m2, s2) = oracle.predict(&point);
                     prop_assert_eq!(m1.to_bits(), m2.to_bits(), "mean at {:?}", point);

@@ -53,6 +53,22 @@ impl RandomForest {
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }
+
+    /// Every split threshold, tree by tree in pre-order.
+    pub fn thresholds(&self) -> Vec<f64> {
+        fn collect(tree: &Tree, out: &mut Vec<f64>) {
+            if let Tree::Node { threshold, left, right, .. } = tree {
+                out.push(*threshold);
+                collect(left, out);
+                collect(right, out);
+            }
+        }
+        let mut out = Vec::new();
+        for tree in &self.trees {
+            collect(tree, &mut out);
+        }
+        out
+    }
 }
 
 fn build_tree(

@@ -394,6 +394,48 @@ mod tests {
     }
 
     #[test]
+    fn one_dimensional_proposals_are_identical_at_any_thread_count() {
+        let run = |threads| {
+            let mut bo = Optimizer::new(
+                unit_space(1),
+                BoConfig { seed: 13, init_samples: 6, threads, ..Default::default() },
+            );
+            bo.run(40, -1.0, |p| (p[0] - 0.35).abs());
+            bo.history().to_vec()
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    /// FNV-1a over the bits of 60 proposals on a `d`-dimensional unit
+    /// space, each told a value with a flat zero region around its optimum.
+    fn proposal_stream_hash(d: usize, seed: u64) -> u64 {
+        let mut bo =
+            Optimizer::new(unit_space(d), BoConfig { seed, init_samples: 6, ..Default::default() });
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for _ in 0..60 {
+            let point = bo.ask();
+            for byte in point.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+            let value = point
+                .iter()
+                .enumerate()
+                .map(|(i, v)| ((v - 0.3 - 0.2 * i as f64).abs() - 0.02).max(0.0))
+                .sum();
+            bo.tell(point, value);
+        }
+        hash
+    }
+
+    #[test]
+    fn proposal_stream_is_pinned() {
+        // Recorded before 1-D forests became step tables: candidates, EI
+        // and the argmax must all keep every proposal bit.
+        assert_eq!(proposal_stream_hash(1, 31), 0xea9c_87cd_1b7e_6b7f);
+        assert_eq!(proposal_stream_hash(2, 32), 0xad5b_5cb8_1568_a08b);
+    }
+
+    #[test]
     fn warm_started_rebuild_proposes_identical_points() {
         // The checkpoint/resume contract: history() is the optimizer's
         // complete state, so a rebuilt optimizer warm-started with the

@@ -41,19 +41,31 @@ fn bench(c: &mut Criterion) {
     // points, as `ask` does: repeating one set lets the branch predictor
     // learn the tree walks.
     let (x, y, points) = {
-        use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut points = |n: usize| -> Vec<Vec<f64>> {
-            (0..n).map(|_| (0..3).map(|_| rng.gen::<f64>()).collect()).collect()
-        };
-        let x = points(200);
+        let x = unit_points(&mut rng, 200, 3);
         let y: Vec<f64> = x.iter().map(|p| p[0] * 10.0 + p[1] * p[2]).collect();
-        (x, y, points(200 * 32))
+        (x, y, unit_points(&mut rng, 200 * 32, 3))
     };
     let fit = || bayesopt::RandomForest::fit(&x, &y, bayesopt::forest::ForestConfig::default());
     c.bench_function("bayesopt/forest_fit_200x3", |b| b.iter(|| std::hint::black_box(fit())));
+    // Forests in two or more dimensions walk their trees.
     c.bench_function("bayesopt/forest_predict", |b| {
         let forest = fit();
+        let mut rounds = points.chunks(200).cycle();
+        b.iter(|| {
+            for point in rounds.next().expect("cycle is endless") {
+                std::hint::black_box(forest.predict(point));
+            }
+        })
+    });
+    // A 1-D forest is a step table: one binary search per point, over
+    // fresh points each round as above.
+    c.bench_function("bayesopt/forest_predict_1d", |b| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let x = unit_points(&mut rng, 200, 1);
+        let y: Vec<f64> = x.iter().map(|p| (p[0] * 6.0).sin()).collect();
+        let points = unit_points(&mut rng, 200 * 32, 1);
+        let forest = bayesopt::RandomForest::fit(&x, &y, bayesopt::forest::ForestConfig::default());
         let mut rounds = points.chunks(200).cycle();
         b.iter(|| {
             for point in rounds.next().expect("cycle is endless") {
@@ -82,6 +94,11 @@ fn bench(c: &mut Criterion) {
         let mut model = llm::SyntheticLlm::reliable(3);
         b.iter(|| std::hint::black_box(model.complete(&prompt)))
     });
+}
+
+/// `n` uniform points in the `d`-dimensional unit cube.
+fn unit_points(rng: &mut impl rand::Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
+    (0..n).map(|_| (0..d).map(|_| rng.gen::<f64>()).collect()).collect()
 }
 
 criterion_group! {

@@ -111,8 +111,12 @@ pub struct SearchResult {
     pub evaluations: usize,
 }
 
-/// Eq. (5): distance of a cost to the target interval, 0 inside.
+/// Eq. (5): distance of a cost to the target interval, 0 inside. A NaN
+/// cost lies in no interval and gets the worst distance, 1.
 pub fn interval_objective(cost: f64, lo: f64, hi: f64) -> f64 {
+    if cost.is_nan() {
+        return 1.0;
+    }
     if cost >= lo && cost <= hi {
         return 0.0;
     }
@@ -363,6 +367,15 @@ mod tests {
         assert!(near > 0.0 && far > near, "near {near} far {far}");
         // degenerate lo = 0 does not divide by zero
         assert!(interval_objective(0.5, 0.0, 1000.0) == 0.0);
+    }
+
+    #[test]
+    fn a_nan_cost_gets_the_worst_objective_in_every_interval() {
+        // `f64::max` drops one NaN operand but not two, so the ratio
+        // arithmetic alone gave 1 at `lo == 0` and NaN at `lo > 0`.
+        for (lo, hi) in [(0.0, 1000.0), (250.0, 1000.0), (0.0, 0.0), (7.5, 7.5)] {
+            assert_eq!(interval_objective(f64::NAN, lo, hi), 1.0, "[{lo}, {hi}]");
+        }
     }
 
     #[test]
