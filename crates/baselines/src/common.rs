@@ -5,14 +5,14 @@
 //! templates provided by the benchmarks, the same approach used in
 //! LearnedSQLGen").
 
-use minidb::Database;
+use minidb::{BindingBatch, Database};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlbarber::cost::CostType;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use sqlbarber::sampler::PlaceholderSpace;
-use sqlkit::{BinaryOp, ColumnRef, Expr, Select, Template, Value};
-use std::collections::{HashMap, HashSet};
+use sqlkit::{BinaryOp, ColumnRef, Expr, Select, Template};
+use std::collections::HashSet;
 use std::time::Duration;
 use workload::{wasserstein_distance, TargetDistribution};
 
@@ -142,17 +142,26 @@ impl<'t> Acceptance<'t> {
     }
 }
 
-/// Decode a point and cost it through the template's prepared plan, as
-/// an oracle batch of one. Returns the bindings (so the caller can defer
-/// SQL rendering until [`Acceptance::would_consider`] says the probe is
-/// worth keeping) and the cost; `None` when the template failed to
-/// prepare (no probe is issued) or the probe errs.
+/// Arenas reused across one-point probes: the oracle scratch and the
+/// one-row batch [`evaluate`] decodes each point into.
+#[derive(Debug, Default)]
+pub(crate) struct Probe {
+    scratch: ColumnarScratch,
+    batch: BindingBatch,
+}
+
+/// Decode a point into `probe` and cost it through the template's
+/// prepared plan, as an oracle batch of one. Returns the cost (the row
+/// stays in `probe`, so the caller can defer SQL rendering until
+/// [`Acceptance::would_consider`] says the probe is worth keeping);
+/// `None` when the template failed to prepare (no probe is issued) or the
+/// probe errs.
 ///
 /// Both baselines probe one point at a time on purpose: hill climbing
 /// must see a probe's cost before choosing the next neighbour, and
 /// Q-learning must observe the reward before the next action, so their
-/// loops are sequentially dependent. The reused `scratch` keeps each
-/// warm memo lookup allocation-free, and `would_consider` defers SQL
+/// loops are sequentially dependent. The reused scratch keeps each warm
+/// memo lookup allocation-free, and `would_consider` defers SQL
 /// rendering exactly like the scheduler's batched path does.
 pub(crate) fn evaluate(
     oracle: &CostOracle,
@@ -160,28 +169,28 @@ pub(crate) fn evaluate(
     prepared: Option<&PreparedHandle>,
     point: &[f64],
     cost_type: CostType,
-    scratch: &mut ColumnarScratch,
-) -> Option<(HashMap<u32, Value>, f64)> {
+    probe: &mut Probe,
+) -> Option<f64> {
     let handle = prepared?;
-    let bindings = entry.space.decode(point);
-    let batch = std::slice::from_ref(&bindings);
-    let results = oracle.cost_prepared_batch_columnar(handle, batch, cost_type, scratch);
-    let cost = *results[0].as_ref().ok()?;
-    Some((bindings, cost))
+    let Probe { scratch, batch } = probe;
+    entry.space.decode_batch([point], batch);
+    let results = oracle.cost_prepared_batch_columnar_on(1, handle, batch, cost_type, scratch);
+    results[0].as_ref().ok().copied()
 }
 
-/// Render-on-demand acceptance: instantiate and render the SQL only when
-/// the cost alone says the query could still be accepted.
+/// Render-on-demand acceptance of the point [`evaluate`] last decoded
+/// into `probe`: instantiate and render the SQL only when the cost alone
+/// says the query could still be accepted.
 pub(crate) fn accept_costed(
     acceptance: &mut Acceptance<'_>,
     entry: &PooledTemplate,
-    bindings: &HashMap<u32, Value>,
+    probe: &Probe,
     cost: f64,
 ) -> bool {
     if !acceptance.would_consider(cost) {
         return false;
     }
-    let Ok(query) = entry.template.instantiate(bindings) else { return false };
+    let Ok(query) = entry.template.instantiate(probe.batch.row(0)) else { return false };
     acceptance.try_accept(query.to_string(), cost)
 }
 

@@ -10,14 +10,14 @@
 //! nor reason across intervals — the limitation §6.2 surfaces.
 
 use crate::common::{
-    accept_costed, evaluate, schedule_interval, Acceptance, BaselineConfig,
-    BaselineReport, PooledTemplate,
+    accept_costed, evaluate, schedule_interval, Acceptance, BaselineConfig, BaselineReport,
+    PooledTemplate, Probe,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlbarber::bo_search::interval_objective;
 use sqlbarber::cost::CostType;
-use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
+use sqlbarber::oracle::{CostOracle, PreparedHandle};
 use std::time::Instant;
 use workload::TargetDistribution;
 
@@ -61,7 +61,7 @@ impl HillClimbing {
         // only re-costs the cached skeleton for its bindings.
         let prepared: Vec<Option<PreparedHandle>> =
             self.pool.iter().map(|e| oracle.prepare(&e.template).ok()).collect();
-        let mut scratch = ColumnarScratch::new();
+        let mut probe = Probe::default();
 
         let iterations = self.config.iterations.unwrap_or(target.intervals.count);
         for round in 0..iterations {
@@ -78,16 +78,16 @@ impl HillClimbing {
                     // ground template: single evaluation
                     let entry = &self.pool[template_idx];
                     budget = budget.saturating_sub(1);
-                    if let Some((bindings, cost)) = evaluate(
+                    if let Some(cost) = evaluate(
                         oracle,
                         entry,
                         prepared[template_idx].as_ref(),
                         &[],
                         cost_type,
-                        &mut scratch,
+                        &mut probe,
                     ) {
                         report.evaluations += 1;
-                        accept_costed(&mut acceptance, entry, &bindings, cost);
+                        accept_costed(&mut acceptance, entry, &probe, cost);
                     }
                     continue;
                 }
@@ -103,17 +103,17 @@ impl HillClimbing {
                     budget -= 1;
                     report.evaluations += 1;
                     let entry = &self.pool[template_idx];
-                    let Some((bindings, cost)) = evaluate(
+                    let Some(cost) = evaluate(
                         oracle,
                         entry,
                         prepared[template_idx].as_ref(),
                         &point,
                         cost_type,
-                        &mut scratch,
+                        &mut probe,
                     ) else {
                         break;
                     };
-                    accept_costed(&mut acceptance, entry, &bindings, cost);
+                    accept_costed(&mut acceptance, entry, &probe, cost);
                     let objective = interval_objective(cost, lo, hi);
                     if objective == 0.0 {
                         // Inside the interval: restart nearby to harvest

@@ -10,14 +10,14 @@
 //! among query cost, SQL templates, and predicate values" (§6.2).
 
 use crate::common::{
-    accept_costed, evaluate, schedule_interval, Acceptance, BaselineConfig,
-    BaselineReport, PooledTemplate,
+    accept_costed, evaluate, schedule_interval, Acceptance, BaselineConfig, BaselineReport,
+    PooledTemplate, Probe,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlbarber::bo_search::interval_objective;
 use sqlbarber::cost::CostType;
-use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
+use sqlbarber::oracle::{CostOracle, PreparedHandle};
 use std::collections::HashMap;
 use std::time::Instant;
 use workload::TargetDistribution;
@@ -93,7 +93,7 @@ impl LearnedSqlGen {
         // only re-costs the cached skeleton for its bindings.
         let prepared: Vec<Option<PreparedHandle>> =
             self.pool.iter().map(|e| oracle.prepare(&e.template).ok()).collect();
-        let mut scratch = ColumnarScratch::new();
+        let mut probe = Probe::default();
 
         let iterations = self.config.iterations.unwrap_or(target.intervals.count);
         for round in 0..iterations {
@@ -133,17 +133,17 @@ impl LearnedSqlGen {
                     budget -= 1;
                     report.evaluations += 1;
                     let entry = &self.pool[template_idx];
-                    let Some((bindings, cost)) = evaluate(
+                    let Some(cost) = evaluate(
                         oracle,
                         entry,
                         prepared[template_idx].as_ref(),
                         &point,
                         cost_type,
-                        &mut scratch,
+                        &mut probe,
                     ) else {
                         break;
                     };
-                    accept_costed(&mut acceptance, entry, &bindings, cost);
+                    accept_costed(&mut acceptance, entry, &probe, cost);
                     let reward = 1.0 - interval_objective(cost, lo, hi);
                     episode_reward += reward;
                     let state = Self::state_of(cost, center);

@@ -23,7 +23,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use minidb::{BindingBatch, Database, ExecScratch, PreparedExec, PreparedTemplate};
 use sqlkit::{parse_template, Template, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,19 +32,18 @@ const N_BINDINGS: usize = 256;
 struct Case {
     label: &'static str,
     template: Template,
-    bindings: Vec<HashMap<u32, Value>>,
+    bindings: BindingBatch,
 }
 
 fn cases() -> Vec<Case> {
-    let bindings = |p2: fn(usize) -> f64| -> Vec<HashMap<u32, Value>> {
-        (0..N_BINDINGS)
-            .map(|i| {
-                HashMap::from([
-                    (1, Value::Int((i % 50) as i64)),
-                    (2, Value::Float(p2(i))),
-                ])
-            })
-            .collect()
+    let bindings = |p2: fn(usize) -> f64| -> BindingBatch {
+        let mut batch = BindingBatch::new(vec![1, 2]);
+        for i in 0..N_BINDINGS {
+            batch
+                .push_row(&[(1, Value::Int((i % 50) as i64)), (2, Value::Float(p2(i)))])
+                .expect("sorted, complete row");
+        }
+        batch
     };
     vec![
         Case {
@@ -76,8 +74,8 @@ fn prepare(db: &Database, template: &Template) -> PreparedExec {
     PreparedExec::prepare(db, Arc::new(plan))
 }
 
-fn execute_per_query(db: &Database, template: &Template, binding: &HashMap<u32, Value>) {
-    let query = template.instantiate(binding).expect("binding complete");
+fn execute_per_query(db: &Database, template: &Template, points: &BindingBatch, row: usize) {
+    let query = template.instantiate(points.row(row)).expect("binding complete");
     std::hint::black_box(db.execute(&query).expect("executes"));
 }
 
@@ -87,18 +85,16 @@ fn speedup_table(db: &Database, case: &Case) {
     assert_eq!(exec.tier(), "columnar", "bench template must take the kernel tier");
 
     let start = Instant::now();
-    for binding in points {
-        execute_per_query(db, template, binding);
+    for row in 0..points.len() {
+        execute_per_query(db, template, points, row);
     }
     let per_query = start.elapsed();
 
     // Batch: one warm-up to size the arenas, then measure.
-    let ids: Vec<u32> = vec![1, 2];
-    let batch = BindingBatch::from_rows(&ids, points).expect("bindings complete");
     let mut scratch = ExecScratch::new();
-    std::hint::black_box(exec.execute_batch(db, &batch, &mut scratch).expect("executes"));
+    std::hint::black_box(exec.execute_batch(db, points, &mut scratch).expect("executes"));
     let start = Instant::now();
-    std::hint::black_box(exec.execute_batch(db, &batch, &mut scratch).expect("executes"));
+    std::hint::black_box(exec.execute_batch(db, points, &mut scratch).expect("executes"));
     let batch_time = start.elapsed();
 
     let per_probe = |d: std::time::Duration| d.as_nanos() as f64 / points.len() as f64;
@@ -139,19 +135,17 @@ fn bench(c: &mut Criterion) {
         let Case { label, template, bindings: points } = case;
         c.bench_function(&format!("exec/execute_per_query ({label})"), |bencher| {
             bencher.iter(|| {
-                for binding in points {
-                    execute_per_query(&db, template, binding);
+                for row in 0..points.len() {
+                    execute_per_query(&db, template, points, row);
                 }
             })
         });
         c.bench_function(&format!("exec/execute_batch_256 ({label})"), |bencher| {
             let exec = prepare(&db, template);
-            let ids: Vec<u32> = vec![1, 2];
-            let batch = BindingBatch::from_rows(&ids, points).expect("bindings complete");
             let mut scratch = ExecScratch::new();
             bencher.iter(|| {
                 std::hint::black_box(
-                    exec.execute_batch(&db, &batch, &mut scratch).expect("executes"),
+                    exec.execute_batch(&db, points, &mut scratch).expect("executes"),
                 );
             })
         });

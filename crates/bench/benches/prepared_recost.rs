@@ -32,7 +32,6 @@ use minidb::{BindingBatch, Database, PreparedTemplate, RecostScratch};
 use sqlbarber::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Template, Value};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 const N_BINDINGS: usize = 256;
@@ -55,34 +54,34 @@ fn template(sql: &str) -> Template {
     parse_template(sql).expect("template parses")
 }
 
-fn bindings() -> Vec<HashMap<u32, Value>> {
-    (0..N_BINDINGS)
-        .map(|i| {
-            HashMap::from([
+/// `N_BINDINGS` distinct rows over `{p_1}`, `{p_2}` and `{p_3}`; a
+/// template without `{p_3}` ignores that column.
+fn bindings() -> BindingBatch {
+    let mut batch = BindingBatch::new(vec![1, 2, 3]);
+    for i in 0..N_BINDINGS {
+        batch
+            .push_row(&[
                 (1, Value::Float(100.0 + i as f64 * 17.0)),
                 (2, Value::Float(1.0 + (i % 50) as f64)),
                 (3, Value::Float(500.0 + i as f64 * 311.0)),
             ])
-        })
-        .collect()
+            .expect("sorted, complete row");
+    }
+    batch
 }
 
-fn cost_from_scratch(db: &Database, template: &Template, binding: &HashMap<u32, Value>) {
-    let query = template.instantiate(binding).expect("binding complete");
+fn cost_from_scratch(db: &Database, template: &Template, points: &BindingBatch, row: usize) {
+    let query = template.instantiate(points.row(row)).expect("binding complete");
     // Render too: the rendered text is what the pre-prepared oracle keyed
     // its memo on, so the string build is part of the replaced work.
     std::hint::black_box(query.to_string());
     std::hint::black_box(db.explain(&query).expect("plans"));
 }
 
-fn from_scratch_time(
-    db: &Database,
-    template: &Template,
-    points: &[HashMap<u32, Value>],
-) -> Duration {
+fn from_scratch_time(db: &Database, template: &Template, points: &BindingBatch) -> Duration {
     let start = Instant::now();
-    for binding in points {
-        cost_from_scratch(db, template, binding);
+    for row in 0..points.len() {
+        cost_from_scratch(db, template, points, row);
     }
     start.elapsed()
 }
@@ -92,57 +91,53 @@ fn from_scratch_time(
 fn recost_one_at_a_time(
     db: &Database,
     prepared: &PreparedTemplate,
-    points: &[HashMap<u32, Value>],
+    points: &BindingBatch,
     batch: &mut BindingBatch,
     scratch: &mut RecostScratch,
 ) {
-    for binding in points {
+    for row in 0..points.len() {
         batch.clear();
-        batch.push_row(binding).expect("binding complete");
+        batch.push_row_from(points, row).expect("binding complete");
         std::hint::black_box(prepared.recost_batch(db, batch, scratch).expect("recosts"));
     }
 }
 
 /// One warm-up to size the arenas, then one measured 256-row batch.
-fn batch_time(
-    db: &Database,
-    prepared: &PreparedTemplate,
-    points: &[HashMap<u32, Value>],
-) -> Duration {
-    let batch =
-        BindingBatch::from_rows(prepared.placeholder_ids(), points).expect("bindings complete");
+fn batch_time(db: &Database, prepared: &PreparedTemplate, batch: &BindingBatch) -> Duration {
     let mut scratch = RecostScratch::new();
     std::hint::black_box(
         prepared
-            .recost_batch(db, &batch, &mut scratch)
+            .recost_batch(db, batch, &mut scratch)
             .expect("batch recosts"),
     );
     let start = Instant::now();
     std::hint::black_box(
         prepared
-            .recost_batch(db, &batch, &mut scratch)
+            .recost_batch(db, batch, &mut scratch)
             .expect("batch recosts"),
     );
     start.elapsed()
 }
 
 /// Cost each binding as an oracle batch of one (the sequential callers'
-/// access pattern), reusing one scratch arena.
+/// access pattern), reusing one batch and one scratch arena.
 fn cost_one_at_a_time(
     oracle: &CostOracle,
     handle: &PreparedHandle,
-    points: &[HashMap<u32, Value>],
+    points: &BindingBatch,
+    one: &mut BindingBatch,
     scratch: &mut ColumnarScratch,
 ) {
-    for binding in points {
-        let batch = std::slice::from_ref(binding);
+    for row in 0..points.len() {
+        one.clear();
+        one.push_row_from(points, row).expect("binding complete");
         let result =
-            oracle.cost_prepared_batch_columnar(handle, batch, CostType::PlanCost, scratch);
+            oracle.cost_prepared_batch_columnar_on(1, handle, one, CostType::PlanCost, scratch);
         std::hint::black_box(result[0].as_ref().unwrap());
     }
 }
 
-fn speedup_table(db: &Database, points: &[HashMap<u32, Value>]) {
+fn speedup_table(db: &Database, points: &BindingBatch) {
     let template = template(JOIN_AGG);
     let prepared = PreparedTemplate::prepare(db, &template).expect("prepares");
     let scratch = from_scratch_time(db, &template, points);
@@ -161,9 +156,9 @@ fn speedup_table(db: &Database, points: &[HashMap<u32, Value>]) {
     let oracle = CostOracle::new(db, 1);
     let handle = oracle.prepare(&template).expect("prepares");
     let mut memo_scratch = ColumnarScratch::new();
-    cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
+    cost_one_at_a_time(&oracle, &handle, points, &mut one, &mut memo_scratch);
     let start = Instant::now();
-    cost_one_at_a_time(&oracle, &handle, points, &mut memo_scratch);
+    cost_one_at_a_time(&oracle, &handle, points, &mut one, &mut memo_scratch);
     let binding_hit = start.elapsed();
 
     let in_subquery = self::template(JOIN_AGG_IN_SUBQUERY);
@@ -239,8 +234,8 @@ fn bench(c: &mut Criterion) {
     let template = template(JOIN_AGG);
     c.bench_function("prepared/from_scratch", |bencher| {
         bencher.iter(|| {
-            for binding in &points {
-                cost_from_scratch(&db, &template, binding);
+            for row in 0..points.len() {
+                cost_from_scratch(&db, &template, &points, row);
             }
         })
     });
@@ -259,13 +254,11 @@ fn bench(c: &mut Criterion) {
     ] {
         c.bench_function(name, |bencher| {
             let prepared = PreparedTemplate::prepare(&db, &self::template(sql)).expect("prepares");
-            let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &points)
-                .expect("bindings complete");
             let mut scratch = RecostScratch::new();
             bencher.iter(|| {
                 std::hint::black_box(
                     prepared
-                        .recost_batch(&db, &batch, &mut scratch)
+                        .recost_batch(&db, &points, &mut scratch)
                         .expect("batch recosts"),
                 );
             })
@@ -274,9 +267,10 @@ fn bench(c: &mut Criterion) {
     c.bench_function("prepared/binding_memo_hit", |bencher| {
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&template).expect("prepares");
+        let mut one = BindingBatch::new(vec![1, 2]);
         let mut scratch = ColumnarScratch::new();
-        cost_one_at_a_time(&oracle, &handle, &points, &mut scratch);
-        bencher.iter(|| cost_one_at_a_time(&oracle, &handle, &points, &mut scratch))
+        cost_one_at_a_time(&oracle, &handle, &points, &mut one, &mut scratch);
+        bencher.iter(|| cost_one_at_a_time(&oracle, &handle, &points, &mut one, &mut scratch))
     });
 }
 

@@ -313,7 +313,6 @@ pub struct PairContext<'a> {
     /// The cost acceptance filters on.
     cost_type: CostType,
     space: &'a PlaceholderSpace,
-    ids: Vec<u32>,
     skeleton: RenderedSkeleton,
     handle: PreparedHandle,
     generator: FittedGenerator,
@@ -342,7 +341,6 @@ impl<'a> PairContext<'a> {
             intervals,
             cost_type,
             space: &profiled.space,
-            ids: profiled.template.placeholders(),
             skeleton: RenderedSkeleton::new(&profiled.template),
             handle,
             generator,
@@ -407,11 +405,11 @@ impl Lane {
         self.sql.clear();
         self.accepts.clear();
         self.candidates = batch_size;
-        self.batch.reset(&ctx.ids);
+        self.batch.reset(ctx.space.dims.iter().map(|dim| dim.placeholder));
         for _ in 0..batch_size {
             ctx.generator.draw(&mut rng, &mut self.point);
             ctx.space.decode_into(&self.point, &mut self.row);
-            self.batch.push_row_slice(&self.row)?;
+            self.batch.push_row(&self.row)?;
         }
         let costs = ctx.handle.cost_rows(db, ctx.cost_type, &self.batch, &mut self.engine)?;
         for (row, cost) in costs.iter().enumerate() {
@@ -682,12 +680,10 @@ mod tests {
         let mut row = Vec::new();
         for (r, unit) in [[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]].iter().enumerate() {
             space.decode_into(unit, &mut row);
-            batch.push_row_slice(&row).unwrap();
+            batch.push_row(&row).unwrap();
             let mut rendered = String::new();
             skeleton.render_row(&batch, r, &mut rendered);
-            let map: std::collections::HashMap<u32, sqlkit::Value> =
-                row.iter().cloned().collect();
-            let direct = template.instantiate(&map).unwrap().to_string();
+            let direct = template.instantiate(batch.row(r)).unwrap().to_string();
             assert_eq!(rendered, direct);
         }
     }

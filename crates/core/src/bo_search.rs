@@ -20,11 +20,10 @@ use crate::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use crate::profiler::ProfiledTemplate;
 use crate::scheduler::{deficit_schedule, RoundControl};
 use bayesopt::BoConfig;
+use minidb::BindingBatch;
 use rand::rngs::StdRng;
 use rand::Rng;
-use minidb::DbError;
-use sqlkit::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use workload::TargetDistribution;
 
 /// Probes drawn per mini-batch while the conforming region is still
@@ -175,10 +174,11 @@ pub(crate) fn seed_search_state(
         queries: Vec::new(),
         seen: HashSet::new(),
     };
+    let mut batch = BindingBatch::default();
     for template in templates.iter() {
-        for eval in &template.evaluations {
-            let bindings = template.space.decode(&eval.point);
-            if let Ok(query) = template.template.instantiate(&bindings) {
+        template.space.decode_batch(template.evaluations.iter().map(|e| &e.point), &mut batch);
+        for (row, eval) in template.evaluations.iter().enumerate() {
+            if let Ok(query) = template.template.instantiate(batch.row(row)) {
                 state.try_accept(query.to_string(), eval.value, target);
             }
         }
@@ -273,30 +273,37 @@ pub(crate) fn naive_random_search(
         // in order (same structure as `optimize_template`).
         let batch_size = BATCH_HARVEST.min(budget - drawn);
         let mut picks: Vec<(usize, usize)> = Vec::with_capacity(batch_size);
-        let mut groups: BTreeMap<usize, Vec<HashMap<u32, Value>>> = BTreeMap::new();
+        let mut groups: BTreeMap<usize, Vec<Vec<f64>>> = BTreeMap::new();
         for _ in 0..batch_size {
             drawn += 1;
             let template_idx = rng.gen_range(0..n_templates);
-            let template = &templates[template_idx];
-            let point = template.space.space.sample_unit(rng);
+            let point = templates[template_idx].space.space.sample_unit(rng);
             let group = groups.entry(template_idx).or_default();
             picks.push((template_idx, group.len()));
-            group.push(template.space.decode(&point));
+            group.push(point);
         }
-        let mut costs: BTreeMap<usize, Vec<Result<f64, DbError>>> = BTreeMap::new();
-        for (&template_idx, bindings) in &groups {
-            if let Some(handle) = &handles[template_idx] {
-                let results =
-                    oracle.cost_prepared_batch_columnar(handle, bindings, cost_type, &mut scratch);
-                costs.insert(template_idx, results.to_vec());
-            }
+        let mut costed = BTreeMap::new();
+        for (&template_idx, points) in &groups {
+            let Some(handle) = &handles[template_idx] else { continue };
+            let mut batch = BindingBatch::default();
+            templates[template_idx].space.decode_batch(points, &mut batch);
+            let threads = oracle.threads();
+            let costs = oracle.cost_prepared_batch_columnar_on(
+                threads,
+                handle,
+                &batch,
+                cost_type,
+                &mut scratch,
+            );
+            costed.insert(template_idx, (batch, costs.to_vec()));
         }
         for (template_idx, slot) in picks {
-            let Some(&Ok(cost)) = costs.get(&template_idx).map(|c| &c[slot]) else { continue };
+            let Some((batch, costs)) = costed.get(&template_idx) else { continue };
+            let &Ok(cost) = &costs[slot] else { continue };
             let template = &mut templates[template_idx];
             let query = template
                 .template
-                .instantiate(&groups[&template_idx][slot])
+                .instantiate(batch.row(slot))
                 .expect("a successfully costed binding binds every placeholder");
             evaluations += 1;
             template.consumed += 1.0;

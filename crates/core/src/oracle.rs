@@ -4,11 +4,12 @@
 //! BO predicate search (§5.3), the naive-search ablation and the
 //! baselines — asks the DBMS one question: *what does this statement
 //! cost?* The [`CostOracle`] answers it through one entry point,
-//! [`CostOracle::cost_prepared_batch_columnar_on`] (and its full-budget
-//! shorthand [`CostOracle::cost_prepared_batch_columnar`]): a batch of
-//! bindings of one prepared template, costed into a caller-owned
+//! [`CostOracle::cost_prepared_batch_columnar_on`]: a [`BindingBatch`]
+//! of bindings of one prepared template, costed into a caller-owned
 //! [`ColumnarScratch`]. Callers that must see each cost before choosing
 //! the next probe pass a batch of one.
+//! [`CostOracle::cost_prepared_batch_columnar`] is a thin adapter for
+//! callers that hold bindings as maps.
 //!
 //! * **Prepared plans.** [`CostOracle::prepare`] plans a template once
 //!   (via [`minidb::PreparedTemplate`]) and is the only admission test: a
@@ -53,7 +54,7 @@ use minidb::{
     BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate,
     RecostScratch,
 };
-use sqlkit::{Select, Template, Value};
+use sqlkit::{Template, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -194,11 +195,14 @@ enum ValueKey {
 /// a single allocation.
 const INLINE_KEY_SLOTS: usize = 4;
 
-/// Binding vector in the template's (sorted) placeholder order; `None`
-/// marks an unbound slot, so error results are memoizable too. Bindings
-/// for ids the template does not mention cannot affect the result and are
-/// excluded. Keys up to [`INLINE_KEY_SLOTS`] wide live inline (no
-/// allocation per probe); wider templates spill to a boxed slice.
+/// Binding vector in the template's (sorted) placeholder order, read from
+/// the batch columns of those placeholders; batch columns for ids the
+/// template does not mention cannot affect the result and are excluded.
+/// Slots are `Option`s only so the snapshot codec keeps its format: keys
+/// built from a batch are always fully bound (a batch missing a column
+/// is rejected before any key is built). Keys up to [`INLINE_KEY_SLOTS`]
+/// wide live inline (no allocation per probe); wider templates spill to a
+/// boxed slice.
 #[derive(Debug, Clone)]
 enum BindingKey {
     Inline { len: u8, slots: [Option<ValueKey>; INLINE_KEY_SLOTS] },
@@ -319,8 +323,8 @@ impl BoundedShard {
 /// [`CostOracle::cost_prepared_batch_columnar_on`].
 ///
 /// Holds every buffer a batch needs — binding keys, the per-shard probe
-/// partition, miss bookkeeping, and the [`BindingBatch`] and engine
-/// arenas handed to [`PreparedHandle::cost_rows`] — so repeated
+/// partition, miss bookkeeping, and the gathered-miss [`BindingBatch`]
+/// and engine arenas handed to [`PreparedHandle::cost_rows`] — so repeated
 /// batches on a warm oracle allocate nothing. Reusable across handles,
 /// cost types, and batch sizes; `results` holds the last batch's outputs
 /// until the next call.
@@ -344,11 +348,9 @@ pub struct ColumnarScratch {
     resolve_later: Vec<(usize, usize)>,
     /// One result per distinct miss.
     miss_results: Vec<Result<f64, DbError>>,
-    /// `(slot, probe index)` of probes that passed binding validation
-    /// and actually reach the engine.
-    evals: Vec<(usize, usize)>,
-    /// Columnar bindings for the serial evaluation path.
-    batch: BindingBatch,
+    /// The rows to evaluate, gathered from the caller's batch, for the
+    /// serial evaluation path.
+    gathered: BindingBatch,
     /// Engine arenas for the serial evaluation path.
     engine: EngineScratch,
 }
@@ -440,13 +442,6 @@ impl<'db> CostOracle<'db> {
         }
     }
 
-    fn binding_key(&self, handle: &PreparedHandle, bindings: &HashMap<u32, Value>) -> BindingKey {
-        let ids = handle.plan.placeholder_ids();
-        BindingKey::collect(ids.len(), |slot| {
-            bindings.get(&ids[slot]).map(|value| self.value_key(value))
-        })
-    }
-
     /// Charge an artificial latency for every *physical* probe (planned
     /// or executed statement; memo hits stay free). A modeling knob for
     /// benchmarks: a real DBMS charges ≥1 ms per `EXPLAIN` round-trip,
@@ -510,7 +505,13 @@ impl<'db> CostOracle<'db> {
     }
 
     /// [`CostOracle::cost_prepared_batch_columnar_on`] with this oracle's
-    /// full thread budget.
+    /// full thread budget, for callers that hold each binding as a map
+    /// (the standalone `perf` harness, which decodes points with
+    /// [`crate::sampler::PlaceholderSpace::decode`]). The maps are copied
+    /// into one [`BindingBatch`] over the template placeholders that every
+    /// map binds, so a placeholder one map leaves unbound fails the whole
+    /// batch, exactly as a missing batch column does. Pipeline code builds
+    /// batches directly and calls the `_on` entry.
     pub fn cost_prepared_batch_columnar<'s>(
         &self,
         handle: &PreparedHandle,
@@ -518,20 +519,38 @@ impl<'db> CostOracle<'db> {
         cost_type: CostType,
         scratch: &'s mut ColumnarScratch,
     ) -> &'s [Result<f64, DbError>] {
-        self.cost_prepared_batch_columnar_on(self.threads, handle, bindings_list, cost_type, scratch)
+        let mut batch = BindingBatch::new(
+            handle
+                .plan
+                .placeholder_ids()
+                .iter()
+                .copied()
+                .filter(|id| bindings_list.iter().all(|bindings| bindings.contains_key(id)))
+                .collect(),
+        );
+        let mut row = Vec::with_capacity(batch.ids().len());
+        for bindings in bindings_list {
+            row.clear();
+            row.extend(batch.ids().iter().map(|id| (*id, bindings[id].clone())));
+            batch.push_row(&row).expect("every map binds every batch id");
+        }
+        self.cost_prepared_batch_columnar_on(self.threads, handle, &batch, cost_type, scratch)
     }
 
-    /// Cost a batch of bindings of one prepared template, in submission
-    /// order — the oracle's only costing entry point. Counts one logical
-    /// probe per binding. `threads` caps this batch's worker budget (the
-    /// deficit scheduler splits the global budget between concurrent
+    /// Cost every row of `batch` — bindings of one prepared template — in
+    /// row order: the oracle's only costing entry point. Counts one
+    /// logical probe per row. `threads` caps this batch's worker budget
+    /// (the deficit scheduler splits the global budget between concurrent
     /// interval tasks this way); results and accounting are identical at
     /// any value.
     ///
-    /// * Binding keys are built inline (no per-probe allocation) and
-    ///   partitioned by memo shard, so each shard lock is taken **once**
-    ///   for the batch's bulk hit-lookup and once for its bulk insert.
-    /// * Distinct misses are evaluated exactly once each: recosted through
+    /// * Memo keys are read straight from the batch columns of the
+    ///   template's placeholders (no per-probe allocation; columns for
+    ///   other ids are ignored) and partitioned by memo shard, so each
+    ///   shard lock is taken **once** for the batch's bulk hit-lookup and
+    ///   once for its bulk insert.
+    /// * Distinct misses are gathered into one columnar batch and
+    ///   evaluated exactly once each: recosted through
     ///   [`minidb::PreparedTemplate::recost_batch`]'s columnar replay, or,
     ///   for the execution-based cost types, executed through
     ///   [`minidb::PreparedExec::execute_batch`] (one dispatch,
@@ -543,20 +562,21 @@ impl<'db> CostOracle<'db> {
     ///
     /// Within each shard, probes keep submission order for both lookups
     /// and inserts, so second-chance eviction behaves identically at any
-    /// thread count. A probe with an unbound placeholder yields (and
-    /// memoizes) the error the scalar path reports for it.
+    /// thread count. A batch with no column for one of the template's
+    /// placeholders binds no row: every row fails with
+    /// `UnboundPlaceholder` naming the smallest missing id, for every cost
+    /// type. That check runs once, before any key is built; it memoizes
+    /// and counts nothing, so `stats()` is unchanged by such a batch.
     pub fn cost_prepared_batch_columnar_on<'s>(
         &self,
         threads: usize,
         handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
+        batch: &BindingBatch,
         cost_type: CostType,
         scratch: &'s mut ColumnarScratch,
     ) -> &'s [Result<f64, DbError>] {
         let threads = threads.clamp(1, self.threads);
-        let n = bindings_list.len();
-        self.logical.fetch_add(n as u64, Ordering::Relaxed);
-
+        let n = batch.len();
         let ColumnarScratch {
             results,
             keys,
@@ -566,11 +586,18 @@ impl<'db> CostOracle<'db> {
             misses,
             resolve_later,
             miss_results,
-            evals,
-            batch,
+            gathered,
             engine,
         } = scratch;
         results.clear();
+        // Ids are sorted ascending: the first one without a column is the
+        // smallest missing id.
+        let ids = handle.plan.placeholder_ids();
+        if let Some(&id) = ids.iter().find(|id| batch.ids().binary_search(id).is_err()) {
+            results.resize(n, Err(DbError::UnboundPlaceholder(id)));
+            return results.as_slice();
+        }
+        self.logical.fetch_add(n as u64, Ordering::Relaxed);
         results.resize(n, Ok(0.0)); // placeholder; every slot overwritten below
 
         if cost_type == CostType::ExecutionTimeMicros {
@@ -580,17 +607,7 @@ impl<'db> CostOracle<'db> {
             self.unmemoized.fetch_add(n as u64, Ordering::Relaxed);
             misses.clear();
             misses.extend(0..n);
-            self.evaluate(
-                threads,
-                handle,
-                bindings_list,
-                misses,
-                cost_type,
-                evals,
-                batch,
-                engine,
-                results,
-            );
+            self.evaluate(threads, handle, batch, misses, cost_type, gathered, engine, results);
             return results.as_slice();
         }
 
@@ -603,8 +620,11 @@ impl<'db> CostOracle<'db> {
         for shard in by_shard.iter_mut() {
             shard.clear();
         }
-        for bindings in bindings_list {
-            let key = (handle.id, cost_type, self.binding_key(handle, bindings));
+        for row in 0..n {
+            let binding = BindingKey::collect(ids.len(), |slot| {
+                batch.value_of(ids[slot], row).map(|value| self.value_key(value))
+            });
+            let key = (handle.id, cost_type, binding);
             let shard = shard_index(&key);
             by_shard[shard].push(keys.len() as u32);
             shard_of.push(shard);
@@ -641,17 +661,7 @@ impl<'db> CostOracle<'db> {
         // ---- phase 2: evaluate each distinct miss exactly once -------
         miss_results.clear();
         miss_results.resize(misses.len(), Ok(0.0));
-        self.evaluate(
-            threads,
-            handle,
-            bindings_list,
-            misses,
-            cost_type,
-            evals,
-            batch,
-            engine,
-            miss_results,
-        );
+        self.evaluate(threads, handle, batch, misses, cost_type, gathered, engine, miss_results);
 
         // ---- phase 3: bulk insert, one lock per populated shard ------
         // `misses` is already shard-grouped (phase 1 walked the shards in
@@ -673,114 +683,79 @@ impl<'db> CostOracle<'db> {
         results.as_slice()
     }
 
-    /// Evaluate probe `probes[slot]` of `bindings_list` into `out[slot]`,
-    /// bypassing the memo. Unbound probes get the scalar path's error
-    /// (`recost`'s smallest missing id for the estimates, the failed
-    /// instantiation for the execution-based types); the rest reach the
-    /// engine as columnar batches. A serial batch reuses the caller-owned
-    /// scratch (zero steady-state allocation); larger batches split into
-    /// contiguous chunks across workers — chunk boundaries cannot affect
-    /// results, each row being a pure function of its bindings.
+    /// Evaluate row `rows[slot]` of `batch` into `out[slot]`, bypassing
+    /// the memo. The rows are gathered into columnar batches for
+    /// [`PreparedHandle::cost_rows`]: a serial batch reuses the
+    /// caller-owned scratch (zero steady-state allocation); larger batches
+    /// split into contiguous chunks across workers — chunk boundaries
+    /// cannot affect results, each row being a pure function of its
+    /// bindings. `batch` has a column for every template placeholder.
     #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &self,
         threads: usize,
         handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
-        probes: &[usize],
+        batch: &BindingBatch,
+        rows: &[usize],
         cost_type: CostType,
-        evals: &mut Vec<(usize, usize)>,
-        batch: &mut BindingBatch,
+        gathered: &mut BindingBatch,
         engine: &mut EngineScratch,
         out: &mut [Result<f64, DbError>],
     ) {
-        let ids = handle.plan().placeholder_ids();
-        evals.clear();
-        for (slot, &probe_idx) in probes.iter().enumerate() {
-            let bindings = &bindings_list[probe_idx];
-            match ids.iter().find(|id| !bindings.contains_key(id)) {
-                None => evals.push((slot, probe_idx)),
-                Some(&id) if !cost_type.requires_execution() => {
-                    out[slot] = Err(DbError::UnboundPlaceholder(id));
-                }
-                Some(_) => {
-                    self.charge_latency();
-                    out[slot] = Err(instantiate(handle, bindings)
-                        .expect_err("a missing binding fails instantiation"));
-                }
-            }
-        }
-        if evals.is_empty() {
+        if rows.is_empty() {
             return;
         }
-        let evals: &[(usize, usize)] = evals;
-        let chunks = threads.min(evals.len());
+        let chunks = threads.min(rows.len());
         if chunks <= 1 {
-            self.evaluate_chunk(
-                handle,
-                bindings_list,
-                evals,
-                cost_type,
-                batch,
-                engine,
-                |slot, result| out[slot] = result,
-            );
+            self.evaluate_chunk(handle, batch, rows, cost_type, gathered, engine, out);
             return;
         }
-        let per = evals.len().div_ceil(chunks);
+        let per = rows.len().div_ceil(chunks);
         let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|c| (c * per, ((c + 1) * per).min(evals.len())))
+            .map(|c| (c * per, ((c + 1) * per).min(rows.len())))
             .filter(|&(start, end)| start < end)
             .collect();
         let computed = parallel_map(threads, &ranges, |_, &(start, end)| {
-            let mut chunk = Vec::with_capacity(end - start);
+            let mut chunk = vec![Ok(0.0); end - start];
             self.evaluate_chunk(
                 handle,
-                bindings_list,
-                &evals[start..end],
+                batch,
+                &rows[start..end],
                 cost_type,
                 &mut BindingBatch::default(),
                 &mut EngineScratch::default(),
-                |_, result| chunk.push(result),
+                &mut chunk,
             );
             chunk
         });
         for (&(start, end), chunk) in ranges.iter().zip(computed) {
-            for (&(slot, _), result) in evals[start..end].iter().zip(chunk) {
-                out[slot] = result;
-            }
+            out[start..end].clone_from_slice(&chunk);
         }
     }
 
-    /// Cost pre-validated `(slot, probe index)` pairs as one columnar
-    /// batch through [`PreparedHandle::cost_rows`], calling
-    /// `emit(slot, result)` once per pair, in order. Every row charges the
-    /// probe latency on the calling worker.
+    /// Gather rows `rows` of `batch` into `gathered` and cost them as one
+    /// columnar batch through [`PreparedHandle::cost_rows`], one result
+    /// per row into `out`. Every row charges the probe latency on the
+    /// calling worker.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_chunk(
         &self,
         handle: &PreparedHandle,
-        bindings_list: &[HashMap<u32, Value>],
-        evals: &[(usize, usize)],
+        batch: &BindingBatch,
+        rows: &[usize],
         cost_type: CostType,
-        batch: &mut BindingBatch,
+        gathered: &mut BindingBatch,
         engine: &mut EngineScratch,
-        mut emit: impl FnMut(usize, Result<f64, DbError>),
+        out: &mut [Result<f64, DbError>],
     ) {
-        batch.reset(handle.plan().placeholder_ids());
-        for &(_, probe_idx) in evals {
+        gathered.reset(handle.plan().placeholder_ids().iter().copied());
+        for &row in rows {
             self.charge_latency();
-            batch
-                .push_row(&bindings_list[probe_idx])
-                .expect("eval bindings pre-validated");
+            gathered.push_row_from(batch, row).expect("columns checked against the template");
         }
-        match handle.cost_rows(self.db, cost_type, batch, engine) {
-            Ok(costs) => {
-                for (&(slot, _), cost) in evals.iter().zip(costs) {
-                    emit(slot, cost.clone());
-                }
-            }
-            Err(error) => evals.iter().for_each(|&(slot, _)| emit(slot, Err(error.clone()))),
+        match handle.cost_rows(self.db, cost_type, gathered, engine) {
+            Ok(costs) => out.clone_from_slice(costs),
+            Err(error) => out.fill(Err(error)),
         }
     }
 
@@ -982,18 +957,6 @@ fn import_value_key(snap: crate::snapshot::ValueKeySnap) -> ValueKey {
     }
 }
 
-/// Instantiate a prepared template, mapping template errors the same way
-/// [`Database::validate_template`] does.
-fn instantiate(
-    handle: &PreparedHandle,
-    bindings: &HashMap<u32, Value>,
-) -> Result<Select, DbError> {
-    handle
-        .template()
-        .instantiate(bindings)
-        .map_err(|e| DbError::Unsupported(e.to_string()))
-}
-
 /// Deterministic 64-bit FNV-1a [`Hasher`] for shard routing. The std
 /// `DefaultHasher` has an unspecified algorithm that may change between
 /// Rust releases; shard routing must stay a pure function of the key so
@@ -1035,29 +998,52 @@ mod tests {
         minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
     }
 
-    fn bindings(values: &[(u32, Value)]) -> HashMap<u32, Value> {
-        values.iter().cloned().collect()
+    const ALL_COST_TYPES: [CostType; 4] = [
+        CostType::Cardinality,
+        CostType::PlanCost,
+        CostType::ActualCardinality,
+        CostType::ExecutionTimeMicros,
+    ];
+
+    /// Batch over `ids` holding `rows`, each a list of `(id, value)`
+    /// pairs sorted by id.
+    fn batch_of(ids: &[u32], rows: impl IntoIterator<Item = Vec<(u32, Value)>>) -> BindingBatch {
+        let mut batch = BindingBatch::new(ids.to_vec());
+        for row in rows {
+            batch.push_row(&row).unwrap();
+        }
+        batch
+    }
+
+    /// Batch over `{p_1}`, one row per value.
+    fn p1(values: impl IntoIterator<Item = Value>) -> BindingBatch {
+        batch_of(&[1], values.into_iter().map(|value| vec![(1, value)]))
     }
 
     /// Cost `batch` through the entry point with the oracle's full budget.
     fn cost(
         oracle: &CostOracle,
         handle: &PreparedHandle,
-        batch: &[HashMap<u32, Value>],
+        batch: &BindingBatch,
         cost_type: CostType,
     ) -> Vec<Result<f64, DbError>> {
         let mut scratch = ColumnarScratch::new();
-        oracle.cost_prepared_batch_columnar(handle, batch, cost_type, &mut scratch).to_vec()
+        let threads = oracle.threads();
+        oracle
+            .cost_prepared_batch_columnar_on(threads, handle, batch, cost_type, &mut scratch)
+            .to_vec()
     }
 
-    /// Cost one binding as a batch of one.
+    /// Cost one row, given as sorted `(id, value)` pairs, as a batch of
+    /// one.
     fn cost_one(
         oracle: &CostOracle,
         handle: &PreparedHandle,
-        binding: &HashMap<u32, Value>,
+        row: &[(u32, Value)],
         cost_type: CostType,
     ) -> Result<f64, DbError> {
-        cost(oracle, handle, std::slice::from_ref(binding), cost_type).remove(0)
+        let ids: Vec<u32> = row.iter().map(|&(id, _)| id).collect();
+        cost(oracle, handle, &batch_of(&ids, [row.to_vec()]), cost_type).remove(0)
     }
 
     /// Bits of an all-`Ok` result vector.
@@ -1065,16 +1051,18 @@ mod tests {
         results.iter().map(|r| r.as_ref().unwrap().to_bits()).collect()
     }
 
-    /// The scalar reference: instantiate, then plan or execute from
-    /// scratch (`cost::query_cost`).
+    /// The scalar reference for row `row` of `batch`: instantiate, then
+    /// plan or execute from scratch (`cost::query_cost`).
     fn scalar(
         db: &Database,
         template: &Template,
-        binding: &HashMap<u32, Value>,
+        batch: &BindingBatch,
+        row: usize,
         cost_type: CostType,
     ) -> Result<f64, DbError> {
-        let select =
-            template.instantiate(binding).map_err(|e| DbError::Unsupported(e.to_string()))?;
+        let select = template
+            .instantiate(batch.row(row))
+            .map_err(|e| DbError::Unsupported(e.to_string()))?;
         query_cost(db, &select, cost_type)
     }
 
@@ -1083,13 +1071,13 @@ mod tests {
     fn assert_matches_scalar(
         db: &Database,
         template: &Template,
-        batch: &[HashMap<u32, Value>],
+        batch: &BindingBatch,
         results: &[Result<f64, DbError>],
         cost_type: CostType,
     ) {
         assert_eq!(batch.len(), results.len());
-        for (i, (binding, got)) in batch.iter().zip(results).enumerate() {
-            match (got, scalar(db, template, binding, cost_type)) {
+        for (i, got) in results.iter().enumerate() {
+            match (got, scalar(db, template, batch, i, cost_type)) {
                 (Ok(x), Ok(y)) => {
                     assert_eq!(x.to_bits(), y.to_bits(), "probe {i} diverged ({cost_type:?})")
                 }
@@ -1104,7 +1092,7 @@ mod tests {
     fn run_checked(
         db: &Database,
         template_sql: &str,
-        batch: &[HashMap<u32, Value>],
+        batch: &BindingBatch,
         cost_type: CostType,
         threads: usize,
     ) -> (Vec<Result<f64, DbError>>, OracleStats) {
@@ -1120,6 +1108,9 @@ mod tests {
         "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_quantity > {p_1}";
     const PRICE: &str = "SELECT orders.o_orderkey FROM orders WHERE orders.o_totalprice > {p_1}";
     const NATION: &str = "SELECT nation.n_name FROM nation WHERE nation.n_nationkey > {p_1}";
+    /// Executing this template with `p_1 = 0` fails with a division by
+    /// zero — a per-row engine error, memoized like any result.
+    const DIVIDE: &str = "SELECT nation.n_name FROM nation WHERE nation.n_nationkey / {p_1} > 1";
 
     #[test]
     fn repeat_probes_hit_the_cache() {
@@ -1127,11 +1118,11 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let template = parse_template("SELECT COUNT(*) FROM nation").unwrap();
         let handle = oracle.prepare(&template).unwrap();
-        let ground = HashMap::new();
-        let first = cost_one(&oracle, &handle, &ground, CostType::PlanCost).unwrap();
-        let second = cost_one(&oracle, &handle, &ground, CostType::PlanCost).unwrap();
+        let first = cost_one(&oracle, &handle, &[], CostType::PlanCost).unwrap();
+        let second = cost_one(&oracle, &handle, &[], CostType::PlanCost).unwrap();
         assert_eq!(first.to_bits(), second.to_bits());
-        let reference = scalar(&db, &template, &ground, CostType::PlanCost).unwrap();
+        let ground = batch_of(&[], [vec![]]);
+        let reference = scalar(&db, &template, &ground, 0, CostType::PlanCost).unwrap();
         assert_eq!(first.to_bits(), reference.to_bits());
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 2);
@@ -1144,7 +1135,7 @@ mod tests {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
-        let b = bindings(&[(1, Value::Int(3))]);
+        let b = [(1, Value::Int(3))];
         cost_one(&oracle, &handle, &b, CostType::PlanCost).unwrap();
         cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
         assert_eq!(oracle.stats().physical_evals, 2);
@@ -1157,10 +1148,10 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let template = parse_template(NATION).unwrap();
         let handle = oracle.prepare(&template).unwrap();
-        let b = bindings(&[(1, Value::Int(3))]);
-        let first = cost_one(&oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
-        let second = cost_one(&oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
-        let reference = scalar(&db, &template, &b, CostType::ExecutionTimeMicros).unwrap();
+        let b = p1([Value::Int(3)]);
+        let first = cost(&oracle, &handle, &b, CostType::ExecutionTimeMicros).remove(0).unwrap();
+        let second = cost(&oracle, &handle, &b, CostType::ExecutionTimeMicros).remove(0).unwrap();
+        let reference = scalar(&db, &template, &b, 0, CostType::ExecutionTimeMicros).unwrap();
         assert_eq!(first.to_bits(), reference.to_bits());
         assert_eq!(second.to_bits(), reference.to_bits());
         let stats = oracle.stats();
@@ -1173,10 +1164,14 @@ mod tests {
     fn errors_are_cached_too() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
-        let unbound = HashMap::new();
-        assert!(cost_one(&oracle, &handle, &unbound, CostType::Cardinality).is_err());
-        assert!(cost_one(&oracle, &handle, &unbound, CostType::Cardinality).is_err());
+        let template = parse_template(DIVIDE).unwrap();
+        let handle = oracle.prepare(&template).unwrap();
+        let zero = p1([Value::Int(0)]);
+        let first = cost(&oracle, &handle, &zero, CostType::ActualCardinality).remove(0);
+        let second = cost(&oracle, &handle, &zero, CostType::ActualCardinality).remove(0);
+        assert!(first.is_err(), "{first:?}");
+        assert_eq!(first, second);
+        assert_eq!(first, scalar(&db, &template, &zero, 0, CostType::ActualCardinality));
         let stats = oracle.stats();
         assert_eq!(stats.physical_evals, 1);
         assert_eq!(stats.cache_hits, 1);
@@ -1185,12 +1180,8 @@ mod tests {
     #[test]
     fn batch_dedupes_and_preserves_order() {
         let db = tpch();
-        let batch = vec![
-            bindings(&[(1, Value::Int(5))]),
-            bindings(&[(1, Value::Int(20))]),
-            bindings(&[(1, Value::Int(5))]), // duplicate of probe 0
-            bindings(&[(1, Value::Int(40))]),
-        ];
+        // Probe 2 duplicates probe 0.
+        let batch = p1([Value::Int(5), Value::Int(20), Value::Int(5), Value::Int(40)]);
         let template = parse_template(QUANTITY).unwrap();
         let oracle = CostOracle::new(&db, 4);
         let handle = oracle.prepare(&template).unwrap();
@@ -1213,8 +1204,7 @@ mod tests {
     fn batch_results_and_stats_match_across_thread_counts() {
         // 40 probes over 13 distinct bindings → in-batch duplicates.
         let db = tpch();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
+        let batch = p1((0..40).map(|i| Value::Int(i % 13)));
         let (serial, serial_stats) = run_checked(&db, QUANTITY, &batch, CostType::Cardinality, 1);
         let (parallel, parallel_stats) =
             run_checked(&db, QUANTITY, &batch, CostType::Cardinality, 4);
@@ -1233,15 +1223,10 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&template).unwrap();
         for value in [Value::Int(5), Value::Int(30), Value::Float(48.5)] {
-            let binding = bindings(&[(1, value)]);
-            for cost_type in [
-                CostType::Cardinality,
-                CostType::PlanCost,
-                CostType::ActualCardinality,
-                CostType::ExecutionTimeMicros,
-            ] {
-                let got = cost_one(&oracle, &handle, &binding, cost_type).unwrap();
-                let want = scalar(&db, &template, &binding, cost_type).unwrap();
+            let binding = p1([value]);
+            for cost_type in ALL_COST_TYPES {
+                let got = cost(&oracle, &handle, &binding, cost_type).remove(0).unwrap();
+                let want = scalar(&db, &template, &binding, 0, cost_type).unwrap();
                 assert_eq!(got.to_bits(), want.to_bits(), "{cost_type:?}");
             }
         }
@@ -1252,8 +1237,8 @@ mod tests {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
         let handle = oracle.prepare(&parse_template(PRICE).unwrap()).unwrap();
-        let b1 = bindings(&[(1, Value::Float(100.0))]);
-        let b2 = bindings(&[(1, Value::Float(5000.0))]);
+        let b1 = [(1, Value::Float(100.0))];
+        let b2 = [(1, Value::Float(5000.0))];
         cost_one(&oracle, &handle, &b1, CostType::PlanCost).unwrap();
         cost_one(&oracle, &handle, &b1, CostType::PlanCost).unwrap();
         cost_one(&oracle, &handle, &b2, CostType::PlanCost).unwrap();
@@ -1276,7 +1261,7 @@ mod tests {
         let h1 = oracle.prepare(&template).unwrap();
         let h2 = oracle.prepare(&template).unwrap();
         assert_eq!(h1.id, h2.id);
-        let b = bindings(&[(1, Value::Int(3))]);
+        let b = [(1, Value::Int(3))];
         let c1 = cost_one(&oracle, &h1, &b, CostType::Cardinality).unwrap();
         let c2 = cost_one(&oracle, &h2, &b, CostType::Cardinality).unwrap();
         assert_eq!(c1.to_bits(), c2.to_bits());
@@ -1290,17 +1275,17 @@ mod tests {
         // One batch of 40 at 1 and 4 threads equals 40 batches of one.
         let db = tpch();
         let template = parse_template(QUANTITY).unwrap();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
+        let values: Vec<Value> = (0..40).map(|i| Value::Int(i % 13)).collect();
         let one_at_a_time = {
             let oracle = CostOracle::new(&db, 1);
             let handle = oracle.prepare(&template).unwrap();
-            let results: Vec<_> = batch
+            let results: Vec<_> = values
                 .iter()
-                .map(|b| cost_one(&oracle, &handle, b, CostType::Cardinality))
+                .map(|v| cost_one(&oracle, &handle, &[(1, v.clone())], CostType::Cardinality))
                 .collect();
             (bits(&results), oracle.stats())
         };
+        let batch = p1(values);
         for threads in [1, 4] {
             let (results, stats) =
                 run_checked(&db, QUANTITY, &batch, CostType::Cardinality, threads);
@@ -1319,8 +1304,7 @@ mod tests {
         let handle = oracle.prepare(&parse_template(QUANTITY).unwrap()).unwrap();
         // Far more distinct bindings than 16 shards × 1 entry can hold.
         for i in 0..64 {
-            let b = bindings(&[(1, Value::Int(i))]);
-            cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
+            cost_one(&oracle, &handle, &[(1, Value::Int(i))], CostType::Cardinality).unwrap();
         }
         let stats = oracle.stats();
         assert_eq!(stats.logical_probes, 64);
@@ -1337,14 +1321,8 @@ mod tests {
         // multiple memo shards; every probe equals the per-probe scalar
         // reference, and accounting is arithmetic in the batch shape.
         let db = tpch();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..40).map(|i| bindings(&[(1, Value::Int(i % 13))])).collect();
-        for cost_type in [
-            CostType::Cardinality,
-            CostType::PlanCost,
-            CostType::ActualCardinality,
-            CostType::ExecutionTimeMicros,
-        ] {
+        let batch = p1((0..40).map(|i| Value::Int(i % 13)));
+        for cost_type in ALL_COST_TYPES {
             let mut baseline: Option<Vec<u64>> = None;
             for threads in [1, 2, 8] {
                 let (results, stats) = run_checked(&db, QUANTITY, &batch, cost_type, threads);
@@ -1366,22 +1344,20 @@ mod tests {
         let db = tpch();
         let oracle = CostOracle::new(&db, 2);
         let handle = oracle.prepare(&parse_template(PRICE).unwrap()).unwrap();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..16).map(|i| bindings(&[(1, Value::Float(f64::from(i) * 250.0))])).collect();
+        let batch = p1((0..16).map(|i| Value::Float(f64::from(i) * 250.0)));
         let mut scratch = ColumnarScratch::new();
-        let cold = bits(oracle.cost_prepared_batch_columnar(
-            &handle,
-            &batch,
-            CostType::PlanCost,
-            &mut scratch,
-        ));
+        let run = |scratch: &mut ColumnarScratch| {
+            bits(oracle.cost_prepared_batch_columnar_on(
+                2,
+                &handle,
+                &batch,
+                CostType::PlanCost,
+                scratch,
+            ))
+        };
+        let cold = run(&mut scratch);
         let evals_after_cold = oracle.stats().physical_evals;
-        let warm = bits(oracle.cost_prepared_batch_columnar(
-            &handle,
-            &batch,
-            CostType::PlanCost,
-            &mut scratch,
-        ));
+        let warm = run(&mut scratch);
         assert_eq!(cold, warm);
         let stats = oracle.stats();
         assert_eq!(stats.physical_evals, evals_after_cold, "warm batch must not recost");
@@ -1389,24 +1365,70 @@ mod tests {
     }
 
     #[test]
-    fn columnar_memoizes_unbound_errors_identically() {
+    fn missing_placeholder_column_fails_every_row_uncounted() {
+        // A batch without a column for one of the template's placeholders
+        // binds no row: every row fails with the smallest missing id, for
+        // every cost type and thread count, and the oracle memoizes and
+        // counts nothing for it. Extra columns change nothing.
         let db = tpch();
-        let batch = vec![
-            bindings(&[(1, Value::Int(10))]),
-            bindings(&[]), // missing p_1
-            bindings(&[]), // duplicate of the error probe
-            bindings(&[(1, Value::Int(10))]),
-        ];
-        for threads in [1, 4] {
-            let (results, stats) =
-                run_checked(&db, QUANTITY, &batch, CostType::Cardinality, threads);
-            assert!(matches!(results[1], Err(DbError::UnboundPlaceholder(1))));
-            assert!(results[0].is_ok() && results[3].is_ok());
-            // The error entry is memoized like any result: 4 logical, 2
-            // distinct (ok + err), 2 duplicate hits.
-            assert_eq!(stats.physical_evals, 2);
-            assert_eq!(stats.cache_hits, 2);
+        let template = parse_template(
+            "SELECT lineitem.l_orderkey FROM lineitem \
+             WHERE lineitem.l_quantity > {p_2} AND lineitem.l_discount < {p_5}",
+        )
+        .unwrap();
+        let rows = |ids: &[u32]| {
+            batch_of(ids, (0..3).map(|i| ids.iter().map(|&id| (id, Value::Int(i))).collect()))
+        };
+        let cases = [1, 4].into_iter().flat_map(|t| ALL_COST_TYPES.map(|c| (t, c)));
+        for (threads, cost_type) in cases {
+            let oracle = CostOracle::new(&db, threads);
+            let handle = oracle.prepare(&template).unwrap();
+            // Warm the memo so "unchanged" is not trivially zero.
+            cost(&oracle, &handle, &rows(&[2, 5]), cost_type);
+            let before = oracle.stats();
+            for (ids, missing) in [(&[5, 9][..], 2), (&[2][..], 5), (&[][..], 2)] {
+                let results = cost(&oracle, &handle, &rows(ids), cost_type);
+                let expected = vec![Err(DbError::UnboundPlaceholder(missing)); 3];
+                assert_eq!(results, expected, "{cost_type:?} at {threads} threads over {ids:?}");
+            }
+            assert_eq!(oracle.stats(), before, "{cost_type:?} at {threads} threads");
         }
+    }
+
+    #[test]
+    fn map_adapter_matches_the_batch_entry() {
+        // The `&[HashMap]` entry copies the maps into one batch: results
+        // and stats are bit-identical to the batch entry's, at 1 and 4
+        // threads; a placeholder one map leaves unbound fails the batch.
+        let db = tpch();
+        let template = parse_template(QUANTITY).unwrap();
+        let values: Vec<Value> = (0..40).map(|i| Value::Int(i % 13)).collect();
+        let maps: Vec<HashMap<u32, Value>> = values
+            .iter()
+            .map(|v| [(1, v.clone()), (7, Value::Null)].into_iter().collect())
+            .collect();
+        let batch = p1(values);
+        let by_maps = |oracle: &CostOracle, maps: &[HashMap<u32, Value>], cost_type| {
+            let handle = oracle.prepare(&template).unwrap();
+            let mut scratch = ColumnarScratch::new();
+            oracle.cost_prepared_batch_columnar(&handle, maps, cost_type, &mut scratch).to_vec()
+        };
+        let cases = [1, 4].into_iter().flat_map(|t| ALL_COST_TYPES.map(|c| (t, c)));
+        for (threads, cost_type) in cases {
+            let batch_oracle = CostOracle::new(&db, threads);
+            let handle = batch_oracle.prepare(&template).unwrap();
+            let expected = bits(&cost(&batch_oracle, &handle, &batch, cost_type));
+            let map_oracle = CostOracle::new(&db, threads);
+            let got = bits(&by_maps(&map_oracle, &maps, cost_type));
+            assert_eq!(got, expected, "{cost_type:?} at {threads} threads");
+            assert_eq!(map_oracle.stats(), batch_oracle.stats(), "{cost_type:?} at {threads}");
+        }
+        let mut partial = maps[..3].to_vec();
+        partial[1].remove(&1);
+        let oracle = CostOracle::new(&db, 1);
+        let results = by_maps(&oracle, &partial, CostType::PlanCost);
+        assert_eq!(results, vec![Err(DbError::UnboundPlaceholder(1)); 3]);
+        assert_eq!(oracle.stats(), OracleStats::default());
     }
 
     #[test]
@@ -1418,17 +1440,18 @@ mod tests {
                    WHERE lineitem.l_quantity > {p_1} AND lineitem.l_extendedprice > {p_2} \
                    AND lineitem.l_discount > {p_3} AND lineitem.l_suppkey > {p_4} \
                    AND lineitem.l_orderkey > {p_5}";
-        let batch: Vec<HashMap<u32, Value>> = (0..12)
-            .map(|i| {
-                bindings(&[
+        let batch = batch_of(
+            &[1, 2, 3, 4, 5],
+            (0..12).map(|i| {
+                vec![
                     (1, Value::Int(i % 5)),
                     (2, Value::Float(i as f64 * 10.0)),
                     (3, Value::Float(0.02)),
                     (4, Value::Int(i % 4)),
                     (5, Value::Int(i % 3)),
-                ])
-            })
-            .collect();
+                ]
+            }),
+        );
         for threads in [1, 4] {
             let (_, stats) = run_checked(&db, sql, &batch, CostType::PlanCost, threads);
             assert_eq!(stats.logical_probes, 12);
@@ -1444,8 +1467,7 @@ mod tests {
         // threads.
         let db = tpch();
         let template = parse_template(NATION).unwrap();
-        let batch: Vec<HashMap<u32, Value>> =
-            (0..64).map(|i| bindings(&[(1, Value::Int(i))])).collect();
+        let batch = p1((0..64).map(Value::Int));
         let run = |threads: usize| {
             let oracle = CostOracle::new(&db, threads).with_cache_capacity(2);
             let handle = oracle.prepare(&template).unwrap();
@@ -1467,14 +1489,12 @@ mod tests {
         let oracle = CostOracle::new(&db, 1).with_cache_capacity(2);
         let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
         for i in 0..32 {
-            let b = bindings(&[(1, Value::Int(i))]);
-            cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
+            cost_one(&oracle, &handle, &[(1, Value::Int(i))], CostType::Cardinality).unwrap();
         }
         // The most recent binding is still cached (fresh entries are
         // admitted referenced, so the clock cannot evict them instantly).
         let before = oracle.stats();
-        let b = bindings(&[(1, Value::Int(31))]);
-        cost_one(&oracle, &handle, &b, CostType::Cardinality).unwrap();
+        cost_one(&oracle, &handle, &[(1, Value::Int(31))], CostType::Cardinality).unwrap();
         let after = oracle.stats();
         assert_eq!(after.physical_evals, before.physical_evals);
         assert_eq!(after.cache_hits, before.cache_hits + 1);
@@ -1490,25 +1510,27 @@ mod tests {
         let template =
             parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
                 .unwrap();
+        let divide = parse_template(DIVIDE).unwrap();
         let warm = |oracle: &CostOracle| -> PreparedHandle {
             let handle = oracle.prepare(&template).unwrap();
             for i in 0..24 {
-                let b = bindings(&[(1, Value::Str(format!("N{:02}", i % 9)))]);
+                let b = [(1, Value::Str(format!("N{:02}", i % 9)))];
                 cost_one(oracle, &handle, &b, CostType::Cardinality).unwrap();
             }
-            assert!(cost_one(oracle, &handle, &HashMap::new(), CostType::PlanCost).is_err());
-            let b = bindings(&[(1, Value::Str("N03".into()))]);
+            let failing = oracle.prepare(&divide).unwrap();
+            let zero = [(1, Value::Int(0))];
+            assert!(cost_one(oracle, &failing, &zero, CostType::ActualCardinality).is_err());
+            let b = [(1, Value::Str("N03".into()))];
             cost_one(oracle, &handle, &b, CostType::ExecutionTimeMicros).unwrap();
             oracle.note_scheduler_round(3, 1);
             handle
         };
         let probe_future = |oracle: &CostOracle, handle: &PreparedHandle| {
-            let batch: Vec<HashMap<u32, Value>> = (0..40)
-                .map(|i| bindings(&[(1, Value::Str(format!("N{:02}", i % 13)))]))
-                .collect();
-            let costs: Vec<u64> = batch
-                .iter()
-                .map(|b| cost_one(oracle, handle, b, CostType::Cardinality).unwrap().to_bits())
+            let costs: Vec<u64> = (0..40)
+                .map(|i| {
+                    let b = [(1, Value::Str(format!("N{:02}", i % 13)))];
+                    cost_one(oracle, handle, &b, CostType::Cardinality).unwrap().to_bits()
+                })
                 .collect();
             (costs, oracle.stats())
         };

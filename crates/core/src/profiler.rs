@@ -11,6 +11,7 @@ use crate::oracle::{ColumnarScratch, CostOracle};
 use crate::sampler::PlaceholderSpace;
 use bayesopt::parallel::{parallel_map, split_seed};
 use bayesopt::{latin_hypercube, Evaluation};
+use minidb::BindingBatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlkit::Template;
@@ -148,10 +149,10 @@ pub fn profile_template(
     let points = latin_hypercube(n, profiled.space.arity(), rng);
     profiled.consumed = points.len() as f64;
     let Ok(handle) = oracle.prepare(&profiled.template) else { return profiled };
-    let bindings: Vec<_> = points.iter().map(|point| profiled.space.decode(point)).collect();
+    let mut batch = BindingBatch::default();
+    profiled.space.decode_batch(&points, &mut batch);
     let mut scratch = ColumnarScratch::new();
-    let costs =
-        oracle.cost_prepared_batch_columnar_on(1, &handle, &bindings, cost_type, &mut scratch);
+    let costs = oracle.cost_prepared_batch_columnar_on(1, &handle, &batch, cost_type, &mut scratch);
     for (point, cost) in points.into_iter().zip(costs) {
         let &Ok(cost) = cost else { continue };
         if cost.is_finite() {
@@ -231,9 +232,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             let profiled = profile_template(&oracle, template.clone(), cost_type, 24, &mut rng);
             assert_eq!(profiled.evaluations.len(), 24, "{cost_type:?}");
-            for evaluation in &profiled.evaluations {
-                let bindings = profiled.space.decode(&evaluation.point);
-                let query = template.instantiate(&bindings).unwrap();
+            let mut batch = BindingBatch::default();
+            profiled.space.decode_batch(profiled.evaluations.iter().map(|e| &e.point), &mut batch);
+            for (row, evaluation) in profiled.evaluations.iter().enumerate() {
+                let query = template.instantiate(batch.row(row)).unwrap();
                 let scalar = crate::cost::query_cost(&db, &query, cost_type).unwrap();
                 assert_eq!(evaluation.value.to_bits(), scalar.to_bits(), "{cost_type:?}: {query}");
             }

@@ -49,10 +49,10 @@ use crate::profiler::ProfiledTemplate;
 use bayesopt::parallel::{parallel_map, split_seed};
 use bayesopt::{BoConfig, Evaluation, Optimizer};
 use crate::lockorder::{self, OrderedMutex};
+use minidb::BindingBatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlkit::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use workload::TargetDistribution;
 
 /// Ceiling on the auto-selected task count per round.
@@ -519,9 +519,10 @@ fn execute_run(
     // harvesting distinct neighbours of the known-good points.
     let mut conforming: Vec<Vec<f64>> = Vec::new();
 
-    // Arena for the columnar batch path, reused across every mini-batch of
-    // this run: warm batches cost probes without allocating.
+    // Arenas for the columnar batch path, reused across every mini-batch
+    // of this run: warm batches cost probes without allocating.
     let mut scratch = ColumnarScratch::new();
+    let mut batch = BindingBatch::default();
 
     let mut spent = 0;
     'runs: while spent < budget {
@@ -529,7 +530,6 @@ fn execute_run(
         let batch_size = if conforming.is_empty() { BATCH_EXPLORE } else { BATCH_HARVEST }
             .min(budget - spent);
         let mut points: Vec<Vec<f64>> = Vec::with_capacity(batch_size);
-        let mut bindings_list: Vec<HashMap<u32, Value>> = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
             spent += 1;
             let point = if conforming.is_empty() || template.space.arity() == 0 {
@@ -540,18 +540,18 @@ fn execute_run(
             } else {
                 template.space.space.sample_unit(rng)
             };
-            bindings_list.push(template.space.decode(&point));
             points.push(point);
         }
+        template.space.decode_batch(&points, &mut batch);
 
         let costs = oracle.cost_prepared_batch_columnar_on(
             inner_threads,
             &prepared,
-            &bindings_list,
+            &batch,
             cost_type,
             &mut scratch,
         );
-        for ((point, bindings), cost) in points.into_iter().zip(bindings_list).zip(costs) {
+        for (row, (point, cost)) in points.into_iter().zip(costs).enumerate() {
             let &Ok(cost) = cost else { continue };
             generated += 1;
             template.consumed += 1.0;
@@ -568,7 +568,7 @@ fn execute_run(
             // checks — the seen-set still needs the text, but rejected
             // probes (the vast majority) never materialize a string.
             if view.would_consider(cost, target) {
-                if let Ok(query) = template.template.instantiate(&bindings) {
+                if let Ok(query) = template.template.instantiate(batch.row(row)) {
                     let sql = query.to_string();
                     if view.try_accept(&sql, cost, target) {
                         accepts.push(LocalAccept { sql, cost });

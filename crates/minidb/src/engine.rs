@@ -86,7 +86,7 @@ impl Database {
     pub fn validate_template(&self, template: &sqlkit::Template) -> Result<(), DbError> {
         let probes = self.representative_bindings(template);
         let grounded = template
-            .instantiate(&probes)
+            .instantiate(|id| probes.get(&id))
             .map_err(|e| DbError::Unsupported(e.to_string()))?;
         self.validate(&grounded)
     }

@@ -56,8 +56,9 @@
 //!   executed **once** at prepare time and their results injected into
 //!   every per-row execution; a template with a placeholder-bearing
 //!   subquery hoists nothing, and each row collects its own subqueries
-//!   exactly as `executor::execute` does. Rows instantiate and run
-//!   through the row-at-a-time executor.
+//!   exactly as `executor::execute` does. Rows instantiate through the
+//!   batch's row view ([`BindingBatch::row`]) and run through the
+//!   row-at-a-time executor.
 //!
 //! ### Work accounting
 //!
@@ -91,7 +92,6 @@ use crate::prepared::{BindingBatch, PreparedTemplate, RecostScratch};
 use crate::storage::{Column, DataType, Table};
 use sqlkit::{BinaryOp, ColumnRef, Expr, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Lane width of the chunked predicate kernels. 64 boolean lanes fit in
@@ -118,8 +118,6 @@ pub struct ExecScratch {
     results: Vec<ExecRowResult>,
     /// Rows the columnar kernels cannot take (non-numeric bound values).
     fallback: Vec<bool>,
-    /// Per-row binding map, rebuilt only for rows the executor runs.
-    row_bindings: HashMap<u32, Value>,
     /// The columnar tier's recost arena, holding each row's access paths
     /// and join order.
     recost: RecostScratch,
@@ -319,10 +317,8 @@ impl PreparedExec {
         // instantiate-and-execute path bit-for-bit.
         #[cfg(debug_assertions)]
         {
-            let mut map = HashMap::new();
             for row in 0..batch.len() {
-                batch.fill_row_map(row, &mut map);
-                let expected = match self.plan.template().instantiate(&map) {
+                let expected = match self.plan.template().instantiate(batch.row(row)) {
                     Ok(select) => db
                         .execute(&select)
                         .map(|r| (r.cardinality() as f64, r.work_micros())),
@@ -362,11 +358,12 @@ fn execute_row(
     db: &Database,
     plan: &PreparedTemplate,
     hoisted: Option<&Hoisted>,
-    bindings: &HashMap<u32, Value>,
+    batch: &BindingBatch,
+    row: usize,
 ) -> ExecRowResult {
     let select = plan
         .template()
-        .instantiate(bindings)
+        .instantiate(batch.row(row))
         .map_err(|e| DbError::Unsupported(e.to_string()))?;
     let (mut work, cached) = match hoisted {
         None => (0, None),
@@ -407,8 +404,7 @@ impl HoistedPlan {
         scratch: &mut ExecScratch,
     ) {
         for row in 0..batch.len() {
-            batch.fill_row_map(row, &mut scratch.row_bindings);
-            let result = execute_row(db, plan, self.hoisted.as_ref(), &scratch.row_bindings);
+            let result = execute_row(db, plan, self.hoisted.as_ref(), batch, row);
             scratch.results.push(result);
         }
     }
@@ -549,8 +545,7 @@ impl ColumnarPlan {
             // Unreachable for a database the template prepared against;
             // reproduce whatever the scalar path reports.
             for row in 0..n {
-                batch.fill_row_map(row, &mut scratch.row_bindings);
-                scratch.results.push(execute_row(db, plan, None, &scratch.row_bindings));
+                scratch.results.push(execute_row(db, plan, None, batch, row));
             }
             return Ok(());
         };
@@ -596,10 +591,7 @@ impl ColumnarPlan {
                 Some((cardinality, work)) => {
                     Ok((cardinality as f64, work as f64 * WORK_UNIT_MICROS))
                 }
-                None => {
-                    batch.fill_row_map(row, &mut scratch.row_bindings);
-                    execute_row(db, plan, None, &scratch.row_bindings)
-                }
+                None => execute_row(db, plan, None, batch, row),
             };
             scratch.results.push(result);
         }
@@ -1508,12 +1500,6 @@ mod tests {
         PreparedExec::prepare(db, Arc::new(plan))
     }
 
-    fn batch_of(ids: &[u32], rows: &[Vec<(u32, Value)>]) -> BindingBatch {
-        let maps: Vec<HashMap<u32, Value>> =
-            rows.iter().map(|r| r.iter().cloned().collect()).collect();
-        BindingBatch::from_rows(ids, &maps).unwrap()
-    }
-
     /// Build, execute, and verify one template against the scalar path.
     /// The heavy lifting is the `debug_assertions` cross-check inside
     /// `execute_batch` itself; this helper re-asserts explicitly so the
@@ -1528,13 +1514,12 @@ mod tests {
         let prepared = prepare(db, &template);
         assert_eq!(prepared.tier(), expected_tier, "tier for {sql}");
         let ids = prepared.placeholder_ids().to_vec();
-        let batch = batch_of(&ids, rows);
+        let batch = BindingBatch::of(&ids, rows);
         let mut scratch = ExecScratch::new();
         let results = prepared.execute_batch(db, &batch, &mut scratch).unwrap();
         assert_eq!(results.len(), rows.len());
         for (row, result) in results.iter().enumerate() {
-            let bindings: HashMap<u32, Value> = rows[row].iter().cloned().collect();
-            let select = template.instantiate(&bindings).unwrap();
+            let select = template.instantiate(batch.row(row)).unwrap();
             let expected = db
                 .execute(&select)
                 .map(|r| (r.cardinality() as f64, r.work_micros()));
@@ -1808,7 +1793,7 @@ mod tests {
             assert_batch_matches_scalar(&db, sql, "columnar", &rows);
             let template = parse_template(sql).unwrap();
             let prepared = prepare(&db, &template);
-            let batch = batch_of(&[1], &rows[..1]);
+            let batch = BindingBatch::of(&[1], &rows[..1]);
             let mut scratch = ExecScratch::new();
             let results = prepared.execute_batch(&db, &batch, &mut scratch).unwrap();
             let (cardinality, _) = results[0].clone().unwrap();
@@ -1857,7 +1842,7 @@ mod tests {
         )
         .unwrap();
         let prepared = prepare(&db, &template);
-        let batch = batch_of(&[2], &[vec![(2, Value::Float(100.0))]]);
+        let batch = BindingBatch::of(&[2], &[vec![(2, Value::Float(100.0))]]);
         let mut scratch = ExecScratch::new();
         assert_eq!(
             prepared.execute_batch(&db, &batch, &mut scratch).unwrap_err(),

@@ -48,6 +48,13 @@
 //!
 //! ### Contract
 //!
+//! Bindings arrive as one [`BindingBatch`]; nothing here takes a binding
+//! map. Recognized shapes read values by `(column, row)` index, and the
+//! generic shapes and the debug cross-check read a row through its
+//! borrowed view ([`BindingBatch::row`]). The batch must have a column
+//! for every placeholder of the template (otherwise the whole batch fails
+//! with the smallest unbound id); extra columns are ignored.
+//!
 //! `recost_batch` assumes bindings are *type-compatible* with the
 //! template (as produced by the placeholder-space sampler). Wildly
 //! mistyped values can make the from-scratch path fail validation where
@@ -64,11 +71,15 @@ use crate::planner;
 use sqlkit::{BinaryOp, ColumnRef, Expr, JoinKind, Select, Template, Value};
 use std::collections::HashMap;
 
-/// Struct-of-arrays binding batch: one `Vec<Value>` column per
-/// placeholder id, built once from a candidate list.
+/// Struct-of-arrays binding batch — the one binding representation: one
+/// `Vec<Value>` column per placeholder id. Rows come in through
+/// [`BindingBatch::push_row`] (sorted `(id, value)` pairs, as a
+/// placeholder-space decoder fills them into a reused buffer) or
+/// [`BindingBatch::push_row_from`] (a row gathered from another batch).
 /// [`PreparedTemplate::recost_batch`] reads values by `(column, row)`
-/// index, so recognized predicate shapes need no per-row `HashMap`
-/// lookups.
+/// index; row-at-a-time consumers — `Template::instantiate`,
+/// `Expr::substitute`, SQL rendering — read a row through the borrowed
+/// view [`BindingBatch::row`].
 #[derive(Debug, Clone, Default)]
 pub struct BindingBatch {
     /// Sorted, deduplicated placeholder ids — one per column.
@@ -87,24 +98,12 @@ impl BindingBatch {
         BindingBatch { ids, columns, rows: 0 }
     }
 
-    /// Build a batch from per-probe binding maps in one pass.
-    pub fn from_rows(
-        ids: &[u32],
-        rows: &[HashMap<u32, Value>],
-    ) -> Result<BindingBatch, DbError> {
-        let mut batch = BindingBatch::new(ids.to_vec());
-        for row in rows {
-            batch.push_row(row)?;
-        }
-        Ok(batch)
-    }
-
     /// Re-target the batch to a (possibly different) id set, keeping the
     /// column buffers' capacity.
-    pub fn reset(&mut self, ids: &[u32]) {
+    pub fn reset(&mut self, ids: impl IntoIterator<Item = u32>) {
         self.rows = 0;
         self.ids.clear();
-        self.ids.extend_from_slice(ids);
+        self.ids.extend(ids);
         self.ids.sort_unstable();
         self.ids.dedup();
         self.columns.truncate(self.ids.len());
@@ -116,57 +115,45 @@ impl BindingBatch {
         }
     }
 
-    /// Append one row, validating in a single pass over the sorted ids.
-    /// On a missing binding the batch is left unchanged and the error
-    /// names the *smallest* unbound id (ids are sorted ascending, so the
-    /// first gap found is the smallest — the `UnboundPlaceholder`
-    /// reporting convention).
-    pub fn push_row(&mut self, bindings: &HashMap<u32, Value>) -> Result<(), DbError> {
-        for (slot, id) in self.ids.iter().enumerate() {
-            match bindings.get(id) {
+    /// Append one row given as `(placeholder id, value)` pairs sorted by
+    /// ascending id. Every batch id must appear — a gap reports the
+    /// *smallest* unbound id (the `UnboundPlaceholder` convention) and
+    /// leaves the batch unchanged — and pairs for ids outside the batch
+    /// are ignored.
+    pub fn push_row(&mut self, bindings: &[(u32, Value)]) -> Result<(), DbError> {
+        debug_assert!(
+            bindings.windows(2).all(|w| w[0].0 < w[1].0),
+            "bindings must be sorted by strictly ascending placeholder id"
+        );
+        self.push_with(|id| {
+            let at = bindings.binary_search_by_key(&id, |&(bound, _)| bound).ok()?;
+            Some(&bindings[at].1)
+        })
+    }
+
+    /// Append row `row` of `src`, column by column for this batch's ids —
+    /// how a caller gathers a subset of one batch's rows into another.
+    /// Same contract as [`BindingBatch::push_row`]: `src` columns this
+    /// batch lacks are ignored, and an id `src` has no column for reports
+    /// the smallest such id and leaves the batch unchanged.
+    pub fn push_row_from(&mut self, src: &BindingBatch, row: usize) -> Result<(), DbError> {
+        self.push_with(|id| src.value_of(id, row))
+    }
+
+    /// Append one row, asking `value_of` for each batch id in ascending
+    /// order; on the first `None` the partial row is rolled back.
+    fn push_with<'v>(
+        &mut self,
+        value_of: impl Fn(u32) -> Option<&'v Value>,
+    ) -> Result<(), DbError> {
+        for (slot, &id) in self.ids.iter().enumerate() {
+            match value_of(id) {
                 Some(value) => self.columns[slot].push(value.clone()),
                 None => {
                     for column in &mut self.columns {
                         column.truncate(self.rows);
                     }
-                    return Err(DbError::UnboundPlaceholder(*id));
-                }
-            }
-        }
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Append one row given as `(placeholder id, value)` pairs sorted by
-    /// ascending id — the allocation-free sibling of [`push_row`] for
-    /// candidate generators that decode into a reusable pair buffer
-    /// instead of a `HashMap`. Validation is one merge pass over the two
-    /// sorted sequences: every batch id must appear (a gap reports the
-    /// *smallest* unbound id, the `UnboundPlaceholder` convention, and
-    /// leaves the batch unchanged); pairs for ids outside the batch are
-    /// ignored, mirroring `push_row`'s extra-binding rule.
-    ///
-    /// [`push_row`]: BindingBatch::push_row
-    pub fn push_row_slice(&mut self, bindings: &[(u32, Value)]) -> Result<(), DbError> {
-        debug_assert!(
-            bindings.windows(2).all(|w| w[0].0 < w[1].0),
-            "bindings must be sorted by strictly ascending placeholder id"
-        );
-        let mut cursor = 0usize;
-        for (slot, id) in self.ids.iter().enumerate() {
-            while cursor < bindings.len() && bindings[cursor].0 < *id {
-                cursor += 1;
-            }
-            match bindings.get(cursor) {
-                Some((bound, value)) if bound == id => {
-                    self.columns[slot].push(value.clone());
-                    cursor += 1;
-                }
-                _ => {
-                    for column in &mut self.columns {
-                        column.truncate(self.rows);
-                    }
-                    return Err(DbError::UnboundPlaceholder(*id));
+                    return Err(DbError::UnboundPlaceholder(id));
                 }
             }
         }
@@ -175,12 +162,31 @@ impl BindingBatch {
     }
 
     /// Value bound to `id` in `row`, or `None` when the batch has no
-    /// column for `id`. Lets emission render accepted rows straight from
-    /// the batch instead of keeping a parallel copy of every candidate.
+    /// column for `id`.
     pub fn value_of(&self, id: u32, row: usize) -> Option<&Value> {
         debug_assert!(row < self.rows);
         let slot = self.ids.binary_search(&id).ok()?;
         Some(&self.columns[slot][row])
+    }
+
+    /// Borrowed view of one row: placeholder id → bound value. This is
+    /// the lookup `Template::instantiate` and `Expr::substitute` take, so
+    /// rendering and the row-at-a-time fallbacks read the batch in place.
+    pub fn row<'b>(&'b self, row: usize) -> impl Fn(u32) -> Option<&'b Value> + Copy + 'b {
+        move |id| self.value_of(id, row)
+    }
+
+    /// Test constructor: a batch over `ids` holding `rows`, each given as
+    /// `(id, value)` pairs in any order.
+    #[cfg(test)]
+    pub(crate) fn of(ids: &[u32], rows: &[Vec<(u32, Value)>]) -> BindingBatch {
+        let mut batch = BindingBatch::new(ids.to_vec());
+        for row in rows {
+            let mut row = row.clone();
+            row.sort_by_key(|&(id, _)| id);
+            batch.push_row(&row).unwrap();
+        }
+        batch
     }
 
     /// Drop all rows, keeping the id set and column capacity.
@@ -215,15 +221,6 @@ impl BindingBatch {
     pub(crate) fn column_of(&self, id: u32) -> usize {
         self.ids.binary_search(&id).expect("placeholder id has a batch column")
     }
-
-    /// Rebuild one row as a binding map (generic predicate shapes and the
-    /// debug cross-check).
-    pub(crate) fn fill_row_map(&self, row: usize, map: &mut HashMap<u32, Value>) {
-        map.clear();
-        for (slot, id) in self.ids.iter().enumerate() {
-            map.insert(*id, self.columns[slot][row].clone());
-        }
-    }
 }
 
 /// Caller-owned arena of reusable buffers for
@@ -242,8 +239,6 @@ pub struct RecostScratch {
     order: Vec<usize>,
     used_edges: Vec<bool>,
     applied_residuals: Vec<bool>,
-    /// Per-row binding map, rebuilt only for generic-shape predicates.
-    row_bindings: HashMap<u32, Value>,
     /// Per-conjunct probe decisions, flattened over (scan, conjunct).
     probes: Vec<BatchProbe>,
     /// Selectivity column per residual (`None` when cached).
@@ -429,9 +424,9 @@ impl PreparedTemplate {
     /// once per template, its per-row selectivities are computed as a
     /// tight columnar loop over the batch's value columns, each
     /// placeholder-bearing subquery is recost over the same batch, and
-    /// only the scalar cost roll-up replays per row — no per-row
-    /// `HashMap` lookups and no per-row allocation (generic predicate
-    /// shapes excepted). `scratch` is a caller-owned arena; reusing it
+    /// only the scalar cost roll-up replays per row — values are read by
+    /// `(column, row)` index, with no per-row allocation (generic
+    /// predicate shapes excepted). `scratch` is a caller-owned arena; reusing it
     /// across batches makes the warm path allocation-free. It also keeps
     /// each row's winning access path per scan, which the vectorized
     /// executor runs.
@@ -460,10 +455,8 @@ impl PreparedTemplate {
         // skipped.
         #[cfg(debug_assertions)]
         {
-            let mut map = HashMap::new();
             for (row, &(rows, cost)) in scratch.results.iter().enumerate() {
-                batch.fill_row_map(row, &mut map);
-                let Ok(query) = self.template.instantiate(&map) else { continue };
+                let Ok(query) = self.template.instantiate(batch.row(row)) else { continue };
                 let Ok(explain) = db.explain(&query) else { continue };
                 debug_assert_eq!(
                     rows.to_bits(),
@@ -711,7 +704,6 @@ impl PreparedSelect {
         let estimator = Estimator::new(db, &scope).with_subquery_rows(fixed_subquery_rows);
 
         let mut scans = Vec::with_capacity(scope.bindings.len());
-        // detlint::allow(unordered_iter): scope.bindings is the planner Scope's Vec of FROM-clause (alias, table) pairs in declaration order; it only shares a field name with the placeholder HashMaps in this file
         for (idx, (_, table_name)) in scope.bindings.iter().enumerate() {
             let table = db.table(table_name)?;
             let stats = db.stats(table_name)?;
@@ -819,7 +811,6 @@ impl PreparedSelect {
             order,
             used_edges,
             applied_residuals,
-            row_bindings,
             probes,
             residual_cols,
             conj_sels,
@@ -907,7 +898,6 @@ impl PreparedSelect {
                 batch,
                 subqueries,
                 &mut sels[c * n..(c + 1) * n],
-                row_bindings,
             );
         }
         probes.clear();
@@ -989,14 +979,11 @@ impl PreparedSelect {
                             low.resolve(batch, row).is_some()
                                 && high.resolve(batch, row).is_some()
                         }
-                        BatchProbe::Generic => {
-                            batch.fill_row_map(row, row_bindings);
-                            planner::indexable_bounds(
-                                &conjunct.predicate.expr.substitute(row_bindings),
-                            )
-                            .map(|(column, _, _)| db.index_on(&scan.table, &column).is_some())
-                            .unwrap_or(false)
-                        }
+                        BatchProbe::Generic => planner::indexable_bounds(
+                            &conjunct.predicate.expr.substitute(batch.row(row)),
+                        )
+                        .map(|(column, _, _)| db.index_on(&scan.table, &column).is_some())
+                        .unwrap_or(false),
                     };
                     probe_idx += 1;
                     if !probes_now {
@@ -1161,11 +1148,11 @@ impl PreparedSelect {
     /// rendered subquery texts, inserted in [`Select::subqueries`] order
     /// as the planner inserts them. Serves only generic predicates that
     /// hold a placeholder-bearing subquery.
-    fn row_estimator<'e>(
+    fn row_estimator<'e, 'v>(
         &'e self,
         db: &'e Database,
         nested: &[RecostScratch],
-        bindings: &HashMap<u32, Value>,
+        value_of: impl Fn(u32) -> Option<&'v Value>,
         row: usize,
     ) -> Estimator<'e> {
         let mut subquery_rows = HashMap::with_capacity(self.subqueries.len());
@@ -1178,7 +1165,7 @@ impl PreparedSelect {
                     let mut instantiated = template.as_ref().clone();
                     instantiated.walk_exprs_mut(&mut |e| {
                         if let Expr::Placeholder(id) = e {
-                            if let Some(value) = bindings.get(id) {
+                            if let Some(value) = value_of(*id) {
                                 *e = Expr::Literal(value.clone());
                             }
                         }
@@ -1195,7 +1182,8 @@ impl PreparedSelect {
     /// resolve column statistics once and call the estimator's own
     /// comparison/range/semijoin helpers per value, so the results match
     /// the substitute-then-estimate path bit for bit. Generic shapes
-    /// rebuild a binding map per row and take that path literally.
+    /// substitute each row through the batch's row view and take that
+    /// path literally.
     fn fill_column(
         &self,
         predicate: &PreparedPredicate,
@@ -1203,7 +1191,6 @@ impl PreparedSelect {
         batch: &BindingBatch,
         nested: &[RecostScratch],
         out: &mut [f64],
-        row_bindings: &mut HashMap<u32, Value>,
     ) {
         match &predicate.fast {
             Some(FastShape::Cmp { column, op, id }) => {
@@ -1235,10 +1222,9 @@ impl PreparedSelect {
             }
             None => {
                 for (row, slot) in out.iter_mut().enumerate() {
-                    batch.fill_row_map(row, row_bindings);
-                    let expr = predicate.expr.substitute(row_bindings);
+                    let expr = predicate.expr.substitute(batch.row(row));
                     *slot = if predicate.row_subqueries {
-                        self.row_estimator(estimator.db, nested, row_bindings, row)
+                        self.row_estimator(estimator.db, nested, batch.row(row), row)
                             .selectivity(&expr)
                     } else {
                         estimator.selectivity(&expr)
@@ -1283,9 +1269,15 @@ mod tests {
         crate::datagen::tpch::generate(crate::datagen::tpch::TpchConfig::tiny())
     }
 
-    /// The planner's `(estimated_rows, total_cost)` for one binding row.
-    fn planner_cost(db: &Database, template: &Template, row: &HashMap<u32, Value>) -> (f64, f64) {
-        let explain = db.explain(&template.instantiate(row).unwrap()).unwrap();
+    /// The planner's `(estimated_rows, total_cost)` for row `row` of
+    /// `batch`.
+    fn planner_cost(
+        db: &Database,
+        template: &Template,
+        batch: &BindingBatch,
+        row: usize,
+    ) -> (f64, f64) {
+        let explain = db.explain(&template.instantiate(batch.row(row)).unwrap()).unwrap();
         (explain.estimated_rows, explain.total_cost)
     }
 
@@ -1298,18 +1290,17 @@ mod tests {
     fn assert_batch_matches_planner(db: &Database, sql: &str, rows: &[Vec<(u32, Value)>]) {
         let template = parse_template(sql).unwrap();
         let prepared = PreparedTemplate::prepare(db, &template).unwrap();
-        let mut maps: Vec<HashMap<u32, Value>> =
-            rows.iter().map(|raw| raw.iter().cloned().collect()).collect();
-        if let Some(first) = maps.first().cloned() {
-            maps.push(first);
+        let mut rows = rows.to_vec();
+        if let Some(first) = rows.first().cloned() {
+            rows.push(first);
         }
-        let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &maps).unwrap();
+        let batch = BindingBatch::of(prepared.placeholder_ids(), &rows);
         let mut scratch = RecostScratch::new();
         let results = prepared.recost_batch(db, &batch, &mut scratch).unwrap().to_vec();
-        assert_eq!(results.len(), maps.len());
+        assert_eq!(results.len(), rows.len());
         let mut checked = 0;
-        for (map, (batch_rows, batch_cost)) in maps.iter().zip(results) {
-            let query = template.instantiate(map).unwrap();
+        for (row, (batch_rows, batch_cost)) in results.into_iter().enumerate() {
+            let query = template.instantiate(batch.row(row)).unwrap();
             let Ok(explain) = db.explain(&query) else { continue };
             let (rows, cost) = (explain.estimated_rows, explain.total_cost);
             assert_eq!(batch_rows.to_bits(), rows.to_bits(), "rows for {query}");
@@ -1478,26 +1469,23 @@ mod tests {
         )
         .unwrap();
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
-        let rows: Vec<HashMap<u32, Value>> = [
+        let rows: Vec<Vec<(u32, Value)>> = [
             (1_000_000, 2_000_000), // empty lower-bounded range: index on p_2
             (-5, -1),               // empty upper-bounded range: index on p_3
             (-5, 2_000_000),        // every row: sequential scan
             (1_000_000, -1),        // both empty: the first wins the tie
         ]
         .into_iter()
-        .map(|(lo, hi)| {
-            [(1, Value::Float(0.0)), (2, Value::Int(lo)), (3, Value::Int(hi))]
-                .into_iter()
-                .collect()
-        })
+        .map(|(lo, hi)| vec![(1, Value::Float(0.0)), (2, Value::Int(lo)), (3, Value::Int(hi))])
         .collect();
-        let batch = BindingBatch::from_rows(prepared.placeholder_ids(), &rows).unwrap();
+        let batch = BindingBatch::of(prepared.placeholder_ids(), &rows);
         let mut scratch = RecostScratch::new();
         prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
         assert_eq!(scratch.access_paths().len(), rows.len(), "one scan per row");
         let conjuncts = &prepared.body.scans[0].conjuncts;
         let mut seen = Vec::new();
-        for (i, (row, &recorded)) in rows.iter().zip(scratch.access_paths()).enumerate() {
+        for (i, &recorded) in scratch.access_paths().iter().enumerate() {
+            let row = batch.row(i);
             let mut node = planner::plan(&db, &template.instantiate(row).unwrap()).unwrap();
             while let Some(child) = node.children.first() {
                 node = child.clone();
@@ -1528,7 +1516,7 @@ mod tests {
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
         assert_eq!(prepared.arity(), 0);
         // One row over zero placeholder ids.
-        let batch = BindingBatch::from_rows(&[], &[HashMap::new()]).unwrap();
+        let batch = BindingBatch::of(&[], &[vec![]]);
         assert_eq!(batch.len(), 1);
         let mut scratch = RecostScratch::new();
         let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
@@ -1614,12 +1602,9 @@ mod tests {
         ] {
             let template = parse_template(sql).unwrap();
             let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
-            let map: HashMap<u32, Value> = [(1, value)].into_iter().collect();
-            let batch =
-                BindingBatch::from_rows(prepared.placeholder_ids(), std::slice::from_ref(&map))
-                    .unwrap();
+            let batch = BindingBatch::of(prepared.placeholder_ids(), &[vec![(1, value)]]);
             let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
-            let (rows, cost) = planner_cost(&db, &template, &map);
+            let (rows, cost) = planner_cost(&db, &template, &batch, 0);
             assert_eq!(results[0].0.to_bits(), rows.to_bits());
             assert_eq!(results[0].1.to_bits(), cost.to_bits());
         }
@@ -1684,13 +1669,10 @@ mod tests {
         )
         .unwrap();
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
-        let map: HashMap<u32, Value> =
-            [(1, Value::Int(20)), (42, Value::Int(0))].into_iter().collect();
-        let batch =
-            BindingBatch::from_rows(&[1, 42], std::slice::from_ref(&map)).unwrap();
+        let batch = BindingBatch::of(&[1, 42], &[vec![(1, Value::Int(20)), (42, Value::Int(0))]]);
         let mut scratch = RecostScratch::new();
         let results = prepared.recost_batch(&db, &batch, &mut scratch).unwrap();
-        let (rows, cost) = planner_cost(&db, &template, &map);
+        let (rows, cost) = planner_cost(&db, &template, &batch, 0);
         assert_eq!(results[0].0.to_bits(), rows.to_bits());
         assert_eq!(results[0].1.to_bits(), cost.to_bits());
 
@@ -1702,11 +1684,9 @@ mod tests {
     #[test]
     fn push_row_failure_leaves_batch_unchanged() {
         let mut batch = BindingBatch::new(vec![1, 5]);
-        let full: HashMap<u32, Value> =
-            [(1, Value::Int(1)), (5, Value::Int(5))].into_iter().collect();
+        let full = [(1, Value::Int(1)), (5, Value::Int(5))];
         batch.push_row(&full).unwrap();
-        let partial: HashMap<u32, Value> = [(5, Value::Int(5))].into_iter().collect();
-        let err = batch.push_row(&partial).unwrap_err();
+        let err = batch.push_row(&[(5, Value::Int(5))]).unwrap_err();
         assert!(matches!(err, DbError::UnboundPlaceholder(1)), "{err:?}");
         assert_eq!(batch.len(), 1);
         batch.push_row(&full).unwrap();
@@ -1714,24 +1694,34 @@ mod tests {
     }
 
     #[test]
-    fn push_row_slice_matches_push_row() {
-        let mut by_map = BindingBatch::new(vec![3, 7]);
-        let mut by_slice = BindingBatch::new(vec![3, 7]);
-        let map: HashMap<u32, Value> =
-            [(3, Value::Int(30)), (7, Value::Float(7.5))].into_iter().collect();
-        by_map.push_row(&map).unwrap();
-        by_slice.push_row_slice(&[(3, Value::Int(30)), (7, Value::Float(7.5))]).unwrap();
-        assert_eq!(by_map.len(), by_slice.len());
-        assert_eq!(by_map.value_of(3, 0), by_slice.value_of(3, 0));
-        assert_eq!(by_map.value_of(7, 0), by_slice.value_of(7, 0));
+    fn push_row_from_matches_push_row() {
+        // Gathering rows of a wider batch into a narrower one copies the
+        // narrower batch's columns only; a source without one of its ids
+        // reports the smallest missing id and leaves the target unchanged.
+        let mut wide = BindingBatch::new(vec![1, 3, 7]);
+        wide.push_row(&[(1, Value::Int(1)), (3, Value::Int(30)), (7, Value::Float(7.5))]).unwrap();
+        wide.push_row(&[(1, Value::Int(2)), (3, Value::Int(31)), (7, Value::Null)]).unwrap();
+        let mut gathered = BindingBatch::new(vec![3, 7]);
+        let mut pushed = BindingBatch::new(vec![3, 7]);
+        gathered.push_row_from(&wide, 1).unwrap();
+        pushed.push_row(&[(3, Value::Int(31)), (7, Value::Null)]).unwrap();
+        assert_eq!(gathered.len(), pushed.len());
+        for id in [1, 3, 7] {
+            assert_eq!(gathered.value_of(id, 0), pushed.value_of(id, 0), "id {id}");
+        }
+        let mut narrow = BindingBatch::new(vec![7]);
+        narrow.push_row(&[(7, Value::Int(7))]).unwrap();
+        let err = gathered.push_row_from(&narrow, 0).unwrap_err();
+        assert!(matches!(err, DbError::UnboundPlaceholder(3)), "{err:?}");
+        assert_eq!(gathered.len(), 1);
     }
 
     #[test]
-    fn push_row_slice_ignores_extras_and_reports_smallest_gap() {
+    fn push_row_ignores_extras_and_reports_smallest_gap() {
         let mut batch = BindingBatch::new(vec![2, 6]);
         // Extra ids (1, 4, 9) outside the batch are skipped over.
         batch
-            .push_row_slice(&[
+            .push_row(&[
                 (1, Value::Int(0)),
                 (2, Value::Int(2)),
                 (4, Value::Int(0)),
@@ -1742,13 +1732,14 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.value_of(2, 0), Some(&Value::Int(2)));
         assert_eq!(batch.value_of(9, 0), None, "extra ids get no column");
+        assert_eq!(batch.row(0)(6), Some(&Value::Int(6)));
 
         // Both batch ids missing: the *smallest* is reported and the
         // failed row leaves prior rows intact.
-        let err = batch.push_row_slice(&[(4, Value::Int(0))]).unwrap_err();
+        let err = batch.push_row(&[(4, Value::Int(0))]).unwrap_err();
         assert!(matches!(err, DbError::UnboundPlaceholder(2)), "{err:?}");
         assert_eq!(batch.len(), 1);
-        batch.push_row_slice(&[(2, Value::Int(20)), (6, Value::Int(60))]).unwrap();
+        batch.push_row(&[(2, Value::Int(20)), (6, Value::Int(60))]).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.value_of(6, 1), Some(&Value::Int(60)));
     }

@@ -6,7 +6,6 @@
 //! first-class expression nodes so a template and a query share one type;
 //! a [`Select`] with no remaining [`Expr::Placeholder`] nodes is executable.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A SQL literal or runtime value.
@@ -359,13 +358,14 @@ impl Expr {
     }
 
     /// Clone of this expression with every bound placeholder replaced by
-    /// its literal value; descends into subquery bodies. Placeholders
-    /// without a binding are left in place.
-    pub fn substitute(&self, bindings: &HashMap<u32, Value>) -> Expr {
+    /// its literal value; descends into subquery bodies. `value_of` is a
+    /// row view (see [`crate::Template::instantiate`]); placeholders it
+    /// leaves unbound stay in place.
+    pub fn substitute<'v>(&self, value_of: impl Fn(u32) -> Option<&'v Value>) -> Expr {
         let mut out = self.clone();
         out.walk_mut(&mut |e| {
             if let Expr::Placeholder(id) = e {
-                if let Some(value) = bindings.get(id) {
+                if let Some(value) = value_of(*id) {
                     *e = Expr::Literal(value.clone());
                 }
             }

@@ -37,8 +37,6 @@ pub enum SqlError {
     Parse(ParseError),
     /// Template instantiation referenced a placeholder with no binding.
     MissingPlaceholder(u32),
-    /// Instantiation supplied a value for a placeholder not in the template.
-    UnknownPlaceholder(u32),
 }
 
 impl fmt::Display for SqlError {
@@ -47,9 +45,6 @@ impl fmt::Display for SqlError {
             SqlError::Parse(e) => write!(f, "{e}"),
             SqlError::MissingPlaceholder(id) => {
                 write!(f, "no value supplied for placeholder p_{id}")
-            }
-            SqlError::UnknownPlaceholder(id) => {
-                write!(f, "value supplied for unknown placeholder p_{id}")
             }
         }
     }

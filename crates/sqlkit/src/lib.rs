@@ -33,7 +33,8 @@
 //! ).unwrap();
 //! assert_eq!(template.placeholders(), vec![1]);
 //!
-//! let query = template.instantiate(&[(1, Value::Float(500.0))].into_iter().collect()).unwrap();
+//! let price = Value::Float(500.0);
+//! let query = template.instantiate(|id| (id == 1).then_some(&price)).unwrap();
 //! assert!(query.to_string().contains("> 500"));
 //!
 //! let features = template.features();

@@ -7,7 +7,6 @@
 use crate::ast::{Expr, Select, Value};
 use crate::error::SqlError;
 use crate::features::TemplateFeatures;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A SQL template (Definition 2.1).
@@ -59,38 +58,29 @@ impl Template {
     /// Instantiate the template into an executable statement by replacing
     /// every placeholder with its bound value (Definition 2.3).
     ///
-    /// Every placeholder in the template must have a binding; extra
-    /// bindings are ignored, which lets callers sample one joint value
-    /// vector for a whole template family.
-    pub fn instantiate(&self, values: &HashMap<u32, Value>) -> Result<Select, SqlError> {
-        for id in self.placeholders() {
-            if !values.contains_key(&id) {
-                return Err(SqlError::MissingPlaceholder(id));
-            }
+    /// `value_of` is a row view: it returns the value bound to a
+    /// placeholder id, or `None` when the id is unbound (a batch row
+    /// passes `|id| batch.value_of(id, row)`). Every placeholder in the
+    /// template must have a binding — the error names the *smallest*
+    /// unbound id; ids the template does not mention are never asked
+    /// for, which lets callers sample one joint value vector for a whole
+    /// template family.
+    pub fn instantiate<'v>(
+        &self,
+        value_of: impl Fn(u32) -> Option<&'v Value>,
+    ) -> Result<Select, SqlError> {
+        if let Some(id) = self.placeholders().into_iter().find(|&id| value_of(id).is_none()) {
+            return Err(SqlError::MissingPlaceholder(id));
         }
         let mut select = self.select.clone();
         select.walk_exprs_mut(&mut |expr| {
             if let Expr::Placeholder(id) = expr {
-                if let Some(value) = values.get(id) {
+                if let Some(value) = value_of(*id) {
                     *expr = Expr::Literal(value.clone());
                 }
             }
         });
         Ok(select)
-    }
-
-    /// Like [`Template::instantiate`] but also rejects bindings for
-    /// placeholders that do not occur in the template.
-    pub fn instantiate_strict(&self, values: &HashMap<u32, Value>) -> Result<Select, SqlError> {
-        let known = self.placeholders();
-        // Report the *smallest* unknown id so the error is independent of
-        // the map's iteration order.
-        if let Some(id) =
-            values.keys().copied().filter(|id| !known.contains(id)).min()
-        {
-            return Err(SqlError::UnknownPlaceholder(id));
-        }
-        self.instantiate(values)
     }
 
     /// Structural features of the template (table/join/aggregation counts,
@@ -146,12 +136,15 @@ mod tests {
         assert_eq!(t.placeholders(), vec![2]);
     }
 
+    /// Row view over `(id, value)` pairs.
+    fn row<'a>(pairs: &'a [(u32, Value)]) -> impl Fn(u32) -> Option<&'a Value> + 'a {
+        move |id| pairs.iter().find(|(bound, _)| *bound == id).map(|(_, value)| value)
+    }
+
     #[test]
     fn instantiate_replaces_all_occurrences() {
         let t = parse_template("SELECT * FROM t WHERE a > {p_1} AND b < {p_1}").unwrap();
-        let q = t
-            .instantiate(&[(1, Value::Int(10))].into_iter().collect())
-            .unwrap();
+        let q = t.instantiate(row(&[(1, Value::Int(10))])).unwrap();
         let text = q.to_string();
         assert!(!text.contains("{p_"));
         assert_eq!(text.matches("10").count(), 2);
@@ -163,35 +156,30 @@ mod tests {
             "SELECT * FROM a WHERE x IN (SELECT y FROM b WHERE z > {p_1})",
         )
         .unwrap();
-        let q = t
-            .instantiate(&[(1, Value::Float(2.5))].into_iter().collect())
-            .unwrap();
+        let q = t.instantiate(row(&[(1, Value::Float(2.5))])).unwrap();
         assert!(!q.to_string().contains("{p_"));
     }
 
     #[test]
     fn missing_binding_is_an_error() {
         let t = parse_template("SELECT * FROM t WHERE a > {p_1}").unwrap();
-        let err = t.instantiate(&HashMap::new()).unwrap_err();
+        let err = t.instantiate(row(&[])).unwrap_err();
         assert_eq!(err, SqlError::MissingPlaceholder(1));
     }
 
     #[test]
-    fn strict_instantiation_rejects_extras() {
-        let t = parse_template("SELECT * FROM t WHERE a > {p_1}").unwrap();
-        let values: HashMap<u32, Value> =
-            [(1, Value::Int(1)), (9, Value::Int(9))].into_iter().collect();
-        assert_eq!(
-            t.instantiate_strict(&values).unwrap_err(),
-            SqlError::UnknownPlaceholder(9)
-        );
-        assert!(t.instantiate(&values).is_ok());
+    fn instantiation_ignores_extras_and_reports_smallest_gap() {
+        let t = parse_template("SELECT * FROM t WHERE a > {p_4} AND b < {p_2}").unwrap();
+        let extras = [(2, Value::Int(1)), (4, Value::Int(4)), (9, Value::Int(9))];
+        assert!(t.instantiate(row(&extras)).is_ok());
+        let err = t.instantiate(row(&[(9, Value::Int(9))])).unwrap_err();
+        assert_eq!(err, SqlError::MissingPlaceholder(2));
     }
 
     #[test]
     fn ground_template_is_directly_executable() {
         let t = parse_template("SELECT * FROM t WHERE a > 5").unwrap();
         assert!(t.is_ground());
-        assert!(t.instantiate(&HashMap::new()).is_ok());
+        assert!(t.instantiate(row(&[])).is_ok());
     }
 }

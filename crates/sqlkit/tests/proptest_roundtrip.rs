@@ -217,12 +217,8 @@ proptest! {
     #[test]
     fn instantiation_grounds_the_template(select in select_strategy(), v in 0i64..1000) {
         let template = sqlkit::Template::new(select);
-        let bindings = template
-            .placeholders()
-            .into_iter()
-            .map(|id| (id, Value::Int(v)))
-            .collect();
-        let query = template.instantiate(&bindings).unwrap();
+        let value = Value::Int(v);
+        let query = template.instantiate(|_| Some(&value)).unwrap();
         let grounded = sqlkit::Template::new(query);
         prop_assert!(grounded.is_ground());
     }

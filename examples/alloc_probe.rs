@@ -4,7 +4,8 @@
 //! Default mode probes one binding at a time (oracle batches of one with
 //! a reused [`ColumnarScratch`]); `--batch 256` (any size) additionally
 //! measures whole batches through the same entry point, reporting
-//! amortized allocations per probe;
+//! amortized allocations per probe. Both build memo keys straight from
+//! the batch columns and assert 0.000 allocs/probe in release builds;
 //! `--amplify` measures the warm amplification emission loop (draw →
 //! decode → columnar recost → render → stream) over one million emitted
 //! queries, asserting 0.000 allocs/query — which simultaneously
@@ -16,6 +17,7 @@
 //! (debug builds run the per-row scalar cross-check, which allocates
 //! by design).
 
+use minidb::BindingBatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlbarber::amplify::{Lane, PairContext, DEFAULT_BATCH};
@@ -62,33 +64,44 @@ fn main() {
     .unwrap();
     let space = sqlbarber::sampler::PlaceholderSpace::build(&db, &template);
     let handle = oracle.prepare(&template).unwrap();
-    // Distinct bindings, costed once to warm the memo.
-    let bindings: Vec<_> = (0..256)
-        .map(|i| space.decode(&[(i % 5) as f64 / 5.0, (i as f64) / 256.0]))
+    // Distinct bindings, each decoded into its own one-row batch and
+    // costed once to warm the memo.
+    let points: Vec<[f64; 2]> =
+        (0..256).map(|i| [(i % 5) as f64 / 5.0, (i as f64) / 256.0]).collect();
+    let singles: Vec<BindingBatch> = points
+        .iter()
+        .map(|point| {
+            let mut single = BindingBatch::default();
+            space.decode_batch([point], &mut single);
+            single
+        })
         .collect();
     let mut scratch = ColumnarScratch::new();
-    let mut cost_one = |b: &std::collections::HashMap<u32, sqlkit::Value>| {
-        let batch = std::slice::from_ref(b);
+    let cardinality = CostType::Cardinality;
+    let mut cost_one = |single: &BindingBatch| {
         let results =
-            oracle.cost_prepared_batch_columnar(&handle, batch, CostType::Cardinality, &mut scratch);
+            oracle.cost_prepared_batch_columnar_on(1, &handle, single, cardinality, &mut scratch);
         assert!(results[0].is_ok());
     };
-    for b in &bindings {
-        cost_one(b);
+    for single in &singles {
+        cost_one(single);
     }
     // Measure: warm lookups only (every probe is a binding-key cache hit).
     const ROUNDS: u64 = 100;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..ROUNDS {
-        for b in &bindings {
-            cost_one(b);
+        for single in &singles {
+            cost_one(single);
         }
     }
     let after = ALLOCS.load(Ordering::Relaxed);
-    let per = (after - before) as f64 / (ROUNDS * bindings.len() as u64) as f64;
-    println!("allocs per warm prepared lookup: {per:.2}");
+    let per = (after - before) as f64 / (ROUNDS * singles.len() as u64) as f64;
+    println!("allocs per warm prepared lookup: {per:.3}");
     let stats = oracle.stats();
     println!("hits {} misses {}", stats.prepared_hits, stats.prepared_misses);
+    if cfg!(not(debug_assertions)) {
+        assert!(per < 0.0005, "warm batch-of-one lookup allocated {per:.5}/probe");
+    }
 
     // `--batch N`: amortized allocations per probe through the columnar
     // batch path, scratch reused across rounds (first warm batch sizes
@@ -100,16 +113,18 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok());
     if let Some(batch_size) = batch_size {
-        let batch: Vec<_> = bindings.iter().take(batch_size).cloned().collect();
+        let mut batch = BindingBatch::default();
+        space.decode_batch(points.iter().take(batch_size), &mut batch);
         let mut scratch = ColumnarScratch::new();
         // Warm call: grows the scratch arenas to this batch's size.
-        oracle.cost_prepared_batch_columnar(&handle, &batch, CostType::Cardinality, &mut scratch);
+        oracle.cost_prepared_batch_columnar_on(1, &handle, &batch, cardinality, &mut scratch);
         let before = ALLOCS.load(Ordering::Relaxed);
         for _ in 0..ROUNDS {
-            let results = oracle.cost_prepared_batch_columnar(
+            let results = oracle.cost_prepared_batch_columnar_on(
+                1,
                 &handle,
                 &batch,
-                CostType::Cardinality,
+                cardinality,
                 &mut scratch,
             );
             assert_eq!(results.len(), batch.len());
@@ -117,6 +132,9 @@ fn main() {
         let after = ALLOCS.load(Ordering::Relaxed);
         let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
         println!("allocs per warm columnar batch probe (batch {}): {per:.3}", batch.len());
+        if cfg!(not(debug_assertions)) {
+            assert!(per < 0.0005, "warm columnar batch allocated {per:.5}/probe");
+        }
     }
 
     // `--exec-batch N`: amortized allocations per probe through the
@@ -139,17 +157,15 @@ fn main() {
              WHERE l.l_quantity > {p_1} AND o.o_totalprice <= {p_2} \
              GROUP BY o.o_orderkey",
         ];
-        let rows: Vec<std::collections::HashMap<u32, sqlkit::Value>> = (0..batch_size)
-            .map(|i| {
-                [
-                    (1u32, sqlkit::Value::Int((i % 50) as i64)),
-                    (2u32, sqlkit::Value::Float(900.0 + i as f64 * 37.0)),
-                ]
-                .into_iter()
-                .collect()
-            })
-            .collect();
-        let batch = minidb::BindingBatch::from_rows(&[1, 2], &rows).unwrap();
+        let mut batch = BindingBatch::new(vec![1, 2]);
+        for i in 0..batch_size {
+            batch
+                .push_row(&[
+                    (1, sqlkit::Value::Int((i % 50) as i64)),
+                    (2, sqlkit::Value::Float(900.0 + i as f64 * 37.0)),
+                ])
+                .unwrap();
+        }
         for sql in templates {
             let template = sqlkit::parse_template(sql).unwrap();
             let plan = minidb::PreparedTemplate::prepare(&db, &template).unwrap();

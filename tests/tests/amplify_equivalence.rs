@@ -16,8 +16,7 @@ use sqlbarber::amplify::{Lane, PairContext};
 use sqlbarber::oracle::CostOracle;
 use sqlbarber::profiler::{profile_template, ProfiledTemplate};
 use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
-use sqlkit::{parse_template, Value};
-use std::collections::HashMap;
+use sqlkit::parse_template;
 use std::sync::OnceLock;
 use workload::redset::redset_template_specs;
 use workload::{CostIntervals, TargetDistribution};
@@ -76,8 +75,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every binding the fitted generator produces binds the template
-    /// completely: `push_row_slice` accepts it (no unbound id, nothing
-    /// unknown) and `instantiate` succeeds on the same row.
+    /// completely: `push_row` accepts it (no unbound id) and
+    /// `instantiate` succeeds on the pushed row.
     #[test]
     fn fitted_generator_bindings_always_validate(
         skeleton_idx in 0usize..SKELETONS.len(),
@@ -101,19 +100,18 @@ proptest! {
         let mut point = Vec::new();
         let mut row = Vec::new();
         let mut batch = BindingBatch::new(profiled.template.placeholders());
-        for _ in 0..64 {
+        for r in 0..64 {
             ctx.generator().draw(&mut rng, &mut point);
             profiled.space.decode_into(&point, &mut row);
             prop_assert!(
-                batch.push_row_slice(&row).is_ok(),
+                batch.push_row(&row).is_ok(),
                 "generator produced an incomplete binding: {:?}",
                 row
             );
-            let map: HashMap<u32, Value> = row.iter().cloned().collect();
             prop_assert!(
-                profiled.template.instantiate(&map).is_ok(),
+                profiled.template.instantiate(batch.row(r)).is_ok(),
                 "binding does not instantiate: {:?}",
-                map
+                row
             );
         }
     }
@@ -151,12 +149,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(batch_seed);
         let mut point = Vec::new();
         let mut row = Vec::new();
+        let mut batch = BindingBatch::new(profiled.template.placeholders());
         let mut expected: Vec<(f64, String)> = Vec::new();
-        for _ in 0..batch_size {
+        for r in 0..batch_size {
             ctx.generator().draw(&mut rng, &mut point);
             profiled.space.decode_into(&point, &mut row);
-            let map: HashMap<u32, Value> = row.iter().cloned().collect();
-            let query = profiled.template.instantiate(&map).expect("binds");
+            batch.push_row(&row).expect("binds");
+            let query = profiled.template.instantiate(batch.row(r)).expect("binds");
             let rows = db.explain(&query).expect("plans").estimated_rows;
             if intervals.interval_of(rows) != Some(interval) {
                 continue;

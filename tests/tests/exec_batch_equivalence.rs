@@ -13,7 +13,7 @@ use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 fn db() -> &'static Database {
@@ -150,20 +150,21 @@ const SKELETONS: &[Skeleton] = &[
     },
 ];
 
-/// Build one binding row from raw draws. `null_mask` bit `i` nulls the
+/// Build one binding row per raw draw, plus a copy of the first row at
+/// the end when `duplicate_first` is set. `null_mask` bit `i` nulls the
 /// `i`-th placeholder — NULL-heavy rows are a first-class input, not an
 /// afterthought: a NULL operand fails every predicate in the executor
 /// and must round-trip through the batch kernels identically.
-fn binding_row(
+fn binding_batch(
     kinds: &[(u32, bool)],
-    raw: &[f64],
-    null_mask: u32,
-) -> HashMap<u32, Value> {
-    kinds
-        .iter()
-        .zip(raw)
-        .enumerate()
-        .map(|(i, (&(id, is_int), &x))| {
+    rows_raw: &[(Vec<f64>, u32)],
+    duplicate_first: bool,
+) -> BindingBatch {
+    let mut batch = BindingBatch::new(kinds.iter().map(|&(id, _)| id).collect());
+    let mut row = Vec::with_capacity(kinds.len());
+    for (raw, null_mask) in rows_raw.iter().chain(duplicate_first.then(|| &rows_raw[0])) {
+        row.clear();
+        row.extend(kinds.iter().zip(raw).enumerate().map(|(i, (&(id, is_int), &x))| {
             let value = if null_mask >> i & 1 == 1 {
                 Value::Null
             } else if is_int {
@@ -172,8 +173,11 @@ fn binding_row(
                 Value::Float(x)
             };
             (id, value)
-        })
-        .collect()
+        }));
+        row.sort_by_key(|&(id, _)| id);
+        batch.push_row(&row).expect("all ids bound");
+    }
+    batch
 }
 
 fn rows_strategy(
@@ -203,25 +207,16 @@ proptest! {
         let exec = PreparedExec::prepare(db, Arc::new(plan));
         prop_assert_eq!(exec.tier(), skeleton.tier, "tier for {}", skeleton.sql);
 
-        let mut rows: Vec<HashMap<u32, Value>> = rows_raw
-            .iter()
-            .map(|(raw, null_mask)| binding_row(skeleton.kinds, raw, *null_mask))
-            .collect();
-        if duplicate_first {
-            rows.push(rows[0].clone());
-        }
-
-        let ids: Vec<u32> = skeleton.kinds.iter().map(|&(id, _)| id).collect();
-        let batch = BindingBatch::from_rows(&ids, &rows).expect("all ids bound");
+        let batch = binding_batch(skeleton.kinds, &rows_raw, duplicate_first);
         let mut scratch = ExecScratch::new();
         let batched = exec
             .execute_batch(db, &batch, &mut scratch)
             .expect("batch executes")
             .to_vec();
 
-        prop_assert_eq!(batched.len(), rows.len());
-        for (row, batch_result) in rows.iter().zip(batched.iter()) {
-            let expected = match template.instantiate(row) {
+        prop_assert_eq!(batched.len(), batch.len());
+        for (row, batch_result) in batched.iter().enumerate() {
+            let expected = match template.instantiate(batch.row(row)) {
                 Ok(select) => db
                     .execute(&select)
                     .map(|r| (r.cardinality() as f64, r.work_micros())),
@@ -259,7 +254,7 @@ proptest! {
     }
 
     /// Oracle-level contract for execution-based cost types: the entry
-    /// point (`cost_prepared_batch_columnar` → `execute_batch`) returns,
+    /// point (`cost_prepared_batch_columnar_on` → `execute_batch`) returns,
     /// probe by probe, the same bits as instantiate-and-execute, across
     /// thread counts and under capacity-2 memo eviction pressure — with
     /// one logical probe per binding and one physical evaluation per
@@ -279,23 +274,20 @@ proptest! {
         let skeleton = &SKELETONS[skeleton_idx];
         let template = parse_template(skeleton.sql).expect("skeleton SQL parses");
 
-        let mut batch: Vec<HashMap<u32, Value>> = rows_raw
-            .iter()
-            .map(|(raw, null_mask)| binding_row(skeleton.kinds, raw, *null_mask))
-            .collect();
-        batch.push(batch[0].clone()); // in-batch duplicate: memo-hit dedup
+        // In-batch duplicate of the first row: memo-hit dedup.
+        let batch = binding_batch(skeleton.kinds, &rows_raw, true);
 
         let capacity = if squeeze_cache { 2 } else { 1024 };
         let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
         let handle = oracle.prepare(&template).expect("prepare");
         let mut scratch = ColumnarScratch::new();
         let results = oracle
-            .cost_prepared_batch_columnar(&handle, &batch, cost_type, &mut scratch)
+            .cost_prepared_batch_columnar_on(threads, &handle, &batch, cost_type, &mut scratch)
             .to_vec();
 
         prop_assert_eq!(results.len(), batch.len());
-        for (row, got) in batch.iter().zip(&results) {
-            let expected = match template.instantiate(row) {
+        for (row, got) in results.iter().enumerate() {
+            let expected = match template.instantiate(batch.row(row)) {
                 Ok(select) => query_cost(db, &select, cost_type),
                 Err(e) => Err(DbError::Unsupported(e.to_string())),
             };
@@ -305,19 +297,13 @@ proptest! {
                 _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", got, expected),
             }
         }
-        let distinct: HashSet<Vec<(u32, String)>> = batch
-            .iter()
-            .map(|row| {
-                let mut key: Vec<(u32, String)> =
-                    row.iter().map(|(&id, v)| (id, format!("{v:?}"))).collect();
-                key.sort();
-                key
-            })
-            .collect();
         let physical = if cost_type == CostType::ExecutionTimeMicros {
             batch.len()
         } else {
-            distinct.len()
+            let key = |row| -> Vec<String> {
+                batch.ids().iter().map(|&id| format!("{:?}", batch.value_of(id, row))).collect()
+            };
+            (0..batch.len()).map(key).collect::<HashSet<_>>().len()
         };
         let stats = oracle.stats();
         prop_assert_eq!(stats.logical_probes, batch.len() as u64);
@@ -339,10 +325,7 @@ proptest! {
         let db = db();
         let skeleton = &SKELETONS[skeleton_idx];
         let template = parse_template(skeleton.sql).expect("skeleton SQL parses");
-        let batch: Vec<HashMap<u32, Value>> = rows_raw
-            .iter()
-            .map(|(raw, null_mask)| binding_row(skeleton.kinds, raw, *null_mask))
-            .collect();
+        let batch = binding_batch(skeleton.kinds, &rows_raw, false);
 
         let runs: Vec<_> = [1usize, 2, 8]
             .iter()
@@ -351,8 +334,8 @@ proptest! {
                 let handle = oracle.prepare(&template).expect("prepare");
                 let mut scratch = ColumnarScratch::new();
                 let results = oracle
-                    .cost_prepared_batch_columnar(
-                        &handle, &batch, cost_type, &mut scratch,
+                    .cost_prepared_batch_columnar_on(
+                        threads, &handle, &batch, cost_type, &mut scratch,
                     )
                     .to_vec();
                 (results, oracle.stats())

@@ -11,7 +11,7 @@ use sqlbarber::cost::query_cost;
 use sqlbarber::oracle::{ColumnarScratch, CostOracle};
 use sqlbarber::CostType;
 use sqlkit::{parse_template, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 fn db() -> &'static Database {
@@ -145,31 +145,26 @@ fn build_template(
     (skeleton.sql.replace("{EXTRA}", &extra), kinds)
 }
 
-/// One binding map per drawn row (typed per placeholder), plus a copy
-/// of the first row at the end when `duplicate_first` is set.
+/// One binding row per drawn row (typed per placeholder), plus a copy
+/// of the first row at the end when `duplicate_first` is set — in-batch
+/// duplicates must produce identical (deduplicable) outputs, not merely
+/// close ones.
 fn binding_rows(
     kinds: &[(u32, bool)],
     rows_raw: &[Vec<f64>],
     duplicate_first: bool,
-) -> Vec<HashMap<u32, Value>> {
-    let mut rows: Vec<HashMap<u32, Value>> = rows_raw
-        .iter()
-        .map(|raw| {
-            kinds
-                .iter()
-                .zip(raw)
-                .map(|(&(id, is_int), &x)| {
-                    (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
-                })
-                .collect()
-        })
-        .collect();
-    if duplicate_first {
-        // In-batch duplicates must produce identical (deduplicable)
-        // outputs, not merely close ones.
-        rows.push(rows[0].clone());
+) -> BindingBatch {
+    let mut batch = BindingBatch::new(kinds.iter().map(|&(id, _)| id).collect());
+    let mut row = Vec::with_capacity(kinds.len());
+    for raw in rows_raw.iter().chain(duplicate_first.then(|| &rows_raw[0])) {
+        row.clear();
+        row.extend(kinds.iter().zip(raw).map(|(&(id, is_int), &x)| {
+            (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
+        }));
+        row.sort_by_key(|&(id, _)| id);
+        batch.push_row(&row).expect("all ids bound");
     }
-    rows
+    batch
 }
 
 proptest! {
@@ -194,18 +189,15 @@ proptest! {
         let prepared =
             PreparedTemplate::prepare(db, &template).expect("skeleton plans");
 
-        let rows = binding_rows(&kinds, &rows_raw, duplicate_first);
-
-        let ids: Vec<u32> = kinds.iter().map(|&(id, _)| id).collect();
-        let batch = BindingBatch::from_rows(&ids, &rows).expect("all ids bound");
+        let batch = binding_rows(&kinds, &rows_raw, duplicate_first);
         let mut scratch = RecostScratch::new();
         let batched = prepared
             .recost_batch(db, &batch, &mut scratch)
             .expect("batch recost succeeds");
 
-        prop_assert_eq!(batched.len(), rows.len());
-        for (bindings, &(rows_est, cost)) in rows.iter().zip(batched) {
-            let query = template.instantiate(bindings).expect("all ids bound");
+        prop_assert_eq!(batched.len(), batch.len());
+        for (row, &(rows_est, cost)) in batched.iter().enumerate() {
+            let query = template.instantiate(batch.row(row)).expect("all ids bound");
             let explain = db.explain(&query).expect("planner handles the statement");
             prop_assert_eq!(
                 rows_est.to_bits(),
@@ -241,20 +233,17 @@ proptest! {
         let template = parse_template(&sql).expect("skeleton SQL parses");
         let prepared =
             PreparedTemplate::prepare(db, &template).expect("skeleton plans");
-        let rows = binding_rows(&kinds, &rows_raw, duplicate_first);
-
-        let ids: Vec<u32> = kinds.iter().map(|&(id, _)| id).collect();
-        let batch = BindingBatch::from_rows(&ids, &rows).expect("all ids bound");
+        let batch = binding_rows(&kinds, &rows_raw, duplicate_first);
         let mut scratch = RecostScratch::new();
         let batched = prepared
             .recost_batch(db, &batch, &mut scratch)
             .expect("batch recost succeeds")
             .to_vec();
 
-        prop_assert_eq!(batched.len(), rows.len());
-        for (row, &(batch_rows, batch_cost)) in rows.iter().zip(batched.iter()) {
-            let single = BindingBatch::from_rows(&ids, std::slice::from_ref(row))
-                .expect("all ids bound");
+        prop_assert_eq!(batched.len(), batch.len());
+        for (row, &(batch_rows, batch_cost)) in batched.iter().enumerate() {
+            let mut single = BindingBatch::new(batch.ids().to_vec());
+            single.push_row_from(&batch, row).expect("same ids");
             let alone = prepared
                 .recost_batch(db, &single, &mut scratch)
                 .expect("single-row recost succeeds");
@@ -271,7 +260,7 @@ proptest! {
     }
 
     /// Oracle-level contract: the oracle's entry point
-    /// (`cost_prepared_batch_columnar`: shard-bulk locking + columnar
+    /// (`cost_prepared_batch_columnar_on`: shard-bulk locking + columnar
     /// recost) returns, probe by probe, the same bits as planning each
     /// rendered statement from scratch, for batches whose binding keys
     /// span multiple memo shards — with one logical probe per binding and
@@ -289,30 +278,25 @@ proptest! {
         let (sql, kinds) = build_template(&SKELETONS[skeleton_idx], &[]);
         let template = parse_template(&sql).expect("skeleton SQL parses");
 
-        let mut batch: Vec<HashMap<u32, Value>> = rows_raw
-            .iter()
-            .map(|raw| {
-                kinds
-                    .iter()
-                    .zip(raw)
-                    .map(|(&(id, is_int), &x)| {
-                        (id, if is_int { Value::Int(x as i64) } else { Value::Float(x) })
-                    })
-                    .collect()
-            })
-            .collect();
-        batch.push(batch[0].clone()); // force an in-batch memo-hit dedup
+        // Duplicate the first row to force an in-batch memo-hit dedup.
+        let batch = binding_rows(&kinds, &rows_raw, true);
 
         let oracle = CostOracle::new(db, threads);
         let handle = oracle.prepare(&template).expect("prepare");
         let mut scratch = ColumnarScratch::new();
         let results = oracle
-            .cost_prepared_batch_columnar(&handle, &batch, CostType::PlanCost, &mut scratch)
+            .cost_prepared_batch_columnar_on(
+                threads,
+                &handle,
+                &batch,
+                CostType::PlanCost,
+                &mut scratch,
+            )
             .to_vec();
 
         prop_assert_eq!(results.len(), batch.len());
-        for (bindings, got) in batch.iter().zip(&results) {
-            let query = template.instantiate(bindings).expect("all ids bound");
+        for (row, got) in results.iter().enumerate() {
+            let query = template.instantiate(batch.row(row)).expect("all ids bound");
             let scalar = query_cost(db, &query, CostType::PlanCost);
             match (got, &scalar) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits(), "{}", query),
@@ -320,13 +304,9 @@ proptest! {
                 _ => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", got, scalar),
             }
         }
-        let distinct: HashSet<Vec<(u32, String)>> = batch
-            .iter()
-            .map(|bindings| {
-                let mut key: Vec<(u32, String)> =
-                    bindings.iter().map(|(&id, v)| (id, format!("{v:?}"))).collect();
-                key.sort();
-                key
+        let distinct: HashSet<Vec<String>> = (0..batch.len())
+            .map(|row| {
+                batch.ids().iter().map(|&id| format!("{:?}", batch.value_of(id, row))).collect()
             })
             .collect();
         let stats = oracle.stats();
