@@ -295,24 +295,13 @@ fn add_random_predicate(db: &Database, select: &mut Select, rng: &mut StdRng) {
 
 fn remove_random_predicate(select: &mut Select) {
     let Some(where_clause) = select.where_clause.take() else { return };
-    let mut parts = conjuncts(&where_clause);
+    let mut parts = where_clause.conjuncts();
     if parts.len() > 1 {
         parts.remove(0);
     }
-    select.where_clause =
-        parts.into_iter().fold(None, |acc, c| Some(Expr::and_opt(acc, c)));
+    select.where_clause = Expr::conjoin(parts);
 }
 
-fn conjuncts(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut parts = conjuncts(left);
-            parts.extend(conjuncts(right));
-            parts
-        }
-        other => vec![other.clone()],
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 use crate::cost::CostType;
 use crate::oracle::{ColumnarScratch, CostOracle, PreparedHandle};
 use crate::profiler::ProfiledTemplate;
-use crate::scheduler::{deficit_schedule, RoundControl};
+use crate::scheduler::{deficit_schedule, RoundControl, SchedState};
 use bayesopt::BoConfig;
 use minidb::BindingBatch;
 use rand::rngs::StdRng;
@@ -129,17 +129,28 @@ pub fn interval_objective(cost: f64, lo: f64, hi: f64) -> f64 {
     1.0 - ratio(cost, lo).max(ratio(cost, hi))
 }
 
-/// State shared across the whole search.
-pub(crate) struct SearchState {
-    pub(crate) d: Vec<f64>,
+/// The search's acceptance ledger: per-interval counts `d` and the
+/// accepted queries, in acceptance order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchState {
+    /// Per-interval accepted counts.
+    pub d: Vec<f64>,
     pub(crate) queries: Vec<GeneratedQuery>,
     /// SQL texts already accepted (a workload wants distinct queries, not
     /// one query repeated — note that different unit points can decode to
-    /// the same integer predicate values).
+    /// the same integer predicate values). Always the SQL set of
+    /// `queries`: [`SearchState::try_accept`] is the only inserter.
     pub(crate) seen: HashSet<String>,
 }
 
 impl SearchState {
+    /// A ledger holding `queries` (its seen-set rebuilt from their SQL)
+    /// with per-interval counts `d`.
+    pub fn new(d: Vec<f64>, queries: Vec<GeneratedQuery>) -> SearchState {
+        let seen = queries.iter().map(|q| q.sql.clone()).collect();
+        SearchState { d, queries, seen }
+    }
+
     /// Try to accept a query: its interval must have a deficit and its
     /// SQL text must be new.
     pub(crate) fn try_accept(
@@ -165,15 +176,8 @@ impl SearchState {
 /// Seed a fresh [`SearchState`] with profiling-phase queries that already
 /// conform (the generator "outputs the SQL queries whose … costs
 /// conform"). Touches no RNG; pure function of the template histories.
-pub(crate) fn seed_search_state(
-    templates: &[ProfiledTemplate],
-    target: &TargetDistribution,
-) -> SearchState {
-    let mut state = SearchState {
-        d: vec![0.0; target.intervals.count],
-        queries: Vec::new(),
-        seen: HashSet::new(),
-    };
+fn seed_search_state(templates: &[ProfiledTemplate], target: &TargetDistribution) -> SearchState {
+    let mut state = SearchState::new(vec![0.0; target.intervals.count], Vec::new());
     let mut batch = BindingBatch::default();
     for template in templates.iter() {
         template.space.decode_batch(template.evaluations.iter().map(|e| &e.point), &mut batch);
@@ -189,15 +193,6 @@ pub(crate) fn seed_search_state(
 /// Run Algorithm 3. `on_progress` is invoked with the current distribution
 /// after every optimization run (the hook the distance-over-time plots are
 /// recorded through).
-///
-/// The driver calls the pieces ([`seed_search_state`],
-/// [`deficit_schedule`], [`naive_random_search`]) directly so it can
-/// interleave checkpoints; this entry keeps the original one-call API —
-/// and, critically, the original RNG stream: the master seed is drawn
-/// from `rng` *after* the (RNG-free) seeding pass and *only* on the BO
-/// path, exactly where the scheduler used to draw it. The naive ablation
-/// never draws a master seed; hoisting the draw unconditionally would
-/// shift its probe stream.
 pub fn bo_predicate_search(
     oracle: &CostOracle,
     templates: &mut [ProfiledTemplate],
@@ -205,32 +200,73 @@ pub fn bo_predicate_search(
     cost_type: CostType,
     config: &BoSearchConfig,
     rng: &mut StdRng,
-    mut on_progress: impl FnMut(&[f64]),
+    on_progress: impl FnMut(&[f64]),
 ) -> SearchResult {
-    let state = seed_search_state(templates, target);
-    on_progress(&state.d);
+    predicate_search(
+        oracle,
+        templates,
+        target,
+        cost_type,
+        config,
+        rng,
+        None,
+        on_progress,
+        |_, _, _| RoundControl::Continue,
+    )
+}
 
-    if !config.use_bo {
-        return naive_random_search(
-            oracle, templates, target, cost_type, config, rng, state, on_progress,
-        );
-    }
-
+/// The one search entry behind [`bo_predicate_search`] and the driver's
+/// checkpointed search stage.
+///
+/// A fresh search (`resume` is `None`) seeds its ledger from the
+/// profiling history, then either runs the naive ablation or draws the
+/// scheduler's master seed from `rng` and runs the deficit scheduler.
+/// The seed is drawn after the (RNG-free) seeding pass and only on the
+/// BO path: the naive ablation's probe stream starts at the RNG position
+/// the seed would take. A resumed search continues the scheduler from
+/// the checkpointed state and draws nothing.
+///
+/// `on_round` observes every scheduler round boundary with the state a
+/// checkpoint stores, the template pool, and the driver RNG as the search
+/// left it; the naive ablation has no rounds and never calls it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn predicate_search(
+    oracle: &CostOracle,
+    templates: &mut [ProfiledTemplate],
+    target: &TargetDistribution,
+    cost_type: CostType,
+    config: &BoSearchConfig,
+    rng: &mut StdRng,
+    resume: Option<SchedState>,
+    mut on_progress: impl FnMut(&[f64]),
+    mut on_round: impl FnMut(&SchedState, &[ProfiledTemplate], &StdRng) -> RoundControl,
+) -> SearchResult {
+    let state = match resume {
+        Some(state) => state,
+        None => {
+            let accepted = seed_search_state(templates, target);
+            on_progress(&accepted.d);
+            if !config.use_bo {
+                return naive_random_search(
+                    oracle, templates, target, cost_type, config, rng, accepted, on_progress,
+                );
+            }
+            SchedState::new(rng.gen(), accepted)
+        }
+    };
     // The directed search itself — interval selection, template claiming,
     // concurrent (interval, template) runs, and the deterministic round
     // merges — lives in the deficit scheduler.
-    let search_seed: u64 = rng.gen();
+    let rng = &*rng;
     deficit_schedule(
         oracle,
         templates,
         target,
         cost_type,
         config,
-        search_seed,
-        None,
         state,
         on_progress,
-        |_, _| RoundControl::Continue,
+        |state, pool| on_round(state, pool, rng),
     )
 }
 
@@ -241,7 +277,7 @@ pub fn bo_predicate_search(
 /// arrive at the uniform hit rate — which is why the paper observes this
 /// variant "fails to reduce the distance to zero".
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn naive_random_search(
+fn naive_random_search(
     oracle: &CostOracle,
     templates: &mut [ProfiledTemplate],
     target: &TargetDistribution,

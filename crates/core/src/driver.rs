@@ -17,16 +17,13 @@
 //! those same boundaries for the chaos harness.
 
 use crate::amplify::{amplify_workload, AmplifyConfig};
-use crate::bo_search::{
-    naive_random_search, seed_search_state, BoSearchConfig, GeneratedQuery,
-    SearchResult, SearchState,
-};
+use crate::bo_search::{predicate_search, BoSearchConfig, GeneratedQuery, SearchResult};
 use crate::cost::CostType;
 use crate::oracle::CostOracle;
 use crate::profiler::{profile_batch, ProfiledTemplate};
 use crate::refine::{coverage, refine_and_prune, RefineConfig};
 use crate::report::GenerationReport;
-use crate::scheduler::{deficit_schedule, RoundControl, RoundSnapshot, SchedResume};
+use crate::scheduler::RoundControl;
 use crate::snapshot::{
     CheckpointDir, OracleState, PhaseState, ProfiledState, ReportAcc, SchedState, Snapshot,
     StoredResult, TemplatePool,
@@ -42,7 +39,6 @@ use minidb::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlkit::{Template, TemplateSpec};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use workload::{wasserstein_distance, AtomicFile, TargetDistribution};
@@ -393,40 +389,6 @@ fn report_from_acc(acc: &ReportAcc, target: &TargetDistribution) -> GenerationRe
     report
 }
 
-fn sched_state_of(snap: &RoundSnapshot<'_>) -> SchedState {
-    SchedState {
-        search_seed: snap.search_seed,
-        next_round: snap.next_round,
-        bad: snap.bad.iter().map(|&(j, t)| (j as u64, t as u64)).collect(),
-        skip: snap.skip.iter().map(|&j| j as u64).collect(),
-        failures: snap.failures.iter().map(|(&j, &c)| (j as u64, c)).collect(),
-        evaluations: snap.evaluations as u64,
-        d: snap.d.to_vec(),
-        queries: snap.queries.iter().map(|q| (q.sql.clone(), q.cost)).collect(),
-    }
-}
-
-/// Rebuild the scheduler bookkeeping and live search state from a
-/// mid-search snapshot. `seen` is exactly the accepted SQL set (the
-/// scheduler's `try_accept` is the only inserter).
-fn sched_resume_of(state: &SchedState) -> (SchedResume, SearchState) {
-    let queries: Vec<GeneratedQuery> = state
-        .queries
-        .iter()
-        .map(|(sql, cost)| GeneratedQuery { sql: sql.clone(), cost: *cost })
-        .collect();
-    let seen: HashSet<String> = queries.iter().map(|q| q.sql.clone()).collect();
-    let search_state = SearchState { d: state.d.clone(), queries, seen };
-    let resume = SchedResume {
-        next_round: state.next_round,
-        bad: state.bad.iter().map(|&(j, t)| (j as usize, t as usize)).collect(),
-        skip: state.skip.iter().map(|&j| j as usize).collect(),
-        failures: state.failures.iter().map(|&(j, c)| (j as usize, c)).collect(),
-        evaluations: state.evaluations as usize,
-    };
-    (resume, search_state)
-}
-
 fn stored_result_of(result: &SearchResult) -> StoredResult {
     StoredResult {
         queries: result.queries.iter().map(|q| (q.sql.clone(), q.cost)).collect(),
@@ -449,6 +411,41 @@ fn result_from_stored(stored: &StoredResult) -> SearchResult {
     }
 }
 
+/// Reject search state that a CRC-valid snapshot with a matching
+/// fingerprint can still hold but this run cannot use. The codec checks
+/// a snapshot's structure, not that its histograms fit the target; this
+/// runs once, before any of the snapshot is used.
+fn check_resumable(
+    phase: &PhaseState,
+    target: &TargetDistribution,
+    use_bo: bool,
+) -> Result<(), GenerateError> {
+    let intervals = target.intervals.count;
+    let problem = match phase {
+        PhaseState::MidSearch { .. } if !use_bo => {
+            "a mid-search snapshot requires the BO search path, but this config has \
+             use_bo = false"
+                .to_string()
+        }
+        PhaseState::MidSearch { sched, .. } if sched.accepted.d.len() != intervals => format!(
+            "mid-search counts cover {} intervals, the target has {intervals}",
+            sched.accepted.d.len()
+        ),
+        PhaseState::MidSearch { sched, .. } if sched.next_round == u64::MAX => format!(
+            "mid-search round counter {} leaves no scheduler round to run",
+            sched.next_round
+        ),
+        PhaseState::AfterSearch { result, .. } if result.distribution.len() != intervals => {
+            format!(
+                "after-search distribution covers {} intervals, the target has {intervals}",
+                result.distribution.len()
+            )
+        }
+        _ => return Ok(()),
+    };
+    Err(GenerateError::Checkpoint(format!("snapshot is inconsistent: {problem}")))
+}
+
 fn restore_profiled(
     db: &Database,
     states: &[ProfiledState],
@@ -457,6 +454,42 @@ fn restore_profiled(
         .iter()
         .map(|s| ProfiledTemplate::from_state(db, s).map_err(GenerateError::Checkpoint))
         .collect()
+}
+
+/// Write one snapshot at a boundary (no-op without a checkpoint dir).
+/// `rng` is the driver RNG as the boundary leaves it.
+fn write_checkpoint(
+    ckpt: &mut Option<Checkpointer>,
+    llm: &impl LanguageModel,
+    rng: &StdRng,
+    oracle: Option<&CostOracle>,
+    report: &GenerationReport,
+    pool: TemplatePool,
+    phase: PhaseState,
+) -> Result<(), GenerateError> {
+    let Some(ckpt) = ckpt.as_mut() else { return Ok(()) };
+    let llm = llm.export_state().ok_or_else(|| {
+        GenerateError::Checkpoint(
+            "the configured language model stopped exposing checkpoint state".into(),
+        )
+    })?;
+    let snapshot = Snapshot {
+        fingerprint: ckpt.fingerprint,
+        rng: rng.state(),
+        llm,
+        acc: acc_of(report),
+        pool,
+        oracle: oracle.map(|o| o.export_state()),
+        phase,
+    };
+    ckpt.dir
+        .store(&snapshot)
+        .map(|_| ())
+        .map_err(|e| GenerateError::Checkpoint(e.to_string()))
+}
+
+fn fire_kill(kill: &mut Option<KillSwitch>, point: KillPoint) -> Result<(), GenerateError> {
+    kill.as_mut().map_or(Ok(()), |kill| kill.check(point))
 }
 
 /// The SQLBarber system (Figure 2), bound to a database and an LLM.
@@ -618,6 +651,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                 snapshot.fingerprint, fingerprint
             )));
         }
+        check_resumable(&snapshot.phase, target, self.config.search.use_bo)?;
         self.llm
             .import_state(&snapshot.llm)
             .map_err(GenerateError::Checkpoint)?;
@@ -709,43 +743,6 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         }))
     }
 
-    /// Write one snapshot at a boundary (no-op without a checkpoint dir).
-    fn write_checkpoint(
-        &self,
-        ckpt: &mut Option<Checkpointer>,
-        oracle: Option<&CostOracle>,
-        report: &GenerationReport,
-        pool: TemplatePool,
-        phase: PhaseState,
-    ) -> Result<(), GenerateError> {
-        let Some(ckpt) = ckpt.as_mut() else { return Ok(()) };
-        let llm = self.llm.export_state().ok_or_else(|| {
-            GenerateError::Checkpoint(
-                "the configured language model stopped exposing checkpoint state".into(),
-            )
-        })?;
-        let snapshot = Snapshot {
-            fingerprint: ckpt.fingerprint,
-            rng: self.rng.state(),
-            llm,
-            acc: acc_of(report),
-            pool,
-            oracle: oracle.map(|o| o.export_state()),
-            phase,
-        };
-        ckpt.dir
-            .store(&snapshot)
-            .map(|_| ())
-            .map_err(|e| GenerateError::Checkpoint(e.to_string()))
-    }
-
-    fn fire_kill(&mut self, point: KillPoint) -> Result<(), GenerateError> {
-        match self.kill.as_mut() {
-            Some(kill) => kill.check(point),
-            None => Ok(()),
-        }
-    }
-
     /// The cost-aware pipeline (§5) as a resumable state machine. Fresh
     /// runs enter at [`Stage::Profile`]; resume enters at the stage after
     /// the snapshot's boundary with `profiled`/`oracle_state` restored.
@@ -780,8 +777,10 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                 Stage::Profile { seeds } => {
                     // Boundary: Algorithm 1 done, oracle untouched, RNG
                     // positioned before the profile-seed draw.
-                    self.write_checkpoint(
+                    write_checkpoint(
                         &mut ckpt,
+                        &self.llm,
+                        &self.rng,
                         None,
                         &report,
                         TemplatePool::Seeds(
@@ -789,7 +788,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                         ),
                         PhaseState::AfterTemplates,
                     )?;
-                    self.fire_kill(KillPoint::AfterTemplates)?;
+                    fire_kill(&mut self.kill, KillPoint::AfterTemplates)?;
 
                     // Phase 2: profiling (§5.1).
                     // detlint::allow(ambient_nondet): phase timing is reporting-only
@@ -815,14 +814,16 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
 
                 Stage::Refine { round } => {
                     if round == 1 {
-                        self.write_checkpoint(
+                        write_checkpoint(
                             &mut ckpt,
+                            &self.llm,
+                            &self.rng,
                             Some(&oracle),
                             &report,
                             pool_of(&profiled),
                             PhaseState::AfterProfiling,
                         )?;
-                        self.fire_kill(KillPoint::AfterProfiling)?;
+                        fire_kill(&mut self.kill, KillPoint::AfterProfiling)?;
                     }
                     // Phase 3: refinement & pruning (Algorithm 2) — the
                     // initial pass at round 1, retry passes after a search
@@ -847,14 +848,16 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     if profiled.is_empty() {
                         return Err(GenerateError::NoValidTemplates);
                     }
-                    self.write_checkpoint(
+                    write_checkpoint(
                         &mut ckpt,
+                        &self.llm,
+                        &self.rng,
                         Some(&oracle),
                         &report,
                         pool_of(&profiled),
                         PhaseState::AfterRefine { round: round as u64 },
                     )?;
-                    self.fire_kill(KillPoint::AfterRefine)?;
+                    fire_kill(&mut self.kill, KillPoint::AfterRefine)?;
                     Stage::Search { round, sched: None }
                 }
 
@@ -874,103 +877,61 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                         ));
                     };
 
-                    let result = if !search.use_bo {
-                        if sched.is_some() {
-                            return Err(GenerateError::Checkpoint(
-                                "mid-search snapshot requires the BO search \
-                                 path, but this config has use_bo = false"
-                                    .into(),
-                            ));
-                        }
-                        let state = seed_search_state(&profiled, target);
-                        push_progress(&state.d);
-                        naive_random_search(
-                            &oracle,
-                            &mut profiled,
-                            target,
-                            cost_type,
-                            &search,
-                            &mut self.rng,
-                            state,
-                            &mut push_progress,
-                        )
-                    } else {
-                        let (resume, state, search_seed) = match &sched {
-                            Some(s) => {
-                                let (resume, state) = sched_resume_of(s);
-                                (Some(resume), state, s.search_seed)
-                            }
-                            None => {
-                                let state = seed_search_state(&profiled, target);
-                                push_progress(&state.d);
-                                        // Drawn here (not inside the scheduler) so
-                                // the master-RNG stream stays byte-compatible
-                                // and the snapshot taken above precedes it.
-                                let search_seed: u64 = self.rng.gen();
-                                (None, state, search_seed)
-                            }
-                        };
-                        let mut rounds_since: u64 = 0;
-                        let mut pending: Option<GenerateError> = None;
-                        let result = deficit_schedule(
-                            &oracle,
-                            &mut profiled,
-                            target,
-                            cost_type,
-                            &search,
-                            search_seed,
-                            resume,
-                            state,
-                            &mut push_progress,
-                            |snap, templates| {
-                                rounds_since += 1;
-                                let due = ckpt
-                                    .as_ref()
-                                    .is_some_and(|c| rounds_since >= c.every);
-                                if due {
-                                    rounds_since = 0;
-                                    let pool = TemplatePool::Profiled(
-                                        templates.iter().map(|t| t.to_state()).collect(),
-                                    );
-                                    let phase = PhaseState::MidSearch {
+                    let mut rounds_since: u64 = 0;
+                    let mut pending: Option<GenerateError> = None;
+                    let result = predicate_search(
+                        &oracle,
+                        &mut profiled,
+                        target,
+                        cost_type,
+                        &search,
+                        &mut self.rng,
+                        sched,
+                        &mut push_progress,
+                        |state, templates, rng| {
+                            rounds_since += 1;
+                            let due = ckpt.as_ref().is_some_and(|c| rounds_since >= c.every);
+                            if due {
+                                rounds_since = 0;
+                                if let Err(e) = write_checkpoint(
+                                    &mut ckpt,
+                                    &self.llm,
+                                    rng,
+                                    Some(&oracle),
+                                    &report,
+                                    pool_of(templates),
+                                    PhaseState::MidSearch {
                                         round: round as u64,
-                                        sched: sched_state_of(snap),
-                                    };
-                                    if let Err(e) = self.write_checkpoint(
-                                        &mut ckpt,
-                                        Some(&oracle),
-                                        &report,
-                                        pool,
-                                        phase,
-                                    ) {
-                                        pending = Some(e);
-                                        return RoundControl::Stop;
-                                    }
+                                        sched: state.clone(),
+                                    },
+                                ) {
+                                    pending = Some(e);
+                                    return RoundControl::Stop;
                                 }
-                                // The kill fires at a checkpointed round
-                                // boundary (or any boundary when
-                                // checkpointing is off).
-                                if due || ckpt.is_none() {
-                                    if let Err(e) =
-                                        self.fire_kill(KillPoint::MidSearch)
-                                    {
-                                        pending = Some(e);
-                                        return RoundControl::Stop;
-                                    }
+                            }
+                            // The kill fires at a checkpointed round
+                            // boundary (or any boundary when checkpointing
+                            // is off).
+                            if due || ckpt.is_none() {
+                                if let Err(e) = fire_kill(&mut self.kill, KillPoint::MidSearch)
+                                {
+                                    pending = Some(e);
+                                    return RoundControl::Stop;
                                 }
-                                RoundControl::Continue
-                            },
-                        );
-                        if let Some(e) = pending {
-                            return Err(e);
-                        }
-                        result
-                    };
+                            }
+                            RoundControl::Continue
+                        },
+                    );
+                    if let Some(e) = pending {
+                        return Err(e);
+                    }
 
                     report.distance_series.extend(series);
                     report.phases.predicate_search += phase_start.elapsed();
-                    self.write_checkpoint(
+                    write_checkpoint(
                         &mut ckpt,
+                        &self.llm,
+                        &self.rng,
                         Some(&oracle),
                         &report,
                         pool_of(&profiled),
@@ -979,7 +940,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                             result: stored_result_of(&result),
                         },
                     )?;
-                    self.fire_kill(KillPoint::AfterSearch)?;
+                    fire_kill(&mut self.kill, KillPoint::AfterSearch)?;
                     Stage::Decide { round, result }
                 }
 

@@ -100,7 +100,8 @@ impl ProfiledTemplate {
 
     /// Rebuild from a checkpoint: re-parse the template and re-derive its
     /// placeholder space from `db`. Errors if the stored SQL no longer
-    /// parses (snapshot from an incompatible build).
+    /// parses (snapshot from an incompatible build) or an evaluation
+    /// point does not have one coordinate per dimension of that space.
     pub fn from_state(
         db: &minidb::Database,
         state: &crate::snapshot::ProfiledState,
@@ -108,6 +109,16 @@ impl ProfiledTemplate {
         let template = sqlkit::parse_template(&state.sql)
             .map_err(|e| format!("snapshot template no longer parses: {e} ({})", state.sql))?;
         let space = PlaceholderSpace::build(db, &template);
+        if let Some((point, _)) =
+            state.evaluations.iter().find(|(point, _)| point.len() != space.arity())
+        {
+            return Err(format!(
+                "snapshot evaluation point has {} coordinates, but the space of {} has {}",
+                point.len(),
+                state.sql,
+                space.arity()
+            ));
+        }
         Ok(ProfiledTemplate {
             template,
             space,

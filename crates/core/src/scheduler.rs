@@ -40,7 +40,7 @@
 //! ([`CostOracle::cost_prepared_batch_columnar_on`]).
 
 use crate::bo_search::{
-    interval_objective, weighted_sample, BoSearchConfig, GeneratedQuery, SearchResult,
+    interval_objective, weighted_sample, BoSearchConfig, SearchResult,
     SearchState, BATCH_EXPLORE, BATCH_HARVEST,
 };
 use crate::cost::CostType;
@@ -145,12 +145,17 @@ fn round_width(eligible: &[(usize, f64)], configured: usize) -> usize {
         .clamp(1, MAX_AUTO_TASKS)
 }
 
-/// Scheduler bookkeeping restored from a mid-search checkpoint. The
-/// accepted-query state ([`SearchState`]) travels separately; this carries
-/// only what lives in [`deficit_schedule`]'s locals between rounds.
-pub(crate) struct SchedResume {
-    /// First round the resumed search runs (RNG chains are keyed by round
-    /// number, so this alone realigns every seed split).
+/// The deficit scheduler's state between rounds: the loop state of
+/// [`deficit_schedule`], what its round observer sees, and what a
+/// mid-search checkpoint stores
+/// ([`crate::snapshot::PhaseState::MidSearch`]). Every per-round RNG
+/// chain is keyed by `(search_seed, round)`, so restoring this state
+/// reproduces the exact remaining schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchedState {
+    /// The search's master seed (drawn from the driver RNG).
+    pub search_seed: u64,
+    /// The next round the search runs.
     pub next_round: u64,
     /// Bad `(interval, template)` combinations (Eq. 6).
     pub bad: BTreeSet<(usize, usize)>,
@@ -160,28 +165,23 @@ pub(crate) struct SchedResume {
     pub failures: BTreeMap<usize, u32>,
     /// Oracle evaluations spent by the search so far.
     pub evaluations: usize,
+    /// Per-interval counts and the queries accepted so far.
+    pub accepted: SearchState,
 }
 
-/// Everything a round-boundary observer needs to persist a resumable
-/// checkpoint. Borrows the scheduler's live bookkeeping; valid only for
-/// the duration of the callback.
-pub(crate) struct RoundSnapshot<'a> {
-    /// The search's master seed.
-    pub search_seed: u64,
-    /// The round the search will run next.
-    pub next_round: u64,
-    /// Bad `(interval, template)` combinations so far.
-    pub bad: &'a BTreeSet<(usize, usize)>,
-    /// Skipped intervals so far.
-    pub skip: &'a BTreeSet<usize>,
-    /// Per-interval failure counters.
-    pub failures: &'a BTreeMap<usize, u32>,
-    /// Evaluations spent so far.
-    pub evaluations: usize,
-    /// Per-interval accepted counts.
-    pub d: &'a [f64],
-    /// Accepted queries so far, in acceptance order.
-    pub queries: &'a [GeneratedQuery],
+impl SchedState {
+    /// The state before round 0 of a search that starts from `accepted`.
+    pub(crate) fn new(search_seed: u64, accepted: SearchState) -> SchedState {
+        SchedState {
+            search_seed,
+            next_round: 0,
+            bad: BTreeSet::new(),
+            skip: BTreeSet::new(),
+            failures: BTreeMap::new(),
+            evaluations: 0,
+            accepted,
+        }
+    }
 }
 
 /// Observer verdict at a round boundary.
@@ -198,12 +198,9 @@ pub(crate) enum RoundControl {
 /// Replaces the paper's serial outer loop; at any thread count the rounds,
 /// tasks, and merges are identical, so concurrency is a pure perf knob.
 ///
-/// `search_seed` is the master seed every per-round RNG chain derives
-/// from (the caller draws it; see `bo_predicate_search` for the legacy
-/// stream position). `resume` restarts the outer loop mid-search from a
-/// checkpoint: RNG chains are keyed by `(search_seed, round)`, so
-/// restoring the round counter and bookkeeping reproduces the exact
-/// remaining schedule. `on_round` observes every round boundary — after
+/// `state` is either fresh ([`SchedState::new`]) or restored from a
+/// mid-search checkpoint; either way the loop continues at
+/// `state.next_round`. `on_round` observes every round boundary — after
 /// the merge, when no task borrows are alive — and may stop the search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deficit_schedule(
@@ -212,35 +209,21 @@ pub(crate) fn deficit_schedule(
     target: &TargetDistribution,
     cost_type: CostType,
     config: &BoSearchConfig,
-    search_seed: u64,
-    resume: Option<SchedResume>,
-    mut state: SearchState,
+    mut state: SchedState,
     mut on_progress: impl FnMut(&[f64]),
-    mut on_round: impl FnMut(&RoundSnapshot, &[ProfiledTemplate]) -> RoundControl,
+    mut on_round: impl FnMut(&SchedState, &[ProfiledTemplate]) -> RoundControl,
 ) -> SearchResult {
     let n_templates = templates.len();
 
-    let mut bad: BTreeSet<(usize, usize)> = BTreeSet::new(); // (interval, template)
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
-    let mut failures: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut evaluations = 0usize;
-    let mut start_round = 0u64;
-    if let Some(resume) = resume {
-        bad = resume.bad;
-        skip = resume.skip;
-        failures = resume.failures;
-        evaluations = resume.evaluations;
-        start_round = resume.next_round;
-    }
-
-    for round in start_round.. {
-        let round_seed = split_seed(search_seed, round);
+    // The exclusive bound keeps `round + 1` from overflowing.
+    for round in state.next_round..u64::MAX {
+        let round_seed = split_seed(state.search_seed, round);
 
         // Intervals still owed queries, by descending deficit
         // (index-ascending on ties).
         let mut eligible: Vec<(usize, f64)> = (0..target.intervals.count)
-            .filter(|j| !skip.contains(j))
-            .map(|j| (j, target.counts[j] - state.d[j]))
+            .filter(|j| !state.skip.contains(j))
+            .map(|j| (j, target.counts[j] - state.accepted.d[j]))
             .filter(|(_, delta)| *delta > 0.0)
             .collect();
         if eligible.is_empty() {
@@ -257,7 +240,7 @@ pub(crate) fn deficit_schedule(
         for &(j, delta) in eligible.iter().take(width) {
             let (lo, hi) = target.intervals.bounds(j);
             let mut candidates: Vec<(usize, f64)> = (0..n_templates)
-                .filter(|&idx| !bad.contains(&(j, idx)))
+                .filter(|&idx| !state.bad.contains(&(j, idx)))
                 .filter(|&idx| {
                     templates[idx].remaining_space() >= config.space_factor * delta
                 })
@@ -271,7 +254,7 @@ pub(crate) fn deficit_schedule(
             if candidates.is_empty() {
                 // Nothing can serve this interval, now or later — same
                 // rule as the serial loop.
-                skip.insert(j);
+                state.skip.insert(j);
                 continue;
             }
             candidates.retain(|(idx, _)| !claimed_templates.contains(idx));
@@ -326,8 +309,8 @@ pub(crate) fn deficit_schedule(
             })
             .collect();
 
-        let round_d = state.d.clone();
-        let frozen_seen = &state.seen;
+        let round_d = state.accepted.d.clone();
+        let frozen_seen = &state.accepted.seen;
         let outcomes: Vec<TaskOutcome> = parallel_map(slots, &tasks, |i, task| {
             let mut payload = payloads[i].lock();
             run_task(
@@ -351,13 +334,13 @@ pub(crate) fn deficit_schedule(
         let n_tasks = outcomes.len() as u64;
         for outcome in outcomes {
             let j = outcome.interval;
-            let before = state.d[j];
+            let before = state.accepted.d[j];
             for run in outcome.runs {
-                evaluations += run.generated;
+                state.evaluations += run.generated;
                 let mut accepted = 0usize;
                 let mut accepted_target = 0usize;
                 for admit in run.accepts {
-                    if state.try_accept(admit.sql, admit.cost, target) {
+                    if state.accepted.try_accept(admit.sql, admit.cost, target) {
                         accepted += 1;
                         if target.intervals.interval_of(admit.cost) == Some(j) {
                             accepted_target += 1;
@@ -372,16 +355,16 @@ pub(crate) fn deficit_schedule(
                 if run.generated > 0 {
                     let utility = accepted as f64 / run.generated as f64;
                     if utility < config.utility_cutoff && accepted_target == 0 {
-                        bad.insert((j, run.template_idx));
+                        state.bad.insert((j, run.template_idx));
                     }
                 }
-                on_progress(&state.d);
+                on_progress(&state.accepted.d);
             }
-            if state.d[j] <= before {
-                let count = failures.entry(j).or_insert(0);
+            if state.accepted.d[j] <= before {
+                let count = state.failures.entry(j).or_insert(0);
                 *count += 1;
                 if *count >= config.failure_cap {
-                    skip.insert(j);
+                    state.skip.insert(j);
                 }
             }
         }
@@ -391,29 +374,17 @@ pub(crate) fn deficit_schedule(
         // (now merge-consistent) template slice.
         drop(payloads);
         drop(loans);
-        let verdict = on_round(
-            &RoundSnapshot {
-                search_seed,
-                next_round: round + 1,
-                bad: &bad,
-                skip: &skip,
-                failures: &failures,
-                evaluations,
-                d: &state.d,
-                queries: &state.queries,
-            },
-            templates,
-        );
-        if verdict == RoundControl::Stop {
+        state.next_round = round + 1;
+        if on_round(&state, templates) == RoundControl::Stop {
             break;
         }
     }
 
     SearchResult {
-        queries: state.queries,
-        distribution: state.d,
-        skipped: skip.into_iter().collect(),
-        evaluations,
+        queries: state.accepted.queries,
+        distribution: state.accepted.d,
+        skipped: state.skip.into_iter().collect(),
+        evaluations: state.evaluations,
     }
 }
 
@@ -612,11 +583,7 @@ mod tests {
         // target.counts = [1, 1, 1]; both tasks below accept a query whose
         // cost lands in interval 1 (the shared neighbor).
         let merge = || {
-            let mut state = SearchState {
-                d: vec![0.0; 3],
-                queries: Vec::new(),
-                seen: HashSet::new(),
-            };
+            let mut state = SearchState::new(vec![0.0; 3], Vec::new());
             let outcomes = vec![
                 TaskOutcome {
                     interval: 0,

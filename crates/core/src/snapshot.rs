@@ -7,8 +7,9 @@
 //! far, the template pool (seed SQL before profiling, full
 //! [`ProfiledState`]s after), the cost oracle's memo/interner/registry
 //! contents and counters, and a [`PhaseState`] marker saying exactly
-//! where in the pipeline the snapshot was taken — including mid-search
-//! scheduler bookkeeping ([`SchedState`]).
+//! where in the pipeline the snapshot was taken. A mid-search snapshot
+//! holds the deficit scheduler's [`SchedState`] itself: the type the
+//! scheduler loops on is the type the snapshot stores.
 //!
 //! ## File format
 //!
@@ -17,11 +18,19 @@
 //! ```
 //!
 //! All integers little-endian; floats stored as IEEE-754 bit patterns so
-//! NaN payloads and signed zeros round-trip exactly. The codec is total:
+//! NaN payloads and signed zeros round-trip exactly. The payload is
+//! written by one `Codec` trait: impls for the primitives, generic impls
+//! for lists, options, results, pairs, word arrays, sets and maps, and
+//! the `struct_codec!`/`enum_codec!` macros, which list each type's
+//! fields or tagged variants in wire order. The codec is total:
 //! [`Snapshot::decode`] returns a typed [`SnapshotError`] on any input —
 //! truncated, bit-flipped, or adversarial — and never panics or
-//! overallocates (every length field is validated against the remaining
-//! input before allocation).
+//! overallocates (every list length is checked against the remaining
+//! input, times its element type's minimum width, before allocation).
+//!
+//! Decoding checks structure only; whether a snapshot's histograms fit
+//! the run's target is checked once at resume
+//! ([`crate::driver::SqlBarber::resume_from`]).
 //!
 //! ## Durability & fallback
 //!
@@ -33,10 +42,13 @@
 //! (logging each rejection) — a torn or bit-flipped latest snapshot
 //! degrades to the previous boundary, never to a panic.
 
+use crate::bo_search::{GeneratedQuery, SearchState};
 use crate::cost::CostType;
+pub use crate::scheduler::SchedState;
 use llm::{BreakerSnapshot, ModelState, ResilientState, SyntheticState, TransportState};
 use llm::{InjectedFaults, ResilienceStats, TokenUsage};
 use minidb::DbError;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -182,29 +194,6 @@ impl PhaseState {
     }
 }
 
-/// Deficit-scheduler bookkeeping at a round boundary. `seen` is not
-/// stored: it is exactly the SQL set of `queries` (the scheduler's
-/// `try_accept` is the only inserter) and is rebuilt on resume.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedState {
-    /// The search's master seed (already drawn from the driver RNG).
-    pub search_seed: u64,
-    /// First scheduler round the resumed search runs.
-    pub next_round: u64,
-    /// Bad `(interval, template)` combinations (Eq. 6).
-    pub bad: Vec<(u64, u64)>,
-    /// Skipped intervals.
-    pub skip: Vec<u64>,
-    /// Consecutive fruitless rounds per interval.
-    pub failures: Vec<(u64, u32)>,
-    /// Oracle evaluations spent by the search so far.
-    pub evaluations: u64,
-    /// Per-interval accepted counts `d`.
-    pub d: Vec<f64>,
-    /// Accepted queries so far, in acceptance order.
-    pub queries: Vec<(String, f64)>,
-}
-
 /// A finished search round's [`crate::bo_search::SearchResult`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredResult {
@@ -346,7 +335,7 @@ pub struct OracleState {
 }
 
 // ---------------------------------------------------------------------------
-// Encoder / decoder primitives
+// The codec
 // ---------------------------------------------------------------------------
 
 struct Enc {
@@ -354,54 +343,28 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn tag(&mut self, tag: u8) {
+        self.buf.push(tag);
     }
 
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+    /// A length prefix, as a `u64`.
+    fn len(&mut self, len: usize) {
+        (len as u64).encode(self);
     }
 }
 
 struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
+    /// Model-stack nesting of the value being decoded.
+    model_depth: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(data: &'a [u8]) -> Dec<'a> {
-        Dec { data, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -415,32 +378,12 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    fn tag(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Malformed(format!("bool byte {other}"))),
-        }
     }
 
     /// A length prefix, validated against the remaining input: a list of
@@ -448,615 +391,485 @@ impl<'a> Dec<'a> {
     /// longer than what is left, so hostile lengths fail before any
     /// allocation happens.
     fn len(&mut self, elem_min: usize) -> Result<usize, SnapshotError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
+        let len = usize::try_from(u64::decode(self)?).map_err(|_| SnapshotError::Truncated)?;
         if len.checked_mul(elem_min.max(1)).is_none_or(|need| need > self.remaining()) {
             return Err(SnapshotError::Truncated);
         }
         Ok(len)
     }
+}
 
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+fn malformed<T>(what: &str, tag: u8) -> Result<T, SnapshotError> {
+    Err(SnapshotError::Malformed(format!("{what} tag {tag}")))
+}
+
+/// A value with a wire form: `encode` appends it, `decode` reads it back
+/// and returns a typed error on any malformed input.
+trait Codec: Sized {
+    /// A lower bound on the encoded width in bytes; lists of this type
+    /// use it to reject hostile lengths before allocating.
+    const MIN_WIDTH: usize = 1;
+    /// The encoding always starts with a nonzero tag byte, so an
+    /// `Option` of this type writes `None` as a 0 byte and `Some` as the
+    /// value itself.
+    const NONZERO_TAG: bool = false;
+
+    fn encode(&self, enc: &mut Enc);
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError>;
+}
+
+macro_rules! int_codec {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            const MIN_WIDTH: usize = std::mem::size_of::<$ty>();
+
+            fn encode(&self, enc: &mut Enc) {
+                enc.bytes(&self.to_le_bytes());
+            }
+
+            fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+                Ok(<$ty>::from_le_bytes(dec.array()?))
+            }
+        }
+    )*};
+}
+
+int_codec!(u8, u32, u64, i64);
+
+impl Codec for f64 {
+    const MIN_WIDTH: usize = 8;
+
+    /// The IEEE-754 bit pattern, so NaN payloads and signed zeros
+    /// round-trip exactly.
+    fn encode(&self, enc: &mut Enc) {
+        self.to_bits().encode(enc);
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(f64::from_bits(u64::decode(dec)?))
+    }
+}
+
+impl Codec for usize {
+    const MIN_WIDTH: usize = 8;
+
+    fn encode(&self, enc: &mut Enc) {
+        (*self as u64).encode(enc);
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        let v = u64::decode(dec)?;
+        usize::try_from(v).map_err(|_| SnapshotError::Malformed(format!("index {v}")))
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self, enc: &mut Enc) {
+        enc.tag(u8::from(*self));
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        match dec.tag()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(SnapshotError::Malformed(format!("bool byte {other}"))),
+        }
+    }
+}
+
+impl Codec for String {
+    const MIN_WIDTH: usize = 8;
+
+    fn encode(&self, enc: &mut Enc) {
+        enc.len(self.len());
+        enc.bytes(self.as_bytes());
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        let len = dec.len(1)?;
+        String::from_utf8(dec.take(len)?.to_vec())
             .map_err(|_| SnapshotError::Malformed("non-UTF-8 string".into()))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Field codecs
-// ---------------------------------------------------------------------------
+impl<const N: usize> Codec for [u64; N] {
+    const MIN_WIDTH: usize = 8 * N;
 
-fn enc_rng(enc: &mut Enc, words: &[u64; 4]) {
-    for &w in words {
-        enc.u64(w);
+    fn encode(&self, enc: &mut Enc) {
+        for word in self {
+            word.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        let mut words = [0; N];
+        for word in &mut words {
+            *word = u64::decode(dec)?;
+        }
+        Ok(words)
     }
 }
 
-fn dec_rng(dec: &mut Dec) -> Result<[u64; 4], SnapshotError> {
-    Ok([dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?])
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_WIDTH: usize = A::MIN_WIDTH + B::MIN_WIDTH;
+
+    fn encode(&self, enc: &mut Enc) {
+        self.0.encode(enc);
+        self.1.encode(enc);
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok((A::decode(dec)?, B::decode(dec)?))
+    }
 }
 
-fn enc_usage(enc: &mut Enc, usage: &TokenUsage) {
-    enc.u64(usage.input_tokens);
-    enc.u64(usage.output_tokens);
-    enc.u64(usage.requests);
-}
+/// A length-prefixed list.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_WIDTH: usize = 8;
 
-fn dec_usage(dec: &mut Dec) -> Result<TokenUsage, SnapshotError> {
-    Ok(TokenUsage {
-        input_tokens: dec.u64()?,
-        output_tokens: dec.u64()?,
-        requests: dec.u64()?,
-    })
-}
-
-fn enc_model(enc: &mut Enc, state: &ModelState) {
-    match state {
-        ModelState::Synthetic(s) => {
-            enc.u8(0);
-            enc_rng(enc, &s.rng);
-            enc_usage(enc, &s.usage);
-            enc.usize(s.attempts.len());
-            for &(spec, attempts) in &s.attempts {
-                enc.u32(spec);
-                enc.u32(attempts);
-            }
+    fn encode(&self, enc: &mut Enc) {
+        enc.len(self.len());
+        for item in self {
+            item.encode(enc);
         }
-        ModelState::Transport { layer, inner } => {
-            enc.u8(1);
-            enc_rng(enc, &layer.rng);
-            enc.u32(layer.remaining_burst);
-            enc.u64(layer.injected.timeouts);
-            enc.u64(layer.injected.rate_limits);
-            enc.u64(layer.injected.truncations);
-            enc.u64(layer.injected.server_errors);
-            enc.u64(layer.injected.burst_failures);
-            enc.u64(layer.injected.bursts);
-            enc_usage(enc, &layer.wasted);
-            enc_model(enc, inner);
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        let len = dec.len(T::MIN_WIDTH)?;
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(T::decode(dec)?);
         }
-        ModelState::Resilient { layer, inner } => {
-            enc.u8(2);
-            enc_rng(enc, &layer.rng);
-            enc.u64(layer.now_ms);
-            match layer.breaker {
-                BreakerSnapshot::Closed { consecutive_failures } => {
-                    enc.u8(0);
-                    enc.u32(consecutive_failures);
+        Ok(items)
+    }
+}
+
+/// A list in ascending order; a non-canonical list (unsorted or with
+/// duplicates) collects into the set it names.
+impl<T: Codec + Ord> Codec for BTreeSet<T> {
+    const MIN_WIDTH: usize = 8;
+
+    fn encode(&self, enc: &mut Enc) {
+        enc.len(self.len());
+        for item in self {
+            item.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(Vec::<T>::decode(dec)?.into_iter().collect())
+    }
+}
+
+/// A list of `(key, value)` pairs in key order; on a repeated key the
+/// last pair wins.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    const MIN_WIDTH: usize = 8;
+
+    fn encode(&self, enc: &mut Enc) {
+        enc.len(self.len());
+        for (key, value) in self {
+            key.encode(enc);
+            value.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::decode(dec)?.into_iter().collect())
+    }
+}
+
+/// Tag 0 for `None`; `Some` is tag 1 and the value, or just the value
+/// when its own tag is never 0.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            None => enc.tag(0),
+            Some(value) => {
+                if !T::NONZERO_TAG {
+                    enc.tag(1);
                 }
-                BreakerSnapshot::Open { until_ms } => {
-                    enc.u8(1);
-                    enc.u64(until_ms);
-                }
-                BreakerSnapshot::HalfOpen => enc.u8(2),
+                value.encode(enc);
             }
-            enc.u64(layer.retries_left);
-            let s = &layer.stats;
-            for v in [
-                s.calls,
-                s.attempts,
-                s.failures,
-                s.retries,
-                s.recoveries,
-                s.giveups,
-                s.backoff_ms,
-                s.breaker_trips,
-                s.breaker_probes,
-                s.circuit_rejections,
-                s.budget_exhausted,
-            ] {
-                enc.u64(v);
+        }
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        if T::NONZERO_TAG {
+            if dec.data.get(dec.pos) == Some(&0) {
+                dec.pos += 1;
+                return Ok(None);
             }
-            enc_model(enc, inner);
+            return Ok(Some(T::decode(dec)?));
+        }
+        match dec.tag()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(dec)?)),
+            other => malformed("option", other),
         }
     }
 }
 
-fn dec_model(dec: &mut Dec, depth: usize) -> Result<ModelState, SnapshotError> {
-    if depth > MAX_MODEL_DEPTH {
-        return Err(SnapshotError::Malformed("model stack too deep".into()));
-    }
-    match dec.u8()? {
-        0 => {
-            let rng = dec_rng(dec)?;
-            let usage = dec_usage(dec)?;
-            let n = dec.len(8)?;
-            let mut attempts = Vec::with_capacity(n);
-            for _ in 0..n {
-                attempts.push((dec.u32()?, dec.u32()?));
+/// Tag 0 and the value, or tag 1 and the error.
+impl<T: Codec, E: Codec> Codec for Result<T, E> {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            Ok(value) => {
+                enc.tag(0);
+                value.encode(enc);
             }
-            Ok(ModelState::Synthetic(SyntheticState { rng, usage, attempts }))
+            Err(error) => {
+                enc.tag(1);
+                error.encode(enc);
+            }
         }
-        1 => {
-            let rng = dec_rng(dec)?;
-            let remaining_burst = dec.u32()?;
-            let injected = InjectedFaults {
-                timeouts: dec.u64()?,
-                rate_limits: dec.u64()?,
-                truncations: dec.u64()?,
-                server_errors: dec.u64()?,
-                burst_failures: dec.u64()?,
-                bursts: dec.u64()?,
-            };
-            let wasted = dec_usage(dec)?;
-            let inner = Box::new(dec_model(dec, depth + 1)?);
-            Ok(ModelState::Transport {
-                layer: TransportState { rng, remaining_burst, injected, wasted },
-                inner,
-            })
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        match dec.tag()? {
+            0 => Ok(Ok(T::decode(dec)?)),
+            1 => Ok(Err(E::decode(dec)?)),
+            other => malformed("result", other),
         }
-        2 => {
-            let rng = dec_rng(dec)?;
-            let now_ms = dec.u64()?;
-            let breaker = match dec.u8()? {
-                0 => BreakerSnapshot::Closed { consecutive_failures: dec.u32()? },
-                1 => BreakerSnapshot::Open { until_ms: dec.u64()? },
-                2 => BreakerSnapshot::HalfOpen,
-                other => {
-                    return Err(SnapshotError::Malformed(format!("breaker tag {other}")))
-                }
-            };
-            let retries_left = dec.u64()?;
-            let stats = ResilienceStats {
-                calls: dec.u64()?,
-                attempts: dec.u64()?,
-                failures: dec.u64()?,
-                retries: dec.u64()?,
-                recoveries: dec.u64()?,
-                giveups: dec.u64()?,
-                backoff_ms: dec.u64()?,
-                breaker_trips: dec.u64()?,
-                breaker_probes: dec.u64()?,
-                circuit_rejections: dec.u64()?,
-                budget_exhausted: dec.u64()?,
-            };
-            let inner = Box::new(dec_model(dec, depth + 1)?);
-            Ok(ModelState::Resilient {
-                layer: ResilientState { rng, now_ms, breaker, retries_left, stats },
-                inner,
-            })
-        }
-        other => Err(SnapshotError::Malformed(format!("model tag {other}"))),
     }
 }
 
-fn enc_cost_type(enc: &mut Enc, ct: CostType) {
-    enc.u8(match ct {
-        CostType::Cardinality => 0,
-        CostType::PlanCost => 1,
-        CostType::ActualCardinality => 2,
-        CostType::ExecutionTimeMicros => 3,
-    });
-}
+/// A struct encoded as its fields in the listed order. Decoding builds
+/// the struct literal, so a field missing from the list fails to compile.
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Codec for $ty {
+            const MIN_WIDTH: usize = 0 $(+ <$fty as Codec>::MIN_WIDTH)*;
 
-fn dec_cost_type(dec: &mut Dec) -> Result<CostType, SnapshotError> {
-    Ok(match dec.u8()? {
-        0 => CostType::Cardinality,
-        1 => CostType::PlanCost,
-        2 => CostType::ActualCardinality,
-        3 => CostType::ExecutionTimeMicros,
-        other => return Err(SnapshotError::Malformed(format!("cost-type tag {other}"))),
-    })
-}
+            fn encode(&self, enc: &mut Enc) {
+                $(self.$field.encode(enc);)*
+            }
 
-fn enc_db_error(enc: &mut Enc, e: &DbError) {
-    let (tag, text): (u8, &str) = match e {
-        DbError::UnknownTable(s) => (0, s),
-        DbError::UnknownColumn(s) => (1, s),
-        DbError::AmbiguousColumn(s) => (2, s),
-        DbError::DuplicateBinding(s) => (3, s),
-        DbError::TypeMismatch(s) => (4, s),
-        DbError::UnboundPlaceholder(id) => {
-            enc.u8(5);
-            enc.u32(*id);
-            return;
+            fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+                Ok($ty { $($field: <$fty as Codec>::decode(dec)?,)* })
+            }
         }
-        DbError::Unsupported(s) => (6, s),
-        DbError::Grouping(s) => (7, s),
-        DbError::Arithmetic(s) => (8, s),
     };
-    enc.u8(tag);
-    enc.str(text);
 }
 
-fn dec_db_error(dec: &mut Dec) -> Result<DbError, SnapshotError> {
-    let tag = dec.u8()?;
-    if tag == 5 {
-        return Ok(DbError::UnboundPlaceholder(dec.u32()?));
+struct_codec!(TokenUsage { input_tokens: u64, output_tokens: u64, requests: u64 });
+struct_codec!(SyntheticState { rng: [u64; 4], usage: TokenUsage, attempts: Vec<(u32, u32)> });
+struct_codec!(InjectedFaults {
+    timeouts: u64,
+    rate_limits: u64,
+    truncations: u64,
+    server_errors: u64,
+    burst_failures: u64,
+    bursts: u64,
+});
+struct_codec!(TransportState {
+    rng: [u64; 4],
+    remaining_burst: u32,
+    injected: InjectedFaults,
+    wasted: TokenUsage,
+});
+struct_codec!(ResilienceStats {
+    calls: u64,
+    attempts: u64,
+    failures: u64,
+    retries: u64,
+    recoveries: u64,
+    giveups: u64,
+    backoff_ms: u64,
+    breaker_trips: u64,
+    breaker_probes: u64,
+    circuit_rejections: u64,
+    budget_exhausted: u64,
+});
+struct_codec!(ResilientState {
+    rng: [u64; 4],
+    now_ms: u64,
+    breaker: BreakerSnapshot,
+    retries_left: u64,
+    stats: ResilienceStats,
+});
+struct_codec!(ReportAcc {
+    spec_correct: Vec<u64>,
+    syntax_correct: Vec<u64>,
+    rewrite_total: u64,
+    alignment_accuracy: f64,
+    n_seed_templates: u64,
+    n_refined_templates: u64,
+    degradation: [u64; 4],
+});
+struct_codec!(ProfiledState {
+    sql: String,
+    costs: Vec<f64>,
+    evaluations: Vec<(Vec<f64>, f64)>,
+    consumed: f64,
+});
+struct_codec!(GeneratedQuery { sql: String, cost: f64 });
+struct_codec!(SchedState {
+    search_seed: u64,
+    next_round: u64,
+    bad: BTreeSet<(usize, usize)>,
+    skip: BTreeSet<usize>,
+    failures: BTreeMap<usize, u32>,
+    evaluations: usize,
+    accepted: SearchState,
+});
+struct_codec!(StoredResult {
+    queries: Vec<(String, f64)>,
+    distribution: Vec<f64>,
+    skipped: Vec<u64>,
+    evaluations: u64,
+});
+struct_codec!(PreparedEntry {
+    template_id: u64,
+    cost_type: CostType,
+    key: Vec<Option<ValueKeySnap>>,
+    value: Result<f64, DbError>,
+    referenced: bool,
+});
+struct_codec!(ShardState { capacity: u64, evicted: u64, entries: Vec<PreparedEntry> });
+struct_codec!(OracleCounters {
+    logical: u64,
+    unmemoized: u64,
+    scheduler_rounds: u64,
+    scheduler_tasks: u64,
+    scheduler_peak_tasks: u64,
+    scheduler_overadmissions: u64,
+});
+struct_codec!(OracleState {
+    interner: Vec<String>,
+    templates: Vec<String>,
+    shards: Vec<ShardState>,
+    counters: OracleCounters,
+});
+struct_codec!(Snapshot {
+    fingerprint: u64,
+    rng: [u64; 4],
+    llm: ModelState,
+    acc: ReportAcc,
+    pool: TemplatePool,
+    oracle: Option<OracleState>,
+    phase: PhaseState,
+});
+
+/// `d` then the accepted queries; the seen-set is rebuilt from them.
+impl Codec for SearchState {
+    const MIN_WIDTH: usize = 16;
+
+    fn encode(&self, enc: &mut Enc) {
+        self.d.encode(enc);
+        self.queries.encode(enc);
     }
-    let text = dec.str()?;
-    Ok(match tag {
-        0 => DbError::UnknownTable(text),
-        1 => DbError::UnknownColumn(text),
-        2 => DbError::AmbiguousColumn(text),
-        3 => DbError::DuplicateBinding(text),
-        4 => DbError::TypeMismatch(text),
-        6 => DbError::Unsupported(text),
-        7 => DbError::Grouping(text),
-        8 => DbError::Arithmetic(text),
-        other => return Err(SnapshotError::Malformed(format!("db-error tag {other}"))),
-    })
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        let d = Vec::decode(dec)?;
+        Ok(SearchState::new(d, Vec::decode(dec)?))
+    }
 }
 
-fn enc_cost_result(enc: &mut Enc, r: &Result<f64, DbError>) {
-    match r {
-        Ok(v) => {
-            enc.u8(0);
-            enc.f64(*v);
+/// An inner model layer, one level deeper: the nesting bound keeps
+/// hostile input from recursing the stack.
+impl Codec for Box<ModelState> {
+    fn encode(&self, enc: &mut Enc) {
+        (**self).encode(enc);
+    }
+
+    fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+        dec.model_depth += 1;
+        if dec.model_depth > MAX_MODEL_DEPTH {
+            return Err(SnapshotError::Malformed("model stack too deep".into()));
         }
-        Err(e) => {
-            enc.u8(1);
-            enc_db_error(enc, e);
-        }
+        let inner = ModelState::decode(dec).map(Box::new);
+        dec.model_depth -= 1;
+        inner
     }
 }
 
-fn dec_cost_result(dec: &mut Dec) -> Result<Result<f64, DbError>, SnapshotError> {
-    match dec.u8()? {
-        0 => Ok(Ok(dec.f64()?)),
-        1 => Ok(Err(dec_db_error(dec)?)),
-        other => Err(SnapshotError::Malformed(format!("result tag {other}"))),
-    }
-}
+/// An enum encoded as a tag byte and then the variant's fields in the
+/// listed order. A one-field tuple variant names its field for the
+/// macro (`Seeds(seeds: Vec<String>)`); `$what` names the tag in errors.
+macro_rules! enum_codec {
+    ($what:literal, $ty:ident {
+        $($tag:literal => $variant:ident
+            $(($bind:ident: $inner:ty))?
+            $({ $($field:ident: $fty:ty),* })?),* $(,)?
+    }) => {
+        impl Codec for $ty {
+            const NONZERO_TAG: bool = true $(&& $tag != 0)*;
 
-fn enc_value_key(enc: &mut Enc, key: &Option<ValueKeySnap>) {
-    match key {
-        None => enc.u8(0),
-        Some(ValueKeySnap::Int(v)) => {
-            enc.u8(1);
-            enc.i64(*v);
-        }
-        Some(ValueKeySnap::Float(bits)) => {
-            enc.u8(2);
-            enc.u64(*bits);
-        }
-        Some(ValueKeySnap::Str(id)) => {
-            enc.u8(3);
-            enc.u32(*id);
-        }
-        Some(ValueKeySnap::Bool(b)) => {
-            enc.u8(4);
-            enc.bool(*b);
-        }
-        Some(ValueKeySnap::Null) => enc.u8(5),
-    }
-}
-
-fn dec_value_key(dec: &mut Dec) -> Result<Option<ValueKeySnap>, SnapshotError> {
-    Ok(match dec.u8()? {
-        0 => None,
-        1 => Some(ValueKeySnap::Int(dec.i64()?)),
-        2 => Some(ValueKeySnap::Float(dec.u64()?)),
-        3 => Some(ValueKeySnap::Str(dec.u32()?)),
-        4 => Some(ValueKeySnap::Bool(dec.bool()?)),
-        5 => Some(ValueKeySnap::Null),
-        other => return Err(SnapshotError::Malformed(format!("value-key tag {other}"))),
-    })
-}
-
-fn enc_str_vec(enc: &mut Enc, items: &[String]) {
-    enc.usize(items.len());
-    for s in items {
-        enc.str(s);
-    }
-}
-
-fn dec_str_vec(dec: &mut Dec) -> Result<Vec<String>, SnapshotError> {
-    let n = dec.len(8)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(dec.str()?);
-    }
-    Ok(items)
-}
-
-fn enc_f64_vec(enc: &mut Enc, items: &[f64]) {
-    enc.usize(items.len());
-    for &v in items {
-        enc.f64(v);
-    }
-}
-
-fn dec_f64_vec(dec: &mut Dec) -> Result<Vec<f64>, SnapshotError> {
-    let n = dec.len(8)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(dec.f64()?);
-    }
-    Ok(items)
-}
-
-fn enc_u64_vec(enc: &mut Enc, items: &[u64]) {
-    enc.usize(items.len());
-    for &v in items {
-        enc.u64(v);
-    }
-}
-
-fn dec_u64_vec(dec: &mut Dec) -> Result<Vec<u64>, SnapshotError> {
-    let n = dec.len(8)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(dec.u64()?);
-    }
-    Ok(items)
-}
-
-fn enc_queries(enc: &mut Enc, queries: &[(String, f64)]) {
-    enc.usize(queries.len());
-    for (sql, cost) in queries {
-        enc.str(sql);
-        enc.f64(*cost);
-    }
-}
-
-fn dec_queries(dec: &mut Dec) -> Result<Vec<(String, f64)>, SnapshotError> {
-    let n = dec.len(16)?;
-    let mut queries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sql = dec.str()?;
-        queries.push((sql, dec.f64()?));
-    }
-    Ok(queries)
-}
-
-fn enc_sched(enc: &mut Enc, sched: &SchedState) {
-    enc.u64(sched.search_seed);
-    enc.u64(sched.next_round);
-    enc.usize(sched.bad.len());
-    for &(j, t) in &sched.bad {
-        enc.u64(j);
-        enc.u64(t);
-    }
-    enc_u64_vec(enc, &sched.skip);
-    enc.usize(sched.failures.len());
-    for &(j, count) in &sched.failures {
-        enc.u64(j);
-        enc.u32(count);
-    }
-    enc.u64(sched.evaluations);
-    enc_f64_vec(enc, &sched.d);
-    enc_queries(enc, &sched.queries);
-}
-
-fn dec_sched(dec: &mut Dec) -> Result<SchedState, SnapshotError> {
-    let search_seed = dec.u64()?;
-    let next_round = dec.u64()?;
-    let n = dec.len(16)?;
-    let mut bad = Vec::with_capacity(n);
-    for _ in 0..n {
-        let j = dec.u64()?;
-        bad.push((j, dec.u64()?));
-    }
-    let skip = dec_u64_vec(dec)?;
-    let n = dec.len(12)?;
-    let mut failures = Vec::with_capacity(n);
-    for _ in 0..n {
-        let j = dec.u64()?;
-        failures.push((j, dec.u32()?));
-    }
-    Ok(SchedState {
-        search_seed,
-        next_round,
-        bad,
-        skip,
-        failures,
-        evaluations: dec.u64()?,
-        d: dec_f64_vec(dec)?,
-        queries: dec_queries(dec)?,
-    })
-}
-
-fn enc_result(enc: &mut Enc, result: &StoredResult) {
-    enc_queries(enc, &result.queries);
-    enc_f64_vec(enc, &result.distribution);
-    enc_u64_vec(enc, &result.skipped);
-    enc.u64(result.evaluations);
-}
-
-fn dec_result(dec: &mut Dec) -> Result<StoredResult, SnapshotError> {
-    Ok(StoredResult {
-        queries: dec_queries(dec)?,
-        distribution: dec_f64_vec(dec)?,
-        skipped: dec_u64_vec(dec)?,
-        evaluations: dec.u64()?,
-    })
-}
-
-fn enc_phase(enc: &mut Enc, phase: &PhaseState) {
-    match phase {
-        PhaseState::AfterTemplates => enc.u8(0),
-        PhaseState::AfterProfiling => enc.u8(1),
-        PhaseState::AfterRefine { round } => {
-            enc.u8(2);
-            enc.u64(*round);
-        }
-        PhaseState::MidSearch { round, sched } => {
-            enc.u8(3);
-            enc.u64(*round);
-            enc_sched(enc, sched);
-        }
-        PhaseState::AfterSearch { round, result } => {
-            enc.u8(4);
-            enc.u64(*round);
-            enc_result(enc, result);
-        }
-    }
-}
-
-fn dec_phase(dec: &mut Dec) -> Result<PhaseState, SnapshotError> {
-    Ok(match dec.u8()? {
-        0 => PhaseState::AfterTemplates,
-        1 => PhaseState::AfterProfiling,
-        2 => PhaseState::AfterRefine { round: dec.u64()? },
-        3 => PhaseState::MidSearch { round: dec.u64()?, sched: dec_sched(dec)? },
-        4 => PhaseState::AfterSearch { round: dec.u64()?, result: dec_result(dec)? },
-        other => return Err(SnapshotError::Malformed(format!("phase tag {other}"))),
-    })
-}
-
-fn enc_pool(enc: &mut Enc, pool: &TemplatePool) {
-    match pool {
-        TemplatePool::Seeds(seeds) => {
-            enc.u8(0);
-            enc_str_vec(enc, seeds);
-        }
-        TemplatePool::Profiled(states) => {
-            enc.u8(1);
-            enc.usize(states.len());
-            for s in states {
-                enc.str(&s.sql);
-                enc_f64_vec(enc, &s.costs);
-                enc.usize(s.evaluations.len());
-                for (point, value) in &s.evaluations {
-                    enc_f64_vec(enc, point);
-                    enc.f64(*value);
+            fn encode(&self, enc: &mut Enc) {
+                match self {
+                    $($ty::$variant $(($bind))? $({ $($field),* })? => {
+                        enc.tag($tag);
+                        $($bind.encode(enc);)?
+                        $($($field.encode(enc);)*)?
+                    })*
                 }
-                enc.f64(s.consumed);
+            }
+
+            fn decode(dec: &mut Dec) -> Result<Self, SnapshotError> {
+                Ok(match dec.tag()? {
+                    $($tag => $ty::$variant
+                        $((<$inner as Codec>::decode(dec)?))?
+                        $({ $($field: <$fty as Codec>::decode(dec)?),* })?,)*
+                    other => return malformed($what, other),
+                })
             }
         }
-    }
-}
-
-fn dec_pool(dec: &mut Dec) -> Result<TemplatePool, SnapshotError> {
-    Ok(match dec.u8()? {
-        0 => TemplatePool::Seeds(dec_str_vec(dec)?),
-        1 => {
-            let n = dec.len(8)?;
-            let mut states = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sql = dec.str()?;
-                let costs = dec_f64_vec(dec)?;
-                let m = dec.len(16)?;
-                let mut evaluations = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let point = dec_f64_vec(dec)?;
-                    evaluations.push((point, dec.f64()?));
-                }
-                states.push(ProfiledState { sql, costs, evaluations, consumed: dec.f64()? });
-            }
-            TemplatePool::Profiled(states)
-        }
-        other => return Err(SnapshotError::Malformed(format!("pool tag {other}"))),
-    })
-}
-
-fn enc_acc(enc: &mut Enc, acc: &ReportAcc) {
-    enc_u64_vec(enc, &acc.spec_correct);
-    enc_u64_vec(enc, &acc.syntax_correct);
-    enc.u64(acc.rewrite_total);
-    enc.f64(acc.alignment_accuracy);
-    enc.u64(acc.n_seed_templates);
-    enc.u64(acc.n_refined_templates);
-    for &v in &acc.degradation {
-        enc.u64(v);
-    }
-}
-
-fn dec_acc(dec: &mut Dec) -> Result<ReportAcc, SnapshotError> {
-    Ok(ReportAcc {
-        spec_correct: dec_u64_vec(dec)?,
-        syntax_correct: dec_u64_vec(dec)?,
-        rewrite_total: dec.u64()?,
-        alignment_accuracy: dec.f64()?,
-        n_seed_templates: dec.u64()?,
-        n_refined_templates: dec.u64()?,
-        degradation: [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?],
-    })
-}
-
-fn enc_oracle(enc: &mut Enc, oracle: &OracleState) {
-    enc_str_vec(enc, &oracle.interner);
-    enc_str_vec(enc, &oracle.templates);
-    enc.usize(oracle.shards.len());
-    for shard in &oracle.shards {
-        enc.u64(shard.capacity);
-        enc.u64(shard.evicted);
-        enc.usize(shard.entries.len());
-        for entry in &shard.entries {
-            enc.u64(entry.template_id);
-            enc_cost_type(enc, entry.cost_type);
-            enc.usize(entry.key.len());
-            for slot in &entry.key {
-                enc_value_key(enc, slot);
-            }
-            enc_cost_result(enc, &entry.value);
-            enc.bool(entry.referenced);
-        }
-    }
-    let c = &oracle.counters;
-    for v in [
-        c.logical,
-        c.unmemoized,
-        c.scheduler_rounds,
-        c.scheduler_tasks,
-        c.scheduler_peak_tasks,
-        c.scheduler_overadmissions,
-    ] {
-        enc.u64(v);
-    }
-}
-
-fn dec_oracle(dec: &mut Dec) -> Result<OracleState, SnapshotError> {
-    let interner = dec_str_vec(dec)?;
-    let templates = dec_str_vec(dec)?;
-    let n = dec.len(16)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        let capacity = dec.u64()?;
-        let evicted = dec.u64()?;
-        let m = dec.len(8)?;
-        let mut entries = Vec::with_capacity(m);
-        for _ in 0..m {
-            let template_id = dec.u64()?;
-            let cost_type = dec_cost_type(dec)?;
-            let k = dec.len(1)?;
-            let mut key = Vec::with_capacity(k);
-            for _ in 0..k {
-                key.push(dec_value_key(dec)?);
-            }
-            let value = dec_cost_result(dec)?;
-            entries.push(PreparedEntry {
-                template_id,
-                cost_type,
-                key,
-                value,
-                referenced: dec.bool()?,
-            });
-        }
-        shards.push(ShardState { capacity, evicted, entries });
-    }
-    let counters = OracleCounters {
-        logical: dec.u64()?,
-        unmemoized: dec.u64()?,
-        scheduler_rounds: dec.u64()?,
-        scheduler_tasks: dec.u64()?,
-        scheduler_peak_tasks: dec.u64()?,
-        scheduler_overadmissions: dec.u64()?,
     };
-    Ok(OracleState { interner, templates, shards, counters })
 }
+
+enum_codec!("model", ModelState {
+    0 => Synthetic(state: SyntheticState),
+    1 => Transport { layer: TransportState, inner: Box<ModelState> },
+    2 => Resilient { layer: ResilientState, inner: Box<ModelState> },
+});
+enum_codec!("breaker", BreakerSnapshot {
+    0 => Closed { consecutive_failures: u32 },
+    1 => Open { until_ms: u64 },
+    2 => HalfOpen,
+});
+enum_codec!("cost-type", CostType {
+    0 => Cardinality,
+    1 => PlanCost,
+    2 => ActualCardinality,
+    3 => ExecutionTimeMicros,
+});
+enum_codec!("db-error", DbError {
+    0 => UnknownTable(text: String),
+    1 => UnknownColumn(text: String),
+    2 => AmbiguousColumn(text: String),
+    3 => DuplicateBinding(text: String),
+    4 => TypeMismatch(text: String),
+    5 => UnboundPlaceholder(id: u32),
+    6 => Unsupported(text: String),
+    7 => Grouping(text: String),
+    8 => Arithmetic(text: String),
+});
+// Tags 1–5: an unbound key slot (`None`) is the 0 byte.
+enum_codec!("value-key", ValueKeySnap {
+    1 => Int(v: i64),
+    2 => Float(bits: u64),
+    3 => Str(id: u32),
+    4 => Bool(b: bool),
+    5 => Null,
+});
+enum_codec!("phase", PhaseState {
+    0 => AfterTemplates,
+    1 => AfterProfiling,
+    2 => AfterRefine { round: u64 },
+    3 => MidSearch { round: u64, sched: SchedState },
+    4 => AfterSearch { round: u64, result: StoredResult },
+});
+enum_codec!("pool", TemplatePool {
+    0 => Seeds(seeds: Vec<String>),
+    1 => Profiled(states: Vec<ProfiledState>),
+});
 
 impl Snapshot {
     /// Serialize to the framed, CRC-guarded wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u64(self.fingerprint);
-        enc_rng(&mut enc, &self.rng);
-        enc_model(&mut enc, &self.llm);
-        enc_acc(&mut enc, &self.acc);
-        enc_pool(&mut enc, &self.pool);
-        match &self.oracle {
-            None => enc.u8(0),
-            Some(state) => {
-                enc.u8(1);
-                enc_oracle(&mut enc, state);
-            }
-        }
-        enc_phase(&mut enc, &self.phase);
-
+        let mut enc = Enc { buf: Vec::new() };
+        Codec::encode(self, &mut enc);
         let payload = enc.buf;
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
@@ -1094,27 +907,15 @@ impl Snapshot {
             return Err(SnapshotError::Crc { expected, actual });
         }
 
-        let mut dec = Dec::new(rest);
-        let fingerprint = dec.u64()?;
-        let rng = dec_rng(&mut dec)?;
-        let llm = dec_model(&mut dec, 0)?;
-        let acc = dec_acc(&mut dec)?;
-        let pool = dec_pool(&mut dec)?;
-        let oracle = match dec.u8()? {
-            0 => None,
-            1 => Some(dec_oracle(&mut dec)?),
-            other => {
-                return Err(SnapshotError::Malformed(format!("oracle tag {other}")))
-            }
-        };
-        let phase = dec_phase(&mut dec)?;
+        let mut dec = Dec { data: rest, pos: 0, model_depth: 0 };
+        let snapshot = <Snapshot as Codec>::decode(&mut dec)?;
         if dec.remaining() != 0 {
             return Err(SnapshotError::Malformed(format!(
                 "{} trailing bytes",
                 dec.remaining()
             )));
         }
-        Ok(Snapshot { fingerprint, rng, llm, acc, pool, oracle, phase })
+        Ok(snapshot)
     }
 }
 
@@ -1273,6 +1074,10 @@ mod tests {
         }
     }
 
+    fn queries(items: &[(&str, f64)]) -> Vec<GeneratedQuery> {
+        items.iter().map(|&(sql, cost)| GeneratedQuery { sql: sql.into(), cost }).collect()
+    }
+
     fn sample_snapshot() -> Snapshot {
         Snapshot {
             fingerprint: 0xDEAD_BEEF_CAFE_F00D,
@@ -1336,14 +1141,160 @@ mod tests {
                 sched: SchedState {
                     search_seed: 777,
                     next_round: 5,
-                    bad: vec![(0, 3), (4, 1)],
-                    skip: vec![4],
-                    failures: vec![(0, 2), (4, 5)],
+                    bad: BTreeSet::from([(0, 3), (4, 1)]),
+                    skip: BTreeSet::from([4]),
+                    failures: BTreeMap::from([(0, 2), (4, 5)]),
                     evaluations: 512,
-                    d: vec![3.0, 0.0, 7.0],
-                    queries: vec![("SELECT 1".into(), 9.0)],
+                    accepted: SearchState::new(vec![3.0, 0.0, 7.0], queries(&[("SELECT 1", 9.0)])),
                 },
             },
+        }
+    }
+
+
+    fn model_with(breaker: BreakerSnapshot) -> ModelState {
+        let ModelState::Resilient { mut layer, inner } = sample_model() else {
+            unreachable!("sample_model is a resilient stack")
+        };
+        layer.breaker = breaker;
+        ModelState::Resilient { layer, inner }
+    }
+
+    /// An oracle state holding every `DbError` tag, every `ValueKeySnap`
+    /// tag (and the unbound slot), every cost type and both result arms.
+    fn tag_cover_oracle() -> OracleState {
+        let errors = [
+            DbError::UnknownTable("t".into()),
+            DbError::UnknownColumn("c".into()),
+            DbError::AmbiguousColumn("a".into()),
+            DbError::DuplicateBinding("b".into()),
+            DbError::TypeMismatch("m".into()),
+            DbError::UnboundPlaceholder(7),
+            DbError::Unsupported("u".into()),
+            DbError::Grouping("g".into()),
+            DbError::Arithmetic("x".into()),
+        ];
+        let cost_types = [
+            CostType::Cardinality,
+            CostType::PlanCost,
+            CostType::ActualCardinality,
+            CostType::ExecutionTimeMicros,
+        ];
+        let key = vec![
+            None,
+            Some(ValueKeySnap::Int(-3)),
+            Some(ValueKeySnap::Float(2.5f64.to_bits())),
+            Some(ValueKeySnap::Str(0)),
+            Some(ValueKeySnap::Bool(false)),
+            Some(ValueKeySnap::Null),
+        ];
+        let mut entries: Vec<PreparedEntry> = errors
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| PreparedEntry {
+                template_id: i as u64,
+                cost_type: cost_types[i % 4],
+                key: key.clone(),
+                value: Err(e),
+                referenced: i % 2 == 0,
+            })
+            .collect();
+        entries.push(PreparedEntry {
+            template_id: 1,
+            cost_type: CostType::ExecutionTimeMicros,
+            key: vec![Some(ValueKeySnap::Int(i64::MIN))],
+            value: Ok(-0.0),
+            referenced: true,
+        });
+        OracleState {
+            interner: vec!["BRAZIL".into()],
+            templates: vec!["SELECT 1".into(), "SELECT {p_1}".into()],
+            shards: vec![
+                ShardState { capacity: 16, evicted: 3, entries },
+                ShardState { capacity: 16, evicted: 0, entries: vec![] },
+            ],
+            counters: OracleCounters {
+                logical: 1,
+                unmemoized: 2,
+                scheduler_rounds: 3,
+                scheduler_tasks: 4,
+                scheduler_peak_tasks: 5,
+                scheduler_overadmissions: 6,
+            },
+        }
+    }
+
+    /// Five snapshots that between them use every tag of the `v2` format:
+    /// the five phases, both pools, the three model layers, the three
+    /// breaker states, an absent and a present oracle.
+    fn tag_cover() -> Vec<Snapshot> {
+        let base = sample_snapshot();
+        let with = |phase: PhaseState, breaker: BreakerSnapshot| Snapshot {
+            llm: model_with(breaker),
+            oracle: Some(tag_cover_oracle()),
+            phase,
+            ..base.clone()
+        };
+        vec![
+            Snapshot {
+                pool: TemplatePool::Seeds(vec!["SELECT 1".into(), "SELECT {p_1}".into()]),
+                oracle: None,
+                ..with(
+                    PhaseState::AfterTemplates,
+                    BreakerSnapshot::Closed { consecutive_failures: 3 },
+                )
+            },
+            with(PhaseState::AfterProfiling, BreakerSnapshot::Open { until_ms: 99 }),
+            with(PhaseState::AfterRefine { round: 1 }, BreakerSnapshot::HalfOpen),
+            with(
+                PhaseState::MidSearch {
+                    round: 2,
+                    sched: SchedState {
+                        search_seed: 0x5eed,
+                        next_round: 9,
+                        bad: BTreeSet::from([(0, 3), (4, 1)]),
+                        skip: BTreeSet::from([1, 4]),
+                        failures: BTreeMap::from([(0, 2), (4, 5)]),
+                        evaluations: 640,
+                        accepted: SearchState::new(
+                            vec![3.0, 0.0, 7.0, f64::NAN, -0.0],
+                            queries(&[("SELECT 1", 9.0), ("SELECT 2", 15.5)]),
+                        ),
+                    },
+                },
+                BreakerSnapshot::Closed { consecutive_failures: 0 },
+            ),
+            with(
+                PhaseState::AfterSearch {
+                    round: 3,
+                    result: StoredResult {
+                        queries: vec![("SELECT 3".into(), 1.0)],
+                        distribution: vec![1.0, 0.0],
+                        skipped: vec![1],
+                        evaluations: 17,
+                    },
+                },
+                BreakerSnapshot::Open { until_ms: 0 },
+            ),
+        ]
+    }
+
+    /// The `v2` format is frozen: each tag-covering snapshot encodes to
+    /// the length and CRC-32 recorded before the codec became one trait,
+    /// and decodes back to the same bytes.
+    #[test]
+    fn v2_bytes_are_pinned() {
+        const PINNED: [(usize, u32); 5] = [
+            (567, 0x639c_241e),
+            (1409, 0x8252_d227),
+            (1409, 0x83f9_52eb),
+            (1637, 0x6e47_154a),
+            (1497, 0xd9fc_31fd),
+        ];
+        for (snapshot, pinned) in tag_cover().iter().zip(PINNED) {
+            let bytes = snapshot.encode();
+            assert_eq!((bytes.len(), crc32(&bytes)), pinned, "{}", snapshot.phase.name());
+            assert_eq!(Snapshot::decode(&bytes).unwrap().encode(), bytes);
         }
     }
 
@@ -1415,13 +1366,13 @@ mod tests {
     fn hostile_lengths_do_not_allocate() {
         // A payload claiming a 2^60-element vector must fail the length
         // check, not attempt the allocation.
-        let mut enc = Enc::new();
-        enc.u64(1); // fingerprint
-        enc_rng(&mut enc, &[0, 0, 0, 1]);
-        enc.u8(0); // synthetic model
-        enc_rng(&mut enc, &[0, 0, 0, 1]);
-        enc_usage(&mut enc, &TokenUsage::default());
-        enc.u64(1 << 60); // hostile attempts length
+        let mut enc = Enc { buf: Vec::new() };
+        1u64.encode(&mut enc); // fingerprint
+        [0u64, 0, 0, 1].encode(&mut enc);
+        enc.tag(0); // synthetic model
+        [0u64, 0, 0, 1].encode(&mut enc);
+        TokenUsage::default().encode(&mut enc);
+        (1u64 << 60).encode(&mut enc); // hostile attempts length
         let payload = enc.buf;
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);

@@ -6,9 +6,11 @@
 
 use llm::{ModelState, SyntheticState, TokenUsage};
 use proptest::prelude::*;
+use sqlbarber::bo_search::{GeneratedQuery, SearchState};
 use sqlbarber::snapshot::{
     PhaseState, ReportAcc, SchedState, Snapshot, StoredResult, TemplatePool,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 /// f64 with the codec's awkward corners: NaN, signed zero, infinities.
 fn f64_strategy() -> BoxedStrategy<f64> {
@@ -39,7 +41,7 @@ fn phase_strategy() -> BoxedStrategy<PhaseState> {
             0u64..10,
             any::<u64>(),
             any::<u64>(),
-            prop::collection::vec((0u64..8, 0u64..8), 0..4),
+            prop::collection::vec((0usize..8, 0usize..8), 0..4),
             prop::collection::vec(f64_strategy(), 0..4),
             prop::collection::vec((sql_strategy(), f64_strategy()), 0..3),
         )
@@ -49,12 +51,17 @@ fn phase_strategy() -> BoxedStrategy<PhaseState> {
                     sched: SchedState {
                         search_seed,
                         next_round,
-                        bad,
-                        skip: vec![],
-                        failures: vec![],
+                        bad: bad.into_iter().collect(),
+                        skip: BTreeSet::new(),
+                        failures: BTreeMap::new(),
                         evaluations: 0,
-                        d,
-                        queries,
+                        accepted: SearchState::new(
+                            d,
+                            queries
+                                .into_iter()
+                                .map(|(sql, cost)| GeneratedQuery { sql, cost })
+                                .collect(),
+                        ),
                     },
                 }
             }),

@@ -11,7 +11,7 @@
 
 use crate::protocol::LlmRequest;
 use crate::schema_ctx::SchemaContext;
-use crate::synthesis::max_placeholder;
+use crate::synthesis::{max_placeholder, strip_binding};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlkit::{parse_select, BinaryOp, ColumnRef, Expr, Join, JoinKind, Select, TableRef};
@@ -358,7 +358,7 @@ fn collapse_to_aggregate(select: &mut Select) -> bool {
 /// Remove one placeholder comparison from the WHERE clause.
 fn remove_one_predicate(select: &mut Select) -> bool {
     let Some(where_clause) = select.where_clause.take() else { return false };
-    let mut parts = conjuncts(&where_clause);
+    let mut parts = where_clause.conjuncts();
     let original = parts.len();
     // Drop the first conjunct containing a placeholder; keep the rest.
     if let Some(pos) = parts.iter().position(contains_placeholder) {
@@ -366,8 +366,7 @@ fn remove_one_predicate(select: &mut Select) -> bool {
     } else if !parts.is_empty() {
         parts.remove(0);
     }
-    select.where_clause =
-        parts.into_iter().fold(None, |acc, c| Some(Expr::and_opt(acc, c)));
+    select.where_clause = Expr::conjoin(parts);
     original > 0
 }
 
@@ -440,51 +439,6 @@ fn contains_placeholder(expr: &Expr) -> bool {
         }
     });
     found
-}
-
-fn conjuncts(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut parts = conjuncts(left);
-            parts.extend(conjuncts(right));
-            parts
-        }
-        other => vec![other.clone()],
-    }
-}
-
-fn strip_binding(select: &mut Select, binding: &str) {
-    let references = |e: &Expr| {
-        let mut hit = false;
-        e.walk(&mut |node| {
-            if let Expr::Column(c) = node {
-                if c.table.as_deref() == Some(binding) {
-                    hit = true;
-                }
-            }
-        });
-        hit
-    };
-    select.projections.retain(|p| !references(&p.expr));
-    if select.projections.is_empty() {
-        select.projections.push(sqlkit::SelectItem {
-            expr: Expr::Function {
-                name: "COUNT".into(),
-                distinct: false,
-                args: vec![Expr::Wildcard],
-            },
-            alias: None,
-        });
-        select.group_by.clear();
-    }
-    if let Some(where_clause) = select.where_clause.take() {
-        let kept: Vec<Expr> =
-            conjuncts(&where_clause).into_iter().filter(|c| !references(c)).collect();
-        select.where_clause =
-            kept.into_iter().fold(None, |acc, c| Some(Expr::and_opt(acc, c)));
-    }
-    select.group_by.retain(|g| !references(g));
-    select.order_by.retain(|o| !references(&o.expr));
 }
 
 #[cfg(test)]

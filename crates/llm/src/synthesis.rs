@@ -557,7 +557,7 @@ fn replace_in_expr(expr: &mut Expr, placeholder: u32) {
 }
 
 /// Remove projections/predicates referencing a dropped binding.
-fn strip_binding(select: &mut Select, binding: &str) {
+pub(crate) fn strip_binding(select: &mut Select, binding: &str) {
     let references = |e: &Expr| {
         let mut hit = false;
         e.walk(&mut |node| {
@@ -578,26 +578,14 @@ fn strip_binding(select: &mut Select, binding: &str) {
         select.group_by.clear();
     }
     if let Some(where_clause) = select.where_clause.take() {
-        let kept: Vec<Expr> = conjuncts(&where_clause)
-            .into_iter()
-            .filter(|c| !references(c))
-            .collect();
-        select.where_clause = kept.into_iter().fold(None, |acc, c| Some(Expr::and_opt(acc, c)));
+        select.where_clause = Expr::conjoin(
+            where_clause.conjuncts().into_iter().filter(|c| !references(c)).collect(),
+        );
     }
     select.group_by.retain(|g| !references(g));
     select.order_by.retain(|o| !references(&o.expr));
 }
 
-fn conjuncts(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut parts = conjuncts(left);
-            parts.extend(conjuncts(right));
-            parts
-        }
-        other => vec![other.clone()],
-    }
-}
 
 #[cfg(test)]
 mod tests {

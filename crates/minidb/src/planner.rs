@@ -108,7 +108,7 @@ pub(crate) fn classify_predicates(
     let mut residuals: Vec<(u64, Expr)> = Vec::new();
 
     let mut classify = |expr: &Expr, allow_pushdown: bool| -> Result<(), DbError> {
-        for conjunct in flatten_and(expr) {
+        for conjunct in expr.conjuncts() {
             let mask = binding_mask(db, &conjunct, scope)?;
             let nbits = mask.count_ones();
             if nbits <= 1 && allow_pushdown {
@@ -172,7 +172,7 @@ impl<'a> Planner<'a> {
             let stats = self.db.stats(table_name)?;
             let base_rows = stats.row_count as f64;
             let conjuncts = scan_filters[idx].clone();
-            let filter = conjoin(conjuncts.clone());
+            let filter = Expr::conjoin(conjuncts.clone());
             let selectivity = filter.as_ref().map_or(1.0, |f| estimator.selectivity(f));
             let quals = filter.as_ref().map_or(0, count_leaves);
             let out_rows = base_rows * selectivity;
@@ -301,13 +301,13 @@ impl<'a> Planner<'a> {
                     NodeKind::HashJoin {
                         left_key,
                         right_key,
-                        residual: conjoin(join_residual_parts.clone()),
+                        residual: Expr::conjoin(join_residual_parts.clone()),
                     },
                     model.hash_join(left_rows, right_rows, out_rows),
                 )
             } else {
                 (
-                    NodeKind::NestedLoop { condition: conjoin(join_residual_parts.clone()) },
+                    NodeKind::NestedLoop { condition: Expr::conjoin(join_residual_parts.clone()) },
                     model.nested_loop(left_rows, right_rows, out_rows),
                 )
             };
@@ -329,7 +329,7 @@ impl<'a> Planner<'a> {
             .filter(|(_, applied)| !**applied)
             .map(|((_, c), _)| c.clone())
             .collect();
-        if let Some(predicate) = conjoin(leftover) {
+        if let Some(predicate) = Expr::conjoin(leftover) {
             let selectivity = estimator.selectivity(&predicate);
             let rows = current.est_rows * selectivity;
             let cost =
@@ -939,23 +939,6 @@ pub(crate) fn indexable_bounds(conjunct: &Expr) -> Option<(String, Option<f64>, 
         }
         _ => None,
     }
-}
-
-/// Flatten nested `AND`s into a conjunct list.
-pub fn flatten_and(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            let mut parts = flatten_and(left);
-            parts.extend(flatten_and(right));
-            parts
-        }
-        other => vec![other.clone()],
-    }
-}
-
-/// Rebuild a conjunction from parts.
-pub fn conjoin(parts: Vec<Expr>) -> Option<Expr> {
-    parts.into_iter().fold(None, |acc, part| Some(Expr::and_opt(acc, part)))
 }
 
 pub(crate) fn count_leaves(expr: &Expr) -> usize {

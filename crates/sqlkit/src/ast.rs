@@ -240,6 +240,25 @@ impl Expr {
         }
     }
 
+    /// The conjuncts of a nested `AND`, left to right (an expression that
+    /// is not an `AND` is its own single conjunct).
+    pub fn conjuncts(&self) -> Vec<Expr> {
+        match self {
+            Expr::Binary { left, op: BinaryOp::And, right } => {
+                let mut parts = left.conjuncts();
+                parts.extend(right.conjuncts());
+                parts
+            }
+            other => vec![other.clone()],
+        }
+    }
+
+    /// Left-deep `AND` of `parts`; `None` when there are none. Inverse of
+    /// [`Expr::conjuncts`].
+    pub fn conjoin(parts: Vec<Expr>) -> Option<Expr> {
+        parts.into_iter().fold(None, |acc, part| Some(Expr::and_opt(acc, part)))
+    }
+
     /// True if this node is an aggregate function call.
     pub fn is_aggregate(&self) -> bool {
         matches!(self, Expr::Function { name, .. }

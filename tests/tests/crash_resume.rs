@@ -8,6 +8,7 @@
 //! The CI crash-resume job runs these by name (`kill_point_matrix_*`).
 
 use sqlbarber::cost::CostType;
+use sqlbarber::snapshot::{CheckpointDir, PhaseState, SchedState, Snapshot, TemplatePool};
 use sqlbarber::{
     CheckpointConfig, GenerateError, GenerationReport, KillSwitch, SqlBarber,
     SqlBarberConfig,
@@ -238,4 +239,74 @@ fn resumed_run_keeps_checkpointing() {
     let after = newest_generation(&dir);
     assert!(after > before, "resume wrote no new generations: {after:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume from a snapshot that decodes and matches the run's fingerprint
+/// but holds state the run cannot use: the newest snapshot of a run
+/// killed at `point`, changed by `corrupt` and stored as a new
+/// generation. Returns the resume error; resume must not panic.
+fn resume_corrupted(point: &str, tag: &str, corrupt: impl FnOnce(&mut Snapshot)) -> String {
+    let db = tpch();
+    let dir = fresh_dir(tag);
+    let checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 1 });
+    generate_killed(&db, config(1, checkpoint.clone()), point);
+    let mut snapshot = CheckpointDir::load_latest(&dir).expect("snapshot loads");
+    corrupt(&mut snapshot);
+    CheckpointDir::open(&dir).unwrap().store(&snapshot).unwrap();
+    let err = SqlBarber::new(&db, config(1, checkpoint))
+        .resume(&dir, &target(), CostType::Cardinality)
+        .expect_err("an inconsistent snapshot must be refused");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(matches!(err, GenerateError::Checkpoint(_)), "{err}");
+    err.to_string()
+}
+
+fn mid_search(snapshot: &mut Snapshot) -> &mut SchedState {
+    match &mut snapshot.phase {
+        PhaseState::MidSearch { sched, .. } => sched,
+        other => panic!("expected a mid-search snapshot, got {}", other.name()),
+    }
+}
+
+#[test]
+fn resume_refuses_mid_search_counts_shorter_than_the_target() {
+    let err = resume_corrupted("mid-search", "short-d", |s| {
+        mid_search(s).accepted.d.pop();
+    });
+    assert!(err.contains("4 intervals, the target has 5"), "{err}");
+}
+
+#[test]
+fn resume_refuses_an_exhausted_round_counter() {
+    let err = resume_corrupted("mid-search", "round-max", |s| {
+        mid_search(s).next_round = u64::MAX;
+    });
+    assert!(err.contains("no scheduler round"), "{err}");
+}
+
+#[test]
+fn resume_refuses_an_after_search_distribution_shorter_than_the_target() {
+    let err = resume_corrupted("after-search", "short-distribution", |s| match &mut s.phase {
+        PhaseState::AfterSearch { result, .. } => {
+            result.distribution.pop();
+        }
+        other => panic!("expected an after-search snapshot, got {}", other.name()),
+    });
+    assert!(err.contains("4 intervals, the target has 5"), "{err}");
+}
+
+#[test]
+fn resume_refuses_an_evaluation_point_shorter_than_its_space() {
+    let err = resume_corrupted("after-profiling", "short-point", |s| {
+        let TemplatePool::Profiled(states) = &mut s.pool else {
+            panic!("expected a profiled pool");
+        };
+        let (point, _) = states
+            .iter_mut()
+            .flat_map(|state| &mut state.evaluations)
+            .find(|(point, _)| !point.is_empty())
+            .expect("some template has placeholders");
+        point.pop();
+    });
+    assert!(err.contains("coordinates"), "{err}");
 }
