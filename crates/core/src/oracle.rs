@@ -180,7 +180,7 @@ pub(crate) struct EngineScratch {
 /// strings by interned id (see [`CostOracle::intern`]), so building and
 /// cloning a key never allocates per string — the memo hot path used to
 /// clone every `String` on lookup *and* again on insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum ValueKey {
     Int(i64),
     Float(u64),
@@ -800,14 +800,80 @@ impl<'db> CostOracle<'db> {
         self.scheduler_overadmissions.fetch_add(overadmissions, Ordering::Relaxed);
     }
 
+    /// Put the memo into a canonical form that does not depend on the
+    /// order in which concurrent workers first met a string or inserted
+    /// an entry: interned strings are renumbered in text order, every
+    /// entry moves to the shard its renumbered key routes to, and each
+    /// shard's clock queue is put in key order (reference bits, per-shard
+    /// eviction counts and capacities kept). Every memo answer and
+    /// counter is unchanged; only which entry a full shard evicts next
+    /// follows the new queue order. Call only between batches.
+    fn canonicalize(&self) {
+        let renumber: Vec<u32> = {
+            let mut interner = self.interner.lock();
+            let mut texts: Vec<(Box<str>, u32)> = interner.drain().collect();
+            texts.sort_unstable();
+            let mut renumber = vec![0; texts.len()];
+            for (new_id, (text, old_id)) in texts.into_iter().enumerate() {
+                renumber[old_id as usize] = new_id as u32;
+                interner.insert(text, new_id as u32);
+            }
+            renumber
+        };
+        let renamed = |slot: &Option<ValueKey>| {
+            matches!(slot, Some(ValueKey::Str(id)) if renumber[*id as usize] != *id)
+        };
+        // Entries whose key names a renumbered string leave their shard.
+        let mut moving = Vec::new();
+        for mutex in &self.prepared_shards {
+            let mut shard = mutex.lock();
+            let BoundedShard { map, queue, .. } = &mut *shard;
+            if !queue.iter().any(|key| key.2.as_slice().iter().any(renamed)) {
+                continue;
+            }
+            let (stay, leave): (Vec<_>, Vec<_>) =
+                queue.drain(..).partition(|key| !key.2.as_slice().iter().any(renamed));
+            *queue = stay.into();
+            for key in leave {
+                let Some(value) = map.remove(&key) else { continue };
+                let (template_id, cost_type, binding) = key;
+                let slots = binding.as_slice();
+                let binding = BindingKey::collect(slots.len(), |slot| match slots[slot] {
+                    Some(ValueKey::Str(id)) => Some(ValueKey::Str(renumber[id as usize])),
+                    other => other,
+                });
+                moving.push(((template_id, cost_type, binding), value));
+            }
+        }
+        let mut routed: Vec<Vec<_>> = (0..SHARDS).map(|_| Vec::new()).collect();
+        for (key, value) in moving {
+            routed[shard_index(&key)].push((key, value));
+        }
+        for (mutex, arrivals) in self.prepared_shards.iter().zip(routed) {
+            let mut shard = mutex.lock();
+            for (key, value) in arrivals {
+                shard.queue.push_back(key.clone());
+                shard.map.insert(key, value);
+            }
+            shard.queue.make_contiguous().sort_unstable_by(|a, b| {
+                (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
+            });
+        }
+    }
+
     /// Serialize the oracle's full state for a checkpoint: interner,
     /// prepared-template registry, the memo cache (entries in clock-queue
     /// order, with reference bits and eviction counts), and the raw
-    /// counters. [`CostOracle::restore_state`] of this value into a fresh
-    /// oracle reproduces every future memo hit, eviction, and derived
-    /// [`OracleStats`] field exactly.
+    /// counters. The memo is first put in canonical form (see
+    /// `canonicalize`), so the state, and the snapshot bytes, are the same
+    /// at any thread count; this oracle then continues from that form.
+    /// [`CostOracle::restore_state`] of this value into a fresh oracle
+    /// therefore reproduces every future memo hit, eviction, and derived
+    /// [`OracleStats`] field of this one exactly.
     pub fn export_state(&self) -> crate::snapshot::OracleState {
         use crate::snapshot::{OracleCounters, OracleState, PreparedEntry, ShardState};
+
+        self.canonicalize();
 
         // The interner and registry are hash maps; inverting them into
         // vectors indexed by their (densely assigned) ids yields a
@@ -872,6 +938,7 @@ impl<'db> CostOracle<'db> {
     /// longer prepares) leave a partially restored oracle — callers
     /// should discard it on `Err`.
     pub fn restore_state(&self, state: &crate::snapshot::OracleState) -> Result<(), String> {
+        use crate::snapshot::ValueKeySnap;
         if state.shards.len() != SHARDS {
             return Err(format!(
                 "snapshot has {} memo shards, this build uses {SHARDS}",
@@ -884,8 +951,20 @@ impl<'db> CostOracle<'db> {
             interner.clear();
             for (id, text) in state.interner.iter().enumerate() {
                 let id = u32::try_from(id).map_err(|_| "interner overflow".to_string())?;
-                interner.insert(text.as_str().into(), id);
+                if interner.insert(text.as_str().into(), id).is_some() {
+                    return Err(format!("snapshot interns the string {text:?} twice"));
+                }
             }
+        }
+        let strings = state.interner.len();
+        let dangling = state.shards.iter().flat_map(|shard| &shard.entries).find_map(|entry| {
+            entry.key.iter().find_map(|slot| match slot {
+                Some(ValueKeySnap::Str(id)) if *id as usize >= strings => Some(*id),
+                _ => None,
+            })
+        });
+        if let Some(id) = dangling {
+            return Err(format!("snapshot memo names string {id}, but it interns only {strings}"));
         }
 
         {
@@ -1552,6 +1631,69 @@ mod tests {
         // Both oracles must now agree on every future probe, hit/miss
         // decision, and eviction (capacity was restored too).
         assert_eq!(probe_future(&original, &handle), probe_future(&restored, &restored_handle));
+    }
+
+    #[test]
+    fn export_does_not_depend_on_arrival_order() {
+        // Two oracles see the same probes in opposite orders, as
+        // concurrent workers may deliver them: strings are interned and
+        // memo entries queued in different orders, yet both export the
+        // same state and then behave identically.
+        let db = tpch();
+        let templates = [
+            "SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}",
+            NATION,
+            "SELECT nation.n_name FROM nation WHERE nation.n_name < {p_1}",
+        ]
+        .map(|sql| parse_template(sql).unwrap());
+        let strings = |names: &[&str]| p1(names.iter().map(|&s| Value::Str(s.into())));
+        let batches = [
+            strings(&["N07", "N01"]),
+            p1((0..40).map(Value::Int)),
+            strings(&["N04", "N02", "N07"]),
+        ];
+        let run = |forward: bool| {
+            let oracle = CostOracle::new(&db, 1);
+            let handles = templates.each_ref().map(|t| oracle.prepare(t).unwrap());
+            let mut work: Vec<_> = handles.iter().zip(&batches).collect();
+            if !forward {
+                work.reverse();
+            }
+            for (handle, batch) in work {
+                cost(&oracle, handle, batch, CostType::Cardinality);
+            }
+            let state = oracle.export_state();
+            let future = strings(&["N03", "N07"]);
+            let results = bits(&cost(&oracle, &handles[2], &future, CostType::Cardinality));
+            (state, results, oracle.stats(), oracle.export_state())
+        };
+        let (forward, backward) = (run(true), run(false));
+        assert_eq!(forward.0.interner, ["N01", "N02", "N04", "N07"]);
+        assert_eq!(forward, backward);
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_and_dangling_strings() {
+        use crate::snapshot::ValueKeySnap;
+        let db = tpch();
+        let oracle = CostOracle::new(&db, 1);
+        let template =
+            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
+                .unwrap();
+        let handle = oracle.prepare(&template).unwrap();
+        cost(&oracle, &handle, &p1([Value::Str("N01".into())]), CostType::Cardinality);
+        let state = oracle.export_state();
+
+        let mut twice = state.clone();
+        twice.interner.push("N01".into());
+        let err = CostOracle::new(&db, 1).restore_state(&twice).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
+
+        let mut dangling = state.clone();
+        let entry = dangling.shards.iter_mut().flat_map(|s| &mut s.entries).next().unwrap();
+        entry.key[0] = Some(ValueKeySnap::Str(1));
+        let err = CostOracle::new(&db, 1).restore_state(&dangling).unwrap_err();
+        assert!(err.contains("names string 1"), "{err}");
     }
 
     #[test]

@@ -195,6 +195,14 @@ pub fn profile_batch(
     }
     let budget = ((total_queries as f64 * fraction) as usize).max(templates.len());
     let per_template = (budget / templates.len()).max(3);
+    // Prepare in pool order before fanning out: the oracle numbers
+    // templates as they are first prepared, and those ids name the memo
+    // entries a checkpoint writes, so they must not depend on which
+    // worker reaches a template first. The workers' own prepares are
+    // registry hits; a template that fails is retried and fails again.
+    for template in &templates {
+        let _ = oracle.prepare(template);
+    }
     parallel_map(oracle.threads(), &templates, |i, template| {
         let mut rng = StdRng::seed_from_u64(split_seed(seed, i as u64));
         profile_template(oracle, template.clone(), cost_type, per_template, &mut rng)

@@ -10,7 +10,7 @@
 use crate::cost::CostModel;
 use crate::error::DbError;
 use crate::index::BtreeIndex;
-use crate::stats::{analyze_table, TableStats};
+use crate::stats::{analyze_table_with, int_stats, TableStats};
 use crate::storage::{DataType, Table};
 use std::collections::BTreeMap;
 
@@ -97,10 +97,12 @@ impl Database {
             primary_key: primary_key.map(str::to_string),
             indexes: indexes.iter().map(|s| s.to_string()).collect(),
         };
-        self.stats.insert(table.name.clone(), analyze_table(&table));
         // Materialize B-tree indexes for the primary key and every
-        // declared index column (numeric columns only).
+        // declared index column (numeric columns only). An index built by
+        // counting sort hands its sorted keys to ANALYZE, so each indexed
+        // small-range `Int` column is sorted once.
         let mut built = Vec::new();
+        let mut known = vec![None; table.columns.len()];
         let mut index_columns: Vec<&str> = indexes.to_vec();
         if let Some(pk) = primary_key {
             if !index_columns.contains(&pk) {
@@ -108,10 +110,14 @@ impl Database {
             }
         }
         for column in index_columns {
-            if let Some(index) = BtreeIndex::build(&table, column) {
+            if let Some((index, keys)) = BtreeIndex::build_sharing_keys(&table, column) {
+                if let (Some(at), Some(keys)) = (table.column_index(column), keys) {
+                    known[at] = Some(int_stats(table.row_count(), &keys));
+                }
                 built.push(index);
             }
         }
+        self.stats.insert(table.name.clone(), analyze_table_with(&table, known));
         self.indexes.insert(table.name.clone(), built);
         self.schemas.insert(table.name.clone(), schema);
         self.tables.insert(table.name.clone(), table);

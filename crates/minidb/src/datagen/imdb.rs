@@ -52,7 +52,7 @@ impl Gen {
             vec![("id".into(), DataType::Int), (column.into(), DataType::Str)],
         );
         for (i, v) in values.iter().enumerate() {
-            t.push_row(vec![Value::Int(i as i64 + 1), Value::Str(v.to_string())]);
+            t.push_row([Value::Int(i as i64 + 1), Value::Str(v.to_string())]);
         }
         t
     }
@@ -151,7 +151,7 @@ pub fn generate(config: ImdbConfig) -> Database {
     for i in 0..n_title {
         let kind = g.rng.gen_range(1..=7);
         let is_episode = kind == 7;
-        title.push_row(vec![
+        title.push_row([
             Value::Int(i as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "title")),
             Value::Int(kind),
@@ -176,7 +176,7 @@ pub fn generate(config: ImdbConfig) -> Database {
             5..=8 => Value::Str("f".into()),
             _ => Value::Null,
         };
-        name.push_row(vec![
+        name.push_row([
             Value::Int(i as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "person")),
             gender,
@@ -189,7 +189,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)],
     );
     for i in 0..n_char {
-        char_name.push_row(vec![
+        char_name.push_row([
             Value::Int(i as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "char")),
         ]);
@@ -206,7 +206,7 @@ pub fn generate(config: ImdbConfig) -> Database {
     );
     const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
     for i in 0..n_company {
-        company_name.push_row(vec![
+        company_name.push_row([
             Value::Int(i as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "company")),
             Value::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)].into()),
@@ -219,7 +219,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
     );
     for i in 0..n_keyword {
-        keyword.push_row(vec![
+        keyword.push_row([
             Value::Int(i as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "kw")),
         ]);
@@ -240,7 +240,7 @@ pub fn generate(config: ImdbConfig) -> Database {
     );
     for i in 0..n_cast {
         let has_char = g.rng.gen_bool(0.4);
-        cast_info.push_row(vec![
+        cast_info.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
@@ -265,7 +265,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_movie_info {
-        movie_info.push_row(vec![
+        movie_info.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
@@ -284,7 +284,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_movie_info_idx {
-        movie_info_idx.push_row(vec![
+        movie_info_idx.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
@@ -302,7 +302,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_movie_keyword {
-        movie_keyword.push_row(vec![
+        movie_keyword.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
@@ -320,7 +320,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_movie_companies {
-        movie_companies.push_row(vec![
+        movie_companies.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
@@ -339,7 +339,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_person_info {
-        person_info.push_row(vec![
+        person_info.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
@@ -357,7 +357,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_aka_name {
-        aka_name.push_row(vec![
+        aka_name.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "aka")),
@@ -374,7 +374,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_aka_title {
-        aka_title.push_row(vec![
+        aka_title.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Str(synth_name(&mut g.rng, "akat")),
@@ -392,7 +392,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_complete_cast {
-        complete_cast.push_row(vec![
+        complete_cast.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(g.rng.gen_range(1..=2)),
@@ -411,7 +411,7 @@ pub fn generate(config: ImdbConfig) -> Database {
         ],
     );
     for i in 0..n_movie_link {
-        movie_link.push_row(vec![
+        movie_link.push_row([
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
             Value::Int(g.rng.gen_range(1..=n_title as i64)),

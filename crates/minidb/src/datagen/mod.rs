@@ -58,7 +58,30 @@ pub fn synth_name(rng: &mut StdRng, prefix: &str) -> String {
     let a = WORDS[rng.gen_range(0..WORDS.len())];
     let b = WORDS[rng.gen_range(0..WORDS.len())];
     let n: u32 = rng.gen_range(0..10_000);
-    format!("{prefix}_{a}_{b}_{n}")
+    join_name(prefix, a, b, n)
+}
+
+/// `{prefix}_{a}_{b}_{n}`, built into one exactly sized allocation (no
+/// formatting machinery: this runs once per synthetic text cell).
+fn join_name(prefix: &str, a: &str, b: &str, n: u32) -> String {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = &digits[start..];
+    let mut name = String::with_capacity(prefix.len() + a.len() + b.len() + digits.len() + 3);
+    for part in [prefix, "_", a, "_", b, "_"] {
+        name.push_str(part);
+    }
+    name.extend(digits.iter().map(|&d| char::from(d)));
+    name
 }
 
 #[cfg(test)]
@@ -108,6 +131,37 @@ mod tests {
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn join_name_matches_format_for_every_number() {
+        for n in 0..10_000 {
+            assert_eq!(join_name("title", "amber", "haze", n), format!("title_amber_haze_{n}"));
+        }
+        for n in [10_000, 99_999, 1_000_000, u32::MAX] {
+            assert_eq!(join_name("kw", "dune", "echo", n), format!("kw_dune_echo_{n}"));
+        }
+        assert_eq!(join_name("", "", "", 0), "___0");
+    }
+
+    #[test]
+    fn synth_name_matches_the_format_reference_draw_for_draw() {
+        // The `format!` version this replaced, with the same draws.
+        fn reference(rng: &mut StdRng, prefix: &str) -> String {
+            let a = WORDS[rng.gen_range(0..WORDS.len())];
+            let b = WORDS[rng.gen_range(0..WORDS.len())];
+            let n: u32 = rng.gen_range(0..10_000);
+            format!("{prefix}_{a}_{b}_{n}")
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut oracle = StdRng::seed_from_u64(11);
+        for i in 0..20_000 {
+            let prefix = ["title", "person", "kw", "supplier"][i % 4];
+            let name = synth_name(&mut rng, prefix);
+            assert_eq!(name, reference(&mut oracle, prefix));
+            assert_eq!(name.capacity(), name.len(), "{name} is not exactly sized");
+        }
+        assert_eq!(rng.gen::<u64>(), oracle.gen::<u64>(), "RNG streams diverged");
     }
 
     #[test]

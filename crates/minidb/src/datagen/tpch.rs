@@ -74,7 +74,7 @@ pub fn generate(config: TpchConfig) -> Database {
         vec![("r_regionkey".into(), DataType::Int), ("r_name".into(), DataType::Str)],
     );
     for (i, name) in ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"].iter().enumerate() {
-        region.push_row(vec![Value::Int(i as i64), Value::Str(name.to_string())]);
+        region.push_row([Value::Int(i as i64), Value::Str(name.to_string())]);
     }
     db.add_table(region, Some("r_regionkey"), &[]);
 
@@ -88,7 +88,7 @@ pub fn generate(config: TpchConfig) -> Database {
         ],
     );
     for i in 0..25 {
-        nation.push_row(vec![
+        nation.push_row([
             Value::Int(i),
             Value::Str(format!("NATION_{i:02}")),
             Value::Int(i % 5),
@@ -107,7 +107,7 @@ pub fn generate(config: TpchConfig) -> Database {
         ],
     );
     for i in 0..n_supplier {
-        supplier.push_row(vec![
+        supplier.push_row([
             Value::Int(i as i64),
             Value::Str(synth_name(&mut rng, "supplier")),
             Value::Int(rng.gen_range(0..25)),
@@ -128,7 +128,7 @@ pub fn generate(config: TpchConfig) -> Database {
         ],
     );
     for i in 0..n_customer {
-        customer.push_row(vec![
+        customer.push_row([
             Value::Int(i as i64),
             Value::Str(synth_name(&mut rng, "customer")),
             Value::Int(rng.gen_range(0..25)),
@@ -150,7 +150,7 @@ pub fn generate(config: TpchConfig) -> Database {
         ],
     );
     for i in 0..n_part {
-        part.push_row(vec![
+        part.push_row([
             Value::Int(i as i64),
             Value::Str(synth_name(&mut rng, "part")),
             Value::Str(BRANDS[rng.gen_range(0..BRANDS.len())].into()),
@@ -171,7 +171,7 @@ pub fn generate(config: TpchConfig) -> Database {
         ],
     );
     for i in 0..n_partsupp {
-        partsupp.push_row(vec![
+        partsupp.push_row([
             Value::Int((i % n_part) as i64),
             Value::Int(rng.gen_range(0..n_supplier) as i64),
             Value::Int(rng.gen_range(1..10_000)),
@@ -195,7 +195,7 @@ pub fn generate(config: TpchConfig) -> Database {
     for i in 0..n_orders {
         // customers have power-law order counts (realistic hot keys).
         let cust = powerlaw_index(&mut rng, n_customer, 0.4);
-        orders.push_row(vec![
+        orders.push_row([
             Value::Int(i as i64),
             Value::Int(cust as i64),
             Value::Str(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())].into()),
@@ -224,7 +224,7 @@ pub fn generate(config: TpchConfig) -> Database {
     );
     for i in 0..n_lineitem {
         let order = (i * n_orders / n_lineitem).min(n_orders - 1);
-        lineitem.push_row(vec![
+        lineitem.push_row([
             Value::Int(order as i64),
             Value::Int(powerlaw_index(&mut rng, n_part, 0.3) as i64),
             Value::Int(rng.gen_range(0..n_supplier) as i64),

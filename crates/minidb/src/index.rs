@@ -8,7 +8,11 @@
 //! `random_page_cost`-weighted costing, as PostgreSQL does), and the
 //! executor probes the sorted array by binary search.
 
+use crate::int_sort::counting_sort;
 use crate::storage::{Column, Table};
+
+#[cfg(test)]
+mod reference;
 
 /// A sorted index over one numeric column.
 #[derive(Debug, Clone)]
@@ -24,28 +28,29 @@ impl BtreeIndex {
     /// non-numeric columns (string indexes are declared in the schema for
     /// metadata purposes but not materialized).
     pub fn build(table: &Table, column_name: &str) -> Option<BtreeIndex> {
-        let idx = table.column_index(column_name)?;
-        let column = &table.columns[idx];
-        let mut entries: Vec<(f64, u32)> = Vec::with_capacity(table.row_count());
-        match column {
-            Column::Int { values, valid } => {
-                for (row, (&v, &ok)) in values.iter().zip(valid).enumerate() {
-                    if ok {
-                        entries.push((v as f64, row as u32));
-                    }
-                }
-            }
-            Column::Float { values, valid } => {
-                for (row, (&v, &ok)) in values.iter().zip(valid).enumerate() {
-                    if ok {
-                        entries.push((v, row as u32));
-                    }
-                }
-            }
+        Self::build_sharing_keys(table, column_name).map(|(index, _)| index)
+    }
+
+    /// [`BtreeIndex::build`], also returning the column's non-null values
+    /// in ascending order when a small-range `Int` column was indexed by
+    /// [`counting_sort`]: ANALYZE needs exactly those keys, and the sort
+    /// yields them alongside the entries. Other columns keep a stable
+    /// `f64::total_cmp` sort of their `(key, row)` pairs, and the same
+    /// entries come out either way.
+    pub(crate) fn build_sharing_keys(
+        table: &Table,
+        column_name: &str,
+    ) -> Option<(BtreeIndex, Option<Vec<i64>>)> {
+        let column = &table.columns[table.column_index(column_name)?];
+        let (entries, keys) = match column {
+            Column::Int { values, valid } => match counting_sort(values, valid, true) {
+                Some(sorted) => (sorted.entries, Some(sorted.keys)),
+                None => (sorted_entries(values, valid, |&v| v as f64), None),
+            },
+            Column::Float { values, valid } => (sorted_entries(values, valid, |&v| v), None),
             _ => return None,
-        }
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Some(BtreeIndex { column: column_name.to_string(), entries })
+        };
+        Some((BtreeIndex { column: column_name.to_string(), entries }, keys))
     }
 
     /// Row ids whose key lies in `[lo, hi]` (either bound optional).
@@ -80,6 +85,19 @@ impl BtreeIndex {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// `(key(value), row)` for every non-null cell, stably sorted by key in
+/// `f64::total_cmp` order.
+fn sorted_entries<T>(values: &[T], valid: &[bool], key: impl Fn(&T) -> f64) -> Vec<(f64, u32)> {
+    let mut entries = Vec::with_capacity(values.len());
+    for (row, (v, &ok)) in values.iter().zip(valid).enumerate() {
+        if ok {
+            entries.push((key(v), row as u32));
+        }
+    }
+    entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+    entries
 }
 
 #[cfg(test)]
@@ -126,5 +144,87 @@ mod tests {
     fn string_columns_are_not_materialized() {
         assert!(BtreeIndex::build(&table(), "s").is_none());
         assert!(BtreeIndex::build(&table(), "missing").is_none());
+    }
+
+    mod equivalence {
+        use super::*;
+        use crate::catalog::Database;
+        use crate::stats::reference::analyze_column;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const EXACT: i64 = 1 << 53;
+
+        /// An `Int` cell value around `center`: within `spread` of it, or
+        /// (with `outliers`) sometimes anywhere in `i64`, which widens the
+        /// range past the counting sort's bound.
+        fn cell(rng: &mut StdRng, center: i64, spread: i64, outliers: bool) -> i64 {
+            if outliers && rng.gen_range(0..10) == 0 {
+                return rng.gen();
+            }
+            center.saturating_add(rng.gen_range(-spread..=spread))
+        }
+
+        /// Two `Int` columns (`x` indexed, `y` not) of `rows` cells around
+        /// `center`, each NULL with probability `null_pct`%.
+        fn int_table(
+            rows: usize,
+            center: i64,
+            spread: i64,
+            outliers: bool,
+            null_pct: u32,
+            seed: u64,
+        ) -> Table {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let layout = vec![("x".into(), DataType::Int), ("y".into(), DataType::Int)];
+            let mut t = Table::new("t", layout);
+            for _ in 0..rows {
+                let mut value = || match rng.gen_range(0..100) < null_pct {
+                    true => Value::Null,
+                    false => Value::Int(cell(&mut rng, center, spread, outliers)),
+                };
+                let row = [value(), value()];
+                t.push_row(row);
+            }
+            t
+        }
+
+        fn bits(entries: &[(f64, u32)]) -> Vec<(u64, u32)> {
+            entries.iter().map(|&(key, row)| (key.to_bits(), row)).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn shared_sort_matches_the_reference_index_and_statistics(
+                rows in 0usize..=120,
+                center in prop::sample::select(vec![
+                    0i64, -1_000, 1_000_000, EXACT - 3, -EXACT + 3, EXACT, -EXACT, EXACT + 5,
+                    -EXACT - 5, i64::MAX - 10, i64::MIN + 10,
+                ]),
+                spread in prop::sample::select(vec![0i64, 2, 30, 5_000, 1 << 40]),
+                outliers in any::<bool>(),
+                null_pct in prop::sample::select(vec![0u32, 20, 100]),
+                seed in any::<u64>(),
+            ) {
+                let t = int_table(rows, center, spread, outliers, null_pct, seed);
+                let expected = reference::entries(&t, "x").unwrap();
+                let built = BtreeIndex::build(&t, "x").unwrap();
+                prop_assert_eq!(bits(built.probe_slice(None, None)), bits(&expected));
+
+                let mut db = Database::new("d");
+                db.add_table(t.clone(), Some("x"), &[]);
+                let index = db.index_on("t", "x").unwrap();
+                prop_assert_eq!(bits(index.probe_slice(None, None)), bits(&expected));
+                // `Int` statistics hold no NaN or -0.0, so `==` compares bits.
+                let stats = db.stats("t").unwrap();
+                for (at, name) in ["x", "y"].into_iter().enumerate() {
+                    let oracle = analyze_column(&t.columns[at], t.row_count());
+                    prop_assert_eq!(&stats.columns[name], &oracle, "{}", name);
+                }
+            }
+        }
     }
 }

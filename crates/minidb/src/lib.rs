@@ -51,6 +51,7 @@ pub mod exec;
 pub mod executor;
 pub mod explain;
 pub mod index;
+mod int_sort;
 pub mod expr_eval;
 pub mod plan;
 pub mod planner;

@@ -5,13 +5,14 @@
 //! prompts (Step 1 of §4 supplies tuple counts and distinct counts so the
 //! model can pick selective predicates).
 
+use crate::int_sort::counting_sort;
 use crate::storage::{Column, Table};
 use sqlkit::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 
 /// Number of equi-depth histogram buckets collected per numeric column
 /// (PostgreSQL's `default_statistics_target`-like knob).
@@ -94,32 +95,58 @@ pub struct TableStats {
 /// Compute statistics for every column of a table (a full-table ANALYZE —
 /// the tables are laptop-scale, so no sampling is needed).
 pub fn analyze_table(table: &Table) -> TableStats {
+    analyze_table_with(table, vec![None; table.columns.len()])
+}
+
+/// [`analyze_table`], taking column `i`'s statistics from `known[i]`
+/// where present (as `Database::add_table` computes them from the keys
+/// of the sort that built the column's index).
+pub(crate) fn analyze_table_with(table: &Table, known: Vec<Option<ColumnStats>>) -> TableStats {
+    assert_eq!(known.len(), table.columns.len(), "one slot per column");
     let row_count = table.row_count();
     let mut columns = BTreeMap::new();
-    for (name, column) in table.column_names.iter().zip(&table.columns) {
-        columns.insert(name.clone(), analyze_column(column, row_count));
+    for ((name, column), known) in table.column_names.iter().zip(&table.columns).zip(known) {
+        let stats = known.unwrap_or_else(|| analyze_column(column, row_count));
+        columns.insert(name.clone(), stats);
     }
     TableStats { row_count, columns }
 }
 
+/// Statistics of an `Int` column of `row_count` rows from its non-null
+/// values in ascending order.
+pub(crate) fn int_stats(row_count: usize, sorted: &[i64]) -> ColumnStats {
+    if row_count == 0 {
+        return no_rows();
+    }
+    sorted_stats(row_count, sorted, Value::Int, Some(|v| v as f64))
+}
+
+/// The statistics of a column of an empty table.
+fn no_rows() -> ColumnStats {
+    ColumnStats {
+        null_frac: 0.0,
+        n_distinct: 0.0,
+        min: None,
+        max: None,
+        histogram: Vec::new(),
+        mcvs: Vec::new(),
+    }
+}
+
 fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
     if row_count == 0 {
-        return ColumnStats {
-            null_frac: 0.0,
-            n_distinct: 0.0,
-            min: None,
-            max: None,
-            histogram: Vec::new(),
-            mcvs: Vec::new(),
-        };
+        return no_rows();
     }
     match column {
-        Column::Int { values, valid } => ordered_stats(
-            row_count,
-            valid_cells(values, valid, |&v| v),
-            Value::Int,
-            Some(|v| v as f64),
-        ),
+        Column::Int { values, valid } => match counting_sort(values, valid, false) {
+            Some(sorted) => int_stats(row_count, &sorted.keys),
+            None => ordered_stats(
+                row_count,
+                valid_cells(values, valid, |&v| v),
+                Value::Int,
+                Some(|v| v as f64),
+            ),
+        },
         Column::Str { values, valid } => ordered_stats(
             row_count,
             valid_cells(values, valid, String::as_str),
@@ -153,9 +180,19 @@ fn ordered_stats<T: Ord + Copy>(
     numeric: Option<fn(T) -> f64>,
 ) -> ColumnStats {
     cells.sort_unstable();
+    sorted_stats(row_count, &cells, lift, numeric)
+}
+
+/// [`ordered_stats`] of cells already in ascending order.
+fn sorted_stats<T: Ord + Copy>(
+    row_count: usize,
+    cells: &[T],
+    lift: impl Fn(T) -> Value,
+    numeric: Option<fn(T) -> f64>,
+) -> ColumnStats {
     let mut distinct = Distinct::default();
-    distinct.add_runs(&cells, |a, b| a == b);
-    let histogram = numeric.map_or_else(Vec::new, |x| histogram(&cells, x));
+    distinct.add_runs(cells, |a, b| a == b);
+    let histogram = numeric.map_or_else(Vec::new, |x| histogram(cells, x));
     let ends = (cells.first().copied(), cells.last().copied());
     assemble(row_count, cells.len(), distinct, ends, histogram, lift)
 }

@@ -9,7 +9,7 @@ use crate::storage::Column;
 use sqlkit::Value;
 use std::collections::HashMap;
 
-pub(super) fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
+pub(crate) fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
     if row_count == 0 {
         return ColumnStats {
             null_frac: 0.0,

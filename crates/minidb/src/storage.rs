@@ -59,28 +59,6 @@ impl Column {
         }
     }
 
-    /// Empty column with reserved capacity.
-    pub fn with_capacity(data_type: DataType, capacity: usize) -> Column {
-        match data_type {
-            DataType::Int => Column::Int {
-                values: Vec::with_capacity(capacity),
-                valid: Vec::with_capacity(capacity),
-            },
-            DataType::Float => Column::Float {
-                values: Vec::with_capacity(capacity),
-                valid: Vec::with_capacity(capacity),
-            },
-            DataType::Str => Column::Str {
-                values: Vec::with_capacity(capacity),
-                valid: Vec::with_capacity(capacity),
-            },
-            DataType::Bool => Column::Bool {
-                values: Vec::with_capacity(capacity),
-                valid: Vec::with_capacity(capacity),
-            },
-        }
-    }
-
     /// This column's type.
     pub fn data_type(&self) -> DataType {
         match self {
@@ -251,12 +229,20 @@ impl Table {
         self.column_names.iter().position(|c| c == name)
     }
 
-    /// Append one row.
+    /// Append one row, one value per column in position order. Takes any
+    /// exact-size iterable, so loaders can pass a stack array (`[..]`)
+    /// instead of allocating a `Vec` per row.
     ///
     /// # Panics
-    /// Panics if the value count does not match the column count or any
-    /// value's type mismatches its column.
-    pub fn push_row(&mut self, row: Vec<Value>) {
+    /// Panics if the value count does not match the column count (checked
+    /// before any column changes) or any value's type mismatches its
+    /// column.
+    pub fn push_row<I>(&mut self, row: I)
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let row = row.into_iter();
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         for (column, value) in self.columns.iter_mut().zip(row) {
             column.push(value);
@@ -291,6 +277,23 @@ mod tests {
         assert_eq!(t.columns[1].get(0), Value::Float(2.5));
         assert_eq!(t.columns[2].get(1), Value::Null);
         assert_eq!(t.columns[3].get(0), Value::Bool(true));
+    }
+
+    #[test]
+    fn arrays_and_vecs_load_the_same_row() {
+        let layout = || vec![("a".into(), DataType::Int), ("s".into(), DataType::Str)];
+        let mut from_array = Table::new("t", layout());
+        let mut from_vec = Table::new("t", layout());
+        from_array.push_row([Value::Int(7), Value::Null]);
+        from_vec.push_row(vec![Value::Int(7), Value::Null]);
+        assert_eq!(from_array.columns, from_vec.columns);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn rows_of_the_wrong_arity_panic() {
+        let mut t = Table::new("t", vec![("a".into(), DataType::Int), ("b".into(), DataType::Int)]);
+        t.push_row([Value::Int(1)]);
     }
 
     #[test]

@@ -176,6 +176,79 @@ fn newest_generation(dir: &Path) -> PathBuf {
     files.pop().expect("at least one snapshot generation")
 }
 
+/// Every snapshot file in `dir`, by name.
+fn snapshot_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("checkpoint dir listable")
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name().to_str()?.to_string();
+            let snapshot = name.starts_with("snapshot-") && name.ends_with(".bin");
+            snapshot.then(|| (name, std::fs::read(e.path()).expect("snapshot readable")))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The snapshot files a checkpointed run at `threads` leaves behind when
+/// killed at each kill point, and when it completes, as
+/// `("<point>/<file name>", bytes)`.
+fn snapshots_at(db: &minidb::Database, threads: usize, run: &str) -> Vec<(String, Vec<u8>)> {
+    let mut all = Vec::new();
+    for point in KILL_POINTS.into_iter().map(Some).chain([None]) {
+        let label = point.unwrap_or("complete");
+        let dir = fresh_dir(&format!("snapshots-{threads}-{run}-{label}"));
+        let checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 1 });
+        match point {
+            Some(point) => drop(generate_killed(db, config(threads, checkpoint), point)),
+            None => drop(generate(db, config(threads, checkpoint))),
+        }
+        let files = snapshot_files(&dir);
+        assert!(!files.is_empty(), "threads={threads} {label}: no snapshot written");
+        all.extend(files.into_iter().map(|(name, bytes)| (format!("{label}/{name}"), bytes)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    all
+}
+
+#[test]
+fn snapshots_are_byte_identical_across_runs_and_thread_counts() {
+    // Workers profile templates and run interval tasks concurrently, so
+    // they meet strings and insert memo entries in a different order on
+    // every run above one thread; the snapshot must not show it.
+    let db = tpch();
+    let reference = snapshots_at(&db, 1, "a");
+    for (threads, run) in [(4, "a"), (4, "b"), (8, "a"), (8, "b")] {
+        let files = snapshots_at(&db, threads, run);
+        let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+            files.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&files), names(&reference), "threads={threads} run {run}");
+        for ((name, bytes), (_, expected)) in files.iter().zip(&reference) {
+            assert!(
+                bytes == expected,
+                "threads={threads} run {run}: {name} differs from the 1-thread run's"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_snapshot_resumes_at_any_thread_count() {
+    let db = tpch();
+    let baseline = generate(&db, config(1, None));
+    for (written, resumed) in [(4, 1), (1, 8)] {
+        let dir = fresh_dir(&format!("rethread-{written}-{resumed}"));
+        let checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 1 });
+        generate_killed(&db, config(written, checkpoint.clone()), "mid-search");
+        let report = resume(&db, config(resumed, checkpoint), &dir);
+        let tag = format!("written at {written} threads, resumed at {resumed}");
+        assert_identical(&baseline, &report, &tag);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn corrupt_latest_generation_falls_back_and_stays_identical() {
     let db = tpch();
