@@ -22,9 +22,17 @@
 //! twice: in draw order, and per feature in value order (the fit's order
 //! expanded by draw counts). A node owns the same range of every list, and
 //! a split partitions each list in place and stably, so a child sees its
-//! rows in draw order and already sorted by every feature. Split search
-//! therefore never sorts, and no node allocates. Its two passes score all
-//! thresholds of a feature at once (see `kernel`).
+//! rows in draw order and already sorted by every feature. The split
+//! feature's own list is left as it is: in `total_cmp` order `x <= t`
+//! holds on a prefix, unless the node's first value is NaN (a negative NaN
+//! sorts first yet goes right), which takes the stable partition. Split
+//! search therefore never sorts, and no node allocates; each worker grows
+//! all its trees in one set of buffers. A branch-free scan picks the
+//! distinct values `Vec::dedup` would keep, the candidate positions among
+//! them come from a per-fit table (`Pick`), and two passes score all
+//! thresholds of a feature at once (see `kernel`). The first pass's side
+//! sums are the children's target sums, so a child's mean needs no sum of
+//! its own.
 //!
 //! **1-D step table.** A forest fitted on one-dimensional points is an
 //! exact step function of `x`; [`RandomForest::fit`] tabulates it and
@@ -39,7 +47,7 @@
 //! sorted values are the same sequence, since values that `total_cmp`
 //! calls equal are bit-equal.
 
-use crate::parallel::{parallel_map, split_seed};
+use crate::parallel::{parallel_map_with, split_seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,6 +57,11 @@ mod reference;
 
 /// Candidate thresholds tried per feature at a split.
 const MAX_THRESHOLDS: usize = 12;
+
+/// Copies of a row written ahead when a tree expands the fit's row orders
+/// by bootstrap draw counts (see `TreeBuilder::grow_tree`); a count above
+/// it is rare (about 0.4% of rows for `n` draws from `n` rows).
+const COPIES_AHEAD: usize = 4;
 
 /// Forests up to this size buffer their per-tree predictions on the stack
 /// in [`RandomForest::predict`]; larger ones walk each tree once per moment.
@@ -127,16 +140,17 @@ impl RandomForest {
         assert!(!y.is_empty(), "empty training set");
         let data = Training::new(points, y, config);
         // One `()` per tree, so the index is the tree: a vector of
-        // zero-sized items never allocates.
-        let trees = parallel_map(config.threads.max(1), &vec![(); config.n_trees], |tree, ()| {
-            let mut rng = StdRng::seed_from_u64(split_seed(config.seed, tree as u64));
-            // Bootstrap sample.
-            let n = data.n;
-            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let mut builder = TreeBuilder::new(&data, rows);
-            builder.grow(0, n, 0, &mut rng);
-            builder.nodes
-        });
+        // zero-sized items never allocates. Each worker reuses one
+        // builder's buffers for all the trees it grows.
+        let trees = parallel_map_with(
+            config.threads.max(1),
+            &vec![(); config.n_trees],
+            || TreeBuilder::new(&data),
+            |builder, tree, ()| {
+                let mut rng = StdRng::seed_from_u64(split_seed(config.seed, tree as u64));
+                builder.grow_tree(&mut rng)
+            },
+        );
         let steps = if data.d == 1 { Steps::new(&trees) } else { None };
         let model = match steps {
             Some(steps) => Model::Steps(steps),
@@ -296,6 +310,9 @@ struct Training<'a> {
     /// Per feature, the rows `0..n` ordered by that feature's value
     /// (`total_cmp`), feature `f` at `by_value[f * n..(f + 1) * n]`.
     by_value: Vec<usize>,
+    /// For `m` distinct values (`2..=n`), at `picks[m - 2]`, the split
+    /// rule's candidate positions among them.
+    picks: Vec<Pick>,
     y: &'a [f64],
     config: ForestConfig,
 }
@@ -319,7 +336,8 @@ impl<'a> Training<'a> {
         for (column, order) in columns.chunks_exact(n).zip(by_value.chunks_exact_mut(n)) {
             order.sort_unstable_by(|&a, &b| column[a].total_cmp(&column[b]));
         }
-        Training { n, d, columns, by_value, y, config }
+        let picks = (2..=n).map(Pick::new).collect();
+        Training { n, d, columns, by_value, picks, y, config }
     }
 
     fn column(&self, feature: usize) -> &[f64] {
@@ -327,20 +345,53 @@ impl<'a> Training<'a> {
     }
 }
 
-/// One tree's fitting state. Each node owns the range `lo..hi` of both
-/// row lists, and scratch buffers are reused by every node.
+/// Where split search tries thresholds among `m` sorted distinct values:
+/// the midpoints after positions `⌊k·(m−1)/12⌋`, `k = 0..12`, capped at
+/// `m − 2`, repeats skipped. The first `count` entries of `at` are used.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    count: usize,
+    at: [usize; MAX_THRESHOLDS],
+}
+
+impl Pick {
+    fn new(m: usize) -> Pick {
+        let mut pick = Pick { count: 0, at: [0; MAX_THRESHOLDS] };
+        let step = (m - 1).max(1) as f64 / MAX_THRESHOLDS as f64;
+        let mut last = usize::MAX;
+        for k in 0..MAX_THRESHOLDS {
+            // `idx` never decreases in `k`, so a repeat is always the
+            // previous index.
+            let idx = ((k as f64 * step) as usize).min(m - 2);
+            if idx == last {
+                continue;
+            }
+            last = idx;
+            pick.at[pick.count] = idx;
+            pick.count += 1;
+        }
+        pick
+    }
+}
+
+/// One worker's tree-fitting state, reused for every tree it grows. Each
+/// node owns the range `lo..hi` of both row lists, and scratch buffers
+/// are reused by every node.
 struct TreeBuilder<'a> {
     data: &'a Training<'a>,
     /// The bootstrap rows; a node's range holds its rows in draw order.
     rows: Vec<usize>,
+    /// Each row's bootstrap draw count.
+    copies: Vec<usize>,
     /// Per feature (`f * n` offset), a node's range holds its rows ordered
     /// by that feature, so split search reads sorted values without sorting.
+    /// [`COPIES_AHEAD`] slots of slack follow the last feature's list.
     sorted: Vec<usize>,
     /// The current node's targets, in draw order.
     ys: Vec<f64>,
     /// One feature of the current node's rows, in draw order.
     xs: Vec<f64>,
-    /// That feature's distinct values, ascending.
+    /// `n` slots; a prefix holds one feature's distinct values, ascending.
     distinct: Vec<f64>,
     /// Right-side rows while partitioning.
     spill: Vec<usize>,
@@ -349,46 +400,78 @@ struct TreeBuilder<'a> {
 }
 
 impl<'a> TreeBuilder<'a> {
-    fn new(data: &'a Training<'a>, rows: Vec<usize>) -> TreeBuilder<'a> {
+    fn new(data: &'a Training<'a>) -> TreeBuilder<'a> {
         let (n, d) = (data.n, data.d);
-        // The bootstrap keeps each row's draw count; expanding the fit's
-        // per-feature orders by those counts sorts the sample per feature.
-        let mut copies = vec![0; n];
-        for &row in &rows {
-            copies[row] += 1;
-        }
-        let mut sorted = Vec::with_capacity(n * d);
-        for &row in &data.by_value {
-            sorted.extend(std::iter::repeat_n(row, copies[row]));
-        }
         // Every leaf below the root keeps ≥ max(min_leaf, 1) rows.
         let max_leaves = n / data.config.min_leaf.max(1) + 1;
         TreeBuilder {
             data,
-            rows,
-            sorted,
+            rows: Vec::with_capacity(n),
+            copies: vec![0; n],
+            sorted: vec![0; n * d + COPIES_AHEAD],
             ys: Vec::with_capacity(n),
             xs: Vec::with_capacity(n),
-            distinct: Vec::with_capacity(n),
+            distinct: vec![0.0; n],
             spill: Vec::with_capacity(n),
             features: Vec::with_capacity(d),
             nodes: Vec::with_capacity(2 * max_leaves),
         }
     }
 
-    /// Append the pre-order subtree over `rows[lo..hi]`.
-    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut StdRng) {
+    /// Draw a bootstrap sample and grow one tree on it. Every buffer is
+    /// refilled before it is read, so the tree does not depend on which
+    /// trees this builder grew before.
+    fn grow_tree(&mut self, rng: &mut StdRng) -> Vec<Node> {
+        let data = self.data;
+        let n = data.n;
+        self.rows.clear();
+        self.rows.extend((0..n).map(|_| rng.gen_range(0..n)));
+        // The bootstrap keeps each row's draw count; expanding the fit's
+        // per-feature orders by those counts sorts the sample per feature.
+        self.copies.fill(0);
+        for &row in &self.rows {
+            self.copies[row] += 1;
+        }
+        // Without a branch on the count (0, 1, 2, … at random), each row
+        // is written `COPIES_AHEAD` times at the cursor, which then moves
+        // on by its count; the next row overwrites the surplus. Only a
+        // count above that takes the loop.
+        let mut at = 0;
+        for &row in &data.by_value {
+            let copies = self.copies[row];
+            self.sorted[at..at + COPIES_AHEAD].fill(row);
+            if copies > COPIES_AHEAD {
+                self.sorted[at + COPIES_AHEAD..at + copies].fill(row);
+            }
+            at += copies;
+        }
+        self.nodes.clear();
+        self.grow(0, n, 0, 0.0, rng);
+        // The tree takes the node buffer, capacity and all, and the next
+        // tree gets a fresh one: copied into exact-size vectors, the same
+        // trees walked 10–20% slower in `bayesopt/forest_predict`.
+        let capacity = self.nodes.capacity();
+        std::mem::replace(&mut self.nodes, Vec::with_capacity(capacity))
+    }
+
+    /// Append the pre-order subtree over `rows[lo..hi]`, whose targets
+    /// add up to `sum` in draw order. The sum may start from either zero:
+    /// `Iterator::sum` starts from -0.0, the split kernel from +0.0, and
+    /// the two differ only when every term is -0.0 (or there is none). A
+    /// zero `sum` is therefore added again, as `Iterator::sum` does.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, sum: f64, rng: &mut StdRng) {
         let data = self.data;
         let config = &data.config;
-        self.ys.clear();
-        self.ys.extend(self.rows[lo..hi].iter().map(|&i| data.y[i]));
         let len = hi - lo;
-        let mean = self.ys.iter().sum::<f64>() / len as f64;
+        let sum = if sum == 0.0 { self.rows[lo..hi].iter().map(|&i| data.y[i]).sum() } else { sum };
+        let mean = sum / len as f64;
         let at = self.nodes.len();
         self.nodes.push(Node { value: mean, feature: 0, right: 0 });
         if depth >= config.max_depth || len < 2 * config.min_leaf {
             return;
         }
+        self.ys.clear();
+        self.ys.extend(self.rows[lo..hi].iter().map(|&i| data.y[i]));
         let variance = self.ys.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>();
         let d = data.d;
         if variance < 1e-12 || d == 0 {
@@ -402,54 +485,57 @@ impl<'a> TreeBuilder<'a> {
             let j = rng.gen_range(i..d);
             self.features.swap(i, j);
         }
-        let Some((feature, threshold)) = self.best_split(lo, hi, n_features) else {
+        let Some(split) = self.best_split(lo, hi, n_features) else {
             return;
         };
-        let mid = self.partition(lo, hi, feature, threshold);
-        let feature = u32::try_from(feature).expect("feature index fits u32");
-        self.nodes[at] = Node { value: threshold, feature, right: 0 };
-        self.grow(lo, mid, depth + 1, rng);
+        let mid = self.partition(lo, hi, split.feature, split.threshold);
+        let feature = u32::try_from(split.feature).expect("feature index fits u32");
+        self.nodes[at] = Node { value: split.threshold, feature, right: 0 };
+        // The stable partition keeps each side's rows in draw order, the
+        // order the kernel added their targets in.
+        self.grow(lo, mid, depth + 1, split.left_sum, rng);
         self.nodes[at].right = u32::try_from(self.nodes.len()).expect("node index fits u32");
-        self.grow(mid, hi, depth + 1, rng);
+        self.grow(mid, hi, depth + 1, split.right_sum, rng);
     }
 
-    /// The lowest-SSE qualifying `(feature, threshold)` over the first
-    /// `n_features` drawn features, scoring every threshold of a feature
-    /// in two fused passes over the node's rows (`ys` must hold its
-    /// targets).
+    /// The lowest-SSE qualifying split over the first `n_features` drawn
+    /// features, scoring every threshold of a feature in two fused passes
+    /// over the node's rows (`ys` must hold its targets).
     // detlint::hot
-    fn best_split(&mut self, lo: usize, hi: usize, n_features: usize) -> Option<(usize, f64)> {
+    fn best_split(&mut self, lo: usize, hi: usize, n_features: usize) -> Option<Split> {
         let data = self.data;
         let (n, min_leaf, len) = (data.n, data.config.min_leaf, hi - lo);
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+        let mut best: Option<(Split, f64)> = None; // (split, sse)
         for &feature in &self.features[..n_features] {
             let column = data.column(feature);
             self.xs.clear();
             self.xs.extend(self.rows[lo..hi].iter().map(|&i| column[i]));
+            // What `Vec::dedup` keeps of the sorted values (the first of
+            // each run of `==` values; NaN is never merged), without a
+            // branch: every value is written at the cursor, which moves on
+            // only past a value unequal to the one before it. The value
+            // before stands in for the last kept one: it is that one, or
+            // `==` to it and not NaN, so both compare alike.
             let sorted = &self.sorted[feature * n..][lo..hi];
-            self.distinct.clear();
-            self.distinct.extend(sorted.iter().map(|&i| column[i]));
-            self.distinct.dedup();
-            let values = &self.distinct;
+            let distinct = &mut self.distinct[..len];
+            let (mut kept, mut last) = (0, f64::NAN);
+            for &row in sorted {
+                let value = column[row];
+                distinct[kept] = value;
+                kept += usize::from(value != last);
+                last = value;
+            }
+            let values = &self.distinct[..kept];
             if values.len() < 2 {
                 continue;
             }
             // Unused lanes keep a NaN threshold (every row goes right);
             // only the first `m` lanes are read back.
+            let pick = &data.picks[values.len() - 2];
+            let m = pick.count;
             let mut thresholds = [f64::NAN; MAX_THRESHOLDS];
-            let mut m = 0;
-            let step = (values.len() - 1).max(1) as f64 / MAX_THRESHOLDS as f64;
-            let mut last = usize::MAX;
-            for k in 0..MAX_THRESHOLDS {
-                // `idx` never decreases in `k`, so a repeat is always the
-                // previous index.
-                let idx = ((k as f64 * step) as usize).min(values.len() - 2);
-                if idx == last {
-                    continue;
-                }
-                last = idx;
-                thresholds[m] = (values[idx] + values[idx + 1]) / 2.0;
-                m += 1;
+            for (threshold, &idx) in thresholds.iter_mut().zip(&pick.at[..m]) {
+                *threshold = (values[idx] + values[idx + 1]) / 2.0;
             }
 
             let sums = kernel::side_sums(&self.xs, &self.ys, &thresholds);
@@ -467,12 +553,14 @@ impl<'a> TreeBuilder<'a> {
             }
             let sse = kernel::side_sse(&self.xs, &self.ys, &thresholds, &left_mean, &right_mean);
             for t in (0..m).filter(|&t| qualifies[t]) {
-                if best.is_none_or(|(_, _, b)| sse[t] < b) {
-                    best = Some((feature, thresholds[t], sse[t]));
+                if best.is_none_or(|(_, b)| sse[t] < b) {
+                    let (left_sum, right_sum) = (sums.left_sum[t], sums.right_sum[t]);
+                    let split = Split { feature, threshold: thresholds[t], left_sum, right_sum };
+                    best = Some((split, sse[t]));
                 }
             }
         }
-        best.map(|(feature, threshold, _)| (feature, threshold))
+        best.map(|(split, _)| split)
     }
 
     /// Split the node `lo..hi` on `x[feature] <= threshold`, keeping each
@@ -485,10 +573,31 @@ impl<'a> TreeBuilder<'a> {
         let mid = lo + stable_partition(&mut self.rows[lo..hi], &mut self.spill, goes_left);
         for f in 0..data.d {
             let sorted = &mut self.sorted[f * data.n..][lo..hi];
+            // The split feature's own list ascends by `total_cmp`, in which
+            // `x <= threshold` holds on a prefix, so the partition would
+            // leave it as it is. A negative NaN sorts first yet goes right:
+            // with one, the node's first value is NaN.
+            if f == feature && !column[sorted[0]].is_nan() {
+                debug_assert!(sorted
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &row)| goes_left(row) == (lo + i < mid)));
+                continue;
+            }
             stable_partition(sorted, &mut self.spill, goes_left);
         }
         mid
     }
+}
+
+/// A node's chosen split, with each side's target sum in draw order (from
+/// `+0.0`, as the kernel adds them).
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    feature: usize,
+    threshold: f64,
+    left_sum: f64,
+    right_sum: f64,
 }
 
 /// Stable in-place partition of `rows`, those where `goes_left` holds
@@ -651,6 +760,16 @@ mod tests {
     }
 
     #[test]
+    fn a_leaf_of_negative_zeros_keeps_its_sign() {
+        // Every target left of 0.5 is -0.0, so every tree's leaves there
+        // average to -0.0 (`Iterator::sum` starts from -0.0), while the
+        // split kernel's side sum of those rows starts from +0.0.
+        let (x, y) = grid_1d(|v| if v < 0.5 { -0.0 } else { 1.0 }, 40);
+        let forest = assert_matches_reference(&x, &y, ForestConfig::default(), &[0.0, 0.1, 0.3]);
+        assert_eq!(forest.predict(&[0.1]).0.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "empty training set")]
     fn empty_training_set_panics() {
         RandomForest::fit(&[], &[], ForestConfig::default());
@@ -678,11 +797,22 @@ mod tests {
 
         /// A training set of `n` rows in `d` dimensions: x uniform, on a
         /// coarse grid, drawn from three repeated values, from two
-        /// neighbouring floats, or from extremes whose midpoints overflow
-        /// to ±inf or NaN; y uniform, constant (possibly -0.0), or mostly
-        /// ±0.0.
-        const EXTREMES: [f64; 8] =
-            [f64::NEG_INFINITY, f64::MIN, -1.0, -0.0, 0.0, f64::MAX / 2.0, f64::MAX, f64::INFINITY];
+        /// neighbouring floats, from extremes whose midpoints overflow to
+        /// ±inf or NaN (NaN of either sign among them: a negative NaN
+        /// sorts first but never goes left), or only ±0.0; y uniform,
+        /// constant (possibly -0.0), or mostly ±0.0.
+        const EXTREMES: [f64; 10] = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MAX / 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
 
         fn training_set(
             n: usize,
@@ -706,7 +836,8 @@ mod tests {
                             1 => rng.gen_range(0..levels) as f64 / (levels - 1) as f64,
                             2 => pool[rng.gen_range(0..pool.len())],
                             3 => neighbours[rng.gen_range(0..2)],
-                            _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                            4 => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                            _ => [-0.0, 0.0][rng.gen_range(0..2)],
                         })
                         .collect()
                 })
@@ -757,7 +888,7 @@ mod tests {
             fn flat_forest_matches_the_recursive_reference_bit_for_bit(
                 n in 1usize..=400,
                 d in 0usize..=5,
-                x_shape in 0u8..5,
+                x_shape in 0u8..6,
                 y_shape in 0u8..3,
                 data_seed in any::<u64>(),
                 n_trees in 1usize..=2 * STACK_TREES,

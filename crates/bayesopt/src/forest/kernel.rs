@@ -7,19 +7,16 @@
 //! the sums start at `+0.0` and so never become `-0.0`, which makes adding
 //! `+0.0` an exact no-op.
 //!
-//! On x86_64 the passes run two thresholds per SSE2 instruction, with the
-//! side chosen by a compare mask. Scalar code would do the same work with a
-//! branch per threshold and row, and those branches are unpredictable. The
-//! portable scalar version serves other targets, and the tests hold the two
-//! to the same bits (a NaN result only to NaN: Rust leaves the sign and
-//! payload of NaN unspecified).
+//! On x86_64 CPUs with AVX2 (checked at run time by
+//! `is_x86_feature_detected!`, which caches the CPU's answer) the passes
+//! run four thresholds per instruction, three registers for the twelve,
+//! with the side chosen by a compare mask. Scalar code would do the same work with a branch per
+//! threshold and row, and those branches are unpredictable. Every other
+//! CPU runs the portable scalar version, and the tests hold the two to the
+//! same bits (a NaN result only to NaN: Rust leaves the sign and payload
+//! of NaN unspecified).
 
 use super::MAX_THRESHOLDS;
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(super) use portable::{side_sse, side_sums};
-#[cfg(target_arch = "x86_64")]
-pub(super) use sse2::{side_sse, side_sums};
 
 /// Pass 1's per-threshold totals.
 #[derive(Debug)]
@@ -32,13 +29,40 @@ pub(super) struct SideSums {
     pub(super) right_sum: [f64; MAX_THRESHOLDS],
 }
 
-#[cfg(any(test, not(target_arch = "x86_64")))]
+/// Pass 1: left counts and both sides' target sums per threshold.
+pub(super) fn side_sums(xs: &[f64], ys: &[f64], thresholds: &[f64; MAX_THRESHOLDS]) -> SideSums {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2::side_sums` is compiled with the `avx2` target
+        // feature, and `is_x86_feature_detected!` just found it on this CPU.
+        return unsafe { avx2::side_sums(xs, ys, thresholds) };
+    }
+    portable::side_sums(xs, ys, thresholds)
+}
+
+/// Pass 2: each threshold's sum of squared errors around its side means,
+/// in row order.
+pub(super) fn side_sse(
+    xs: &[f64],
+    ys: &[f64],
+    thresholds: &[f64; MAX_THRESHOLDS],
+    left_mean: &[f64; MAX_THRESHOLDS],
+    right_mean: &[f64; MAX_THRESHOLDS],
+) -> [f64; MAX_THRESHOLDS] {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: as in `side_sums`, `is_x86_feature_detected!` just found
+        // the `avx2` feature that `avx2::side_sse` is compiled with.
+        return unsafe { avx2::side_sse(xs, ys, thresholds, left_mean, right_mean) };
+    }
+    portable::side_sse(xs, ys, thresholds, left_mean, right_mean)
+}
+
 mod portable {
     use super::{SideSums, MAX_THRESHOLDS};
 
-    /// Pass 1: left counts and both sides' target sums per threshold.
     // detlint::hot
-    pub(in crate::forest) fn side_sums(
+    pub(super) fn side_sums(
         xs: &[f64],
         ys: &[f64],
         thresholds: &[f64; MAX_THRESHOLDS],
@@ -59,10 +83,8 @@ mod portable {
         sums
     }
 
-    /// Pass 2: each threshold's sum of squared errors around its side
-    /// means, in row order.
     // detlint::hot
-    pub(in crate::forest) fn side_sse(
+    pub(super) fn side_sse(
         xs: &[f64],
         ys: &[f64],
         thresholds: &[f64; MAX_THRESHOLDS],
@@ -81,72 +103,60 @@ mod portable {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod sse2 {
+mod avx2 {
     use super::{SideSums, MAX_THRESHOLDS};
     use std::arch::x86_64::{
-        __m128d, _mm_add_pd, _mm_and_pd, _mm_andnot_pd, _mm_castpd_si128, _mm_cmple_pd,
-        _mm_cvtsd_f64, _mm_cvtsi128_si64, _mm_mul_pd, _mm_or_pd, _mm_set1_pd, _mm_set_pd,
-        _mm_setzero_pd, _mm_setzero_si128, _mm_sub_epi64, _mm_sub_pd, _mm_unpackhi_epi64,
-        _mm_unpackhi_pd,
+        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd,
+        _mm256_castpd256_pd128, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_extract_epi64,
+        _mm256_extractf128_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
+        _mm256_setzero_si256, _mm256_sub_epi64, _mm256_sub_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        _CMP_LE_OQ,
     };
 
-    /// Threshold lanes per SSE2 register.
-    const PAIRS: usize = MAX_THRESHOLDS / 2;
+    /// Threshold lanes per AVX2 register.
+    const LANES: usize = 4;
+    /// Registers for all thresholds.
+    const QUADS: usize = MAX_THRESHOLDS / LANES;
 
-    /// Pass 1: left counts and both sides' target sums per threshold.
-    pub(in crate::forest) fn side_sums(
+    /// [`super::side_sums`] four lanes wide; callers must have detected
+    /// AVX2.
+    // detlint::hot
+    #[target_feature(enable = "avx2")]
+    pub(super) fn side_sums(
         xs: &[f64],
         ys: &[f64],
         thresholds: &[f64; MAX_THRESHOLDS],
     ) -> SideSums {
-        // SAFETY: SSE2 is part of the x86_64 baseline, so the target
-        // feature `sums` is compiled with is present on every CPU this
-        // code can run on.
-        unsafe { sums(xs, ys, thresholds) }
-    }
-
-    /// Pass 2: each threshold's sum of squared errors around its side
-    /// means, in row order.
-    pub(in crate::forest) fn side_sse(
-        xs: &[f64],
-        ys: &[f64],
-        thresholds: &[f64; MAX_THRESHOLDS],
-        left_mean: &[f64; MAX_THRESHOLDS],
-        right_mean: &[f64; MAX_THRESHOLDS],
-    ) -> [f64; MAX_THRESHOLDS] {
-        // SAFETY: as in `side_sums`, SSE2 is always present on x86_64.
-        unsafe { sse(xs, ys, thresholds, left_mean, right_mean) }
-    }
-
-    // detlint::hot
-    #[target_feature(enable = "sse2")]
-    fn sums(xs: &[f64], ys: &[f64], thresholds: &[f64; MAX_THRESHOLDS]) -> SideSums {
         let thresholds = pack(thresholds);
-        let mut left = [_mm_setzero_pd(); PAIRS];
-        let mut right = [_mm_setzero_pd(); PAIRS];
-        let mut count = [_mm_setzero_si128(); PAIRS];
+        let mut left = [_mm256_setzero_pd(); QUADS];
+        let mut right = [_mm256_setzero_pd(); QUADS];
+        let mut count = [_mm256_setzero_si256(); QUADS];
         for (&x, &y) in xs.iter().zip(ys) {
-            let (x, y) = (_mm_set1_pd(x), _mm_set1_pd(y));
-            for k in 0..PAIRS {
+            let (x, y) = (_mm256_set1_pd(x), _mm256_set1_pd(y));
+            for k in 0..QUADS {
                 // All-ones lanes where `x <= threshold` (false on NaN, as
                 // with `<=`); an all-ones lane is -1 as an integer.
-                let le = _mm_cmple_pd(x, thresholds[k]);
-                left[k] = _mm_add_pd(left[k], _mm_and_pd(le, y));
-                right[k] = _mm_add_pd(right[k], _mm_andnot_pd(le, y));
-                count[k] = _mm_sub_epi64(count[k], _mm_castpd_si128(le));
+                let le = _mm256_cmp_pd::<_CMP_LE_OQ>(x, thresholds[k]);
+                left[k] = _mm256_add_pd(left[k], _mm256_and_pd(le, y));
+                right[k] = _mm256_add_pd(right[k], _mm256_andnot_pd(le, y));
+                count[k] = _mm256_sub_epi64(count[k], _mm256_castpd_si256(le));
             }
         }
         let mut left_n = [0; MAX_THRESHOLDS];
-        for (k, &pair) in count.iter().enumerate() {
-            left_n[2 * k] = _mm_cvtsi128_si64(pair) as usize;
-            left_n[2 * k + 1] = _mm_cvtsi128_si64(_mm_unpackhi_epi64(pair, pair)) as usize;
+        for (lanes, &quad) in left_n.chunks_exact_mut(LANES).zip(&count) {
+            lanes[0] = _mm256_extract_epi64::<0>(quad) as usize;
+            lanes[1] = _mm256_extract_epi64::<1>(quad) as usize;
+            lanes[2] = _mm256_extract_epi64::<2>(quad) as usize;
+            lanes[3] = _mm256_extract_epi64::<3>(quad) as usize;
         }
         SideSums { left_n, left_sum: unpack(&left), right_sum: unpack(&right) }
     }
 
+    /// [`super::side_sse`] four lanes wide; callers must have detected
+    /// AVX2.
     // detlint::hot
-    #[target_feature(enable = "sse2")]
-    fn sse(
+    #[target_feature(enable = "avx2")]
+    pub(super) fn side_sse(
         xs: &[f64],
         ys: &[f64],
         thresholds: &[f64; MAX_THRESHOLDS],
@@ -155,35 +165,38 @@ mod sse2 {
     ) -> [f64; MAX_THRESHOLDS] {
         let (thresholds, left_mean, right_mean) =
             (pack(thresholds), pack(left_mean), pack(right_mean));
-        let mut sse = [_mm_setzero_pd(); PAIRS];
+        let mut sse = [_mm256_setzero_pd(); QUADS];
         for (&x, &y) in xs.iter().zip(ys) {
-            let (x, y) = (_mm_set1_pd(x), _mm_set1_pd(y));
-            for k in 0..PAIRS {
-                let le = _mm_cmple_pd(x, thresholds[k]);
-                let mean =
-                    _mm_or_pd(_mm_and_pd(le, left_mean[k]), _mm_andnot_pd(le, right_mean[k]));
-                let error = _mm_sub_pd(y, mean);
-                sse[k] = _mm_add_pd(sse[k], _mm_mul_pd(error, error));
+            let (x, y) = (_mm256_set1_pd(x), _mm256_set1_pd(y));
+            for k in 0..QUADS {
+                // The left mean where the mask lane is set, else the right.
+                let le = _mm256_cmp_pd::<_CMP_LE_OQ>(x, thresholds[k]);
+                let mean = _mm256_blendv_pd(right_mean[k], left_mean[k], le);
+                let error = _mm256_sub_pd(y, mean);
+                sse[k] = _mm256_add_pd(sse[k], _mm256_mul_pd(error, error));
             }
         }
         unpack(&sse)
     }
 
-    #[target_feature(enable = "sse2")]
-    fn pack(values: &[f64; MAX_THRESHOLDS]) -> [__m128d; PAIRS] {
-        let mut pairs = [_mm_setzero_pd(); PAIRS];
-        for (k, pair) in pairs.iter_mut().enumerate() {
-            *pair = _mm_set_pd(values[2 * k + 1], values[2 * k]);
+    #[target_feature(enable = "avx2")]
+    fn pack(values: &[f64; MAX_THRESHOLDS]) -> [__m256d; QUADS] {
+        let mut quads = [_mm256_setzero_pd(); QUADS];
+        for (quad, v) in quads.iter_mut().zip(values.chunks_exact(LANES)) {
+            *quad = _mm256_set_pd(v[3], v[2], v[1], v[0]);
         }
-        pairs
+        quads
     }
 
-    #[target_feature(enable = "sse2")]
-    fn unpack(pairs: &[__m128d; PAIRS]) -> [f64; MAX_THRESHOLDS] {
+    #[target_feature(enable = "avx2")]
+    fn unpack(quads: &[__m256d; QUADS]) -> [f64; MAX_THRESHOLDS] {
         let mut values = [0.0; MAX_THRESHOLDS];
-        for (k, &pair) in pairs.iter().enumerate() {
-            values[2 * k] = _mm_cvtsd_f64(pair);
-            values[2 * k + 1] = _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+        for (lanes, &quad) in values.chunks_exact_mut(LANES).zip(quads) {
+            let (low, high) = (_mm256_castpd256_pd128(quad), _mm256_extractf128_pd::<1>(quad));
+            lanes[0] = _mm_cvtsd_f64(low);
+            lanes[1] = _mm_cvtsd_f64(_mm_unpackhi_pd(low, low));
+            lanes[2] = _mm_cvtsd_f64(high);
+            lanes[3] = _mm_cvtsd_f64(_mm_unpackhi_pd(high, high));
         }
         values
     }
@@ -211,35 +224,72 @@ mod tests {
 
     /// Equal bits, or both NaN: Rust leaves the sign and payload of a NaN
     /// result unspecified, so only NaN-ness is comparable across codegen.
-    fn assert_same(got: &[f64; MAX_THRESHOLDS], want: &[f64; MAX_THRESHOLDS], case: usize) {
+    fn assert_same(got: &[f64; MAX_THRESHOLDS], want: &[f64; MAX_THRESHOLDS], case: &str) {
         for (g, w) in got.iter().zip(want) {
             assert!(
                 g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                "case {case}: {got:?} vs {want:?}"
+                "{case}: {got:?} vs {want:?}"
             );
         }
     }
 
-    #[test]
-    fn selected_kernel_matches_the_portable_one_bit_for_bit() {
+    /// Both passes of `kernel` against the portable tier on 400 random
+    /// cases of up to 60 rows, with NaN in about an eighth of the lanes.
+    fn assert_matches_portable(
+        name: &str,
+        sums: impl Fn(&[f64], &[f64], &[f64; MAX_THRESHOLDS]) -> SideSums,
+        sse: impl Fn(
+            &[f64],
+            &[f64],
+            &[f64; MAX_THRESHOLDS],
+            &[f64; MAX_THRESHOLDS],
+            &[f64; MAX_THRESHOLDS],
+        ) -> [f64; MAX_THRESHOLDS],
+    ) {
         let mut rng = StdRng::seed_from_u64(17);
         for case in 0..400 {
             let n = rng.gen_range(0..60);
             let xs: Vec<f64> = (0..n).map(|_| value(&mut rng)).collect();
             let ys: Vec<f64> = (0..n).map(|_| value(&mut rng)).collect();
-            let mut lane = || if rng.gen_range(0..8) == 0 { f64::NAN } else { value(&mut rng) };
+            let mut lane = || {
+                if rng.gen_range(0..8) == 0 {
+                    f64::NAN
+                } else {
+                    value(&mut rng)
+                }
+            };
             let thresholds: [f64; MAX_THRESHOLDS] = std::array::from_fn(|_| lane());
             let left_mean: [f64; MAX_THRESHOLDS] = std::array::from_fn(|_| lane());
             let right_mean: [f64; MAX_THRESHOLDS] = std::array::from_fn(|_| lane());
 
+            let case = format!("{name} case {case}");
             let (got, want) =
-                (side_sums(&xs, &ys, &thresholds), portable::side_sums(&xs, &ys, &thresholds));
-            assert_eq!(got.left_n, want.left_n, "case {case}");
-            assert_same(&got.left_sum, &want.left_sum, case);
-            assert_same(&got.right_sum, &want.right_sum, case);
-            let got = side_sse(&xs, &ys, &thresholds, &left_mean, &right_mean);
+                (sums(&xs, &ys, &thresholds), portable::side_sums(&xs, &ys, &thresholds));
+            assert_eq!(got.left_n, want.left_n, "{case}");
+            assert_same(&got.left_sum, &want.left_sum, &case);
+            assert_same(&got.right_sum, &want.right_sum, &case);
+            let got = sse(&xs, &ys, &thresholds, &left_mean, &right_mean);
             let want = portable::side_sse(&xs, &ys, &thresholds, &left_mean, &right_mean);
-            assert_same(&got, &want, case);
+            assert_same(&got, &want, &case);
+        }
+    }
+
+    /// The selected kernel, and each tier this host can run, give the
+    /// portable tier's bits.
+    #[test]
+    fn selected_kernel_matches_the_portable_one_bit_for_bit() {
+        assert_matches_portable("selected", side_sums, side_sse);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_matches_portable(
+                "avx2",
+                // SAFETY: `is_x86_feature_detected!` just found AVX2.
+                |xs, ys, t| unsafe { avx2::side_sums(xs, ys, t) },
+                // SAFETY: as above, this host has AVX2.
+                |xs, ys, t, l, r| unsafe { avx2::side_sse(xs, ys, t, l, r) },
+            );
+        } else {
+            eprintln!("no AVX2 on this host: only the selected (portable) tier was checked");
         }
     }
 }

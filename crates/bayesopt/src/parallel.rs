@@ -47,8 +47,25 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    parallel_map_with(threads, items, || (), |(), i, item| f(i, item))
+}
+
+/// [`parallel_map`] with per-worker state: each worker (the caller alone
+/// when the map runs inline) builds one `init()` and passes it to `f` for
+/// every item it takes, so scratch buffers are allocated once per worker,
+/// not once per item. `f(&mut state, index, &item)` must not let its
+/// result depend on what earlier items left in `state`: which items share
+/// a worker depends on thread timing.
+pub fn parallel_map_with<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        let mut state = init();
+        return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
     }
     let n_workers = threads.min(items.len());
     let cursor = AtomicUsize::new(0);
@@ -60,25 +77,28 @@ where
     std::thread::scope(|scope| {
         for _ in 0..n_workers {
             let cursor = &cursor;
-            let f = &f;
+            let (init, f) = (&init, &f);
             let slot_ptr = &slot_ptr;
             let tracker = &tracker;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            scope.spawn(move || {
+                let mut state = init();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let result = f(&mut state, i, &items[i]);
+                    tracker.claim(i);
+                    // SAFETY: `i < items.len() == slots.len()`, so the write
+                    // is in bounds. The shared `fetch_add` cursor hands each
+                    // index to exactly one worker (checked by `tracker` in
+                    // debug builds), so writes to distinct slots never alias
+                    // and no worker reads a slot. `slots` is neither touched
+                    // nor reallocated while the scope runs, so `slot_ptr`
+                    // stays valid; the scope join happens-before `slots` is
+                    // consumed below, publishing every slot write.
+                    unsafe { *slot_ptr.0.add(i) = Some(result) };
                 }
-                let result = f(i, &items[i]);
-                tracker.claim(i);
-                // SAFETY: `i < items.len() == slots.len()`, so the write
-                // is in bounds. The shared `fetch_add` cursor hands each
-                // index to exactly one worker (checked by `tracker` in
-                // debug builds), so writes to distinct slots never alias
-                // and no worker reads a slot. `slots` is neither touched
-                // nor reallocated while the scope runs, so `slot_ptr`
-                // stays valid; the scope join happens-before `slots` is
-                // consumed below, publishing every slot write.
-                unsafe { *slot_ptr.0.add(i) = Some(result) };
             });
         }
     });
@@ -208,6 +228,25 @@ mod tests {
         assert_eq!(seeds.len(), 1000);
         assert_ne!(split_seed(1, 0), split_seed(2, 0));
         assert_eq!(split_seed(7, 3), split_seed(7, 3));
+    }
+
+    #[test]
+    fn map_with_builds_one_state_per_worker() {
+        let items: Vec<usize> = (0..97).collect();
+        let serial = parallel_map(1, &items, |i, &v| i + v);
+        for threads in [1, 4] {
+            let inits = AtomicUsize::new(0);
+            let init = || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::<usize>::new()
+            };
+            let mapped = parallel_map_with(threads, &items, init, |seen, i, &v| {
+                seen.push(i);
+                i + v
+            });
+            assert_eq!(mapped, serial);
+            assert_eq!(inits.load(Ordering::Relaxed), threads, "{threads} threads");
+        }
     }
 
     #[test]

@@ -48,6 +48,18 @@ fn bench(c: &mut Criterion) {
     };
     let fit = || bayesopt::RandomForest::fit(&x, &y, bayesopt::forest::ForestConfig::default());
     c.bench_function("bayesopt/forest_fit_200x3", |b| b.iter(|| std::hint::black_box(fit())));
+    // The fits a BO search makes: about 110 rows, and 1-D or 2-D points
+    // (nearly all fit time on the TPC-H reference cell). A 1-D fit also
+    // builds its step table.
+    for d in [1, 2] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4 + d as u64);
+        let x = unit_points(&mut rng, 110, d);
+        let y: Vec<f64> = x.iter().map(|p| (p[0] * 6.0).sin() + p[d - 1]).collect();
+        c.bench_function(&format!("bayesopt/forest_fit_{d}d_110"), |b| {
+            let config = bayesopt::forest::ForestConfig::default();
+            b.iter(|| std::hint::black_box(bayesopt::RandomForest::fit(&x, &y, config)))
+        });
+    }
     // Forests in two or more dimensions walk their trees.
     c.bench_function("bayesopt/forest_predict", |b| {
         let forest = fit();
