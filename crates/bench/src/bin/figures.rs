@@ -13,8 +13,9 @@
 //! JSON artifact under `results/`. `--quick` (or `SQLBARBER_QUICK=1`)
 //! shrinks database scale and baseline budgets for smoke runs.
 //! `--threads N` sets the cost-oracle worker count (0 = all cores);
-//! results are bit-identical at any thread count. Any other flag is a
-//! usage error (exit status 2). `--transport-faults R` injects
+//! results are bit-identical at any thread count. Any other flag, a
+//! missing flag value or one that does not parse is a usage error (exit
+//! status 2). `--transport-faults R` injects
 //! LLM transport faults at rate R (deterministic per seed; SQLBarber's
 //! resilience layer absorbs them — the baselines never call the LLM);
 //! `--retry-budget N` and `--no-circuit-breaker` tune that layer.
@@ -30,7 +31,7 @@
 
 use serde::Serialize;
 use sqlbarber_bench::{
-    load_db, run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun,
+    apply_flags, load_db, run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun,
 };
 use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
 use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
@@ -44,82 +45,13 @@ fn main() {
         std::env::set_var("SQLBARBER_QUICK", "1");
     }
     let mut config = HarnessConfig::from_env();
-    let mut positional: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.threads = n;
-                }
-                i += 1; // skip the value
-            }
-            "--quick" => {} // handled above
-            "--bo-rounds-concurrency" => {
-                if let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.bo_rounds_concurrency = k;
-                }
-                i += 1;
-            }
-            "--transport-faults" => {
-                if let Some(r) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.transport_fault_rate = r;
-                }
-                i += 1;
-            }
-            "--retry-budget" => {
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.retry_budget = n;
-                }
-                i += 1;
-            }
-            "--no-circuit-breaker" => config.breaker_enabled = false,
-            "--amplify" => {
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.amplify = n;
-                }
-                i += 1;
-            }
-            "--amplify-shards" => {
-                if let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.amplify_shards = k;
-                }
-                i += 1;
-            }
-            "--amplify-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    config.amplify_out =
-                        Some(Box::leak(path.clone().into_boxed_str()));
-                }
-                i += 1;
-            }
-            "--checkpoint-dir" => {
-                if let Some(dir) = args.get(i + 1) {
-                    config.checkpoint_dir =
-                        Some(Box::leak(dir.clone().into_boxed_str()));
-                }
-                i += 1;
-            }
-            "--checkpoint-every" => {
-                if let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.checkpoint_every = k;
-                }
-                i += 1;
-            }
-            "--resume" => {
-                if let Some(dir) = args.get(i + 1) {
-                    config.resume = Some(Box::leak(dir.clone().into_boxed_str()));
-                }
-                i += 1;
-            }
-            arg if !arg.starts_with("--") => positional.push(arg),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
+    let positional = match apply_flags(&mut config, &args) {
+        Ok(positional) => positional,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
-        i += 1;
-    }
+    };
     let target = positional.first().copied().unwrap_or("all");
 
     match target {

@@ -99,7 +99,7 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Smoke-test configuration (used by `cargo bench` and `--quick`).
+    /// Smoke-test configuration (`--quick`, `SQLBARBER_QUICK=1`, tests).
     pub fn quick() -> HarnessConfig {
         HarnessConfig {
             tpch_sf: 0.002,
@@ -163,6 +163,50 @@ impl HarnessConfig {
         }
         config
     }
+}
+
+/// Apply the `figures` command-line flags in `args` to `config` and
+/// return the positional arguments (the targets). `--quick` is accepted
+/// and ignored: it selects the base config before parsing. An unknown
+/// flag, a missing value or a value that does not parse is an error,
+/// worded as the `sqlbarber` CLI words it; nothing falls back silently.
+pub fn apply_flags<'a>(
+    config: &mut HarnessConfig,
+    args: &'a [String],
+) -> Result<Vec<&'a str>, String> {
+    fn value<'a>(flag: &str, value: Option<&'a String>) -> Result<&'a str, String> {
+        value.map(String::as_str).ok_or_else(|| format!("missing value for `{flag}`"))
+    }
+    fn parsed<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+        let raw = value(flag, raw)?;
+        raw.parse().map_err(|_| format!("invalid value `{raw}` for `{flag}`"))
+    }
+    // The config is `Copy`, so path flags live for the whole process.
+    fn leaked(raw: &str) -> Option<&'static str> {
+        Some(Box::leak(raw.to_string().into_boxed_str()))
+    }
+    let mut positional = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--quick" => {}
+            "--no-circuit-breaker" => config.breaker_enabled = false,
+            "--threads" => config.threads = parsed(flag, args.next())?,
+            "--bo-rounds-concurrency" => config.bo_rounds_concurrency = parsed(flag, args.next())?,
+            "--transport-faults" => config.transport_fault_rate = parsed(flag, args.next())?,
+            "--retry-budget" => config.retry_budget = parsed(flag, args.next())?,
+            "--amplify" => config.amplify = parsed(flag, args.next())?,
+            "--amplify-shards" => config.amplify_shards = parsed(flag, args.next())?,
+            "--amplify-out" => config.amplify_out = leaked(value(flag, args.next())?),
+            "--checkpoint-dir" => config.checkpoint_dir = leaked(value(flag, args.next())?),
+            "--checkpoint-every" => config.checkpoint_every = parsed(flag, args.next())?,
+            "--resume" => config.resume = leaked(value(flag, args.next())?),
+            _ if !flag.starts_with("--") => positional.push(flag),
+            _ => return Err(format!("unknown flag `{flag}`")),
+        }
+    }
+    Ok(positional)
 }
 
 /// Load one of the paper's two databases by name (`tpch` / `imdb`).
@@ -369,6 +413,34 @@ mod tests {
         let full = HarnessConfig::default();
         assert!(quick.tpch_sf < full.tpch_sf);
         assert!(quick.baseline_evals_per_interval < full.baseline_evals_per_interval);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_apply_and_targets_are_returned() {
+        let mut config = HarnessConfig::quick();
+        let argv = args(&["--quick", "--threads", "3", "fig5", "--no-circuit-breaker"]);
+        assert_eq!(apply_flags(&mut config, &argv), Ok(vec!["fig5"]));
+        assert_eq!(config.threads, 3);
+        assert!(!config.breaker_enabled);
+    }
+
+    #[test]
+    fn bad_flag_values_are_usage_errors() {
+        let mut config = HarnessConfig::quick();
+        let cases = [
+            (&["--quick", "--threads", "abc", "table1"][..], "invalid value `abc` for `--threads`"),
+            (&["table1", "--threads"][..], "missing value for `--threads`"),
+            (&["--amplify-out"][..], "missing value for `--amplify-out`"),
+            (&["--thread", "4", "table1"][..], "unknown flag `--thread`"),
+        ];
+        for (argv, expected) in cases {
+            assert_eq!(apply_flags(&mut config, &args(argv)), Err(expected.to_string()));
+        }
+        assert_eq!(config, HarnessConfig::quick(), "a rejected flag changed the config");
     }
 
     #[test]

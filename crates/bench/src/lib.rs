@@ -4,12 +4,12 @@
 //!
 //! | target | paper artifact |
 //! |---|---|
-//! | `figures table1` / bench `table1_benchmarks` | Table 1 (benchmark overview) |
-//! | `figures fig5` / bench `fig5_cardinality` | Figure 5 (performance, cardinality) |
-//! | `figures fig6` / bench `fig6_plan_cost` | Figure 6 (performance, plan cost) |
-//! | `figures fig7` / bench `fig7_scalability` | Figure 7 (scalability) |
-//! | `figures fig8a`+`fig8b` / bench `fig8_ablation` | Figure 8 (ablations) |
-//! | `figures table2` / bench `table2_cost` | Table 2 (token usage & cost) |
+//! | `figures table1` | Table 1 (benchmark overview) |
+//! | `figures fig5` | Figure 5 (performance, cardinality) |
+//! | `figures fig6` | Figure 6 (performance, plan cost) |
+//! | `figures fig7` | Figure 7 (scalability) |
+//! | `figures fig8a`+`fig8b` | Figure 8 (ablations) |
+//! | `figures table2` | Table 2 (token usage & cost) |
 //!
 //! The `figures` binary prints the same rows/series the paper reports and
 //! writes machine-readable JSON under `results/`. Absolute numbers differ

@@ -313,23 +313,9 @@ fn config_fingerprint(
 ) -> u64 {
     let mut canon = config.clone();
     canon.threads = 0;
-    if let Some(amplify) = &mut canon.amplify {
-        amplify.shards = 0;
-    }
-    legacy_fingerprint(&canon, target, cost_type)
-}
-
-/// The fingerprint as it was before the thread count and shard width
-/// counted as plumbing: it records both. Resume accepts it as well as
-/// [`config_fingerprint`], so older snapshots still resume.
-fn legacy_fingerprint(
-    config: &SqlBarberConfig,
-    target: &TargetDistribution,
-    cost_type: CostType,
-) -> u64 {
-    let mut canon = config.clone();
     canon.checkpoint = None;
     if let Some(amplify) = &mut canon.amplify {
+        amplify.shards = 0;
         amplify.out = None;
     }
     fnv1a(format!("{canon:?}|{target:?}|{cost_type:?}").as_bytes())
@@ -662,8 +648,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         cost_type: CostType,
     ) -> Result<GenerationReport, GenerateError> {
         let fingerprint = config_fingerprint(&self.config, target, cost_type);
-        let legacy = legacy_fingerprint(&self.config, target, cost_type);
-        if fingerprint != snapshot.fingerprint && legacy != snapshot.fingerprint {
+        if fingerprint != snapshot.fingerprint {
             return Err(GenerateError::Checkpoint(format!(
                 "snapshot fingerprint {:016x} does not match this run's {:016x}; \
                  resume with the same config, target, and cost type the \
@@ -1165,21 +1150,15 @@ mod tests {
         assert_eq!(fp, config_fingerprint(&with_ckpt, &target, CostType::Cardinality));
 
         // Thread count and shard width never change output, so they are
-        // not part of a run's identity; the legacy form recorded them.
+        // not part of a run's identity.
         let plumbed = |threads, shards| SqlBarberConfig {
             threads,
             amplify: Some(AmplifyConfig { n: 100, shards, batch: 0, out: None }),
             ..base.clone()
         };
-        type Fingerprint = fn(&SqlBarberConfig, &TargetDistribution, CostType) -> u64;
-        let fingerprints = |fingerprint: Fingerprint| {
-            [(1, 1), (8, 3)]
-                .map(|(t, s)| fingerprint(&plumbed(t, s), &target, CostType::Cardinality))
-        };
-        let [narrow, wide] = fingerprints(config_fingerprint);
+        let [narrow, wide] = [(1, 1), (8, 3)]
+            .map(|(t, s)| config_fingerprint(&plumbed(t, s), &target, CostType::Cardinality));
         assert_eq!(narrow, wide);
-        let [narrow, wide] = fingerprints(legacy_fingerprint);
-        assert_ne!(narrow, wide);
 
         let mut other_seed = base.clone();
         other_seed.seed = 43;
@@ -1230,47 +1209,6 @@ mod tests {
         assert_eq!(baseline.oracle_cache_hits, resumed.oracle_cache_hits);
         assert_eq!(baseline.evaluations, resumed.evaluations);
         assert_eq!(baseline.n_refined_templates, resumed.n_refined_templates);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_accepts_a_fingerprint_that_records_the_thread_count() {
-        // Snapshots written while the fingerprint still covered the
-        // thread count resume as before.
-        let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 60);
-        let template = || {
-            vec![sqlkit::parse_template(
-                "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_extendedprice > {p_1}",
-            )
-            .unwrap()]
-        };
-        let baseline = SqlBarber::new(&db, SqlBarberConfig::fast_test())
-            .generate_from_templates(template(), &target, CostType::Cardinality)
-            .unwrap();
-
-        let dir = std::env::temp_dir()
-            .join(format!("sqlbarber-driver-legacy-fp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = SqlBarberConfig { threads: 2, ..SqlBarberConfig::fast_test() };
-        config.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 2 });
-        let err = SqlBarber::new(&db, config.clone())
-            .with_kill_switch(KillSwitch::parse("mid-search").unwrap())
-            .generate_from_templates(template(), &target, CostType::Cardinality)
-            .unwrap_err();
-        assert!(matches!(err, GenerateError::Killed(_)), "{err}");
-        let mut snapshot = CheckpointDir::load_latest(&dir).unwrap();
-        let legacy = legacy_fingerprint(&config, &target, CostType::Cardinality);
-        assert_ne!(snapshot.fingerprint, legacy);
-        snapshot.fingerprint = legacy;
-        CheckpointDir::open(&dir).unwrap().store(&snapshot).unwrap();
-
-        let resumed = SqlBarber::new(&db, config)
-            .resume(&dir, &target, CostType::Cardinality)
-            .unwrap();
-        assert_eq!(flat(&baseline), flat(&resumed));
-        assert_eq!(baseline.oracle_probes, resumed.oracle_probes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

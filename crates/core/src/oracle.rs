@@ -18,9 +18,11 @@
 //!   search — or, for the execution-based cost types, runs through the
 //!   template's vectorized [`minidb::PreparedExec`] plan.
 //! * **Memoization.** Results are cached under the compact `(template
-//!   id, cost type, binding vector)` key in sharded, mutex-guarded,
-//!   *bounded* maps (per-shard capacity with second-chance eviction, so
-//!   long runs cannot grow the cache without limit).
+//!   id, cost type, binding vector)` key in sharded, mutex-guarded maps
+//!   that keep every entry for the oracle's lifetime. A run's memo is
+//!   bounded by its evaluation budget, which also records every probe in
+//!   the profiled templates' evaluation histories; amplification, the
+//!   path for large workloads, never touches it.
 //!   [`CostType::ExecutionTimeMicros`] is *never* memoized — the metric
 //!   is a deterministic work-unit proxy, but it is kept as the
 //!   always-execute control path so every probe exercises the executor.
@@ -35,12 +37,11 @@
 //! the algorithms asked for — the paper's evaluation-budget currency,
 //! counted even on cache hits) from *physical evaluations* (statements
 //! actually planned or executed). Physical counts are derived from the
-//! number of distinct cache entries plus evictions plus un-memoized
-//! probes, so they are deterministic even when concurrent batches race to
-//! fill the same entry (the duplicated plan work is wasted, not counted).
-//! With the default capacity the pipeline never evicts; tiny capacities
-//! (set via [`CostOracle::with_cache_capacity`]) trade that determinism
-//! guarantee for bounded memory under concurrent batches.
+//! number of distinct cache entries plus un-memoized probes, so they are
+//! deterministic even when concurrent batches race to fill the same entry
+//! (the duplicated plan work is wasted, not counted). No answer, counter
+//! or exported state depends on which shard holds an entry, in what order
+//! entries arrived, or which interner id a string got.
 //!
 //! The scalar `Database::explain` / `execute` path
 //! ([`crate::cost::query_cost`] on an instantiated statement) is the
@@ -55,8 +56,7 @@ use minidb::{
     RecostScratch,
 };
 use sqlkit::{Template, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -65,19 +65,13 @@ use std::sync::{Arc, OnceLock};
 /// power of two).
 const SHARDS: usize = 16;
 
-/// Default per-shard entry capacity. Generous enough that the pipeline
-/// never evicts (16 shards × 65536 ≈ 1M entries), while still bounding a
-/// pathological run.
-const DEFAULT_SHARD_CAPACITY: usize = 65536;
-
 /// Snapshot of the oracle's probe counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Cost questions asked by the algorithms (cache hits included).
     pub logical_probes: u64,
     /// Statements actually planned/executed: distinct memoized probes
-    /// (including since-evicted ones) plus every non-memoizable
-    /// (execution-time) probe.
+    /// plus every non-memoizable (execution-time) probe.
     pub physical_evals: u64,
     /// Probes answered from the memo cache: `logical - physical`.
     pub cache_hits: u64,
@@ -88,7 +82,8 @@ pub struct OracleStats {
     /// Probes that had to recost (or execute) the skeleton; always equals
     /// `physical_evals`.
     pub prepared_misses: u64,
-    /// Memo entries discarded by second-chance eviction.
+    /// Always 0: the memo never evicts. Kept for `perf/` and the
+    /// manifest shape.
     pub evictions: u64,
     /// Deficit-scheduler rounds that executed at least one interval task.
     pub scheduler_rounds: u64,
@@ -251,72 +246,13 @@ impl Hash for BindingKey {
 /// Template id + cost type + binding vector → result.
 type PreparedKey = (u64, CostType, BindingKey);
 
-/// One bounded memo shard with second-chance (clock) eviction.
-///
-/// Entries are kept in a FIFO queue alongside the map; a lookup sets the
-/// entry's reference bit, and eviction pops the queue, giving referenced
-/// entries a second pass (re-queued with the bit cleared) and discarding
-/// the first unreferenced one. Evictions are counted so physical-eval
-/// accounting stays exact even after entries are dropped.
-struct BoundedShard {
-    map: HashMap<PreparedKey, (Result<f64, DbError>, bool)>,
-    queue: VecDeque<PreparedKey>,
-    capacity: usize,
-    evicted: u64,
-}
+/// One memo shard: every distinct probe routed to it, with its result.
+type MemoShard = HashMap<PreparedKey, Result<f64, DbError>>;
 
-impl BoundedShard {
-    fn new(capacity: usize) -> BoundedShard {
-        BoundedShard {
-            map: HashMap::new(),
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-            evicted: 0,
-        }
-    }
-
-    // detlint::hot
-    fn get(&mut self, key: &PreparedKey) -> Option<Result<f64, DbError>> {
-        self.map.get_mut(key).map(|(value, referenced)| {
-            *referenced = true;
-            value.clone()
-        })
-    }
-
-    fn insert(&mut self, key: PreparedKey, value: Result<f64, DbError>) {
-        match self.map.entry(key.clone()) {
-            // Concurrent batches racing on the same probe: keep one entry,
-            // don't re-queue.
-            Entry::Occupied(mut slot) => {
-                slot.get_mut().0 = value;
-                return;
-            }
-            Entry::Vacant(slot) => {
-                // Fresh entries start referenced so the clock hand cannot
-                // evict what it just admitted.
-                slot.insert((value, true));
-                self.queue.push_back(key);
-            }
-        }
-        while self.map.len() > self.capacity {
-            let Some(victim) = self.queue.pop_front() else { break };
-            match self.map.get_mut(&victim) {
-                Some((_, referenced)) if *referenced => {
-                    *referenced = false;
-                    self.queue.push_back(victim);
-                }
-                Some(_) => {
-                    self.map.remove(&victim);
-                    self.evicted += 1;
-                }
-                None => {}
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
+/// The memo's hit lookup.
+// detlint::hot
+fn memo_get(shard: &MemoShard, key: &PreparedKey) -> Option<Result<f64, DbError>> {
+    shard.get(key).cloned()
 }
 
 /// Caller-owned scratch arena for
@@ -373,7 +309,7 @@ pub struct CostOracle<'db> {
     /// latency the deficit scheduler hides. `None` (default) adds
     /// nothing; results are identical either way.
     probe_latency: Option<std::time::Duration>,
-    prepared_shards: Vec<OrderedMutex<BoundedShard>>,
+    prepared_shards: Vec<OrderedMutex<MemoShard>>,
     /// Template text → handle, so re-preparing a template yields the same
     /// id (and therefore the same memo namespace). Held across plan
     /// construction so racing prepares of one template cannot split ids.
@@ -381,7 +317,8 @@ pub struct CostOracle<'db> {
     next_template_id: AtomicU64,
     /// String value → interned id for [`ValueKey::Str`]. Ids are assigned
     /// in first-touch order; they only feed key hashing/equality, never
-    /// results or counters, so id assignment order cannot affect output.
+    /// results or counters, and [`CostOracle::export_state`] renumbers
+    /// them in text order, so id assignment order cannot affect output.
     interner: OrderedMutex<HashMap<Box<str>, u32>>,
     logical: AtomicU64,
     /// Execution-time probes (bypass the cache entirely).
@@ -401,12 +338,7 @@ impl<'db> CostOracle<'db> {
             threads: bayesopt::parallel::resolve_threads(threads),
             probe_latency: None,
             prepared_shards: (0..SHARDS)
-                .map(|_| {
-                    OrderedMutex::new(
-                        lockorder::PREPARED_SHARDS,
-                        BoundedShard::new(DEFAULT_SHARD_CAPACITY),
-                    )
-                })
+                .map(|_| OrderedMutex::new(lockorder::PREPARED_SHARDS, HashMap::new()))
                 .collect(),
             templates: OrderedMutex::new(lockorder::TEMPLATES, HashMap::new()),
             next_template_id: AtomicU64::new(0),
@@ -460,16 +392,6 @@ impl<'db> CostOracle<'db> {
         if let Some(latency) = self.probe_latency {
             std::thread::sleep(latency);
         }
-    }
-
-    /// Override the per-shard memo capacity (entries per shard, floor 1).
-    /// Intended for tests and memory-constrained runs; the pipeline
-    /// default never evicts in practice.
-    pub fn with_cache_capacity(self, per_shard: usize) -> CostOracle<'db> {
-        for shard in &self.prepared_shards {
-            shard.lock().capacity = per_shard.max(1);
-        }
-        self
     }
 
     /// The database this oracle costs against.
@@ -560,10 +482,9 @@ impl<'db> CostOracle<'db> {
     /// * Results land in the caller-owned [`ColumnarScratch`], so a
     ///   fully-warm batch performs no allocation at all.
     ///
-    /// Within each shard, probes keep submission order for both lookups
-    /// and inserts, so second-chance eviction behaves identically at any
-    /// thread count. A batch with no column for one of the template's
-    /// placeholders binds no row: every row fails with
+    /// Results and accounting depend only on the memo's content, so they
+    /// are identical at any thread count. A batch with no column for one
+    /// of the template's placeholders binds no row: every row fails with
     /// `UnboundPlaceholder` naming the smallest missing id, for every cost
     /// type. That check runs once, before any key is built; it memoizes
     /// and counts nothing, so `stats()` is unchanged by such a batch.
@@ -642,10 +563,10 @@ impl<'db> CostOracle<'db> {
             if probe_indices.is_empty() {
                 continue;
             }
-            let mut shard = self.prepared_shards[shard_idx].lock();
+            let shard = self.prepared_shards[shard_idx].lock();
             for &i in probe_indices.iter() {
                 let i = i as usize;
-                if let Some(cached) = shard.get(&keys[i]) {
+                if let Some(cached) = memo_get(&shard, &keys[i]) {
                     results[i] = cached;
                 } else if let Some(&slot) = miss_slots.get(&keys[i].2) {
                     resolve_later.push((i, slot));
@@ -760,20 +681,13 @@ impl<'db> CostOracle<'db> {
     }
 
     /// Current probe counters. Derived from deterministic quantities
-    /// (logical counters, cache sizes, eviction and un-memoized
-    /// counters), so identical runs report identical stats at any thread
-    /// count (provided the cache is not evicting, which the default
-    /// capacity guarantees in practice).
+    /// (logical and un-memoized counters, the number of memo entries), so
+    /// identical runs report identical stats at any thread count.
     pub fn stats(&self) -> OracleStats {
-        let mut distinct = 0u64;
-        let mut evicted = 0u64;
-        for shard in &self.prepared_shards {
-            let guard = shard.lock();
-            distinct += guard.len() as u64;
-            evicted += guard.evicted;
-        }
+        let distinct: u64 =
+            self.prepared_shards.iter().map(|shard| shard.lock().len() as u64).sum();
         let logical = self.logical.load(Ordering::Relaxed);
-        let physical = distinct + evicted + self.unmemoized.load(Ordering::Relaxed);
+        let physical = distinct + self.unmemoized.load(Ordering::Relaxed);
         let cache_hits = logical.saturating_sub(physical);
         OracleStats {
             logical_probes: logical,
@@ -781,7 +695,7 @@ impl<'db> CostOracle<'db> {
             cache_hits,
             prepared_hits: cache_hits,
             prepared_misses: physical,
-            evictions: evicted,
+            evictions: 0,
             scheduler_rounds: self.scheduler_rounds.load(Ordering::Relaxed),
             scheduler_tasks: self.scheduler_tasks.load(Ordering::Relaxed),
             scheduler_peak_tasks: self.scheduler_peak_tasks.load(Ordering::Relaxed),
@@ -800,91 +714,34 @@ impl<'db> CostOracle<'db> {
         self.scheduler_overadmissions.fetch_add(overadmissions, Ordering::Relaxed);
     }
 
-    /// Put the memo into a canonical form that does not depend on the
-    /// order in which concurrent workers first met a string or inserted
-    /// an entry: interned strings are renumbered in text order, every
-    /// entry moves to the shard its renumbered key routes to, and each
-    /// shard's clock queue is put in key order (reference bits, per-shard
-    /// eviction counts and capacities kept). Every memo answer and
-    /// counter is unchanged; only which entry a full shard evicts next
-    /// follows the new queue order. Call only between batches.
-    fn canonicalize(&self) {
-        let renumber: Vec<u32> = {
-            let mut interner = self.interner.lock();
-            let mut texts: Vec<(Box<str>, u32)> = interner.drain().collect();
+    /// Serialize the oracle's full state for a checkpoint: interner,
+    /// prepared-template registry, every memo entry, and the raw
+    /// counters. The state is a function of the memo's content alone, not
+    /// of the order in which concurrent workers met strings or inserted
+    /// entries: interned strings are listed in text order (each entry's
+    /// string ids renumbered to match), and entries are sorted by
+    /// template id, cost type and key. The snapshot bytes are therefore
+    /// the same at any thread count, and this oracle is left as it was.
+    /// [`CostOracle::restore_state`] of this value into a fresh oracle
+    /// reproduces every future memo hit and derived [`OracleStats`] field
+    /// of this one exactly.
+    pub fn export_state(&self) -> crate::snapshot::OracleState {
+        use crate::snapshot::{OracleCounters, OracleState, PreparedEntry};
+
+        let (interner, renumber) = {
+            let interner = self.interner.lock();
+            let mut texts: Vec<(&str, u32)> =
+                interner.iter().map(|(text, &id)| (&**text, id)).collect();
             texts.sort_unstable();
             let mut renumber = vec![0; texts.len()];
-            for (new_id, (text, old_id)) in texts.into_iter().enumerate() {
+            for (new_id, &(_, old_id)) in texts.iter().enumerate() {
                 renumber[old_id as usize] = new_id as u32;
-                interner.insert(text, new_id as u32);
             }
-            renumber
+            (texts.into_iter().map(|(text, _)| text.to_string()).collect::<Vec<_>>(), renumber)
         };
-        let renamed = |slot: &Option<ValueKey>| {
-            matches!(slot, Some(ValueKey::Str(id)) if renumber[*id as usize] != *id)
-        };
-        // Entries whose key names a renumbered string leave their shard.
-        let mut moving = Vec::new();
-        for mutex in &self.prepared_shards {
-            let mut shard = mutex.lock();
-            let BoundedShard { map, queue, .. } = &mut *shard;
-            if !queue.iter().any(|key| key.2.as_slice().iter().any(renamed)) {
-                continue;
-            }
-            let (stay, leave): (Vec<_>, Vec<_>) =
-                queue.drain(..).partition(|key| !key.2.as_slice().iter().any(renamed));
-            *queue = stay.into();
-            for key in leave {
-                let Some(value) = map.remove(&key) else { continue };
-                let (template_id, cost_type, binding) = key;
-                let slots = binding.as_slice();
-                let binding = BindingKey::collect(slots.len(), |slot| match slots[slot] {
-                    Some(ValueKey::Str(id)) => Some(ValueKey::Str(renumber[id as usize])),
-                    other => other,
-                });
-                moving.push(((template_id, cost_type, binding), value));
-            }
-        }
-        let mut routed: Vec<Vec<_>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for (key, value) in moving {
-            routed[shard_index(&key)].push((key, value));
-        }
-        for (mutex, arrivals) in self.prepared_shards.iter().zip(routed) {
-            let mut shard = mutex.lock();
-            for (key, value) in arrivals {
-                shard.queue.push_back(key.clone());
-                shard.map.insert(key, value);
-            }
-            shard.queue.make_contiguous().sort_unstable_by(|a, b| {
-                (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
-            });
-        }
-    }
 
-    /// Serialize the oracle's full state for a checkpoint: interner,
-    /// prepared-template registry, the memo cache (entries in clock-queue
-    /// order, with reference bits and eviction counts), and the raw
-    /// counters. The memo is first put in canonical form (see
-    /// `canonicalize`), so the state, and the snapshot bytes, are the same
-    /// at any thread count; this oracle then continues from that form.
-    /// [`CostOracle::restore_state`] of this value into a fresh oracle
-    /// therefore reproduces every future memo hit, eviction, and derived
-    /// [`OracleStats`] field of this one exactly.
-    pub fn export_state(&self) -> crate::snapshot::OracleState {
-        use crate::snapshot::{OracleCounters, OracleState, PreparedEntry, ShardState};
-
-        self.canonicalize();
-
-        // The interner and registry are hash maps; inverting them into
-        // vectors indexed by their (densely assigned) ids yields a
-        // canonical order regardless of map iteration order.
-        let interner_guard = self.interner.lock();
-        let mut interner = vec![String::new(); interner_guard.len()];
-        for (text, &id) in interner_guard.iter() {
-            interner[id as usize] = text.to_string();
-        }
-        drop(interner_guard);
-
+        // The registry is a hash map; inverting it into a vector indexed
+        // by its (densely assigned) ids yields its canonical order.
         let registry = self.templates.lock();
         let mut templates = vec![String::new(); registry.len()];
         for (sql, handle) in registry.iter() {
@@ -892,32 +749,34 @@ impl<'db> CostOracle<'db> {
         }
         drop(registry);
 
-        let shards = self
-            .prepared_shards
-            .iter()
-            .map(|mutex| {
-                let shard = mutex.lock();
-                let entries = shard
-                    .queue
-                    .iter()
-                    .filter_map(|key| {
-                        shard.map.get(key).map(|(value, referenced)| PreparedEntry {
-                            template_id: key.0,
-                            cost_type: key.1,
-                            key: key.2.as_slice().iter().map(|slot| slot.map(export_value_key)).collect(),
-                            value: value.clone(),
-                            referenced: *referenced,
-                        })
-                    })
-                    .collect();
-                ShardState { capacity: shard.capacity as u64, evicted: shard.evicted, entries }
-            })
-            .collect();
+        let mut entries: Vec<(PreparedKey, Result<f64, DbError>)> = Vec::new();
+        for mutex in &self.prepared_shards {
+            let shard = mutex.lock();
+            entries.extend(shard.iter().map(|((template_id, cost_type, binding), value)| {
+                let slots = binding.as_slice();
+                let binding = BindingKey::collect(slots.len(), |slot| match slots[slot] {
+                    Some(ValueKey::Str(id)) => Some(ValueKey::Str(renumber[id as usize])),
+                    other => other,
+                });
+                ((*template_id, *cost_type, binding), value.clone())
+            }));
+        }
+        entries.sort_unstable_by(|(a, _), (b, _)| {
+            (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
+        });
 
         OracleState {
             interner,
             templates,
-            shards,
+            entries: entries
+                .into_iter()
+                .map(|((template_id, cost_type, binding), value)| PreparedEntry {
+                    template_id,
+                    cost_type,
+                    key: binding.as_slice().iter().map(|slot| slot.map(export_value_key)).collect(),
+                    value,
+                })
+                .collect(),
             counters: OracleCounters {
                 logical: self.logical.load(Ordering::Relaxed),
                 unmemoized: self.unmemoized.load(Ordering::Relaxed),
@@ -932,19 +791,12 @@ impl<'db> CostOracle<'db> {
     /// Restore state exported by [`CostOracle::export_state`] (typically
     /// into a freshly constructed oracle over the same database).
     /// Prepared plans are rebuilt by re-preparing each registry template
-    /// under its recorded id; memo entries are reinstalled into their
-    /// recorded shards in queue order, so second-chance eviction replays
-    /// identically. Errors (snapshot/build mismatch, template that no
-    /// longer prepares) leave a partially restored oracle — callers
-    /// should discard it on `Err`.
+    /// under its recorded id; each memo entry is routed to its shard by
+    /// its key. Errors (snapshot/build mismatch, template that no longer
+    /// prepares) leave a partially restored oracle — callers should
+    /// discard it on `Err`.
     pub fn restore_state(&self, state: &crate::snapshot::OracleState) -> Result<(), String> {
         use crate::snapshot::ValueKeySnap;
-        if state.shards.len() != SHARDS {
-            return Err(format!(
-                "snapshot has {} memo shards, this build uses {SHARDS}",
-                state.shards.len()
-            ));
-        }
 
         {
             let mut interner = self.interner.lock();
@@ -957,7 +809,7 @@ impl<'db> CostOracle<'db> {
             }
         }
         let strings = state.interner.len();
-        let dangling = state.shards.iter().flat_map(|shard| &shard.entries).find_map(|entry| {
+        let dangling = state.entries.iter().find_map(|entry| {
             entry.key.iter().find_map(|slot| match slot {
                 Some(ValueKeySnap::Str(id)) if *id as usize >= strings => Some(*id),
                 _ => None,
@@ -987,20 +839,17 @@ impl<'db> CostOracle<'db> {
             self.next_template_id.store(state.templates.len() as u64, Ordering::Relaxed);
         }
 
-        for (mutex, stored) in self.prepared_shards.iter().zip(&state.shards) {
+        let mut routed: Vec<Vec<_>> = (0..SHARDS).map(|_| Vec::new()).collect();
+        for entry in &state.entries {
+            let binding =
+                BindingKey::collect(entry.key.len(), |slot| entry.key[slot].map(import_value_key));
+            let key = (entry.template_id, entry.cost_type, binding);
+            routed[shard_index(&key)].push((key, entry.value.clone()));
+        }
+        for (mutex, arrivals) in self.prepared_shards.iter().zip(routed) {
             let mut shard = mutex.lock();
-            shard.map.clear();
-            shard.queue.clear();
-            shard.capacity = usize::try_from(stored.capacity).unwrap_or(usize::MAX).max(1);
-            shard.evicted = stored.evicted;
-            for entry in &stored.entries {
-                let binding = BindingKey::collect(entry.key.len(), |slot| {
-                    entry.key[slot].map(import_value_key)
-                });
-                let key = (entry.template_id, entry.cost_type, binding);
-                shard.map.insert(key.clone(), (entry.value.clone(), entry.referenced));
-                shard.queue.push_back(key);
-            }
+            shard.clear();
+            shard.extend(arrivals);
         }
 
         let c = &state.counters;
@@ -1036,11 +885,11 @@ fn import_value_key(snap: crate::snapshot::ValueKeySnap) -> ValueKey {
     }
 }
 
-/// Deterministic 64-bit FNV-1a [`Hasher`] for shard routing. The std
-/// `DefaultHasher` has an unspecified algorithm that may change between
-/// Rust releases; shard routing must stay a pure function of the key so
-/// memo placement — and therefore eviction behavior at tiny capacities —
-/// is reproducible everywhere.
+/// Deterministic 64-bit FNV-1a [`Hasher`] for shard routing. Routing only
+/// spreads lock contention across the memo shards: no answer, counter or
+/// exported state depends on which shard holds an entry. FNV-1a is cheap
+/// on the short keys the memo hashes, and unlike the std `DefaultHasher`
+/// its algorithm is fixed, so placement is the same on every build.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -1377,24 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_with_second_chance_and_counts_it() {
-        let db = tpch();
-        let oracle = CostOracle::new(&db, 1).with_cache_capacity(1);
-        let handle = oracle.prepare(&parse_template(QUANTITY).unwrap()).unwrap();
-        // Far more distinct bindings than 16 shards × 1 entry can hold.
-        for i in 0..64 {
-            cost_one(&oracle, &handle, &[(1, Value::Int(i))], CostType::Cardinality).unwrap();
-        }
-        let stats = oracle.stats();
-        assert_eq!(stats.logical_probes, 64);
-        // Every probe was distinct: evicted-or-resident must cover all.
-        assert_eq!(stats.physical_evals, 64);
-        assert!(stats.evictions > 0, "capacity 1 must evict: {stats:?}");
-        let resident: usize = 64 - stats.evictions as usize;
-        assert!(resident <= SHARDS, "at most one resident entry per shard");
-    }
-
-    #[test]
     fn columnar_batch_matches_per_probe_across_threads() {
         // 40 probes, 13 distinct bindings → in-batch duplicates that span
         // multiple memo shards; every probe equals the per-probe scalar
@@ -1539,52 +1370,11 @@ mod tests {
     }
 
     #[test]
-    fn columnar_eviction_accounting_matches_under_tiny_capacity() {
-        // Capacity 2 with 64 distinct bindings forces second-chance
-        // eviction; per-shard lookup and insert order do not depend on
-        // the worker count, so results and stats agree at 1 and 4
-        // threads.
-        let db = tpch();
-        let template = parse_template(NATION).unwrap();
-        let batch = p1((0..64).map(Value::Int));
-        let run = |threads: usize| {
-            let oracle = CostOracle::new(&db, threads).with_cache_capacity(2);
-            let handle = oracle.prepare(&template).unwrap();
-            let results = cost(&oracle, &handle, &batch, CostType::Cardinality);
-            assert_matches_scalar(&db, &template, &batch, &results, CostType::Cardinality);
-            (bits(&results), oracle.stats())
-        };
-        let (serial, serial_stats) = run(1);
-        let (parallel, parallel_stats) = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_stats, parallel_stats);
-        assert_eq!(serial_stats.physical_evals, 64);
-        assert!(serial_stats.evictions > 0, "capacity 2 must evict: {serial_stats:?}");
-    }
-
-    #[test]
-    fn eviction_keeps_recent_entries_reachable() {
-        let db = tpch();
-        let oracle = CostOracle::new(&db, 1).with_cache_capacity(2);
-        let handle = oracle.prepare(&parse_template(NATION).unwrap()).unwrap();
-        for i in 0..32 {
-            cost_one(&oracle, &handle, &[(1, Value::Int(i))], CostType::Cardinality).unwrap();
-        }
-        // The most recent binding is still cached (fresh entries are
-        // admitted referenced, so the clock cannot evict them instantly).
-        let before = oracle.stats();
-        cost_one(&oracle, &handle, &[(1, Value::Int(31))], CostType::Cardinality).unwrap();
-        let after = oracle.stats();
-        assert_eq!(after.physical_evals, before.physical_evals);
-        assert_eq!(after.cache_hits, before.cache_hits + 1);
-    }
-
-    #[test]
     fn state_round_trip_reproduces_stats_and_future_behavior() {
-        // Warm an oracle (string-interned bindings, a memoized error,
-        // tiny-capacity evictions, an un-memoized probe), export, restore
-        // into a fresh oracle, and require (a) identical derived stats and
-        // (b) an identical probe future.
+        // Warm an oracle (string-interned bindings, a memoized error, an
+        // un-memoized probe), export, restore into a fresh oracle, and
+        // require (a) identical derived stats and (b) an identical probe
+        // future.
         let db = tpch();
         let template =
             parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
@@ -1614,7 +1404,7 @@ mod tests {
             (costs, oracle.stats())
         };
 
-        let original = CostOracle::new(&db, 1).with_cache_capacity(2);
+        let original = CostOracle::new(&db, 1);
         let handle = warm(&original);
         let exported = original.export_state();
 
@@ -1628,8 +1418,8 @@ mod tests {
         // Capture is lossless: a second export is structurally identical.
         assert_eq!(restored.export_state(), exported);
 
-        // Both oracles must now agree on every future probe, hit/miss
-        // decision, and eviction (capacity was restored too).
+        // Both oracles must now agree on every future probe and hit/miss
+        // decision.
         assert_eq!(probe_future(&original, &handle), probe_future(&restored, &restored_handle));
     }
 
@@ -1637,8 +1427,9 @@ mod tests {
     fn export_does_not_depend_on_arrival_order() {
         // Two oracles see the same probes in opposite orders, as
         // concurrent workers may deliver them: strings are interned and
-        // memo entries queued in different orders, yet both export the
-        // same state and then behave identically.
+        // memo entries inserted in different orders, yet both export the
+        // same state and then behave identically. Export only reads: each
+        // live interner keeps the ids it assigned in arrival order.
         let db = tpch();
         let templates = [
             "SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}",
@@ -1659,10 +1450,25 @@ mod tests {
             if !forward {
                 work.reverse();
             }
+            let mut arrival: Vec<String> = Vec::new();
             for (handle, batch) in work {
                 cost(&oracle, handle, batch, CostType::Cardinality);
+                for row in 0..batch.len() {
+                    if let Some(Value::Str(text)) = batch.value_of(1, row) {
+                        if !arrival.contains(text) {
+                            arrival.push(text.clone());
+                        }
+                    }
+                }
             }
             let state = oracle.export_state();
+            let live = oracle.interner.lock().clone();
+            let expected: HashMap<Box<str>, u32> = arrival
+                .iter()
+                .enumerate()
+                .map(|(id, text)| (text.as_str().into(), id as u32))
+                .collect();
+            assert_eq!(live, expected, "export rewrote the live interner");
             let future = strings(&["N03", "N07"]);
             let results = bits(&cost(&oracle, &handles[2], &future, CostType::Cardinality));
             (state, results, oracle.stats(), oracle.export_state())
@@ -1690,19 +1496,9 @@ mod tests {
         assert!(err.contains("twice"), "{err}");
 
         let mut dangling = state.clone();
-        let entry = dangling.shards.iter_mut().flat_map(|s| &mut s.entries).next().unwrap();
+        let entry = dangling.entries.first_mut().unwrap();
         entry.key[0] = Some(ValueKeySnap::Str(1));
         let err = CostOracle::new(&db, 1).restore_state(&dangling).unwrap_err();
         assert!(err.contains("names string 1"), "{err}");
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_shard_counts() {
-        let db = tpch();
-        let oracle = CostOracle::new(&db, 1);
-        let mut state = oracle.export_state();
-        state.shards.pop();
-        let err = CostOracle::new(&db, 1).restore_state(&state).unwrap_err();
-        assert!(err.contains("memo shards"), "{err}");
     }
 }

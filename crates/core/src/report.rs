@@ -105,7 +105,8 @@ pub struct GenerationReport {
     /// Probes that recosted (or executed) a plan skeleton; equals
     /// `oracle_physical_evals`.
     pub oracle_prepared_misses: u64,
-    /// Memo entries discarded by the oracle's second-chance eviction.
+    /// Always 0: the oracle's memo never evicts. Kept for `perf/` and the
+    /// manifest shape.
     pub oracle_evictions: u64,
     /// Deficit-scheduler rounds executed during the BO search phase.
     pub scheduler_rounds: u64,
@@ -142,20 +143,16 @@ impl GenerationReport {
     }
 
     /// One-line cost-oracle accounting: logical/physical probe counts
-    /// next to the prepared-plan hit/miss (and eviction) counters.
+    /// next to the prepared-plan hit/miss counters.
     pub fn oracle_summary(&self) -> String {
-        let mut line = format!(
+        format!(
             "oracle: {} probes, {} physical, {} cached; prepared {} hits / {} misses",
             self.oracle_probes,
             self.oracle_physical_evals,
             self.oracle_cache_hits,
             self.oracle_prepared_hits,
             self.oracle_prepared_misses,
-        );
-        if self.oracle_evictions > 0 {
-            line.push_str(&format!(", {} evictions", self.oracle_evictions));
-        }
-        line
+        )
     }
 
     /// One-line deficit-scheduler accounting: rounds, tasks, peak round
@@ -294,10 +291,6 @@ mod tests {
         let text = report.oracle_summary();
         assert!(text.contains("100 probes"));
         assert!(text.contains("55 hits / 35 misses"), "{text}");
-        assert!(!text.contains("evictions"), "zero evictions stay quiet");
-        let evicting =
-            GenerationReport { oracle_evictions: 7, ..report }.oracle_summary();
-        assert!(evicting.contains("7 evictions"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"SQBS";
 /// Codec version; bumped on any layout change.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Header length in bytes: magic + version + payload_len + crc32.
 pub const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 /// Maximum model-stack nesting the decoder accepts (the pipeline stacks
@@ -284,24 +284,10 @@ pub struct PreparedEntry {
     pub key: Vec<Option<ValueKeySnap>>,
     /// Memoized result.
     pub value: Result<f64, DbError>,
-    /// Second-chance reference bit.
-    pub referenced: bool,
-}
-
-/// One bounded memo shard, entries in clock-queue order (front first) so
-/// future second-chance evictions replay identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardState {
-    /// Shard capacity.
-    pub capacity: u64,
-    /// Entries already evicted from this shard.
-    pub evicted: u64,
-    /// Live entries in queue order.
-    pub entries: Vec<PreparedEntry>,
 }
 
 /// The oracle's atomic counters (raw, pre-derivation — `stats()` derives
-/// physical/hit counts from these plus the shard contents).
+/// physical/hit counts from these plus the number of memo entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleCounters {
     /// Logical probes.
@@ -319,8 +305,9 @@ pub struct OracleCounters {
 }
 
 /// Complete serializable state of a [`crate::oracle::CostOracle`]:
-/// restoring it reproduces every future memo hit, eviction, and derived
-/// counter exactly.
+/// restoring it reproduces every future memo hit and derived counter
+/// exactly. It records the memo's content only, never its layout, so it
+/// is the same at any thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleState {
     /// String-intern table; index = interned id.
@@ -328,8 +315,8 @@ pub struct OracleState {
     /// Prepared-template registry; index = template id, value = SQL
     /// (plans are rebuilt by re-preparing on resume).
     pub templates: Vec<String>,
-    /// Memo shards, by shard index.
-    pub shards: Vec<ShardState>,
+    /// Every memo entry, sorted by template id, cost type and key.
+    pub entries: Vec<PreparedEntry>,
     /// Raw atomic counters.
     pub counters: OracleCounters,
 }
@@ -724,9 +711,7 @@ struct_codec!(PreparedEntry {
     cost_type: CostType,
     key: Vec<Option<ValueKeySnap>>,
     value: Result<f64, DbError>,
-    referenced: bool,
 });
-struct_codec!(ShardState { capacity: u64, evicted: u64, entries: Vec<PreparedEntry> });
 struct_codec!(OracleCounters {
     logical: u64,
     unmemoized: u64,
@@ -738,7 +723,7 @@ struct_codec!(OracleCounters {
 struct_codec!(OracleState {
     interner: Vec<String>,
     templates: Vec<String>,
-    shards: Vec<ShardState>,
+    entries: Vec<PreparedEntry>,
     counters: OracleCounters,
 });
 struct_codec!(Snapshot {
@@ -1102,33 +1087,27 @@ mod tests {
             oracle: Some(OracleState {
                 interner: vec!["BRAZIL".into(), "ASIA".into()],
                 templates: vec!["SELECT 1".into()],
-                shards: vec![ShardState {
-                    capacity: 4,
-                    evicted: 1,
-                    entries: vec![
-                        PreparedEntry {
-                            template_id: 0,
-                            cost_type: CostType::Cardinality,
-                            key: vec![None],
-                            value: Err(DbError::UnknownTable("foo".into())),
-                            referenced: true,
-                        },
-                        PreparedEntry {
-                            template_id: 0,
-                            cost_type: CostType::PlanCost,
-                            key: vec![
-                                Some(ValueKeySnap::Int(-5)),
-                                Some(ValueKeySnap::Float(f64::NAN.to_bits())),
-                                Some(ValueKeySnap::Str(1)),
-                                Some(ValueKeySnap::Bool(true)),
-                                Some(ValueKeySnap::Null),
-                                None,
-                            ],
-                            value: Ok(42.5),
-                            referenced: false,
-                        },
-                    ],
-                }],
+                entries: vec![
+                    PreparedEntry {
+                        template_id: 0,
+                        cost_type: CostType::Cardinality,
+                        key: vec![None],
+                        value: Err(DbError::UnknownTable("foo".into())),
+                    },
+                    PreparedEntry {
+                        template_id: 0,
+                        cost_type: CostType::PlanCost,
+                        key: vec![
+                            Some(ValueKeySnap::Int(-5)),
+                            Some(ValueKeySnap::Float(f64::NAN.to_bits())),
+                            Some(ValueKeySnap::Str(1)),
+                            Some(ValueKeySnap::Bool(true)),
+                            Some(ValueKeySnap::Null),
+                            None,
+                        ],
+                        value: Ok(42.5),
+                    },
+                ],
                 counters: OracleCounters {
                     logical: 1000,
                     unmemoized: 100,
@@ -1196,7 +1175,6 @@ mod tests {
                 cost_type: cost_types[i % 4],
                 key: key.clone(),
                 value: Err(e),
-                referenced: i % 2 == 0,
             })
             .collect();
         entries.push(PreparedEntry {
@@ -1204,15 +1182,11 @@ mod tests {
             cost_type: CostType::ExecutionTimeMicros,
             key: vec![Some(ValueKeySnap::Int(i64::MIN))],
             value: Ok(-0.0),
-            referenced: true,
         });
         OracleState {
             interner: vec!["BRAZIL".into()],
             templates: vec!["SELECT 1".into(), "SELECT {p_1}".into()],
-            shards: vec![
-                ShardState { capacity: 16, evicted: 3, entries },
-                ShardState { capacity: 16, evicted: 0, entries: vec![] },
-            ],
+            entries,
             counters: OracleCounters {
                 logical: 1,
                 unmemoized: 2,
@@ -1224,7 +1198,7 @@ mod tests {
         }
     }
 
-    /// Five snapshots that between them use every tag of the `v2` format:
+    /// Five snapshots that between them use every tag of the `v3` format:
     /// the five phases, both pools, the three model layers, the three
     /// breaker states, an absent and a present oracle.
     fn tag_cover() -> Vec<Snapshot> {
@@ -1279,17 +1253,17 @@ mod tests {
         ]
     }
 
-    /// The `v2` format is frozen: each tag-covering snapshot encodes to
-    /// the length and CRC-32 recorded before the codec became one trait,
-    /// and decodes back to the same bytes.
+    /// The `v3` format is frozen: each tag-covering snapshot encodes to
+    /// the length and CRC-32 recorded when the format was introduced, and
+    /// decodes back to the same bytes.
     #[test]
-    fn v2_bytes_are_pinned() {
+    fn v3_bytes_are_pinned() {
         const PINNED: [(usize, u32); 5] = [
-            (567, 0x639c_241e),
-            (1409, 0x8252_d227),
-            (1409, 0x83f9_52eb),
-            (1637, 0x6e47_154a),
-            (1497, 0xd9fc_31fd),
+            (567, 0xebd0_3d3d),
+            (1351, 0x9ba5_61e5),
+            (1351, 0xc3c5_2f0a),
+            (1579, 0x7a52_9ae3),
+            (1439, 0x134c_aa18),
         ];
         for (snapshot, pinned) in tag_cover().iter().zip(PINNED) {
             let bytes = snapshot.encode();
@@ -1355,11 +1329,14 @@ mod tests {
     #[test]
     fn version_1_snapshots_are_refused_with_a_typed_error() {
         // Version 1 carried a rendered-text memo family this build no
-        // longer has. A v1 frame with an intact checksum must still be
+        // longer has, and version 2 a shard-shaped memo with clock-queue
+        // state. A v1 or v2 frame with an intact checksum must still be
         // refused by version, before any payload is interpreted.
-        let mut bytes = sample_snapshot().encode();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadVersion(1)));
+        for version in [1u32, 2] {
+            let mut bytes = sample_snapshot().encode();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadVersion(version)));
+        }
     }
 
     #[test]

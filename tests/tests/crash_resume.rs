@@ -234,6 +234,42 @@ fn snapshots_are_byte_identical_across_runs_and_thread_counts() {
     }
 }
 
+/// The contents of the newest `n` snapshot files in `dir`, oldest first.
+fn newest_snapshots(dir: &Path, n: usize) -> Vec<Vec<u8>> {
+    let files = snapshot_files(dir);
+    assert!(files.len() >= n, "{dir:?} holds {} snapshot files", files.len());
+    files[files.len() - n..].iter().map(|(_, bytes)| bytes.clone()).collect()
+}
+
+#[test]
+fn resumed_runs_write_the_uninterrupted_runs_snapshots() {
+    // A resumed run's live memo meets strings and inserts entries in
+    // another order than the uninterrupted run's did; its snapshots must
+    // not show it. Resuming at `after-profiling` rewrites that boundary,
+    // so its generation numbers run one ahead: files are compared by
+    // position, not by name.
+    let db = tpch();
+    let base = fresh_dir("resume-identity-base");
+    generate(&db, config(1, Some(CheckpointConfig { dir: base.clone(), every: 1 })));
+    let expected = newest_snapshots(&base, 2);
+    let _ = std::fs::remove_dir_all(&base);
+    for point in KILL_POINTS {
+        let dir = fresh_dir(&format!("resume-identity-{point}"));
+        let checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 1 });
+        generate_killed(&db, config(4, checkpoint.clone()), point);
+        resume(&db, config(4, checkpoint), &dir);
+        let got = newest_snapshots(&dir, 2);
+        for (position, (got, expected)) in got.iter().zip(&expected).enumerate() {
+            assert!(
+                got == expected,
+                "kill={point}: file {position} of the newest two differs from the \
+                 uninterrupted run's"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn a_snapshot_resumes_at_any_thread_count() {
     let db = tpch();

@@ -5,7 +5,7 @@
 //! `(cardinality, work_micros)` pairs that per-row instantiate-and-
 //! `Database::execute` produces, and the oracle's entry point for
 //! execution-based cost types must match that scalar path probe by probe
-//! with exact memo accounting, even under capacity-2 eviction pressure.
+//! with exact memo accounting, at any thread count.
 
 use minidb::{BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate};
 use proptest::prelude::*;
@@ -256,8 +256,7 @@ proptest! {
     /// Oracle-level contract for execution-based cost types: the entry
     /// point (`cost_prepared_batch_columnar_on` → `execute_batch`) returns,
     /// probe by probe, the same bits as instantiate-and-execute, across
-    /// thread counts and under capacity-2 memo eviction pressure — with
-    /// one logical probe per binding and one physical evaluation per
+    /// thread counts — with one logical probe per binding and one physical evaluation per
     /// distinct binding (per binding for the un-memoized time metric).
     #[test]
     fn oracle_columnar_execution_matches_per_probe(
@@ -268,7 +267,6 @@ proptest! {
             CostType::ExecutionTimeMicros,
         ]),
         threads in prop::sample::select(vec![1usize, 2, 8]),
-        squeeze_cache in any::<bool>(),
     ) {
         let db = db();
         let skeleton = &SKELETONS[skeleton_idx];
@@ -277,8 +275,7 @@ proptest! {
         // In-batch duplicate of the first row: memo-hit dedup.
         let batch = binding_batch(skeleton.kinds, &rows_raw, true);
 
-        let capacity = if squeeze_cache { 2 } else { 1024 };
-        let oracle = CostOracle::new(db, threads).with_cache_capacity(capacity);
+        let oracle = CostOracle::new(db, threads);
         let handle = oracle.prepare(&template).expect("prepare");
         let mut scratch = ColumnarScratch::new();
         let results = oracle
@@ -330,7 +327,7 @@ proptest! {
         let runs: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&threads| {
-                let oracle = CostOracle::new(db, threads).with_cache_capacity(2);
+                let oracle = CostOracle::new(db, threads);
                 let handle = oracle.prepare(&template).expect("prepare");
                 let mut scratch = ColumnarScratch::new();
                 let results = oracle
