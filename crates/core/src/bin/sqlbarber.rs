@@ -29,6 +29,7 @@
 use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
 use sqlkit::TemplateSpec;
 use workload::distribution::TargetDistribution;
+use workload::intervals::MAX_INTERVALS;
 use workload::CostIntervals;
 
 fn main() {
@@ -73,14 +74,16 @@ GENERATE OPTIONS:
   --samples FILE          build the target from observed costs
                           (one number per line) instead of a named shape
   --queries N             workload size                     [default: 1000]
-  --intervals K           cost intervals                    [default: 10]
+  --intervals K           cost intervals, 1 to 10000        [default: 10]
   --range LO HI           working cost range                [default: 0 10000]
   --cost-type T           cardinality|plan-cost|actual-cardinality|
                           execution-time (execution-based types cost by
                           running statements through the vectorized
                           batch executor)    [default: cardinality]
   --spec \"...\"            declarative template spec, repeatable;
-                          e.g. \"tables=2 joins=1; use GROUP BY\"
+                          e.g. \"tables=2 joins=1; use GROUP BY\";
+                          each count (tables, joins, aggs, predicates)
+                          is a whole number from 0 to 64
                           (default: the 24 Redset template profiles)
   --bo-rounds-concurrency K
                           pin the deficit scheduler to K concurrent
@@ -297,6 +300,18 @@ fn positive_scale(flags: &Flags, default: f64) -> Result<f64, String> {
     }
 }
 
+/// `--intervals` (default 10): from 1 to [`MAX_INTERVALS`], checked before
+/// anything allocates a vector of that length.
+fn interval_count(flags: &Flags) -> Result<usize, String> {
+    match flags.parsed("--intervals", 10)? {
+        0 => Err("--intervals must be at least 1".into()),
+        n if n > MAX_INTERVALS => {
+            Err(format!("--intervals must be at most {MAX_INTERVALS}, got {n}"))
+        }
+        n => Ok(n),
+    }
+}
+
 fn load_db(flags: &Flags) -> Result<minidb::Database, String> {
     let db = flags.get("--db").unwrap_or("tpch");
     Ok(match db {
@@ -392,11 +407,7 @@ fn generate(args: &[String]) -> i32 {
         eprintln!("--queries must be at least 1");
         return 2;
     }
-    let intervals_n: usize = try_flag!(flags.parsed("--intervals", 10));
-    if intervals_n == 0 {
-        eprintln!("--intervals must be at least 1");
-        return 2;
-    }
+    let intervals_n = try_flag!(interval_count(&flags));
     let (lo, hi): (f64, f64) = try_flag!(flags.parsed_pair("--range", (0.0, 10_000.0)));
     if !(lo.is_finite() && hi.is_finite() && lo < hi) {
         eprintln!("--range needs finite bounds LO < HI, got {lo} {hi}");
@@ -466,11 +477,14 @@ fn generate(args: &[String]) -> i32 {
     let specs: Vec<TemplateSpec> = if spec_texts.is_empty() {
         workload::redset::redset_template_specs(workload::redset::DEFAULT_SEED)
     } else {
-        spec_texts
+        try_flag!(spec_texts
             .iter()
             .enumerate()
-            .map(|(i, text)| TemplateSpec::parse_declarative(i as u32 + 1, text))
-            .collect()
+            .map(|(i, text)| {
+                TemplateSpec::try_parse_declarative(i as u32 + 1, text)
+                    .map_err(|e| format!("invalid value `{text}` for `--spec`: {e}"))
+            })
+            .collect::<Result<_, _>>())
     };
 
     let threads: usize = try_flag!(flags.parsed("--threads", 0));
@@ -616,4 +630,35 @@ fn explain(args: &[String]) -> i32 {
         }
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn intervals(value: &str) -> Result<usize, String> {
+        let args = ["--intervals".to_string(), value.to_string()];
+        interval_count(&Flags::parse(&args, GENERATE_FLAGS).unwrap())
+    }
+
+    #[test]
+    fn interval_count_is_checked_against_its_cap() {
+        assert_eq!(interval_count(&Flags::parse(&[], GENERATE_FLAGS).unwrap()), Ok(10));
+        assert_eq!(intervals("1"), Ok(1));
+        assert_eq!(intervals("10000"), Ok(MAX_INTERVALS));
+        assert_eq!(intervals("0").unwrap_err(), "--intervals must be at least 1");
+        for huge in ["10001", "4000000000", "18446744073709551615"] {
+            assert_eq!(
+                intervals(huge).unwrap_err(),
+                format!("--intervals must be at most 10000, got {huge}")
+            );
+        }
+        assert!(intervals("-3").unwrap_err().contains("invalid value `-3` for `--intervals`"));
+    }
+
+    #[test]
+    fn help_states_the_caps() {
+        assert!(HELP.contains(&format!("cost intervals, 1 to {MAX_INTERVALS} ")));
+        assert!(HELP.contains(&format!("is a whole number from 0 to {}\n", sqlkit::MAX_SPEC_COUNT)));
+    }
 }

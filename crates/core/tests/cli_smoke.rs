@@ -60,6 +60,7 @@ fn degenerate_target_flags_are_usage_errors() {
     for (flags, message) in [
         (&["--queries", "0"][..], "--queries must be at least 1"),
         (&["--intervals", "0"][..], "--intervals must be at least 1"),
+        (&["--intervals", "10001"][..], "--intervals must be at most 10000, got 10001"),
         (&["--range", "5000", "0"][..], "--range needs finite bounds"),
         (&["--range", "0", "nan"][..], "--range needs finite bounds"),
     ] {
@@ -98,6 +99,32 @@ fn every_generate_flag_is_checked_before_the_database_loads() {
         assert_eq!(out.status.code(), Some(2), "{flags:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!err.contains("loading database"), "{flags:?}: {err}");
+    }
+}
+
+#[test]
+fn spec_counts_are_checked_before_the_database_loads() {
+    // Each count feeds a synthesis loop: a huge one once aborted, ran out
+    // of memory or ran for minutes, and a malformed one was dropped
+    // silently.
+    for spec in [
+        "joins=4294967295",
+        "aggregations=4294967295",
+        "have 4294967295 predicates",
+        "tables=65",
+        "tables=-1",
+        "tables=99999999999999999999",
+        "joins=x; use GROUP BY",
+    ] {
+        let out = cli()
+            .args(["generate", "--db", "imdb", "--spec", "tables=1", "--spec", spec])
+            .args(["--out", "unused"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("invalid value `{spec}` for `--spec`")), "{spec}: {err}");
+        assert!(!err.contains("loading database"), "{spec}: {err}");
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::cost::CostModel;
 use crate::error::DbError;
 use crate::index::BtreeIndex;
-use crate::stats::{analyze_table_with, int_stats, TableStats};
+use crate::stats::{analyze_column, int_stats, ColumnStats, TableStats};
 use crate::storage::{DataType, Table};
 use std::collections::BTreeMap;
 
@@ -84,8 +84,47 @@ impl Database {
     }
 
     /// Register a loaded table. Statistics are computed immediately
-    /// (`ANALYZE` on load).
+    /// (`ANALYZE` on load), and B-tree indexes are materialized for the
+    /// primary key and every declared index column (numeric columns only).
     pub fn add_table(&mut self, table: Table, primary_key: Option<&str>, indexes: &[&str]) {
+        let loaded = indexed_columns(&table, primary_key, indexes)
+            .into_iter()
+            .enumerate()
+            .map(|(at, indexed)| Self::load_column(&table, at, indexed))
+            .collect();
+        self.insert_loaded(table, primary_key, indexes, loaded);
+    }
+
+    /// The load-time work on column `at` of `table`: its index when
+    /// `indexed` and the column is numeric, and its statistics. An index
+    /// built by counting sort hands its sorted keys to ANALYZE, so each
+    /// indexed small-range `Int` column is sorted once. Depends on the
+    /// table alone, so columns may be loaded on any thread in any order.
+    pub(crate) fn load_column(
+        table: &Table,
+        at: usize,
+        indexed: bool,
+    ) -> (Option<BtreeIndex>, ColumnStats) {
+        let row_count = table.row_count();
+        match indexed.then(|| BtreeIndex::build_sharing_keys(table, at)).flatten() {
+            Some((index, Some(keys))) => (Some(index), int_stats(row_count, &keys)),
+            built => (built.map(|(index, _)| index), analyze_column(&table.columns[at], row_count)),
+        }
+    }
+
+    /// Register `table` from the [`Database::load_column`] results of
+    /// each of its columns, in column order. The indexes are kept in the
+    /// order `add_table` builds them: the declared `indexes`, then the
+    /// primary key unless it is listed; a name listed twice gets a second,
+    /// equal index.
+    pub(crate) fn insert_loaded(
+        &mut self,
+        table: Table,
+        primary_key: Option<&str>,
+        indexes: &[&str],
+        loaded: Vec<(Option<BtreeIndex>, ColumnStats)>,
+    ) {
+        assert_eq!(loaded.len(), table.columns.len(), "one load per column");
         let schema = TableSchema {
             name: table.name.clone(),
             columns: table
@@ -97,27 +136,22 @@ impl Database {
             primary_key: primary_key.map(str::to_string),
             indexes: indexes.iter().map(|s| s.to_string()).collect(),
         };
-        // Materialize B-tree indexes for the primary key and every
-        // declared index column (numeric columns only). An index built by
-        // counting sort hands its sorted keys to ANALYZE, so each indexed
-        // small-range `Int` column is sorted once.
-        let mut built = Vec::new();
-        let mut known = vec![None; table.columns.len()];
-        let mut index_columns: Vec<&str> = indexes.to_vec();
-        if let Some(pk) = primary_key {
-            if !index_columns.contains(&pk) {
-                index_columns.push(pk);
-            }
+        let mut columns = BTreeMap::new();
+        let mut column_indexes = Vec::with_capacity(loaded.len());
+        for (name, (index, stats)) in table.column_names.iter().zip(loaded) {
+            columns.insert(name.clone(), stats);
+            column_indexes.push(index);
         }
-        for column in index_columns {
-            if let Some((index, keys)) = BtreeIndex::build_sharing_keys(&table, column) {
-                if let (Some(at), Some(keys)) = (table.column_index(column), keys) {
-                    known[at] = Some(int_stats(table.row_count(), &keys));
-                }
-                built.push(index);
-            }
+        let mut built: Vec<BtreeIndex> = Vec::new();
+        let unlisted_key = primary_key.filter(|pk| !indexes.contains(pk));
+        for &column in indexes.iter().chain(&unlisted_key) {
+            let Some(at) = table.column_index(column) else { continue };
+            let index = column_indexes[at].take();
+            let index = index.or_else(|| built.iter().find(|i| i.column == column).cloned());
+            built.extend(index);
         }
-        self.stats.insert(table.name.clone(), analyze_table_with(&table, known));
+        let stats = TableStats { row_count: table.row_count(), columns };
+        self.stats.insert(table.name.clone(), stats);
         self.indexes.insert(table.name.clone(), built);
         self.schemas.insert(table.name.clone(), schema);
         self.tables.insert(table.name.clone(), table);
@@ -227,6 +261,22 @@ impl Database {
     }
 }
 
+/// Per column of `table`, whether `add_table` indexes it: the primary key
+/// and each declared index name mark the first column of that name.
+pub(crate) fn indexed_columns(
+    table: &Table,
+    primary_key: Option<&str>,
+    indexes: &[&str],
+) -> Vec<bool> {
+    let mut indexed = vec![false; table.columns.len()];
+    for name in primary_key.iter().chain(indexes) {
+        if let Some(at) = table.column_index(name) {
+            indexed[at] = true;
+        }
+    }
+    indexed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +331,33 @@ mod tests {
     fn bad_foreign_key_panics() {
         let mut db = sample_db();
         db.add_foreign_key("orders", "nope", "users", "user_id");
+    }
+
+    #[test]
+    fn indexes_follow_the_declared_order_then_the_primary_key() {
+        let mut t = Table::new(
+            "t",
+            vec![
+                ("id".into(), DataType::Int),
+                ("v".into(), DataType::Int),
+                ("w".into(), DataType::Float),
+                ("s".into(), DataType::Str),
+            ],
+        );
+        for i in 0..4 {
+            t.push_row([Value::Int(i), Value::Int(i % 2), Value::Float(0.5), Value::Null]);
+        }
+        let order = |primary_key, indexes: &[&str]| {
+            let mut db = Database::new("d");
+            db.add_table(t.clone(), primary_key, indexes);
+            assert_eq!(db.stats["t"], crate::stats::analyze_table(&t));
+            db.indexes["t"].iter().map(|i| i.column.clone()).collect::<Vec<_>>()
+        };
+        // `Str` and unknown columns get no index; a repeated name gets two.
+        assert_eq!(order(Some("id"), &["w", "v", "s", "w", "missing"]), ["w", "v", "w", "id"]);
+        assert_eq!(order(Some("v"), &["w", "v"]), ["w", "v"]);
+        assert_eq!(order(Some("s"), &[]), Vec::<String>::new());
+        assert_eq!(order(None, &["v"]), ["v"]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! recent). The many-table FK graph is what §4 Step 2's join-path
 //! enumeration exercises.
 
-use super::{powerlaw_index, synth_name};
+use super::{load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
 use crate::storage::{DataType, Table};
 use rand::rngs::StdRng;
@@ -66,359 +66,7 @@ impl Gen {
 
 /// Generate an IMDB-like database.
 pub fn generate(config: ImdbConfig) -> Database {
-    let mut g = Gen { rng: StdRng::seed_from_u64(config.seed) };
-    let s = config.scale;
-
-    let n_title = scaled(25_000, s);
-    let n_name = scaled(30_000, s);
-    let n_char = scaled(15_000, s);
-    let n_company = scaled(6_000, s);
-    let n_keyword = scaled(8_000, s);
-    let n_cast = scaled(90_000, s);
-    let n_movie_info = scaled(50_000, s);
-    let n_movie_info_idx = scaled(20_000, s);
-    let n_movie_keyword = scaled(40_000, s);
-    let n_movie_companies = scaled(30_000, s);
-    let n_person_info = scaled(25_000, s);
-    let n_aka_name = scaled(10_000, s);
-    let n_aka_title = scaled(5_000, s);
-    let n_complete_cast = scaled(5_000, s);
-    let n_movie_link = scaled(4_000, s);
-
-    let mut db = Database::new("imdb");
-
-    // -- dictionary tables -------------------------------------------------
-    let kind_type = g.dict_table(
-        "kind_type",
-        "kind",
-        &["movie", "tv series", "tv movie", "video movie", "tv mini series", "video game",
-          "episode"],
-    );
-    db.add_table(kind_type, Some("id"), &[]);
-
-    let info_values: Vec<String> =
-        (1..=113).map(|i| format!("info_kind_{i:03}")).collect();
-    let info_refs: Vec<&str> = info_values.iter().map(String::as_str).collect();
-    let info_type = g.dict_table("info_type", "info", &info_refs);
-    db.add_table(info_type, Some("id"), &[]);
-
-    let comp_cast_type =
-        g.dict_table("comp_cast_type", "kind", &["cast", "crew", "complete", "complete+verified"]);
-    db.add_table(comp_cast_type, Some("id"), &[]);
-
-    let company_type = g.dict_table(
-        "company_type",
-        "kind",
-        &["distributors", "production companies", "special effects companies",
-          "miscellaneous companies"],
-    );
-    db.add_table(company_type, Some("id"), &[]);
-
-    let link_values: Vec<String> = [
-        "follows", "followed by", "remake of", "remade as", "references", "referenced in",
-        "spoofs", "spoofed in", "features", "featured in", "spin off from", "spin off",
-        "version of", "similar to", "edited into", "edited from", "alternate language version of",
-        "unknown link",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let link_refs: Vec<&str> = link_values.iter().map(String::as_str).collect();
-    let link_type = g.dict_table("link_type", "link", &link_refs);
-    db.add_table(link_type, Some("id"), &[]);
-
-    let role_type = g.dict_table(
-        "role_type",
-        "role",
-        &["actor", "actress", "producer", "writer", "cinematographer", "composer",
-          "costume designer", "director", "editor", "miscellaneous crew", "production designer",
-          "guest"],
-    );
-    db.add_table(role_type, Some("id"), &[]);
-
-    // -- entity tables -------------------------------------------------------
-    let mut title = Table::new(
-        "title",
-        vec![
-            ("id".into(), DataType::Int),
-            ("title".into(), DataType::Str),
-            ("kind_id".into(), DataType::Int),
-            ("production_year".into(), DataType::Int),
-            ("season_nr".into(), DataType::Int),
-            ("episode_nr".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_title {
-        let kind = g.rng.gen_range(1..=7);
-        let is_episode = kind == 7;
-        title.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "title")),
-            Value::Int(kind),
-            Value::Int(g.year()),
-            if is_episode { Value::Int(g.rng.gen_range(1..15)) } else { Value::Null },
-            if is_episode { Value::Int(g.rng.gen_range(1..25)) } else { Value::Null },
-        ]);
-    }
-    db.add_table(title, Some("id"), &["kind_id", "production_year"]);
-
-    let mut name = Table::new(
-        "name",
-        vec![
-            ("id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
-            ("gender".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_name {
-        let gender = match g.rng.gen_range(0..10) {
-            0..=4 => Value::Str("m".into()),
-            5..=8 => Value::Str("f".into()),
-            _ => Value::Null,
-        };
-        name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "person")),
-            gender,
-        ]);
-    }
-    db.add_table(name, Some("id"), &[]);
-
-    let mut char_name = Table::new(
-        "char_name",
-        vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)],
-    );
-    for i in 0..n_char {
-        char_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "char")),
-        ]);
-    }
-    db.add_table(char_name, Some("id"), &[]);
-
-    let mut company_name = Table::new(
-        "company_name",
-        vec![
-            ("id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
-            ("country_code".into(), DataType::Str),
-        ],
-    );
-    const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
-    for i in 0..n_company {
-        company_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "company")),
-            Value::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)].into()),
-        ]);
-    }
-    db.add_table(company_name, Some("id"), &["country_code"]);
-
-    let mut keyword = Table::new(
-        "keyword",
-        vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
-    );
-    for i in 0..n_keyword {
-        keyword.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "kw")),
-        ]);
-    }
-    db.add_table(keyword, Some("id"), &[]);
-
-    // -- relationship tables -----------------------------------------------
-    let mut cast_info = Table::new(
-        "cast_info",
-        vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("person_role_id".into(), DataType::Int),
-            ("role_id".into(), DataType::Int),
-            ("nr_order".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_cast {
-        let has_char = g.rng.gen_bool(0.4);
-        cast_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            if has_char {
-                Value::Int(g.rng.gen_range(1..=n_char as i64))
-            } else {
-                Value::Null
-            },
-            Value::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..100)),
-        ]);
-    }
-    db.add_table(cast_info, Some("id"), &["person_id", "movie_id", "role_id"]);
-
-    let mut movie_info = Table::new(
-        "movie_info",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_movie_info {
-        movie_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "info")),
-        ]);
-    }
-    db.add_table(movie_info, Some("id"), &["movie_id", "info_type_id"]);
-
-    let mut movie_info_idx = Table::new(
-        "movie_info_idx",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_movie_info_idx {
-        movie_info_idx.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(format!("{:.1}", g.rng.gen_range(10..100) as f64 / 10.0)),
-        ]);
-    }
-    db.add_table(movie_info_idx, Some("id"), &["movie_id", "info_type_id"]);
-
-    let mut movie_keyword = Table::new(
-        "movie_keyword",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("keyword_id".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_movie_keyword {
-        movie_keyword.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
-        ]);
-    }
-    db.add_table(movie_keyword, Some("id"), &["movie_id", "keyword_id"]);
-
-    let mut movie_companies = Table::new(
-        "movie_companies",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("company_id".into(), DataType::Int),
-            ("company_type_id".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_movie_companies {
-        movie_companies.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=4)),
-        ]);
-    }
-    db.add_table(movie_companies, Some("id"), &["movie_id", "company_id"]);
-
-    let mut person_info = Table::new(
-        "person_info",
-        vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_person_info {
-        person_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "pinfo")),
-        ]);
-    }
-    db.add_table(person_info, Some("id"), &["person_id"]);
-
-    let mut aka_name = Table::new(
-        "aka_name",
-        vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_aka_name {
-        aka_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "aka")),
-        ]);
-    }
-    db.add_table(aka_name, Some("id"), &["person_id"]);
-
-    let mut aka_title = Table::new(
-        "aka_title",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("title".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_aka_title {
-        aka_title.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "akat")),
-        ]);
-    }
-    db.add_table(aka_title, Some("id"), &["movie_id"]);
-
-    let mut complete_cast = Table::new(
-        "complete_cast",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("subject_id".into(), DataType::Int),
-            ("status_id".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_complete_cast {
-        complete_cast.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=2)),
-            Value::Int(g.rng.gen_range(3..=4)),
-        ]);
-    }
-    db.add_table(complete_cast, Some("id"), &["movie_id"]);
-
-    let mut movie_link = Table::new(
-        "movie_link",
-        vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("linked_movie_id".into(), DataType::Int),
-            ("link_type_id".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_movie_link {
-        movie_link.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=n_title as i64)),
-            Value::Int(g.rng.gen_range(1..=18)),
-        ]);
-    }
-    db.add_table(movie_link, Some("id"), &["movie_id", "linked_movie_id"]);
+    let mut db = load("imdb", |loader| generate_tables(config, loader));
 
     // -- foreign keys ---------------------------------------------------------
     for (table, column, ref_table, ref_column) in [
@@ -451,6 +99,361 @@ pub fn generate(config: ImdbConfig) -> Database {
     }
 
     db
+}
+
+/// Draw the 21 tables from one RNG stream, handing each to `loader`.
+fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
+    let mut g = Gen { rng: StdRng::seed_from_u64(config.seed) };
+    let s = config.scale;
+
+    let n_title = scaled(25_000, s);
+    let n_name = scaled(30_000, s);
+    let n_char = scaled(15_000, s);
+    let n_company = scaled(6_000, s);
+    let n_keyword = scaled(8_000, s);
+    let n_cast = scaled(90_000, s);
+    let n_movie_info = scaled(50_000, s);
+    let n_movie_info_idx = scaled(20_000, s);
+    let n_movie_keyword = scaled(40_000, s);
+    let n_movie_companies = scaled(30_000, s);
+    let n_person_info = scaled(25_000, s);
+    let n_aka_name = scaled(10_000, s);
+    let n_aka_title = scaled(5_000, s);
+    let n_complete_cast = scaled(5_000, s);
+    let n_movie_link = scaled(4_000, s);
+
+    // -- dictionary tables -------------------------------------------------
+    let kind_type = g.dict_table(
+        "kind_type",
+        "kind",
+        &["movie", "tv series", "tv movie", "video movie", "tv mini series", "video game",
+          "episode"],
+    );
+    loader.add_table(kind_type, Some("id"), &[]);
+
+    let info_values: Vec<String> =
+        (1..=113).map(|i| format!("info_kind_{i:03}")).collect();
+    let info_refs: Vec<&str> = info_values.iter().map(String::as_str).collect();
+    let info_type = g.dict_table("info_type", "info", &info_refs);
+    loader.add_table(info_type, Some("id"), &[]);
+
+    let comp_cast_type =
+        g.dict_table("comp_cast_type", "kind", &["cast", "crew", "complete", "complete+verified"]);
+    loader.add_table(comp_cast_type, Some("id"), &[]);
+
+    let company_type = g.dict_table(
+        "company_type",
+        "kind",
+        &["distributors", "production companies", "special effects companies",
+          "miscellaneous companies"],
+    );
+    loader.add_table(company_type, Some("id"), &[]);
+
+    let link_values: Vec<String> = [
+        "follows", "followed by", "remake of", "remade as", "references", "referenced in",
+        "spoofs", "spoofed in", "features", "featured in", "spin off from", "spin off",
+        "version of", "similar to", "edited into", "edited from", "alternate language version of",
+        "unknown link",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let link_refs: Vec<&str> = link_values.iter().map(String::as_str).collect();
+    let link_type = g.dict_table("link_type", "link", &link_refs);
+    loader.add_table(link_type, Some("id"), &[]);
+
+    let role_type = g.dict_table(
+        "role_type",
+        "role",
+        &["actor", "actress", "producer", "writer", "cinematographer", "composer",
+          "costume designer", "director", "editor", "miscellaneous crew", "production designer",
+          "guest"],
+    );
+    loader.add_table(role_type, Some("id"), &[]);
+
+    // -- entity tables -------------------------------------------------------
+    let mut title = Table::new(
+        "title",
+        vec![
+            ("id".into(), DataType::Int),
+            ("title".into(), DataType::Str),
+            ("kind_id".into(), DataType::Int),
+            ("production_year".into(), DataType::Int),
+            ("season_nr".into(), DataType::Int),
+            ("episode_nr".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_title {
+        let kind = g.rng.gen_range(1..=7);
+        let is_episode = kind == 7;
+        title.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "title")),
+            Value::Int(kind),
+            Value::Int(g.year()),
+            if is_episode { Value::Int(g.rng.gen_range(1..15)) } else { Value::Null },
+            if is_episode { Value::Int(g.rng.gen_range(1..25)) } else { Value::Null },
+        ]);
+    }
+    loader.add_table(title, Some("id"), &["kind_id", "production_year"]);
+
+    let mut name = Table::new(
+        "name",
+        vec![
+            ("id".into(), DataType::Int),
+            ("name".into(), DataType::Str),
+            ("gender".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_name {
+        let gender = match g.rng.gen_range(0..10) {
+            0..=4 => Value::Str("m".into()),
+            5..=8 => Value::Str("f".into()),
+            _ => Value::Null,
+        };
+        name.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "person")),
+            gender,
+        ]);
+    }
+    loader.add_table(name, Some("id"), &[]);
+
+    let mut char_name = Table::new(
+        "char_name",
+        vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)],
+    );
+    for i in 0..n_char {
+        char_name.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "char")),
+        ]);
+    }
+    loader.add_table(char_name, Some("id"), &[]);
+
+    let mut company_name = Table::new(
+        "company_name",
+        vec![
+            ("id".into(), DataType::Int),
+            ("name".into(), DataType::Str),
+            ("country_code".into(), DataType::Str),
+        ],
+    );
+    const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
+    for i in 0..n_company {
+        company_name.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "company")),
+            Value::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)].into()),
+        ]);
+    }
+    loader.add_table(company_name, Some("id"), &["country_code"]);
+
+    let mut keyword = Table::new(
+        "keyword",
+        vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
+    );
+    for i in 0..n_keyword {
+        keyword.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "kw")),
+        ]);
+    }
+    loader.add_table(keyword, Some("id"), &[]);
+
+    // -- relationship tables -----------------------------------------------
+    let mut cast_info = Table::new(
+        "cast_info",
+        vec![
+            ("id".into(), DataType::Int),
+            ("person_id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("person_role_id".into(), DataType::Int),
+            ("role_id".into(), DataType::Int),
+            ("nr_order".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_cast {
+        let has_char = g.rng.gen_bool(0.4);
+        cast_info.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            if has_char {
+                Value::Int(g.rng.gen_range(1..=n_char as i64))
+            } else {
+                Value::Null
+            },
+            Value::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
+            Value::Int(g.rng.gen_range(1..100)),
+        ]);
+    }
+    loader.add_table(cast_info, Some("id"), &["person_id", "movie_id", "role_id"]);
+
+    let mut movie_info = Table::new(
+        "movie_info",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("info_type_id".into(), DataType::Int),
+            ("info".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_movie_info {
+        movie_info.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "info")),
+        ]);
+    }
+    loader.add_table(movie_info, Some("id"), &["movie_id", "info_type_id"]);
+
+    let mut movie_info_idx = Table::new(
+        "movie_info_idx",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("info_type_id".into(), DataType::Int),
+            ("info".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_movie_info_idx {
+        movie_info_idx.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Value::Str(format!("{:.1}", g.rng.gen_range(10..100) as f64 / 10.0)),
+        ]);
+    }
+    loader.add_table(movie_info_idx, Some("id"), &["movie_id", "info_type_id"]);
+
+    let mut movie_keyword = Table::new(
+        "movie_keyword",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("keyword_id".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_movie_keyword {
+        movie_keyword.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
+        ]);
+    }
+    loader.add_table(movie_keyword, Some("id"), &["movie_id", "keyword_id"]);
+
+    let mut movie_companies = Table::new(
+        "movie_companies",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("company_id".into(), DataType::Int),
+            ("company_type_id".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_movie_companies {
+        movie_companies.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
+            Value::Int(g.rng.gen_range(1..=4)),
+        ]);
+    }
+    loader.add_table(movie_companies, Some("id"), &["movie_id", "company_id"]);
+
+    let mut person_info = Table::new(
+        "person_info",
+        vec![
+            ("id".into(), DataType::Int),
+            ("person_id".into(), DataType::Int),
+            ("info_type_id".into(), DataType::Int),
+            ("info".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_person_info {
+        person_info.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "pinfo")),
+        ]);
+    }
+    loader.add_table(person_info, Some("id"), &["person_id"]);
+
+    let mut aka_name = Table::new(
+        "aka_name",
+        vec![
+            ("id".into(), DataType::Int),
+            ("person_id".into(), DataType::Int),
+            ("name".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_aka_name {
+        aka_name.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "aka")),
+        ]);
+    }
+    loader.add_table(aka_name, Some("id"), &["person_id"]);
+
+    let mut aka_title = Table::new(
+        "aka_title",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("title".into(), DataType::Str),
+        ],
+    );
+    for i in 0..n_aka_title {
+        aka_title.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Str(synth_name(&mut g.rng, "akat")),
+        ]);
+    }
+    loader.add_table(aka_title, Some("id"), &["movie_id"]);
+
+    let mut complete_cast = Table::new(
+        "complete_cast",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("subject_id".into(), DataType::Int),
+            ("status_id".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_complete_cast {
+        complete_cast.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(g.rng.gen_range(1..=2)),
+            Value::Int(g.rng.gen_range(3..=4)),
+        ]);
+    }
+    loader.add_table(complete_cast, Some("id"), &["movie_id"]);
+
+    let mut movie_link = Table::new(
+        "movie_link",
+        vec![
+            ("id".into(), DataType::Int),
+            ("movie_id".into(), DataType::Int),
+            ("linked_movie_id".into(), DataType::Int),
+            ("link_type_id".into(), DataType::Int),
+        ],
+    );
+    for i in 0..n_movie_link {
+        movie_link.push_row([
+            Value::Int(i as i64 + 1),
+            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Value::Int(g.rng.gen_range(1..=n_title as i64)),
+            Value::Int(g.rng.gen_range(1..=18)),
+        ]);
+    }
+    loader.add_table(movie_link, Some("id"), &["movie_id", "linked_movie_id"]);
 }
 
 #[cfg(test)]

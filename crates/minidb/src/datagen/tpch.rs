@@ -6,7 +6,7 @@
 //! heavy-tailed prices, cyclic dates, low-cardinality flag columns, and
 //! the full PK/FK graph for join-path enumeration.
 
-use super::{heavy_tail, powerlaw_index, synth_name};
+use super::{heavy_tail, load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
 use crate::storage::{DataType, Table};
 use rand::rngs::StdRng;
@@ -56,6 +56,24 @@ fn scaled(base: usize, sf: f64) -> usize {
 
 /// Generate a TPC-H database.
 pub fn generate(config: TpchConfig) -> Database {
+    let mut db = load("tpch", |loader| generate_tables(config, loader));
+
+    // Foreign keys --------------------------------------------------------
+    db.add_foreign_key("nation", "n_regionkey", "region", "r_regionkey");
+    db.add_foreign_key("supplier", "s_nationkey", "nation", "n_nationkey");
+    db.add_foreign_key("customer", "c_nationkey", "nation", "n_nationkey");
+    db.add_foreign_key("partsupp", "ps_partkey", "part", "p_partkey");
+    db.add_foreign_key("partsupp", "ps_suppkey", "supplier", "s_suppkey");
+    db.add_foreign_key("orders", "o_custkey", "customer", "c_custkey");
+    db.add_foreign_key("lineitem", "l_orderkey", "orders", "o_orderkey");
+    db.add_foreign_key("lineitem", "l_partkey", "part", "p_partkey");
+    db.add_foreign_key("lineitem", "l_suppkey", "supplier", "s_suppkey");
+
+    db
+}
+
+/// Draw the eight tables from one RNG stream, handing each to `loader`.
+fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let sf = config.scale_factor;
 
@@ -66,8 +84,6 @@ pub fn generate(config: TpchConfig) -> Database {
     let n_orders = scaled(1_500_000, sf);
     let n_lineitem = scaled(6_000_000, sf);
 
-    let mut db = Database::new("tpch");
-
     // region ------------------------------------------------------------
     let mut region = Table::new(
         "region",
@@ -76,7 +92,7 @@ pub fn generate(config: TpchConfig) -> Database {
     for (i, name) in ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"].iter().enumerate() {
         region.push_row([Value::Int(i as i64), Value::Str(name.to_string())]);
     }
-    db.add_table(region, Some("r_regionkey"), &[]);
+    loader.add_table(region, Some("r_regionkey"), &[]);
 
     // nation ------------------------------------------------------------
     let mut nation = Table::new(
@@ -94,7 +110,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Int(i % 5),
         ]);
     }
-    db.add_table(nation, Some("n_nationkey"), &["n_regionkey"]);
+    loader.add_table(nation, Some("n_nationkey"), &["n_regionkey"]);
 
     // supplier ----------------------------------------------------------
     let mut supplier = Table::new(
@@ -114,7 +130,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
         ]);
     }
-    db.add_table(supplier, Some("s_suppkey"), &["s_nationkey"]);
+    loader.add_table(supplier, Some("s_suppkey"), &["s_nationkey"]);
 
     // customer ----------------------------------------------------------
     let mut customer = Table::new(
@@ -136,7 +152,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Str(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())].into()),
         ]);
     }
-    db.add_table(customer, Some("c_custkey"), &["c_nationkey"]);
+    loader.add_table(customer, Some("c_custkey"), &["c_nationkey"]);
 
     // part ----------------------------------------------------------------
     let mut part = Table::new(
@@ -158,7 +174,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Float(heavy_tail(&mut rng, 1_000.0, 0.4, 20_000.0).round() / 1.0),
         ]);
     }
-    db.add_table(part, Some("p_partkey"), &["p_brand", "p_size"]);
+    loader.add_table(part, Some("p_partkey"), &["p_brand", "p_size"]);
 
     // partsupp ------------------------------------------------------------
     let mut partsupp = Table::new(
@@ -178,7 +194,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Float((rng.gen_range(100..100_000) as f64) / 100.0),
         ]);
     }
-    db.add_table(partsupp, None, &["ps_partkey", "ps_suppkey"]);
+    loader.add_table(partsupp, None, &["ps_partkey", "ps_suppkey"]);
 
     // orders ---------------------------------------------------------------
     let mut orders = Table::new(
@@ -204,7 +220,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())].into()),
         ]);
     }
-    db.add_table(orders, Some("o_orderkey"), &["o_custkey", "o_orderdate"]);
+    loader.add_table(orders, Some("o_orderkey"), &["o_custkey", "o_orderdate"]);
 
     // lineitem ---------------------------------------------------------------
     let mut lineitem = Table::new(
@@ -237,20 +253,7 @@ pub fn generate(config: TpchConfig) -> Database {
             Value::Str(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())].into()),
         ]);
     }
-    db.add_table(lineitem, None, &["l_orderkey", "l_partkey", "l_shipdate"]);
-
-    // Foreign keys --------------------------------------------------------
-    db.add_foreign_key("nation", "n_regionkey", "region", "r_regionkey");
-    db.add_foreign_key("supplier", "s_nationkey", "nation", "n_nationkey");
-    db.add_foreign_key("customer", "c_nationkey", "nation", "n_nationkey");
-    db.add_foreign_key("partsupp", "ps_partkey", "part", "p_partkey");
-    db.add_foreign_key("partsupp", "ps_suppkey", "supplier", "s_suppkey");
-    db.add_foreign_key("orders", "o_custkey", "customer", "c_custkey");
-    db.add_foreign_key("lineitem", "l_orderkey", "orders", "o_orderkey");
-    db.add_foreign_key("lineitem", "l_partkey", "part", "p_partkey");
-    db.add_foreign_key("lineitem", "l_suppkey", "supplier", "s_suppkey");
-
-    db
+    loader.add_table(lineitem, None, &["l_orderkey", "l_partkey", "l_shipdate"]);
 }
 
 #[cfg(test)]

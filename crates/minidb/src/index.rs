@@ -28,20 +28,20 @@ impl BtreeIndex {
     /// non-numeric columns (string indexes are declared in the schema for
     /// metadata purposes but not materialized).
     pub fn build(table: &Table, column_name: &str) -> Option<BtreeIndex> {
-        Self::build_sharing_keys(table, column_name).map(|(index, _)| index)
+        Self::build_sharing_keys(table, table.column_index(column_name)?).map(|(index, _)| index)
     }
 
-    /// [`BtreeIndex::build`], also returning the column's non-null values
-    /// in ascending order when a small-range `Int` column was indexed by
-    /// [`counting_sort`]: ANALYZE needs exactly those keys, and the sort
-    /// yields them alongside the entries. Other columns keep a stable
-    /// `f64::total_cmp` sort of their `(key, row)` pairs, and the same
-    /// entries come out either way.
+    /// [`BtreeIndex::build`] over the column at position `at`, also
+    /// returning the column's non-null values in ascending order when a
+    /// small-range `Int` column was indexed by [`counting_sort`]: ANALYZE
+    /// needs exactly those keys, and the sort yields them alongside the
+    /// entries. Other columns keep a stable `f64::total_cmp` sort of their
+    /// `(key, row)` pairs, and the same entries come out either way.
     pub(crate) fn build_sharing_keys(
         table: &Table,
-        column_name: &str,
+        at: usize,
     ) -> Option<(BtreeIndex, Option<Vec<i64>>)> {
-        let column = &table.columns[table.column_index(column_name)?];
+        let column = &table.columns[at];
         let (entries, keys) = match column {
             Column::Int { values, valid } => match counting_sort(values, valid, true) {
                 Some(sorted) => (sorted.entries, Some(sorted.keys)),
@@ -50,7 +50,7 @@ impl BtreeIndex {
             Column::Float { values, valid } => (sorted_entries(values, valid, |&v| v), None),
             _ => return None,
         };
-        Some((BtreeIndex { column: column_name.to_string(), entries }, keys))
+        Some((BtreeIndex { column: table.column_names[at].clone(), entries }, keys))
     }
 
     /// Row ids whose key lies in `[lo, hi]` (either bound optional).

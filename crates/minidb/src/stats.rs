@@ -95,19 +95,10 @@ pub struct TableStats {
 /// Compute statistics for every column of a table (a full-table ANALYZE —
 /// the tables are laptop-scale, so no sampling is needed).
 pub fn analyze_table(table: &Table) -> TableStats {
-    analyze_table_with(table, vec![None; table.columns.len()])
-}
-
-/// [`analyze_table`], taking column `i`'s statistics from `known[i]`
-/// where present (as `Database::add_table` computes them from the keys
-/// of the sort that built the column's index).
-pub(crate) fn analyze_table_with(table: &Table, known: Vec<Option<ColumnStats>>) -> TableStats {
-    assert_eq!(known.len(), table.columns.len(), "one slot per column");
     let row_count = table.row_count();
     let mut columns = BTreeMap::new();
-    for ((name, column), known) in table.column_names.iter().zip(&table.columns).zip(known) {
-        let stats = known.unwrap_or_else(|| analyze_column(column, row_count));
-        columns.insert(name.clone(), stats);
+    for (name, column) in table.column_names.iter().zip(&table.columns) {
+        columns.insert(name.clone(), analyze_column(column, row_count));
     }
     TableStats { row_count, columns }
 }
@@ -133,7 +124,8 @@ fn no_rows() -> ColumnStats {
     }
 }
 
-fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
+/// Statistics of one column of a table of `row_count` rows.
+pub(crate) fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
     if row_count == 0 {
         return no_rows();
     }

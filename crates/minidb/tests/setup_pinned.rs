@@ -5,10 +5,15 @@
 //! (array rows, `synth_name` without `format!`, the shared counting sort)
 //! went in. A changed constant means datagen, ANALYZE or an index build
 //! no longer reproduces the original database.
+//!
+//! At benchmark scale (ignored by default; CI runs it in release) the
+//! generators' two-thread load must build what sequential
+//! `Database::add_table` calls build from the same tables.
 
 use minidb::datagen::{imdb, tpch};
 use minidb::{Database, DataType};
 use sqlkit::Value;
+use std::fmt::Write;
 
 /// 64-bit FNV-1a over a byte stream.
 struct Fnv(u64);
@@ -54,6 +59,15 @@ impl Fnv {
                 self.u64(u64::from(*b));
             }
         }
+    }
+}
+
+/// Hashes formatted text as it is written, so a database's `Debug` form
+/// is hashed without being held in memory.
+impl Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -137,4 +151,53 @@ fn tiny_tpch_is_pinned() {
 fn tiny_imdb_is_pinned() {
     let db = imdb::generate(imdb::ImdbConfig::tiny());
     assert_eq!(database_hash(&db), 0xa8d5_d955_a2d5_b3e8, "tiny IMDB changed");
+}
+
+/// Hash of `db`'s `Debug` form: every cell, schema, statistic and index
+/// entry, and also the order of each table's indexes, which
+/// [`database_hash`] does not see.
+fn debug_hash(db: &Database) -> u64 {
+    let mut h = Fnv::new();
+    write!(h, "{db:?}").unwrap();
+    h.0
+}
+
+/// `db` rebuilt by sequential `Database::add_table` calls on clones of its
+/// tables, with its foreign keys.
+fn rebuilt_sequentially(db: &Database) -> Database {
+    let mut rebuilt = Database::new(db.name());
+    for name in db.table_names() {
+        let schema = db.schema(name).unwrap();
+        let indexes: Vec<&str> = schema.indexes.iter().map(String::as_str).collect();
+        let table = db.table(name).unwrap().clone();
+        rebuilt.add_table(table, schema.primary_key.as_deref(), &indexes);
+    }
+    for fk in db.foreign_keys() {
+        rebuilt.add_foreign_key(&fk.table, &fk.column, &fk.ref_table, &fk.ref_column);
+    }
+    rebuilt
+}
+
+/// Two builds of `generate` are identical, and equal what `add_table`
+/// builds from their tables.
+fn assert_loads_exactly(generate: impl Fn() -> Database) {
+    let first = generate();
+    let second = generate();
+    let reference = rebuilt_sequentially(&first);
+    for db in [&second, &reference] {
+        assert_eq!(database_hash(db), database_hash(&first), "{}", first.name());
+        assert_eq!(debug_hash(db), debug_hash(&first), "{}", first.name());
+    }
+}
+
+#[test]
+#[ignore = "benchmark scale: seconds in release; run with --include-ignored"]
+fn benchmark_scale_tpch_loads_as_add_table_does() {
+    assert_loads_exactly(|| tpch::generate(tpch::TpchConfig { scale_factor: 0.05, seed: 42 }));
+}
+
+#[test]
+#[ignore = "benchmark scale: seconds in release; run with --include-ignored"]
+fn benchmark_scale_imdb_loads_as_add_table_does() {
+    assert_loads_exactly(|| imdb::generate(imdb::ImdbConfig { scale: 4.0, seed: 1337 }));
 }

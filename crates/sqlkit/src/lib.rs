@@ -59,5 +59,5 @@ pub use ast::{
 pub use error::{ParseError, SqlError};
 pub use features::TemplateFeatures;
 pub use parser::{parse_select, parse_template};
-pub use spec::{Instruction, SpecViolation, TemplateSpec};
+pub use spec::{Instruction, SpecError, SpecViolation, TemplateSpec, MAX_SPEC_COUNT};
 pub use template::Template;

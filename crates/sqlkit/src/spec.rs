@@ -12,6 +12,7 @@
 //! Alignment Accuracy metric are built on.
 
 use crate::features::TemplateFeatures;
+use std::convert::Infallible;
 use std::fmt;
 
 /// A natural-language instruction constraining template structure.
@@ -44,34 +45,54 @@ impl Instruction {
     /// Parse a natural-language instruction. Matching is keyword-based and
     /// case-insensitive, tolerant to phrasing ("have a nested subquery",
     /// "include one nested subquery", …). Returns `None` when the sentence
-    /// matches no known constraint.
+    /// matches no known constraint, or asks for a number of predicates
+    /// that is not a `u32`.
     pub fn parse(text: &str) -> Option<Instruction> {
+        unfailing(Self::parse_counting(text, &mut lenient_count))
+    }
+
+    /// [`Instruction::parse`], refusing a predicate count above
+    /// [`MAX_SPEC_COUNT`] or past `u32` instead of passing it on or
+    /// ignoring the sentence.
+    pub fn try_parse(text: &str) -> Result<Option<Instruction>, SpecError> {
+        Self::parse_counting(text, &mut checked_count)
+    }
+
+    /// The one instruction parser: `count(key, digits)` turns a count
+    /// written in digits into its value (`None` drops the sentence).
+    fn parse_counting<E>(text: &str, count: &mut Count<'_, E>) -> Result<Option<Instruction>, E> {
         let lower = text.to_ascii_lowercase();
         if lower.contains("subquery") || lower.contains("sub-query") {
-            return Some(Instruction::NestedSubquery);
+            return Ok(Some(Instruction::NestedSubquery));
         }
         if lower.contains("no join") || lower.contains("without join")
             || lower.contains("zero join")
         {
-            return Some(Instruction::NoJoins);
+            return Ok(Some(Instruction::NoJoins));
         }
         if lower.contains("scalar expression") || lower.contains("scalar expr") {
-            return Some(Instruction::ComplexScalarExpressions);
+            return Ok(Some(Instruction::ComplexScalarExpressions));
         }
         if lower.contains("group by") || lower.contains("groupby") {
-            return Some(Instruction::GroupBy);
+            return Ok(Some(Instruction::GroupBy));
         }
         if lower.contains("order by") || lower.contains("orderby") {
-            return Some(Instruction::OrderBy);
+            return Ok(Some(Instruction::OrderBy));
         }
         if lower.contains("distinct") || lower.contains("unique") {
-            return Some(Instruction::Distinct);
+            return Ok(Some(Instruction::Distinct));
         }
         if lower.contains("predicate") {
-            let n = extract_count(&lower)?;
-            return Some(Instruction::NumPredicates(n));
+            let n = match count_token(&lower) {
+                Some(token) => match COUNT_WORDS.iter().find(|(word, _)| *word == token) {
+                    Some(&(_, n)) => Some(n),
+                    None => count("predicates", token)?,
+                },
+                None => None,
+            };
+            return Ok(n.map(Instruction::NumPredicates));
         }
-        None
+        Ok(None)
     }
 
     /// Human-readable phrasing, used when building prompts.
@@ -92,31 +113,96 @@ impl Instruction {
     }
 }
 
-/// Extract the first count word or number from a lowercase sentence.
-fn extract_count(lower: &str) -> Option<u32> {
-    const WORDS: [(&str, u32); 10] = [
-        ("one", 1),
-        ("two", 2),
-        ("three", 3),
-        ("four", 4),
-        ("five", 5),
-        ("six", 6),
-        ("seven", 7),
-        ("eight", 8),
-        ("nine", 9),
-        ("ten", 10),
-    ];
-    for token in lower.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if let Ok(n) = token.parse::<u32>() {
-            return Some(n);
-        }
-        for (word, n) in WORDS {
-            if token == word {
-                return Some(n);
+/// The largest count a declarative spec may ask for: tables, joins,
+/// aggregations or predicates. Each count drives a synthesis loop, so an
+/// unbounded one could exhaust memory or run for hours; real templates
+/// stay far below it (Redset's have at most 8 joins).
+pub const MAX_SPEC_COUNT: u32 = 64;
+
+/// Why [`TemplateSpec::try_parse_declarative`] refused a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// A count that is not a whole number (`tables=-1`, `joins=two`).
+    MalformedCount {
+        /// The key as written (`tables`, `aggs`, …), or `predicates`.
+        key: String,
+        /// The value as written.
+        value: String,
+    },
+    /// A count above [`MAX_SPEC_COUNT`].
+    CountAboveCap {
+        /// The key as written (`tables`, `aggs`, …), or `predicates`.
+        key: String,
+        /// The value as written.
+        value: String,
+    },
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::MalformedCount { key, value } => {
+                write!(f, "{key} count `{value}` is not a whole number")
+            }
+            SpecError::CountAboveCap { key, value } => {
+                write!(f, "{key} count {value} is above the cap of {MAX_SPEC_COUNT}")
             }
         }
     }
-    None
+}
+
+impl std::error::Error for SpecError {}
+
+/// Turns a spec count, given its key and its digits as written, into its
+/// value; `Ok(None)` drops the constraint.
+type Count<'a, E> = dyn FnMut(&str, &str) -> Result<Option<u32>, E> + 'a;
+
+/// The lenient [`Count`]: any `u32`, and no constraint for anything else.
+fn lenient_count(_key: &str, value: &str) -> Result<Option<u32>, Infallible> {
+    Ok(value.parse().ok())
+}
+
+/// The strict [`Count`]: a whole number up to [`MAX_SPEC_COUNT`].
+fn checked_count(key: &str, value: &str) -> Result<Option<u32>, SpecError> {
+    let digits = value.strip_prefix('+').unwrap_or(value);
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(SpecError::MalformedCount { key: key.into(), value: value.into() });
+    }
+    match value.parse::<u32>() {
+        Ok(n) if n <= MAX_SPEC_COUNT => Ok(Some(n)),
+        _ => Err(SpecError::CountAboveCap { key: key.into(), value: value.into() }),
+    }
+}
+
+/// The value of a parse that cannot fail.
+fn unfailing<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}
+
+/// Count words a natural-language instruction may use.
+const COUNT_WORDS: [(&str, u32); 10] = [
+    ("one", 1),
+    ("two", 2),
+    ("three", 3),
+    ("four", 4),
+    ("five", 5),
+    ("six", 6),
+    ("seven", 7),
+    ("eight", 8),
+    ("nine", 9),
+    ("ten", 10),
+];
+
+/// The first count in a lowercase sentence, as written: a count word or
+/// a run of digits.
+fn count_token(lower: &str) -> Option<&str> {
+    lower.split(|c: char| !c.is_ascii_alphanumeric()).find(|token| {
+        (!token.is_empty() && token.bytes().all(|b| b.is_ascii_digit()))
+            || COUNT_WORDS.iter().any(|(word, _)| word == token)
+    })
 }
 
 /// A specification for one SQL template (Definition 2.5).
@@ -176,7 +262,10 @@ impl TemplateSpec {
 
     /// Parse a declarative one-line spec: optional `key=value` tokens
     /// (`tables`, `joins`, `aggregations`/`aggs`) followed by `;`-separated
-    /// natural-language instructions. Examples:
+    /// natural-language instructions. Lenient: a count that is not a `u32`
+    /// clears its constraint, and any `u32` count is taken as written (see
+    /// [`TemplateSpec::try_parse_declarative`] for the checked form).
+    /// Examples:
     ///
     /// ```
     /// use sqlkit::TemplateSpec;
@@ -190,6 +279,30 @@ impl TemplateSpec {
     /// assert_eq!(spec.instructions.len(), 2);
     /// ```
     pub fn parse_declarative(id: u32, text: &str) -> TemplateSpec {
+        unfailing(Self::parse_counting(id, text, &mut lenient_count))
+    }
+
+    /// [`TemplateSpec::parse_declarative`], refusing any count that is
+    /// not a whole number or is above [`MAX_SPEC_COUNT`]:
+    ///
+    /// ```
+    /// use sqlkit::{SpecError, TemplateSpec};
+    /// assert!(TemplateSpec::try_parse_declarative(1, "joins=2; have 3 predicates").is_ok());
+    /// assert!(matches!(
+    ///     TemplateSpec::try_parse_declarative(1, "joins=4294967295"),
+    ///     Err(SpecError::CountAboveCap { .. })
+    /// ));
+    /// assert!(matches!(
+    ///     TemplateSpec::try_parse_declarative(1, "tables=-1"),
+    ///     Err(SpecError::MalformedCount { .. })
+    /// ));
+    /// ```
+    pub fn try_parse_declarative(id: u32, text: &str) -> Result<TemplateSpec, SpecError> {
+        Self::parse_counting(id, text, &mut checked_count)
+    }
+
+    /// The one declarative parser, counting with `count`.
+    fn parse_counting<E>(id: u32, text: &str, count: &mut Count<'_, E>) -> Result<TemplateSpec, E> {
         let mut spec = TemplateSpec::new(id);
         let mut parts = text.split(';');
         // First segment may carry key=value constraints; everything that
@@ -197,23 +310,28 @@ impl TemplateSpec {
         if let Some(first) = parts.next() {
             let mut leftover = Vec::new();
             for token in first.split_whitespace() {
-                match token.split_once('=') {
-                    Some(("tables", v)) => spec.num_tables = v.parse().ok(),
-                    Some(("joins", v)) => spec.num_joins = v.parse().ok(),
-                    Some(("aggregations", v)) | Some(("aggs", v)) => {
-                        spec.num_aggregations = v.parse().ok()
+                let (key, value) = match token.split_once('=') {
+                    Some(pair @ ("tables" | "joins" | "aggregations" | "aggs", _)) => pair,
+                    _ => {
+                        leftover.push(token);
+                        continue;
                     }
-                    _ => leftover.push(token),
+                };
+                let n = count(key, value)?;
+                match key {
+                    "tables" => spec.num_tables = n,
+                    "joins" => spec.num_joins = n,
+                    _ => spec.num_aggregations = n,
                 }
             }
             if !leftover.is_empty() {
-                spec = spec.with_nl_instruction(&leftover.join(" "));
+                spec.instructions.extend(Instruction::parse_counting(&leftover.join(" "), count)?);
             }
         }
         for sentence in parts {
-            spec = spec.with_nl_instruction(sentence);
+            spec.instructions.extend(Instruction::parse_counting(sentence, count)?);
         }
-        spec
+        Ok(spec)
     }
 
     /// Check a template's features against this spec, returning every
@@ -444,6 +562,138 @@ mod tests {
         // aggs alias
         let aliased = TemplateSpec::parse_declarative(1, "aggs=3");
         assert_eq!(aliased.num_aggregations, Some(3));
+    }
+
+    #[test]
+    fn checked_parsing_refuses_malformed_and_huge_counts() {
+        let refused = |text: &str| TemplateSpec::try_parse_declarative(1, text).unwrap_err();
+        let above = |key: &str, value: &str| SpecError::CountAboveCap {
+            key: key.into(),
+            value: value.into(),
+        };
+        let malformed = |key: &str, value: &str| SpecError::MalformedCount {
+            key: key.into(),
+            value: value.into(),
+        };
+        assert_eq!(refused("joins=4294967295"), above("joins", "4294967295"));
+        assert_eq!(refused("aggregations=4294967295"), above("aggregations", "4294967295"));
+        assert_eq!(refused("tables=99999999999999999999"), above("tables", "99999999999999999999"));
+        assert_eq!(refused("aggs=65"), above("aggs", "65"));
+        assert_eq!(refused("have 4294967295 predicates"), above("predicates", "4294967295"));
+        assert_eq!(
+            refused("tables=1; use 99999999999 predicates"),
+            above("predicates", "99999999999")
+        );
+        assert_eq!(refused("tables=-1"), malformed("tables", "-1"));
+        assert_eq!(refused("joins="), malformed("joins", ""));
+        assert_eq!(refused("joins=two"), malformed("joins", "two"));
+        assert_eq!(refused("tables=2 joins=1.5"), malformed("joins", "1.5"));
+        assert_eq!(
+            refused("joins=4294967295").to_string(),
+            "joins count 4294967295 is above the cap of 64"
+        );
+        assert_eq!(refused("tables=-1").to_string(), "tables count `-1` is not a whole number");
+    }
+
+    #[test]
+    fn checked_parsing_takes_counts_up_to_the_cap() {
+        let spec = TemplateSpec::try_parse_declarative(
+            3,
+            "tables=64 joins=+63 aggs=0; have 64 predicates; use GROUP BY",
+        )
+        .unwrap();
+        assert_eq!(
+            spec,
+            TemplateSpec::parse_declarative(
+                3,
+                "tables=64 joins=63 aggs=0; have 64 predicates; use GROUP BY"
+            )
+        );
+        assert_eq!(spec.num_tables, Some(64));
+        assert_eq!(spec.num_joins, Some(63));
+        assert_eq!(spec.num_aggregations, Some(0));
+        assert_eq!(spec.instructions, vec![Instruction::NumPredicates(64), Instruction::GroupBy]);
+        // Counts in other sentences are not counts of anything.
+        assert!(TemplateSpec::try_parse_declarative(1, "include 99999 subqueries").is_ok());
+        assert_eq!(
+            Instruction::try_parse("have two predicates"),
+            Ok(Some(Instruction::NumPredicates(2)))
+        );
+        assert_eq!(Instruction::try_parse("have predicates"), Ok(None));
+    }
+
+    #[test]
+    fn lenient_parsing_drops_malformed_counts_and_keeps_large_ones() {
+        let spec = TemplateSpec::parse_declarative(1, "tables=-1 joins=4294967295 aggs=x");
+        assert_eq!(
+            (spec.num_tables, spec.num_joins, spec.num_aggregations),
+            (None, Some(u32::MAX), None)
+        );
+        assert_eq!(
+            Instruction::parse("have 4294967295 predicates"),
+            Some(Instruction::NumPredicates(u32::MAX))
+        );
+        assert_eq!(Instruction::parse("have 4294967296 predicates"), None);
+    }
+
+    mod arbitrary_text {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Spec text: keys, values of every kind, separators, words and
+        /// random characters.
+        fn spec_text() -> impl Strategy<Value = String> {
+            let piece = prop::sample::select(vec![
+                "tables=",
+                "joins=",
+                "aggs=",
+                "aggregations=",
+                "=",
+                ";",
+                " ",
+                "  ",
+                "0",
+                "2",
+                "64",
+                "65",
+                "-1",
+                "+3",
+                "4294967295",
+                "4294967296",
+                "99999999999999999999",
+                "two",
+                "ten",
+                "predicates",
+                "have ",
+                "group by",
+                "subquery",
+                "no joins",
+                "é",
+                "\u{0}",
+                "\t",
+            ]);
+            (prop::collection::vec(piece, 0..16), "[a-z0-9=; +.-]{0,12}")
+                .prop_map(|(pieces, tail)| pieces.concat() + &tail)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn parsing_never_panics_and_checked_agrees_with_lenient(text in spec_text()) {
+                let lenient = TemplateSpec::parse_declarative(9, &text);
+                if let Ok(checked) = TemplateSpec::try_parse_declarative(9, &text) {
+                    prop_assert_eq!(&checked, &lenient);
+                    let counts = [checked.num_tables, checked.num_joins, checked.num_aggregations];
+                    prop_assert!(counts.iter().flatten().all(|&n| n <= MAX_SPEC_COUNT));
+                    for instruction in &checked.instructions {
+                        if let Instruction::NumPredicates(n) = instruction {
+                            prop_assert!(*n <= MAX_SPEC_COUNT, "{}", text);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! evaluation, following LearnedSQLGen) into equal-width intervals
 //! `I = {[l_1, u_1), …, [l_n, u_n)}` and drives generation per interval.
 
+/// The most intervals a command-line grid may have. Every target
+/// distribution allocates several vectors this long before any other
+/// check, and the paper's benchmarks use 10–20 intervals.
+pub const MAX_INTERVALS: usize = 10_000;
+
 /// An equal-width interval grid over a cost range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostIntervals {
