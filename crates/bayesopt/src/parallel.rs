@@ -67,43 +67,33 @@ where
         let mut state = init();
         return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
     }
-    let n_workers = threads.min(items.len());
-    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
-    let tracker = ClaimTracker::new(items.len());
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            let cursor = &cursor;
-            let (init, f) = (&init, &f);
-            let slot_ptr = &slot_ptr;
-            let tracker = &tracker;
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let result = f(&mut state, i, &items[i]);
-                    tracker.claim(i);
-                    // SAFETY: `i < items.len() == slots.len()`, so the write
-                    // is in bounds. The shared `fetch_add` cursor hands each
-                    // index to exactly one worker (checked by `tracker` in
-                    // debug builds), so writes to distinct slots never alias
-                    // and no worker reads a slot. `slots` is neither touched
-                    // nor reallocated while the scope runs, so `slot_ptr`
-                    // stays valid; the scope join happens-before `slots` is
-                    // consumed below, publishing every slot write.
-                    unsafe { *slot_ptr.0.add(i) = Some(result) };
-                }
-            });
-        }
+    for_each_slot(threads, &mut slots, init, |state, i, slot| {
+        *slot = Some(f(state, i, &items[i]));
     });
-
     slots.into_iter().map(|slot| slot.expect("every slot filled")).collect()
+}
+
+/// [`parallel_map`] that hands each item to its worker by value, so an
+/// item may carry a `&mut` borrow (a task's claimed templates, one
+/// amplification lane) that the worker owns for the call. `f` receives
+/// `(index, item)`; results come back in input order.
+pub fn parallel_map_owned<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    let mut slots: Vec<(Option<T>, Option<R>)> =
+        items.into_iter().map(|item| (Some(item), None)).collect();
+    for_each_slot(threads, &mut slots, || (), |(), i, (item, result)| {
+        *result = Some(f(i, item.take().expect("each item is taken once")));
+    });
+    slots.into_iter().map(|(_, result)| result.expect("every slot filled")).collect()
 }
 
 /// [`parallel_map`] into a caller-owned buffer: clears `out` and fills it
@@ -123,55 +113,75 @@ where
         return;
     }
     // Placeholder-initialize the slots so workers can overwrite them by
-    // index (each index claimed by exactly one worker; the scope join
-    // publishes the writes).
+    // index.
     out.resize_with(items.len(), R::default);
-    let n_workers = threads.min(items.len());
+    for_each_slot(threads, out, || (), |(), i, slot| *slot = f(i, &items[i]));
+}
+
+/// The one worker loop behind every map above: `min(threads,
+/// slots.len())` scoped workers, each with its own `init()` state, pull
+/// indices off a shared atomic cursor and run `f(&mut state, i, &mut
+/// slots[i])`. Every index is visited exactly once; which worker visits
+/// it depends on timing, so `f` must write a pure function of `i` and
+/// the slot's prior content.
+fn for_each_slot<E, S, I, F>(threads: usize, slots: &mut [E], init: I, f: F)
+where
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut E) + Sync,
+{
+    let len = slots.len();
+    let n_workers = threads.min(len);
     let cursor = AtomicUsize::new(0);
-    let slot_ptr = SendPtr(out.as_mut_ptr());
-    let tracker = ClaimTracker::new(items.len());
+    let base = SendPtr(slots.as_mut_ptr());
+    let tracker = ClaimTracker::new(len);
 
     std::thread::scope(|scope| {
         for _ in 0..n_workers {
-            let cursor = &cursor;
-            let f = &f;
-            let slot_ptr = &slot_ptr;
-            let tracker = &tracker;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            let (cursor, base, tracker) = (&cursor, &base, &tracker);
+            let (init, f) = (&init, &f);
+            scope.spawn(move || {
+                let mut state = init();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= len {
+                        break;
+                    }
+                    tracker.claim(i);
+                    // SAFETY: `i < len == slots.len()`, so the pointer is
+                    // in bounds. The shared `fetch_add` cursor hands each
+                    // index to exactly one worker (checked by `tracker` in
+                    // debug builds), so no two `&mut` slot borrows ever
+                    // alias, and the borrow ends before the worker takes
+                    // its next index. `slots` is exclusively borrowed and
+                    // not touched by the caller while the scope runs, so
+                    // `base` stays valid; the scope join happens-before
+                    // the caller reads `slots` again, publishing every
+                    // write.
+                    let slot = unsafe { &mut *base.0.add(i) };
+                    f(&mut state, i, slot);
                 }
-                let result = f(i, &items[i]);
-                tracker.claim(i);
-                // SAFETY: same disjoint-index argument as `parallel_map`:
-                // `i < items.len() == out.len()` after the resize, the
-                // cursor gives each index to exactly one worker (checked
-                // by `tracker` in debug builds), `out` is not touched or
-                // reallocated while the scope runs, and the scope join
-                // publishes the writes before the caller sees `out`.
-                unsafe { *slot_ptr.0.add(i) = result };
             });
         }
     });
 }
 
-/// Raw-pointer wrapper so scoped workers can write disjoint output slots.
+/// Raw-pointer wrapper so scoped workers can borrow disjoint slots.
 ///
 /// The wrapper itself grants no new capability — it only lets a `*mut P`
 /// cross the closure-capture boundary. All aliasing discipline lives at
-/// the (documented) unsafe write sites above.
+/// the one (documented) unsafe site in [`for_each_slot`].
 struct SendPtr<P>(*mut P);
 // SAFETY: sharing `&SendPtr` across scoped workers is sound because the
-// only operations ever performed through the wrapped pointer are writes
-// to *disjoint* slots — the atomic cursor hands each index to exactly one
-// worker, so no two threads touch the same `P` and nobody reads until the
-// scope join. `P: Send` is required because slot values are produced on a
+// wrapped pointer is only ever turned into `&mut` borrows of *disjoint*
+// slots — the atomic cursor hands each index to exactly one worker, so
+// no two threads touch the same `P` and the caller does not read until
+// the scope join. `P: Send` is required because a slot is mutated on a
 // worker thread and later dropped/consumed on the caller's thread.
 unsafe impl<P: Send> Sync for SendPtr<P> {}
 
-/// Debug-build enforcement of the disjoint-write contract behind
-/// [`SendPtr`]: every slot index must be in bounds and written exactly
+/// Debug-build enforcement of the disjoint-borrow contract behind
+/// [`SendPtr`]: every slot index must be in bounds and claimed exactly
 /// once. Compiles to a zero-sized no-op in release builds.
 struct ClaimTracker {
     #[cfg(debug_assertions)]
@@ -188,9 +198,9 @@ impl ClaimTracker {
         }
     }
 
-    /// Record a write to slot `_i`; panics (debug builds only) on an
-    /// out-of-bounds index or a second write to the same slot — either
-    /// would make the subsequent raw-pointer store unsound.
+    /// Record a claim of slot `_i`; panics (debug builds only) on an
+    /// out-of-bounds index or a second claim of the same slot — either
+    /// would make the subsequent `&mut` borrow unsound.
     #[inline]
     fn claim(&self, _i: usize) {
         #[cfg(debug_assertions)]
@@ -202,7 +212,7 @@ impl ClaimTracker {
             );
             assert!(
                 !self.claimed[_i].swap(true, Ordering::Relaxed),
-                "parallel slot {_i} written more than once"
+                "parallel slot {_i} claimed more than once"
             );
         }
     }
@@ -247,6 +257,22 @@ mod tests {
             assert_eq!(mapped, serial);
             assert_eq!(inits.load(Ordering::Relaxed), threads, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn map_owned_lends_each_worker_its_own_mut() {
+        // Items carry `&mut` borrows of disjoint counters; every worker
+        // mutates only the counter it was handed.
+        for threads in [1, 4] {
+            let mut counters: Vec<usize> = vec![0; 37];
+            let results = parallel_map_owned(threads, counters.iter_mut().collect(), |i, c| {
+                *c += i + 1;
+                *c * 2
+            });
+            assert_eq!(results, (0..37).map(|i| (i + 1) * 2).collect::<Vec<_>>());
+            assert_eq!(counters, (1..=37).collect::<Vec<_>>(), "{threads} threads");
+        }
+        assert!(parallel_map_owned(4, Vec::<u8>::new(), |_, v| v).is_empty());
     }
 
     #[test]

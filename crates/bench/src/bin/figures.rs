@@ -12,16 +12,16 @@
 //! Each target prints the same rows/series the paper reports and writes a
 //! JSON artifact under `results/`. `--quick` (or `SQLBARBER_QUICK=1`)
 //! shrinks database scale and baseline budgets for smoke runs.
-//! `--threads N` sets the cost-oracle worker count (0 = all cores);
-//! results are bit-identical at any thread count. Any other flag, a
+//! `--threads N` sets the cost-oracle worker count (0 = all cores, at
+//! most 256); results are bit-identical at any thread count. Any other flag, a
 //! missing flag value or one that does not parse is a usage error (exit
 //! status 2). `--transport-faults R` injects
 //! LLM transport faults at rate R (deterministic per seed; SQLBarber's
 //! resilience layer absorbs them — the baselines never call the LLM);
 //! `--retry-budget N` and `--no-circuit-breaker` tune that layer.
 //! `--amplify N` appends a post-convergence amplification stage to every
-//! SQLBarber run (`--amplify-shards K` tunes speculation width without
-//! changing output; `--amplify-out PATH` streams the amplified workload
+//! SQLBarber run (`--amplify-shards K`, at most 256, tunes speculation
+//! width without changing output; `--amplify-out PATH` streams the amplified workload
 //! to a file instead of a sink — runs sharing the path overwrite it).
 //! `--checkpoint-dir DIR` makes every SQLBarber run write durable
 //! snapshots (`--checkpoint-every K` sets the mid-search cadence), and

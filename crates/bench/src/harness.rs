@@ -9,7 +9,8 @@ use minidb::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use sqlbarber::oracle::CostOracle;
+use sqlbarber::amplify::MAX_LANES;
+use sqlbarber::oracle::{CostOracle, MAX_THREADS};
 use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
 use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
 use sqlkit::Template;
@@ -181,6 +182,16 @@ pub fn apply_flags<'a>(
         let raw = value(flag, raw)?;
         raw.parse().map_err(|_| format!("invalid value `{raw}` for `{flag}`"))
     }
+    // A worker count no larger than `cap`, checked before anything
+    // starts threads by it.
+    fn at_most(flag: &str, raw: Option<&String>, cap: usize) -> Result<usize, String> {
+        let n = parsed(flag, raw)?;
+        if n > cap {
+            let raw = value(flag, raw)?;
+            return Err(format!("invalid value `{raw}` for `{flag}`: must be at most {cap}"));
+        }
+        Ok(n)
+    }
     // The config is `Copy`, so path flags live for the whole process.
     fn leaked(raw: &str) -> Option<&'static str> {
         Some(Box::leak(raw.to_string().into_boxed_str()))
@@ -192,12 +203,12 @@ pub fn apply_flags<'a>(
         match flag {
             "--quick" => {}
             "--no-circuit-breaker" => config.breaker_enabled = false,
-            "--threads" => config.threads = parsed(flag, args.next())?,
+            "--threads" => config.threads = at_most(flag, args.next(), MAX_THREADS)?,
             "--bo-rounds-concurrency" => config.bo_rounds_concurrency = parsed(flag, args.next())?,
             "--transport-faults" => config.transport_fault_rate = parsed(flag, args.next())?,
             "--retry-budget" => config.retry_budget = parsed(flag, args.next())?,
             "--amplify" => config.amplify = parsed(flag, args.next())?,
-            "--amplify-shards" => config.amplify_shards = parsed(flag, args.next())?,
+            "--amplify-shards" => config.amplify_shards = at_most(flag, args.next(), MAX_LANES)?,
             "--amplify-out" => config.amplify_out = leaked(value(flag, args.next())?),
             "--checkpoint-dir" => config.checkpoint_dir = leaked(value(flag, args.next())?),
             "--checkpoint-every" => config.checkpoint_every = parsed(flag, args.next())?,
@@ -436,6 +447,11 @@ mod tests {
             (&["table1", "--threads"][..], "missing value for `--threads`"),
             (&["--amplify-out"][..], "missing value for `--amplify-out`"),
             (&["--thread", "4", "table1"][..], "unknown flag `--thread`"),
+            (&["--threads", "257"][..], "invalid value `257` for `--threads`: must be at most 256"),
+            (
+                &["--amplify-shards", "18446744073709551615", "table1"][..],
+                "invalid value `18446744073709551615` for `--amplify-shards`: must be at most 256",
+            ),
         ];
         for (argv, expected) in cases {
             assert_eq!(apply_flags(&mut config, &args(argv)), Err(expected.to_string()));

@@ -41,9 +41,8 @@ use crate::cost::CostType;
 use crate::oracle::{CostOracle, EngineScratch, PreparedHandle};
 use crate::profiler::ProfiledTemplate;
 use crate::sampler::PlaceholderSpace;
-use bayesopt::parallel::{parallel_map, split_seed};
+use bayesopt::parallel::{parallel_map_owned, split_seed};
 use minidb::{BindingBatch, Database, DbError};
-use crate::lockorder::{self, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlkit::Template;
@@ -55,6 +54,12 @@ use workload::{wasserstein_distance, CostIntervals, TargetDistribution};
 
 /// Default candidates per mini-batch (one `recost_batch` call).
 pub const DEFAULT_BATCH: usize = 1024;
+/// Largest `--amplify-shards` the CLIs accept: every shard owns a
+/// [`Lane`] of scratch buffers for the whole stage.
+pub const MAX_LANES: usize = 256;
+/// Largest `--amplify-batch` the CLIs accept: a lane holds a whole batch
+/// of candidates (bindings, costs, rendered accepts) before its flush.
+pub const MAX_BATCH: usize = 1 << 20;
 /// Give-up bound: a pair stops after `quota × CANDIDATE_FACTOR` candidates
 /// even if its quota is unfilled (the remainder is reported as shortfall).
 const CANDIDATE_FACTOR: u64 = 64;
@@ -553,8 +558,7 @@ pub fn amplify_workload<W: Write>(
     ))?;
 
     let mut acc = DistributionAccumulator::new(target.intervals.clone());
-    let lanes: Vec<OrderedMutex<Lane>> =
-        (0..shards).map(|_| OrderedMutex::new(lockorder::LANES, Lane::new())).collect();
+    let mut lanes: Vec<Lane> = (0..shards).map(|_| Lane::new()).collect();
 
     for pair in &pairs {
         let mut emitted = 0u64;
@@ -567,10 +571,13 @@ pub fn amplify_workload<W: Write>(
         let mut failed = false;
         while emitted < pair.quota && consumed < max_batches && !failed {
             let wave = shards.min((max_batches - consumed) as usize).max(1);
-            let batch_indices: Vec<u64> = (0..wave as u64).map(|s| consumed + s).collect();
+            // Lane `slot` costs batch `consumed + slot`; each worker owns
+            // the lanes it is handed for the wave.
+            let wave_lanes: Vec<&mut Lane> = lanes[..wave].iter_mut().collect();
             let results: Vec<Result<(), DbError>> =
-                parallel_map(threads, &batch_indices, |slot, &b| {
-                    lanes[slot].lock().run(db, &pair.ctx, split_seed(pair.seed, b), batch_size)
+                parallel_map_owned(threads, wave_lanes, |slot, lane| {
+                    let seed = split_seed(pair.seed, consumed + slot as u64);
+                    lane.run(db, &pair.ctx, seed, batch_size)
                 });
             // Flush barrier: consume in canonical batch order until the
             // quota fills; later speculative batches are discarded unseen
@@ -587,7 +594,7 @@ pub fn amplify_workload<W: Write>(
                     failed = true;
                     break;
                 }
-                let lane = lanes[slot].lock();
+                let lane = &lanes[slot];
                 stats.candidates += lane.candidates() as u64;
                 stats.batches += 1;
                 stats.per_interval[pair.ctx.interval].candidates += lane.candidates() as u64;

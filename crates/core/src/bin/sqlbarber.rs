@@ -29,6 +29,8 @@
 use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
 use sqlkit::TemplateSpec;
 use workload::distribution::TargetDistribution;
+use sqlbarber::amplify::{MAX_BATCH, MAX_LANES};
+use sqlbarber::oracle::MAX_THREADS;
 use workload::intervals::MAX_INTERVALS;
 use workload::CostIntervals;
 
@@ -63,8 +65,9 @@ is a usage error, exit status 2):
   --db tpch|imdb          database to generate against      [default: tpch]
   --scale F               dataset scale factor/multiplier   [default: 0.05 / 4.0]
   --seed S                master seed                       [default: 42]
-  --threads N             cost-oracle / surrogate worker threads;
-                          0 = all available cores           [default: 0]
+  --threads N             cost-oracle / surrogate worker threads,
+                          at most 256; 0 = all available cores
+                                                            [default: 0]
 
 GENERATE OPTIONS:
   --benchmark NAME        one of the ten Table-1 benchmarks (sets
@@ -104,14 +107,15 @@ GENERATE OPTIONS:
                           probes (near-zero oracle calls; bit-identical
                           at any --threads / --amplify-shards; supports
                           all four cost types)              [default: 0]
-  --amplify-shards K      emission shards costed speculatively per wave;
-                          0 = thread count (never changes output)
-                                                            [default: 0]
-  --amplify-batch N       candidates per amplification mini-batch; part
-                          of the deterministic output function (unlike
-                          shards/threads), so compare runs only at equal
-                          batch sizes. Smaller batches bound the work of
-                          execution-based cost types   [default: 1024]
+  --amplify-shards K      emission shards costed speculatively per wave,
+                          at most 256; 0 = thread count (never changes
+                          output)                           [default: 0]
+  --amplify-batch N       candidates per amplification mini-batch, at
+                          most 1048576; part of the deterministic output
+                          function (unlike shards/threads), so compare
+                          runs only at equal batch sizes. Smaller
+                          batches bound the work of execution-based
+                          cost types                     [default: 1024]
   --amplify-out PATH      amplified workload file (written atomically:
                           temp file + rename, so a crash never clobbers
                           an existing file) [default: PREFIX.amplified.sql]
@@ -238,6 +242,17 @@ impl Flags {
                 .parse()
                 .map_err(|_| format!("invalid value `{raw}` for `{name}`")),
         }
+    }
+
+    /// A count flag (default `default`) no larger than `cap`, checked
+    /// before anything starts threads or allocates by it.
+    fn parsed_at_most(&self, name: &str, default: usize, cap: usize) -> Result<usize, String> {
+        let n = self.parsed(name, default)?;
+        if n > cap {
+            let raw = self.get(name).unwrap_or_default();
+            return Err(format!("invalid value `{raw}` for `{name}`: must be at most {cap}"));
+        }
+        Ok(n)
     }
 
     /// Like [`Flags::parsed`] but with no default: absent means `None`.
@@ -487,7 +502,7 @@ fn generate(args: &[String]) -> i32 {
             .collect::<Result<_, _>>())
     };
 
-    let threads: usize = try_flag!(flags.parsed("--threads", 0));
+    let threads = try_flag!(flags.parsed_at_most("--threads", 0, MAX_THREADS));
     let mut retry = llm::RetryPolicy::default();
     if let Some(budget) = try_flag!(flags.parsed_opt("--retry-budget")) {
         retry.retry_budget = budget;
@@ -495,8 +510,8 @@ fn generate(args: &[String]) -> i32 {
     retry.breaker_enabled = !flags.has("--no-circuit-breaker");
     let rounds_concurrency: usize =
         try_flag!(flags.parsed("--bo-rounds-concurrency", 0));
-    let amplify_shards: usize = try_flag!(flags.parsed("--amplify-shards", 0));
-    let amplify_batch: usize = try_flag!(flags.parsed("--amplify-batch", 0));
+    let amplify_shards = try_flag!(flags.parsed_at_most("--amplify-shards", 0, MAX_LANES));
+    let amplify_batch = try_flag!(flags.parsed_at_most("--amplify-batch", 0, MAX_BATCH));
 
     eprintln!("loading database…");
     let db = try_flag!(load_db(&flags));
@@ -657,8 +672,37 @@ mod tests {
     }
 
     #[test]
+    fn worker_counts_are_checked_against_their_caps() {
+        let capped = |name: &str, value: &str, cap: usize| {
+            let args = [name.to_string(), value.to_string()];
+            Flags::parse(&args, GENERATE_FLAGS).unwrap().parsed_at_most(name, 0, cap)
+        };
+        let caps = [
+            ("--threads", MAX_THREADS),
+            ("--amplify-shards", MAX_LANES),
+            ("--amplify-batch", MAX_BATCH),
+        ];
+        for (name, cap) in caps {
+            assert_eq!(capped(name, "0", cap), Ok(0));
+            assert_eq!(capped(name, &cap.to_string(), cap), Ok(cap));
+            for huge in [(cap + 1).to_string(), "18446744073709551615".to_string()] {
+                assert_eq!(
+                    capped(name, &huge, cap).unwrap_err(),
+                    format!("invalid value `{huge}` for `{name}`: must be at most {cap}")
+                );
+            }
+            let negative = capped(name, "-1", cap).unwrap_err();
+            assert_eq!(negative, format!("invalid value `-1` for `{name}`"));
+        }
+        assert_eq!((MAX_THREADS, MAX_LANES, MAX_BATCH), (256, 256, 1 << 20));
+    }
+
+    #[test]
     fn help_states_the_caps() {
         assert!(HELP.contains(&format!("cost intervals, 1 to {MAX_INTERVALS} ")));
         assert!(HELP.contains(&format!("is a whole number from 0 to {}\n", sqlkit::MAX_SPEC_COUNT)));
+        assert!(HELP.contains(&format!("worker threads,\n                          at most {MAX_THREADS};")));
+        assert!(HELP.contains(&format!("per wave,\n                          at most {MAX_LANES};")));
+        assert!(HELP.contains(&format!("mini-batch, at\n                          most {MAX_BATCH};")));
     }
 }

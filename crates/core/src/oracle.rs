@@ -18,16 +18,19 @@
 //!   search — or, for the execution-based cost types, runs through the
 //!   template's vectorized [`minidb::PreparedExec`] plan.
 //! * **Memoization.** Results are cached under the compact `(template
-//!   id, cost type, binding vector)` key in sharded, mutex-guarded maps
-//!   that keep every entry for the oracle's lifetime. A run's memo is
+//!   id, cost type, binding vector)` key in one mutex-guarded map that
+//!   keeps every entry for the oracle's lifetime. A run's memo is
 //!   bounded by its evaluation budget, which also records every probe in
 //!   the profiled templates' evaluation histories; amplification, the
 //!   path for large workloads, never touches it.
 //!   [`CostType::ExecutionTimeMicros`] is *never* memoized — the metric
 //!   is a deterministic work-unit proxy, but it is kept as the
 //!   always-execute control path so every probe exercises the executor.
-//! * **Batching.** Keys are partitioned by memo shard, so a batch takes
-//!   each shard lock once for its hit lookups and once for its inserts.
+//! * **Batching.** A batch takes the memo lock once to build its keys
+//!   and look them up, costs its misses with no lock held, and takes the
+//!   lock once more to insert them. The memo serves a handful of
+//!   concurrent callers at most (one per scheduler task), each sending
+//!   batches of a few probes, so one lock is all the traffic needs.
 //!   Distinct misses are deduplicated serially and costed as columnar
 //!   batches, split into contiguous chunks across up to the batch's
 //!   thread budget. Results come back in submission order, and results
@@ -40,8 +43,8 @@
 //! number of distinct cache entries plus un-memoized probes, so they are
 //! deterministic even when concurrent batches race to fill the same entry
 //! (the duplicated plan work is wasted, not counted). No answer, counter
-//! or exported state depends on which shard holds an entry, in what order
-//! entries arrived, or which interner id a string got.
+//! or exported state depends on the order in which entries arrived or on
+//! which interner id a string got.
 //!
 //! The scalar `Database::explain` / `execute` path
 //! ([`crate::cost::query_cost`] on an instantiated statement) is the
@@ -61,9 +64,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Shard count for the memo cache (reduces lock contention; must be a
-/// power of two).
-const SHARDS: usize = 16;
+/// Largest worker-thread count the CLIs accept (`--threads`). A parallel
+/// stage starts up to that many OS threads at once (an amplification
+/// wave, a forest fit, a profiling fan-out), so the value is checked
+/// before anything runs.
+pub const MAX_THREADS: usize = 256;
 
 /// Snapshot of the oracle's probe counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,7 +177,7 @@ pub(crate) struct EngineScratch {
 
 /// Hashable stand-in for a bound [`Value`]. Floats are keyed by bit
 /// pattern (so the key roundtrips NaN and signed zero deterministically);
-/// strings by interned id (see [`CostOracle::intern`]), so building and
+/// strings by interned id (see [`Memo::intern`]), so building and
 /// cloning a key never allocates per string — the memo hot path used to
 /// clone every `String` on lookup *and* again on insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -234,9 +239,8 @@ impl PartialEq for BindingKey {
 impl Eq for BindingKey {}
 
 // Delegating to the slice `Hash` impl feeds the hasher the identical
-// byte stream (length prefix + elements) a `Vec` key would, so shard
-// routing is representation-independent: an inline key and a heap key
-// with equal slots hash equally.
+// byte stream (length prefix + elements) a `Vec` key would, so an inline
+// key and a heap key with equal slots hash equally.
 impl Hash for BindingKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state)
@@ -246,39 +250,70 @@ impl Hash for BindingKey {
 /// Template id + cost type + binding vector → result.
 type PreparedKey = (u64, CostType, BindingKey);
 
-/// One memo shard: every distinct probe routed to it, with its result.
-type MemoShard = HashMap<PreparedKey, Result<f64, DbError>>;
+/// Every distinct memoized probe, with its result.
+type MemoEntries = HashMap<PreparedKey, Result<f64, DbError>>;
 
 /// The memo's hit lookup.
 // detlint::hot
-fn memo_get(shard: &MemoShard, key: &PreparedKey) -> Option<Result<f64, DbError>> {
-    shard.get(key).cloned()
+fn memo_get(entries: &MemoEntries, key: &PreparedKey) -> Option<Result<f64, DbError>> {
+    entries.get(key).cloned()
+}
+
+/// The memo behind the oracle's one lock: the entries and the string
+/// interner their keys name strings through.
+#[derive(Debug, Default)]
+struct Memo {
+    entries: MemoEntries,
+    /// String value → interned id for [`ValueKey::Str`]. Ids are assigned
+    /// in first-touch order; they only feed key hashing/equality, never
+    /// results or counters, and [`CostOracle::export_state`] renumbers
+    /// them in text order, so id assignment order cannot affect output.
+    strings: HashMap<Box<str>, u32>,
+}
+
+impl Memo {
+    /// Interned id for a string value; allocates only on the first sight
+    /// of each distinct string.
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.strings.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("interner overflow");
+        self.strings.insert(s.into(), id);
+        id
+    }
+
+    fn value_key(&mut self, value: &Value) -> ValueKey {
+        match value {
+            Value::Int(i) => ValueKey::Int(*i),
+            Value::Float(f) => ValueKey::Float(f.to_bits()),
+            Value::Str(s) => ValueKey::Str(self.intern(s)),
+            Value::Bool(b) => ValueKey::Bool(*b),
+            Value::Null => ValueKey::Null,
+        }
+    }
 }
 
 /// Caller-owned scratch arena for
 /// [`CostOracle::cost_prepared_batch_columnar_on`].
 ///
-/// Holds every buffer a batch needs — binding keys, the per-shard probe
-/// partition, miss bookkeeping, and the gathered-miss [`BindingBatch`]
-/// and engine arenas handed to [`PreparedHandle::cost_rows`] — so repeated
-/// batches on a warm oracle allocate nothing. Reusable across handles,
+/// Holds every buffer a batch needs — miss keys and bookkeeping, and the
+/// gathered-miss [`BindingBatch`] and engine arenas handed to
+/// [`PreparedHandle::cost_rows`] — so repeated batches on a warm oracle
+/// allocate nothing. Reusable across handles,
 /// cost types, and batch sizes; `results` holds the last batch's outputs
 /// until the next call.
 #[derive(Debug, Default)]
 pub struct ColumnarScratch {
     /// One result per probe, in submission order (the returned slice).
     results: Vec<Result<f64, DbError>>,
-    /// One memo key per probe.
+    /// Memo key of each distinct miss, in miss-slot order.
     keys: Vec<PreparedKey>,
-    /// `shard_of[i]` = memo shard of probe `i`.
-    shard_of: Vec<usize>,
-    /// Probe indices grouped by shard (`SHARDS` buckets).
-    by_shard: Vec<Vec<u32>>,
     /// First-appearance dedup of missed binding keys → miss slot.
     miss_slots: HashMap<BindingKey, usize>,
     /// Probe index of each probe to evaluate, in evaluation-slot order:
-    /// the distinct misses (per-shard submission order), or every probe
-    /// for the un-memoized cost type.
+    /// the distinct misses (submission order of first appearance), or
+    /// every probe for the un-memoized cost type.
     misses: Vec<usize>,
     /// `(probe index, miss slot)` pairs to fill after evaluation.
     resolve_later: Vec<(usize, usize)>,
@@ -309,17 +344,12 @@ pub struct CostOracle<'db> {
     /// latency the deficit scheduler hides. `None` (default) adds
     /// nothing; results are identical either way.
     probe_latency: Option<std::time::Duration>,
-    prepared_shards: Vec<OrderedMutex<MemoShard>>,
+    memo: OrderedMutex<Memo>,
     /// Template text → handle, so re-preparing a template yields the same
     /// id (and therefore the same memo namespace). Held across plan
     /// construction so racing prepares of one template cannot split ids.
     templates: OrderedMutex<HashMap<String, PreparedHandle>>,
     next_template_id: AtomicU64,
-    /// String value → interned id for [`ValueKey::Str`]. Ids are assigned
-    /// in first-touch order; they only feed key hashing/equality, never
-    /// results or counters, and [`CostOracle::export_state`] renumbers
-    /// them in text order, so id assignment order cannot affect output.
-    interner: OrderedMutex<HashMap<Box<str>, u32>>,
     logical: AtomicU64,
     /// Execution-time probes (bypass the cache entirely).
     unmemoized: AtomicU64,
@@ -337,40 +367,15 @@ impl<'db> CostOracle<'db> {
             db,
             threads: bayesopt::parallel::resolve_threads(threads),
             probe_latency: None,
-            prepared_shards: (0..SHARDS)
-                .map(|_| OrderedMutex::new(lockorder::PREPARED_SHARDS, HashMap::new()))
-                .collect(),
+            memo: OrderedMutex::new(lockorder::MEMO, Memo::default()),
             templates: OrderedMutex::new(lockorder::TEMPLATES, HashMap::new()),
             next_template_id: AtomicU64::new(0),
-            interner: OrderedMutex::new(lockorder::INTERNER, HashMap::new()),
             logical: AtomicU64::new(0),
             unmemoized: AtomicU64::new(0),
             scheduler_rounds: AtomicU64::new(0),
             scheduler_tasks: AtomicU64::new(0),
             scheduler_peak_tasks: AtomicU64::new(0),
             scheduler_overadmissions: AtomicU64::new(0),
-        }
-    }
-
-    /// Interned id for a string value; allocates only on the first sight
-    /// of each distinct string.
-    fn intern(&self, s: &str) -> u32 {
-        let mut interner = self.interner.lock();
-        if let Some(&id) = interner.get(s) {
-            return id;
-        }
-        let id = u32::try_from(interner.len()).expect("interner overflow");
-        interner.insert(s.into(), id);
-        id
-    }
-
-    fn value_key(&self, value: &Value) -> ValueKey {
-        match value {
-            Value::Int(i) => ValueKey::Int(*i),
-            Value::Float(f) => ValueKey::Float(f.to_bits()),
-            Value::Str(s) => ValueKey::Str(self.intern(s)),
-            Value::Bool(b) => ValueKey::Bool(*b),
-            Value::Null => ValueKey::Null,
         }
     }
 
@@ -468,9 +473,9 @@ impl<'db> CostOracle<'db> {
     ///
     /// * Memo keys are read straight from the batch columns of the
     ///   template's placeholders (no per-probe allocation; columns for
-    ///   other ids are ignored) and partitioned by memo shard, so each
-    ///   shard lock is taken **once** for the batch's bulk hit-lookup and
-    ///   once for its bulk insert.
+    ///   other ids are ignored). The memo lock is taken **once** to build
+    ///   the keys and look them up, released while the misses are
+    ///   costed, and taken once more to insert them.
     /// * Distinct misses are gathered into one columnar batch and
     ///   evaluated exactly once each: recosted through
     ///   [`minidb::PreparedTemplate::recost_batch`]'s columnar replay, or,
@@ -501,8 +506,6 @@ impl<'db> CostOracle<'db> {
         let ColumnarScratch {
             results,
             keys,
-            shard_of,
-            by_shard,
             miss_slots,
             misses,
             resolve_later,
@@ -532,70 +535,43 @@ impl<'db> CostOracle<'db> {
             return results.as_slice();
         }
 
-        // ---- key construction + shard partition (no locks) ----------
+        // ---- phase 1: keys and hit lookup, under one memo lock -------
+        // Misses are discovered (and deduplicated) in submission order of
+        // first appearance.
         keys.clear();
-        shard_of.clear();
-        if by_shard.len() != SHARDS {
-            by_shard.resize_with(SHARDS, Vec::new);
-        }
-        for shard in by_shard.iter_mut() {
-            shard.clear();
-        }
-        for row in 0..n {
-            let binding = BindingKey::collect(ids.len(), |slot| {
-                batch.value_of(ids[slot], row).map(|value| self.value_key(value))
-            });
-            let key = (handle.id, cost_type, binding);
-            let shard = shard_index(&key);
-            by_shard[shard].push(keys.len() as u32);
-            shard_of.push(shard);
-            keys.push(key);
-        }
-
-        // ---- phase 1: bulk hit lookup, one lock per populated shard --
-        // Within a shard, probes run in submission order; misses are
-        // discovered (and deduplicated) in an order that preserves
-        // per-shard first appearance.
         miss_slots.clear();
         misses.clear();
         resolve_later.clear();
-        for (shard_idx, probe_indices) in by_shard.iter().enumerate() {
-            if probe_indices.is_empty() {
-                continue;
-            }
-            let shard = self.prepared_shards[shard_idx].lock();
-            for &i in probe_indices.iter() {
-                let i = i as usize;
-                if let Some(cached) = memo_get(&shard, &keys[i]) {
-                    results[i] = cached;
-                } else if let Some(&slot) = miss_slots.get(&keys[i].2) {
-                    resolve_later.push((i, slot));
+        {
+            let mut memo = self.memo.lock();
+            let memo = &mut *memo;
+            for (row, result) in results.iter_mut().enumerate() {
+                let binding = BindingKey::collect(ids.len(), |slot| {
+                    batch.value_of(ids[slot], row).map(|value| memo.value_key(value))
+                });
+                let key = (handle.id, cost_type, binding);
+                if let Some(cached) = memo_get(&memo.entries, &key) {
+                    *result = cached;
+                } else if let Some(&slot) = miss_slots.get(&key.2) {
+                    resolve_later.push((row, slot));
                 } else {
                     let slot = misses.len();
-                    miss_slots.insert(keys[i].2.clone(), slot);
-                    misses.push(i);
-                    resolve_later.push((i, slot));
+                    miss_slots.insert(key.2.clone(), slot);
+                    misses.push(row);
+                    resolve_later.push((row, slot));
+                    keys.push(key);
                 }
             }
         }
 
-        // ---- phase 2: evaluate each distinct miss exactly once -------
+        // ---- phase 2: evaluate each distinct miss once, no lock held --
         miss_results.clear();
         miss_results.resize(misses.len(), Ok(0.0));
         self.evaluate(threads, handle, batch, misses, cost_type, gathered, engine, miss_results);
 
-        // ---- phase 3: bulk insert, one lock per populated shard ------
-        // `misses` is already shard-grouped (phase 1 walked the shards in
-        // order) with submission order preserved within each shard.
-        let mut slot = 0;
-        while slot < misses.len() {
-            let shard_idx = shard_of[misses[slot]];
-            let mut shard = self.prepared_shards[shard_idx].lock();
-            while slot < misses.len() && shard_of[misses[slot]] == shard_idx {
-                let probe_idx = misses[slot];
-                shard.insert(keys[probe_idx].clone(), miss_results[slot].clone());
-                slot += 1;
-            }
+        // ---- phase 3: insert the misses, under one memo lock ---------
+        if !keys.is_empty() {
+            self.memo.lock().entries.extend(keys.drain(..).zip(miss_results.iter().cloned()));
         }
 
         for &(probe_idx, slot) in resolve_later.iter() {
@@ -684,8 +660,7 @@ impl<'db> CostOracle<'db> {
     /// (logical and un-memoized counters, the number of memo entries), so
     /// identical runs report identical stats at any thread count.
     pub fn stats(&self) -> OracleStats {
-        let distinct: u64 =
-            self.prepared_shards.iter().map(|shard| shard.lock().len() as u64).sum();
+        let distinct = self.memo.lock().entries.len() as u64;
         let logical = self.logical.load(Ordering::Relaxed);
         let physical = distinct + self.unmemoized.load(Ordering::Relaxed);
         let cache_hits = logical.saturating_sub(physical);
@@ -728,16 +703,31 @@ impl<'db> CostOracle<'db> {
     pub fn export_state(&self) -> crate::snapshot::OracleState {
         use crate::snapshot::{OracleCounters, OracleState, PreparedEntry};
 
-        let (interner, renumber) = {
-            let interner = self.interner.lock();
+        let (interner, entries) = {
+            let memo = self.memo.lock();
             let mut texts: Vec<(&str, u32)> =
-                interner.iter().map(|(text, &id)| (&**text, id)).collect();
+                memo.strings.iter().map(|(text, &id)| (&**text, id)).collect();
             texts.sort_unstable();
             let mut renumber = vec![0; texts.len()];
             for (new_id, &(_, old_id)) in texts.iter().enumerate() {
                 renumber[old_id as usize] = new_id as u32;
             }
-            (texts.into_iter().map(|(text, _)| text.to_string()).collect::<Vec<_>>(), renumber)
+            let mut entries: Vec<(PreparedKey, Result<f64, DbError>)> = memo
+                .entries
+                .iter()
+                .map(|((template_id, cost_type, binding), value)| {
+                    let slots = binding.as_slice();
+                    let binding = BindingKey::collect(slots.len(), |slot| match slots[slot] {
+                        Some(ValueKey::Str(id)) => Some(ValueKey::Str(renumber[id as usize])),
+                        other => other,
+                    });
+                    ((*template_id, *cost_type, binding), value.clone())
+                })
+                .collect();
+            entries.sort_unstable_by(|(a, _), (b, _)| {
+                (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
+            });
+            (texts.into_iter().map(|(text, _)| text.to_string()).collect::<Vec<_>>(), entries)
         };
 
         // The registry is a hash map; inverting it into a vector indexed
@@ -748,22 +738,6 @@ impl<'db> CostOracle<'db> {
             templates[handle.id as usize] = sql.clone();
         }
         drop(registry);
-
-        let mut entries: Vec<(PreparedKey, Result<f64, DbError>)> = Vec::new();
-        for mutex in &self.prepared_shards {
-            let shard = mutex.lock();
-            entries.extend(shard.iter().map(|((template_id, cost_type, binding), value)| {
-                let slots = binding.as_slice();
-                let binding = BindingKey::collect(slots.len(), |slot| match slots[slot] {
-                    Some(ValueKey::Str(id)) => Some(ValueKey::Str(renumber[id as usize])),
-                    other => other,
-                });
-                ((*template_id, *cost_type, binding), value.clone())
-            }));
-        }
-        entries.sort_unstable_by(|(a, _), (b, _)| {
-            (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
-        });
 
         OracleState {
             interner,
@@ -791,21 +765,18 @@ impl<'db> CostOracle<'db> {
     /// Restore state exported by [`CostOracle::export_state`] (typically
     /// into a freshly constructed oracle over the same database).
     /// Prepared plans are rebuilt by re-preparing each registry template
-    /// under its recorded id; each memo entry is routed to its shard by
-    /// its key. Errors (snapshot/build mismatch, template that no longer
-    /// prepares) leave a partially restored oracle — callers should
-    /// discard it on `Err`.
+    /// under its recorded id, and the memo is replaced by the snapshot's
+    /// interner and entries. Errors (snapshot/build mismatch, template
+    /// that no longer prepares) leave a partially restored oracle —
+    /// callers should discard it on `Err`.
     pub fn restore_state(&self, state: &crate::snapshot::OracleState) -> Result<(), String> {
         use crate::snapshot::ValueKeySnap;
 
-        {
-            let mut interner = self.interner.lock();
-            interner.clear();
-            for (id, text) in state.interner.iter().enumerate() {
-                let id = u32::try_from(id).map_err(|_| "interner overflow".to_string())?;
-                if interner.insert(text.as_str().into(), id).is_some() {
-                    return Err(format!("snapshot interns the string {text:?} twice"));
-                }
+        let mut memo = Memo::default();
+        for (id, text) in state.interner.iter().enumerate() {
+            let id = u32::try_from(id).map_err(|_| "interner overflow".to_string())?;
+            if memo.strings.insert(text.as_str().into(), id).is_some() {
+                return Err(format!("snapshot interns the string {text:?} twice"));
             }
         }
         let strings = state.interner.len();
@@ -839,18 +810,12 @@ impl<'db> CostOracle<'db> {
             self.next_template_id.store(state.templates.len() as u64, Ordering::Relaxed);
         }
 
-        let mut routed: Vec<Vec<_>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for entry in &state.entries {
+        memo.entries.extend(state.entries.iter().map(|entry| {
             let binding =
                 BindingKey::collect(entry.key.len(), |slot| entry.key[slot].map(import_value_key));
-            let key = (entry.template_id, entry.cost_type, binding);
-            routed[shard_index(&key)].push((key, entry.value.clone()));
-        }
-        for (mutex, arrivals) in self.prepared_shards.iter().zip(routed) {
-            let mut shard = mutex.lock();
-            shard.clear();
-            shard.extend(arrivals);
-        }
+            ((entry.template_id, entry.cost_type, binding), entry.value.clone())
+        }));
+        *self.memo.lock() = memo;
 
         let c = &state.counters;
         self.logical.store(c.logical, Ordering::Relaxed);
@@ -883,37 +848,6 @@ fn import_value_key(snap: crate::snapshot::ValueKeySnap) -> ValueKey {
         ValueKeySnap::Bool(b) => ValueKey::Bool(b),
         ValueKeySnap::Null => ValueKey::Null,
     }
-}
-
-/// Deterministic 64-bit FNV-1a [`Hasher`] for shard routing. Routing only
-/// spreads lock contention across the memo shards: no answer, counter or
-/// exported state depends on which shard holds an entry. FNV-1a is cheap
-/// on the short keys the memo hashes, and unlike the std `DefaultHasher`
-/// its algorithm is fixed, so placement is the same on every build.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
-fn shard_index<K: Hash>(key: &K) -> usize {
-    let mut hasher = Fnv1a(Fnv1a::OFFSET_BASIS);
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) & (SHARDS - 1)
 }
 
 #[cfg(test)]
@@ -1227,8 +1161,8 @@ mod tests {
 
     #[test]
     fn columnar_batch_matches_per_probe_across_threads() {
-        // 40 probes, 13 distinct bindings → in-batch duplicates that span
-        // multiple memo shards; every probe equals the per-probe scalar
+        // 40 probes, 13 distinct bindings → in-batch duplicates; every
+        // probe equals the per-probe scalar
         // reference, and accounting is arithmetic in the batch shape.
         let db = tpch();
         let batch = p1((0..40).map(|i| Value::Int(i % 13)));
@@ -1344,7 +1278,7 @@ mod tests {
     #[test]
     fn columnar_heap_keys_match_per_probe() {
         // Five placeholders exceed the inline binding-key capacity, forcing
-        // the heap key representation through the same shard routing.
+        // the heap key representation through the same memo.
         let db = tpch();
         let sql = "SELECT lineitem.l_orderkey FROM lineitem \
                    WHERE lineitem.l_quantity > {p_1} AND lineitem.l_extendedprice > {p_2} \
@@ -1462,7 +1396,7 @@ mod tests {
                 }
             }
             let state = oracle.export_state();
-            let live = oracle.interner.lock().clone();
+            let live = oracle.memo.lock().strings.clone();
             let expected: HashMap<Box<str>, u32> = arrival
                 .iter()
                 .enumerate()

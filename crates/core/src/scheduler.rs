@@ -16,7 +16,10 @@
 //! * **Disjoint claims.** Selection runs serially in deficit order; each
 //!   interval weight-samples its candidate templates (Eq. 2) from the
 //!   templates no earlier interval claimed this round. Tasks therefore
-//!   own their templates' mutable profiling state outright. An interval
+//!   own their templates' mutable profiling state outright: each task's
+//!   `&mut` loans move to its worker by value
+//!   ([`bayesopt::parallel::parallel_map_owned`]), with no lock between
+//!   them. An interval
 //!   whose candidates are all claimed is *deferred* (no failure charged);
 //!   an interval with no candidates at all is skipped, as in the serial
 //!   loop.
@@ -46,9 +49,8 @@ use crate::bo_search::{
 use crate::cost::CostType;
 use crate::oracle::{ColumnarScratch, CostOracle};
 use crate::profiler::ProfiledTemplate;
-use bayesopt::parallel::{parallel_map, split_seed};
+use bayesopt::parallel::{parallel_map_owned, split_seed};
 use bayesopt::{BoConfig, Evaluation, Optimizer};
-use crate::lockorder::{self, OrderedMutex};
 use minidb::BindingBatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -291,40 +293,38 @@ pub(crate) fn deficit_schedule(
         let inner_threads = (threads / slots).max(1);
 
         // Hand each task its claimed templates. The claims are disjoint,
-        // so every `&mut ProfiledTemplate` moves to exactly one task; the
-        // Mutex is only there to let the shared-reference worker closure
-        // reach its task's payload (each lock is taken exactly once).
+        // so every `&mut ProfiledTemplate` moves to exactly one task, and
+        // the task's worker owns it for the task's run.
         let mut loans: Vec<Option<&mut ProfiledTemplate>> =
             templates.iter_mut().map(Some).collect();
-        let payloads: Vec<OrderedMutex<Vec<(usize, &mut ProfiledTemplate)>>> = tasks
+        let work: Vec<(&RoundTask, Vec<(usize, &mut ProfiledTemplate)>)> = tasks
             .iter()
             .map(|task| {
-                OrderedMutex::new(
-                    lockorder::PAYLOADS,
-                    task.templates
-                        .iter()
-                        .map(|&idx| (idx, loans[idx].take().expect("template claimed once")))
-                        .collect(),
-                )
+                let claimed = task
+                    .templates
+                    .iter()
+                    .map(|&idx| (idx, loans[idx].take().expect("template claimed once")))
+                    .collect();
+                (task, claimed)
             })
             .collect();
 
         let round_d = state.accepted.d.clone();
         let frozen_seen = &state.accepted.seen;
-        let outcomes: Vec<TaskOutcome> = parallel_map(slots, &tasks, |i, task| {
-            let mut payload = payloads[i].lock();
-            run_task(
-                oracle,
-                task,
-                &mut payload,
-                &round_d,
-                frozen_seen,
-                target,
-                cost_type,
-                config,
-                inner_threads,
-            )
-        });
+        let outcomes: Vec<TaskOutcome> =
+            parallel_map_owned(slots, work, |_, (task, mut claimed)| {
+                run_task(
+                    oracle,
+                    task,
+                    &mut claimed,
+                    &round_d,
+                    frozen_seen,
+                    target,
+                    cost_type,
+                    config,
+                    inner_threads,
+                )
+            });
 
         // Round barrier: ratify local accepts against the real state in
         // canonical (interval, template, generation) order, then settle
@@ -370,10 +370,6 @@ pub(crate) fn deficit_schedule(
         }
         oracle.note_scheduler_round(n_tasks, overadmissions);
 
-        // Release the template loans so the observer can read the whole
-        // (now merge-consistent) template slice.
-        drop(payloads);
-        drop(loans);
         state.next_round = round + 1;
         if on_round(&state, templates) == RoundControl::Stop {
             break;

@@ -132,9 +132,9 @@ fn stale_suppressions_exit_nonzero_and_are_marked() {
 #[test]
 fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
     // Lint an in-memory copy of the real tree with one mutation: a
-    // function that acquires `templates` while holding
-    // `prepared_shards`, reversing the declared order. The clean
-    // workspace must go dirty with a lock_order violation — proving R6
+    // function that acquires `templates` while holding `memo`,
+    // reversing the declared order. The clean workspace must go dirty
+    // with a lock_order violation — proving R6
     // catches exactly the regression the runtime tracker panics on
     // (`out_of_order_nesting_trips_the_tracker` is the dynamic half).
     let cfg = Config::at_root(workspace_root());
@@ -146,14 +146,14 @@ fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
     oracle.1.push_str(
         "\nstruct SeededRegression {\n\
          \x20   templates: Mutex<u32>,\n\
-         \x20   prepared_shards: Mutex<u32>,\n\
+         \x20   memo: Mutex<u32>,\n\
          }\n\
          \n\
          impl SeededRegression {\n\
          \x20   fn regress(&self) {\n\
-         \x20       let p = self.prepared_shards.lock();\n\
+         \x20       let m = self.memo.lock();\n\
          \x20       let _t = self.templates.lock();\n\
-         \x20       drop(p);\n\
+         \x20       drop(m);\n\
          \x20   }\n\
          }\n",
     );

@@ -234,6 +234,65 @@ fn snapshots_are_byte_identical_across_runs_and_thread_counts() {
     }
 }
 
+/// Templates that each bind a text placeholder to a different column, so
+/// concurrent workers (profiling fan-out, scheduler tasks) meet their
+/// strings in an order that depends on thread timing.
+const STRING_TEMPLATES: [&str; 4] = [
+    "SELECT lineitem.l_orderkey FROM lineitem \
+     WHERE lineitem.l_returnflag = {p_1} AND lineitem.l_quantity > {p_2}",
+    "SELECT orders.o_orderkey FROM orders \
+     WHERE orders.o_orderpriority = {p_1} AND orders.o_totalprice > {p_2}",
+    "SELECT customer.c_custkey FROM customer \
+     WHERE customer.c_mktsegment = {p_1} AND customer.c_acctbal > {p_2}",
+    "SELECT part.p_partkey FROM part WHERE part.p_brand = {p_1} AND part.p_size > {p_2}",
+];
+
+/// Every snapshot file of a completed, checkpointed run over
+/// [`STRING_TEMPLATES`] at `threads`.
+fn string_template_snapshots(db: &minidb::Database, threads: usize) -> Vec<(String, Vec<u8>)> {
+    let dir = fresh_dir(&format!("strings-{threads}"));
+    let checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 1 });
+    let templates =
+        STRING_TEMPLATES.iter().map(|sql| sqlkit::parse_template(sql).unwrap()).collect();
+    SqlBarber::new(db, config(threads, checkpoint))
+        .generate_from_templates(templates, &target(), CostType::Cardinality)
+        .expect("generation from string templates succeeds");
+    let files = snapshot_files(&dir);
+    if threads == 1 {
+        // The cell only tests something if the memo interns strings from
+        // more than one template.
+        let oracle = CheckpointDir::load_latest(&dir).unwrap().oracle.expect("oracle state");
+        let columns = [&["R", "A", "N"][..], &["1-URGENT", "2-HIGH", "3-MEDIUM"][..]];
+        for values in columns {
+            assert!(
+                oracle.interner.iter().any(|s| values.contains(&s.as_str())),
+                "no string of {values:?} interned: {:?}",
+                oracle.interner
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    files
+}
+
+#[test]
+fn string_bound_snapshots_are_byte_identical_across_thread_counts() {
+    // Strings get interner ids in arrival order, which differs between
+    // thread counts; the snapshot lists them by content, so its bytes
+    // must not.
+    let db = tpch();
+    let reference = string_template_snapshots(&db, 1);
+    assert!(!reference.is_empty(), "no snapshot written");
+    for threads in [4, 8] {
+        let files = string_template_snapshots(&db, threads);
+        assert_eq!(files.len(), reference.len(), "threads={threads}: snapshot count");
+        for ((name, bytes), (expected_name, expected)) in files.iter().zip(&reference) {
+            assert_eq!(name, expected_name, "threads={threads}");
+            assert!(bytes == expected, "threads={threads}: {name} differs from the 1-thread run's");
+        }
+    }
+}
+
 /// The contents of the newest `n` snapshot files in `dir`, oldest first.
 fn newest_snapshots(dir: &Path, n: usize) -> Vec<Vec<u8>> {
     let files = snapshot_files(dir);
