@@ -171,10 +171,7 @@ impl Database {
     ) {
         for (t, c) in [(table, column), (ref_table, ref_column)] {
             let schema = self.schemas.get(t).unwrap_or_else(|| panic!("unknown table {t}"));
-            assert!(
-                schema.columns.iter().any(|col| col.name == c),
-                "unknown column {t}.{c}"
-            );
+            assert!(schema.columns.iter().any(|col| col.name == c), "unknown column {t}.{c}");
         }
         self.foreign_keys.push(ForeignKey {
             table: table.into(),
@@ -224,10 +221,7 @@ impl Database {
             let stats = &self.stats[name];
             let table = &self.tables[name];
             let size_kb = (stats.row_count * table.row_width()) / 1024;
-            out.push_str(&format!(
-                "Table {name} ({} rows, ~{size_kb} KB)\n",
-                stats.row_count
-            ));
+            out.push_str(&format!("Table {name} ({} rows, ~{size_kb} KB)\n", stats.row_count));
             for col in &schema.columns {
                 let col_stats = &stats.columns[&col.name];
                 let mut tags = Vec::new();
@@ -309,10 +303,7 @@ mod tests {
     fn lookup_and_errors() {
         let db = sample_db();
         assert!(db.table("users").is_ok());
-        assert_eq!(
-            db.table("ghosts").unwrap_err(),
-            DbError::UnknownTable("ghosts".into())
-        );
+        assert_eq!(db.table("ghosts").unwrap_err(), DbError::UnknownTable("ghosts".into()));
         assert_eq!(db.stats("orders").unwrap().row_count, 1);
     }
 

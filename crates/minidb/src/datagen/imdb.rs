@@ -47,10 +47,8 @@ struct Gen {
 
 impl Gen {
     fn dict_table(&mut self, name: &str, column: &str, values: &[&str]) -> Table {
-        let mut t = Table::new(
-            name,
-            vec![("id".into(), DataType::Int), (column.into(), DataType::Str)],
-        );
+        let mut t =
+            Table::new(name, vec![("id".into(), DataType::Int), (column.into(), DataType::Str)]);
         for (i, v) in values.iter().enumerate() {
             t.push_row([Value::Int(i as i64 + 1), Value::Str(v.to_string())]);
         }
@@ -126,13 +124,19 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let kind_type = g.dict_table(
         "kind_type",
         "kind",
-        &["movie", "tv series", "tv movie", "video movie", "tv mini series", "video game",
-          "episode"],
+        &[
+            "movie",
+            "tv series",
+            "tv movie",
+            "video movie",
+            "tv mini series",
+            "video game",
+            "episode",
+        ],
     );
     loader.add_table(kind_type, Some("id"), &[]);
 
-    let info_values: Vec<String> =
-        (1..=113).map(|i| format!("info_kind_{i:03}")).collect();
+    let info_values: Vec<String> = (1..=113).map(|i| format!("info_kind_{i:03}")).collect();
     let info_refs: Vec<&str> = info_values.iter().map(String::as_str).collect();
     let info_type = g.dict_table("info_type", "info", &info_refs);
     loader.add_table(info_type, Some("id"), &[]);
@@ -144,15 +148,33 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let company_type = g.dict_table(
         "company_type",
         "kind",
-        &["distributors", "production companies", "special effects companies",
-          "miscellaneous companies"],
+        &[
+            "distributors",
+            "production companies",
+            "special effects companies",
+            "miscellaneous companies",
+        ],
     );
     loader.add_table(company_type, Some("id"), &[]);
 
     let link_values: Vec<String> = [
-        "follows", "followed by", "remake of", "remade as", "references", "referenced in",
-        "spoofs", "spoofed in", "features", "featured in", "spin off from", "spin off",
-        "version of", "similar to", "edited into", "edited from", "alternate language version of",
+        "follows",
+        "followed by",
+        "remake of",
+        "remade as",
+        "references",
+        "referenced in",
+        "spoofs",
+        "spoofed in",
+        "features",
+        "featured in",
+        "spin off from",
+        "spin off",
+        "version of",
+        "similar to",
+        "edited into",
+        "edited from",
+        "alternate language version of",
         "unknown link",
     ]
     .iter()
@@ -165,9 +187,20 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let role_type = g.dict_table(
         "role_type",
         "role",
-        &["actor", "actress", "producer", "writer", "cinematographer", "composer",
-          "costume designer", "director", "editor", "miscellaneous crew", "production designer",
-          "guest"],
+        &[
+            "actor",
+            "actress",
+            "producer",
+            "writer",
+            "cinematographer",
+            "composer",
+            "costume designer",
+            "director",
+            "editor",
+            "miscellaneous crew",
+            "production designer",
+            "guest",
+        ],
     );
     loader.add_table(role_type, Some("id"), &[]);
 
@@ -219,15 +252,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     }
     loader.add_table(name, Some("id"), &[]);
 
-    let mut char_name = Table::new(
-        "char_name",
-        vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)],
-    );
+    let mut char_name =
+        Table::new("char_name", vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)]);
     for i in 0..n_char {
-        char_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "char")),
-        ]);
+        char_name.push_row([Value::Int(i as i64 + 1), Value::Str(synth_name(&mut g.rng, "char"))]);
     }
     loader.add_table(char_name, Some("id"), &[]);
 
@@ -254,10 +282,7 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
         vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
     );
     for i in 0..n_keyword {
-        keyword.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "kw")),
-        ]);
+        keyword.push_row([Value::Int(i as i64 + 1), Value::Str(synth_name(&mut g.rng, "kw"))]);
     }
     loader.add_table(keyword, Some("id"), &[]);
 
@@ -279,11 +304,7 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
             Value::Int(i as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
             Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            if has_char {
-                Value::Int(g.rng.gen_range(1..=n_char as i64))
-            } else {
-                Value::Null
-            },
+            if has_char { Value::Int(g.rng.gen_range(1..=n_char as i64)) } else { Value::Null },
             Value::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
             Value::Int(g.rng.gen_range(1..100)),
         ]);

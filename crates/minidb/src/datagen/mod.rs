@@ -210,10 +210,10 @@ pub fn standard_normal(rng: &mut StdRng) -> f64 {
 
 /// Deterministic word pool for synthetic text columns.
 pub const WORDS: [&str; 32] = [
-    "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet", "harbor", "indigo",
-    "juniper", "krypton", "lumen", "maple", "nickel", "onyx", "prism", "quartz", "raven",
-    "sable", "tundra", "umber", "vertex", "willow", "xenon", "yarrow", "zephyr", "cobalt",
-    "dune", "echo", "flint", "grove", "haze",
+    "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet", "harbor", "indigo", "juniper",
+    "krypton", "lumen", "maple", "nickel", "onyx", "prism", "quartz", "raven", "sable", "tundra",
+    "umber", "vertex", "willow", "xenon", "yarrow", "zephyr", "cobalt", "dune", "echo", "flint",
+    "grove", "haze",
 ];
 
 /// Deterministic synthetic name: two pooled words plus a number.
@@ -470,10 +470,7 @@ mod tests {
     fn generation_is_deterministic() {
         let a = tpch::generate(tpch::TpchConfig::tiny());
         let b = tpch::generate(tpch::TpchConfig::tiny());
-        assert_eq!(
-            a.stats("lineitem").unwrap().row_count,
-            b.stats("lineitem").unwrap().row_count
-        );
+        assert_eq!(a.stats("lineitem").unwrap().row_count, b.stats("lineitem").unwrap().row_count);
         let sa = a.schema_summary();
         let sb = b.schema_summary();
         assert_eq!(sa, sb);

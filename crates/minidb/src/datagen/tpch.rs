@@ -44,10 +44,10 @@ const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIE
 const RETURN_FLAGS: [&str; 3] = ["A", "N", "R"];
 const LINE_STATUS: [&str; 2] = ["F", "O"];
 const BRANDS: [&str; 25] = [
-    "Brand#11", "Brand#12", "Brand#13", "Brand#14", "Brand#15", "Brand#21", "Brand#22",
-    "Brand#23", "Brand#24", "Brand#25", "Brand#31", "Brand#32", "Brand#33", "Brand#34",
-    "Brand#35", "Brand#41", "Brand#42", "Brand#43", "Brand#44", "Brand#45", "Brand#51",
-    "Brand#52", "Brand#53", "Brand#54", "Brand#55",
+    "Brand#11", "Brand#12", "Brand#13", "Brand#14", "Brand#15", "Brand#21", "Brand#22", "Brand#23",
+    "Brand#24", "Brand#25", "Brand#31", "Brand#32", "Brand#33", "Brand#34", "Brand#35", "Brand#41",
+    "Brand#42", "Brand#43", "Brand#44", "Brand#45", "Brand#51", "Brand#52", "Brand#53", "Brand#54",
+    "Brand#55",
 ];
 
 fn scaled(base: usize, sf: f64) -> usize {
@@ -104,11 +104,7 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
         ],
     );
     for i in 0..25 {
-        nation.push_row([
-            Value::Int(i),
-            Value::Str(format!("NATION_{i:02}")),
-            Value::Int(i % 5),
-        ]);
+        nation.push_row([Value::Int(i), Value::Str(format!("NATION_{i:02}")), Value::Int(i % 5)]);
     }
     loader.add_table(nation, Some("n_nationkey"), &["n_regionkey"]);
 
@@ -291,11 +287,9 @@ mod tests {
     fn predicates_slice_the_data_plausibly() {
         let db = generate(TpchConfig::tiny());
         let all = db.execute_sql("SELECT COUNT(*) FROM lineitem").unwrap();
-        let half = db
-            .execute_sql("SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > 25")
-            .unwrap();
-        let (Value::Int(total), Value::Int(filtered)) = (&all.rows[0][0], &half.rows[0][0])
-        else {
+        let half =
+            db.execute_sql("SELECT COUNT(*) FROM lineitem WHERE lineitem.l_quantity > 25").unwrap();
+        let (Value::Int(total), Value::Int(filtered)) = (&all.rows[0][0], &half.rows[0][0]) else {
             panic!()
         };
         let fraction = *filtered as f64 / *total as f64;

@@ -101,11 +101,7 @@ impl Database {
         use sqlkit::{ColumnRef, Expr, Select};
 
         fn scope_of(select: &Select) -> Vec<(String, String)> {
-            select
-                .table_refs()
-                .iter()
-                .map(|t| (t.binding().to_string(), t.table.clone()))
-                .collect()
+            select.table_refs().iter().map(|t| (t.binding().to_string(), t.table.clone())).collect()
         }
 
         fn probe_for(
@@ -228,15 +224,14 @@ mod tests {
     #[test]
     fn simple_filter_execution_and_estimate_agree_roughly() {
         let db = shop_db();
-        let result = db.execute_sql("SELECT * FROM orders WHERE orders.order_amount > 500").unwrap();
+        let result =
+            db.execute_sql("SELECT * FROM orders WHERE orders.order_amount > 500").unwrap();
         // amounts cycle 0..990 step 10; > 500 → 49 per 100 → 245 rows
         assert_eq!(result.cardinality(), 245);
-        let explain = db.explain_sql("SELECT * FROM orders WHERE orders.order_amount > 500").unwrap();
+        let explain =
+            db.explain_sql("SELECT * FROM orders WHERE orders.order_amount > 500").unwrap();
         let estimated = explain.estimated_rows;
-        assert!(
-            (estimated - 245.0).abs() < 30.0,
-            "estimate {estimated} too far from 245"
-        );
+        assert!((estimated - 245.0).abs() < 30.0, "estimate {estimated} too far from 245");
     }
 
     #[test]
@@ -282,27 +277,21 @@ mod tests {
     #[test]
     fn validation_catches_type_mismatch_and_grouping_errors() {
         let db = shop_db();
-        let err = db
-            .validate_sql("SELECT * FROM users WHERE users.user_name > 5")
-            .unwrap_err();
+        let err = db.validate_sql("SELECT * FROM users WHERE users.user_name > 5").unwrap_err();
         assert!(err.contains("operator does not exist"));
-        let err = db
-            .validate_sql("SELECT user_name, COUNT(*) FROM users")
-            .unwrap_err();
+        let err = db.validate_sql("SELECT user_name, COUNT(*) FROM users").unwrap_err();
         assert!(err.contains("GROUP BY"));
     }
 
     #[test]
     fn templates_are_rejected_until_instantiated() {
         let db = shop_db();
-        let err = db
-            .validate_sql("SELECT * FROM orders WHERE orders.order_amount > {p_1}")
-            .unwrap_err();
+        let err =
+            db.validate_sql("SELECT * FROM orders WHERE orders.order_amount > {p_1}").unwrap_err();
         assert!(err.contains("p_1"));
-        let template = sqlkit::parse_template(
-            "SELECT * FROM orders WHERE orders.order_amount > {p_1}",
-        )
-        .unwrap();
+        let template =
+            sqlkit::parse_template("SELECT * FROM orders WHERE orders.order_amount > {p_1}")
+                .unwrap();
         assert!(db.validate_template(&template).is_ok());
     }
 
@@ -310,9 +299,7 @@ mod tests {
     fn order_by_limit_distinct() {
         let db = shop_db();
         let result = db
-            .execute_sql(
-                "SELECT DISTINCT o.user_id FROM orders o ORDER BY o.user_id DESC LIMIT 3",
-            )
+            .execute_sql("SELECT DISTINCT o.user_id FROM orders o ORDER BY o.user_id DESC LIMIT 3")
             .unwrap();
         assert_eq!(
             result.rows,
@@ -334,9 +321,7 @@ mod tests {
         let db = shop_db();
         let single = db.explain_sql("SELECT * FROM orders").unwrap().total_cost;
         let joined = db
-            .explain_sql(
-                "SELECT * FROM orders o JOIN users u ON o.user_id = u.user_id",
-            )
+            .explain_sql("SELECT * FROM orders o JOIN users u ON o.user_id = u.user_id")
             .unwrap()
             .total_cost;
         assert!(joined > single);
@@ -421,9 +406,7 @@ mod index_tests {
         let explain = db.explain(&q).unwrap();
         fn find_scan(node: &crate::plan::PlanNode) -> Option<String> {
             match &node.kind {
-                NodeKind::SeqScan { .. } | NodeKind::IndexScan { .. } => {
-                    Some(node.label())
-                }
+                NodeKind::SeqScan { .. } | NodeKind::IndexScan { .. } => Some(node.label()),
                 _ => node.children.iter().find_map(find_scan),
             }
         }
@@ -483,10 +466,7 @@ mod index_tests {
     #[test]
     fn index_scan_is_cheaper_than_seq_for_point_lookups() {
         let db = indexed_db();
-        let point = db
-            .explain_sql("SELECT * FROM events WHERE events.id = 5")
-            .unwrap()
-            .total_cost;
+        let point = db.explain_sql("SELECT * FROM events WHERE events.id = 5").unwrap().total_cost;
         let full = db.explain_sql("SELECT * FROM events").unwrap().total_cost;
         assert!(point * 10.0 < full, "point {point} vs full {full}");
     }
@@ -496,11 +476,8 @@ mod index_tests {
         let db = indexed_db();
         // id > 100 must not include id = 100 even though the probe is
         // inclusive (the filter re-applies).
-        let result = db
-            .execute_sql(
-                "SELECT events.id FROM events WHERE events.id > 19998",
-            )
-            .unwrap();
+        let result =
+            db.execute_sql("SELECT events.id FROM events WHERE events.id > 19998").unwrap();
         assert_eq!(result.rows, vec![vec![Value::Int(19_999)]]);
     }
 }
@@ -547,11 +524,7 @@ impl Database {
     pub fn explain_analyze(&self, select: &Select) -> Result<ExplainAnalyze, DbError> {
         let explain = self.explain(select)?;
         let result = self.execute(select)?;
-        Ok(ExplainAnalyze {
-            explain,
-            actual_rows: result.cardinality(),
-            elapsed: result.elapsed,
-        })
+        Ok(ExplainAnalyze { explain, actual_rows: result.cardinality(), elapsed: result.elapsed })
     }
 }
 

@@ -36,11 +36,8 @@ impl Scope {
     pub fn resolve(&self, db: &Database, column: &ColumnRef) -> Result<usize, DbError> {
         match &column.table {
             Some(binding) => {
-                let idx = self
-                    .bindings
-                    .iter()
-                    .position(|(b, _)| b == binding)
-                    .ok_or_else(|| {
+                let idx =
+                    self.bindings.iter().position(|(b, _)| b == binding).ok_or_else(|| {
                         DbError::UnknownColumn(format!("{binding}.{}", column.column))
                     })?;
                 let table = &self.bindings[idx].1;
@@ -214,16 +211,10 @@ impl<'a> Estimator<'a> {
                 // column-to-column comparison
                 return match op {
                     BinaryOp::Eq => {
-                        let nd_l = self
-                            .column_stats(&lc)
-                            .map(|s| s.n_distinct)
-                            .unwrap_or(0.0)
-                            .max(1.0);
-                        let nd_r = self
-                            .column_stats(&rc)
-                            .map(|s| s.n_distinct)
-                            .unwrap_or(0.0)
-                            .max(1.0);
+                        let nd_l =
+                            self.column_stats(&lc).map(|s| s.n_distinct).unwrap_or(0.0).max(1.0);
+                        let nd_r =
+                            self.column_stats(&rc).map(|s| s.n_distinct).unwrap_or(0.0).max(1.0);
                         1.0 / nd_l.max(nd_r)
                     }
                     BinaryOp::NotEq => 1.0 - DEFAULT_EQ_SEL,
@@ -261,8 +252,7 @@ impl<'a> Estimator<'a> {
     /// estimate smooth in the input cardinality (the property the BO
     /// search exploits).
     pub fn group_count(&self, group_exprs: &[Expr], input_rows: f64) -> f64 {
-        let nds: Vec<Option<f64>> =
-            group_exprs.iter().map(|e| self.group_nd(e)).collect();
+        let nds: Vec<Option<f64>> = group_exprs.iter().map(|e| self.group_nd(e)).collect();
         group_count_from_nds(&nds, input_rows)
     }
 
@@ -271,9 +261,7 @@ impl<'a> Estimator<'a> {
     /// inside [`group_count_from_nds`] — the only input-dependent part, so
     /// a prepared plan can cache these and replay per binding.
     pub(crate) fn group_nd(&self, expr: &Expr) -> Option<f64> {
-        self.leaf_column(expr)
-            .and_then(|c| self.column_stats(&c))
-            .map(|s| s.n_distinct.max(1.0))
+        self.leaf_column(expr).and_then(|c| self.column_stats(&c)).map(|s| s.n_distinct.max(1.0))
     }
 
     /// If the expression is a plain column reference (possibly negated or
@@ -291,13 +279,11 @@ impl<'a> Estimator<'a> {
     fn constant_of(expr: &Expr) -> Option<Value> {
         match expr {
             Expr::Literal(v) => Some(v.clone()),
-            Expr::Unary { op: sqlkit::UnaryOp::Neg, expr } => {
-                match Self::constant_of(expr)? {
-                    Value::Int(v) => Some(Value::Int(-v)),
-                    Value::Float(v) => Some(Value::Float(-v)),
-                    _ => None,
-                }
-            }
+            Expr::Unary { op: sqlkit::UnaryOp::Neg, expr } => match Self::constant_of(expr)? {
+                Value::Int(v) => Some(Value::Int(-v)),
+                Value::Float(v) => Some(Value::Float(-v)),
+                _ => None,
+            },
             Expr::Binary { left, op, right } if op.is_arithmetic() => {
                 let a = Self::constant_of(left)?.as_f64()?;
                 let b = Self::constant_of(right)?.as_f64()?;
@@ -579,10 +565,7 @@ mod tests {
     fn subquery_defaults() {
         let db = db_with_uniform_column();
         assert_eq!(sel(&db, "x IN (SELECT x FROM t)"), DEFAULT_SUBQUERY_SEL);
-        assert_eq!(
-            sel(&db, "EXISTS (SELECT x FROM t)"),
-            DEFAULT_SUBQUERY_SEL
-        );
+        assert_eq!(sel(&db, "EXISTS (SELECT x FROM t)"), DEFAULT_SUBQUERY_SEL);
     }
 
     #[test]

@@ -161,9 +161,7 @@ impl ValueSource {
     /// The value this source takes in `row`.
     fn resolve<'a>(&'a self, batch: &'a BindingBatch, row: usize) -> &'a Value {
         match self {
-            ValueSource::Slot(id) => {
-                batch.value(batch.column_of(*id), row)
-            }
+            ValueSource::Slot(id) => batch.value(batch.column_of(*id), row),
             ValueSource::Const(v) => v,
         }
     }
@@ -319,9 +317,9 @@ impl PreparedExec {
         {
             for row in 0..batch.len() {
                 let expected = match self.plan.template().instantiate(batch.row(row)) {
-                    Ok(select) => db
-                        .execute(&select)
-                        .map(|r| (r.cardinality() as f64, r.work_micros())),
+                    Ok(select) => {
+                        db.execute(&select).map(|r| (r.cardinality() as f64, r.work_micros()))
+                    }
                     Err(e) => Err(DbError::Unsupported(e.to_string())),
                 };
                 match (&expected, &scratch.results[row]) {
@@ -390,8 +388,7 @@ impl HoistedPlan {
         let select = plan.template().select();
         let hoisted = select.subqueries().iter().all(|s| !s.has_placeholders()).then(|| {
             let mut work = 0u64;
-            executor::collect_subquery_results(db, select, &mut work)
-                .map(|results| (results, work))
+            executor::collect_subquery_results(db, select, &mut work).map(|results| (results, work))
         });
         HoistedPlan { hoisted }
     }
@@ -632,8 +629,8 @@ impl ColumnarPlan {
         for (scan, ((step, table), selection)) in
             self.scans.iter().zip(tables).zip(selections.iter_mut()).enumerate()
         {
-            work += step.fill_selection(db, table, batch, row, access_paths[scan], selection)
-                as u64;
+            work +=
+                step.fill_selection(db, table, batch, row, access_paths[scan], selection) as u64;
         }
 
         // The leftmost input: its selection, kept only if read later.
@@ -1225,10 +1222,7 @@ fn kernelable(table: &Table, expr: &Expr) -> Option<ScanConjunct> {
         _ => return None,
     };
     let col = table.column_index(&name)?;
-    if !matches!(
-        table.columns[col].data_type(),
-        DataType::Int | DataType::Float
-    ) {
+    if !matches!(table.columns[col].data_type(), DataType::Int | DataType::Float) {
         return None;
     }
     Some(ScanConjunct { name, col, kind })
@@ -1254,10 +1248,9 @@ fn probe_bounds(
                 _ => unreachable!("probe decision rejects other operators"),
             }
         }
-        ConjunctKind::Between { low, high, .. } => (
-            low.resolve(batch, row).as_f64(),
-            high.resolve(batch, row).as_f64(),
-        ),
+        ConjunctKind::Between { low, high, .. } => {
+            (low.resolve(batch, row).as_f64(), high.resolve(batch, row).as_f64())
+        }
     }
 }
 
@@ -1279,21 +1272,9 @@ enum Pred<'a> {
     /// `Float` column vs numeric operand.
     CmpFF { values: &'a [f64], valid: &'a [bool], op: BinaryOp, b: f64 },
     /// `Int` column `[NOT] BETWEEN`, each bound kept in its own domain.
-    BetweenInt {
-        values: &'a [i64],
-        valid: &'a [bool],
-        lo: IntBound,
-        hi: IntBound,
-        negated: bool,
-    },
+    BetweenInt { values: &'a [i64], valid: &'a [bool], lo: IntBound, hi: IntBound, negated: bool },
     /// `Float` column `[NOT] BETWEEN`.
-    BetweenFloat {
-        values: &'a [f64],
-        valid: &'a [bool],
-        lo: f64,
-        hi: f64,
-        negated: bool,
-    },
+    BetweenFloat { values: &'a [f64], valid: &'a [bool], lo: f64, hi: f64, negated: bool },
     /// A NULL operand: no row passes, negated or not.
     Nothing,
 }
@@ -1402,27 +1383,23 @@ macro_rules! with_pass {
     ($pred:expr, |$pass:ident| $body:expr) => {
         match $pred {
             Pred::CmpII { values, valid, op, b } => {
-                let $pass =
-                    |row: usize| valid[row] && ord_ok(*op, values[row].cmp(b));
+                let $pass = |row: usize| valid[row] && ord_ok(*op, values[row].cmp(b));
                 $body
             }
             Pred::CmpIF { values, valid, op, b } => {
-                let $pass = |row: usize| {
-                    valid[row] && ord_ok(*op, fcmp(values[row] as f64, *b))
-                };
+                let $pass = |row: usize| valid[row] && ord_ok(*op, fcmp(values[row] as f64, *b));
                 $body
             }
             Pred::CmpFF { values, valid, op, b } => {
-                let $pass =
-                    |row: usize| valid[row] && ord_ok(*op, fcmp(values[row], *b));
+                let $pass = |row: usize| valid[row] && ord_ok(*op, fcmp(values[row], *b));
                 $body
             }
             Pred::BetweenInt { values, valid, lo, hi, negated } => {
                 let $pass = |row: usize| {
                     valid[row] && {
                         let v = values[row];
-                        let inside = ibcmp(v, *lo) != Ordering::Less
-                            && ibcmp(v, *hi) != Ordering::Greater;
+                        let inside =
+                            ibcmp(v, *lo) != Ordering::Less && ibcmp(v, *hi) != Ordering::Greater;
                         inside != *negated
                     }
                 };
@@ -1432,8 +1409,8 @@ macro_rules! with_pass {
                 let $pass = |row: usize| {
                     valid[row] && {
                         let v = values[row];
-                        let inside = fcmp(v, *lo) != Ordering::Less
-                            && fcmp(v, *hi) != Ordering::Greater;
+                        let inside =
+                            fcmp(v, *lo) != Ordering::Less && fcmp(v, *hi) != Ordering::Greater;
                         inside != *negated
                     }
                 };
@@ -1520,9 +1497,7 @@ mod tests {
         assert_eq!(results.len(), rows.len());
         for (row, result) in results.iter().enumerate() {
             let select = template.instantiate(batch.row(row)).unwrap();
-            let expected = db
-                .execute(&select)
-                .map(|r| (r.cardinality() as f64, r.work_micros()));
+            let expected = db.execute(&select).map(|r| (r.cardinality() as f64, r.work_micros()));
             match (&expected, result) {
                 (Ok((card_s, work_s)), Ok((card_b, work_b))) => {
                     assert_eq!(card_b.to_bits(), card_s.to_bits(), "card row {row}");
@@ -1559,11 +1534,7 @@ mod tests {
             &db,
             "SELECT o.o_orderkey FROM orders AS o WHERE o.o_orderkey = {p_1}",
             "columnar",
-            &[
-                vec![(1, Value::Int(1))],
-                vec![(1, Value::Int(500))],
-                vec![(1, Value::Int(-3))],
-            ],
+            &[vec![(1, Value::Int(1))], vec![(1, Value::Int(500))], vec![(1, Value::Int(-3))]],
         );
     }
 
@@ -1629,10 +1600,7 @@ mod tests {
              WHERE o.o_totalprice > {p_1} \
              GROUP BY c.c_name ORDER BY c.c_name LIMIT 5",
             "columnar",
-            &[
-                vec![(1, Value::Float(1_000.0))],
-                vec![(1, Value::Float(90_000.0))],
-            ],
+            &[vec![(1, Value::Float(1_000.0))], vec![(1, Value::Float(90_000.0))]],
         );
     }
 
@@ -1810,10 +1778,7 @@ mod tests {
              EXISTS (SELECT orders.o_orderkey FROM orders \
                      WHERE orders.o_totalprice > 90000)",
             "hoisted",
-            &[
-                vec![(1, Value::Float(500.0))],
-                vec![(1, Value::Float(-200.0))],
-            ],
+            &[vec![(1, Value::Float(500.0))], vec![(1, Value::Float(-200.0))]],
         );
     }
 
@@ -1826,10 +1791,7 @@ mod tests {
              (SELECT orders.o_custkey FROM orders \
               WHERE orders.o_totalprice > {p_1})",
             "hoisted",
-            &[
-                vec![(1, Value::Float(1_000.0))],
-                vec![(1, Value::Float(100_000.0))],
-            ],
+            &[vec![(1, Value::Float(1_000.0))], vec![(1, Value::Float(100_000.0))]],
         );
     }
 
@@ -1853,10 +1815,9 @@ mod tests {
     #[test]
     fn empty_batch_returns_empty_results() {
         let db = tpch();
-        let template = parse_template(
-            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}")
+                .unwrap();
         let prepared = prepare(&db, &template);
         let batch = BindingBatch::new(vec![1]);
         let mut scratch = ExecScratch::new();
@@ -1867,11 +1828,6 @@ mod tests {
     #[test]
     fn unfiltered_scan_counts_every_row() {
         let db = tpch();
-        assert_batch_matches_scalar(
-            &db,
-            "SELECT * FROM region AS r",
-            "columnar",
-            &[vec![]],
-        );
+        assert_batch_matches_scalar(&db, "SELECT * FROM region AS r", "columnar", &[vec![]]);
     }
 }

@@ -99,13 +99,9 @@ pub(crate) fn collect_subquery_results(
 
     let mut pending: Vec<(SubKind, Select)> = Vec::new();
     select.walk_exprs(&mut |expr| match expr {
-        Expr::InSubquery { subquery, .. } => {
-            pending.push((SubKind::In, subquery.as_ref().clone()))
-        }
+        Expr::InSubquery { subquery, .. } => pending.push((SubKind::In, subquery.as_ref().clone())),
         Expr::ScalarSubquery(sq) => pending.push((SubKind::Scalar, sq.as_ref().clone())),
-        Expr::Exists { subquery, .. } => {
-            pending.push((SubKind::Exists, subquery.as_ref().clone()))
-        }
+        Expr::Exists { subquery, .. } => pending.push((SubKind::Exists, subquery.as_ref().clone())),
         _ => {}
     });
     for (kind, subquery) in pending {
@@ -131,9 +127,7 @@ fn find_join_root(plan: &PlanNode) -> &PlanNode {
         | NodeKind::Sort
         | NodeKind::Distinct
         | NodeKind::Aggregate { .. } => find_join_root(&plan.children[0]),
-        NodeKind::Filter { .. }
-            if matches!(plan.children[0].kind, NodeKind::Aggregate { .. }) =>
-        {
+        NodeKind::Filter { .. } if matches!(plan.children[0].kind, NodeKind::Aggregate { .. }) => {
             find_join_root(&plan.children[0])
         }
         _ => plan,
@@ -150,11 +144,7 @@ fn exec_node(
         NodeKind::SeqScan { table, binding, filter } => {
             let data = db.table(table)?;
             let schema = RowSchema {
-                fields: data
-                    .column_names
-                    .iter()
-                    .map(|c| (binding.clone(), c.clone()))
-                    .collect(),
+                fields: data.column_names.iter().map(|c| (binding.clone(), c.clone())).collect(),
             };
             let mut rows = Vec::new();
             let n_cols = data.columns.len();
@@ -165,12 +155,8 @@ fn exec_node(
                     row.push(col.get(row_idx));
                 }
                 if let Some(predicate) = filter {
-                    let context = EvalContext {
-                        schema: &schema,
-                        row: &row,
-                        aggregates: None,
-                        subqueries,
-                    };
+                    let context =
+                        EvalContext { schema: &schema, row: &row, aggregates: None, subqueries };
                     if !context.eval_filter(predicate)? {
                         continue;
                     }
@@ -185,11 +171,7 @@ fn exec_node(
                 DbError::Unsupported(format!("missing index on {table}.{column}"))
             })?;
             let schema = RowSchema {
-                fields: data
-                    .column_names
-                    .iter()
-                    .map(|c| (binding.clone(), c.clone()))
-                    .collect(),
+                fields: data.column_names.iter().map(|c| (binding.clone(), c.clone())).collect(),
             };
             let n_cols = data.columns.len();
             let mut rows = Vec::new();
@@ -201,12 +183,8 @@ fn exec_node(
                     row.push(col.get(row_idx as usize));
                 }
                 if let Some(predicate) = filter {
-                    let context = EvalContext {
-                        schema: &schema,
-                        row: &row,
-                        aggregates: None,
-                        subqueries,
-                    };
+                    let context =
+                        EvalContext { schema: &schema, row: &row, aggregates: None, subqueries };
                     if !context.eval_filter(predicate)? {
                         continue;
                     }
@@ -292,21 +270,15 @@ fn exec_node(
             *work += input.rows.len() as u64;
             let mut rows = Vec::with_capacity(input.rows.len());
             for row in input.rows {
-                let context = EvalContext {
-                    schema: &input.schema,
-                    row: &row,
-                    aggregates: None,
-                    subqueries,
-                };
+                let context =
+                    EvalContext { schema: &input.schema, row: &row, aggregates: None, subqueries };
                 if context.eval_filter(predicate)? {
                     rows.push(row);
                 }
             }
             Ok(Rel { schema: input.schema, rows })
         }
-        other => Err(DbError::Unsupported(format!(
-            "executor node {other:?} below the join root"
-        ))),
+        other => Err(DbError::Unsupported(format!("executor node {other:?} below the join root"))),
     }
 }
 
@@ -495,8 +467,7 @@ fn group_records(
     let mut group_index: HashMap<String, usize> = HashMap::new();
 
     for row in &rel.rows {
-        let context =
-            EvalContext { schema: &rel.schema, row, aggregates: None, subqueries };
+        let context = EvalContext { schema: &rel.schema, row, aggregates: None, subqueries };
         let mut key_values = Vec::with_capacity(select.group_by.len());
         for group in &select.group_by {
             key_values.push(context.eval(group)?);
@@ -521,10 +492,8 @@ fn group_records(
 
     // Global aggregation over an empty input still yields one group.
     if groups.is_empty() && select.group_by.is_empty() {
-        let accumulators = aggregate_exprs
-            .iter()
-            .map(Accumulator::for_expr)
-            .collect::<Result<Vec<_>, _>>()?;
+        let accumulators =
+            aggregate_exprs.iter().map(Accumulator::for_expr).collect::<Result<Vec<_>, _>>()?;
         groups.push((vec![Value::Null; rel.schema.fields.len()], accumulators));
     }
 
@@ -599,9 +568,7 @@ impl Accumulator {
                             *seen = true;
                         }
                         Value::Null => {}
-                        other => {
-                            return Err(DbError::TypeMismatch(format!("SUM({other:?})")))
-                        }
+                        other => return Err(DbError::TypeMismatch(format!("SUM({other:?})"))),
                     }
                 }
             }
@@ -613,18 +580,14 @@ impl Accumulator {
                             *count += 1;
                         }
                         _ if v.is_null() => {}
-                        _ => {
-                            return Err(DbError::TypeMismatch(format!("AVG({v:?})")))
-                        }
+                        _ => return Err(DbError::TypeMismatch(format!("AVG({v:?})"))),
                     }
                 }
             }
             Accumulator::Min(best) => {
                 if let Some(v) = argument {
                     if !v.is_null()
-                        && best
-                            .as_ref()
-                            .is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less)
+                        && best.as_ref().is_none_or(|b| v.total_cmp(b) == std::cmp::Ordering::Less)
                     {
                         *best = Some(v);
                     }

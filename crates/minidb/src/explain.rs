@@ -60,11 +60,7 @@ mod tests {
             est_rows: 3.4,
             total_cost: 12.5,
             children: vec![PlanNode {
-                kind: NodeKind::SeqScan {
-                    table: "t".into(),
-                    binding: "t".into(),
-                    filter: None,
-                },
+                kind: NodeKind::SeqScan { table: "t".into(), binding: "t".into(), filter: None },
                 est_rows: 3.4,
                 total_cost: 10.0,
                 children: vec![],

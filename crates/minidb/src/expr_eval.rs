@@ -33,17 +33,13 @@ impl RowSchema {
                 .fields
                 .iter()
                 .position(|(b, c)| b == binding && c == &column.column)
-                .ok_or_else(|| {
-                    DbError::UnknownColumn(format!("{binding}.{}", column.column))
-                }),
+                .ok_or_else(|| DbError::UnknownColumn(format!("{binding}.{}", column.column))),
             None => {
                 let mut matches =
                     self.fields.iter().enumerate().filter(|(_, (_, c))| c == &column.column);
                 match (matches.next(), matches.next()) {
                     (Some((idx, _)), None) => Ok(idx),
-                    (Some(_), Some(_)) => {
-                        Err(DbError::AmbiguousColumn(column.column.clone()))
-                    }
+                    (Some(_), Some(_)) => Err(DbError::AmbiguousColumn(column.column.clone())),
                     (None, _) => Err(DbError::UnknownColumn(column.column.clone())),
                 }
             }
@@ -88,9 +84,9 @@ impl EvalContext<'_> {
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Placeholder(id) => Err(DbError::UnboundPlaceholder(*id)),
-            Expr::Wildcard => Err(DbError::Unsupported(
-                "\"*\" outside COUNT(*) or a lone projection".into(),
-            )),
+            Expr::Wildcard => {
+                Err(DbError::Unsupported("\"*\" outside COUNT(*) or a lone projection".into()))
+            }
             Expr::Column(c) => Ok(self.row[self.schema.resolve(c)?].clone()),
             Expr::Unary { op: UnaryOp::Neg, expr } => match self.eval(expr)? {
                 Value::Int(v) => Ok(Value::Int(-v)),
@@ -146,19 +142,14 @@ impl EvalContext<'_> {
                 let set = self.subqueries.in_sets.get(&key).ok_or_else(|| {
                     DbError::Unsupported("subquery result missing from cache".into())
                 })?;
-                let found =
-                    set.iter().any(|c| v.total_cmp(c) == std::cmp::Ordering::Equal);
+                let found = set.iter().any(|c| v.total_cmp(c) == std::cmp::Ordering::Equal);
                 Ok(Value::Bool(found != *negated))
             }
             Expr::ScalarSubquery(subquery) => {
                 let key = subquery_key(subquery);
-                self.subqueries
-                    .scalars
-                    .get(&key)
-                    .cloned()
-                    .ok_or_else(|| {
-                        DbError::Unsupported("subquery result missing from cache".into())
-                    })
+                self.subqueries.scalars.get(&key).cloned().ok_or_else(|| {
+                    DbError::Unsupported("subquery result missing from cache".into())
+                })
             }
             Expr::Exists { negated, subquery } => {
                 let key = subquery_key(subquery);
@@ -302,11 +293,7 @@ impl EvalContext<'_> {
                 };
                 match result {
                     Some(v) => Ok(Value::Int(v)),
-                    None => Ok(Value::Float(apply_float(
-                        *a as f64,
-                        op,
-                        *b as f64,
-                    )?)),
+                    None => Ok(Value::Float(apply_float(*a as f64, op, *b as f64)?)),
                 }
             }
             (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
@@ -351,9 +338,7 @@ impl EvalContext<'_> {
                         let d = match self.eval(d)? {
                             Value::Int(n) => n,
                             other => {
-                                return Err(DbError::TypeMismatch(format!(
-                                    "ROUND(…, {other:?})"
-                                )))
+                                return Err(DbError::TypeMismatch(format!("ROUND(…, {other:?})")))
                             }
                         };
                         (self.eval(v)?, d)
@@ -374,11 +359,9 @@ impl EvalContext<'_> {
                 let [arg] = args else { return Err(arity_error("1")) };
                 match self.eval(arg)? {
                     Value::Int(v) => Ok(Value::Int(v)),
-                    Value::Float(v) => Ok(Value::Float(if name == "FLOOR" {
-                        v.floor()
-                    } else {
-                        v.ceil()
-                    })),
+                    Value::Float(v) => {
+                        Ok(Value::Float(if name == "FLOOR" { v.floor() } else { v.ceil() }))
+                    }
                     Value::Null => Ok(Value::Null),
                     other => Err(DbError::TypeMismatch(format!("{name}({other:?})"))),
                 }
@@ -406,9 +389,7 @@ impl EvalContext<'_> {
             "SUBSTR" | "SUBSTRING" => {
                 let (s, start, len) = match args {
                     [s, start] => (self.eval(s)?, self.eval(start)?, None),
-                    [s, start, len] => {
-                        (self.eval(s)?, self.eval(start)?, Some(self.eval(len)?))
-                    }
+                    [s, start, len] => (self.eval(s)?, self.eval(start)?, Some(self.eval(len)?)),
                     _ => return Err(arity_error("2 or 3")),
                 };
                 match (s, start) {
@@ -417,9 +398,7 @@ impl EvalContext<'_> {
                         let begin = (start.max(1) - 1) as usize;
                         let chars: Vec<char> = s.chars().collect();
                         let end = match len {
-                            Some(Value::Int(n)) if n >= 0 => {
-                                (begin + n as usize).min(chars.len())
-                            }
+                            Some(Value::Int(n)) if n >= 0 => (begin + n as usize).min(chars.len()),
                             Some(Value::Null) => return Ok(Value::Null),
                             None => chars.len(),
                             Some(other) => {
@@ -531,9 +510,7 @@ mod tests {
     }
 
     fn schema_xy() -> RowSchema {
-        RowSchema {
-            fields: vec![("t".into(), "x".into()), ("t".into(), "y".into())],
-        }
+        RowSchema { fields: vec![("t".into(), "x".into()), ("t".into(), "y".into())] }
     }
 
     #[test]
@@ -552,70 +529,37 @@ mod tests {
         let row = [Value::Null, Value::Float(1.0)];
         assert_eq!(eval_where("x > 1", &schema, &row).unwrap(), Value::Null);
         assert_eq!(eval_where("x > 1 AND y > 0", &schema, &row).unwrap(), Value::Null);
-        assert_eq!(
-            eval_where("x > 1 AND y < 0", &schema, &row).unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
-            eval_where("x > 1 OR y > 0", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval_where("x > 1 AND y < 0", &schema, &row).unwrap(), Value::Bool(false));
+        assert_eq!(eval_where("x > 1 OR y > 0", &schema, &row).unwrap(), Value::Bool(true));
         assert_eq!(eval_where("x IS NULL", &schema, &row).unwrap(), Value::Bool(true));
-        assert_eq!(
-            eval_where("y IS NOT NULL", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval_where("y IS NOT NULL", &schema, &row).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn division_by_zero_is_a_runtime_error() {
         let schema = schema_xy();
         let row = [Value::Int(1), Value::Float(0.0)];
-        assert!(matches!(
-            eval_where("x / 0 = 1", &schema, &row),
-            Err(DbError::Arithmetic(_))
-        ));
-        assert!(matches!(
-            eval_where("y / 0.0 > 1", &schema, &row),
-            Err(DbError::Arithmetic(_))
-        ));
+        assert!(matches!(eval_where("x / 0 = 1", &schema, &row), Err(DbError::Arithmetic(_))));
+        assert!(matches!(eval_where("y / 0.0 > 1", &schema, &row), Err(DbError::Arithmetic(_))));
     }
 
     #[test]
     fn type_mismatch_is_an_error() {
         let schema = RowSchema { fields: vec![("t".into(), "s".into())] };
         let row = [Value::Str("abc".into())];
-        assert!(matches!(
-            eval_where("s > 5", &schema, &row),
-            Err(DbError::TypeMismatch(_))
-        ));
+        assert!(matches!(eval_where("s > 5", &schema, &row), Err(DbError::TypeMismatch(_))));
     }
 
     #[test]
     fn between_and_in_list() {
         let schema = schema_xy();
         let row = [Value::Int(5), Value::Float(1.0)];
-        assert_eq!(
-            eval_where("x BETWEEN 1 AND 5", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("x NOT BETWEEN 1 AND 4", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("x IN (1, 5, 9)", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("x NOT IN (1, 2)", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval_where("x BETWEEN 1 AND 5", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("x NOT BETWEEN 1 AND 4", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("x IN (1, 5, 9)", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("x NOT IN (1, 2)", &schema, &row).unwrap(), Value::Bool(true));
         // NULL in list makes non-matching IN unknown
-        assert_eq!(
-            eval_where("x IN (1, NULL)", &schema, &row).unwrap(),
-            Value::Null
-        );
+        assert_eq!(eval_where("x IN (1, NULL)", &schema, &row).unwrap(), Value::Null);
     }
 
     #[test]
@@ -634,32 +578,17 @@ mod tests {
         let schema = schema_xy();
         let row = [Value::Int(-4), Value::Float(3.456)];
         assert_eq!(eval_where("ABS(x) = 4", &schema, &row).unwrap(), Value::Bool(true));
-        assert_eq!(
-            eval_where("ROUND(y, 1) = 3.5", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("FLOOR(y) = 3.0", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("COALESCE(NULL, x) = -4", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval_where("ROUND(y, 1) = 3.5", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("FLOOR(y) = 3.0", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("COALESCE(NULL, x) = -4", &schema, &row).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn string_functions() {
         let schema = RowSchema { fields: vec![("t".into(), "s".into())] };
         let row = [Value::Str("Hello".into())];
-        assert_eq!(
-            eval_where("LENGTH(s) = 5", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval_where("UPPER(s) = 'HELLO'", &schema, &row).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(eval_where("LENGTH(s) = 5", &schema, &row).unwrap(), Value::Bool(true));
+        assert_eq!(eval_where("UPPER(s) = 'HELLO'", &schema, &row).unwrap(), Value::Bool(true));
         assert_eq!(
             eval_where("SUBSTR(s, 2, 3) = 'ell'", &schema, &row).unwrap(),
             Value::Bool(true)
@@ -675,8 +604,7 @@ mod tests {
             Value::Bool(true)
         );
         assert_eq!(
-            eval_where("CASE x WHEN 1 THEN 'a' WHEN 2 THEN 'b' END = 'b'", &schema, &row)
-                .unwrap(),
+            eval_where("CASE x WHEN 1 THEN 'a' WHEN 2 THEN 'b' END = 'b'", &schema, &row).unwrap(),
             Value::Bool(true)
         );
         // no match, no else → NULL
@@ -688,29 +616,18 @@ mod tests {
 
     #[test]
     fn bare_column_resolution_and_ambiguity() {
-        let schema = RowSchema {
-            fields: vec![("a".into(), "x".into()), ("b".into(), "x".into())],
-        };
+        let schema = RowSchema { fields: vec![("a".into(), "x".into()), ("b".into(), "x".into())] };
         let row = [Value::Int(1), Value::Int(2)];
-        assert!(matches!(
-            eval_where("x = 1", &schema, &row),
-            Err(DbError::AmbiguousColumn(_))
-        ));
+        assert!(matches!(eval_where("x = 1", &schema, &row), Err(DbError::AmbiguousColumn(_))));
         assert_eq!(eval_where("a.x = 1", &schema, &row).unwrap(), Value::Bool(true));
-        assert!(matches!(
-            eval_where("c.x = 1", &schema, &row),
-            Err(DbError::UnknownColumn(_))
-        ));
+        assert!(matches!(eval_where("c.x = 1", &schema, &row), Err(DbError::UnknownColumn(_))));
     }
 
     #[test]
     fn unbound_placeholder_is_an_error() {
         let schema = schema_xy();
         let row = [Value::Int(1), Value::Float(1.0)];
-        assert_eq!(
-            eval_where("x > {p_1}", &schema, &row),
-            Err(DbError::UnboundPlaceholder(1))
-        );
+        assert_eq!(eval_where("x > {p_1}", &schema, &row), Err(DbError::UnboundPlaceholder(1)));
     }
 
     #[test]
@@ -727,29 +644,21 @@ mod tests {
             aggregates: Some(&aggregates),
             subqueries: &subqueries,
         };
-        assert_eq!(
-            context.eval(select.where_clause.as_ref().unwrap()).unwrap(),
-            Value::Bool(true)
-        );
+        assert_eq!(context.eval(select.where_clause.as_ref().unwrap()).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn in_subquery_uses_cache() {
-        let select =
-            parse_select("SELECT * FROM t WHERE x IN (SELECT y FROM u)").unwrap();
+        let select = parse_select("SELECT * FROM t WHERE x IN (SELECT y FROM u)").unwrap();
         let schema = schema_xy();
         let row = [Value::Int(7), Value::Float(0.0)];
         let mut subqueries = SubqueryResults::default();
         let Expr::InSubquery { subquery, .. } = select.where_clause.as_ref().unwrap() else {
             panic!()
         };
-        subqueries
-            .in_sets
-            .insert(subquery_key(subquery), vec![Value::Int(7), Value::Int(9)]);
+        subqueries.in_sets.insert(subquery_key(subquery), vec![Value::Int(7), Value::Int(9)]);
         assert_eq!(
-            ctx(&schema, &row, &subqueries)
-                .eval(select.where_clause.as_ref().unwrap())
-                .unwrap(),
+            ctx(&schema, &row, &subqueries).eval(select.where_clause.as_ref().unwrap()).unwrap(),
             Value::Bool(true)
         );
     }

@@ -107,10 +107,7 @@ mod tests {
     use sqlkit::Value;
 
     fn table() -> Table {
-        let mut t = Table::new(
-            "t",
-            vec![("x".into(), DataType::Int), ("s".into(), DataType::Str)],
-        );
+        let mut t = Table::new("t", vec![("x".into(), DataType::Int), ("s".into(), DataType::Str)]);
         for i in [5i64, 1, 9, 3, 7] {
             t.push_row(vec![Value::Int(i), Value::Str(format!("v{i}"))]);
         }

@@ -50,9 +50,9 @@ pub mod estimator;
 pub mod exec;
 pub mod executor;
 pub mod explain;
+pub mod expr_eval;
 pub mod index;
 mod int_sort;
-pub mod expr_eval;
 pub mod plan;
 pub mod planner;
 pub mod prepared;

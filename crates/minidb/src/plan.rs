@@ -35,11 +35,7 @@ pub enum NodeKind {
     },
     /// Hash join on one equi-key pair, with an optional residual predicate
     /// applied to joined rows. Keys are `(binding, column)` pairs.
-    HashJoin {
-        left_key: (String, String),
-        right_key: (String, String),
-        residual: Option<Expr>,
-    },
+    HashJoin { left_key: (String, String), right_key: (String, String), residual: Option<Expr> },
     /// Nested-loop join with optional non-equi condition (cross join when
     /// `None`).
     NestedLoop { condition: Option<Expr> },

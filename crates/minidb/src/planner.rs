@@ -160,8 +160,7 @@ impl<'a> Planner<'a> {
         let has_outer_join = select.joins.iter().any(|j| j.kind == JoinKind::Left);
 
         // ---- predicate classification -------------------------------
-        let (scan_filters, edges, residuals) =
-            classify_predicates(self.db, select, &scope)?;
+        let (scan_filters, edges, residuals) = classify_predicates(self.db, select, &scope)?;
 
         // ---- scans ---------------------------------------------------
         let estimator = Estimator::new(self.db, &scope).with_subquery_rows(subquery_rows);
@@ -195,8 +194,7 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 let match_rows = base_rows * estimator.selectivity(conjunct);
-                let index_cost =
-                    model.index_scan(base_rows, width, match_rows, quals, out_rows);
+                let index_cost = model.index_scan(base_rows, width, match_rows, quals, out_rows);
                 if index_cost < best.0 {
                     best = (
                         index_cost,
@@ -242,8 +240,7 @@ impl<'a> Planner<'a> {
                 }
                 let connects = (joined_mask >> edge.left_binding) & 1 == 1
                     && edge.right_binding == next
-                    || (joined_mask >> edge.right_binding) & 1 == 1
-                        && edge.left_binding == next;
+                    || (joined_mask >> edge.right_binding) & 1 == 1 && edge.left_binding == next;
                 if connects {
                     used_edges[edge_idx] = true;
                     applicable.push(edge);
@@ -265,8 +262,8 @@ impl<'a> Planner<'a> {
             let right_rows = right.est_rows;
             let mut selectivity = 1.0;
             for edge in &applicable {
-                selectivity *= estimator
-                    .equi_join_selectivity(&edge.left_column, &edge.right_column);
+                selectivity *=
+                    estimator.equi_join_selectivity(&edge.left_column, &edge.right_column);
             }
             for part in &join_residual_parts {
                 selectivity *= estimator.selectivity(part);
@@ -313,12 +310,8 @@ impl<'a> Planner<'a> {
             };
 
             let total_cost = current.total_cost + right.total_cost + join_cost;
-            current = PlanNode {
-                kind,
-                est_rows: out_rows,
-                total_cost,
-                children: vec![current, right],
-            };
+            current =
+                PlanNode { kind, est_rows: out_rows, total_cost, children: vec![current, right] };
             joined_mask = next_mask;
         }
 
@@ -347,8 +340,8 @@ impl<'a> Planner<'a> {
         let grouped = !select.group_by.is_empty() || n_aggregates > 0;
         if grouped {
             let groups = estimator.group_count(&select.group_by, current.est_rows);
-            let cost = current.total_cost
-                + model.hash_aggregate(current.est_rows, n_aggregates, groups);
+            let cost =
+                current.total_cost + model.hash_aggregate(current.est_rows, n_aggregates, groups);
             current = PlanNode {
                 kind: NodeKind::Aggregate {
                     group_exprs: select.group_by.len(),
@@ -414,9 +407,7 @@ impl<'a> Planner<'a> {
         }
 
         // Root projection: per-output-row CPU + subquery costs.
-        let cost = current.total_cost
-            + current.est_rows * model.cpu_tuple_cost
-            + subquery_cost;
+        let cost = current.total_cost + current.est_rows * model.cpu_tuple_cost + subquery_cost;
         Ok(PlanNode {
             kind: NodeKind::Projection,
             est_rows: current.est_rows,
@@ -436,10 +427,7 @@ impl<'a> Planner<'a> {
     ) -> Result<(), DbError> {
         // Plan subqueries first (their own scopes).
         for subquery in select.subqueries() {
-            if subquery
-                .projections
-                .iter()
-                .any(|p| matches!(p.expr, Expr::Wildcard))
+            if subquery.projections.iter().any(|p| matches!(p.expr, Expr::Wildcard))
                 && subquery.projections.len() > 1
             {
                 return Err(DbError::Unsupported("\"*\" mixed with other projections".into()));
@@ -497,8 +485,7 @@ impl<'a> Planner<'a> {
         // a grouping expression.
         let n_aggregates = count_aggregates(select);
         if n_aggregates > 0 || !select.group_by.is_empty() {
-            let group_keys: Vec<String> =
-                select.group_by.iter().map(|g| g.to_string()).collect();
+            let group_keys: Vec<String> = select.group_by.iter().map(|g| g.to_string()).collect();
             for item in &select.projections {
                 if matches!(item.expr, Expr::Wildcard) {
                     return Err(DbError::Grouping("\"*\"".into()));
@@ -545,9 +532,9 @@ impl<'a> Planner<'a> {
             Expr::Literal(Value::Bool(_)) => Ok(Kind::Bool),
             Expr::Literal(Value::Null) => Ok(Kind::Unknown),
             Expr::Placeholder(id) => Err(DbError::UnboundPlaceholder(*id)),
-            Expr::Wildcard => Err(DbError::Unsupported(
-                "\"*\" outside COUNT(*) or a lone projection".into(),
-            )),
+            Expr::Wildcard => {
+                Err(DbError::Unsupported("\"*\" outside COUNT(*) or a lone projection".into()))
+            }
             Expr::Unary { op: UnaryOp::Neg, expr } => {
                 let kind = self.infer_kind(expr, scope)?;
                 if kind.compatible(Kind::Num) {
@@ -656,20 +643,14 @@ impl<'a> Planner<'a> {
                 if e.compatible(Kind::Str) && p.compatible(Kind::Str) {
                     Ok(Kind::Bool)
                 } else {
-                    Err(DbError::TypeMismatch(format!(
-                        "{} LIKE {}",
-                        e.name(),
-                        p.name()
-                    )))
+                    Err(DbError::TypeMismatch(format!("{} LIKE {}", e.name(), p.name())))
                 }
             }
             Expr::IsNull { expr, .. } => {
                 self.infer_kind(expr, scope)?;
                 Ok(Kind::Bool)
             }
-            Expr::Function { name, args, .. } => {
-                self.infer_function_kind(name, args, scope, expr)
-            }
+            Expr::Function { name, args, .. } => self.infer_function_kind(name, args, scope, expr),
             Expr::Case { operand, branches, else_branch } => {
                 if let Some(op) = operand {
                     self.infer_kind(op, scope)?;
@@ -739,9 +720,7 @@ impl<'a> Planner<'a> {
                 }
                 "SUM" | "AVG" => {
                     let [arg] = args else {
-                        return Err(DbError::TypeMismatch(format!(
-                            "{name} expects 1 argument"
-                        )));
+                        return Err(DbError::TypeMismatch(format!("{name} expects 1 argument")));
                     };
                     let kind = self.infer_kind(arg, scope)?;
                     if kind.compatible(Kind::Num) {
@@ -752,9 +731,7 @@ impl<'a> Planner<'a> {
                 }
                 "MIN" | "MAX" => {
                     let [arg] = args else {
-                        return Err(DbError::TypeMismatch(format!(
-                            "{name} expects 1 argument"
-                        )));
+                        return Err(DbError::TypeMismatch(format!("{name} expects 1 argument")));
                     };
                     self.infer_kind(arg, scope)
                 }
@@ -766,10 +743,7 @@ impl<'a> Planner<'a> {
                 for arg in args {
                     let kind = self.infer_kind(arg, scope)?;
                     if !kind.compatible(Kind::Num) {
-                        return Err(DbError::TypeMismatch(format!(
-                            "{name}({})",
-                            kind.name()
-                        )));
+                        return Err(DbError::TypeMismatch(format!("{name}({})", kind.name())));
                     }
                 }
                 Ok(Kind::Num)
@@ -798,9 +772,7 @@ impl<'a> Planner<'a> {
             }
             "SUBSTR" | "SUBSTRING" => {
                 if args.is_empty() || args.len() > 3 {
-                    return Err(DbError::TypeMismatch(
-                        "SUBSTR expects 2 or 3 arguments".into(),
-                    ));
+                    return Err(DbError::TypeMismatch("SUBSTR expects 2 or 3 arguments".into()));
                 }
                 let kind = self.infer_kind(&args[0], scope)?;
                 if !kind.compatible(Kind::Str) {
@@ -809,10 +781,7 @@ impl<'a> Planner<'a> {
                 for arg in &args[1..] {
                     let k = self.infer_kind(arg, scope)?;
                     if !k.compatible(Kind::Num) {
-                        return Err(DbError::TypeMismatch(format!(
-                            "SUBSTR(…, {})",
-                            k.name()
-                        )));
+                        return Err(DbError::TypeMismatch(format!("SUBSTR(…, {})", k.name())));
                     }
                 }
                 Ok(Kind::Str)
@@ -836,7 +805,6 @@ impl<'a> Planner<'a> {
             other => Err(DbError::Unsupported(format!("function {other}(…)"))),
         }
     }
-
 }
 
 /// Bitmask of bindings referenced by an expression (subqueries excluded
@@ -899,12 +867,10 @@ pub(crate) fn indexable_bounds(conjunct: &Expr) -> Option<(String, Option<f64>, 
     let numeric = |e: &Expr| -> Option<f64> {
         match e {
             Expr::Literal(v) => v.as_f64(),
-            Expr::Unary { op: UnaryOp::Neg, expr } => {
-                Some(-match expr.as_ref() {
-                    Expr::Literal(v) => v.as_f64()?,
-                    _ => return None,
-                })
-            }
+            Expr::Unary { op: UnaryOp::Neg, expr } => Some(-match expr.as_ref() {
+                Expr::Literal(v) => v.as_f64()?,
+                _ => return None,
+            }),
             _ => None,
         }
     };
@@ -1065,10 +1031,8 @@ fn greedy_order(
     edges: &[JoinEdge],
     estimator: &Estimator<'_>,
 ) -> Vec<usize> {
-    let rows: Vec<f64> = scans
-        .iter()
-        .map(|s| s.as_ref().map(|s| s.est_rows).unwrap_or(f64::MAX))
-        .collect();
+    let rows: Vec<f64> =
+        scans.iter().map(|s| s.as_ref().map(|s| s.est_rows).unwrap_or(f64::MAX)).collect();
     let sel_edges: Vec<(usize, usize, f64)> = edges
         .iter()
         .map(|e| {
@@ -1102,9 +1066,7 @@ pub(crate) fn greedy_order_core_into(
 ) {
     let n = rows.len();
     order.clear();
-    let start = (0..n)
-        .min_by(|&a, &b| rows[a].total_cmp(&rows[b]))
-        .expect("at least one relation");
+    let start = (0..n).min_by(|&a, &b| rows[a].total_cmp(&rows[b])).expect("at least one relation");
     order.push(start);
     let mut joined: u64 = 1 << start;
     let mut current_rows = rows[start];

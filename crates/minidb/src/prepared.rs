@@ -389,9 +389,8 @@ impl PreparedTemplate {
     /// and its equi-join edges. `None` for any other shape.
     pub(crate) fn pipeline(&self) -> Option<Pipeline<'_>> {
         let body = &self.body;
-        let plain = body.subqueries.is_empty()
-            && body.residuals.is_empty()
-            && body.having.is_none();
+        let plain =
+            body.subqueries.is_empty() && body.residuals.is_empty() && body.having.is_none();
         plain.then(|| Pipeline {
             scope: &body.scope,
             scans: body
@@ -715,7 +714,11 @@ impl PreparedSelect {
                     let indexed = planner::indexable_bounds(expr)
                         .map(|(column, _, _)| db.index_on(table_name, &column).is_some())
                         .unwrap_or(false);
-                    if indexed { IndexProbe::Always } else { IndexProbe::Never }
+                    if indexed {
+                        IndexProbe::Always
+                    } else {
+                        IndexProbe::Never
+                    }
                 };
                 conjuncts.push(PreparedConjunct {
                     predicate: PreparedPredicate::prepare(&estimator, &subqueries, expr.clone()),
@@ -746,10 +749,7 @@ impl PreparedSelect {
                 )
             })
             .collect();
-        let edge_columns = raw_edges
-            .into_iter()
-            .map(|e| (e.left_column, e.right_column))
-            .collect();
+        let edge_columns = raw_edges.into_iter().map(|e| (e.left_column, e.right_column)).collect();
         let residuals: Vec<(u64, PreparedPredicate)> = raw_residuals
             .into_iter()
             .map(|(mask, expr)| (mask, PreparedPredicate::prepare(&estimator, &subqueries, expr)))
@@ -765,9 +765,8 @@ impl PreparedSelect {
                 planner::count_leaves(h),
             )
         });
-        let distinct_nds = (select.distinct && !grouped).then(|| {
-            select.projections.iter().map(|p| estimator.group_nd(&p.expr)).collect()
-        });
+        let distinct_nds = (select.distinct && !grouped)
+            .then(|| select.projections.iter().map(|p| estimator.group_nd(&p.expr)).collect());
 
         Ok(PreparedSelect {
             syntactic_order: has_outer_join || scope.bindings.len() == 1,
@@ -920,9 +919,7 @@ impl PreparedSelect {
                             }
                         }
                         Some(FastShape::Between { column, negated, low, high }) => {
-                            if !*negated
-                                && db.index_on(&scan.table, &column.column).is_some()
-                            {
+                            if !*negated && db.index_on(&scan.table, &column.column).is_some() {
                                 BatchProbe::Between {
                                     low: BatchBound::of(*low, batch),
                                     high: BatchBound::of(*high, batch),
@@ -969,15 +966,13 @@ impl PreparedSelect {
                 let mut best_cost =
                     model.seq_scan(scan.base_rows, scan.width, scan.quals, out_rows);
                 let mut winner = None;
-                for (c, (conjunct, &sel)) in
-                    scan.conjuncts.iter().zip(conj_sels.iter()).enumerate()
+                for (c, (conjunct, &sel)) in scan.conjuncts.iter().zip(conj_sels.iter()).enumerate()
                 {
                     let probes_now = match &probes[probe_idx] {
                         BatchProbe::Fixed(fixed) => *fixed,
                         BatchProbe::Cmp { col } => batch.value(*col, row).as_f64().is_some(),
                         BatchProbe::Between { low, high } => {
-                            low.resolve(batch, row).is_some()
-                                && high.resolve(batch, row).is_some()
+                            low.resolve(batch, row).is_some() && high.resolve(batch, row).is_some()
                         }
                         BatchProbe::Generic => planner::indexable_bounds(
                             &conjunct.predicate.expr.substitute(batch.row(row)),
@@ -1049,7 +1044,9 @@ impl PreparedSelect {
                         applied_residuals[res_idx] = true;
                         selectivity *= match residual_cols[res_idx] {
                             Some(c) => sels[c * n + row],
-                            None => predicate.cached_sel.expect("residual without column is cached"),
+                            None => {
+                                predicate.cached_sel.expect("residual without column is cached")
+                            }
                         };
                     }
                 }
@@ -1428,7 +1425,10 @@ mod tests {
              (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
         );
         assert!(
-            matches!(fast, Some(FastShape::InSubquery { negated: true, lhs_nd: Some(_), subquery: 0 })),
+            matches!(
+                fast,
+                Some(FastShape::InSubquery { negated: true, lhs_nd: Some(_), subquery: 0 })
+            ),
             "{fast:?}"
         );
         assert!(!row_subqueries);
@@ -1529,8 +1529,7 @@ mod tests {
     #[test]
     fn invalid_templates_fail_at_prepare() {
         let db = tpch();
-        let template =
-            parse_template("SELECT g.x FROM ghosts AS g WHERE g.x > {p_1}").unwrap();
+        let template = parse_template("SELECT g.x FROM ghosts AS g WHERE g.x > {p_1}").unwrap();
         assert!(PreparedTemplate::prepare(&db, &template).is_err());
     }
 
@@ -1586,10 +1585,7 @@ mod tests {
         // The subquery template grows the nested arenas; the templates
         // after it must not see their stale columns.
         for (sql, value) in [
-            (
-                "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-                Value::Int(7),
-            ),
+            ("SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}", Value::Int(7)),
             (
                 "SELECT c.c_name FROM customer AS c WHERE c.c_custkey IN \
                  (SELECT orders.o_custkey FROM orders WHERE orders.o_totalprice > {p_1})",
@@ -1628,10 +1624,9 @@ mod tests {
     #[test]
     fn missing_binding_is_reported() {
         let db = tpch();
-        let template = parse_template(
-            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}")
+                .unwrap();
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
         let batch = BindingBatch::new(vec![]);
         let mut scratch = RecostScratch::new();
@@ -1650,24 +1645,20 @@ mod tests {
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
         let mut scratch = RecostScratch::new();
         // Both missing: the smallest (3) must be named.
-        let err = prepared
-            .recost_batch(&db, &BindingBatch::new(vec![]), &mut scratch)
-            .unwrap_err();
+        let err = prepared.recost_batch(&db, &BindingBatch::new(vec![]), &mut scratch).unwrap_err();
         assert!(matches!(err, DbError::UnboundPlaceholder(3)), "{err:?}");
         // Only the larger missing: it is the smallest missing one.
-        let err = prepared
-            .recost_batch(&db, &BindingBatch::new(vec![3]), &mut scratch)
-            .unwrap_err();
+        let err =
+            prepared.recost_batch(&db, &BindingBatch::new(vec![3]), &mut scratch).unwrap_err();
         assert!(matches!(err, DbError::UnboundPlaceholder(7)), "{err:?}");
     }
 
     #[test]
     fn batch_extra_columns_are_ignored_and_empty_batch_is_ok() {
         let db = tpch();
-        let template = parse_template(
-            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}")
+                .unwrap();
         let prepared = PreparedTemplate::prepare(&db, &template).unwrap();
         let batch = BindingBatch::of(&[1, 42], &[vec![(1, Value::Int(20)), (42, Value::Int(0))]]);
         let mut scratch = RecostScratch::new();

@@ -128,11 +128,9 @@ impl Column {
                 values.push(false);
                 valid.push(false);
             }
-            (col, value) => panic!(
-                "type mismatch loading {:?} into {:?} column",
-                value,
-                col.data_type()
-            ),
+            (col, value) => {
+                panic!("type mismatch loading {:?} into {:?} column", value, col.data_type())
+            }
         }
     }
 
@@ -312,19 +310,13 @@ mod tests {
 
     #[test]
     fn row_width_sums_column_widths() {
-        let t = Table::new(
-            "t",
-            vec![("a".into(), DataType::Int), ("s".into(), DataType::Str)],
-        );
+        let t = Table::new("t", vec![("a".into(), DataType::Int), ("s".into(), DataType::Str)]);
         assert_eq!(t.row_width(), 32);
     }
 
     #[test]
     fn column_index_lookup() {
-        let t = Table::new(
-            "t",
-            vec![("a".into(), DataType::Int), ("b".into(), DataType::Int)],
-        );
+        let t = Table::new("t", vec![("a".into(), DataType::Int), ("b".into(), DataType::Int)]);
         assert_eq!(t.column_index("b"), Some(1));
         assert_eq!(t.column_index("z"), None);
     }

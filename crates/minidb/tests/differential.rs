@@ -3,7 +3,7 @@
 //! predicates — including ones that trigger index paths.
 
 use minidb::expr_eval::{EvalContext, RowSchema, SubqueryResults};
-use minidb::{Database, DataType, Table};
+use minidb::{DataType, Database, Table};
 use proptest::prelude::*;
 use sqlkit::{parse_select, Value};
 
@@ -36,11 +36,7 @@ fn brute_force_count(db: &Database, where_sql: &str) -> usize {
     let predicate = select.where_clause.as_ref().unwrap();
     let table = db.table("data").unwrap();
     let schema = RowSchema {
-        fields: table
-            .column_names
-            .iter()
-            .map(|c| ("data".to_string(), c.clone()))
-            .collect(),
+        fields: table.column_names.iter().map(|c| ("data".to_string(), c.clone())).collect(),
     };
     let subqueries = SubqueryResults::default();
     let mut count = 0;
@@ -65,9 +61,7 @@ fn predicate_strategy() -> impl Strategy<Value = String> {
     let between = (prop::sample::select(vec!["k", "v", "w"]), -50i64..450, -50i64..450)
         .prop_map(|(col, a, b)| format!("data.{col} BETWEEN {} AND {}", a.min(b), a.max(b)));
     let null_check = (prop::sample::select(vec!["k", "v", "w"]), any::<bool>())
-        .prop_map(|(col, neg)| {
-            format!("data.{col} IS {}NULL", if neg { "NOT " } else { "" })
-        });
+        .prop_map(|(col, neg)| format!("data.{col} IS {}NULL", if neg { "NOT " } else { "" }));
     let leaf = prop_oneof![comparison, between, null_check];
     leaf.clone().prop_recursive(2, 8, 2, move |inner| {
         (inner.clone(), prop::sample::select(vec!["AND", "OR"]), inner)

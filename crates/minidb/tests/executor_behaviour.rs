@@ -1,7 +1,7 @@
 //! Executor behaviour: differential testing against hand-computed results
 //! and against brute-force evaluation, plus runtime edge cases.
 
-use minidb::{Database, DataType, Table};
+use minidb::{DataType, Database, Table};
 use sqlkit::{parse_select, Value};
 
 /// A small, fully hand-checkable database.
@@ -71,15 +71,10 @@ fn group_by_with_having_and_order() {
 fn inner_join_drops_unmatched_fk_rows() {
     let db = micro_db();
     // sale 5 references pid 9 which does not exist
-    let result = rows(
-        &db,
-        "SELECT s.sid FROM sales s JOIN products p ON s.pid = p.pid ORDER BY s.sid",
-    );
+    let result =
+        rows(&db, "SELECT s.sid FROM sales s JOIN products p ON s.pid = p.pid ORDER BY s.sid");
     let sids: Vec<&Value> = result.iter().map(|r| &r[0]).collect();
-    assert_eq!(
-        sids,
-        vec![&Value::Int(1), &Value::Int(2), &Value::Int(3), &Value::Int(4)]
-    );
+    assert_eq!(sids, vec![&Value::Int(1), &Value::Int(2), &Value::Int(3), &Value::Int(4)]);
 }
 
 #[test]
@@ -109,10 +104,8 @@ fn count_distinct_and_distinct_projection() {
     let db = micro_db();
     let result = rows(&db, "SELECT COUNT(DISTINCT products.category) FROM products");
     assert_eq!(result[0][0], Value::Int(3));
-    let cats = rows(
-        &db,
-        "SELECT DISTINCT products.category FROM products ORDER BY products.category",
-    );
+    let cats =
+        rows(&db, "SELECT DISTINCT products.category FROM products ORDER BY products.category");
     assert_eq!(cats.len(), 3);
 }
 
@@ -168,10 +161,8 @@ fn division_by_zero_surfaces_as_an_error() {
 #[test]
 fn order_by_desc_with_nulls_first_ordering() {
     let db = micro_db();
-    let result = rows(
-        &db,
-        "SELECT products.pid, products.stock FROM products ORDER BY products.stock DESC",
-    );
+    let result =
+        rows(&db, "SELECT products.pid, products.stock FROM products ORDER BY products.stock DESC");
     // total order: NULL sorts first ascending → last under DESC? NULLs rank
     // lowest, so DESC places them last.
     assert_eq!(result[0][1], Value::Int(100));
@@ -181,10 +172,8 @@ fn order_by_desc_with_nulls_first_ordering() {
 #[test]
 fn arithmetic_projection_matches_hand_math() {
     let db = micro_db();
-    let result = rows(
-        &db,
-        "SELECT products.price * 2.0 + 1.0 FROM products WHERE products.pid = 5",
-    );
+    let result =
+        rows(&db, "SELECT products.price * 2.0 + 1.0 FROM products WHERE products.pid = 5");
     assert_eq!(result[0][0], Value::Float(6.0));
 }
 
@@ -198,10 +187,8 @@ fn cross_join_cardinality() {
 #[test]
 fn self_join_with_aliases() {
     let db = micro_db();
-    let result = rows(
-        &db,
-        "SELECT COUNT(*) FROM products a JOIN products b ON a.category = b.category",
-    );
+    let result =
+        rows(&db, "SELECT COUNT(*) FROM products a JOIN products b ON a.category = b.category");
     // tools:2² + toys:2² + food:1² = 9
     assert_eq!(result[0][0], Value::Int(9));
 }
@@ -210,18 +197,14 @@ fn self_join_with_aliases() {
 /// differ, but joining their parts with U+0001 once made them one key.
 #[test]
 fn composite_keys_do_not_merge_across_a_separator_byte() {
-    let mut t = Table::new(
-        "t",
-        vec![("a".into(), DataType::Str), ("b".into(), DataType::Str)],
-    );
+    let mut t = Table::new("t", vec![("a".into(), DataType::Str), ("b".into(), DataType::Str)]);
     t.push_row(vec![Value::Str("a\u{1}sb".into()), Value::Str("x".into())]);
     t.push_row(vec![Value::Str("a".into()), Value::Str("b\u{1}sx".into())]);
     let mut db = Database::new("separator");
     db.add_table(t, None, &[]);
-    for sql in [
-        "SELECT t.a, t.b FROM t AS t GROUP BY t.a, t.b",
-        "SELECT DISTINCT t.a, t.b FROM t AS t",
-    ] {
+    for sql in
+        ["SELECT t.a, t.b FROM t AS t GROUP BY t.a, t.b", "SELECT DISTINCT t.a, t.b FROM t AS t"]
+    {
         assert_eq!(rows(&db, sql).len(), 2, "{sql}");
     }
 }

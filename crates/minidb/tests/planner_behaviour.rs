@@ -70,10 +70,8 @@ fn single_table_predicates_are_pushed_into_scans() {
         })
         .count();
     assert_eq!(scans_with_filters, 2, "both filters should be pushed down");
-    let residual_filters = nodes
-        .iter()
-        .filter(|n| matches!(n.kind, NodeKind::Filter { .. }))
-        .count();
+    let residual_filters =
+        nodes.iter().filter(|n| matches!(n.kind, NodeKind::Filter { .. })).count();
     assert_eq!(residual_filters, 0);
 }
 
@@ -117,10 +115,8 @@ fn join_estimates_respect_fk_semantics() {
 #[test]
 fn subquery_cost_is_charged_to_the_outer_plan() {
     let db = tpch();
-    let without = db
-        .explain_sql("SELECT * FROM customer WHERE customer.c_acctbal > 0")
-        .unwrap()
-        .total_cost;
+    let without =
+        db.explain_sql("SELECT * FROM customer WHERE customer.c_acctbal > 0").unwrap().total_cost;
     let with_subquery = db
         .explain_sql(
             "SELECT * FROM customer WHERE customer.c_acctbal > 0 AND \
@@ -157,14 +153,8 @@ fn limit_discounts_streaming_plans_only() {
     let full = db.explain_sql("SELECT * FROM lineitem").unwrap().total_cost;
     let limited = db.explain_sql("SELECT * FROM lineitem LIMIT 10").unwrap().total_cost;
     assert!(limited < full / 10.0, "limit should discount: {limited} vs {full}");
-    let agg = db
-        .explain_sql("SELECT COUNT(*) FROM lineitem")
-        .unwrap()
-        .total_cost;
-    let agg_limited = db
-        .explain_sql("SELECT COUNT(*) FROM lineitem LIMIT 10")
-        .unwrap()
-        .total_cost;
+    let agg = db.explain_sql("SELECT COUNT(*) FROM lineitem").unwrap().total_cost;
+    let agg_limited = db.explain_sql("SELECT COUNT(*) FROM lineitem LIMIT 10").unwrap().total_cost;
     assert!((agg - agg_limited).abs() < agg * 0.01);
 }
 
@@ -185,14 +175,10 @@ fn explain_text_renders_costs_and_rows() {
 fn from_order_does_not_change_estimates() {
     let db = tpch();
     let a = db
-        .explain_sql(
-            "SELECT COUNT(*) FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
-        )
+        .explain_sql("SELECT COUNT(*) FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey")
         .unwrap();
     let b = db
-        .explain_sql(
-            "SELECT COUNT(*) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey",
-        )
+        .explain_sql("SELECT COUNT(*) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey")
         .unwrap();
     assert!((a.estimated_rows - b.estimated_rows).abs() < 1e-6);
     assert!((a.total_cost - b.total_cost).abs() / a.total_cost < 0.05);

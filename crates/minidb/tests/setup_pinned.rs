@@ -11,7 +11,7 @@
 //! `Database::add_table` calls build from the same tables.
 
 use minidb::datagen::{imdb, tpch};
-use minidb::{Database, DataType};
+use minidb::{DataType, Database};
 use sqlkit::Value;
 use std::fmt::Write;
 
