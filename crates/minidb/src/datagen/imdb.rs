@@ -10,10 +10,10 @@
 
 use super::{load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
-use crate::storage::{DataType, Table};
+use crate::storage::{Cell, DataType, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlkit::Value;
+use std::fmt::Write;
 
 /// Generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +50,7 @@ impl Gen {
         let mut t =
             Table::new(name, vec![("id".into(), DataType::Int), (column.into(), DataType::Str)]);
         for (i, v) in values.iter().enumerate() {
-            t.push_row([Value::Int(i as i64 + 1), Value::Str(v.to_string())]);
+            t.push_row([Cell::Int(i as i64 + 1), Cell::Str(v)]);
         }
         t
     }
@@ -60,6 +60,13 @@ impl Gen {
         let offset = powerlaw_index(&mut self.rng, 135, 3.0) as i64;
         2023 - offset
     }
+}
+
+/// `x` with one decimal, written into `buf` (cleared first).
+fn decimal(buf: &mut String, x: f64) -> &str {
+    buf.clear();
+    write!(buf, "{x:.1}").expect("writing to a String cannot fail");
+    buf
 }
 
 /// Generate an IMDB-like database.
@@ -119,6 +126,8 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let n_aka_title = scaled(5_000, s);
     let n_complete_cast = scaled(5_000, s);
     let n_movie_link = scaled(4_000, s);
+    // The synthetic text of the row being drawn.
+    let mut text = String::new();
 
     // -- dictionary tables -------------------------------------------------
     let kind_type = g.dict_table(
@@ -220,12 +229,12 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
         let kind = g.rng.gen_range(1..=7);
         let is_episode = kind == 7;
         title.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "title")),
-            Value::Int(kind),
-            Value::Int(g.year()),
-            if is_episode { Value::Int(g.rng.gen_range(1..15)) } else { Value::Null },
-            if is_episode { Value::Int(g.rng.gen_range(1..25)) } else { Value::Null },
+            Cell::Int(i as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "title", &mut text)),
+            Cell::Int(kind),
+            Cell::Int(g.year()),
+            if is_episode { Cell::Int(g.rng.gen_range(1..15)) } else { Cell::Null },
+            if is_episode { Cell::Int(g.rng.gen_range(1..25)) } else { Cell::Null },
         ]);
     }
     loader.add_table(title, Some("id"), &["kind_id", "production_year"]);
@@ -240,13 +249,13 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_name {
         let gender = match g.rng.gen_range(0..10) {
-            0..=4 => Value::Str("m".into()),
-            5..=8 => Value::Str("f".into()),
-            _ => Value::Null,
+            0..=4 => Cell::Str("m"),
+            5..=8 => Cell::Str("f"),
+            _ => Cell::Null,
         };
         name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "person")),
+            Cell::Int(i as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "person", &mut text)),
             gender,
         ]);
     }
@@ -255,7 +264,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let mut char_name =
         Table::new("char_name", vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)]);
     for i in 0..n_char {
-        char_name.push_row([Value::Int(i as i64 + 1), Value::Str(synth_name(&mut g.rng, "char"))]);
+        char_name.push_row([
+            Cell::Int(i as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "char", &mut text)),
+        ]);
     }
     loader.add_table(char_name, Some("id"), &[]);
 
@@ -270,9 +282,9 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
     for i in 0..n_company {
         company_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "company")),
-            Value::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)].into()),
+            Cell::Int(i as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "company", &mut text)),
+            Cell::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)]),
         ]);
     }
     loader.add_table(company_name, Some("id"), &["country_code"]);
@@ -282,7 +294,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
         vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
     );
     for i in 0..n_keyword {
-        keyword.push_row([Value::Int(i as i64 + 1), Value::Str(synth_name(&mut g.rng, "kw"))]);
+        keyword.push_row([
+            Cell::Int(i as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "kw", &mut text)),
+        ]);
     }
     loader.add_table(keyword, Some("id"), &[]);
 
@@ -301,12 +316,12 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     for i in 0..n_cast {
         let has_char = g.rng.gen_bool(0.4);
         cast_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            if has_char { Value::Int(g.rng.gen_range(1..=n_char as i64)) } else { Value::Null },
-            Value::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..100)),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            if has_char { Cell::Int(g.rng.gen_range(1..=n_char as i64)) } else { Cell::Null },
+            Cell::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
+            Cell::Int(g.rng.gen_range(1..100)),
         ]);
     }
     loader.add_table(cast_info, Some("id"), &["person_id", "movie_id", "role_id"]);
@@ -322,10 +337,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_movie_info {
         movie_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "info")),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "info", &mut text)),
         ]);
     }
     loader.add_table(movie_info, Some("id"), &["movie_id", "info_type_id"]);
@@ -341,10 +356,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_movie_info_idx {
         movie_info_idx.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(format!("{:.1}", g.rng.gen_range(10..100) as f64 / 10.0)),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Cell::Str(decimal(&mut text, g.rng.gen_range(10..100) as f64 / 10.0)),
         ]);
     }
     loader.add_table(movie_info_idx, Some("id"), &["movie_id", "info_type_id"]);
@@ -359,9 +374,9 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_movie_keyword {
         movie_keyword.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
         ]);
     }
     loader.add_table(movie_keyword, Some("id"), &["movie_id", "keyword_id"]);
@@ -377,10 +392,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_movie_companies {
         movie_companies.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=4)),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
+            Cell::Int(g.rng.gen_range(1..=4)),
         ]);
     }
     loader.add_table(movie_companies, Some("id"), &["movie_id", "company_id"]);
@@ -396,10 +411,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_person_info {
         person_info.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "pinfo")),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "pinfo", &mut text)),
         ]);
     }
     loader.add_table(person_info, Some("id"), &["person_id"]);
@@ -414,9 +429,9 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_aka_name {
         aka_name.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "aka")),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "aka", &mut text)),
         ]);
     }
     loader.add_table(aka_name, Some("id"), &["person_id"]);
@@ -431,9 +446,9 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_aka_title {
         aka_title.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Str(synth_name(&mut g.rng, "akat")),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Str(synth_name(&mut g.rng, "akat", &mut text)),
         ]);
     }
     loader.add_table(aka_title, Some("id"), &["movie_id"]);
@@ -449,10 +464,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_complete_cast {
         complete_cast.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=2)),
-            Value::Int(g.rng.gen_range(3..=4)),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(g.rng.gen_range(1..=2)),
+            Cell::Int(g.rng.gen_range(3..=4)),
         ]);
     }
     loader.add_table(complete_cast, Some("id"), &["movie_id"]);
@@ -468,10 +483,10 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_movie_link {
         movie_link.push_row([
-            Value::Int(i as i64 + 1),
-            Value::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Value::Int(g.rng.gen_range(1..=n_title as i64)),
-            Value::Int(g.rng.gen_range(1..=18)),
+            Cell::Int(i as i64 + 1),
+            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
+            Cell::Int(g.rng.gen_range(1..=n_title as i64)),
+            Cell::Int(g.rng.gen_range(1..=18)),
         ]);
     }
     loader.add_table(movie_link, Some("id"), &["movie_id", "linked_movie_id"]);
@@ -480,6 +495,7 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlkit::Value;
 
     #[test]
     fn has_all_twenty_one_tables() {

@@ -216,17 +216,20 @@ pub const WORDS: [&str; 32] = [
     "grove", "haze",
 ];
 
-/// Deterministic synthetic name: two pooled words plus a number.
-pub fn synth_name(rng: &mut StdRng, prefix: &str) -> String {
+/// Deterministic synthetic name: two pooled words plus a number, written
+/// into `buf` and returned. A loader reuses one buffer, so a synthetic
+/// text cell allocates nothing.
+pub fn synth_name<'b>(rng: &mut StdRng, prefix: &str, buf: &'b mut String) -> &'b str {
     let a = WORDS[rng.gen_range(0..WORDS.len())];
     let b = WORDS[rng.gen_range(0..WORDS.len())];
     let n: u32 = rng.gen_range(0..10_000);
-    join_name(prefix, a, b, n)
+    join_name(buf, prefix, a, b, n);
+    buf
 }
 
-/// `{prefix}_{a}_{b}_{n}`, built into one exactly sized allocation (no
-/// formatting machinery: this runs once per synthetic text cell).
-fn join_name(prefix: &str, a: &str, b: &str, n: u32) -> String {
+/// Replace `buf`'s text with `{prefix}_{a}_{b}_{n}` (no formatting
+/// machinery: this runs once per synthetic text cell).
+fn join_name(buf: &mut String, prefix: &str, a: &str, b: &str, n: u32) {
     let mut digits = [0u8; 10];
     let mut start = digits.len();
     let mut rest = n;
@@ -238,13 +241,11 @@ fn join_name(prefix: &str, a: &str, b: &str, n: u32) -> String {
             break;
         }
     }
-    let digits = &digits[start..];
-    let mut name = String::with_capacity(prefix.len() + a.len() + b.len() + digits.len() + 3);
+    buf.clear();
     for part in [prefix, "_", a, "_", b, "_"] {
-        name.push_str(part);
+        buf.push_str(part);
     }
-    name.extend(digits.iter().map(|&d| char::from(d)));
-    name
+    buf.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -298,13 +299,19 @@ mod tests {
 
     #[test]
     fn join_name_matches_format_for_every_number() {
+        // One buffer throughout, as a loader uses it: each call replaces
+        // the text, longer or shorter.
+        let mut buf = String::new();
         for n in 0..10_000 {
-            assert_eq!(join_name("title", "amber", "haze", n), format!("title_amber_haze_{n}"));
+            join_name(&mut buf, "title", "amber", "haze", n);
+            assert_eq!(buf, format!("title_amber_haze_{n}"));
         }
         for n in [10_000, 99_999, 1_000_000, u32::MAX] {
-            assert_eq!(join_name("kw", "dune", "echo", n), format!("kw_dune_echo_{n}"));
+            join_name(&mut buf, "kw", "dune", "echo", n);
+            assert_eq!(buf, format!("kw_dune_echo_{n}"));
         }
-        assert_eq!(join_name("", "", "", 0), "___0");
+        join_name(&mut buf, "", "", "", 0);
+        assert_eq!(buf, "___0");
     }
 
     #[test]
@@ -318,11 +325,11 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(11);
         let mut oracle = StdRng::seed_from_u64(11);
+        let mut buf = String::new();
         for i in 0..20_000 {
-            let prefix = ["title", "person", "kw", "supplier"][i % 4];
-            let name = synth_name(&mut rng, prefix);
+            let prefix = ["title", "person", "kw", "", "supplier"][i % 5];
+            let name = synth_name(&mut rng, prefix, &mut buf);
             assert_eq!(name, reference(&mut oracle, prefix));
-            assert_eq!(name.capacity(), name.len(), "{name} is not exactly sized");
         }
         assert_eq!(rng.gen::<u64>(), oracle.gen::<u64>(), "RNG streams diverged");
     }

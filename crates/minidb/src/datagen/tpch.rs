@@ -8,10 +8,9 @@
 
 use super::{heavy_tail, load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
-use crate::storage::{DataType, Table};
+use crate::storage::{Cell, DataType, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlkit::Value;
 
 /// Generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,14 +82,16 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     let n_partsupp = n_part * 4;
     let n_orders = scaled(1_500_000, sf);
     let n_lineitem = scaled(6_000_000, sf);
+    // The synthetic name of the row being drawn.
+    let mut name = String::new();
 
     // region ------------------------------------------------------------
     let mut region = Table::new(
         "region",
         vec![("r_regionkey".into(), DataType::Int), ("r_name".into(), DataType::Str)],
     );
-    for (i, name) in ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"].iter().enumerate() {
-        region.push_row([Value::Int(i as i64), Value::Str(name.to_string())]);
+    for (i, r_name) in ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"].iter().enumerate() {
+        region.push_row([Cell::Int(i as i64), Cell::Str(r_name)]);
     }
     loader.add_table(region, Some("r_regionkey"), &[]);
 
@@ -104,7 +105,7 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
         ],
     );
     for i in 0..25 {
-        nation.push_row([Value::Int(i), Value::Str(format!("NATION_{i:02}")), Value::Int(i % 5)]);
+        nation.push_row([Cell::Int(i), Cell::Str(&format!("NATION_{i:02}")), Cell::Int(i % 5)]);
     }
     loader.add_table(nation, Some("n_nationkey"), &["n_regionkey"]);
 
@@ -120,10 +121,10 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_supplier {
         supplier.push_row([
-            Value::Int(i as i64),
-            Value::Str(synth_name(&mut rng, "supplier")),
-            Value::Int(rng.gen_range(0..25)),
-            Value::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
+            Cell::Int(i as i64),
+            Cell::Str(synth_name(&mut rng, "supplier", &mut name)),
+            Cell::Int(rng.gen_range(0..25)),
+            Cell::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
         ]);
     }
     loader.add_table(supplier, Some("s_suppkey"), &["s_nationkey"]);
@@ -141,11 +142,11 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_customer {
         customer.push_row([
-            Value::Int(i as i64),
-            Value::Str(synth_name(&mut rng, "customer")),
-            Value::Int(rng.gen_range(0..25)),
-            Value::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
-            Value::Str(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())].into()),
+            Cell::Int(i as i64),
+            Cell::Str(synth_name(&mut rng, "customer", &mut name)),
+            Cell::Int(rng.gen_range(0..25)),
+            Cell::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
+            Cell::Str(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())]),
         ]);
     }
     loader.add_table(customer, Some("c_custkey"), &["c_nationkey"]);
@@ -163,11 +164,11 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_part {
         part.push_row([
-            Value::Int(i as i64),
-            Value::Str(synth_name(&mut rng, "part")),
-            Value::Str(BRANDS[rng.gen_range(0..BRANDS.len())].into()),
-            Value::Int(rng.gen_range(1..=50)),
-            Value::Float(heavy_tail(&mut rng, 1_000.0, 0.4, 20_000.0).round() / 1.0),
+            Cell::Int(i as i64),
+            Cell::Str(synth_name(&mut rng, "part", &mut name)),
+            Cell::Str(BRANDS[rng.gen_range(0..BRANDS.len())]),
+            Cell::Int(rng.gen_range(1..=50)),
+            Cell::Float(heavy_tail(&mut rng, 1_000.0, 0.4, 20_000.0).round() / 1.0),
         ]);
     }
     loader.add_table(part, Some("p_partkey"), &["p_brand", "p_size"]);
@@ -184,10 +185,10 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     );
     for i in 0..n_partsupp {
         partsupp.push_row([
-            Value::Int((i % n_part) as i64),
-            Value::Int(rng.gen_range(0..n_supplier) as i64),
-            Value::Int(rng.gen_range(1..10_000)),
-            Value::Float((rng.gen_range(100..100_000) as f64) / 100.0),
+            Cell::Int((i % n_part) as i64),
+            Cell::Int(rng.gen_range(0..n_supplier) as i64),
+            Cell::Int(rng.gen_range(1..10_000)),
+            Cell::Float((rng.gen_range(100..100_000) as f64) / 100.0),
         ]);
     }
     loader.add_table(partsupp, None, &["ps_partkey", "ps_suppkey"]);
@@ -208,12 +209,12 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
         // customers have power-law order counts (realistic hot keys).
         let cust = powerlaw_index(&mut rng, n_customer, 0.4);
         orders.push_row([
-            Value::Int(i as i64),
-            Value::Int(cust as i64),
-            Value::Str(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())].into()),
-            Value::Float(heavy_tail(&mut rng, 30_000.0, 0.6, 600_000.0).round()),
-            Value::Int(rng.gen_range(8_766..11_322)), // 1994-01-01 .. 2000-12-31 in days
-            Value::Str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())].into()),
+            Cell::Int(i as i64),
+            Cell::Int(cust as i64),
+            Cell::Str(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())]),
+            Cell::Float(heavy_tail(&mut rng, 30_000.0, 0.6, 600_000.0).round()),
+            Cell::Int(rng.gen_range(8_766..11_322)), // 1994-01-01 .. 2000-12-31 in days
+            Cell::Str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
         ]);
     }
     loader.add_table(orders, Some("o_orderkey"), &["o_custkey", "o_orderdate"]);
@@ -237,16 +238,16 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     for i in 0..n_lineitem {
         let order = (i * n_orders / n_lineitem).min(n_orders - 1);
         lineitem.push_row([
-            Value::Int(order as i64),
-            Value::Int(powerlaw_index(&mut rng, n_part, 0.3) as i64),
-            Value::Int(rng.gen_range(0..n_supplier) as i64),
-            Value::Int((i % 7) as i64 + 1),
-            Value::Float(rng.gen_range(1..=50) as f64),
-            Value::Float(heavy_tail(&mut rng, 20_000.0, 0.7, 110_000.0).round()),
-            Value::Float((rng.gen_range(0..=10) as f64) / 100.0),
-            Value::Int(rng.gen_range(8_766..11_322)),
-            Value::Str(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())].into()),
-            Value::Str(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())].into()),
+            Cell::Int(order as i64),
+            Cell::Int(powerlaw_index(&mut rng, n_part, 0.3) as i64),
+            Cell::Int(rng.gen_range(0..n_supplier) as i64),
+            Cell::Int((i % 7) as i64 + 1),
+            Cell::Float(rng.gen_range(1..=50) as f64),
+            Cell::Float(heavy_tail(&mut rng, 20_000.0, 0.7, 110_000.0).round()),
+            Cell::Float((rng.gen_range(0..=10) as f64) / 100.0),
+            Cell::Int(rng.gen_range(8_766..11_322)),
+            Cell::Str(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())]),
+            Cell::Str(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())]),
         ]);
     }
     loader.add_table(lineitem, None, &["l_orderkey", "l_partkey", "l_shipdate"]);
@@ -255,6 +256,7 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlkit::Value;
 
     #[test]
     fn has_all_eight_tables_with_scaled_counts() {

@@ -89,7 +89,7 @@ use crate::executor;
 use crate::expr_eval::SubqueryResults;
 use crate::planner;
 use crate::prepared::{BindingBatch, PreparedTemplate, RecostScratch};
-use crate::storage::{Column, DataType, Table};
+use crate::storage::{Column, DataType, Dictionary, Table};
 use sqlkit::{BinaryOp, ColumnRef, Expr, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -852,11 +852,13 @@ impl ScanStep {
 /// cells are the same key exactly when `executor::hash_key` renders them
 /// to the same string: numbers by the bits of `x as f64` (every NaN one
 /// key, `-0.0` and `0.0` two), strings by their bytes, booleans by value.
+/// Text cells with equal codes in one dictionary are equal; any other
+/// pair compares bytes, since equal text can have different codes.
 #[derive(Debug, Clone, Copy)]
 enum KeyCol<'a> {
     Int { values: &'a [i64], valid: &'a [bool] },
     Float { values: &'a [f64], valid: &'a [bool] },
-    Str { values: &'a [String], valid: &'a [bool] },
+    Str { codes: &'a [u32], dict: &'a Dictionary, valid: &'a [bool] },
     Bool { values: &'a [bool], valid: &'a [bool] },
 }
 
@@ -886,9 +888,9 @@ fn mix64(mut x: u64) -> u64 {
 
 /// FNV-1a over the bytes, finalized: a deterministic string hash.
 #[inline]
-fn str_hash(s: &str) -> u64 {
+fn str_hash(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
+    for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
     }
     mix64(h)
@@ -899,7 +901,7 @@ impl<'a> KeyCol<'a> {
         match column {
             Column::Int { values, valid } => KeyCol::Int { values, valid },
             Column::Float { values, valid } => KeyCol::Float { values, valid },
-            Column::Str { values, valid } => KeyCol::Str { values, valid },
+            Column::Str { codes, dict, valid } => KeyCol::Str { codes, dict, valid },
             Column::Bool { values, valid } => KeyCol::Bool { values, valid },
         }
     }
@@ -923,7 +925,7 @@ impl<'a> KeyCol<'a> {
         match self {
             KeyCol::Int { values, .. } => mix64(num_key(values[row] as f64)),
             KeyCol::Float { values, .. } => mix64(num_key(values[row])),
-            KeyCol::Str { values, .. } => str_hash(&values[row]),
+            KeyCol::Str { codes, dict, .. } => str_hash(dict.bytes(codes[row])),
             KeyCol::Bool { values, .. } => mix64(values[row] as u64 ^ 0xb001),
         }
     }
@@ -939,7 +941,9 @@ impl<'a> KeyCol<'a> {
             _ => None,
         };
         match (self, other) {
-            (KeyCol::Str { values: x, .. }, KeyCol::Str { values: y, .. }) => x[a] == y[b],
+            (KeyCol::Str { codes: x, dict: dx, .. }, KeyCol::Str { codes: y, dict: dy, .. }) => {
+                (std::ptr::eq(dx, dy) && x[a] == y[b]) || dx.bytes(x[a]) == dy.bytes(y[b])
+            }
             (KeyCol::Bool { values: x, .. }, KeyCol::Bool { values: y, .. }) => x[a] == y[b],
             (x, y) => match (num(x, a), num(y, b)) {
                 (Some(x), Some(y)) => x == y,
@@ -1678,7 +1682,7 @@ mod tests {
     /// Two tables whose join and grouping keys hold NULL, `±0.0`, NaN,
     /// `2^53`/`2^53 + 1` and U+0001 cells.
     fn edge_key_db() -> Database {
-        use crate::storage::{DataType, Table};
+        use crate::storage::{Cell, DataType, Table};
         let two53 = 9_007_199_254_740_992i64;
         let mut t1 = Table::new(
             "t1",
@@ -1721,9 +1725,26 @@ mod tests {
         ] {
             t2.push_row(vec![Value::Int(id), x.map_or(Value::Null, Value::Float), str_or_null(s)]);
         }
+        // t3.s holds t1's and t2's texts under other codes, and repeats
+        // of texts the load cache evicted: one text, several entries.
+        let mut t3 =
+            Table::new("t3", vec![("id".into(), DataType::Int), ("s".into(), DataType::Str)]);
+        let fillers: Vec<String> = (0..300).map(|i| format!("f{i}")).collect();
+        let texts = fillers
+            .iter()
+            .map(String::as_str)
+            .chain(["a", "x", "a\u{1}sb", "b"])
+            .chain(fillers.iter().map(String::as_str))
+            .chain(["a", "x"]);
+        for (id, text) in texts.enumerate() {
+            t3.push_row([Cell::Int(id as i64), Cell::Str(text)]);
+        }
+        let Column::Str { dict, .. } = &t3.columns[1] else { unreachable!() };
+        assert!(dict.len() > 304, "t3.s repeats no entry");
         let mut db = Database::new("edge_keys");
         db.add_table(t1, Some("id"), &[]);
         db.add_table(t2, Some("id"), &[]);
+        db.add_table(t3, Some("id"), &[]);
         db
     }
 
@@ -1755,6 +1776,16 @@ mod tests {
                  WHERE t1.id >= {p_1}",
                 5,
             ),
+            // Text keys across dictionaries: "a" and "x" twice each in
+            // t3, "a\u{1}sb" once.
+            ("SELECT t3.id FROM t1 JOIN t3 ON t1.s = t3.s WHERE t3.id >= {p_1}", 5),
+            // Within one column, entries of one text are one key: 300
+            // fillers twice (2 × 2 pairs each), "a" and "x" (4 each) and
+            // two singletons.
+            ("SELECT a.id FROM t3 AS a JOIN t3 AS b ON a.s = b.s WHERE a.id >= {p_1}", 1210),
+            ("SELECT t3.s, COUNT(*) FROM t3 WHERE t3.id >= {p_1} GROUP BY t3.s", 304),
+            ("SELECT DISTINCT t3.s FROM t3 WHERE t3.id >= {p_1}", 304),
+            ("SELECT COUNT(DISTINCT t3.s) FROM t3 WHERE t3.id >= {p_1}", 1),
         ];
         let rows = [vec![(1, Value::Int(0))], vec![(1, Value::Int(3))], vec![(1, Value::Null)]];
         for (sql, all_rows) in cases {

@@ -6,7 +6,7 @@
 //! model can pick selective predicates).
 
 use crate::int_sort::counting_sort;
-use crate::storage::{Column, Table};
+use crate::storage::{Column, Dictionary, Table};
 use sqlkit::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -109,7 +109,7 @@ pub(crate) fn int_stats(row_count: usize, sorted: &[i64]) -> ColumnStats {
     if row_count == 0 {
         return no_rows();
     }
-    sorted_stats(row_count, sorted, Value::Int, Some(|v| v as f64))
+    sorted_stats(row_count, sorted, Value::Int, |v| v as f64)
 }
 
 /// The statistics of a column of an empty table.
@@ -132,25 +132,20 @@ pub(crate) fn analyze_column(column: &Column, row_count: usize) -> ColumnStats {
     match column {
         Column::Int { values, valid } => match counting_sort(values, valid, false) {
             Some(sorted) => int_stats(row_count, &sorted.keys),
-            None => ordered_stats(
-                row_count,
-                valid_cells(values, valid, |&v| v),
-                Value::Int,
-                Some(|v| v as f64),
-            ),
+            None => ordered_stats(row_count, valid_cells(values, valid, |&v| v), Value::Int, |v| {
+                v as f64
+            }),
         },
-        Column::Str { values, valid } => ordered_stats(
-            row_count,
-            valid_cells(values, valid, String::as_str),
-            |s| Value::Str(s.to_owned()),
-            None,
-        ),
-        Column::Bool { values, valid } => ordered_stats(
-            row_count,
-            valid_cells(values, valid, |&b| b),
-            Value::Bool,
-            Some(|b| if b { 1.0 } else { 0.0 }),
-        ),
+        Column::Str { codes, dict, valid } => text_stats(row_count, codes, dict, valid),
+        Column::Bool { values, valid } => {
+            ordered_stats(row_count, valid_cells(values, valid, |&b| b), Value::Bool, |b| {
+                if b {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+        }
         Column::Float { values, valid } => {
             float_stats(row_count, valid_cells(values, valid, |&v| v))
         }
@@ -162,14 +157,14 @@ fn valid_cells<'a, S, T>(values: &'a [S], valid: &[bool], cell: impl Fn(&'a S) -
     values.iter().zip(valid).filter(|&(_, &ok)| ok).map(|(v, _)| cell(v)).collect()
 }
 
-/// Statistics of an `Int`, `Str` or `Bool` column: one sort of its cells
+/// Statistics of an `Int` or `Bool` column: one sort of its cells
 /// gives the runs of equal values, the ends and the histogram. `numeric`
-/// is the histogram coordinate (`None` for text, which has none).
+/// is the histogram coordinate.
 fn ordered_stats<T: Ord + Copy>(
     row_count: usize,
     mut cells: Vec<T>,
     lift: impl Fn(T) -> Value,
-    numeric: Option<fn(T) -> f64>,
+    numeric: fn(T) -> f64,
 ) -> ColumnStats {
     cells.sort_unstable();
     sorted_stats(row_count, &cells, lift, numeric)
@@ -180,13 +175,38 @@ fn sorted_stats<T: Ord + Copy>(
     row_count: usize,
     cells: &[T],
     lift: impl Fn(T) -> Value,
-    numeric: Option<fn(T) -> f64>,
+    numeric: fn(T) -> f64,
 ) -> ColumnStats {
     let mut distinct = Distinct::default();
     distinct.add_runs(cells, |a, b| a == b);
-    let histogram = numeric.map_or_else(Vec::new, |x| histogram(cells, x));
+    let histogram = histogram(cells, numeric);
     let ends = (cells.first().copied(), cells.last().copied());
     assemble(row_count, cells.len(), distinct, ends, histogram, lift)
+}
+
+/// Statistics of a `Str` column from its dictionary: count the cells of
+/// each code, sort the entries in use by their bytes (UTF-8 byte order is
+/// `str` order), and merge neighbours of equal text, since one text may
+/// have several entries (see [`Dictionary`]). Each merged run is one
+/// distinct value, offered in ascending order like [`sorted_stats`]'s runs.
+fn text_stats(row_count: usize, codes: &[u32], dict: &Dictionary, valid: &[bool]) -> ColumnStats {
+    let mut counts = vec![0usize; dict.len()];
+    let mut non_null = 0;
+    for (&code, &ok) in codes.iter().zip(valid) {
+        if ok {
+            counts[code as usize] += 1;
+            non_null += 1;
+        }
+    }
+    let mut entries: Vec<(&str, usize)> =
+        dict.iter().zip(counts).filter(|&(_, count)| count > 0).collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut distinct = Distinct::default();
+    for run in entries.chunk_by(|a, b| a.0 == b.0) {
+        distinct.add_run(run[0].0, run.iter().map(|&(_, count)| count).sum());
+    }
+    let ends = (entries.first().map(|e| e.0), entries.last().map(|e| e.0));
+    assemble(row_count, non_null, distinct, ends, Vec::new(), |text| Value::Str(text.to_owned()))
 }
 
 /// Statistics of a `Float` column. Cells are sorted in `f64::total_cmp`
@@ -294,7 +314,7 @@ fn assemble<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::DataType;
+    use crate::storage::{Cell, DataType};
 
     fn int_table(values: Vec<Option<i64>>) -> Table {
         let mut t = Table::new("t", vec![("x".into(), DataType::Int)]);
@@ -591,6 +611,76 @@ mod tests {
             nan_tied || zeros_tied
         }
 
+        /// A one-column `Str` table: `distinct` texts (awkward ones first,
+        /// then random ones over a multibyte alphabet) pushed `shape` + 1
+        /// times each, in order (shape 0: the second pass reloads evicted
+        /// texts as new entries; shape 1: three passes) or shuffled (shape
+        /// 2: every text tied on count), or `distinct` * 4 cells drawn
+        /// uniformly (shape 3). A cell is NULL with probability
+        /// `null_pct`%, and the first row with `null_first`.
+        fn text_column(
+            distinct: usize,
+            shape: u8,
+            null_pct: u32,
+            null_first: bool,
+            seed: u64,
+        ) -> Table {
+            let mut rng = StdRng::seed_from_u64(seed);
+            const ALPHABET: [char; 6] = ['a', 'b', 'é', 'ß', '日', '\u{10348}'];
+            let mut pool: Vec<String> = AWKWARD_TEXTS.iter().map(|s| s.to_string()).collect();
+            while pool.len() < distinct {
+                let len = rng.gen_range(1..6);
+                let text: String = (0..len).map(|_| *ALPHABET.choose(&mut rng).unwrap()).collect();
+                if !pool.contains(&text) {
+                    pool.push(text);
+                }
+            }
+            pool.truncate(distinct);
+            let passes = |n: usize| -> Vec<&str> {
+                pool.iter().cycle().take(pool.len() * n).map(String::as_str).collect()
+            };
+            let cells = match shape {
+                0 => passes(2),
+                1 => passes(3),
+                2 => {
+                    let mut cells = passes(2);
+                    cells.shuffle(&mut rng);
+                    cells
+                }
+                _ => (0..distinct * 4).map(|_| pool.choose(&mut rng).unwrap().as_str()).collect(),
+            };
+            let null = |row: usize, rng: &mut StdRng| {
+                (row == 0 && null_first) || rng.gen_range(0..100) < null_pct
+            };
+            let cells: Vec<Option<&str>> = cells
+                .iter()
+                .enumerate()
+                .map(|(row, &s)| (!null(row, &mut rng)).then_some(s))
+                .collect();
+            text_table(cells)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn text_analyze_merges_dictionary_entries_as_the_reference_does(
+                distinct in prop::sample::select(vec![1usize, 3, 12, 40, 300, 700]),
+                shape in 0u8..=3,
+                null_pct in prop::sample::select(vec![0u32, 20, 100]),
+                null_first in any::<bool>(),
+                seed in any::<u64>(),
+            ) {
+                let t = text_column(distinct, shape, null_pct, null_first, seed);
+                if distinct == 700 && shape < 2 && null_pct == 0 {
+                    // The texts overflow the load cache: repeats of
+                    // evicted texts are second entries that must merge.
+                    prop_assert!(entries(&t) > distinct);
+                }
+                assert_matches_reference(&t);
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -612,6 +702,51 @@ mod tests {
                 assert_matches_reference(&t);
             }
         }
+    }
+
+    /// Texts that sort differently by bytes and by `char`s or case, and
+    /// the empty string.
+    const AWKWARD_TEXTS: [&str; 8] = ["", "a", "ab", "B", "é", "e\u{301}", "日本", "\u{10348}"];
+
+    /// A `Str` table of `texts` (`None` is NULL).
+    fn text_table<'a>(texts: impl IntoIterator<Item = Option<&'a str>>) -> Table {
+        let mut t = Table::new("t", vec![("s".into(), DataType::Str)]);
+        for text in texts {
+            t.push_row([text.map_or(Cell::Null, Cell::Str)]);
+        }
+        t
+    }
+
+    /// Entries of the dictionary of `table`'s only column.
+    fn entries(table: &Table) -> usize {
+        let Column::Str { dict, .. } = &table.columns[0] else { panic!("not a text column") };
+        dict.len()
+    }
+
+    #[test]
+    fn evicted_texts_merge_back_into_one_value() {
+        // 600 distinct texts overflow the load cache, so the second pass
+        // appends a second entry for most of them.
+        let distinct: Vec<String> = (0..600).map(|i| format!("v{i:03}")).collect();
+        let texts = distinct.iter().chain(&distinct).chain(&distinct[..5]);
+        let t = text_table(texts.map(|s| Some(s.as_str())));
+        assert!(entries(&t) > 700, "only {} entries", entries(&t));
+        let c = &analyze_table(&t).columns["s"];
+        assert_eq!(c.n_distinct, 600.0);
+        let mcvs: Vec<_> = c.mcvs.iter().map(|(v, f)| (v.clone(), *f)).collect();
+        let expected: Vec<_> =
+            distinct[..5].iter().map(|s| (Value::Str(s.clone()), 3.0 / 1205.0)).collect();
+        assert_eq!(mcvs[..5], expected[..]);
+        assert_matches_reference(&t);
+    }
+
+    #[test]
+    fn text_order_is_byte_order() {
+        let t = text_table(AWKWARD_TEXTS.iter().rev().map(|&s| Some(s)));
+        let c = &analyze_table(&t).columns["s"];
+        assert_eq!(c.min, Some(Value::Str(String::new())));
+        assert_eq!(c.max, Some(Value::Str("\u{10348}".into())));
+        assert_matches_reference(&t);
     }
 
     #[test]

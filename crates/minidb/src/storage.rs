@@ -1,11 +1,14 @@
 //! Columnar in-memory storage.
 //!
 //! Tables store one [`Column`] per attribute; each column is a typed dense
-//! vector with an optional validity bitmap. Cell access materializes a
-//! [`sqlkit::Value`] so the expression evaluator and the frontend share one
-//! value type.
+//! vector with a validity vector. Text columns hold one `u32` code per
+//! cell into a per-column [`Dictionary`], whose texts share one arena.
+//! Loading takes borrowed [`Cell`]s, so a loader allocates nothing per
+//! cell; cell access materializes a [`sqlkit::Value`] so the expression
+//! evaluator and the frontend share one value type.
 
 use sqlkit::Value;
+use std::fmt;
 
 /// Logical column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,7 +21,12 @@ pub enum DataType {
 
 impl DataType {
     /// Estimated on-disk width in bytes, used by the page-based cost model
-    /// (PostgreSQL's `pg_statistic.stawidth` analogue).
+    /// (PostgreSQL's `pg_statistic.stawidth` analogue) and by the schema
+    /// summary's row width.
+    ///
+    /// These are the cost model's constants, not the in-memory size: a
+    /// `Str` cell is a 4-byte dictionary code, but it stays 24 bytes wide
+    /// here so that costs and prompts do not depend on the storage layout.
     pub fn width(self) -> usize {
         match self {
             DataType::Int => 8,
@@ -39,12 +47,154 @@ impl DataType {
     }
 }
 
-/// A typed column with validity bitmap (`true` = non-null).
+/// One cell to load: a [`Value`] that borrows its text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+/// Borrows a row item as the [`Cell`] that [`Table::push_row`] loads.
+pub trait AsCell {
+    fn as_cell(&self) -> Cell<'_>;
+}
+
+impl AsCell for Cell<'_> {
+    fn as_cell(&self) -> Cell<'_> {
+        *self
+    }
+}
+
+impl AsCell for Value {
+    fn as_cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::Int(v) => Cell::Int(*v),
+            Value::Float(v) => Cell::Float(*v),
+            Value::Str(s) => Cell::Str(s),
+            Value::Bool(b) => Cell::Bool(*b),
+        }
+    }
+}
+
+/// Slots in a [`Dictionary`]'s cache of recently loaded texts.
+const RECENT_SLOTS: usize = 256;
+
+/// An empty cache slot.
+const NO_CODE: u32 = u32::MAX;
+
+/// The texts of a `Str` column, one arena for all of them: entry `code`
+/// is `text[offsets[code]..offsets[code + 1]]` (Arrow's dictionary-encoded
+/// variable-size binary layout). Loading deduplicates through a small
+/// direct-mapped cache of recent texts, not an exact map: equal codes
+/// always mean equal text, but a text that left the cache and came back
+/// gets a second code. Readers that need each distinct text once (ANALYZE)
+/// merge equal entries; key comparisons compare bytes.
+#[derive(Clone)]
+pub struct Dictionary {
+    text: String,
+    /// Entry boundaries in `text`; starts at 0, one more than the entries.
+    offsets: Vec<u32>,
+    /// The cache: per slot, the code of the last text loaded into it
+    /// ([`NO_CODE`] when empty).
+    recent: Vec<u32>,
+}
+
+impl Dictionary {
+    fn new() -> Dictionary {
+        Dictionary { text: String::new(), offsets: vec![0], recent: vec![NO_CODE; RECENT_SLOTS] }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The text of entry `code`.
+    ///
+    /// # Panics
+    /// Panics when `code` is not an entry.
+    #[inline]
+    pub fn get(&self, code: u32) -> &str {
+        let code = code as usize;
+        &self.text[self.offsets[code] as usize..self.offsets[code + 1] as usize]
+    }
+
+    /// The bytes of entry `code` (the UTF-8 of [`Dictionary::get`]).
+    #[inline]
+    pub fn bytes(&self, code: u32) -> &[u8] {
+        let code = code as usize;
+        &self.text.as_bytes()[self.offsets[code] as usize..self.offsets[code + 1] as usize]
+    }
+
+    /// The code of `text`: the cached entry when the slot `text` hashes
+    /// to holds it, else a new entry, which takes the slot.
+    fn intern(&mut self, text: &str) -> u32 {
+        let slot = recent_slot(text.as_bytes());
+        let cached = self.recent[slot];
+        if cached != NO_CODE && self.bytes(cached) == text.as_bytes() {
+            return cached;
+        }
+        let code = u32::try_from(self.len()).expect("fewer than 2^32 text entries");
+        self.text.push_str(text);
+        let end = u32::try_from(self.text.len()).expect("a text column under 4 GiB");
+        self.offsets.push(end);
+        self.recent[slot] = code;
+        code
+    }
+
+    /// The entries in code order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len() as u32).map(|code| self.get(code))
+    }
+}
+
+/// The cache slot of `text`: its length and its first and last (up to)
+/// eight bytes, through SplitMix64's finalizer. Cheaper than hashing
+/// every byte; a collision only costs a duplicate entry.
+#[inline]
+fn recent_slot(text: &[u8]) -> usize {
+    let word = |chunk: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(w)
+    };
+    let n = text.len();
+    let (head, tail) = (word(&text[..n.min(8)]), word(&text[n.saturating_sub(8)..]));
+    let mut x = head ^ tail.rotate_left(29) ^ n as u64;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (x ^ (x >> 31)) as usize % RECENT_SLOTS
+}
+
+/// Entries compare as text; the cache is not part of the value.
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Dictionary) -> bool {
+        self.offsets == other.offsets && self.text == other.text
+    }
+}
+
+impl fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A typed column with validity vector (`true` = non-null). A NULL cell
+/// holds a zero value (code 0 in a `Str` column, which may name no entry).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     Int { values: Vec<i64>, valid: Vec<bool> },
     Float { values: Vec<f64>, valid: Vec<bool> },
-    Str { values: Vec<String>, valid: Vec<bool> },
+    Str { codes: Vec<u32>, dict: Dictionary, valid: Vec<bool> },
     Bool { values: Vec<bool>, valid: Vec<bool> },
 }
 
@@ -54,7 +204,9 @@ impl Column {
         match data_type {
             DataType::Int => Column::Int { values: Vec::new(), valid: Vec::new() },
             DataType::Float => Column::Float { values: Vec::new(), valid: Vec::new() },
-            DataType::Str => Column::Str { values: Vec::new(), valid: Vec::new() },
+            DataType::Str => {
+                Column::Str { codes: Vec::new(), dict: Dictionary::new(), valid: Vec::new() }
+            }
             DataType::Bool => Column::Bool { values: Vec::new(), valid: Vec::new() },
         }
     }
@@ -72,10 +224,10 @@ impl Column {
     /// Number of stored cells.
     pub fn len(&self) -> usize {
         match self {
-            Column::Int { values, .. } => values.len(),
-            Column::Float { values, .. } => values.len(),
-            Column::Str { values, .. } => values.len(),
-            Column::Bool { values, .. } => values.len(),
+            Column::Int { valid, .. }
+            | Column::Float { valid, .. }
+            | Column::Str { valid, .. }
+            | Column::Bool { valid, .. } => valid.len(),
         }
     }
 
@@ -84,52 +236,52 @@ impl Column {
         self.len() == 0
     }
 
-    /// Append a value; `Value::Null` appends a null of this column's type.
-    /// `Int` values coerce into `Float` columns.
+    /// Append a cell; `Cell::Null` appends a null of this column's type.
+    /// `Int` cells coerce into `Float` columns.
     ///
     /// # Panics
     /// Panics on a type mismatch — loading is an internal, generator-driven
     /// path, so a mismatch is a programming error rather than user input.
-    pub fn push(&mut self, value: Value) {
-        match (self, value) {
-            (Column::Int { values, valid }, Value::Int(v)) => {
+    pub fn push(&mut self, cell: Cell<'_>) {
+        match (self, cell) {
+            (Column::Int { values, valid }, Cell::Int(v)) => {
                 values.push(v);
                 valid.push(true);
             }
-            (Column::Int { values, valid }, Value::Null) => {
+            (Column::Int { values, valid }, Cell::Null) => {
                 values.push(0);
                 valid.push(false);
             }
-            (Column::Float { values, valid }, Value::Float(v)) => {
+            (Column::Float { values, valid }, Cell::Float(v)) => {
                 values.push(v);
                 valid.push(true);
             }
-            (Column::Float { values, valid }, Value::Int(v)) => {
+            (Column::Float { values, valid }, Cell::Int(v)) => {
                 values.push(v as f64);
                 valid.push(true);
             }
-            (Column::Float { values, valid }, Value::Null) => {
+            (Column::Float { values, valid }, Cell::Null) => {
                 values.push(0.0);
                 valid.push(false);
             }
-            (Column::Str { values, valid }, Value::Str(v)) => {
-                values.push(v);
+            (Column::Str { codes, dict, valid }, Cell::Str(text)) => {
+                codes.push(dict.intern(text));
                 valid.push(true);
             }
-            (Column::Str { values, valid }, Value::Null) => {
-                values.push(String::new());
+            (Column::Str { codes, valid, .. }, Cell::Null) => {
+                codes.push(0);
                 valid.push(false);
             }
-            (Column::Bool { values, valid }, Value::Bool(v)) => {
+            (Column::Bool { values, valid }, Cell::Bool(v)) => {
                 values.push(v);
                 valid.push(true);
             }
-            (Column::Bool { values, valid }, Value::Null) => {
+            (Column::Bool { values, valid }, Cell::Null) => {
                 values.push(false);
                 valid.push(false);
             }
-            (col, value) => {
-                panic!("type mismatch loading {:?} into {:?} column", value, col.data_type())
+            (col, cell) => {
+                panic!("type mismatch loading {:?} into {:?} column", cell, col.data_type())
             }
         }
     }
@@ -172,9 +324,9 @@ impl Column {
                     Value::Null
                 }
             }
-            Column::Str { values, valid } => {
+            Column::Str { codes, dict, valid } => {
                 if valid[row] {
-                    Value::Str(values[row].clone())
+                    Value::Str(dict.get(codes[row]).to_owned())
                 } else {
                     Value::Null
                 }
@@ -227,23 +379,25 @@ impl Table {
         self.column_names.iter().position(|c| c == name)
     }
 
-    /// Append one row, one value per column in position order. Takes any
-    /// exact-size iterable, so loaders can pass a stack array (`[..]`)
-    /// instead of allocating a `Vec` per row.
+    /// Append one row, one cell per column in position order: [`Cell`]s,
+    /// or [`Value`]s, each borrowed into a cell. Takes any exact-size
+    /// iterable, so loaders can pass a stack array (`[..]`) instead of
+    /// allocating a `Vec` per row.
     ///
     /// # Panics
-    /// Panics if the value count does not match the column count (checked
-    /// before any column changes) or any value's type mismatches its
+    /// Panics if the cell count does not match the column count (checked
+    /// before any column changes) or any cell's type mismatches its
     /// column.
     pub fn push_row<I>(&mut self, row: I)
     where
-        I: IntoIterator<Item = Value>,
+        I: IntoIterator,
+        I::Item: AsCell,
         I::IntoIter: ExactSizeIterator,
     {
         let row = row.into_iter();
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         for (column, value) in self.columns.iter_mut().zip(row) {
-            column.push(value);
+            column.push(value.as_cell());
         }
     }
 }
@@ -288,6 +442,56 @@ mod tests {
     }
 
     #[test]
+    fn cells_and_values_load_the_same_row() {
+        let layout = || vec![("a".into(), DataType::Float), ("s".into(), DataType::Str)];
+        let mut from_cells = Table::new("t", layout());
+        let mut from_values = Table::new("t", layout());
+        from_cells.push_row([Cell::Int(7), Cell::Str("x")]);
+        from_values.push_row([Value::Int(7), Value::Str("x".into())]);
+        assert_eq!(from_cells.columns, from_values.columns);
+    }
+
+    fn texts(column: &Column) -> Vec<Option<String>> {
+        let text = |row| match column.get(row) {
+            Value::Str(s) => Some(s),
+            Value::Null => None,
+            other => panic!("{other:?} in a text column"),
+        };
+        (0..column.len()).map(text).collect()
+    }
+
+    #[test]
+    fn text_round_trips_through_the_dictionary() {
+        let cells = ["", "a", "é", "a", "", "Brand#11", "ü日本", "a"];
+        let mut column = Column::new(DataType::Str);
+        for (i, text) in cells.iter().enumerate() {
+            column.push(if i == 2 { Cell::Null } else { Cell::Str(text) });
+        }
+        let expected: Vec<Option<String>> =
+            cells.iter().enumerate().map(|(i, t)| (i != 2).then(|| t.to_string())).collect();
+        assert_eq!(texts(&column), expected);
+        let Column::Str { dict, .. } = &column else { unreachable!() };
+        // Repeats of a text still in the cache reuse its entry.
+        assert_eq!(dict.iter().collect::<Vec<_>>(), ["", "a", "Brand#11", "ü日本"]);
+    }
+
+    #[test]
+    fn equal_codes_mean_equal_text_but_not_the_reverse() {
+        // More distinct texts than cache slots evict the early ones, so
+        // their repeats get second entries.
+        let distinct: Vec<String> = (0..4 * RECENT_SLOTS).map(|i| format!("v{i}")).collect();
+        let mut column = Column::new(DataType::Str);
+        for text in distinct.iter().chain(&distinct) {
+            column.push(Cell::Str(text));
+        }
+        let Column::Str { codes, dict, .. } = &column else { unreachable!() };
+        assert!(dict.len() > distinct.len(), "no text was evicted");
+        for (row, &code) in codes.iter().enumerate() {
+            assert_eq!(dict.get(code), distinct[row % distinct.len()]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn rows_of_the_wrong_arity_panic() {
         let mut t = Table::new("t", vec![("a".into(), DataType::Int), ("b".into(), DataType::Int)]);
@@ -297,7 +501,7 @@ mod tests {
     #[test]
     fn int_coerces_into_float_column() {
         let mut c = Column::new(DataType::Float);
-        c.push(Value::Int(3));
+        c.push(Cell::Int(3));
         assert_eq!(c.get(0), Value::Float(3.0));
     }
 
@@ -305,7 +509,7 @@ mod tests {
     #[should_panic(expected = "type mismatch")]
     fn type_mismatch_panics() {
         let mut c = Column::new(DataType::Int);
-        c.push(Value::Str("nope".into()));
+        c.push(Cell::Str("nope"));
     }
 
     #[test]

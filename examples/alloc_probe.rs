@@ -148,7 +148,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok());
     if let Some(batch_size) = exec_batch_size {
-        // A single-table filter, and a hash join feeding a GROUP BY.
+        // A single-table filter, a hash join feeding a GROUP BY, and text
+        // grouping keys (dictionary codes hashed by their bytes).
         let templates = [
             "SELECT l.l_orderkey FROM lineitem AS l \
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
@@ -156,6 +157,10 @@ fn main() {
              JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
              WHERE l.l_quantity > {p_1} AND o.o_totalprice <= {p_2} \
              GROUP BY o.o_orderkey",
+            "SELECT o.o_orderpriority, COUNT(DISTINCT c.c_mktsegment) FROM orders AS o \
+             JOIN customer AS c ON o.o_custkey = c.c_custkey \
+             WHERE c.c_acctbal > {p_1} AND o.o_totalprice <= {p_2} \
+             GROUP BY o.o_orderpriority",
         ];
         let mut batch = BindingBatch::new(vec![1, 2]);
         for i in 0..batch_size {
