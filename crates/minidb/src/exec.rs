@@ -1679,8 +1679,9 @@ mod tests {
         }
     }
 
-    /// Two tables whose join and grouping keys hold NULL, `±0.0`, NaN,
-    /// `2^53`/`2^53 + 1` and U+0001 cells.
+    /// Tables whose join and grouping keys hold NULL, `±0.0`, NaN,
+    /// `2^53`/`2^53 + 1` and U+0001 cells (`t1`, `t2`), and one text
+    /// under several dictionary codes (`t3`).
     fn edge_key_db() -> Database {
         use crate::storage::{Cell, DataType, Table};
         let two53 = 9_007_199_254_740_992i64;

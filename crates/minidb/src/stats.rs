@@ -611,13 +611,13 @@ mod tests {
             nan_tied || zeros_tied
         }
 
-        /// A one-column `Str` table: `distinct` texts (awkward ones first,
-        /// then random ones over a multibyte alphabet) pushed `shape` + 1
-        /// times each, in order (shape 0: the second pass reloads evicted
-        /// texts as new entries; shape 1: three passes) or shuffled (shape
-        /// 2: every text tied on count), or `distinct` * 4 cells drawn
-        /// uniformly (shape 3). A cell is NULL with probability
-        /// `null_pct`%, and the first row with `null_first`.
+        /// A one-column `Str` table of `distinct` texts (awkward ones
+        /// first, then random ones over a multibyte alphabet): all of them
+        /// in order, in two passes (shape 0) or three (shape 1), where a
+        /// later pass reloads evicted texts as new entries; two passes
+        /// shuffled (shape 2: every text tied on count); or `distinct` * 4
+        /// cells drawn uniformly (shape 3). A cell is NULL with
+        /// probability `null_pct`%, and the first row with `null_first`.
         fn text_column(
             distinct: usize,
             shape: u8,
