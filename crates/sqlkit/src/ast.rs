@@ -206,11 +206,7 @@ pub enum Expr {
     /// `COALESCE`, `SUBSTR`, …).
     Function { name: String, distinct: bool, args: Vec<Expr> },
     /// `CASE [operand] WHEN … THEN … [ELSE …] END`.
-    Case {
-        operand: Option<Box<Expr>>,
-        branches: Vec<(Expr, Expr)>,
-        else_branch: Option<Box<Expr>>,
-    },
+    Case { operand: Option<Box<Expr>>, branches: Vec<(Expr, Expr)>, else_branch: Option<Box<Expr>> },
 }
 
 /// Names treated as aggregate functions.

@@ -230,10 +230,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                 i += 1;
                 loop {
                     if i >= bytes.len() {
-                        return Err(ParseError::new(
-                            start,
-                            "unterminated quoted string",
-                        ));
+                        return Err(ParseError::new(start, "unterminated quoted string"));
                     }
                     if bytes[i] == b'\'' {
                         if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
@@ -257,15 +254,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                     .map(|off| i + off)
                     .ok_or_else(|| ParseError::new(start, "unterminated placeholder"))?;
                 let body = &input[i + 1..close];
-                let id = body
-                    .strip_prefix("p_")
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .ok_or_else(|| {
+                let id = body.strip_prefix("p_").and_then(|n| n.parse::<u32>().ok()).ok_or_else(
+                    || {
                         ParseError::new(
                             start,
                             format!("invalid placeholder \"{{{body}}}\"; expected {{p_N}}"),
                         )
-                    })?;
+                    },
+                )?;
                 tokens.push(Spanned { token: Token::Placeholder(id), pos: start });
                 i = close + 1;
             }
@@ -331,10 +327,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, ParseError> {
                 i = end;
             }
             other => {
-                return Err(ParseError::new(
-                    start,
-                    format!("syntax error at or near \"{other}\""),
-                ));
+                return Err(ParseError::new(start, format!("syntax error at or near \"{other}\"")));
             }
         }
     }
@@ -411,10 +404,10 @@ mod tests {
 
     #[test]
     fn line_comments_are_skipped() {
-        assert_eq!(toks("select -- hi\n x"), vec![
-            Token::Keyword(Keyword::Select),
-            Token::Ident("x".into())
-        ]);
+        assert_eq!(
+            toks("select -- hi\n x"),
+            vec![Token::Keyword(Keyword::Select), Token::Ident("x".into())]
+        );
     }
 
     #[test]

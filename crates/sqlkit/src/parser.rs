@@ -132,10 +132,7 @@ fn select_depth(select: &Select) -> usize {
 
 impl Parser {
     fn too_deep(&self) -> ParseError {
-        ParseError::new(
-            self.here(),
-            format!("nesting exceeds the maximum depth of {MAX_DEPTH}"),
-        )
+        ParseError::new(self.here(), format!("nesting exceeds the maximum depth of {MAX_DEPTH}"))
     }
 
     /// Run `parse` one level deeper, failing past [`MAX_DEPTH`].
@@ -194,10 +191,9 @@ impl Parser {
 
     fn error_here(&self, what: &str) -> ParseError {
         match self.peek() {
-            Some(tok) => ParseError::new(
-                tok.pos,
-                format!("{what}, found {}", describe(&tok.token)),
-            ),
+            Some(tok) => {
+                ParseError::new(tok.pos, format!("{what}, found {}", describe(&tok.token)))
+            }
             None => ParseError::new(self.input_len, format!("{what} at end of input")),
         }
     }
@@ -324,7 +320,8 @@ impl Parser {
             }
         }
 
-        let having = if self.eat_keyword(Keyword::Having) { Some(self.parse_expr()?) } else { None };
+        let having =
+            if self.eat_keyword(Keyword::Having) { Some(self.parse_expr()?) } else { None };
 
         let mut order_by = Vec::new();
         if self.eat_keyword(Keyword::Order) {
@@ -686,11 +683,8 @@ impl Parser {
         if branches.is_empty() {
             return Err(self.error_here("CASE requires at least one WHEN branch"));
         }
-        let else_branch = if self.eat_keyword(Keyword::Else) {
-            Some(Box::new(self.parse_expr()?))
-        } else {
-            None
-        };
+        let else_branch =
+            if self.eat_keyword(Keyword::Else) { Some(Box::new(self.parse_expr()?)) } else { None };
         self.expect_keyword(Keyword::End)?;
         Ok(Expr::Case { operand, branches, else_branch })
     }
@@ -739,16 +733,12 @@ mod tests {
 
     #[test]
     fn parses_paper_example_2_2() {
-        let s = parse_select(
-            "SELECT UNIQUE(user_id) FROM orders WHERE orders.order_amount > {p_1};",
-        )
-        .unwrap();
+        let s =
+            parse_select("SELECT UNIQUE(user_id) FROM orders WHERE orders.order_amount > {p_1};")
+                .unwrap();
         assert!(s.distinct);
         assert_eq!(s.from.as_ref().unwrap().table, "orders");
-        assert!(matches!(
-            s.where_clause,
-            Some(Expr::Binary { op: BinaryOp::Gt, .. })
-        ));
+        assert!(matches!(s.where_clause, Some(Expr::Binary { op: BinaryOp::Gt, .. })));
     }
 
     #[test]
@@ -835,10 +825,7 @@ mod tests {
 
     #[test]
     fn case_expression() {
-        let s = parse_select(
-            "SELECT CASE WHEN x > 0 THEN 'pos' ELSE 'neg' END FROM t",
-        )
-        .unwrap();
+        let s = parse_select("SELECT CASE WHEN x > 0 THEN 'pos' ELSE 'neg' END FROM t").unwrap();
         assert!(matches!(s.projections[0].expr, Expr::Case { .. }));
     }
 
@@ -859,10 +846,8 @@ mod tests {
 
     #[test]
     fn left_join_and_cross_join() {
-        let s = parse_select(
-            "SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.x CROSS JOIN c",
-        )
-        .unwrap();
+        let s =
+            parse_select("SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.x CROSS JOIN c").unwrap();
         assert_eq!(s.joins[0].kind, JoinKind::Left);
         assert_eq!(s.joins[1].kind, JoinKind::Cross);
         assert!(s.joins[1].on.is_none());

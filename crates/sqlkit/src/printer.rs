@@ -92,13 +92,7 @@ impl fmt::Display for Expr {
                 // left-associative: right operand needs strictly higher
                 // precedence for non-commutative chains to re-parse
                 // identically.
-                write!(
-                    f,
-                    "{} {} {}",
-                    operand(left, prec),
-                    op.symbol(),
-                    operand(right, prec + 1)
-                )
+                write!(f, "{} {} {}", operand(left, prec), op.symbol(), operand(right, prec + 1))
             }
             Expr::Between { expr, negated, low, high } => write!(
                 f,
@@ -135,12 +129,9 @@ impl fmt::Display for Expr {
                 if *negated { "NOT " } else { "" },
                 operand(pattern, 5)
             ),
-            Expr::IsNull { expr, negated } => write!(
-                f,
-                "{} IS {}NULL",
-                operand(expr, 5),
-                if *negated { "NOT " } else { "" }
-            ),
+            Expr::IsNull { expr, negated } => {
+                write!(f, "{} IS {}NULL", operand(expr, 5), if *negated { "NOT " } else { "" })
+            }
             Expr::Function { name, distinct, args } => {
                 write!(f, "{name}(")?;
                 if *distinct {
@@ -244,7 +235,7 @@ impl fmt::Display for Select {
 
 #[cfg(test)]
 mod tests {
-    
+
     use crate::parser::parse_select;
 
     fn round_trip(sql: &str) {

@@ -65,7 +65,8 @@ impl Instruction {
         if lower.contains("subquery") || lower.contains("sub-query") {
             return Ok(Some(Instruction::NestedSubquery));
         }
-        if lower.contains("no join") || lower.contains("without join")
+        if lower.contains("no join")
+            || lower.contains("without join")
             || lower.contains("zero join")
         {
             return Ok(Some(Instruction::NoJoins));
@@ -104,9 +105,7 @@ impl Instruction {
             }
             Instruction::GroupBy => "use the GROUP BY operator".into(),
             Instruction::NoJoins => "contain no joins".into(),
-            Instruction::ComplexScalarExpressions => {
-                "project complex scalar expressions".into()
-            }
+            Instruction::ComplexScalarExpressions => "project complex scalar expressions".into(),
             Instruction::OrderBy => "include an ORDER BY clause".into(),
             Instruction::Distinct => "apply DISTINCT to the result".into(),
         }
@@ -412,30 +411,20 @@ impl SpecViolation {
                 "present".to_string(),
                 format!("{} subqueries", features.num_subqueries),
             ),
-            Instruction::NumPredicates(n) => (
-                "num_predicate_placeholders",
-                n.to_string(),
-                features.num_placeholders.to_string(),
-            ),
-            Instruction::GroupBy => {
-                ("group_by", "present".to_string(), "absent".to_string())
+            Instruction::NumPredicates(n) => {
+                ("num_predicate_placeholders", n.to_string(), features.num_placeholders.to_string())
             }
-            Instruction::NoJoins => (
-                "no_joins",
-                "0 joins".to_string(),
-                format!("{} joins", features.num_joins),
-            ),
+            Instruction::GroupBy => ("group_by", "present".to_string(), "absent".to_string()),
+            Instruction::NoJoins => {
+                ("no_joins", "0 joins".to_string(), format!("{} joins", features.num_joins))
+            }
             Instruction::ComplexScalarExpressions => (
                 "complex_scalar_expressions",
                 "complexity >= 3".to_string(),
                 format!("complexity {}", features.scalar_complexity),
             ),
-            Instruction::OrderBy => {
-                ("order_by", "present".to_string(), "absent".to_string())
-            }
-            Instruction::Distinct => {
-                ("distinct", "present".to_string(), "absent".to_string())
-            }
+            Instruction::OrderBy => ("order_by", "present".to_string(), "absent".to_string()),
+            Instruction::Distinct => ("distinct", "present".to_string(), "absent".to_string()),
         };
         SpecViolation { constraint: constraint.into(), expected, actual }
     }
@@ -470,10 +459,7 @@ mod tests {
             Instruction::parse("make sure to use the GROUP BY operator"),
             Some(Instruction::GroupBy)
         );
-        assert_eq!(
-            Instruction::parse("I want no joins in this one"),
-            Some(Instruction::NoJoins)
-        );
+        assert_eq!(Instruction::parse("I want no joins in this one"), Some(Instruction::NoJoins));
         assert_eq!(
             Instruction::parse("include complex scalar expressions"),
             Some(Instruction::ComplexScalarExpressions)
@@ -483,14 +469,8 @@ mod tests {
 
     #[test]
     fn numeric_predicate_counts_parse_digits_and_words() {
-        assert_eq!(
-            Instruction::parse("have 5 predicates"),
-            Some(Instruction::NumPredicates(5))
-        );
-        assert_eq!(
-            Instruction::parse("have two predicates"),
-            Some(Instruction::NumPredicates(2))
-        );
+        assert_eq!(Instruction::parse("have 5 predicates"), Some(Instruction::NumPredicates(5)));
+        assert_eq!(Instruction::parse("have two predicates"), Some(Instruction::NumPredicates(2)));
     }
 
     #[test]
@@ -545,10 +525,8 @@ mod tests {
 
     #[test]
     fn declarative_parsing_handles_mixed_forms() {
-        let spec = TemplateSpec::parse_declarative(
-            7,
-            "tables=2 joins=1; have two predicate values",
-        );
+        let spec =
+            TemplateSpec::parse_declarative(7, "tables=2 joins=1; have two predicate values");
         assert_eq!(spec.id, 7);
         assert_eq!(spec.num_tables, Some(2));
         assert_eq!(spec.num_joins, Some(1));

@@ -129,10 +129,8 @@ mod tests {
 
     #[test]
     fn placeholders_found_inside_subqueries() {
-        let t = parse_template(
-            "SELECT * FROM a WHERE x IN (SELECT y FROM b WHERE z > {p_2})",
-        )
-        .unwrap();
+        let t =
+            parse_template("SELECT * FROM a WHERE x IN (SELECT y FROM b WHERE z > {p_2})").unwrap();
         assert_eq!(t.placeholders(), vec![2]);
     }
 
@@ -152,10 +150,8 @@ mod tests {
 
     #[test]
     fn instantiate_reaches_nested_subqueries() {
-        let t = parse_template(
-            "SELECT * FROM a WHERE x IN (SELECT y FROM b WHERE z > {p_1})",
-        )
-        .unwrap();
+        let t =
+            parse_template("SELECT * FROM a WHERE x IN (SELECT y FROM b WHERE z > {p_1})").unwrap();
         let q = t.instantiate(row(&[(1, Value::Float(2.5))])).unwrap();
         assert!(!q.to_string().contains("{p_"));
     }

@@ -44,10 +44,9 @@ fn leaf() -> impl Strategy<Value = Expr> {
 fn arith() -> impl Strategy<Value = Expr> {
     leaf().prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), arith_op()).prop_map(|(l, r, op)| Expr::binary(l, op, r)),
-            inner
-                .clone()
-                .prop_map(|e| Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) }),
+            (inner.clone(), inner.clone(), arith_op())
+                .prop_map(|(l, r, op)| Expr::binary(l, op, r)),
+            inner.clone().prop_map(|e| Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) }),
             (
                 prop::sample::select(vec!["ABS", "ROUND", "LENGTH", "COALESCE"]),
                 prop::collection::vec(inner, 1..3)
@@ -87,16 +86,10 @@ fn predicate() -> impl Strategy<Value = Expr> {
     prop_oneof![
         (arith(), comparison_op(), arith()).prop_map(|(l, op, r)| Expr::binary(l, op, r)),
         (arith(), any::<bool>(), arith(), arith()).prop_map(|(e, negated, lo, hi)| {
-            Expr::Between {
-                expr: Box::new(e),
-                negated,
-                low: Box::new(lo),
-                high: Box::new(hi),
-            }
+            Expr::Between { expr: Box::new(e), negated, low: Box::new(lo), high: Box::new(hi) }
         }),
-        (arith(), any::<bool>(), prop::collection::vec(literal(), 1..4)).prop_map(
-            |(e, negated, list)| Expr::InList { expr: Box::new(e), negated, list }
-        ),
+        (arith(), any::<bool>(), prop::collection::vec(literal(), 1..4))
+            .prop_map(|(e, negated, list)| Expr::InList { expr: Box::new(e), negated, list }),
         (ident(), ident(), any::<bool>(), "[a-z%_]{1,8}").prop_map(|(t, c, negated, pat)| {
             Expr::Like {
                 expr: Box::new(Expr::Column(ColumnRef::qualified(t, c))),
@@ -113,10 +106,8 @@ fn predicate() -> impl Strategy<Value = Expr> {
 fn bool_expr() -> impl Strategy<Value = Expr> {
     predicate().prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::binary(l, BinaryOp::And, r)),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::binary(l, BinaryOp::Or, r)),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::binary(l, BinaryOp::And, r)),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::binary(l, BinaryOp::Or, r)),
             inner.prop_map(|e| Expr::Unary { op: UnaryOp::Not, expr: Box::new(e) }),
         ]
     })
@@ -148,10 +139,8 @@ fn select_strategy() -> impl Strategy<Value = Select> {
                 limit,
                 distinct,
             )| {
-                let projections = proj_exprs
-                    .into_iter()
-                    .map(|expr| SelectItem { expr, alias: None })
-                    .collect();
+                let projections =
+                    proj_exprs.into_iter().map(|expr| SelectItem { expr, alias: None }).collect();
                 let joins = join_specs
                     .into_iter()
                     .map(|(table, on)| Join {
