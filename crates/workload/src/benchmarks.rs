@@ -204,12 +204,10 @@ mod tests {
     fn table_1_has_ten_rows_with_paper_parameters() {
         let all = all_benchmarks();
         assert_eq!(all.len(), 10);
-        let hard: Vec<_> =
-            all.iter().filter(|b| b.difficulty == Difficulty::Hard).collect();
+        let hard: Vec<_> = all.iter().filter(|b| b.difficulty == Difficulty::Hard).collect();
         assert_eq!(hard.len(), 4);
         assert!(hard.iter().all(|b| b.n_queries == 2000 && b.n_intervals == 20));
-        let medium: Vec<_> =
-            all.iter().filter(|b| b.difficulty == Difficulty::Medium).collect();
+        let medium: Vec<_> = all.iter().filter(|b| b.difficulty == Difficulty::Medium).collect();
         assert_eq!(medium.len(), 4);
         assert!(medium.iter().all(|b| b.n_queries == 1000 && b.n_intervals == 10));
     }

@@ -73,8 +73,7 @@ impl TargetDistribution {
         assert!(weight_sum > 0.0, "distribution has no mass on the range");
 
         // Largest-remainder apportionment.
-        let ideal: Vec<f64> =
-            weights.iter().map(|w| w / weight_sum * total as f64).collect();
+        let ideal: Vec<f64> = weights.iter().map(|w| w / weight_sum * total as f64).collect();
         let mut counts: Vec<f64> = ideal.iter().map(|x| x.floor()).collect();
         let assigned: f64 = counts.iter().sum();
         let mut remainders: Vec<(usize, f64)> =
@@ -95,21 +94,13 @@ impl TargetDistribution {
     /// Normal target centered mid-range (the paper's "normal" benchmark,
     /// which simulates TPC-H/TPC-DS-like benchmark workloads).
     pub fn normal(intervals: CostIntervals, total: usize) -> Self {
-        Self::from_shape(
-            Shape::Normal { mean_frac: 0.5, sigma_frac: 0.18 },
-            intervals,
-            total,
-        )
+        Self::from_shape(Shape::Normal { mean_frac: 0.5, sigma_frac: 0.18 }, intervals, total)
     }
 
     /// Snowset cardinality distribution, variant 1: most queries return few
     /// rows, long tail.
     pub fn snowset_card_1(intervals: CostIntervals, total: usize) -> Self {
-        Self::from_shape(
-            Shape::LogNormal { median: 900.0, sigma: 1.3 },
-            intervals,
-            total,
-        )
+        Self::from_shape(Shape::LogNormal { median: 900.0, sigma: 1.3 }, intervals, total)
     }
 
     /// Snowset cardinality distribution, variant 2: heavy low end plus a
@@ -131,11 +122,7 @@ impl TargetDistribution {
     /// Snowset execution-cost distribution: log-normal body with moderate
     /// spread.
     pub fn snowset_cost(intervals: CostIntervals, total: usize) -> Self {
-        Self::from_shape(
-            Shape::LogNormal { median: 1_800.0, sigma: 1.0 },
-            intervals,
-            total,
-        )
+        Self::from_shape(Shape::LogNormal { median: 1_800.0, sigma: 1.0 }, intervals, total)
     }
 
     /// Redset execution-cost distribution: very short-query-dominated with
@@ -217,10 +204,7 @@ impl TargetDistribution {
     /// Panics when no sample falls inside the interval range.
     pub fn from_samples(samples: &[f64], intervals: CostIntervals, total: usize) -> Self {
         let histogram = intervals.histogram(samples);
-        assert!(
-            histogram.iter().sum::<f64>() > 0.0,
-            "no sample falls inside the target range"
-        );
+        assert!(histogram.iter().sum::<f64>() > 0.0, "no sample falls inside the target range");
         let shape = Shape::Empirical { histogram: histogram.clone() };
         // Largest-remainder apportionment of `total` over the sample mass.
         let mass: f64 = histogram.iter().sum();
@@ -273,13 +257,7 @@ mod tests {
     #[test]
     fn normal_peaks_in_the_middle() {
         let dist = TargetDistribution::normal(grid10(), 1000);
-        let peak = dist
-            .counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
+        let peak = dist.counts.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
         assert!((4..=5).contains(&peak), "peak at {peak}");
         assert!(dist.counts[0] < dist.counts[4]);
         assert!(dist.counts[9] < dist.counts[5]);
@@ -298,11 +276,7 @@ mod tests {
     fn bimodal_has_a_secondary_bump() {
         let dist = TargetDistribution::snowset_card_2(grid10(), 1000);
         // bump near 7.5k: interval 7 should beat interval 5
-        assert!(
-            dist.counts[7] > dist.counts[5],
-            "counts: {:?}",
-            dist.counts
-        );
+        assert!(dist.counts[7] > dist.counts[5], "counts: {:?}", dist.counts);
         assert!(dist.counts[0] > dist.counts[3]);
     }
 

@@ -194,11 +194,7 @@ impl AtomicFile {
         tmp_os.push(".tmp");
         let tmp = PathBuf::from(tmp_os);
         let file = File::create(&tmp)?;
-        Ok(AtomicFile {
-            path: path.to_path_buf(),
-            tmp,
-            out: Some(io::BufWriter::new(file)),
-        })
+        Ok(AtomicFile { path: path.to_path_buf(), tmp, out: Some(io::BufWriter::new(file)) })
     }
 
     /// The final destination this file will be renamed to on commit.
@@ -212,9 +208,7 @@ impl AtomicFile {
     pub fn commit(mut self) -> io::Result<()> {
         let mut out = self.out.take().expect("AtomicFile committed twice");
         out.flush()?;
-        let file = out
-            .into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?;
+        let file = out.into_inner().map_err(|e| io::Error::other(e.to_string()))?;
         file.sync_all()?;
         drop(file);
         fs::rename(&self.tmp, &self.path)
@@ -316,8 +310,8 @@ mod tests {
 
     #[test]
     fn atomic_file_only_replaces_target_on_commit() {
-        let dir = std::env::temp_dir()
-            .join(format!("sqlbarber-atomic-test-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("sqlbarber-atomic-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let target = dir.join("workload.sql");
