@@ -119,10 +119,7 @@ mod tests {
 
     #[test]
     fn retry_after_only_for_rate_limits() {
-        assert_eq!(
-            LlmError::RateLimited { retry_after_ms: 250 }.retry_after_ms(),
-            Some(250)
-        );
+        assert_eq!(LlmError::RateLimited { retry_after_ms: 250 }.retry_after_ms(), Some(250));
         assert_eq!(LlmError::Timeout.retry_after_ms(), None);
     }
 
@@ -131,8 +128,6 @@ mod tests {
         let e = LlmError::Truncated { partial: "SQL:\nSELECT".into() };
         assert!(e.to_string().contains("truncated"));
         assert_eq!(e.kind(), "truncated");
-        assert!(LlmError::Malformed { expected: "verdict" }
-            .to_string()
-            .contains("verdict"));
+        assert!(LlmError::Malformed { expected: "verdict" }.to_string().contains("verdict"));
     }
 }

@@ -49,12 +49,7 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// A perfectly reliable model (for tests and ablations).
     pub fn none() -> FaultConfig {
-        FaultConfig {
-            p_syntax: 0.0,
-            p_wrong_column: 0.0,
-            p_spec_violation: 0.0,
-            repair_decay: 1.0,
-        }
+        FaultConfig { p_syntax: 0.0, p_wrong_column: 0.0, p_spec_violation: 0.0, repair_decay: 1.0 }
     }
 
     /// Rates after `attempts` rounds of feedback.
@@ -116,11 +111,11 @@ pub fn corrupt_column(sql: &str, column: &str) -> String {
     let mut i = 0;
     while i < sql.len() {
         if sql[i..].starts_with(column) {
-            let before_ok = i == 0
-                || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
+            let before_ok =
+                i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
             let end = i + column.len();
-            let after_ok = end >= sql.len()
-                || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
+            let after_ok =
+                end >= sql.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
             if before_ok && after_ok {
                 out.push_str(column);
                 out.push_str("_zz");
@@ -163,10 +158,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..20 {
             let broken = break_syntax("SELECT a FROM t WHERE ABS(a) > 1", &mut rng);
-            assert!(
-                sqlkit::parse_select(&broken).is_err(),
-                "still parses: {broken}"
-            );
+            assert!(sqlkit::parse_select(&broken).is_err(), "still parses: {broken}");
         }
     }
 

@@ -64,12 +64,8 @@ impl PromptBuilder {
         if spec.instructions.is_empty() {
             with_numeric
         } else {
-            let body = spec
-                .instructions
-                .iter()
-                .map(Instruction::describe)
-                .collect::<Vec<_>>()
-                .join("\n");
+            let body =
+                spec.instructions.iter().map(Instruction::describe).collect::<Vec<_>>().join("\n");
             with_numeric.section("INSTRUCTIONS", body)
         }
     }
@@ -96,8 +92,7 @@ impl PromptBuilder {
 
     /// Add observed profile costs of the template being refined.
     pub fn profile(self, costs: &[f64]) -> Self {
-        let body =
-            costs.iter().map(|c| format!("{c:.1}")).collect::<Vec<_>>().join(", ");
+        let body = costs.iter().map(|c| format!("{c:.1}")).collect::<Vec<_>>().join(", ");
         self.section("PROFILE", body)
     }
 
@@ -230,9 +225,7 @@ impl LlmRequest {
         });
 
         let profile = find("PROFILE")
-            .map(|body| {
-                body.split(',').filter_map(|tok| tok.trim().parse::<f64>().ok()).collect()
-            })
+            .map(|body| body.split(',').filter_map(|tok| tok.trim().parse::<f64>().ok()).collect())
             // detlint::allow(silent_swallow): request-side prompt parsing in the synthetic model — an absent PROFILE section means "no profile", not a malformed LLM response
             .unwrap_or_default();
 
@@ -337,12 +330,7 @@ mod tests {
     fn generate_prompt_round_trips() {
         let prompt = PromptBuilder::new(TASK_GENERATE)
             .schema("Table users (10 rows, ~1 KB)\n  user_id bigint (n_distinct=10) [PK]")
-            .join_path(&[(
-                "users".into(),
-                "user_id".into(),
-                "orders".into(),
-                "user_id".into(),
-            )])
+            .join_path(&[("users".into(), "user_id".into(), "orders".into(), "user_id".into())])
             .spec(&sample_spec())
             .build();
         let request = LlmRequest::parse(&prompt).unwrap();

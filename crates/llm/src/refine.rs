@@ -22,11 +22,7 @@ pub fn refine(request: &LlmRequest, rng: &mut StdRng) -> Option<String> {
     let template_sql = request.template.as_ref()?;
     let (lo, hi) = request.target?;
     let select = parse_select(template_sql).ok()?;
-    let context = request
-        .schema
-        .as_ref()
-        .map(|s| SchemaContext::parse(s))
-        .unwrap_or_default();
+    let context = request.schema.as_ref().map(|s| SchemaContext::parse(s)).unwrap_or_default();
 
     // Decide direction from the profile median relative to the target.
     let mut costs = request.profile.clone();
@@ -87,11 +83,7 @@ pub fn refine(request: &LlmRequest, rng: &mut StdRng) -> Option<String> {
 
 /// Tables bound in the statement's FROM clause, `(alias, table)`.
 fn bindings(select: &Select) -> Vec<(String, String)> {
-    select
-        .table_refs()
-        .iter()
-        .map(|t| (t.binding().to_string(), t.table.clone()))
-        .collect()
+    select.table_refs().iter().map(|t| (t.binding().to_string(), t.table.clone())).collect()
 }
 
 /// Add `AND alias.col <= {p_new}` on a numeric column.
@@ -147,11 +139,7 @@ fn add_selective_predicate(select: &mut Select, context: &SchemaContext, rng: &m
 /// Add `AND col BETWEEN {p_a} AND {p_b}` on a numeric column: a range
 /// predicate whose two ends must be *coordinated* to produce a non-empty,
 /// right-sized slice — cheap to express, rich to search.
-fn add_between_predicate(
-    select: &mut Select,
-    context: &SchemaContext,
-    rng: &mut StdRng,
-) -> bool {
+fn add_between_predicate(select: &mut Select, context: &SchemaContext, rng: &mut StdRng) -> bool {
     let bound = bindings(select);
     if bound.is_empty() {
         return false;
@@ -219,9 +207,7 @@ fn retarget_smaller_table(
         let floor = rows * width / 8192.0 + rows * 0.0125;
         (floor, floor + rows * 0.011)
     };
-    let overlap = |a: (f64, f64)| -> f64 {
-        (a.1.min(hi) - a.0.max(lo)).max(0.0)
-    };
+    let overlap = |a: (f64, f64)| -> f64 { (a.1.min(hi) - a.0.max(lo)).max(0.0) };
 
     // Tables whose scan-cost span overlaps the target (plan-cost view);
     // when none do, fall back to the cardinality view (any table with at
@@ -248,17 +234,12 @@ fn retarget_smaller_table(
     }
     let best = candidates
         .iter()
-        .max_by(|a, b| {
-            overlap(span(a))
-                .total_cmp(&overlap(span(b)))
-                .then(a.rows.cmp(&b.rows))
-        })
+        .max_by(|a, b| overlap(span(a)).total_cmp(&overlap(span(b))).then(a.rows.cmp(&b.rows)))
         .expect("nonempty");
 
     let preds = best.predicate_columns();
     let pred_col = preds[rng.gen_range(0..preds.len().min(3))].name.clone();
-    let proj_col =
-        best.columns.first().map(|c| c.name.clone()).unwrap_or_else(|| pred_col.clone());
+    let proj_col = best.columns.first().map(|c| c.name.clone()).unwrap_or_else(|| pred_col.clone());
     *select = Select {
         projections: vec![sqlkit::SelectItem {
             expr: Expr::Column(ColumnRef::qualified("t1", proj_col)),
@@ -341,11 +322,7 @@ fn collapse_to_aggregate(select: &mut Select) -> bool {
         return false;
     }
     select.projections = vec![sqlkit::SelectItem {
-        expr: Expr::Function {
-            name: "COUNT".into(),
-            distinct: false,
-            args: vec![Expr::Wildcard],
-        },
+        expr: Expr::Function { name: "COUNT".into(), distinct: false, args: vec![Expr::Wildcard] },
         alias: None,
     }];
     select.group_by.clear();

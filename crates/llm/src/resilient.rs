@@ -232,8 +232,8 @@ impl<M: LanguageModel, C: Clock> ResilientLlm<M, C> {
     /// server's `Retry-After` floor applied.
     fn backoff_ms(&mut self, retry: u32, floor_ms: Option<u64>) -> u64 {
         let exp = self.policy.multiplier.powi(retry.saturating_sub(1) as i32);
-        let base = (self.policy.base_backoff_ms as f64 * exp)
-            .min(self.policy.max_backoff_ms as f64);
+        let base =
+            (self.policy.base_backoff_ms as f64 * exp).min(self.policy.max_backoff_ms as f64);
         let jitter: f64 = self.rng.gen_range(0.0..=self.policy.jitter.max(0.0));
         let wait = (base * (1.0 + jitter)) as u64;
         wait.max(floor_ms.unwrap_or(0))
@@ -295,9 +295,8 @@ impl<M: LanguageModel, C: Clock> ResilientLlm<M, C> {
 
     fn trip(&mut self) {
         self.stats.breaker_trips += 1;
-        self.breaker = BreakerState::Open {
-            until_ms: self.clock.now_ms() + self.policy.breaker_cooldown_ms,
-        };
+        self.breaker =
+            BreakerState::Open { until_ms: self.clock.now_ms() + self.policy.breaker_cooldown_ms };
     }
 }
 
@@ -371,9 +370,7 @@ impl<M: LanguageModel, C: Clock> LanguageModel for ResilientLlm<M, C> {
                     BreakerState::Closed { consecutive_failures } => {
                         crate::BreakerSnapshot::Closed { consecutive_failures }
                     }
-                    BreakerState::Open { until_ms } => {
-                        crate::BreakerSnapshot::Open { until_ms }
-                    }
+                    BreakerState::Open { until_ms } => crate::BreakerSnapshot::Open { until_ms },
                     BreakerState::HalfOpen => crate::BreakerSnapshot::HalfOpen,
                 },
                 retries_left: self.retries_left,

@@ -139,10 +139,7 @@ impl SchemaContext {
 
     /// Foreign-key edges incident to `table` (either direction).
     pub fn edges_of(&self, table: &str) -> Vec<&(String, String, String, String)> {
-        self.foreign_keys
-            .iter()
-            .filter(|(t, _, rt, _)| t == table || rt == table)
-            .collect()
+        self.foreign_keys.iter().filter(|(t, _, rt, _)| t == table || rt == table).collect()
     }
 }
 

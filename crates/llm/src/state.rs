@@ -141,10 +141,8 @@ mod tests {
     }
 
     fn prompt(i: usize) -> String {
-        let schema = minidb::datagen::tpch::generate(
-            minidb::datagen::tpch::TpchConfig::tiny(),
-        )
-        .schema_summary();
+        let schema = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
+            .schema_summary();
         crate::PromptBuilder::new(crate::protocol::TASK_GENERATE)
             .schema(&schema)
             .spec(&sqlkit::TemplateSpec::new(i as u32).with_tables(1))

@@ -49,7 +49,11 @@ impl<'a> Builder<'a> {
         Expr::Placeholder(id)
     }
 
-    fn build(&mut self, join_path: &[(String, String, String, String)], spec: &TemplateSpec) -> Select {
+    fn build(
+        &mut self,
+        join_path: &[(String, String, String, String)],
+        spec: &TemplateSpec,
+    ) -> Select {
         // ---- FROM clause from the join path --------------------------
         let mut bound: Vec<Bound> = Vec::new();
         let mut joins: Vec<Join> = Vec::new();
@@ -66,12 +70,8 @@ impl<'a> Builder<'a> {
             // Single-table template: prefer tables with predicate columns,
             // weighted by size — the prompt includes row counts precisely
             // so the model favors tables that can carry realistic costs.
-            let candidates: Vec<&TableInfo> = self
-                .context
-                .tables
-                .iter()
-                .filter(|t| !t.predicate_columns().is_empty())
-                .collect();
+            let candidates: Vec<&TableInfo> =
+                self.context.tables.iter().filter(|t| !t.predicate_columns().is_empty()).collect();
             let table = if candidates.is_empty() {
                 &self.context.tables[self.rng.gen_range(0..self.context.tables.len())]
             } else {
@@ -339,7 +339,11 @@ impl<'a> Builder<'a> {
     fn aggregate_expr(&mut self, bound: &[Bound], complex_arg: bool) -> Expr {
         let choice = self.rng.gen_range(0..5);
         if choice == 0 {
-            return Expr::Function { name: "COUNT".into(), distinct: false, args: vec![Expr::Wildcard] };
+            return Expr::Function {
+                name: "COUNT".into(),
+                distinct: false,
+                args: vec![Expr::Wildcard],
+            };
         }
         let name = ["SUM", "AVG", "MIN", "MAX"][choice - 1];
         let arg = if complex_arg {
@@ -480,11 +484,7 @@ pub fn violate_spec(select: &mut Select, spec: &TemplateSpec, rng: &mut StdRng) 
         });
     }
     // Miscount placeholders when a count was specified.
-    if spec
-        .instructions
-        .iter()
-        .any(|i| matches!(i, Instruction::NumPredicates(_)))
-    {
+    if spec.instructions.iter().any(|i| matches!(i, Instruction::NumPredicates(_))) {
         mutations.push(|s, _, _| {
             let max_id = max_placeholder(s);
             let extra = Expr::binary(
@@ -572,7 +572,11 @@ pub(crate) fn strip_binding(select: &mut Select, binding: &str) {
     select.projections.retain(|p| !references(&p.expr));
     if select.projections.is_empty() {
         select.projections.push(SelectItem {
-            expr: Expr::Function { name: "COUNT".into(), distinct: false, args: vec![Expr::Wildcard] },
+            expr: Expr::Function {
+                name: "COUNT".into(),
+                distinct: false,
+                args: vec![Expr::Wildcard],
+            },
             alias: None,
         });
         select.group_by.clear();
@@ -585,7 +589,6 @@ pub(crate) fn strip_binding(select: &mut Select, binding: &str) {
     select.group_by.retain(|g| !references(g));
     select.order_by.retain(|o| !references(&o.expr));
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -687,9 +690,8 @@ mod tests {
     fn placeholders_number_from_one() {
         let context = tpch_context();
         let mut rng = StdRng::seed_from_u64(3);
-        let spec = TemplateSpec::new(1)
-            .with_joins(0)
-            .with_instruction(Instruction::NumPredicates(3));
+        let spec =
+            TemplateSpec::new(1).with_joins(0).with_instruction(Instruction::NumPredicates(3));
         let select = synthesize(&context, &[], &spec, &mut rng);
         let template = sqlkit::Template::new(select);
         assert_eq!(template.placeholders(), vec![1, 2, 3]);

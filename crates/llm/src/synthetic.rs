@@ -51,18 +51,13 @@ impl SyntheticLlm {
         let Some(spec) = &request.spec else {
             return "ERROR: missing SPEC section".into();
         };
-        let context = request
-            .schema
-            .as_ref()
-            .map(|s| SchemaContext::parse(s))
-            .unwrap_or_default();
+        let context = request.schema.as_ref().map(|s| SchemaContext::parse(s)).unwrap_or_default();
         if context.tables.is_empty() {
             return "ERROR: missing or empty SCHEMA section".into();
         }
 
         let draw = FaultDraw::sample(&self.config, attempt, &mut self.rng);
-        let mut select =
-            synthesis::synthesize(&context, &request.join_path, spec, &mut self.rng);
+        let mut select = synthesis::synthesize(&context, &request.join_path, spec, &mut self.rng);
         if draw.spec_violation {
             synthesis::violate_spec(&mut select, spec, &mut self.rng);
         }
@@ -112,11 +107,8 @@ impl SyntheticLlm {
         };
         match parse_template(sql) {
             Ok(template) => {
-                let violations: Vec<String> = spec
-                    .check(&template.features())
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect();
+                let violations: Vec<String> =
+                    spec.check(&template.features()).iter().map(|v| v.to_string()).collect();
                 ValidationVerdict { satisfied: violations.is_empty(), violations }.render()
             }
             Err(_) => ValidationVerdict {
@@ -190,8 +182,7 @@ impl LanguageModel for SyntheticLlm {
         // The map iteration order is arbitrary; sorting by spec id makes
         // the exported form canonical, so identical model states always
         // serialize to identical snapshot bytes.
-        let mut attempts: Vec<(u32, u32)> =
-            self.attempts.iter().map(|(&id, &n)| (id, n)).collect();
+        let mut attempts: Vec<(u32, u32)> = self.attempts.iter().map(|(&id, &n)| (id, n)).collect();
         attempts.sort_unstable();
         Some(crate::ModelState::Synthetic(crate::SyntheticState {
             rng: self.rng.state(),
@@ -222,8 +213,7 @@ mod tests {
     use sqlkit::{Instruction, TemplateSpec};
 
     fn tpch_summary() -> String {
-        minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
-            .schema_summary()
+        minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny()).schema_summary()
     }
 
     fn spec() -> TemplateSpec {
@@ -289,12 +279,8 @@ mod tests {
     fn validation_matches_ground_truth() {
         let mut model = SyntheticLlm::reliable(2);
         let bad_template = "SELECT o.o_orderkey FROM orders AS o";
-        let prompt = PromptBuilder::new(TASK_VALIDATE)
-            .spec(&spec())
-            .template(bad_template)
-            .build();
-        let verdict =
-            ValidationVerdict::parse(&model.complete(&prompt).unwrap()).unwrap();
+        let prompt = PromptBuilder::new(TASK_VALIDATE).spec(&spec()).template(bad_template).build();
+        let verdict = ValidationVerdict::parse(&model.complete(&prompt).unwrap()).unwrap();
         assert!(!verdict.satisfied);
         assert!(!verdict.violations.is_empty());
     }
@@ -317,13 +303,11 @@ mod tests {
                 )])
                 .spec(&this_spec)
                 .build();
-            let mut sql =
-                parse_sql_response(&model.complete(&gen_prompt).unwrap()).unwrap();
+            let mut sql = parse_sql_response(&model.complete(&gen_prompt).unwrap()).unwrap();
             for _attempt in 0..5 {
                 let good = match parse_template(&sql) {
                     Ok(t) => {
-                        db.validate_template(&t).is_ok()
-                            && this_spec.is_satisfied_by(&t.features())
+                        db.validate_template(&t).is_ok() && this_spec.is_satisfied_by(&t.features())
                     }
                     Err(_) => false,
                 };
@@ -344,8 +328,7 @@ mod tests {
                     .violations(&["fix it".into()])
                     .build();
                 // detlint::allow(silent_swallow): test harness deliberately keeps the previous SQL when the simulated repair is unparseable
-                sql = parse_sql_response(&model.complete(&fix_prompt).unwrap())
-                    .unwrap_or(sql);
+                sql = parse_sql_response(&model.complete(&fix_prompt).unwrap()).unwrap_or(sql);
             }
         }
         assert!(fixed_within >= 22, "only {fixed_within}/24 converged");

@@ -325,8 +325,7 @@ mod tests {
     #[test]
     fn fault_sequence_is_deterministic_per_seed() {
         let run = |seed: u64| -> Vec<String> {
-            let mut t =
-                FaultyTransport::new(echo(), TransportFaultConfig::uniform(0.5), seed);
+            let mut t = FaultyTransport::new(echo(), TransportFaultConfig::uniform(0.5), seed);
             (0..200)
                 .map(|i| match t.complete(&format!("p{i}")) {
                     Ok(s) => format!("ok:{s}"),
@@ -342,8 +341,7 @@ mod tests {
     fn uniform_rate_injects_roughly_that_many_faults() {
         let mut t = FaultyTransport::new(echo(), TransportFaultConfig::uniform(0.3), 11);
         let n = 1_000;
-        let failures =
-            (0..n).filter(|i| t.complete(&format!("p{i}")).is_err()).count();
+        let failures = (0..n).filter(|i| t.complete(&format!("p{i}")).is_err()).count();
         let rate = failures as f64 / n as f64;
         // Burst mode makes the realized rate a bit lumpy; wide bounds.
         assert!((0.15..=0.55).contains(&rate), "failure rate {rate}");
@@ -368,10 +366,7 @@ mod tests {
 
     #[test]
     fn truncation_returns_a_prefix_of_the_real_response() {
-        let config = TransportFaultConfig {
-            p_truncate: 1.0,
-            ..TransportFaultConfig::none()
-        };
+        let config = TransportFaultConfig { p_truncate: 1.0, ..TransportFaultConfig::none() };
         let mut t = FaultyTransport::new(echo(), config, 5);
         let full = echo().complete("hello").unwrap();
         match t.complete("hello") {
@@ -394,10 +389,7 @@ mod tests {
 
     #[test]
     fn failed_calls_still_meter_the_prompt() {
-        let config = TransportFaultConfig {
-            p_timeout: 1.0,
-            ..TransportFaultConfig::none()
-        };
+        let config = TransportFaultConfig { p_timeout: 1.0, ..TransportFaultConfig::none() };
         let mut t = FaultyTransport::new(echo(), config, 9);
         assert!(t.complete("a long enough prompt").is_err());
         assert!(t.usage().input_tokens > 0, "wasted prompt tokens not metered");
@@ -406,10 +398,7 @@ mod tests {
 
     #[test]
     fn rate_limits_carry_a_retry_after_in_range() {
-        let config = TransportFaultConfig {
-            p_rate_limit: 1.0,
-            ..TransportFaultConfig::none()
-        };
+        let config = TransportFaultConfig { p_rate_limit: 1.0, ..TransportFaultConfig::none() };
         let mut t = FaultyTransport::new(echo(), config, 13);
         for i in 0..20 {
             match t.complete(&format!("p{i}")) {

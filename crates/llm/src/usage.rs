@@ -79,11 +79,7 @@ mod tests {
     #[test]
     fn paper_scale_cost_is_dollars_not_cents() {
         // Table 2: ~500K total tokens ↔ ~$1.5.
-        let usage = TokenUsage {
-            input_tokens: 300_000,
-            output_tokens: 210_000,
-            requests: 100,
-        };
+        let usage = TokenUsage { input_tokens: 300_000, output_tokens: 210_000, requests: 100 };
         let cost = usage.cost_usd();
         assert!(cost > 0.8 && cost < 2.5, "cost {cost}");
         assert_eq!(usage.total_tokens(), 510_000);
