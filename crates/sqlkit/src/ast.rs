@@ -6,7 +6,7 @@
 //! first-class expression nodes so a template and a query share one type;
 //! a [`Select`] with no remaining [`Expr::Placeholder`] nodes is executable.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A SQL literal or runtime value.
 ///
@@ -82,7 +82,18 @@ impl fmt::Display for Value {
                     write!(f, "{v}")
                 }
             }
-            Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            Value::Str(s) => {
+                // Quote with every `'` doubled, written piece by piece:
+                // no escaped copy of the text is built.
+                f.write_char('\'')?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_char('\'')
+            }
             Value::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
             Value::Null => write!(f, "NULL"),
         }
@@ -635,6 +646,15 @@ mod tests {
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Null.to_string(), "NULL");
+    }
+
+    #[test]
+    fn string_display_matches_the_escaped_copy() {
+        for text in ["", "'", "''", "it's", "'lead", "trail'", "a''b'c", "plain", "café '😀' 日本"]
+        {
+            let escaped = format!("'{}'", text.replace('\'', "''"));
+            assert_eq!(Value::Str(text.into()).to_string(), escaped, "{text:?}");
+        }
     }
 
     #[test]
