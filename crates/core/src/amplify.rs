@@ -24,6 +24,17 @@
 //! therefore bit-identical at any `--threads N` *and* any
 //! `--amplify-shards K`.
 //!
+//! A lane does only the work the flush can keep. Every lane of a wave is
+//! given the quota left at wave start, an upper bound on what the flush
+//! takes from any slot, and renders at most that many accepts; for the
+//! estimate cost types it also stops drawing and recosting at the chunk
+//! that renders the last of them. Its records are a prefix of what the
+//! whole batch would render (the batch RNG is the lane's own, estimate
+//! rows are independent, and an estimate batch fails only as a whole), so
+//! the output is the same as if every row were costed. Execution cost
+//! types still cost every row: a failing row anywhere fails the batch.
+//! Accounting stays "consumed batches × batch size" either way.
+//!
 //! ### Bounded memory
 //!
 //! Accepted queries are rendered into per-shard scratch strings
@@ -60,6 +71,10 @@ pub const MAX_LANES: usize = 256;
 /// Largest `--amplify-batch` the CLIs accept: a lane holds a whole batch
 /// of candidates (bindings, costs, rendered accepts) before its flush.
 pub const MAX_BATCH: usize = 1 << 20;
+/// Rows an estimate-cost lane draws and costs per `cost_rows` call, so
+/// it can stop at the chunk that fills its render limit (see
+/// [`Lane::run`]).
+const COST_CHUNK: usize = 64;
 /// Give-up bound: a pair stops after `quota × CANDIDATE_FACTOR` candidates
 /// even if its quota is unfilled (the remainder is reported as shortfall).
 const CANDIDATE_FACTOR: u64 = 64;
@@ -100,14 +115,15 @@ pub struct IntervalAmplifyStats {
     pub quota: u64,
     /// Queries emitted into this interval.
     pub emitted: u64,
-    /// Candidates costed for this interval (consumed batches only).
+    /// Candidate slots of consumed batches (consumed batches × batch
+    /// size); a lane may stop costing before the end of a batch.
     pub candidates: u64,
     /// (interval, template) pairs serving this interval.
     pub pairs: u64,
 }
 
 impl IntervalAmplifyStats {
-    /// Accepted fraction of costed candidates.
+    /// Emitted queries per candidate slot of the consumed batches.
     pub fn accept_rate(&self) -> f64 {
         if self.candidates == 0 {
             0.0
@@ -126,7 +142,8 @@ pub struct AmplifyStats {
     pub requested: u64,
     /// Queries emitted.
     pub emitted: u64,
-    /// Candidates costed (consumed batches × batch size).
+    /// Candidate slots of consumed batches (consumed batches × batch
+    /// size); a lane may stop costing before the end of a batch.
     pub candidates: u64,
     /// Mini-batches consumed (speculative discards not included).
     pub batches: u64,
@@ -150,7 +167,7 @@ pub struct AmplifyStats {
 }
 
 impl AmplifyStats {
-    /// Accepted fraction of costed candidates.
+    /// Emitted queries per candidate slot of the consumed batches.
     pub fn accept_rate(&self) -> f64 {
         if self.candidates == 0 {
             0.0
@@ -394,10 +411,21 @@ impl Lane {
     }
 
     /// Cost one candidate batch: draw `batch_size` candidates from
-    /// `StdRng(seed)`, cost them as one columnar batch through the
-    /// oracle's dispatch ([`PreparedHandle::cost_rows`]), and render the
-    /// accepts. The result is a pure function of `(ctx, seed,
-    /// batch_size)` — which shard runs it, and when, is invisible.
+    /// `StdRng(seed)`, cost them through the oracle's dispatch
+    /// ([`PreparedHandle::cost_rows`]), and render the first `limit`
+    /// accepts. The result is a pure function of `(ctx, seed, batch_size,
+    /// limit)` — which shard runs it, and when, is invisible.
+    ///
+    /// For the estimate cost types the lane draws and costs the batch in
+    /// chunks of [`COST_CHUNK`] consecutive rows from the one RNG and
+    /// stops after the chunk that renders the `limit`-th accept. Its
+    /// records are therefore the first `limit` records of the same batch
+    /// run with `usize::MAX`: the RNG is the lane's own, estimate rows do
+    /// not depend on each other, and an estimate batch fails only as a
+    /// whole (on a placeholder column it lacks, which every chunk lacks
+    /// alike). Execution rows fail one at a time and any failing row fails
+    /// the batch, so for those cost types every row is costed and only
+    /// rendering stops at `limit`.
     // detlint::hot
     pub fn run(
         &mut self,
@@ -405,33 +433,43 @@ impl Lane {
         ctx: &PairContext<'_>,
         seed: u64,
         batch_size: usize,
+        limit: usize,
     ) -> Result<(), DbError> {
         let mut rng = StdRng::seed_from_u64(seed);
         self.sql.clear();
         self.accepts.clear();
         self.candidates = batch_size;
         self.batch.reset(ctx.space.dims.iter().map(|dim| dim.placeholder));
-        for _ in 0..batch_size {
-            ctx.generator.draw(&mut rng, &mut self.point);
-            ctx.space.decode_into(&self.point, &mut self.row);
-            self.batch.push_row(&self.row)?;
-        }
-        let costs = ctx.handle.cost_rows(db, ctx.cost_type, &self.batch, &mut self.engine)?;
-        for (row, cost) in costs.iter().enumerate() {
-            // Candidates come from the template's own profiled
-            // placeholder space, so a per-row failure indicates a broken
-            // pair — fail the batch like a batch-level error.
-            let metric = match cost {
-                Ok(metric) => *metric,
-                Err(error) => return Err(error.clone()),
-            };
-            if ctx.intervals.interval_of(metric) != Some(ctx.interval) {
-                continue;
+        let chunk = if ctx.cost_type.requires_execution() { batch_size } else { COST_CHUNK };
+        let mut drawn = 0;
+        while drawn < batch_size && self.accepts.len() < limit {
+            let rows = chunk.min(batch_size - drawn);
+            drawn += rows;
+            self.batch.clear();
+            for _ in 0..rows {
+                ctx.generator.draw(&mut rng, &mut self.point);
+                ctx.space.decode_into(&self.point, &mut self.row);
+                self.batch.push_row(&self.row)?;
             }
-            let _ = writeln!(self.sql, "-- cost: {metric:.2}");
-            ctx.skeleton.render_row(&self.batch, row, &mut self.sql);
-            self.sql.push_str(";\n");
-            self.accepts.push((self.sql.len(), metric));
+            let costs = ctx.handle.cost_rows(db, ctx.cost_type, &self.batch, &mut self.engine)?;
+            for (row, cost) in costs.iter().enumerate() {
+                // Candidates come from the template's own profiled
+                // placeholder space, so a per-row failure indicates a
+                // broken pair — fail the batch like a batch-level error.
+                let metric = match cost {
+                    Ok(metric) => *metric,
+                    Err(error) => return Err(error.clone()),
+                };
+                if self.accepts.len() == limit
+                    || ctx.intervals.interval_of(metric) != Some(ctx.interval)
+                {
+                    continue;
+                }
+                let _ = writeln!(self.sql, "-- cost: {metric:.2}");
+                ctx.skeleton.render_row(&self.batch, row, &mut self.sql);
+                self.sql.push_str(";\n");
+                self.accepts.push((self.sql.len(), metric));
+            }
         }
         Ok(())
     }
@@ -441,7 +479,7 @@ impl Lane {
         &self.accepts
     }
 
-    /// Candidates costed in the last batch.
+    /// Candidate slots of the last batch (its batch size), costed or not.
     pub fn candidates(&self) -> usize {
         self.candidates
     }
@@ -571,13 +609,16 @@ pub fn amplify_workload<W: Write>(
         let mut failed = false;
         while emitted < pair.quota && consumed < max_batches && !failed {
             let wave = shards.min((max_batches - consumed) as usize).max(1);
+            // The flush takes at most the quota left at wave start from
+            // any slot, so no lane needs to render more accepts than that.
+            let limit = usize::try_from(pair.quota - emitted).unwrap_or(usize::MAX);
             // Lane `slot` costs batch `consumed + slot`; each worker owns
             // the lanes it is handed for the wave.
             let wave_lanes: Vec<&mut Lane> = lanes[..wave].iter_mut().collect();
             let results: Vec<Result<(), DbError>> =
                 parallel_map_owned(threads, wave_lanes, |slot, lane| {
                     let seed = split_seed(pair.seed, consumed + slot as u64);
-                    lane.run(db, &pair.ctx, seed, batch_size)
+                    lane.run(db, &pair.ctx, seed, batch_size, limit)
                 });
             // Flush barrier: consume in canonical batch order until the
             // quota fills; later speculative batches are discarded unseen
@@ -742,12 +783,66 @@ mod tests {
         .unwrap();
         let mut a = Lane::new();
         let mut b = Lane::new();
-        a.run(&db, &ctx, 42, 256).unwrap();
+        a.run(&db, &ctx, 42, 256, usize::MAX).unwrap();
         // Warm `b` with a different seed first: reuse must not leak.
-        b.run(&db, &ctx, 7, 256).unwrap();
-        b.run(&db, &ctx, 42, 256).unwrap();
+        b.run(&db, &ctx, 7, 256, usize::MAX).unwrap();
+        b.run(&db, &ctx, 42, 256, usize::MAX).unwrap();
         assert_eq!(a.accepts(), b.accepts());
         assert_eq!(a.accepted_chunk(a.accepts().len()), b.accepted_chunk(b.accepts().len()));
+    }
+
+    /// A lane run with a render limit gives, byte for byte, the first
+    /// `limit` records and costs of the same batch run without one — for
+    /// the chunked estimate types and the whole-batch execution types.
+    #[test]
+    fn limited_lane_is_a_prefix_of_an_unlimited_one() {
+        let db = tpch();
+        let template = parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l \
+             WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
+        )
+        .unwrap();
+        for cost_type in [
+            CostType::Cardinality,
+            CostType::PlanCost,
+            CostType::ActualCardinality,
+            CostType::ExecutionTimeMicros,
+        ] {
+            let oracle = CostOracle::new(&db, 0);
+            let mut rng = StdRng::seed_from_u64(5);
+            let profiled = profile_template(&oracle, template.clone(), cost_type, 24, &mut rng);
+            let target = sample_target(&db, std::slice::from_ref(&profiled));
+            let handle = oracle.prepare(&profiled.template).unwrap();
+            // The interval holding the most probes, so batches accept a lot.
+            let j = (0..target.intervals.count)
+                .max_by_key(|&j| {
+                    profiled
+                        .evaluations
+                        .iter()
+                        .filter(|e| target.intervals.interval_of(e.value) == Some(j))
+                        .count()
+                })
+                .unwrap();
+            let ctx = PairContext::new(&profiled, handle, cost_type, target.intervals.clone(), j)
+                .unwrap();
+            let batch = if cost_type.requires_execution() { 48 } else { 300 };
+            let mut full = Lane::new();
+            full.run(&db, &ctx, 21, batch, usize::MAX).unwrap();
+            let all = full.accepts().len();
+            assert!(all > 2, "{cost_type:?}: too few accepts ({all}) to truncate");
+            let mut lane = Lane::new();
+            for limit in [0, 1, 2, all / 2, all - 1, all, all + 1] {
+                lane.run(&db, &ctx, 21, batch, limit).unwrap();
+                let take = limit.min(all);
+                assert_eq!(lane.accepts(), &full.accepts()[..take], "{cost_type:?} limit {limit}");
+                assert_eq!(
+                    lane.accepted_chunk(take),
+                    full.accepted_chunk(take),
+                    "{cost_type:?} limit {limit}"
+                );
+                assert_eq!(lane.candidates(), batch, "accounting counts the whole batch");
+            }
+        }
     }
 
     #[test]
@@ -780,6 +875,71 @@ mod tests {
                     assert_eq!(base, &stats, "threads={threads} shards={shards}: stats diverged");
                 }
             }
+        }
+    }
+
+    /// FNV-1a of `bytes`: pins output without storing it.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Stage accounting and output bytes for a fixed config, pinned to the
+    /// values of the implementation that rendered every accept of every
+    /// costed batch: limiting what a lane draws, costs and renders must
+    /// change neither what is emitted nor how it is accounted.
+    #[test]
+    fn stage_accounting_is_pinned() {
+        type PerInterval = [(u64, u64, u64, u64); 5];
+        let db = tpch();
+        let cases: [(CostType, u64, u64, PerInterval, u64); 2] = [
+            (
+                CostType::Cardinality,
+                4096,
+                16,
+                [
+                    (1590, 1590, 1792, 2),
+                    (465, 465, 768, 2),
+                    (285, 285, 512, 2),
+                    (315, 315, 512, 2),
+                    (345, 345, 512, 2),
+                ],
+                0xd122_7d34_7ffc_01be,
+            ),
+            (
+                CostType::PlanCost,
+                3840,
+                15,
+                [
+                    (0, 0, 0, 0),
+                    (0, 0, 0, 0),
+                    (1335, 1335, 1536, 2),
+                    (1035, 1035, 1536, 2),
+                    (630, 630, 768, 2),
+                ],
+                0xbdf6_4752_6114_f0df,
+            ),
+        ];
+        for (cost_type, candidates, batches, per_interval, hash) in cases {
+            let profiled = profiled_pair_for(&db, cost_type);
+            let target = sample_target(&db, &profiled);
+            let oracle = CostOracle::new(&db, 0);
+            let config = AmplifyConfig { n: 3000, shards: 4, batch: 256, out: None };
+            let mut buf = Vec::new();
+            let stats =
+                amplify_workload(&oracle, &profiled, &target, cost_type, &config, 99, &mut buf)
+                    .unwrap();
+            assert_eq!((stats.candidates, stats.batches), (candidates, batches), "{cost_type:?}");
+            let got: Vec<_> = stats
+                .per_interval
+                .iter()
+                .map(|s| (s.quota, s.emitted, s.candidates, s.pairs))
+                .collect();
+            assert_eq!(got, per_interval, "{cost_type:?}");
+            let emitted: Vec<f64> = per_interval.iter().map(|p| p.1 as f64).collect();
+            assert_eq!(stats.histogram, emitted, "{cost_type:?}");
+            assert_eq!(fnv(&buf), hash, "{cost_type:?}: output bytes changed");
         }
     }
 

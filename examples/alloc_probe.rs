@@ -233,8 +233,10 @@ fn main() {
         let mut writer = workload::StreamingSqlWriter::new(std::io::sink());
         let run_batch = |lane: &mut Lane,
                              writer: &mut workload::StreamingSqlWriter<std::io::Sink>,
-                             b: u64| {
-            lane.run(&db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH)
+                             b: u64,
+                             limit: u64| {
+            let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+            lane.run(&db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH, limit)
                 .expect("recosts");
             let accepted = lane.accepts().len();
             writer
@@ -245,14 +247,15 @@ fn main() {
         // Warm-up: grow the lane arenas and the record string.
         let mut batch_index = 0u64;
         for _ in 0..4 {
-            run_batch(&mut lane, &mut writer, batch_index);
+            run_batch(&mut lane, &mut writer, batch_index, u64::MAX);
             batch_index += 1;
         }
         const TARGET: u64 = 1_000_000;
         let mut emitted = 0u64;
         let before = ALLOCS.load(Ordering::Relaxed);
         while emitted < TARGET {
-            emitted += run_batch(&mut lane, &mut writer, batch_index);
+            // The stage's render limit: the quota still to fill.
+            emitted += run_batch(&mut lane, &mut writer, batch_index, TARGET - emitted);
             batch_index += 1;
         }
         let after = ALLOCS.load(Ordering::Relaxed);
