@@ -425,7 +425,7 @@ impl Lane {
     /// whole (on a placeholder column it lacks, which every chunk lacks
     /// alike). Execution rows fail one at a time and any failing row fails
     /// the batch, so for those cost types every row is costed and only
-    /// rendering stops at `limit`.
+    /// rendering stops at `limit`. A `limit` of 0 draws nothing.
     // detlint::hot
     pub fn run(
         &mut self,

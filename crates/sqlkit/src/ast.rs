@@ -646,10 +646,7 @@ mod tests {
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Null.to_string(), "NULL");
-    }
-
-    #[test]
-    fn string_display_matches_the_escaped_copy() {
+        // Quotes doubled exactly as `replace` does, on edge and multibyte text.
         for text in ["", "'", "''", "it's", "'lead", "trail'", "a''b'c", "plain", "café '😀' 日本"]
         {
             let escaped = format!("'{}'", text.replace('\'', "''"));
