@@ -234,8 +234,7 @@ fn main() {
         let run_batch = |lane: &mut Lane,
                              writer: &mut workload::StreamingSqlWriter<std::io::Sink>,
                              b: u64,
-                             limit: u64| {
-            let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+                             limit: usize| {
             lane.run(&db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH, limit)
                 .expect("recosts");
             let accepted = lane.accepts().len();
@@ -247,7 +246,7 @@ fn main() {
         // Warm-up: grow the lane arenas and the record string.
         let mut batch_index = 0u64;
         for _ in 0..4 {
-            run_batch(&mut lane, &mut writer, batch_index, u64::MAX);
+            run_batch(&mut lane, &mut writer, batch_index, usize::MAX);
             batch_index += 1;
         }
         const TARGET: u64 = 1_000_000;
@@ -255,7 +254,7 @@ fn main() {
         let before = ALLOCS.load(Ordering::Relaxed);
         while emitted < TARGET {
             // The stage's render limit: the quota still to fill.
-            emitted += run_batch(&mut lane, &mut writer, batch_index, TARGET - emitted);
+            emitted += run_batch(&mut lane, &mut writer, batch_index, (TARGET - emitted) as usize);
             batch_index += 1;
         }
         let after = ALLOCS.load(Ordering::Relaxed);
