@@ -62,11 +62,7 @@ pub(crate) fn collect_suppressions(
         };
         let token = rest[..close].trim();
         let Some(rule) = RuleId::parse(token) else {
-            findings.push(bad_suppression(
-                path,
-                lineno,
-                &format!("unknown rule `{token}`"),
-            ));
+            findings.push(bad_suppression(path, lineno, &format!("unknown rule `{token}`")));
             continue;
         };
         if rule == RuleId::Suppression {
@@ -123,8 +119,7 @@ pub(crate) fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
     let mut from = 0;
     while let Some(rel) = text[from..].find(word) {
         let pos = from + rel;
-        let before_ok =
-            pos == 0 || !is_ident_char(text[..pos].chars().next_back().unwrap());
+        let before_ok = pos == 0 || !is_ident_char(text[..pos].chars().next_back().unwrap());
         let after = text[pos + word.len()..].chars().next();
         let after_ok = after.is_none_or(|c| !is_ident_char(c));
         if before_ok && after_ok {
@@ -327,8 +322,7 @@ pub(crate) fn let_binding(code: &str, pos: usize) -> Option<String> {
     let mut between = code[let_pos + 3..eq].trim();
     between = between.strip_prefix("mut ").unwrap_or(between);
     // Only simple bindings: `let x = ..` / `let x: T = ..`.
-    let name: String =
-        between.chars().take_while(|&c| is_ident_char(c)).collect();
+    let name: String = between.chars().take_while(|&c| is_ident_char(c)).collect();
     if name.is_empty() || name.chars().next().is_some_and(|c| c.is_numeric()) {
         None
     } else {
@@ -444,11 +438,7 @@ fn find_for_in(trimmed: &str) -> Option<usize> {
 /// Does the statement feed the iteration into `X.extend(..)` where `X`
 /// is itself a tracked container (hash→hash keeps unordered data
 /// unordered; hash→btree re-establishes order)?
-fn extends_tracked(
-    stmt: &str,
-    hashed: &BTreeSet<String>,
-    ordered: &BTreeSet<String>,
-) -> bool {
+fn extends_tracked(stmt: &str, hashed: &BTreeSet<String>, ordered: &BTreeSet<String>) -> bool {
     let mut from = 0;
     while let Some(rel) = stmt[from..].find(".extend(") {
         let pos = from + rel;
@@ -476,11 +466,7 @@ fn sorted_after(lines: &[ScanLine], idx: usize, stmt: &str) -> bool {
         return false;
     }
     let sort_call = format!("{name}.sort");
-    lines
-        .iter()
-        .skip(idx + 1)
-        .take(5)
-        .any(|l| l.code.contains(&sort_call))
+    lines.iter().skip(idx + 1).take(5).any(|l| l.code.contains(&sort_call))
 }
 
 // ---------------------------------------------------------------------
@@ -498,12 +484,7 @@ const AMBIENT_TOKENS: [(&str, &str); 8] = [
     ("rand::random", "ambient-entropy RNG"),
 ];
 
-fn check_ambient_nondet(
-    path: &str,
-    lines: &[ScanLine],
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
+fn check_ambient_nondet(path: &str, lines: &[ScanLine], cfg: &Config, findings: &mut Vec<Finding>) {
     if cfg.ambient_allow.iter().any(|prefix| path.starts_with(prefix.as_str())) {
         return;
     }
@@ -529,11 +510,7 @@ fn check_ambient_nondet(
 // R3: undocumented unsafe
 // ---------------------------------------------------------------------
 
-fn check_undocumented_unsafe(
-    path: &str,
-    lines: &[ScanLine],
-    findings: &mut Vec<Finding>,
-) {
+fn check_undocumented_unsafe(path: &str, lines: &[ScanLine], findings: &mut Vec<Finding>) {
     for (idx, line) in lines.iter().enumerate() {
         if !contains_word(&line.code, "unsafe") {
             continue;

@@ -72,9 +72,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
             let Some((start, end)) = item.body() else { continue };
             let end = end.min(unit.lines.len() - 1);
             let mut sites = Vec::new();
-            for (lineno, masked) in
-                debug_only.iter().enumerate().take(end + 1).skip(start)
-            {
+            for (lineno, masked) in debug_only.iter().enumerate().take(end + 1).skip(start) {
                 if unit.parsed.line_fn[lineno] != Some(f) || *masked {
                     continue;
                 }
@@ -130,9 +128,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
                     // its chains here would demand duplicate suppressions.
                     continue;
                 }
-                let Some(chain) =
-                    reaches_alloc(ws, target, &direct, &masks, &mut memo)
-                else {
+                let Some(chain) = reaches_alloc(ws, target, &direct, &masks, &mut memo) else {
                     continue;
                 };
                 findings.push(Finding {
@@ -231,8 +227,7 @@ fn reaches_alloc(
                 if let Some(sub) = reaches_alloc(ws, target, direct, masks, memo) {
                     let mut path = vec![fr];
                     path.extend(sub.path.iter().copied());
-                    result =
-                        Some(AllocChain { path, site: sub.site, token: sub.token });
+                    result = Some(AllocChain { path, site: sub.site, token: sub.token });
                     break 'calls;
                 }
             }

@@ -138,8 +138,7 @@ pub fn analyze_source(
     source: &str,
     cfg: &Config,
 ) -> (Vec<Finding>, Vec<SuppressionEntry>) {
-    let report =
-        analyze_sources(&[(rel_path.to_string(), source.to_string())], cfg);
+    let report = analyze_sources(&[(rel_path.to_string(), source.to_string())], cfg);
     (report.findings, report.suppressions)
 }
 
@@ -170,11 +169,7 @@ pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
     let mut findings: Vec<Finding> = Vec::new();
     let mut suppressions: Vec<SuppressionEntry> = Vec::new();
     for unit in &ws.units {
-        suppressions.extend(checks::collect_suppressions(
-            &unit.path,
-            &unit.lines,
-            &mut findings,
-        ));
+        suppressions.extend(checks::collect_suppressions(&unit.path, &unit.lines, &mut findings));
         checks::run_local_rules(&unit.path, &unit.lines, cfg, &mut findings);
         if cfg.rule_enabled(RuleId::SeedProvenance) {
             seed_prov::check(unit, &mut findings);
@@ -228,8 +223,8 @@ fn apply_suppressions(
             if s.used || s.rule != f.rule || s.file != f.file {
                 continue;
             }
-            let reaches = s.line == f.line
-                || (s.line < f.line && f.line - s.line <= SUPPRESSION_REACH);
+            let reaches =
+                s.line == f.line || (s.line < f.line && f.line - s.line <= SUPPRESSION_REACH);
             if reaches {
                 s.used = true;
                 return false;
@@ -296,11 +291,7 @@ pub fn workspace_sources(cfg: &Config) -> std::io::Result<Vec<(String, String)>>
     Ok(sources)
 }
 
-fn collect_rs_files(
-    dir: &Path,
-    skip: &[String],
-    out: &mut Vec<PathBuf>,
-) -> std::io::Result<()> {
+fn collect_rs_files(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> =
         std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
     entries.sort();
@@ -320,10 +311,7 @@ fn collect_rs_files(
 
 fn rel_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
+    rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 #[cfg(test)]

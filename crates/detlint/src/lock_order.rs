@@ -35,9 +35,7 @@
 //! same declared order on a thread-local held stack, so every test run
 //! cross-validates whatever this static model under-approximates.
 
-use crate::checks::{
-    contains_word, idents_of, is_ident_char, trailing_ident, word_occurrences,
-};
+use crate::checks::{contains_word, idents_of, is_ident_char, trailing_ident, word_occurrences};
 use crate::parse::{calls_in, Call};
 use crate::rules::RuleId;
 use crate::workspace::{FnRef, Resolve, Unit, Workspace};
@@ -86,8 +84,7 @@ struct Acq {
 /// Run the pass over the whole workspace.
 pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
     let mut classes = discover_classes(ws);
-    let annotations: Vec<Vec<(usize, String)>> =
-        ws.units.iter().map(class_annotations).collect();
+    let annotations: Vec<Vec<(usize, String)>> = ws.units.iter().map(class_annotations).collect();
     for per_unit in &annotations {
         for (_, name) in per_unit {
             classes.insert(name.clone());
@@ -104,10 +101,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
                 continue;
             }
             let fr = (u, f);
-            acqs.insert(
-                fr,
-                extract_acquisitions(unit, f, &classes, &annotations[u], findings),
-            );
+            acqs.insert(fr, extract_acquisitions(unit, f, &classes, &annotations[u], findings));
             let fn_calls: Vec<Call> = calls_in(&unit.lines, &unit.parsed, f)
                 .into_iter()
                 .filter(|c| !matches!(c.name.as_str(), "lock" | "read" | "write"))
@@ -138,10 +132,8 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
         let mut changed = false;
         for (fr, targets) in &resolved {
             for target in targets {
-                let add: Vec<String> = reach
-                    .get(target)
-                    .map(|s| s.iter().cloned().collect())
-                    .unwrap_or_default();
+                let add: Vec<String> =
+                    reach.get(target).map(|s| s.iter().cloned().collect()).unwrap_or_default();
                 for class in add {
                     let set = reach.entry(*fr).or_default();
                     if set.insert(class.clone()) {
@@ -163,9 +155,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (fr, list) in &acqs {
         let unit = &ws.units[fr.0];
         let held_at = |line: usize, col: usize| -> Vec<&Acq> {
-            list.iter()
-                .filter(|a| (a.line, a.col) < (line, col) && line <= a.end)
-                .collect()
+            list.iter().filter(|a| (a.line, a.col) < (line, col) && line <= a.end).collect()
         };
         for acq in list {
             for held in held_at(acq.line, acq.col) {
@@ -225,10 +215,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
                 file,
                 line: line + 1,
                 rule: RuleId::LockOrder,
-                message: format!(
-                    "lock-acquisition graph contains a cycle: {}",
-                    cycle.join(" -> ")
-                ),
+                message: format!("lock-acquisition graph contains a cycle: {}", cycle.join(" -> ")),
                 snippet: String::new(),
             });
         }
@@ -253,9 +240,7 @@ fn report_edge(
         return;
     }
     graph.entry(from.to_string()).or_default().insert(to.to_string());
-    sites
-        .entry((from.to_string(), to.to_string()))
-        .or_insert_with(|| (path.to_string(), line));
+    sites.entry((from.to_string(), to.to_string())).or_insert_with(|| (path.to_string(), line));
     let via = chain.map(|c| format!(" via {c}")).unwrap_or_default();
     let message = if from == to {
         format!(
@@ -413,11 +398,8 @@ fn declared_order(
     classes: &mut BTreeSet<String>,
     findings: &mut Vec<Finding>,
 ) -> DeclaredOrder {
-    let mut order = DeclaredOrder {
-        less: BTreeSet::new(),
-        names: BTreeSet::new(),
-        sites: Vec::new(),
-    };
+    let mut order =
+        DeclaredOrder { less: BTreeSet::new(), names: BTreeSet::new(), sites: Vec::new() };
     for (u, unit) in ws.units.iter().enumerate() {
         for (idx, line) in unit.lines.iter().enumerate() {
             let Some(pos) = line.comment.find("detlint::lock_order(") else {
@@ -432,9 +414,7 @@ fn declared_order(
             for chain in rest[..close].split(',') {
                 let names: Vec<&str> = chain.split('<').map(str::trim).collect();
                 if names.len() < 2
-                    || names.iter().any(|n| {
-                        n.is_empty() || !n.chars().all(is_ident_char)
-                    })
+                    || names.iter().any(|n| n.is_empty() || !n.chars().all(is_ident_char))
                 {
                     findings.push(malformed(
                         unit,
@@ -473,8 +453,7 @@ fn declared_order(
         }
         order.less.extend(add);
     }
-    let cyclic: Vec<&String> =
-        order.names.iter().filter(|n| order.covers(n, n)).collect();
+    let cyclic: Vec<&String> = order.names.iter().filter(|n| order.covers(n, n)).collect();
     if !cyclic.is_empty() {
         if let Some(site) = order.sites.first() {
             findings.push(Finding {
@@ -546,12 +525,10 @@ fn extract_acquisitions(
                 let pos = from + rel;
                 from = pos + method.len();
                 let receiver = receiver_text(unit, lineno, pos);
-                let class =
-                    resolve_class(&receiver, classes, &aliases, annotations, lineno);
+                let class = resolve_class(&receiver, classes, &aliases, annotations, lineno);
                 let Some(class) = class else {
                     let chain_idents = idents_of(&receiver);
-                    let is_stream =
-                        chain_idents.iter().any(|i| STD_STREAMS.contains(i));
+                    let is_stream = chain_idents.iter().any(|i| STD_STREAMS.contains(i));
                     if fail_closed && !is_stream {
                         findings.push(Finding {
                             file: unit.path.clone(),
@@ -567,8 +544,7 @@ fn extract_acquisitions(
                     }
                     continue;
                 };
-                let live_end =
-                    guard_end(unit, lineno, pos + method.len(), end, &class);
+                let live_end = guard_end(unit, lineno, pos + method.len(), end, &class);
                 out.push(Acq { line: lineno, col: pos, class, end: live_end });
             }
         }
@@ -609,9 +585,7 @@ fn collect_aliases(
                 .collect();
             let rank = arg.trim().rsplit("::").next().unwrap_or("").trim();
             let screaming = !rank.is_empty()
-                && rank.chars().all(|c| {
-                    c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
-                });
+                && rank.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
             if screaming {
                 if let Some(name) = let_binding_name(code) {
                     aliases.insert(name, rank.to_ascii_lowercase());
@@ -624,8 +598,7 @@ fn collect_aliases(
                 if let Some(class) = the_class(&code[eq + 1..]) {
                     let mut lhs = code[let_pos + 3..eq].trim();
                     lhs = lhs.strip_prefix("mut ").unwrap_or(lhs).trim();
-                    let name: String =
-                        lhs.chars().take_while(|&c| is_ident_char(c)).collect();
+                    let name: String = lhs.chars().take_while(|&c| is_ident_char(c)).collect();
                     if !name.is_empty() {
                         aliases.insert(name, class);
                     }
@@ -649,10 +622,8 @@ fn collect_aliases(
         // immediately preceding chained lines.
         if let Some(params) = closure_params(code) {
             let from = lineno.saturating_sub(2);
-            let joined: String = (from..=lineno)
-                .map(|l| unit.lines[l].code.as_str())
-                .collect::<Vec<_>>()
-                .join("\n");
+            let joined: String =
+                (from..=lineno).map(|l| unit.lines[l].code.as_str()).collect::<Vec<_>>().join("\n");
             if let Some(class) = the_class(&joined) {
                 for ident in params {
                     aliases.insert(ident, class.clone());
@@ -686,9 +657,9 @@ fn closure_params(code: &str) -> Option<Vec<String>> {
     let close = open + 1 + code[open + 1..].find('|')?;
     let inner = &code[open + 1..close];
     if inner.len() > 48
-        || !inner.chars().all(|c| {
-            is_ident_char(c) || matches!(c, ',' | ' ' | '&' | '(' | ')' | ':' | '_')
-        })
+        || !inner
+            .chars()
+            .all(|c| is_ident_char(c) || matches!(c, ',' | ' ' | '&' | '(' | ')' | ':' | '_'))
     {
         return None;
     }
@@ -728,9 +699,9 @@ fn resolve_class(
     lineno: usize,
 ) -> Option<String> {
     // An explicit annotation wins over inference.
-    if let Some((_, name)) = annotations.iter().find(|(l, _)| {
-        *l <= lineno && lineno - *l <= CLASS_ANNOTATION_REACH
-    }) {
+    if let Some((_, name)) =
+        annotations.iter().find(|(l, _)| *l <= lineno && lineno - *l <= CLASS_ANNOTATION_REACH)
+    {
         return Some(name.clone());
     }
     let mut tail = receiver.trim_end();
@@ -773,20 +744,13 @@ fn resolve_class(
 }
 
 /// Last line (inclusive) the guard from an acquisition is live.
-fn guard_end(
-    unit: &Unit,
-    lineno: usize,
-    after_pos: usize,
-    fn_end: usize,
-    _class: &str,
-) -> usize {
+fn guard_end(unit: &Unit, lineno: usize, after_pos: usize, fn_end: usize, _class: &str) -> usize {
     let code = &unit.lines[lineno].code;
     let rest = code[after_pos.min(code.len())..].trim();
     // `;` directly, or through the std-mutex `.unwrap()`/`.expect(..)`
     // poison dance — either way the guard binds if a `let` started it.
     let settles = rest == ";"
-        || (rest.ends_with(';')
-            && (rest.starts_with(".unwrap()") || rest.starts_with(".expect(")));
+        || (rest.ends_with(';') && (rest.starts_with(".unwrap()") || rest.starts_with(".expect(")));
     let named = settles && {
         let joined = receiver_context(unit, lineno);
         !word_occurrences(&joined, "let").is_empty()
@@ -798,8 +762,7 @@ fn guard_end(
         if let Some(bind) = bind {
             let drop_call = format!("drop({bind})");
             for later in lineno + 1..=end {
-                let c: String =
-                    unit.lines[later].code.chars().filter(|c| *c != ' ').collect();
+                let c: String = unit.lines[later].code.chars().filter(|c| *c != ' ').collect();
                 if c.contains(&drop_call) {
                     end = later;
                     break;

@@ -11,8 +11,7 @@
 //! directives exist), 2 usage/I-O error.
 
 use detlint::{
-    analyze_workspace, render_human, render_json, render_sarif, Config, RuleId,
-    ALL_RULES,
+    analyze_workspace, render_human, render_json, render_sarif, Config, RuleId, ALL_RULES,
 };
 use std::io::Write;
 
@@ -93,9 +92,7 @@ fn check(args: Vec<String>) -> i32 {
                 Some("human") => format = "human".into(),
                 Some("json") => format = "json".into(),
                 Some("sarif") => format = "sarif".into(),
-                _ => {
-                    return usage_error("--format must be `human`, `json`, or `sarif`")
-                }
+                _ => return usage_error("--format must be `human`, `json`, or `sarif`"),
             },
             "--quiet" => quiet = true,
             "--disable" => match it.next() {

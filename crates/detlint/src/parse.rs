@@ -128,9 +128,7 @@ pub fn parse(lines: &[ScanLine]) -> ParsedFile {
                             j += 1;
                         }
                         let name_start = j;
-                        while j < code.len()
-                            && (code[j].is_alphanumeric() || code[j] == '_')
-                        {
+                        while j < code.len() && (code[j].is_alphanumeric() || code[j] == '_') {
                             j += 1;
                         }
                         let name: String = code[name_start..j].iter().collect();
@@ -217,8 +215,7 @@ pub fn parse(lines: &[ScanLine]) -> ParsedFile {
     out.line_fn = vec![None; lines.len()];
     for (idx, f) in out.fns.iter().enumerate() {
         let Some((start, end)) = f.body() else { continue };
-        for slot in out.line_fn.iter_mut().take(end.min(lines.len() - 1) + 1).skip(start)
-        {
+        for slot in out.line_fn.iter_mut().take(end.min(lines.len() - 1) + 1).skip(start) {
             let replace = match slot {
                 Some(prev) => out.fns[*prev].body_start <= start,
                 None => true,
@@ -275,10 +272,8 @@ fn impl_self_type(header: &str) -> String {
     }
     let ty = h[ty_start..].trim_start();
     // Leading path up to generics/whitespace; keep the last segment.
-    let path: String = ty
-        .chars()
-        .take_while(|&c| c.is_alphanumeric() || c == '_' || c == ':')
-        .collect();
+    let path: String =
+        ty.chars().take_while(|&c| c.is_alphanumeric() || c == '_' || c == ':').collect();
     path.rsplit("::").next().unwrap_or("").trim_matches(':').to_string()
 }
 
@@ -308,10 +303,9 @@ pub struct Call {
 }
 
 const KEYWORDS: [&str; 30] = [
-    "if", "else", "while", "for", "loop", "match", "return", "fn", "as", "in",
-    "move", "ref", "mut", "let", "pub", "use", "mod", "impl", "trait", "struct",
-    "enum", "where", "unsafe", "dyn", "break", "continue", "crate", "super",
-    "static", "const",
+    "if", "else", "while", "for", "loop", "match", "return", "fn", "as", "in", "move", "ref",
+    "mut", "let", "pub", "use", "mod", "impl", "trait", "struct", "enum", "where", "unsafe", "dyn",
+    "break", "continue", "crate", "super", "static", "const",
 ];
 
 /// Extract every call site in `fns[fn_idx]`'s body.
@@ -517,8 +511,7 @@ mod tests {
             && matches!(k, CallKind::Qualified { qualifier } if qualifier == "Type")));
         assert!(kinds.iter().any(|(n, k)| *n == "free_call" && matches!(k, CallKind::Free)));
         assert!(kinds.iter().any(|(n, k)| *n == "format" && matches!(k, CallKind::Macro)));
-        assert!(kinds.iter().any(|(n, k)| *n == "collect"
-            && matches!(k, CallKind::Method { .. })));
+        assert!(kinds.iter().any(|(n, k)| *n == "collect" && matches!(k, CallKind::Method { .. })));
     }
 
     #[test]

@@ -130,10 +130,7 @@ impl RuleId {
     /// Parse a rule name or short code (`unordered_iter`, `R1`, `r1`).
     pub fn parse(token: &str) -> Option<RuleId> {
         let t = token.trim();
-        ALL_RULES
-            .iter()
-            .copied()
-            .find(|r| r.name() == t || r.code().eq_ignore_ascii_case(t))
+        ALL_RULES.iter().copied().find(|r| r.name() == t || r.code().eq_ignore_ascii_case(t))
     }
 }
 

@@ -139,7 +139,10 @@ fn collect_trusted_locals(unit: &Unit, start: usize, end: usize) -> BTreeSet<Str
             let Some(eq) = code[let_pos..]
                 .find('=')
                 .map(|p| p + let_pos)
-                .filter(|&p| !code[p..].starts_with("==")) else { continue };
+                .filter(|&p| !code[p..].starts_with("=="))
+            else {
+                continue;
+            };
             let mut lhs = code[let_pos + 3..eq].trim();
             lhs = lhs.strip_prefix("mut ").unwrap_or(lhs).trim();
             let name: String = lhs.chars().take_while(|&c| is_ident_char(c)).collect();
@@ -224,9 +227,7 @@ fn trusted(expr: &str, locals: &BTreeSet<String>, depth: u32) -> bool {
                 return trusted(first, locals, depth + 1);
             }
             if PRESERVING_METHODS.contains(&callee.as_str()) {
-                let recv = head
-                    .trim_end_matches(|c: char| is_ident_char(c))
-                    .trim_end_matches('.');
+                let recv = head.trim_end_matches(|c: char| is_ident_char(c)).trim_end_matches('.');
                 return trusted(recv, locals, depth + 1)
                     || trusted(top_level_first_arg(args), locals, depth + 1);
             }
@@ -236,10 +237,7 @@ fn trusted(expr: &str, locals: &BTreeSet<String>, depth: u32) -> bool {
     // Plain path: trusted if any segment is seed-shaped or the final
     // segment is a trusted local.
     if e.chars().all(|c| is_ident_char(c) || c == '.' || c == ':') && !e.is_empty() {
-        let segments: Vec<&str> = e
-            .split(['.', ':'])
-            .filter(|s| !s.is_empty())
-            .collect();
+        let segments: Vec<&str> = e.split(['.', ':']).filter(|s| !s.is_empty()).collect();
         if segments.iter().any(|s| seed_shaped(s)) {
             return true;
         }

@@ -50,12 +50,48 @@ pub struct Workspace {
 /// them to a same-named first-party method would wire unrelated code
 /// into the call graph.
 const COLLISION_NAMES: [&str; 42] = [
-    "get", "insert", "remove", "len", "is_empty", "push", "pop", "clear",
-    "iter", "iter_mut", "into_iter", "next", "clone", "extend", "drain",
-    "contains", "contains_key", "new", "default", "fmt", "eq", "cmp", "hash",
-    "drop", "as_str", "as_ref", "to_string", "min", "max", "abs", "map",
-    "filter", "collect", "join", "zip", "take", "skip", "last", "expect",
-    "unwrap", "run", "stats",
+    "get",
+    "insert",
+    "remove",
+    "len",
+    "is_empty",
+    "push",
+    "pop",
+    "clear",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "clone",
+    "extend",
+    "drain",
+    "contains",
+    "contains_key",
+    "new",
+    "default",
+    "fmt",
+    "eq",
+    "cmp",
+    "hash",
+    "drop",
+    "as_str",
+    "as_ref",
+    "to_string",
+    "min",
+    "max",
+    "abs",
+    "map",
+    "filter",
+    "collect",
+    "join",
+    "zip",
+    "take",
+    "skip",
+    "last",
+    "expect",
+    "unwrap",
+    "run",
+    "stats",
 ];
 
 /// The crate a path belongs to: `crates/<name>` for workspace members,
@@ -114,19 +150,14 @@ impl Workspace {
         let picked: Vec<FnRef> = match &call.kind {
             CallKind::Macro => Vec::new(),
             CallKind::Qualified { qualifier } => {
-                let target_ty = if qualifier == "Self" {
-                    caller_impl.clone()
-                } else {
-                    Some(qualifier.clone())
-                };
+                let target_ty =
+                    if qualifier == "Self" { caller_impl.clone() } else { Some(qualifier.clone()) };
                 let typed: Vec<FnRef> = candidates
                     .iter()
                     .copied()
                     .filter(|fr| self.fn_item(*fr).impl_type == target_ty)
                     .collect();
-                if typed.is_empty()
-                    && qualifier.chars().next().is_some_and(|c| c.is_lowercase())
-                {
+                if typed.is_empty() && qualifier.chars().next().is_some_and(|c| c.is_lowercase()) {
                     // `module::helper(..)` — fall back to free fns.
                     candidates
                         .iter()
@@ -143,8 +174,7 @@ impl Workspace {
                         .iter()
                         .copied()
                         .filter(|fr| {
-                            self.fn_item(*fr).impl_type == caller_impl
-                                && caller_impl.is_some()
+                            self.fn_item(*fr).impl_type == caller_impl && caller_impl.is_some()
                         })
                         .collect()
                 } else if COLLISION_NAMES.contains(&call.name.as_str()) {

@@ -34,8 +34,7 @@ fn fixtures_report_exactly_the_expected_findings() {
         // A neutral first-party-looking path: no R2 exemption applies.
         let rel = format!("crates/fixture/src/{name}");
         let (findings, _) = analyze_source(&rel, &source, &cfg);
-        let got: Vec<String> =
-            findings.iter().map(|f| format!("{} {}", f.line, f.rule)).collect();
+        let got: Vec<String> = findings.iter().map(|f| format!("{} {}", f.line, f.rule)).collect();
 
         let expected_path = path.with_extension("expected");
         let expected_text = std::fs::read_to_string(&expected_path)
@@ -53,8 +52,7 @@ fn fixtures_report_exactly_the_expected_findings() {
 #[test]
 fn suppression_without_reason_is_an_error() {
     let cfg = Config::at_root(".");
-    let src =
-        "// detlint::allow(ambient_nondet)\nlet t = std::time::Instant::now();\n";
+    let src = "// detlint::allow(ambient_nondet)\nlet t = std::time::Instant::now();\n";
     let (findings, suppressions) = analyze_source("crates/x/src/lib.rs", src, &cfg);
     assert!(suppressions.is_empty(), "reason-less directive must be rejected");
     let rules: Vec<RuleId> = findings.iter().map(|f| f.rule).collect();
@@ -163,22 +161,14 @@ fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
             && f.file.ends_with("oracle.rs")
             && f.message.contains("violates the declared order")
     });
-    assert!(
-        hit,
-        "seeded reversal was not caught:\n{}",
-        detlint::render_human(&report)
-    );
+    assert!(hit, "seeded reversal was not caught:\n{}", detlint::render_human(&report));
 }
 
 #[test]
 fn workspace_is_detlint_clean() {
     let cfg = Config::at_root(workspace_root());
     let report = analyze_workspace(&cfg).expect("workspace scan succeeds");
-    assert!(
-        report.clean(),
-        "workspace has detlint findings:\n{}",
-        detlint::render_human(&report)
-    );
+    assert!(report.clean(), "workspace has detlint findings:\n{}", detlint::render_human(&report));
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}) — walk roots broken?",
