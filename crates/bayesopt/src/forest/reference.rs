@@ -40,12 +40,10 @@ impl RandomForest {
 
     /// Predictive mean and standard deviation at a point.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        let predictions: Vec<f64> =
-            self.trees.iter().map(|t| predict_tree(t, point)).collect();
+        let predictions: Vec<f64> = self.trees.iter().map(|t| predict_tree(t, point)).collect();
         let n = predictions.len() as f64;
         let mean = predictions.iter().sum::<f64>() / n;
-        let variance =
-            predictions.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+        let variance = predictions.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
         (mean, variance.sqrt())
     }
 
@@ -83,8 +81,7 @@ fn build_tree(
     if depth >= config.max_depth || indices.len() < 2 * config.min_leaf {
         return Tree::Leaf(mean);
     }
-    let variance =
-        indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum::<f64>();
+    let variance = indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum::<f64>();
     if variance < 1e-12 {
         return Tree::Leaf(mean);
     }

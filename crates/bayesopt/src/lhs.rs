@@ -21,10 +21,7 @@ pub fn latin_hypercube(n: usize, d: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
     for _ in 0..d {
         let mut strata: Vec<usize> = (0..n).collect();
         strata.shuffle(rng);
-        let column = strata
-            .into_iter()
-            .map(|s| (s as f64 + rng.gen::<f64>()) / n as f64)
-            .collect();
+        let column = strata.into_iter().map(|s| (s as f64 + rng.gen::<f64>()) / n as f64).collect();
         columns.push(column);
     }
     (0..n).map(|i| (0..d).map(|j| columns[j][i]).collect()).collect()

@@ -76,8 +76,7 @@ impl Optimizer {
     /// New optimizer over a space.
     pub fn new(space: Space, config: BoConfig) -> Optimizer {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let initial_design =
-            latin_hypercube(config.init_samples.max(1), space.len(), &mut rng);
+        let initial_design = latin_hypercube(config.init_samples.max(1), space.len(), &mut rng);
         Optimizer {
             space,
             config,
@@ -115,9 +114,7 @@ impl Optimizer {
 
     /// Best evaluation so far, if any.
     pub fn best(&self) -> Option<&Evaluation> {
-        self.history
-            .iter()
-            .min_by(|a, b| a.value.total_cmp(&b.value))
+        self.history.iter().min_by(|a, b| a.value.total_cmp(&b.value))
     }
 
     /// Propose the next point to evaluate (unit-hypercube coordinates).
@@ -143,9 +140,7 @@ impl Optimizer {
         // accumulated since the last fit.
         let needs_refit = match &self.fitted {
             None => true,
-            Some((_, fitted_on)) => {
-                self.history.len() >= fitted_on + (fitted_on / 10).max(4)
-            }
+            Some((_, fitted_on)) => self.history.len() >= fitted_on + (fitted_on / 10).max(4),
         };
         if needs_refit {
             let y: Vec<f64> = self.history.iter().map(|e| e.value).collect();
@@ -296,10 +291,8 @@ mod tests {
     fn incumbents_match_a_stable_sort() {
         let values = [3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.5, 9.0, f64::NAN, -0.0, 0.0];
         for n in 0..=values.len() {
-            let history: Vec<Evaluation> = values[..n]
-                .iter()
-                .map(|&value| Evaluation { point: Vec::new(), value })
-                .collect();
+            let history: Vec<Evaluation> =
+                values[..n].iter().map(|&value| Evaluation { point: Vec::new(), value }).collect();
             let mut sorted: Vec<usize> = (0..n).collect();
             sorted.sort_by(|&a, &b| history[a].value.total_cmp(&history[b].value));
             sorted.truncate(INCUMBENTS);
@@ -327,10 +320,7 @@ mod tests {
             dx * dx + dy * dy
         };
         bo.run(60, -1.0, objective);
-        let init_best = bo.history()[..8]
-            .iter()
-            .map(|e| e.value)
-            .fold(f64::INFINITY, f64::min);
+        let init_best = bo.history()[..8].iter().map(|e| e.value).fold(f64::INFINITY, f64::min);
         let final_best = bo.best().unwrap().value;
         assert!(final_best <= init_best);
         assert!(final_best < 0.02, "final {final_best}");
@@ -441,8 +431,7 @@ mod tests {
         // complete state, so a rebuilt optimizer warm-started with the
         // same evaluations proposes bit-identical points.
         let config = BoConfig { seed: 21, init_samples: 4, ..Default::default() };
-        let objective =
-            |p: &[f64]| (p[0] - 0.6).abs() + (p[1] - 0.25).abs();
+        let objective = |p: &[f64]| (p[0] - 0.6).abs() + (p[1] - 0.25).abs();
         let prior: Vec<Evaluation> = (0..12)
             .map(|i| {
                 let point = vec![i as f64 / 12.0, 1.0 - i as f64 / 12.0];

@@ -90,9 +90,14 @@ where
     }
     let mut slots: Vec<(Option<T>, Option<R>)> =
         items.into_iter().map(|item| (Some(item), None)).collect();
-    for_each_slot(threads, &mut slots, || (), |(), i, (item, result)| {
-        *result = Some(f(i, item.take().expect("each item is taken once")));
-    });
+    for_each_slot(
+        threads,
+        &mut slots,
+        || (),
+        |(), i, (item, result)| {
+            *result = Some(f(i, item.take().expect("each item is taken once")));
+        },
+    );
     slots.into_iter().map(|(_, result)| result.expect("every slot filled")).collect()
 }
 
@@ -192,9 +197,7 @@ impl ClaimTracker {
     fn new(_len: usize) -> ClaimTracker {
         ClaimTracker {
             #[cfg(debug_assertions)]
-            claimed: (0.._len)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect(),
+            claimed: (0.._len).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
         }
     }
 
@@ -233,8 +236,7 @@ mod tests {
 
     #[test]
     fn split_seed_streams_are_distinct() {
-        let seeds: std::collections::HashSet<u64> =
-            (0..1000).map(|i| split_seed(42, i)).collect();
+        let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| split_seed(42, i)).collect();
         assert_eq!(seeds.len(), 1000);
         assert_ne!(split_seed(1, 0), split_seed(2, 0));
         assert_eq!(split_seed(7, 3), split_seed(7, 3));
