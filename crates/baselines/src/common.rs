@@ -257,11 +257,8 @@ pub fn mutate_template_pool(
 
 fn add_random_predicate(db: &Database, select: &mut Select, rng: &mut StdRng) {
     // Pick a numeric column from a bound table.
-    let bindings: Vec<(String, String)> = select
-        .table_refs()
-        .iter()
-        .map(|t| (t.binding().to_string(), t.table.clone()))
-        .collect();
+    let bindings: Vec<(String, String)> =
+        select.table_refs().iter().map(|t| (t.binding().to_string(), t.table.clone())).collect();
     if bindings.is_empty() {
         return;
     }
@@ -277,14 +274,8 @@ fn add_random_predicate(db: &Database, select: &mut Select, rng: &mut StdRng) {
         return;
     }
     let column = numeric[rng.gen_range(0..numeric.len())].to_string();
-    let next_id = Template::new(select.clone())
-        .placeholders()
-        .into_iter()
-        .max()
-        .unwrap_or(0)
-        + 1;
-    let op = [BinaryOp::Gt, BinaryOp::Lt, BinaryOp::GtEq, BinaryOp::LtEq]
-        [rng.gen_range(0..4)];
+    let next_id = Template::new(select.clone()).placeholders().into_iter().max().unwrap_or(0) + 1;
+    let op = [BinaryOp::Gt, BinaryOp::Lt, BinaryOp::GtEq, BinaryOp::LtEq][rng.gen_range(0..4)];
     let predicate = Expr::binary(
         Expr::Column(ColumnRef::qualified(alias, column)),
         op,
@@ -302,7 +293,6 @@ fn remove_random_predicate(select: &mut Select) {
     select.where_clause = Expr::conjoin(parts);
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,12 +307,10 @@ mod tests {
     #[test]
     fn pool_mutation_grows_and_stays_valid() {
         let db = tpch();
-        let seeds = vec![
-            parse_template(
-                "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
-            )
-            .unwrap(),
-        ];
+        let seeds = vec![parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}",
+        )
+        .unwrap()];
         let mut rng = StdRng::seed_from_u64(1);
         let pool = mutate_template_pool(&db, &seeds, 50, &mut rng);
         assert!(pool.len() >= 40, "pool size {}", pool.len());
@@ -337,8 +325,7 @@ mod tests {
 
     #[test]
     fn acceptance_respects_deficits_and_uniqueness() {
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
         let mut acceptance = Acceptance::new(&target);
         assert!(acceptance.try_accept("q1".into(), 10.0));
         // duplicate point rejected
@@ -353,8 +340,7 @@ mod tests {
 
     #[test]
     fn would_consider_mirrors_try_accept_cost_gates() {
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 2), 2);
         let mut acceptance = Acceptance::new(&target);
         assert!(acceptance.would_consider(10.0));
         assert!(!acceptance.would_consider(999.0), "out of range");
@@ -368,8 +354,7 @@ mod tests {
 
     #[test]
     fn scheduling_heuristics_differ() {
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 4), 8);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 100.0, 4), 8);
         let mut acceptance = Acceptance::new(&target);
         // fill interval 0 fully, leave 1..3 empty
         acceptance.try_accept("a".into(), 1.0);

@@ -92,8 +92,7 @@ impl HillClimbing {
                     continue;
                 }
 
-                let mut point: Vec<f64> =
-                    (0..arity).map(|_| self.rng.gen::<f64>()).collect();
+                let mut point: Vec<f64> = (0..arity).map(|_| self.rng.gen::<f64>()).collect();
                 let mut step = 0.25;
                 let mut best = f64::INFINITY;
                 for _ in 0..MAX_STEPS {
@@ -119,8 +118,7 @@ impl HillClimbing {
                         // Inside the interval: restart nearby to harvest
                         // more distinct conforming queries.
                         let dim = self.rng.gen_range(0..arity);
-                        point[dim] =
-                            (point[dim] + self.rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
+                        point[dim] = (point[dim] + self.rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
                         continue;
                     }
                     if objective < best {
@@ -136,9 +134,7 @@ impl HillClimbing {
                     let direction = if self.rng.gen_bool(0.5) { 1.0 } else { -1.0 };
                     point[dim] = (point[dim] + direction * step).clamp(0.0, 1.0);
                 }
-                report
-                    .distance_series
-                    .push((start.elapsed().as_secs_f64(), acceptance.distance()));
+                report.distance_series.push((start.elapsed().as_secs_f64(), acceptance.distance()));
             }
         }
 
@@ -146,9 +142,7 @@ impl HillClimbing {
         report.distribution = acceptance.d.clone();
         report.queries = acceptance.queries;
         report.elapsed = start.elapsed();
-        report
-            .distance_series
-            .push((report.elapsed.as_secs_f64(), report.final_distance));
+        report.distance_series.push((report.elapsed.as_secs_f64(), report.final_distance));
         report
     }
 }
@@ -171,10 +165,8 @@ mod tests {
                 "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_extendedprice > {p_1}",
             )
             .unwrap(),
-            parse_template(
-                "SELECT o.o_orderkey FROM orders AS o WHERE o.o_totalprice > {p_1}",
-            )
-            .unwrap(),
+            parse_template("SELECT o.o_orderkey FROM orders AS o WHERE o.o_totalprice > {p_1}")
+                .unwrap(),
         ];
         mutate_template_pool(db, &seeds, 30, rng)
     }
@@ -184,10 +176,7 @@ mod tests {
         let db = tpch();
         let mut rng = StdRng::seed_from_u64(3);
         let pool = seed_pool(&db, &mut rng);
-        let target = TargetDistribution::uniform(
-            CostIntervals::new(0.0, 6000.0, 3),
-            30,
-        );
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 6000.0, 3), 30);
         let oracle = CostOracle::new(&db, 1);
         let mut hc = HillClimbing::new(
             BaselineConfig { evals_per_interval: 1500, ..Default::default() },
@@ -207,10 +196,7 @@ mod tests {
         let db = tpch();
         let mut rng = StdRng::seed_from_u64(4);
         let pool = seed_pool(&db, &mut rng);
-        let target = TargetDistribution::uniform(
-            CostIntervals::new(0.0, 6000.0, 3),
-            60,
-        );
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 6000.0, 3), 60);
         let run = |scheduling| {
             let mut hc = HillClimbing::new(
                 BaselineConfig {
@@ -237,8 +223,7 @@ mod tests {
     #[test]
     fn empty_pool_returns_gracefully() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(5), 10);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(5), 10);
         let oracle = CostOracle::new(&db, 1);
         let mut hc = HillClimbing::new(BaselineConfig::default(), Vec::new());
         let report = hc.generate(&oracle, &target, CostType::Cardinality);

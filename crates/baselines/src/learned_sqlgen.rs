@@ -163,9 +163,8 @@ impl LearnedSqlGen {
                         // conforming queries, episode keeps going.
                         if arity > 0 {
                             let dim = self.rng.gen_range(0..arity);
-                            point[dim] = (point[dim]
-                                + self.rng.gen_range(-0.04..0.04))
-                            .clamp(0.0, 1.0);
+                            point[dim] =
+                                (point[dim] + self.rng.gen_range(-0.04..0.04)).clamp(0.0, 1.0);
                         } else {
                             break;
                         }
@@ -186,12 +185,9 @@ impl LearnedSqlGen {
                     point[dim] = (point[dim] + ACTIONS[action]).clamp(0.0, 1.0);
                     previous = Some((state, action));
                 }
-                self.template_value[template_idx] = 0.8
-                    * self.template_value[template_idx]
+                self.template_value[template_idx] = 0.8 * self.template_value[template_idx]
                     + 0.2 * episode_reward / MAX_EPISODE_STEPS as f64;
-                report
-                    .distance_series
-                    .push((start.elapsed().as_secs_f64(), acceptance.distance()));
+                report.distance_series.push((start.elapsed().as_secs_f64(), acceptance.distance()));
             }
         }
 
@@ -199,9 +195,7 @@ impl LearnedSqlGen {
         report.distribution = acceptance.d.clone();
         report.queries = acceptance.queries;
         report.elapsed = start.elapsed();
-        report
-            .distance_series
-            .push((report.elapsed.as_secs_f64(), report.final_distance));
+        report.distance_series.push((report.elapsed.as_secs_f64(), report.final_distance));
         report
     }
 }
@@ -227,10 +221,7 @@ mod tests {
         )
         .unwrap()];
         let pool = mutate_template_pool(&db, &seeds, 20, &mut rng);
-        let target = TargetDistribution::uniform(
-            CostIntervals::new(0.0, 6000.0, 3),
-            24,
-        );
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 6000.0, 3), 24);
         let oracle = CostOracle::new(&db, 1);
         let mut agent = LearnedSqlGen::new(
             BaselineConfig { evals_per_interval: 1500, ..Default::default() },
@@ -260,10 +251,7 @@ mod tests {
         )
         .unwrap()];
         let pool = mutate_template_pool(&db, &seeds, 10, &mut rng);
-        let target = TargetDistribution::uniform(
-            CostIntervals::new(0.0, 1500.0, 3),
-            12,
-        );
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 1500.0, 3), 12);
         let oracle = CostOracle::new(&db, 1);
         let mut agent = LearnedSqlGen::new(
             BaselineConfig { evals_per_interval: 600, ..Default::default() },
