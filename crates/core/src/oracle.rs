@@ -16,7 +16,10 @@
 //!   template that fails it is never costed. Each binding then re-costs
 //!   the cached skeleton — no rendering, lexing, parsing, or join-order
 //!   search — or, for the execution-based cost types, runs through the
-//!   template's vectorized [`minidb::PreparedExec`] plan.
+//!   template's vectorized [`minidb::PreparedExec`] plan. Re-preparing a
+//!   template returns the same handle: the registry of prepared
+//!   templates lives in the memo, and the plan is built with the lock
+//!   released.
 //! * **Memoization.** Results are cached under the compact `(template
 //!   id, cost type, binding vector)` key in one mutex-guarded map that
 //!   keeps every entry for the oracle's lifetime. A run's memo is
@@ -28,7 +31,9 @@
 //!   always-execute control path so every probe exercises the executor.
 //! * **Batching.** A batch takes the memo lock once to build its keys
 //!   and look them up, costs its misses with no lock held, and takes the
-//!   lock once more to insert them. The memo serves a handful of
+//!   lock once more to insert them. The memo's mutex is the oracle's only
+//!   lock, and no code takes another lock while holding it
+//!   ([`crate::lockorder`]). The memo serves a handful of
 //!   concurrent callers at most (one per scheduler task), each sending
 //!   batches of a few probes, so one lock is all the traffic needs.
 //!   Distinct misses are deduplicated serially and costed as columnar
@@ -52,7 +57,7 @@
 //! pipeline itself never calls it.
 
 use crate::cost::CostType;
-use crate::lockorder::{self, OrderedMutex};
+use crate::lockorder::TrackedMutex;
 use bayesopt::parallel::parallel_map;
 use minidb::{
     BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate,
@@ -259,8 +264,9 @@ fn memo_get(entries: &MemoEntries, key: &PreparedKey) -> Option<Result<f64, DbEr
     entries.get(key).cloned()
 }
 
-/// The memo behind the oracle's one lock: the entries and the string
-/// interner their keys name strings through.
+/// Everything behind the oracle's one lock: the entries, the string
+/// interner their keys name strings through, and the prepared-template
+/// registry whose ids name their templates.
 #[derive(Debug, Default)]
 struct Memo {
     entries: MemoEntries,
@@ -269,9 +275,36 @@ struct Memo {
     /// results or counters, and [`CostOracle::export_state`] renumbers
     /// them in text order, so id assignment order cannot affect output.
     strings: HashMap<Box<str>, u32>,
+    /// Prepared templates with their text; a template's id is its index.
+    templates: Vec<(String, PreparedHandle)>,
+    /// Template text → id, so re-preparing a template yields the same id
+    /// (and therefore the same memo namespace).
+    template_ids: HashMap<String, u64>,
 }
 
 impl Memo {
+    /// The registered handle for a template text.
+    fn prepared(&self, text: &str) -> Option<PreparedHandle> {
+        self.template_ids.get(text).map(|&id| self.templates[id as usize].1.clone())
+    }
+
+    /// Register `plan` under the next id, unless a racing prepare
+    /// registered the same text first: the first insert wins, and every
+    /// caller gets its handle.
+    fn register(&mut self, text: String, plan: PreparedTemplate) -> PreparedHandle {
+        if let Some(handle) = self.prepared(&text) {
+            return handle;
+        }
+        let handle = PreparedHandle {
+            id: self.templates.len() as u64,
+            plan: Arc::new(plan),
+            exec: Arc::new(OnceLock::new()),
+        };
+        self.template_ids.insert(text.clone(), handle.id);
+        self.templates.push((text, handle.clone()));
+        handle
+    }
+
     /// Interned id for a string value; allocates only on the first sight
     /// of each distinct string.
     fn intern(&mut self, s: &str) -> u32 {
@@ -344,12 +377,7 @@ pub struct CostOracle<'db> {
     /// latency the deficit scheduler hides. `None` (default) adds
     /// nothing; results are identical either way.
     probe_latency: Option<std::time::Duration>,
-    memo: OrderedMutex<Memo>,
-    /// Template text → handle, so re-preparing a template yields the same
-    /// id (and therefore the same memo namespace). Held across plan
-    /// construction so racing prepares of one template cannot split ids.
-    templates: OrderedMutex<HashMap<String, PreparedHandle>>,
-    next_template_id: AtomicU64,
+    memo: TrackedMutex<Memo>,
     logical: AtomicU64,
     /// Execution-time probes (bypass the cache entirely).
     unmemoized: AtomicU64,
@@ -367,9 +395,7 @@ impl<'db> CostOracle<'db> {
             db,
             threads: bayesopt::parallel::resolve_threads(threads),
             probe_latency: None,
-            memo: OrderedMutex::new(lockorder::MEMO, Memo::default()),
-            templates: OrderedMutex::new(lockorder::TEMPLATES, HashMap::new()),
-            next_template_id: AtomicU64::new(0),
+            memo: TrackedMutex::new(Memo::default()),
             logical: AtomicU64::new(0),
             unmemoized: AtomicU64::new(0),
             scheduler_rounds: AtomicU64::new(0),
@@ -414,21 +440,17 @@ impl<'db> CostOracle<'db> {
     /// to clone and share. Idempotent: re-preparing a textually identical
     /// template returns the same handle (and memo namespace), so
     /// re-profiling a template keeps hitting its cache. Failed prepares
-    /// are not cached.
+    /// are not cached. The plan is built with no lock held, so a cold
+    /// prepare never stalls a concurrent batch; racing prepares of one
+    /// template each build a plan, and the first to register it wins.
     pub fn prepare(&self, template: &Template) -> Result<PreparedHandle, DbError> {
         let text = template.sql();
-        let mut registry = self.templates.lock();
-        if let Some(handle) = registry.get(&text) {
-            return Ok(handle.clone());
+        let registered = self.memo.lock().prepared(&text);
+        if let Some(handle) = registered {
+            return Ok(handle);
         }
         let plan = PreparedTemplate::prepare(self.db, template)?;
-        let handle = PreparedHandle {
-            id: self.next_template_id.fetch_add(1, Ordering::Relaxed),
-            plan: Arc::new(plan),
-            exec: Arc::new(OnceLock::new()),
-        };
-        registry.insert(text, handle.clone());
-        Ok(handle)
+        Ok(self.memo.lock().register(text, plan))
     }
 
     /// [`CostOracle::cost_prepared_batch_columnar_on`] with this oracle's
@@ -690,11 +712,12 @@ impl<'db> CostOracle<'db> {
     }
 
     /// Serialize the oracle's full state for a checkpoint: interner,
-    /// prepared-template registry, every memo entry, and the raw
-    /// counters. The state is a function of the memo's content alone, not
-    /// of the order in which concurrent workers met strings or inserted
-    /// entries: interned strings are listed in text order (each entry's
-    /// string ids renumbered to match), and entries are sorted by
+    /// prepared-template registry, every memo entry (all three read
+    /// under one lock, so they form one consistent view), and the raw
+    /// counters. The state is a function of the memo's content alone,
+    /// not of the order in which concurrent workers met strings or
+    /// inserted entries: interned strings are listed in text order (each
+    /// entry's string ids renumbered to match), and entries are sorted by
     /// template id, cost type and key. The snapshot bytes are therefore
     /// the same at any thread count, and this oracle is left as it was.
     /// [`CostOracle::restore_state`] of this value into a fresh oracle
@@ -703,7 +726,7 @@ impl<'db> CostOracle<'db> {
     pub fn export_state(&self) -> crate::snapshot::OracleState {
         use crate::snapshot::{OracleCounters, OracleState, PreparedEntry};
 
-        let (interner, entries) = {
+        let (interner, templates, entries) = {
             let memo = self.memo.lock();
             let mut texts: Vec<(&str, u32)> =
                 memo.strings.iter().map(|(text, &id)| (&**text, id)).collect();
@@ -727,17 +750,12 @@ impl<'db> CostOracle<'db> {
             entries.sort_unstable_by(|(a, _), (b, _)| {
                 (a.0, a.1 as u8, a.2.as_slice()).cmp(&(b.0, b.1 as u8, b.2.as_slice()))
             });
-            (texts.into_iter().map(|(text, _)| text.to_string()).collect::<Vec<_>>(), entries)
+            (
+                texts.into_iter().map(|(text, _)| text.to_string()).collect::<Vec<_>>(),
+                memo.templates.iter().map(|(text, _)| text.clone()).collect::<Vec<_>>(),
+                entries,
+            )
         };
-
-        // The registry is a hash map; inverting it into a vector indexed
-        // by its (densely assigned) ids yields its canonical order.
-        let registry = self.templates.lock();
-        let mut templates = vec![String::new(); registry.len()];
-        for (sql, handle) in registry.iter() {
-            templates[handle.id as usize] = sql.clone();
-        }
-        drop(registry);
 
         OracleState {
             interner,
@@ -766,9 +784,9 @@ impl<'db> CostOracle<'db> {
     /// into a freshly constructed oracle over the same database).
     /// Prepared plans are rebuilt by re-preparing each registry template
     /// under its recorded id, and the memo is replaced by the snapshot's
-    /// interner and entries. Errors (snapshot/build mismatch, template
-    /// that no longer prepares) leave a partially restored oracle —
-    /// callers should discard it on `Err`.
+    /// interner, registry and entries in one assignment. An error
+    /// (snapshot/build mismatch, template that no longer prepares) leaves
+    /// the oracle as it was.
     pub fn restore_state(&self, state: &crate::snapshot::OracleState) -> Result<(), String> {
         use crate::snapshot::ValueKeySnap;
 
@@ -790,24 +808,14 @@ impl<'db> CostOracle<'db> {
             return Err(format!("snapshot memo names string {id}, but it interns only {strings}"));
         }
 
-        {
-            let mut registry = self.templates.lock();
-            registry.clear();
-            for (id, sql) in state.templates.iter().enumerate() {
-                let template = sqlkit::parse_template(sql)
-                    .map_err(|e| format!("snapshot template {id} no longer parses: {e}"))?;
-                let plan = PreparedTemplate::prepare(self.db, &template)
-                    .map_err(|e| format!("snapshot template {id} no longer prepares: {e:?}"))?;
-                registry.insert(
-                    sql.clone(),
-                    PreparedHandle {
-                        id: id as u64,
-                        plan: Arc::new(plan),
-                        exec: Arc::new(OnceLock::new()),
-                    },
-                );
+        for (id, sql) in state.templates.iter().enumerate() {
+            let template = sqlkit::parse_template(sql)
+                .map_err(|e| format!("snapshot template {id} no longer parses: {e}"))?;
+            let plan = PreparedTemplate::prepare(self.db, &template)
+                .map_err(|e| format!("snapshot template {id} no longer prepares: {e:?}"))?;
+            if memo.register(sql.clone(), plan).id != id as u64 {
+                return Err(format!("snapshot lists template {id} twice"));
             }
-            self.next_template_id.store(state.templates.len() as u64, Ordering::Relaxed);
         }
 
         memo.entries.extend(state.entries.iter().map(|entry| {
@@ -1133,6 +1141,36 @@ mod tests {
     }
 
     #[test]
+    fn racing_cold_prepares_share_one_id_and_memo_namespace() {
+        // Every thread builds its own plan with the lock released; the
+        // first registration wins and the others get its handle.
+        let db = tpch();
+        let template = parse_template(NATION).unwrap();
+        let oracle = CostOracle::new(&db, 1);
+        let start = std::sync::Barrier::new(4);
+        let handles: Vec<PreparedHandle> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        oracle.prepare(&template).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().unwrap()).collect()
+        });
+        assert!(handles.iter().all(|handle| handle.id == handles[0].id));
+        let b = [(1, Value::Int(3))];
+        for handle in &handles {
+            cost_one(&oracle, handle, &b, CostType::Cardinality).unwrap();
+        }
+        let stats = oracle.stats();
+        assert_eq!(stats.physical_evals, 1);
+        assert_eq!(stats.cache_hits, 3);
+        assert_eq!(oracle.export_state().templates, vec![template.sql()]);
+    }
+
+    #[test]
     fn prepared_batch_matches_serial_and_thread_counts() {
         // One batch of 40 at 1 and 4 threads equals 40 batches of one.
         let db = tpch();
@@ -1434,5 +1472,34 @@ mod tests {
         entry.key[0] = Some(ValueKeySnap::Str(1));
         let err = CostOracle::new(&db, 1).restore_state(&dangling).unwrap_err();
         assert!(err.contains("names string 1"), "{err}");
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_oracle_as_it_was() {
+        let db = tpch();
+        let oracle = CostOracle::new(&db, 1);
+        let template = parse_template(NATION).unwrap();
+        let handle = oracle.prepare(&template).unwrap();
+        let batch = p1((0..5).map(Value::Int));
+        let before = bits(&cost(&oracle, &handle, &batch, CostType::Cardinality));
+        let stats = oracle.stats();
+
+        // A snapshot whose first template no longer prepares, with
+        // counters that must not be applied either.
+        let mut broken = oracle.export_state();
+        broken.templates.insert(0, "SELECT missing.x FROM missing WHERE missing.x > {p_1}".into());
+        broken.counters.logical += 100;
+        let err = oracle.restore_state(&broken).unwrap_err();
+        assert!(err.contains("template 0 no longer prepares"), "{err}");
+        assert_eq!(oracle.stats(), stats);
+
+        // The registry still maps the template to its namespace, so the
+        // same probes are all memo hits.
+        let again = oracle.prepare(&template).unwrap();
+        assert_eq!(again.id, handle.id);
+        assert_eq!(bits(&cost(&oracle, &again, &batch, CostType::Cardinality)), before);
+        let after = oracle.stats();
+        assert_eq!(after.physical_evals, stats.physical_evals);
+        assert_eq!(after.logical_probes, stats.logical_probes + 5);
     }
 }

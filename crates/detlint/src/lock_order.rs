@@ -1,39 +1,33 @@
-//! R6 `lock_order`: the workspace lock-acquisition graph.
+//! R6 `lock_order`: no lock is taken while another is held.
 //!
-//! The pass works in four stages:
+//! A thread that never waits for a lock while holding one cannot be part
+//! of a deadlock cycle, so the pass needs no declared acquisition order:
+//! every nested acquisition it can see is a finding. It works in three
+//! stages:
 //!
-//! 1. **Class discovery.** Every `Mutex<..>` / `OrderedMutex<..>` /
+//! 1. **Class discovery.** Every `Mutex<..>` / `TrackedMutex<..>` /
 //!    `RwLock<..>` declared as a named field, local, or static defines
-//!    a *lock class* named after the binding (`templates:
-//!    OrderedMutex<..>` → class `templates`). A whole `Vec` of mutexes
-//!    is one class — two shards of the same family count as nested
-//!    same-class acquisition, exactly like the runtime tracker.
-//! 2. **Declared order.** A `detlint::lock_order` comment followed by a
-//!    parenthesized `class_a < class_b < class_c` chain declares the
-//!    canonical partial order (outermost first; the grammar is spelled
-//!    out in DESIGN.md §7, not here, so this file never parses its own
-//!    documentation as a declaration). Multiple declarations merge; the
-//!    transitive closure must stay acyclic.
-//! 3. **Acquisition extraction.** Every `.lock()` (and `.read()` /
+//!    a *lock class* named after the binding (`memo:
+//!    TrackedMutex<..>` → class `memo`). A whole `Vec` of mutexes
+//!    is one class.
+//! 2. **Acquisition extraction.** Every `.lock()` (and `.read()` /
 //!    `.write()` on a known class) is resolved to its class through the
-//!    receiver text, local aliases (`let shard = &self.shards[i]`,
+//!    receiver text or local aliases (`let shard = &self.shards[i]`,
 //!    `for (mutex, _) in self.shards.iter().zip(..)`, closure
-//!    params), or an explicit `detlint::lock_class` comment. Guard
-//!    liveness is block-scoped for named guards (`let g = m.lock();` —
-//!    until the enclosing block ends or `drop(g)`), statement-scoped
-//!    for temporaries (extended over the attached block for
-//!    `if let .. = m.lock().x() {`).
-//! 4. **Edges & verdicts.** While a guard is live, every later
-//!    acquisition adds a direct edge, and every call adds edges to all
-//!    lock classes the callee can transitively acquire (union-resolved:
-//!    over-approximating callees only adds edges, which is fail-closed
-//!    here). An edge must be covered by the declared order; `b` then
-//!    `a` where `a < b` is declared is a violation, an uncovered pair
-//!    is a finding too, and same-class nesting is always a finding.
+//!    params). A `.lock()` whose receiver resolves to no class is a
+//!    finding (fail-closed). Guard liveness is block-scoped for named
+//!    guards (`let g = m.lock();` — until the enclosing block ends or
+//!    `drop(g)`), statement-scoped for temporaries (extended over the
+//!    attached block for `if let .. = m.lock().x() {`).
+//! 3. **Nestings.** While a guard is live, every later acquisition is a
+//!    finding, and so is every call into a function that can
+//!    transitively acquire a lock (union-resolved: over-approximating
+//!    callees only adds findings, which is fail-closed here). Nesting
+//!    two locks of the same class is a finding like any other.
 //!
 //! The debug-build runtime tracker (`sqlbarber::lockorder`) asserts the
-//! same declared order on a thread-local held stack, so every test run
-//! cross-validates whatever this static model under-approximates.
+//! same rule on a thread-local flag, so every test run cross-validates
+//! whatever this static model under-approximates.
 
 use crate::checks::{contains_word, idents_of, is_ident_char, trailing_ident, word_occurrences};
 use crate::parse::{calls_in, Call};
@@ -42,36 +36,13 @@ use crate::workspace::{FnRef, Resolve, Unit, Workspace};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
-const LOCK_TYPES: [&str; 3] = ["OrderedMutex", "Mutex", "RwLock"];
+const LOCK_TYPES: [&str; 3] = ["TrackedMutex", "Mutex", "RwLock"];
 /// Acquisition methods. Only `.lock()` is fail-closed (an unresolvable
 /// receiver is a finding); `.read()`/`.write()` count only on known
 /// classes because the names collide with `std::io`.
 const ACQUIRE_METHODS: [&str; 3] = [".lock()", ".read()", ".write()"];
 /// Receivers that look like locks but are std stream handles.
 const STD_STREAMS: [&str; 3] = ["stdout", "stderr", "stdin"];
-/// How many lines above an acquisition a `detlint::lock_class` comment
-/// still applies (mirrors the suppression reach).
-const CLASS_ANNOTATION_REACH: usize = 3;
-
-/// One `detlint::lock_order` declaration site.
-struct DeclSite {
-    unit: usize,
-    line: usize,
-}
-
-/// The merged declared partial order (transitive closure).
-struct DeclaredOrder {
-    less: BTreeSet<(String, String)>,
-    names: BTreeSet<String>,
-    sites: Vec<DeclSite>,
-}
-
-impl DeclaredOrder {
-    fn covers(&self, a: &str, b: &str) -> bool {
-        self.less.contains(&(a.to_string(), b.to_string()))
-    }
-}
-
 /// One lock acquisition inside a fn body.
 struct Acq {
     line: usize,
@@ -83,14 +54,7 @@ struct Acq {
 
 /// Run the pass over the whole workspace.
 pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let mut classes = discover_classes(ws);
-    let annotations: Vec<Vec<(usize, String)>> = ws.units.iter().map(class_annotations).collect();
-    for per_unit in &annotations {
-        for (_, name) in per_unit {
-            classes.insert(name.clone());
-        }
-    }
-    let order = declared_order(ws, &mut classes, findings);
+    let classes = discover_classes(ws);
 
     // Acquisitions and the R6 call graph, per fn.
     let mut acqs: BTreeMap<FnRef, Vec<Acq>> = BTreeMap::new();
@@ -101,7 +65,7 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
                 continue;
             }
             let fr = (u, f);
-            acqs.insert(fr, extract_acquisitions(unit, f, &classes, &annotations[u], findings));
+            acqs.insert(fr, extract_acquisitions(unit, f, &classes, findings));
             let fn_calls: Vec<Call> = calls_in(&unit.lines, &unit.parsed, f)
                 .into_iter()
                 .filter(|c| !matches!(c.name.as_str(), "lock" | "read" | "write"))
@@ -148,10 +112,8 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
         }
     }
 
-    // Edges: direct nesting + calls made while a guard is live.
-    let mut seen_edges: BTreeSet<(String, String, String, usize)> = BTreeSet::new();
-    let mut class_graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut edge_sites: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
+    // Nestings: acquisitions and calls made while a guard is live.
+    let mut seen: BTreeSet<(String, String, String, usize)> = BTreeSet::new();
     for (fr, list) in &acqs {
         let unit = &ws.units[fr.0];
         let held_at = |line: usize, col: usize| -> Vec<&Acq> {
@@ -159,18 +121,8 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
         };
         for acq in list {
             for held in held_at(acq.line, acq.col) {
-                report_edge(
-                    &held.class,
-                    &acq.class,
-                    &unit.path,
-                    acq.line,
-                    &order,
-                    None,
-                    &mut seen_edges,
-                    &mut class_graph,
-                    &mut edge_sites,
-                    findings,
-                );
+                let nesting = (held.class.clone(), acq.class.clone(), unit.path.clone(), acq.line);
+                report_nesting(nesting, None, &mut seen, findings);
             }
         }
         for call in calls.get(fr).map(Vec::as_slice).unwrap_or(&[]) {
@@ -183,88 +135,38 @@ pub(crate) fn check(ws: &Workspace, findings: &mut Vec<Finding>) {
                 for class in target_classes {
                     let chain = chain_text(ws, target, class, &prov);
                     for heldacq in &held {
-                        report_edge(
-                            &heldacq.class,
-                            class,
-                            &unit.path,
-                            call.line,
-                            &order,
-                            Some(&chain),
-                            &mut seen_edges,
-                            &mut class_graph,
-                            &mut edge_sites,
-                            findings,
-                        );
+                        let nesting =
+                            (heldacq.class.clone(), class.clone(), unit.path.clone(), call.line);
+                        report_nesting(nesting, Some(&chain), &mut seen, findings);
                     }
                 }
             }
         }
     }
-
-    // A cycle in the observed class graph is reported once on top of
-    // the per-edge findings (every cycle necessarily contains at least
-    // one uncovered or violating edge).
-    if let Some(cycle) = find_cycle(&class_graph) {
-        let site = cycle
-            .windows(2)
-            .filter_map(|w| edge_sites.get(&(w[0].clone(), w[1].clone())))
-            .min()
-            .cloned();
-        if let Some((file, line)) = site {
-            findings.push(Finding {
-                file,
-                line: line + 1,
-                rule: RuleId::LockOrder,
-                message: format!("lock-acquisition graph contains a cycle: {}", cycle.join(" -> ")),
-                snippet: String::new(),
-            });
-        }
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn report_edge(
-    from: &str,
-    to: &str,
-    path: &str,
-    line: usize,
-    order: &DeclaredOrder,
+/// Report one nested acquisition `(held class, acquired class, file,
+/// 0-based line)`, reached through `chain` if it is a call; each is
+/// reported once.
+fn report_nesting(
+    nesting: (String, String, String, usize),
     chain: Option<&str>,
     seen: &mut BTreeSet<(String, String, String, usize)>,
-    graph: &mut BTreeMap<String, BTreeSet<String>>,
-    sites: &mut BTreeMap<(String, String), (String, usize)>,
     findings: &mut Vec<Finding>,
 ) {
-    let key = (from.to_string(), to.to_string(), path.to_string(), line);
-    if !seen.insert(key) {
+    if !seen.insert(nesting.clone()) {
         return;
     }
-    graph.entry(from.to_string()).or_default().insert(to.to_string());
-    sites.entry((from.to_string(), to.to_string())).or_insert_with(|| (path.to_string(), line));
+    let (from, to, file, line) = nesting;
     let via = chain.map(|c| format!(" via {c}")).unwrap_or_default();
-    let message = if from == to {
-        format!(
-            "acquires lock class `{to}`{via} while a `{from}` guard is \
-             already held (same-class nesting deadlocks under contention)"
-        )
-    } else if order.covers(from, to) {
-        return;
-    } else if order.covers(to, from) {
-        format!(
-            "acquires lock class `{to}`{via} while holding `{from}` — \
-             violates the declared order `{to} < {from}`"
-        )
-    } else {
-        format!(
-            "acquires lock class `{to}`{via} while holding `{from}`, a \
-             nesting not covered by any detlint::lock_order declaration"
-        )
-    };
     findings.push(Finding {
-        file: path.to_string(),
+        file,
         line: line + 1,
         rule: RuleId::LockOrder,
-        message,
+        message: format!(
+            "acquires lock class `{to}`{via} while holding `{from}`; no lock may be \
+             taken while another is held"
+        ),
         snippet: String::new(),
     });
 }
@@ -289,46 +191,6 @@ fn chain_text(
         }
     }
     format!("`{}`", chain.join(" -> "))
-}
-
-fn find_cycle(graph: &BTreeMap<String, BTreeSet<String>>) -> Option<Vec<String>> {
-    // DFS with an explicit on-path stack; deterministic by BTree order.
-    fn visit(
-        node: &str,
-        graph: &BTreeMap<String, BTreeSet<String>>,
-        path: &mut Vec<String>,
-        done: &mut BTreeSet<String>,
-    ) -> Option<Vec<String>> {
-        if let Some(pos) = path.iter().position(|n| n == node) {
-            let mut cycle: Vec<String> = path[pos..].to_vec();
-            cycle.push(node.to_string());
-            return Some(cycle);
-        }
-        if done.contains(node) {
-            return None;
-        }
-        path.push(node.to_string());
-        if let Some(nexts) = graph.get(node) {
-            for next in nexts {
-                if next == node {
-                    continue; // self-loop = same-class nesting, reported per-site
-                }
-                if let Some(c) = visit(next, graph, path, done) {
-                    return Some(c);
-                }
-            }
-        }
-        path.pop();
-        done.insert(node.to_string());
-        None
-    }
-    let mut done = BTreeSet::new();
-    for node in graph.keys() {
-        if let Some(c) = visit(node, graph, &mut Vec::new(), &mut done) {
-            return Some(c);
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------
@@ -390,121 +252,13 @@ fn declared_lock_ident(code: &str, pos: usize) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Stage 2: declared order
-// ---------------------------------------------------------------------
-
-fn declared_order(
-    ws: &Workspace,
-    classes: &mut BTreeSet<String>,
-    findings: &mut Vec<Finding>,
-) -> DeclaredOrder {
-    let mut order =
-        DeclaredOrder { less: BTreeSet::new(), names: BTreeSet::new(), sites: Vec::new() };
-    for (u, unit) in ws.units.iter().enumerate() {
-        for (idx, line) in unit.lines.iter().enumerate() {
-            let Some(pos) = line.comment.find("detlint::lock_order(") else {
-                continue;
-            };
-            let rest = &line.comment[pos + "detlint::lock_order(".len()..];
-            let Some(close) = rest.find(')') else {
-                findings.push(malformed(unit, idx, "unterminated declaration"));
-                continue;
-            };
-            let mut ok = true;
-            for chain in rest[..close].split(',') {
-                let names: Vec<&str> = chain.split('<').map(str::trim).collect();
-                if names.len() < 2
-                    || names.iter().any(|n| n.is_empty() || !n.chars().all(is_ident_char))
-                {
-                    findings.push(malformed(
-                        unit,
-                        idx,
-                        "expected `class_a < class_b < ...` chains of identifiers",
-                    ));
-                    ok = false;
-                    break;
-                }
-                for pair in names.windows(2) {
-                    order.less.insert((pair[0].to_string(), pair[1].to_string()));
-                    order.names.insert(pair[0].to_string());
-                    order.names.insert(pair[1].to_string());
-                    classes.insert(pair[0].to_string());
-                    classes.insert(pair[1].to_string());
-                }
-            }
-            if ok {
-                order.sites.push(DeclSite { unit: u, line: idx });
-            }
-        }
-    }
-    // Transitive closure; a<a afterwards means the declarations
-    // themselves are cyclic.
-    loop {
-        let mut add = Vec::new();
-        for (a, b) in &order.less {
-            for (c, d) in &order.less {
-                if b == c && !order.less.contains(&(a.clone(), d.clone())) {
-                    add.push((a.clone(), d.clone()));
-                }
-            }
-        }
-        if add.is_empty() {
-            break;
-        }
-        order.less.extend(add);
-    }
-    let cyclic: Vec<&String> = order.names.iter().filter(|n| order.covers(n, n)).collect();
-    if !cyclic.is_empty() {
-        if let Some(site) = order.sites.first() {
-            findings.push(Finding {
-                file: ws.units[site.unit].path.clone(),
-                line: site.line + 1,
-                rule: RuleId::LockOrder,
-                message: format!(
-                    "detlint::lock_order declarations are cyclic through `{}`",
-                    cyclic[0]
-                ),
-                snippet: String::new(),
-            });
-        }
-    }
-    order
-}
-
-fn malformed(unit: &Unit, idx: usize, detail: &str) -> Finding {
-    Finding {
-        file: unit.path.clone(),
-        line: idx + 1,
-        rule: RuleId::LockOrder,
-        message: format!("malformed detlint::lock_order declaration: {detail}"),
-        snippet: String::new(),
-    }
-}
-
-/// `detlint::lock_class(name)` comments in one unit.
-fn class_annotations(unit: &Unit) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in unit.lines.iter().enumerate() {
-        let Some(pos) = line.comment.find("detlint::lock_class(") else { continue };
-        let rest = &line.comment[pos + "detlint::lock_class(".len()..];
-        let Some(close) = rest.find(')') else { continue };
-        let name = rest[..close].trim();
-        if !name.is_empty() && name.chars().all(is_ident_char) {
-            out.push((idx, name.to_string()));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Stage 3: acquisition extraction
+// Stage 2: acquisition extraction
 // ---------------------------------------------------------------------
 
 fn extract_acquisitions(
     unit: &Unit,
     fn_idx: usize,
     classes: &BTreeSet<String>,
-    annotations: &[(usize, String)],
     findings: &mut Vec<Finding>,
 ) -> Vec<Acq> {
     let mut out = Vec::new();
@@ -525,7 +279,7 @@ fn extract_acquisitions(
                 let pos = from + rel;
                 from = pos + method.len();
                 let receiver = receiver_text(unit, lineno, pos);
-                let class = resolve_class(&receiver, classes, &aliases, annotations, lineno);
+                let class = resolve_class(&receiver, classes, &aliases);
                 let Some(class) = class else {
                     let chain_idents = idents_of(&receiver);
                     let is_stream = chain_idents.iter().any(|i| STD_STREAMS.contains(i));
@@ -536,8 +290,7 @@ fn extract_acquisitions(
                             rule: RuleId::LockOrder,
                             message: "cannot resolve the lock class of this \
                                       `.lock()` receiver; declare the mutex as a \
-                                      named field/local or add a preceding \
-                                      `// detlint::lock_class` comment naming it"
+                                      named field or a local with a written type"
                                 .to_string(),
                             snippet: String::new(),
                         });
@@ -575,23 +328,6 @@ fn collect_aliases(
                 None
             }
         };
-        // `let outer = OrderedMutex::new(TEMPLATES, 1u32);` — a ranked
-        // mutex constructed in place (test-local, typically): the rank
-        // constant's name, lowercased, is the lock class.
-        if let Some(pos) = code.find("OrderedMutex::new(") {
-            let arg: String = code[pos + "OrderedMutex::new(".len()..]
-                .chars()
-                .take_while(|&c| c != ',' && c != ')')
-                .collect();
-            let rank = arg.trim().rsplit("::").next().unwrap_or("").trim();
-            let screaming = !rank.is_empty()
-                && rank.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
-            if screaming {
-                if let Some(name) = let_binding_name(code) {
-                    aliases.insert(name, rank.to_ascii_lowercase());
-                }
-            }
-        }
         // `let shard = &self.shards[idx];`
         if let Some(let_pos) = word_occurrences(code, "let").into_iter().next() {
             if let Some(eq) = code[let_pos..].find('=').map(|p| p + let_pos) {
@@ -632,20 +368,6 @@ fn collect_aliases(
         }
     }
     aliases
-}
-
-/// Name bound by a `let [mut] name .. =` on this line, if any.
-fn let_binding_name(code: &str) -> Option<String> {
-    let let_pos = word_occurrences(code, "let").into_iter().next()?;
-    let eq = code[let_pos..].find('=')? + let_pos;
-    let mut lhs = code[let_pos + 3..eq].trim();
-    lhs = lhs.strip_prefix("mut ").unwrap_or(lhs).trim();
-    let name: String = lhs.chars().take_while(|&c| is_ident_char(c)).collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
 }
 
 /// Idents bound by a `|a, b|` closure parameter list on this line.
@@ -695,15 +417,7 @@ fn resolve_class(
     receiver: &str,
     classes: &BTreeSet<String>,
     aliases: &BTreeMap<String, String>,
-    annotations: &[(usize, String)],
-    lineno: usize,
 ) -> Option<String> {
-    // An explicit annotation wins over inference.
-    if let Some((_, name)) =
-        annotations.iter().find(|(l, _)| *l <= lineno && lineno - *l <= CLASS_ANNOTATION_REACH)
-    {
-        return Some(name.clone());
-    }
     let mut tail = receiver.trim_end();
     // Strip a trailing index expression: `self.shards[hash(k)]`.
     if tail.ends_with(']') {

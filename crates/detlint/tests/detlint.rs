@@ -130,11 +130,10 @@ fn stale_suppressions_exit_nonzero_and_are_marked() {
 #[test]
 fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
     // Lint an in-memory copy of the real tree with one mutation: a
-    // function that acquires `templates` while holding `memo`,
-    // reversing the declared order. The clean workspace must go dirty
-    // with a lock_order violation — proving R6
-    // catches exactly the regression the runtime tracker panics on
-    // (`out_of_order_nesting_trips_the_tracker` is the dynamic half).
+    // function that acquires `templates` while holding `memo`. The clean
+    // workspace must go dirty with a lock_order finding — proving R6
+    // catches exactly the nesting the runtime tracker panics on
+    // (`nesting_two_tracked_locks_trips_the_tracker` is the dynamic half).
     let cfg = Config::at_root(workspace_root());
     let mut sources = detlint::workspace_sources(&cfg).expect("tree loads");
     let oracle = sources
@@ -159,7 +158,7 @@ fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
     let hit = report.findings.iter().any(|f| {
         f.rule == RuleId::LockOrder
             && f.file.ends_with("oracle.rs")
-            && f.message.contains("violates the declared order")
+            && f.message.contains("acquires lock class `templates` while holding `memo`")
     });
     assert!(hit, "seeded reversal was not caught:\n{}", detlint::render_human(&report));
 }

@@ -1,7 +1,7 @@
-// Fixture: R6 lock_order — declared-order violations, same-class
-// nesting, a lock held across a call into a locking function, and an
-// audited suppression. Scanned, never compiled.
-// detlint::lock_order(alpha < beta < gamma)
+// Fixture: R6 lock_order — no lock may be taken while another is held:
+// nestings in either order, same-class nesting, a lock held across a
+// call into a locking function, and audited suppressions. Scanned,
+// never compiled.
 
 use std::sync::Mutex;
 
@@ -12,7 +12,7 @@ struct Pools {
 }
 
 impl Pools {
-    fn in_order(&self) {
+    fn nested(&self) {
         let a = self.alpha.lock().unwrap();
         let b = self.beta.lock().unwrap();
         drop(b);
@@ -43,9 +43,28 @@ impl Pools {
         let _a = self.alpha.lock().unwrap();
     }
 
+    fn sequential(&self) {
+        *self.alpha.lock().unwrap() += 1;
+        *self.gamma.lock().unwrap() += 1;
+    }
+
     fn audited(&self) {
         let g = self.gamma.lock().unwrap();
-        // detlint::allow(lock_order): fixture — demonstrates an audited exception to the declared order
+        // detlint::allow(lock_order): fixture — demonstrates an audited nesting
+        let _b = self.beta.lock().unwrap();
+        drop(g);
+    }
+
+    fn audited_forward(&self) {
+        let b = self.beta.lock().unwrap();
+        // detlint::allow(lock_order): fixture — one half of an audited pair of reversed nestings
+        let _g = self.gamma.lock().unwrap();
+        drop(b);
+    }
+
+    fn audited_backward(&self) {
+        let g = self.gamma.lock().unwrap();
+        // detlint::allow(lock_order): fixture — the other half; two audits leave nothing to report
         let _b = self.beta.lock().unwrap();
         drop(g);
     }
