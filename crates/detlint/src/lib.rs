@@ -143,7 +143,8 @@ pub fn analyze_source(
 }
 
 /// Analyze a set of in-memory `(rel_path, source)` files as one
-/// workspace: per-file rules (R1–R5, R7), then the cross-file passes
+/// workspace (`Cargo.toml` entries are read as crate manifests for R6's
+/// call resolution, not linted): per-file rules (R1–R5, R7), then the cross-file passes
 /// (R6 lock graph, R8 hot-alloc reachability), then suppression
 /// application over everything. This is the whole pipeline —
 /// [`analyze_workspace`] is just the file-reading front end — and it is
@@ -151,7 +152,9 @@ pub fn analyze_source(
 /// touching disk (e.g. seeding an out-of-order lock acquisition and
 /// asserting R6 catches it).
 pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
-    let units: Vec<workspace::Unit> = files
+    let (manifests, sources): (Vec<_>, Vec<_>) =
+        files.iter().cloned().partition(|(path, _)| is_manifest(path));
+    let units: Vec<workspace::Unit> = sources
         .iter()
         .map(|(path, source)| {
             let lines = scan::scan(source);
@@ -164,7 +167,7 @@ pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
             }
         })
         .collect();
-    let ws = workspace::Workspace::build(units);
+    let ws = workspace::Workspace::build(units, &manifests);
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut suppressions: Vec<SuppressionEntry> = Vec::new();
@@ -201,7 +204,7 @@ pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     suppressions.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Report { findings, suppressions, files_scanned: ws.units.len() }
+    Report { findings, suppressions, files_scanned: files.len() }
 }
 
 /// Consume findings covered by a reasoned `detlint::allow` directive in
@@ -258,24 +261,29 @@ pub fn analyze_workspace(cfg: &Config) -> std::io::Result<Report> {
     Ok(analyze_sources(&workspace_sources(cfg)?, cfg))
 }
 
-/// The `(relative path, contents)` set `analyze_workspace` scans,
-/// exposed so tests can lint a deliberately mutated copy of the real
-/// tree through [`analyze_sources`] without touching the filesystem.
+/// The `(relative path, contents)` set `analyze_workspace` scans, crate
+/// manifests included, exposed so tests can lint a deliberately mutated
+/// copy of the real tree through [`analyze_sources`] without touching
+/// the filesystem.
 pub fn workspace_sources(cfg: &Config) -> std::io::Result<Vec<(String, String)>> {
     let mut files: Vec<PathBuf> = Vec::new();
     for sub in &cfg.roots {
         let dir = cfg.root.join(sub);
         if dir.is_dir() {
-            collect_rs_files(&dir, &cfg.skip_dir_names, &mut files)?;
+            collect_files(&dir, &cfg.skip_dir_names, &mut files)?;
         }
     }
-    if files.is_empty() && cfg.root.is_dir() {
+    let is_rs = |path: &PathBuf| path.extension().and_then(|e| e.to_str()) == Some("rs");
+    if !files.iter().any(is_rs) && cfg.root.is_dir() {
         // A root with none of the configured subdirectories (e.g.
         // `--root` pointed straight at a fixture corpus) is scanned
         // directly rather than silently reported clean.
-        collect_rs_files(&cfg.root, &cfg.skip_dir_names, &mut files)?;
+        files.clear();
+        collect_files(&cfg.root, &cfg.skip_dir_names, &mut files)?;
+    } else if cfg.root.join("Cargo.toml").is_file() {
+        files.push(cfg.root.join("Cargo.toml"));
     }
-    if files.is_empty() {
+    if !files.iter().any(is_rs) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
             format!("no .rs files found under `{}`", cfg.root.display()),
@@ -291,7 +299,14 @@ pub fn workspace_sources(cfg: &Config) -> std::io::Result<Vec<(String, String)>>
     Ok(sources)
 }
 
-fn collect_rs_files(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Whether `path` is a crate manifest: read for the crate dependency
+/// graph behind R6's call resolution, not linted.
+fn is_manifest(path: &str) -> bool {
+    path == "Cargo.toml" || path.ends_with("/Cargo.toml")
+}
+
+/// Every `.rs` file and `Cargo.toml` under `dir`.
+fn collect_files(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> =
         std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
     entries.sort();
@@ -301,8 +316,10 @@ fn collect_rs_files(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) -> std:
             if skip.iter().any(|s| s == name) {
                 continue;
             }
-            collect_rs_files(&path, skip, out)?;
-        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            collect_files(&path, skip, out)?;
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs")
+            || path.file_name().and_then(|n| n.to_str()) == Some("Cargo.toml")
+        {
             out.push(path);
         }
     }

@@ -17,11 +17,16 @@
 //! Method names that collide with std (`get`, `insert`, `iter`, …)
 //! never resolve through a non-`self` receiver in either mode: a
 //! `HashMap::get` misread as a first-party `get` would wire unrelated
-//! functions into the graph.
+//! functions into the graph. Any other method call through a non-`self`
+//! receiver resolves only to impls in the caller's crate or in a crate
+//! it reaches through workspace path dependencies, read from the
+//! members' `Cargo.toml` files: a receiver's type must come from a crate
+//! the caller can name. A crate whose manifest was not scanned may reach
+//! any crate.
 
 use crate::parse::{Call, CallKind, ParsedFile};
 use crate::scan::ScanLine;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One analyzed file.
 pub struct Unit {
@@ -43,6 +48,9 @@ pub struct Workspace {
     pub units: Vec<Unit>,
     /// fn name → every definition carrying that name.
     fn_index: BTreeMap<String, Vec<FnRef>>,
+    /// Crate → every crate it reaches through path dependencies; only
+    /// crates whose manifest was scanned have an entry.
+    crate_reach: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Method names too generic to resolve through an arbitrary receiver:
@@ -117,15 +125,105 @@ pub enum Resolve {
     Unique,
 }
 
+/// `(table header, dependency name, line)` for every entry of a
+/// manifest's dependency tables.
+fn dependencies(manifest: &str) -> Vec<(&str, &str, &str)> {
+    let mut table = "";
+    let mut out = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line;
+        } else if table.ends_with("dependencies]") {
+            let name = line.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-')).next();
+            if let Some(name) = name.filter(|name| !name.is_empty()) {
+                out.push((table, name, line));
+            }
+        }
+    }
+    out
+}
+
+/// The crate a dependency line's `path = "…"` names, relative to the
+/// manifest at `manifest_path` (`crates/core/Cargo.toml` +
+/// `../minidb` → `crates/minidb`).
+fn path_dependency(manifest_path: &str, line: &str) -> Option<String> {
+    let value = line.split("path").nth(1)?.trim_start().strip_prefix('=')?.trim_start();
+    let relative = value.strip_prefix('"')?.split('"').next()?;
+    let mut parts: Vec<&str> = manifest_path.split('/').collect();
+    parts.pop(); // `Cargo.toml`
+    for segment in relative.split('/') {
+        match segment {
+            "" | "." => {}
+            ".." => {
+                parts.pop();
+            }
+            _ => parts.push(segment),
+        }
+    }
+    parts.push("Cargo.toml");
+    Some(crate_of(&parts.join("/")).to_string())
+}
+
+/// Crate → the crates it reaches through path dependencies,
+/// transitively, for every scanned member manifest. The root manifest's
+/// `[workspace.dependencies]` resolve `name.workspace = true` entries.
+fn crate_reach(manifests: &[(String, String)]) -> BTreeMap<String, BTreeSet<String>> {
+    let workspace: BTreeMap<&str, String> = manifests
+        .iter()
+        .filter(|(path, _)| path == "Cargo.toml")
+        .flat_map(|(path, text)| {
+            dependencies(text).into_iter().filter_map(|(table, name, line)| {
+                let is_workspace = table == "[workspace.dependencies]";
+                Some((name, path_dependency(path, line).filter(|_| is_workspace)?))
+            })
+        })
+        .collect();
+    let mut reach: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (path, text) in manifests.iter().filter(|(path, _)| path != "Cargo.toml") {
+        let reached = reach.entry(crate_of(path).to_string()).or_default();
+        for (_, name, line) in dependencies(text) {
+            if line.contains("workspace") {
+                reached.extend(workspace.get(name).cloned());
+            } else {
+                reached.extend(path_dependency(path, line));
+            }
+        }
+    }
+    loop {
+        let direct = reach.clone();
+        let mut changed = false;
+        for reached in reach.values_mut() {
+            let further: Vec<&String> =
+                reached.iter().flat_map(|c| direct.get(c).into_iter().flatten()).collect();
+            for krate in further {
+                changed |= reached.insert(krate.clone());
+            }
+        }
+        if !changed {
+            return reach;
+        }
+    }
+}
+
 impl Workspace {
-    pub fn build(units: Vec<Unit>) -> Workspace {
+    /// Index `units`; `manifests` are the `(path, contents)` of the
+    /// scanned `Cargo.toml` files.
+    pub fn build(units: Vec<Unit>, manifests: &[(String, String)]) -> Workspace {
         let mut fn_index: BTreeMap<String, Vec<FnRef>> = BTreeMap::new();
         for (u, unit) in units.iter().enumerate() {
             for (f, item) in unit.parsed.fns.iter().enumerate() {
                 fn_index.entry(item.name.clone()).or_default().push((u, f));
             }
         }
-        Workspace { units, fn_index }
+        Workspace { units, fn_index, crate_reach: crate_reach(manifests) }
+    }
+
+    /// Whether code in the crate of unit `from` can name a type defined
+    /// in the crate of unit `to`.
+    fn crate_reaches(&self, from: usize, to: usize) -> bool {
+        let from = crate_of(&self.units[from].path);
+        let to = crate_of(&self.units[to].path);
+        from == to || self.crate_reach.get(from).is_none_or(|reached| reached.contains(to))
     }
 
     pub fn fn_item(&self, fr: FnRef) -> &crate::parse::FnItem {
@@ -183,7 +281,10 @@ impl Workspace {
                     candidates
                         .iter()
                         .copied()
-                        .filter(|fr| self.fn_item(*fr).impl_type.is_some())
+                        .filter(|fr| {
+                            self.fn_item(*fr).impl_type.is_some()
+                                && self.crate_reaches(caller.0, fr.0)
+                        })
                         .collect()
                 }
             }

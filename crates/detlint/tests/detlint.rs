@@ -164,6 +164,47 @@ fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
 }
 
 #[test]
+fn a_method_call_resolves_only_into_crates_the_caller_depends_on() {
+    // `cursor.add(1)` in `pool` names the same method as the locking
+    // `Loader::add` in `loader`. It may resolve there, and report the
+    // nesting under `slots`, only once `pool` depends on `loader`.
+    let loader = "use std::sync::Mutex;\n\
+                  pub struct Loader { queue: Mutex<u32> }\n\
+                  impl Loader {\n\
+                  \x20   pub fn add(&self, n: u32) {\n\
+                  \x20       *self.queue.lock().unwrap() += n;\n\
+                  \x20   }\n\
+                  }\n";
+    let pool = "use std::sync::Mutex;\n\
+                pub struct Pool { slots: Mutex<u32> }\n\
+                impl Pool {\n\
+                \x20   pub fn fill(&self, cursor: Cursor) {\n\
+                \x20       let held = self.slots.lock().unwrap();\n\
+                \x20       cursor.add(1);\n\
+                \x20       drop(held);\n\
+                \x20   }\n\
+                }\n";
+    let nestings = |pool_dependencies: &str| {
+        let files = [
+            ("Cargo.toml", "[workspace.dependencies]\nloader = { path = \"crates/loader\" }\n"),
+            ("crates/loader/Cargo.toml", "[package]\nname = \"loader\"\n"),
+            ("crates/loader/src/lib.rs", loader),
+            (
+                "crates/pool/Cargo.toml",
+                &format!("[package]\nname = \"pool\"\n\n{pool_dependencies}"),
+            ),
+            ("crates/pool/src/lib.rs", pool),
+        ]
+        .map(|(path, text)| (path.to_string(), text.to_string()));
+        let report = detlint::analyze_sources(&files, &Config::at_root("."));
+        report.findings.iter().filter(|f| f.rule == RuleId::LockOrder).count()
+    };
+    assert_eq!(nestings("[dependencies]\n"), 0);
+    assert_eq!(nestings("[dependencies]\nloader.workspace = true\n"), 1);
+    assert_eq!(nestings("[dev-dependencies]\nloader = { path = \"../loader\" }\n"), 1);
+}
+
+#[test]
 fn workspace_is_detlint_clean() {
     let cfg = Config::at_root(workspace_root());
     let report = analyze_workspace(&cfg).expect("workspace scan succeeds");
