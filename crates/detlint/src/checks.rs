@@ -7,10 +7,12 @@
 //! toward reporting; the explicit, reasoned suppression directive is the
 //! escape hatch, and the fixture corpus pins the exact behavior.
 
+use crate::parse::ParsedFile;
 use crate::rules::RuleId;
 use crate::scan::ScanLine;
+use crate::workspace::Unit;
 use crate::{Config, Finding, SuppressionEntry};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How many lines below its directive a suppression still applies
 /// (tolerates one `#[allow]` attribute line between comment and code).
@@ -20,13 +22,14 @@ pub(crate) const SUPPRESSION_REACH: usize = 3;
 /// and application live at the workspace level (`analyze_sources`) so
 /// the cross-file passes (R6/R8) share the same escape hatch.
 pub(crate) fn run_local_rules(
-    path: &str,
-    lines: &[ScanLine],
+    unit: &Unit,
+    hash_fields: &HashFields,
     cfg: &Config,
     findings: &mut Vec<Finding>,
 ) {
+    let (path, lines) = (unit.path.as_str(), unit.lines.as_slice());
     if cfg.rule_enabled(RuleId::UnorderedIter) {
-        check_unordered_iter(path, lines, findings);
+        check_unordered_iter(unit, hash_fields, findings);
     }
     if cfg.rule_enabled(RuleId::AmbientNondet) {
         check_ambient_nondet(path, lines, cfg, findings);
@@ -348,7 +351,110 @@ pub(crate) fn trailing_ident(text: &str) -> Option<String> {
     }
 }
 
-fn check_unordered_iter(path: &str, lines: &[ScanLine], findings: &mut Vec<Finding>) {
+/// Struct name → the fields it declares with a hash-container type, for
+/// every struct with a braced body the workspace declares. R1 reads it
+/// to type `base.field` receivers.
+pub(crate) type HashFields = BTreeMap<String, BTreeSet<String>>;
+
+/// Add the structs `lines` declares to `out`.
+pub(crate) fn collect_hash_fields(lines: &[ScanLine], parsed: &ParsedFile, out: &mut HashFields) {
+    for (idx, line) in lines.iter().enumerate() {
+        let code = &line.code;
+        let Some(pos) = word_occurrences(code, "struct").into_iter().next() else { continue };
+        let name: String = code[pos + "struct".len()..]
+            .trim_start()
+            .chars()
+            .take_while(|&c| is_ident_char(c))
+            .collect();
+        if name.is_empty() || !code.trim_end().ends_with('{') {
+            continue;
+        }
+        let fields = out.entry(name).or_default();
+        let Some(&body) = parsed.depth_start.get(idx + 1) else { continue };
+        for later in lines.iter().zip(&parsed.depth_start).skip(idx + 1) {
+            match *later.1 {
+                depth if depth < body => break,
+                depth if depth > body => continue,
+                _ => {}
+            }
+            for ty in HASH_TYPES {
+                for pos in word_occurrences(&later.0.code, ty) {
+                    fields.extend(declared_ident(&later.0.code, pos));
+                }
+            }
+        }
+    }
+}
+
+/// Whether the receiver `field`, ending at byte `end` of line `idx`, is
+/// a `base.field` access whose base has a type the scanner sees — `self`
+/// in an impl, or a binding written `base: Type` — naming a struct that
+/// does not declare `field` as a hash container. Any other receiver is
+/// unknown, and R1 treats it as hash-ordered.
+fn typed_as_unhashed(
+    unit: &Unit,
+    hash_fields: &HashFields,
+    idx: usize,
+    end: usize,
+    field: &str,
+) -> bool {
+    let code = &unit.lines[idx].code;
+    let Some(before) = code[..end].strip_suffix(field).and_then(|b| b.strip_suffix('.')) else {
+        return false;
+    };
+    let Some(base) = trailing_ident(before) else { return false };
+    let base_start = before.len() - base.len();
+    if before[..base_start].ends_with('.') || before[..base_start].ends_with("::") {
+        return false;
+    }
+    let Some(f) = unit.parsed.line_fn[idx] else { return false };
+    let item = &unit.parsed.fns[f];
+    let ty = if base == "self" {
+        item.impl_type.clone()
+    } else {
+        written_type(&unit.lines, item.sig_line, idx, base_start, &base).map(|ty| {
+            if ty == "Self" {
+                item.impl_type.clone().unwrap_or(ty)
+            } else {
+                ty
+            }
+        })
+    };
+    ty.and_then(|ty| hash_fields.get(&ty)).is_some_and(|hashed| !hashed.contains(field))
+}
+
+/// The type name (last path segment) written for `base` at its nearest
+/// mention before column `col` of line `idx`, searching back to the
+/// enclosing fn's signature line `sig`. `None` when that mention is not a
+/// `base: Type` binding (a use, or a rebinding with no written type).
+fn written_type(
+    lines: &[ScanLine],
+    sig: usize,
+    idx: usize,
+    col: usize,
+    base: &str,
+) -> Option<String> {
+    for l in (sig..=idx).rev() {
+        let code = if l == idx { &lines[l].code[..col] } else { lines[l].code.as_str() };
+        let mention = word_occurrences(code, base)
+            .into_iter()
+            .rev()
+            .find(|&pos| !code[..pos].trim_end().ends_with('.'));
+        let Some(pos) = mention else { continue };
+        let rest = code[pos + base.len()..].trim_start().strip_prefix(':')?;
+        if rest.starts_with(':') {
+            return None;
+        }
+        // `&'a mut crate::snapshot::State` → `State`; generic arguments
+        // are cut off, so `Option<State>` names `Option`.
+        let ty = rest.split(['<', ',', ')', '=', '{']).next()?;
+        return ty.rsplit("::").next().and_then(trailing_ident);
+    }
+    None
+}
+
+fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Vec<Finding>) {
+    let (path, lines) = (unit.path.as_str(), unit.lines.as_slice());
     let hashed = tracked_idents(lines, &HASH_TYPES);
     let ordered = tracked_idents(lines, &ORDERED_TYPES);
     if hashed.is_empty() {
@@ -364,12 +470,17 @@ fn check_unordered_iter(path: &str, lines: &[ScanLine], findings: &mut Vec<Findi
         let trimmed = code.trim_start();
         if trimmed.starts_with("for ") {
             if let Some(in_pos) = find_for_in(trimmed) {
-                let tail = &trimmed[in_pos + 4..];
+                let tail_start = code.len() - trimmed.len() + in_pos + 4;
+                let tail = &code[tail_start..];
                 // `for i in 0..map.len()` only counts; it never observes order.
                 let insensitive = ORDER_INSENSITIVE.iter().any(|t| tail.contains(t));
                 if !insensitive {
                     for ident in idents_of(tail) {
-                        if hashed.contains(ident) {
+                        let hashed_use = word_occurrences(tail, ident).into_iter().any(|pos| {
+                            let end = tail_start + pos + ident.len();
+                            !typed_as_unhashed(unit, hash_fields, idx, end, ident)
+                        });
+                        if hashed.contains(ident) && hashed_use {
                             flagged.insert(ident.to_string());
                         }
                     }
@@ -386,6 +497,15 @@ fn check_unordered_iter(path: &str, lines: &[ScanLine], findings: &mut Vec<Findi
                 from = pos + sink.len();
                 let Some(receiver) = trailing_ident(&code[..pos]) else { continue };
                 if !hashed.contains(&receiver) || flagged.contains(&receiver) {
+                    continue;
+                }
+                if typed_as_unhashed(
+                    unit,
+                    hash_fields,
+                    idx,
+                    code[..pos].trim_end().len(),
+                    &receiver,
+                ) {
                     continue;
                 }
                 let stmt = stmt_window(lines, idx);

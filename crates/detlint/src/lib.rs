@@ -169,11 +169,15 @@ pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
         .collect();
     let ws = workspace::Workspace::build(units, &manifests);
 
+    let mut hash_fields = checks::HashFields::new();
+    for unit in &ws.units {
+        checks::collect_hash_fields(&unit.lines, &unit.parsed, &mut hash_fields);
+    }
     let mut findings: Vec<Finding> = Vec::new();
     let mut suppressions: Vec<SuppressionEntry> = Vec::new();
     for unit in &ws.units {
         suppressions.extend(checks::collect_suppressions(&unit.path, &unit.lines, &mut findings));
-        checks::run_local_rules(&unit.path, &unit.lines, cfg, &mut findings);
+        checks::run_local_rules(unit, &hash_fields, cfg, &mut findings);
         if cfg.rule_enabled(RuleId::SeedProvenance) {
             seed_prov::check(unit, &mut findings);
         }
