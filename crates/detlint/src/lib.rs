@@ -144,12 +144,12 @@ pub fn analyze_source(
 
 /// Analyze a set of in-memory `(rel_path, source)` files as one
 /// workspace (`Cargo.toml` entries are read as crate manifests for R6's
-/// call resolution, not linted): per-file rules (R1–R5, R7), then the cross-file passes
-/// (R6 lock graph, R8 hot-alloc reachability), then suppression
-/// application over everything. This is the whole pipeline —
+/// call resolution, not linted): per-file rules (R1–R5, R7), then the
+/// cross-file passes (R6 lock nesting, R8 hot-alloc reachability), then
+/// suppression application over everything. This is the whole pipeline —
 /// [`analyze_workspace`] is just the file-reading front end — and it is
 /// public so tests can lint a *mutated* copy of the workspace without
-/// touching disk (e.g. seeding an out-of-order lock acquisition and
+/// touching disk (e.g. seeding a nested lock acquisition and
 /// asserting R6 catches it).
 pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Report {
     let (manifests, sources): (Vec<_>, Vec<_>) =

@@ -19,7 +19,7 @@
 //! This is intentionally not a full grammar. It tracks exactly the
 //! token patterns the passes consume and degrades conservatively:
 //! a construct it cannot attribute is simply not indexed (the paired
-//! runtime lock-order tracker exists precisely to catch what the
+//! runtime lock tracker exists precisely to catch what the
 //! static model under-approximates).
 
 use crate::scan::ScanLine;

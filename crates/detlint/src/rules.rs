@@ -18,10 +18,9 @@ pub enum RuleId {
     /// R5: `unwrap_or`/`unwrap_or_default` swallowing parse failures on
     /// paths that should route through typed `Malformed` accounting.
     SilentSwallow,
-    /// R6: workspace lock-acquisition graph — nested acquisitions must
-    /// follow the canonical order declared by `detlint::lock_order`
-    /// comments, including locks held across calls into other locking
-    /// functions.
+    /// R6: no lock is taken while another is held — no nested
+    /// acquisition, including a lock held across a call into another
+    /// locking function.
     LockOrder,
     /// R7: every `StdRng`/`SeedableRng` construction must trace to the
     /// `split_seed` chain, a snapshot-restored state, or a config seed.
@@ -104,10 +103,10 @@ impl RuleId {
                  Malformed accounting instead."
             }
             RuleId::LockOrder => {
-                "Nested lock acquisitions must follow the canonical order \
-                 declared via detlint::lock_order(..); out-of-order or \
-                 undeclared nesting (directly or through a call chain into \
-                 another locking function) is how deadlocks start."
+                "No lock may be taken while another is held, directly or \
+                 through a call chain into another locking function; a \
+                 thread that never waits while holding a lock cannot \
+                 deadlock."
             }
             RuleId::SeedProvenance => {
                 "Every RNG must descend from the split_seed chain, a \

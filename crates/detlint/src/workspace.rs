@@ -1,14 +1,13 @@
 //! Workspace model: every scanned file plus a cross-file function
 //! index, with the conservative call-resolution policy shared by the
-//! R6 (lock order) and R8 (hot alloc) passes.
+//! R6 (lock nesting) and R8 (hot alloc) passes.
 //!
 //! Resolution is name-based — detlint has no type information — so the
 //! two passes ask for different failure modes:
 //!
 //! * **Union** (R6): an ambiguous method call resolves to *every*
-//!   function of that name. Lock classes are a small closed set, so
-//!   over-approximating callees can only add lock-class edges, which is
-//!   fail-closed for a deadlock lint.
+//!   function of that name. Over-approximating callees can only add
+//!   reported nestings, which is fail-closed for a deadlock lint.
 //! * **Unique** (R8): a call resolves only when exactly one candidate
 //!   exists. Alloc tokens are everywhere, so over-approximation would
 //!   drown the hot-path lint in noise; under-approximation is backed
