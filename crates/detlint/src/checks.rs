@@ -475,12 +475,12 @@ fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Ve
                 // `for i in 0..map.len()` only counts; it never observes order.
                 let insensitive = ORDER_INSENSITIVE.iter().any(|t| tail.contains(t));
                 if !insensitive {
-                    for ident in idents_of(tail) {
+                    for ident in idents_of(tail).into_iter().filter(|i| hashed.contains(*i)) {
                         let hashed_use = word_occurrences(tail, ident).into_iter().any(|pos| {
                             let end = tail_start + pos + ident.len();
                             !typed_as_unhashed(unit, hash_fields, idx, end, ident)
                         });
-                        if hashed.contains(ident) && hashed_use {
+                        if hashed_use {
                             flagged.insert(ident.to_string());
                         }
                     }

@@ -146,8 +146,9 @@ fn dependencies(manifest: &str) -> Vec<(&str, &str, &str)> {
 /// manifest at `manifest_path` (`crates/core/Cargo.toml` +
 /// `../minidb` → `crates/minidb`).
 fn path_dependency(manifest_path: &str, line: &str) -> Option<String> {
-    let value = line.split("path").nth(1)?.trim_start().strip_prefix('=')?.trim_start();
-    let relative = value.strip_prefix('"')?.split('"').next()?;
+    let relative = line.split("path").skip(1).find_map(|rest| {
+        rest.trim_start().strip_prefix('=')?.trim_start().strip_prefix('"')?.split('"').next()
+    })?;
     let mut parts: Vec<&str> = manifest_path.split('/').collect();
     parts.pop(); // `Cargo.toml`
     for segment in relative.split('/') {
@@ -171,10 +172,10 @@ fn crate_reach(manifests: &[(String, String)]) -> BTreeMap<String, BTreeSet<Stri
         .iter()
         .filter(|(path, _)| path == "Cargo.toml")
         .flat_map(|(path, text)| {
-            dependencies(text).into_iter().filter_map(|(table, name, line)| {
-                let is_workspace = table == "[workspace.dependencies]";
-                Some((name, path_dependency(path, line).filter(|_| is_workspace)?))
-            })
+            dependencies(text)
+                .into_iter()
+                .filter(|(table, ..)| *table == "[workspace.dependencies]")
+                .filter_map(|(_, name, line)| Some((name, path_dependency(path, line)?)))
         })
         .collect();
     let mut reach: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -321,5 +322,26 @@ impl Workspace {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crate_reach_follows_path_dependencies_transitively() {
+        let manifests = [
+            ("Cargo.toml", "[workspace.dependencies]\nsqlkit = { path = \"crates/sqlkit\" }\n"),
+            ("crates/core/Cargo.toml", "[dependencies]\nminidb = { path = \"../minidb\" }\n"),
+            ("crates/minidb/Cargo.toml", "[dependencies]\nsqlkit.workspace = true\n"),
+            ("crates/sqlkit/Cargo.toml", "[lints]\nworkspace = true\n"),
+        ]
+        .map(|(path, text)| (path.to_string(), text.to_string()));
+        let reach = crate_reach(&manifests);
+        let names = |krate: &str| reach[krate].iter().cloned().collect::<Vec<_>>();
+        assert_eq!(names("crates/core"), ["crates/minidb", "crates/sqlkit"]);
+        assert_eq!(names("crates/minidb"), ["crates/sqlkit"]);
+        assert!(names("crates/sqlkit").is_empty());
     }
 }
