@@ -297,7 +297,7 @@ fn extract_acquisitions(
                     }
                     continue;
                 };
-                let live_end = guard_end(unit, lineno, pos + method.len(), end, &class);
+                let live_end = guard_end(unit, lineno, pos + method.len(), end);
                 out.push(Acq { line: lineno, col: pos, class, end: live_end });
             }
         }
@@ -458,7 +458,7 @@ fn resolve_class(
 }
 
 /// Last line (inclusive) the guard from an acquisition is live.
-fn guard_end(unit: &Unit, lineno: usize, after_pos: usize, fn_end: usize, _class: &str) -> usize {
+fn guard_end(unit: &Unit, lineno: usize, after_pos: usize, fn_end: usize) -> usize {
     let code = &unit.lines[lineno].code;
     let rest = code[after_pos.min(code.len())..].trim();
     // `;` directly, or through the std-mutex `.unwrap()`/`.expect(..)`
