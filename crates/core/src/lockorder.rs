@@ -100,15 +100,30 @@ impl<T> Drop for TrackedGuard<'_, T> {
 mod tests {
     use super::*;
 
+    // With no declared order, every nesting is out of order: one of two
+    // distinct locks (say the memo and a job queue) taken under the
+    // other, and two locks of one kind (say two oracles' memos) at once.
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock nesting")]
-    fn nesting_two_tracked_locks_trips_the_tracker() {
-        let outer: TrackedMutex<()> = TrackedMutex::new(());
-        let inner: TrackedMutex<()> = TrackedMutex::new(());
+    fn out_of_order_nesting_trips_the_tracker() {
+        let outer: TrackedMutex<u32> = TrackedMutex::new(0);
+        let inner: TrackedMutex<Vec<u32>> = TrackedMutex::new(Vec::new());
         let _held = outer.lock();
-        // detlint::allow(lock_order): deliberate nesting; the should_panic expectation proves the runtime tracker rejects it
+        // detlint::allow(lock_order): deliberate nesting of two distinct locks; the should_panic expectation proves the runtime tracker rejects it
         let _violation = inner.lock();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock nesting")]
+    fn same_rank_nesting_trips_the_tracker() {
+        let a: TrackedMutex<()> = TrackedMutex::new(());
+        let b: TrackedMutex<()> = TrackedMutex::new(());
+        let _held = a.lock();
+        // detlint::allow(lock_order): deliberate nesting of two locks of one kind; the should_panic expectation proves the runtime tracker rejects it
+        let _violation = b.lock();
     }
 
     #[test]

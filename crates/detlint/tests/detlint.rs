@@ -133,7 +133,7 @@ fn a_seeded_lock_order_reversal_turns_the_clean_tree_dirty() {
     // function that acquires `templates` while holding `memo`. The clean
     // workspace must go dirty with a lock_order finding — proving R6
     // catches exactly the nesting the runtime tracker panics on
-    // (`nesting_two_tracked_locks_trips_the_tracker` is the dynamic half).
+    // (`out_of_order_nesting_trips_the_tracker` is the dynamic half).
     let cfg = Config::at_root(workspace_root());
     let mut sources = detlint::workspace_sources(&cfg).expect("tree loads");
     let oracle = sources
