@@ -28,15 +28,20 @@
 //!   Per row, each scan runs its recorded access path and evaluates the
 //!   binding-dependent filters as *selection vectors* of row ids over
 //!   the table's column-major storage ([`crate::storage::Column::int_view`]/
-//!   [`float_view`]) in chunked, autovectorization-friendly lane loops.
-//!   The joins then run in the recorded order on typed keys over those
-//!   row ids: each builds a hash table on the next scan's selection and
-//!   probes it with the tuples joined so far, keeping only the row ids a
-//!   later join or the output phase reads. The output phase counts:
-//!   distinct typed `GROUP BY` keys, distinct projected keys for
-//!   `DISTINCT`, and the charges `executor::output_phase` makes. No row
-//!   is materialized, no `Value` is cloned, and the warm path allocates
-//!   nothing. Admission requires:
+//!   [`float_view`]). Each conjunct is lowered once per row to an
+//!   operator-specialized comparator; all of a scan's conjuncts AND into
+//!   one bit mask per 64-row chunk, which a branch-free compaction turns
+//!   into row ids. An unfiltered scan selects nothing: its input is the
+//!   whole table. The joins then run in the recorded order on typed keys
+//!   over those row ids: each builds a hash table on the next scan's
+//!   selection and probes it with the tuples joined so far, keeping only
+//!   the row ids a later join or the output phase reads. A build over an
+//!   unfiltered scan does not depend on the bindings: the caller's
+//!   [`ExecScratch`] keeps it for the following batches of the same plan.
+//!   The output phase counts: distinct typed `GROUP BY` keys, distinct
+//!   projected keys for `DISTINCT`, and the charges
+//!   `executor::output_phase` makes. No row is materialized, no `Value`
+//!   is cloned, and the warm path allocates nothing. Admission requires:
 //!   - no subqueries, residual or leftover predicates, or `HAVING`;
 //!   - `WHERE` conjuncts that are simple comparisons/`BETWEEN`s over
 //!     numeric storage columns with placeholder or numeric/NULL literal
@@ -91,12 +96,10 @@ use crate::planner;
 use crate::prepared::{BindingBatch, PreparedTemplate, RecostScratch};
 use crate::storage::{Column, DataType, Dictionary, Table};
 use sqlkit::{BinaryOp, ColumnRef, Expr, Value};
-use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-/// Lane width of the chunked predicate kernels. 64 boolean lanes fit in
-/// a cache line and give the compiler a fixed-trip-count inner loop to
-/// autovectorize; the scalar tail handles the final partial chunk.
+/// Lane width of the predicate kernels: the rows of one chunk, one bit
+/// each of its `u64` pass mask.
 const LANES: usize = 64;
 
 /// Most relations a columnar pipeline joins; larger statements take the
@@ -122,10 +125,15 @@ pub struct ExecScratch {
     /// and join order.
     recost: RecostScratch,
     /// Selection vector per scan: storage row ids passing its conjuncts.
-    selections: Vec<Vec<u32>>,
+    selections: Vec<Selection>,
     /// Hash-join build table per scan, used when it is a join's right
     /// input.
     builds: Vec<JoinTable>,
+    /// The plan the binding-invariant `builds` were made for. They
+    /// outlive the batch: the next batch of the same plan reuses them.
+    /// A `Weak` keeps the plan's allocation, so its address names no
+    /// other plan while held, without keeping the plan alive.
+    builds_for: Weak<PreparedTemplate>,
     /// The tuples joined so far and the next join's output, flat:
     /// `layout.len()` row ids per tuple, one per kept scan.
     tuples: Vec<u32>,
@@ -531,7 +539,7 @@ impl ColumnarPlan {
 
     fn run(
         &self,
-        plan: &PreparedTemplate,
+        plan: &Arc<PreparedTemplate>,
         db: &Database,
         batch: &BindingBatch,
         scratch: &mut ExecScratch,
@@ -567,15 +575,19 @@ impl ColumnarPlan {
         }
 
         if scratch.selections.len() < k {
-            scratch.selections.resize_with(k, Vec::new);
+            scratch.selections.resize_with(k, Selection::default);
         }
         if scratch.builds.len() < k {
             scratch.builds.resize_with(k, JoinTable::default);
         }
-        // A build over an unfiltered scan is binding-invariant: it is
-        // reused by every row of this batch.
-        for build in &mut scratch.builds {
-            build.reusable = None;
+        // A build over an unfiltered scan is binding-invariant: every row
+        // of this batch reuses it, and so do the batches that follow of
+        // the same plan.
+        if !std::ptr::eq(scratch.builds_for.as_ptr(), Arc::as_ptr(plan)) {
+            for build in &mut scratch.builds {
+                build.reusable = None;
+            }
+            scratch.builds_for = Arc::downgrade(plan);
         }
 
         for row in 0..n {
@@ -629,19 +641,23 @@ impl ColumnarPlan {
         for (scan, ((step, table), selection)) in
             self.scans.iter().zip(tables).zip(selections.iter_mut()).enumerate()
         {
-            work +=
-                step.fill_selection(db, table, batch, row, access_paths[scan], selection) as u64;
+            work += if step.conjuncts.is_empty() {
+                table.row_count()
+            } else {
+                step.fill_selection(db, table, batch, row, access_paths[scan], selection)
+            } as u64;
         }
+        let input = |scan: usize| self.scans[scan].input(tables[scan], &selections[scan]);
 
-        // The leftmost input: its selection, kept only if read later.
+        // The leftmost input, its row ids kept only if read later.
         let first = order[0];
         let mut joined = 1u64 << first;
-        let mut count = selections[first].len();
+        let mut count = input(first).len();
         layout.clear();
         tuples.clear();
         if self.read_after(first, joined) {
             layout.push(first);
-            tuples.extend_from_slice(&selections[first]);
+            input(first).extend_into(tuples);
         }
 
         // Hash joins in the recorded order.
@@ -664,13 +680,12 @@ impl ColumnarPlan {
                 .iter()
                 .position(|&scan| scan == near.scan)
                 .expect("a join's left key scan is kept until its join");
-            let right = &selections[next];
+            let right = input(next);
             work += (count + right.len()) as u64;
 
             let build = &mut builds[next];
             let build_key = KeyCol::of(&tables[next].columns[far.col]);
-            let invariant = self.scans[next].conjuncts.is_empty();
-            build.build_keys(build_key, right, far.col, keep_right, invariant);
+            build.build_keys(build_key, right, far.col, keep_right);
             let matches = build.probe_all(
                 KeyCol::of(&tables[near.scan].columns[near.col]),
                 build_key,
@@ -798,7 +813,8 @@ fn infallible_aggregate(
 impl ScanStep {
     /// Fill `selection` with this scan's passing row ids for one batch
     /// row, running its recorded access path; returns the candidates the
-    /// executor's scan would charge.
+    /// executor's scan would charge. An unfiltered scan fills nothing:
+    /// its input is the whole table ([`Input::All`]).
     fn fill_selection(
         &self,
         db: &Database,
@@ -806,42 +822,77 @@ impl ScanStep {
         batch: &BindingBatch,
         row: usize,
         access_path: Option<usize>,
-        selection: &mut Vec<u32>,
+        selection: &mut Selection,
     ) -> usize {
         let n_rows = table.row_count();
-        let Some(first) = self.conjuncts.first() else {
-            selection.clear();
-            selection.extend(0..n_rows as u32);
-            return n_rows;
-        };
-        match access_path {
-            None => {
-                // Sequential scan: the executor visits every row.
-                let pred = pred_for(first, table, batch, row);
-                fill_range_pred(&pred, n_rows, selection);
-                for conjunct in &self.conjuncts[1..] {
-                    let pred = pred_for(conjunct, table, batch, row);
-                    retain_pred(&pred, selection);
-                }
-                n_rows
+        // An index scan visits the probe slice, then re-evaluates the
+        // *full* filter on every candidate; a seq scan visits every row.
+        let slice = access_path.map(|w| {
+            let conjunct = &self.conjuncts[w];
+            let (lo, hi) = probe_bounds(conjunct, batch, row);
+            db.index_on(&self.table, &conjunct.name)
+                .expect("an index-scan access path implies the index exists")
+                .probe_slice(lo, hi)
+        });
+        let candidates = slice.map_or(n_rows, <[_]>::len);
+        let mut kernels = [Kernel::Never; FUSED];
+        for (at, group) in self.conjuncts.chunks(FUSED).enumerate() {
+            for (kernel, conjunct) in kernels.iter_mut().zip(group) {
+                *kernel = Kernel::lower(conjunct, table, batch, row);
             }
-            Some(w) => {
-                // Index scan: the executor visits the probe slice, then
-                // re-evaluates the *full* filter on every candidate.
-                let conjunct = &self.conjuncts[w];
-                let (lo, hi) = probe_bounds(conjunct, batch, row);
-                let index = db
-                    .index_on(&self.table, &conjunct.name)
-                    .expect("an index-scan access path implies the index exists");
-                let slice = index.probe_slice(lo, hi);
-                selection.clear();
-                selection.extend(slice.iter().map(|&(_, row_id)| row_id));
-                for conjunct in &self.conjuncts {
-                    let pred = pred_for(conjunct, table, batch, row);
-                    retain_pred(&pred, selection);
-                }
-                slice.len()
+            let kernels = &kernels[..group.len()];
+            if kernels.iter().any(|kernel| matches!(kernel, Kernel::Never)) {
+                selection.len = 0;
+                break;
             }
+            match (at, slice) {
+                (0, None) => selection.filter_range(kernels, n_rows),
+                (0, Some(slice)) => {
+                    let out = selection.room(slice.len());
+                    for (slot, &(_, id)) in out.iter_mut().zip(slice) {
+                        *slot = id;
+                    }
+                    selection.len = slice.len();
+                    selection.filter_ids(kernels);
+                }
+                _ => selection.filter_ids(kernels),
+            }
+        }
+        candidates
+    }
+
+    /// This scan's rows for the joins: the whole table when unfiltered,
+    /// else the selection [`ScanStep::fill_selection`] left.
+    fn input<'s>(&self, table: &Table, selection: &'s Selection) -> Input<'s> {
+        if self.conjuncts.is_empty() {
+            Input::All(table.row_count() as u32)
+        } else {
+            Input::Ids(selection.as_slice())
+        }
+    }
+}
+
+/// The rows a scan feeds into the pipeline.
+#[derive(Debug, Clone, Copy)]
+enum Input<'s> {
+    /// Every row of an unfiltered table: `0..n`, never materialized.
+    All(u32),
+    Ids(&'s [u32]),
+}
+
+impl Input<'_> {
+    fn len(self) -> usize {
+        match self {
+            Input::All(n) => n as usize,
+            Input::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// Append the row ids to `out`.
+    fn extend_into(self, out: &mut Vec<u32>) {
+        match self {
+            Input::All(n) => out.extend(0..n),
+            Input::Ids(ids) => out.extend_from_slice(ids),
         }
     }
 }
@@ -917,17 +968,32 @@ impl<'a> KeyCol<'a> {
         }
     }
 
-    /// Hash of a non-NULL cell; cells [`KeyCol::same`] equates hash
-    /// equally, across the `Int`/`Float` columns too.
+    /// The key word of a non-NULL cell: cells [`KeyCol::same`] equates
+    /// have equal words, across the `Int`/`Float` columns too. Outside
+    /// text columns the converse holds as well (see [`KeyCol::exact`]).
     #[inline(always)]
-    fn hash(self, row: u32) -> u64 {
+    fn word(self, row: u32) -> u64 {
         let row = row as usize;
         match self {
-            KeyCol::Int { values, .. } => mix64(num_key(values[row] as f64)),
-            KeyCol::Float { values, .. } => mix64(num_key(values[row])),
+            KeyCol::Int { values, .. } => num_key(values[row] as f64),
+            KeyCol::Float { values, .. } => num_key(values[row]),
             KeyCol::Str { codes, dict, .. } => str_hash(dict.bytes(codes[row])),
-            KeyCol::Bool { values, .. } => mix64(values[row] as u64 ^ 0xb001),
+            KeyCol::Bool { values, .. } => values[row] as u64,
         }
+    }
+
+    /// Whether equal words mean the same key: true for all but text,
+    /// whose word is a hash of its bytes.
+    #[inline(always)]
+    fn exact(self) -> bool {
+        !matches!(self, KeyCol::Str { .. })
+    }
+
+    /// Hash of a non-NULL cell; cells [`KeyCol::same`] equates hash
+    /// equally.
+    #[inline(always)]
+    fn hash(self, row: u32) -> u64 {
+        mix64(self.word(row))
     }
 
     /// Whether non-NULL cell `a` of this column and `b` of `other` are
@@ -965,8 +1031,9 @@ const NULL_KEY: u32 = u32::MAX;
 struct JoinTable {
     /// Slot → key id + 1 (0 = empty); the length is a power of two.
     slots: Vec<u32>,
-    /// Per key id: its hash, a build row holding it, and its match count.
-    hashes: Vec<u64>,
+    /// Per key id: its word ([`KeyCol::word`]), a build row holding it,
+    /// and its match count.
+    words: Vec<u64>,
     reps: Vec<u32>,
     counts: Vec<u32>,
     /// Per key id: the end of its run in `rows` (filled with rows only).
@@ -975,23 +1042,17 @@ struct JoinTable {
     rows: Vec<u32>,
     /// Key id of each selection entry, or [`NULL_KEY`].
     key_ids: Vec<u32>,
-    /// `(key column, with rows)` of a binding-invariant build that later
-    /// rows of the current batch may reuse.
+    /// `(key column, with rows)` of a build over a whole table, which
+    /// later rows of this plan reuse.
     reusable: Option<(usize, bool)>,
 }
 
 impl JoinTable {
-    /// Build on `selection`, keyed by `key` (storage column `col`). With
-    /// `invariant`, the selection is the whole table, so a build of the
-    /// same column earlier in the batch is reused.
-    fn build_keys(
-        &mut self,
-        key: KeyCol<'_>,
-        selection: &[u32],
-        col: usize,
-        with_rows: bool,
-        invariant: bool,
-    ) {
+    /// Build on `rows`, keyed by `key` (storage column `col`). A build
+    /// over a whole table is binding-invariant, so an earlier build of the
+    /// same column (with rows, if they are wanted) is reused.
+    fn build_keys(&mut self, key: KeyCol<'_>, rows: Input<'_>, col: usize, with_rows: bool) {
+        let invariant = matches!(rows, Input::All(_));
         if invariant
             && self
                 .reusable
@@ -999,32 +1060,46 @@ impl JoinTable {
         {
             return;
         }
-        self.hashes.clear();
+        match rows {
+            Input::All(n) => self.build_from(key, 0..n, with_rows),
+            Input::Ids(ids) => self.build_from(key, ids.iter().copied(), with_rows),
+        }
+        self.reusable = invariant.then_some((col, with_rows));
+    }
+
+    fn build_from(
+        &mut self,
+        key: KeyCol<'_>,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+        with_rows: bool,
+    ) {
+        self.words.clear();
         self.reps.clear();
         self.counts.clear();
         self.key_ids.clear();
-        reset_slots(&mut self.slots, selection.len());
-        for &row in selection {
+        reset_slots(&mut self.slots, rows.len());
+        let exact = key.exact();
+        for row in rows.clone() {
             if key.is_null(row) {
                 self.key_ids.push(NULL_KEY);
                 continue;
             }
-            let hash = key.hash(row);
-            let found = probe_slots(&self.slots, hash, |id| {
-                self.hashes[id] == hash && key.same(self.reps[id], key, row)
+            let word = key.word(row);
+            let found = probe_slots(&self.slots, mix64(word), |id| {
+                self.words[id] == word && (exact || key.same(self.reps[id], key, row))
             });
             let id = found.unwrap_or_else(|slot| {
-                self.slots[slot] = self.hashes.len() as u32 + 1;
-                self.hashes.push(hash);
+                self.slots[slot] = self.words.len() as u32 + 1;
+                self.words.push(word);
                 self.reps.push(row);
                 self.counts.push(0);
-                self.hashes.len() - 1
+                self.words.len() - 1
             });
             self.counts[id] += 1;
             self.key_ids.push(id as u32);
         }
         if with_rows {
-            // Counting sort of the selection by key id.
+            // Counting sort of the rows by key id.
             self.ends.clear();
             let mut end = 0u32;
             for &count in &self.counts {
@@ -1033,7 +1108,7 @@ impl JoinTable {
             }
             self.rows.clear();
             self.rows.resize(end as usize, 0);
-            for (&id, &row) in self.key_ids.iter().zip(selection) {
+            for (&id, row) in self.key_ids.iter().zip(rows) {
                 if id != NULL_KEY {
                     let at = &mut self.ends[id as usize];
                     self.rows[*at as usize] = row;
@@ -1041,7 +1116,6 @@ impl JoinTable {
                 }
             }
         }
-        self.reusable = invariant.then_some((col, with_rows));
     }
 
     /// The key id of `probe`'s cell `row` (`build` is the build column),
@@ -1051,9 +1125,10 @@ impl JoinTable {
         if probe.is_null(row) {
             return None;
         }
-        let hash = probe.hash(row);
-        probe_slots(&self.slots, hash, |id| {
-            self.hashes[id] == hash && build.same(self.reps[id], probe, row)
+        let word = probe.word(row);
+        let exact = probe.exact();
+        probe_slots(&self.slots, mix64(word), |id| {
+            self.words[id] == word && (exact || build.same(self.reps[id], probe, row))
         })
         .ok()
     }
@@ -1105,6 +1180,8 @@ struct DistinctSet {
     slots: Vec<u32>,
     /// Composite-key hash per tuple.
     hashes: Vec<u64>,
+    /// The distinct words, when counting one exact key.
+    words: Vec<u64>,
 }
 
 /// Count the distinct `keys` composite values among `tuples` (laid out
@@ -1129,6 +1206,13 @@ fn count_distinct(
     }
     let column = |key: &ColumnAt| KeyCol::of(&tables[key.scan].columns[key.col]);
     let n = tuples.len() / stride;
+    if let [key] = keys {
+        let col = column(key);
+        if col.exact() {
+            let rows = tuples.iter().skip(key_pos[0]).step_by(stride);
+            return count_words(col, rows, n, set);
+        }
+    }
     set.hashes.clear();
     for tuple in tuples.chunks_exact(stride) {
         let mut hash = 0u64;
@@ -1161,6 +1245,31 @@ fn count_distinct(
         }
     }
     distinct
+}
+
+/// Count the distinct values of one exact key ([`KeyCol::exact`]) over
+/// `n` rows: by word alone, NULL one value.
+fn count_words<'r>(
+    col: KeyCol<'_>,
+    rows: impl Iterator<Item = &'r u32>,
+    n: usize,
+    set: &mut DistinctSet,
+) -> usize {
+    set.words.clear();
+    reset_slots(&mut set.slots, n);
+    let mut null = false;
+    for &row in rows {
+        if col.is_null(row) {
+            null = true;
+            continue;
+        }
+        let word = col.word(row);
+        if let Err(slot) = probe_slots(&set.slots, mix64(word), |id| set.words[id] == word) {
+            set.slots[slot] = set.words.len() as u32 + 1;
+            set.words.push(word);
+        }
+    }
+    set.words.len() + null as usize
 }
 
 /// Empty an open-addressing table of `id + 1` slots (0 = empty), sized
@@ -1260,211 +1369,441 @@ fn probe_bounds(
 
 // ---- predicate kernels ----------------------------------------------
 
-/// One conjunct lowered to a monomorphic row predicate over a column
-/// view for one batch row. Numeric comparisons reproduce
-/// `Value::total_cmp` exactly: `Int`-vs-`Int` compares as `i64`, any
-/// other numeric mix as `f64` with `partial_cmp` falling back to
-/// `Equal` (the NaN convention); a NULL cell or NULL operand never
-/// passes (the evaluator's three-valued logic collapses to false under
-/// `eval_filter`).
-#[derive(Debug)]
-enum Pred<'a> {
-    /// `Int` column vs `Int` operand.
-    CmpII { values: &'a [i64], valid: &'a [bool], op: BinaryOp, b: i64 },
-    /// `Int` column vs `Float` operand.
-    CmpIF { values: &'a [i64], valid: &'a [bool], op: BinaryOp, b: f64 },
-    /// `Float` column vs numeric operand.
-    CmpFF { values: &'a [f64], valid: &'a [bool], op: BinaryOp, b: f64 },
-    /// `Int` column `[NOT] BETWEEN`, each bound kept in its own domain.
-    BetweenInt { values: &'a [i64], valid: &'a [bool], lo: IntBound, hi: IntBound, negated: bool },
-    /// `Float` column `[NOT] BETWEEN`.
-    BetweenFloat { values: &'a [f64], valid: &'a [bool], lo: f64, hi: f64, negated: bool },
-    /// A NULL operand: no row passes, negated or not.
-    Nothing,
-}
-
-/// One `BETWEEN` bound against an `Int` column: an `Int` bound compares
-/// in `i64`, a `Float` bound in `f64` — exactly `Value::total_cmp`.
+/// A conjunct's operand in its comparison domain, exactly
+/// `Value::total_cmp`'s: an `Int` column compares an `Int` operand as
+/// `i64` and a `Float` one as `f64`; a `Float` column compares every
+/// numeric operand as `f64`.
 #[derive(Debug, Clone, Copy)]
-enum IntBound {
+enum Operand {
     I(i64),
     F(f64),
 }
 
-/// `f64` ordering with the evaluator's NaN convention.
-#[inline(always)]
-fn fcmp(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+/// The comparison of one lowered conjunct, its operands bound.
+#[derive(Debug, Clone, Copy)]
+enum Cond {
+    /// `column op operand`, with `op` a comparison operator.
+    Cmp(BinaryOp, Operand),
+    /// `column [NOT] BETWEEN lo AND hi`, each bound in its own domain.
+    Between { lo: Operand, hi: Operand, negated: bool },
 }
 
-/// Ordering of an `Int` cell against a `BETWEEN` bound.
-#[inline(always)]
-fn ibcmp(v: i64, bound: IntBound) -> Ordering {
-    match bound {
-        IntBound::I(b) => v.cmp(&b),
-        IntBound::F(b) => fcmp(v as f64, b),
+/// One conjunct lowered for one batch row: a column view and the
+/// comparison to run on it. [`Kernel::and_range`]/[`Kernel::and_ids`]
+/// pick the op-specialized loop once per block, outside the row loop.
+#[derive(Debug, Clone, Copy)]
+enum Kernel<'a> {
+    Int {
+        values: &'a [i64],
+        valid: &'a [bool],
+        cond: Cond,
+    },
+    Float {
+        values: &'a [f64],
+        valid: &'a [bool],
+        cond: Cond,
+    },
+    /// A NULL operand: the predicate is NULL, so no row passes.
+    Never,
+}
+
+/// Conjunct kernels ANDed into one mask per chunk; a scan with more
+/// conjuncts filters the survivors again, one group at a time.
+const FUSED: usize = 4;
+
+/// An operand a column of `T` compares against: `below(v)` is `v < b` and
+/// `above(v)` is `v > b` in the operand's domain. Both are false against
+/// NaN, which is how the kernels keep the evaluator's convention that a
+/// NaN comparison orders as `Equal`.
+trait Against<T>: Copy {
+    fn below(self, v: T) -> bool;
+    fn above(self, v: T) -> bool;
+}
+
+impl Against<i64> for i64 {
+    #[inline(always)]
+    fn below(self, v: i64) -> bool {
+        v < self
+    }
+    #[inline(always)]
+    fn above(self, v: i64) -> bool {
+        v > self
     }
 }
 
-/// The evaluator's comparison-operator truth table over an ordering.
-#[inline(always)]
-fn ord_ok(op: BinaryOp, ordering: Ordering) -> bool {
-    match op {
-        BinaryOp::Eq => ordering == Ordering::Equal,
-        BinaryOp::NotEq => ordering != Ordering::Equal,
-        BinaryOp::Lt => ordering == Ordering::Less,
-        BinaryOp::LtEq => ordering != Ordering::Greater,
-        BinaryOp::Gt => ordering == Ordering::Greater,
-        BinaryOp::GtEq => ordering != Ordering::Less,
-        _ => unreachable!("kernels only admit comparison operators"),
+impl Against<i64> for f64 {
+    #[inline(always)]
+    fn below(self, v: i64) -> bool {
+        (v as f64) < self
+    }
+    #[inline(always)]
+    fn above(self, v: i64) -> bool {
+        (v as f64) > self
     }
 }
 
-/// Lower one conjunct to its row predicate for `row`'s bound values.
-fn pred_for<'a>(
-    conjunct: &ScanConjunct,
-    table: &'a Table,
-    batch: &BindingBatch,
-    row: usize,
-) -> Pred<'a> {
-    let column = &table.columns[conjunct.col];
-    match &conjunct.kind {
-        ConjunctKind::Cmp { op, value } => {
-            let value = value.resolve(batch, row).clone();
-            if let Some((values, valid)) = column.int_view() {
-                match value {
-                    Value::Int(b) => Pred::CmpII { values, valid, op: *op, b },
-                    Value::Float(b) => Pred::CmpIF { values, valid, op: *op, b },
-                    // NULL never matches; Bool/Str rows took the row
-                    // executor before reaching the kernels.
-                    _ => Pred::Nothing,
-                }
-            } else if let Some((values, valid)) = column.float_view() {
-                match value.as_f64() {
-                    Some(b) => Pred::CmpFF { values, valid, op: *op, b },
-                    None => Pred::Nothing,
-                }
-            } else {
-                unreachable!("tier admission requires a numeric storage column")
+impl Against<f64> for f64 {
+    #[inline(always)]
+    fn below(self, v: f64) -> bool {
+        v < self
+    }
+    #[inline(always)]
+    fn above(self, v: f64) -> bool {
+        v > self
+    }
+}
+
+/// A cell test specialized to one operator and operand domain. Each is
+/// written over `below`/`above` with non-short-circuit `&`/`|`, so a
+/// lane loop over it has no data-dependent branch: `>=` is `!(a < b)`,
+/// `<=` is `!(a > b)`, `=` is `!(a < b) & !(a > b)` and `<>` is
+/// `(a < b) | (a > b)`.
+trait CellTest<T>: Copy {
+    fn test(self, v: T) -> bool;
+}
+
+macro_rules! cell_tests {
+    ($($(#[$doc:meta])* $name:ident($($b:ident: $B:ident),+) => |$v:ident| $body:expr;)+) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy)]
+        struct $name<$($B),+>($($B),+);
+
+        impl<T: Copy, $($B: Against<T>),+> CellTest<T> for $name<$($B),+> {
+            #[inline(always)]
+            fn test(self, $v: T) -> bool {
+                let $name($($b),+) = self;
+                $body
             }
         }
-        ConjunctKind::Between { negated, low, high } => {
-            let lo = low.resolve(batch, row).clone();
-            let hi = high.resolve(batch, row).clone();
-            if lo.is_null() || hi.is_null() {
-                // A NULL bound makes the whole predicate NULL → false.
-                return Pred::Nothing;
-            }
-            if let Some((values, valid)) = column.int_view() {
-                let bound = |v: &Value| match v {
-                    Value::Int(b) => IntBound::I(*b),
-                    Value::Float(b) => IntBound::F(*b),
-                    _ => unreachable!("fallback guard admits only numeric bounds"),
-                };
-                Pred::BetweenInt {
-                    values,
-                    valid,
-                    lo: bound(&lo),
-                    hi: bound(&hi),
-                    negated: *negated,
-                }
-            } else if let Some((values, valid)) = column.float_view() {
-                let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) else {
-                    unreachable!("fallback guard admits only numeric bounds")
-                };
-                Pred::BetweenFloat { values, valid, lo, hi, negated: *negated }
-            } else {
-                unreachable!("tier admission requires a numeric storage column")
-            }
-        }
-    }
+    )+};
 }
 
-/// Expand `pred` into a monomorphic closure and run `$body` with it —
-/// the match happens once per kernel invocation, outside the row loops,
-/// so each instantiation is a tight loop over primitive slices.
-macro_rules! with_pass {
-    ($pred:expr, |$pass:ident| $body:expr) => {
-        match $pred {
-            Pred::CmpII { values, valid, op, b } => {
-                let $pass = |row: usize| valid[row] && ord_ok(*op, values[row].cmp(b));
+cell_tests! {
+    /// `v < b`.
+    Lt(b: B) => |v| b.below(v);
+    /// `v <= b`.
+    Le(b: B) => |v| !b.above(v);
+    /// `v > b`.
+    Gt(b: B) => |v| b.above(v);
+    /// `v >= b`.
+    Ge(b: B) => |v| !b.below(v);
+    /// `v = b`.
+    Eq(b: B) => |v| !b.below(v) & !b.above(v);
+    /// `v <> b`.
+    Ne(b: B) => |v| b.below(v) | b.above(v);
+    /// `v BETWEEN lo AND hi`.
+    Inside(lo: L, hi: H) => |v| !lo.below(v) & !hi.above(v);
+    /// `v NOT BETWEEN lo AND hi`.
+    Outside(lo: L, hi: H) => |v| lo.below(v) | hi.above(v);
+}
+
+/// Run `$body` with `$test` bound to the [`CellTest`] of `$op` against
+/// operand `$b`: one monomorphic instantiation of `$body` per operator.
+macro_rules! by_op {
+    ($op:expr, $b:expr, |$test:ident| $body:expr) => {
+        match $op {
+            BinaryOp::Lt => {
+                let $test = Lt($b);
                 $body
             }
-            Pred::CmpIF { values, valid, op, b } => {
-                let $pass = |row: usize| valid[row] && ord_ok(*op, fcmp(values[row] as f64, *b));
+            BinaryOp::LtEq => {
+                let $test = Le($b);
                 $body
             }
-            Pred::CmpFF { values, valid, op, b } => {
-                let $pass = |row: usize| valid[row] && ord_ok(*op, fcmp(values[row], *b));
+            BinaryOp::Gt => {
+                let $test = Gt($b);
                 $body
             }
-            Pred::BetweenInt { values, valid, lo, hi, negated } => {
-                let $pass = |row: usize| {
-                    valid[row] && {
-                        let v = values[row];
-                        let inside =
-                            ibcmp(v, *lo) != Ordering::Less && ibcmp(v, *hi) != Ordering::Greater;
-                        inside != *negated
-                    }
-                };
+            BinaryOp::GtEq => {
+                let $test = Ge($b);
                 $body
             }
-            Pred::BetweenFloat { values, valid, lo, hi, negated } => {
-                let $pass = |row: usize| {
-                    valid[row] && {
-                        let v = values[row];
-                        let inside =
-                            fcmp(v, *lo) != Ordering::Less && fcmp(v, *hi) != Ordering::Greater;
-                        inside != *negated
-                    }
-                };
+            BinaryOp::Eq => {
+                let $test = Eq($b);
                 $body
             }
-            Pred::Nothing => {
-                let $pass = |_row: usize| false;
+            BinaryOp::NotEq => {
+                let $test = Ne($b);
                 $body
             }
+            _ => unreachable!("kernels only admit comparison operators"),
         }
     };
 }
 
-/// Fill the selection vector with every row id in `0..n_rows` passing
-/// `pred`, in chunks of [`LANES`]: the lane loop writes plain booleans
-/// (no data-dependent control flow, so it autovectorizes), and the
-/// compaction loop appends the surviving ids.
-fn fill_range_pred(pred: &Pred<'_>, n_rows: usize, selection: &mut Vec<u32>) {
-    selection.clear();
-    if matches!(pred, Pred::Nothing) {
-        return;
-    }
-    with_pass!(pred, |pass| {
-        let mut lanes = [false; LANES];
-        let mut base = 0usize;
-        while base < n_rows {
-            let width = LANES.min(n_rows - base);
-            for (lane, flag) in lanes[..width].iter_mut().enumerate() {
-                *flag = pass(base + lane);
-            }
-            for (lane, flag) in lanes[..width].iter().enumerate() {
-                if *flag {
-                    selection.push((base + lane) as u32);
-                }
-            }
-            base += width;
+/// Run `$body` with `$test` bound to `[NOT] BETWEEN $lo AND $hi`.
+macro_rules! by_negation {
+    ($negated:expr, $lo:expr, $hi:expr, |$test:ident| $body:expr) => {
+        if $negated {
+            let $test = Outside($lo, $hi);
+            $body
+        } else {
+            let $test = Inside($lo, $hi);
+            $body
         }
-    });
+    };
 }
 
-/// Keep only the selection-vector entries passing `pred` (gather +
-/// filter over the already-selected row ids).
-fn retain_pred(pred: &Pred<'_>, selection: &mut Vec<u32>) {
-    if matches!(pred, Pred::Nothing) {
-        selection.clear();
-        return;
+/// Run `$body` with `$values`/`$valid` bound to `$kernel`'s column view
+/// and `$test` to its specialized [`CellTest`], or `$never` for
+/// [`Kernel::Never`]. The match runs once per call, so each arm's `$body`
+/// is a loop with the comparator inlined.
+macro_rules! with_test {
+    ($kernel:expr, |$values:ident, $valid:ident, $test:ident| $body:expr, $never:expr) => {
+        match $kernel {
+            Kernel::Int { values: $values, valid: $valid, cond } => match cond {
+                Cond::Cmp(op, Operand::I(b)) => by_op!(op, b, |$test| $body),
+                Cond::Cmp(op, Operand::F(b)) => by_op!(op, b, |$test| $body),
+                Cond::Between { lo, hi, negated } => match (lo, hi) {
+                    (Operand::I(lo), Operand::I(hi)) => {
+                        by_negation!(negated, lo, hi, |$test| $body)
+                    }
+                    (Operand::I(lo), Operand::F(hi)) => {
+                        by_negation!(negated, lo, hi, |$test| $body)
+                    }
+                    (Operand::F(lo), Operand::I(hi)) => {
+                        by_negation!(negated, lo, hi, |$test| $body)
+                    }
+                    (Operand::F(lo), Operand::F(hi)) => {
+                        by_negation!(negated, lo, hi, |$test| $body)
+                    }
+                },
+            },
+            Kernel::Float { values: $values, valid: $valid, cond } => match cond {
+                Cond::Cmp(op, Operand::F(b)) => by_op!(op, b, |$test| $body),
+                Cond::Between { lo: Operand::F(lo), hi: Operand::F(hi), negated } => {
+                    by_negation!(negated, lo, hi, |$test| $body)
+                }
+                _ => unreachable!("a Float column's operands are lowered to f64"),
+            },
+            Kernel::Never => $never,
+        }
+    };
+}
+
+impl<'a> Kernel<'a> {
+    /// Lower `conjunct` against `table` for `row`'s bound values.
+    fn lower(
+        conjunct: &ScanConjunct,
+        table: &'a Table,
+        batch: &BindingBatch,
+        row: usize,
+    ) -> Kernel<'a> {
+        let column = &table.columns[conjunct.col];
+        // NULL never passes; Bool/Str rows took the row executor before
+        // reaching the kernels.
+        let operand = |source: &ValueSource| match *source.resolve(batch, row) {
+            Value::Int(v) if column.int_view().is_some() => Some(Operand::I(v)),
+            ref v => v.as_f64().map(Operand::F),
+        };
+        let cond = match &conjunct.kind {
+            ConjunctKind::Cmp { op, value } => operand(value).map(|b| Cond::Cmp(*op, b)),
+            ConjunctKind::Between { negated, low, high } => operand(low)
+                .zip(operand(high))
+                .map(|(lo, hi)| Cond::Between { lo, hi, negated: *negated }),
+        };
+        let Some(cond) = cond else { return Kernel::Never };
+        if let Some((values, valid)) = column.int_view() {
+            Kernel::Int { values, valid, cond }
+        } else if let Some((values, valid)) = column.float_view() {
+            Kernel::Float { values, valid, cond }
+        } else {
+            unreachable!("tier admission requires a numeric storage column")
+        }
     }
-    with_pass!(pred, |pass| {
-        selection.retain(|&row| pass(row as usize));
-    });
+
+    /// AND each chunk's pass mask into `masks` for the `rows` rows from
+    /// `base`: `masks[c]` covers rows `base + 64c..`. A chunk no row of
+    /// which is left is not tested again.
+    fn and_range(self, base: usize, rows: usize, masks: &mut [u64]) {
+        with_test!(
+            self,
+            |values, valid, test| {
+                let values = values[base..base + rows].chunks(LANES);
+                let valid = valid[base..base + rows].chunks(LANES);
+                for ((mask, values), valid) in masks.iter_mut().zip(values).zip(valid) {
+                    if *mask != 0 {
+                        *mask &= range_lanes(values, valid, test);
+                    }
+                }
+            },
+            masks.fill(0)
+        )
+    }
+
+    /// [`Kernel::and_range`] over gathered row ids: `masks[c]` covers
+    /// `ids[64c..]`.
+    fn and_ids(self, ids: &[u32], masks: &mut [u64]) {
+        with_test!(
+            self,
+            |values, valid, test| {
+                for (mask, ids) in masks.iter_mut().zip(ids.chunks(LANES)) {
+                    if *mask != 0 {
+                        *mask &= gather_lanes(values, valid, ids, test);
+                    }
+                }
+            },
+            masks.fill(0)
+        )
+    }
+}
+
+/// Pack 0/1 lane bytes into a mask, eight lanes per multiply: with one
+/// bit per byte, the product's top byte gathers bit `i` from byte `i`.
+#[inline(always)]
+fn pack(lanes: &[u8; LANES]) -> u64 {
+    let mut mask = 0u64;
+    for (j, eight) in lanes.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+        mask |= (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j);
+    }
+    mask
+}
+
+/// Test a contiguous run of at most [`LANES`] cells.
+#[inline(always)]
+fn range_lanes<T: Copy, C: CellTest<T>>(values: &[T], valid: &[bool], test: C) -> u64 {
+    let mut lanes = [0u8; LANES];
+    for ((lane, &v), &ok) in lanes.iter_mut().zip(values).zip(valid) {
+        *lane = (ok & test.test(v)) as u8;
+    }
+    pack(&lanes)
+}
+
+/// Test the cells of at most [`LANES`] gathered row ids.
+#[inline(always)]
+fn gather_lanes<T: Copy, C: CellTest<T>>(
+    values: &[T],
+    valid: &[bool],
+    ids: &[u32],
+    test: C,
+) -> u64 {
+    let mut lanes = [0u8; LANES];
+    for (lane, &id) in lanes.iter_mut().zip(ids) {
+        let id = id as usize;
+        *lane = (valid[id] & test.test(values[id])) as u8;
+    }
+    pack(&lanes)
+}
+
+/// Rows per fused block: each kernel call tests a block's chunks, and
+/// the block's masks then compact in one pass.
+const BLOCK: usize = 16 * LANES;
+
+/// Set `masks` to every lane of a `rows`-row block.
+fn reset_masks(masks: &mut [u64], rows: usize) {
+    masks.fill(u64::MAX);
+    if !rows.is_multiple_of(LANES) {
+        *masks.last_mut().expect("a block has a chunk") = u64::MAX >> (LANES - rows % LANES);
+    }
+}
+
+/// Per byte value: the positions of its set bits in order, then zeros.
+const SET_LANES: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut at) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][at] = bit as u8;
+                at += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Slots a [`compact`] may write past the ids it keeps.
+const SLACK: usize = 8;
+
+/// Write `id(i)` for every set bit `i` of `mask` to `out[at..]`, in lane
+/// order, and return the new end. Eight lanes at a time, it writes the
+/// ids that [`SET_LANES`] lists for the mask byte, all eight slots of
+/// them, and advances by the byte's popcount: no branch depends on the
+/// data. `out` must hold [`SLACK`] slots past the last id kept.
+#[inline(always)]
+fn compact(mask: u64, id: impl Fn(usize) -> u32, out: &mut [u32], at: usize) -> usize {
+    let mut end = at;
+    for byte in 0..LANES / 8 {
+        let bits = (mask >> (8 * byte)) as u8;
+        let slots = &mut out[end..end + SLACK];
+        for (slot, &lane) in slots.iter_mut().zip(&SET_LANES[bits as usize]) {
+            *slot = id(8 * byte + lane as usize);
+        }
+        end += bits.count_ones() as usize;
+    }
+    end
+}
+
+/// A selection vector: storage row ids in `ids[..len]`. The buffer only
+/// grows, and the compaction writes into it without clearing it first.
+#[derive(Debug, Default)]
+struct Selection {
+    ids: Vec<u32>,
+    len: usize,
+}
+
+impl Selection {
+    fn as_slice(&self) -> &[u32] {
+        &self.ids[..self.len]
+    }
+
+    /// Empty the selection and make room for `n` ids plus [`SLACK`].
+    fn room(&mut self, n: usize) -> &mut [u32] {
+        if self.ids.len() < n + SLACK {
+            self.ids.resize(n + SLACK, 0);
+        }
+        self.len = 0;
+        &mut self.ids
+    }
+
+    /// Fill the selection with the rows `0..n_rows` that pass every one of
+    /// `kernels`: per block, each kernel ANDs its masks into the block's
+    /// chunk masks, which then compact.
+    fn filter_range(&mut self, kernels: &[Kernel<'_>], n_rows: usize) {
+        let out = self.room(n_rows);
+        let mut masks = [0u64; BLOCK / LANES];
+        let mut end = 0;
+        for base in (0..n_rows).step_by(BLOCK) {
+            let rows = BLOCK.min(n_rows - base);
+            let masks = &mut masks[..rows.div_ceil(LANES)];
+            reset_masks(masks, rows);
+            for kernel in kernels {
+                kernel.and_range(base, rows, masks);
+            }
+            for (c, &mask) in masks.iter().enumerate() {
+                let first = base + c * LANES;
+                end = compact(mask, |lane| (first + lane) as u32, out, end);
+            }
+        }
+        self.len = end;
+    }
+
+    /// Keep, in place and in order, the ids that pass every one of
+    /// `kernels`. Each block is copied out before the compaction writes,
+    /// and the write cursor never passes the block being read.
+    fn filter_ids(&mut self, kernels: &[Kernel<'_>]) {
+        let n = self.len;
+        let mut block = [0u32; BLOCK];
+        let mut masks = [0u64; BLOCK / LANES];
+        let mut end = 0;
+        for read in (0..n).step_by(BLOCK) {
+            let rows = BLOCK.min(n - read);
+            block[..rows].copy_from_slice(&self.ids[read..read + rows]);
+            let masks = &mut masks[..rows.div_ceil(LANES)];
+            reset_masks(masks, rows);
+            for kernel in kernels {
+                kernel.and_ids(&block[..rows], masks);
+            }
+            for (c, &mask) in masks.iter().enumerate() {
+                end = compact(mask, |lane| block[c * LANES + lane], &mut self.ids, end);
+            }
+        }
+        self.len = end;
+    }
 }
 
 #[cfg(test)]
@@ -1855,6 +2194,223 @@ mod tests {
         let mut scratch = ExecScratch::new();
         let results = prepared.execute_batch(&db, &batch, &mut scratch).unwrap();
         assert!(results.is_empty());
+    }
+
+    /// The evaluator's comparison-operator truth table over an ordering:
+    /// the scalar reference the kernels are checked against.
+    fn ord_ok(op: BinaryOp, ordering: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering;
+        match op {
+            BinaryOp::Eq => ordering == Ordering::Equal,
+            BinaryOp::NotEq => ordering != Ordering::Equal,
+            BinaryOp::Lt => ordering == Ordering::Less,
+            BinaryOp::LtEq => ordering != Ordering::Greater,
+            BinaryOp::Gt => ordering == Ordering::Greater,
+            BinaryOp::GtEq => ordering != Ordering::Less,
+            _ => unreachable!("kernels only admit comparison operators"),
+        }
+    }
+
+    /// Whether `cell` passes `kind` (constant operands) under
+    /// `Value::total_cmp`, a NULL cell or operand never passing.
+    fn reference_passes(cell: &Value, kind: &ConjunctKind) -> bool {
+        use std::cmp::Ordering;
+        let constant = |source: &ValueSource| match source {
+            ValueSource::Const(v) => v.clone(),
+            ValueSource::Slot(_) => unreachable!("the truth table binds constants"),
+        };
+        match kind {
+            ConjunctKind::Cmp { op, value } => {
+                let b = constant(value);
+                !cell.is_null() && !b.is_null() && ord_ok(*op, cell.total_cmp(&b))
+            }
+            ConjunctKind::Between { negated, low, high } => {
+                let (lo, hi) = (constant(low), constant(high));
+                if cell.is_null() || lo.is_null() || hi.is_null() {
+                    return false;
+                }
+                let inside = cell.total_cmp(&lo) != Ordering::Less
+                    && cell.total_cmp(&hi) != Ordering::Greater;
+                inside != *negated
+            }
+        }
+    }
+
+    /// A table of `n` rows: `i` an `Int` and `f` a `Float` column, each
+    /// cycling through NULLs and edge values.
+    fn edge_value_table(n: usize) -> Table {
+        use crate::storage::DataType;
+        let two53 = 1i64 << 53;
+        let ints = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(two53),
+            Value::Int(two53 + 1),
+            Value::Int(-(two53 + 1)),
+            Value::Int(42),
+            Value::Null,
+        ];
+        let floats = [
+            Value::Null,
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5),
+            Value::Float(-1.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(two53 as f64),
+            Value::Float(1e300),
+            Value::Float(42.0),
+            Value::Null,
+            Value::Float(-f64::NAN),
+        ];
+        let mut table =
+            Table::new("k", vec![("i".into(), DataType::Int), ("f".into(), DataType::Float)]);
+        for row in 0..n {
+            table.push_row(vec![
+                ints[row % ints.len()].clone(),
+                floats[row * 7 % floats.len()].clone(),
+            ]);
+        }
+        table
+    }
+
+    /// Operands against which the kernels are checked.
+    fn edge_operands() -> Vec<Value> {
+        let two53 = 1i64 << 53;
+        vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(two53 + 1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5),
+            Value::Float(-1.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float((two53 + 1) as f64),
+            Value::Float(42.0),
+        ]
+    }
+
+    /// Every comparison and `[NOT] BETWEEN` over both columns.
+    fn edge_conjuncts() -> Vec<ScanConjunct> {
+        let operands = edge_operands();
+        let mut conjuncts = Vec::new();
+        for (name, col) in [("i", 0), ("f", 1)] {
+            let conjunct = |kind| ScanConjunct { name: name.into(), col, kind };
+            for op in [
+                BinaryOp::Eq,
+                BinaryOp::NotEq,
+                BinaryOp::Lt,
+                BinaryOp::LtEq,
+                BinaryOp::Gt,
+                BinaryOp::GtEq,
+            ] {
+                for b in &operands {
+                    conjuncts.push(conjunct(ConjunctKind::Cmp {
+                        op,
+                        value: ValueSource::Const(b.clone()),
+                    }));
+                }
+            }
+            for (at, lo) in operands.iter().enumerate() {
+                for hi in operands.iter().skip(at % 3).step_by(3) {
+                    for negated in [false, true] {
+                        conjuncts.push(conjunct(ConjunctKind::Between {
+                            negated,
+                            low: ValueSource::Const(lo.clone()),
+                            high: ValueSource::Const(hi.clone()),
+                        }));
+                    }
+                }
+            }
+        }
+        conjuncts
+    }
+
+    /// The rows of `ids` whose cells pass every one of `conjuncts`, by
+    /// the scalar reference.
+    fn reference_rows(table: &Table, conjuncts: &[ScanConjunct], ids: &[u32]) -> Vec<u32> {
+        ids.iter()
+            .copied()
+            .filter(|&row| {
+                conjuncts
+                    .iter()
+                    .all(|c| reference_passes(&table.columns[c.col].get(row as usize), &c.kind))
+            })
+            .collect()
+    }
+
+    /// Table lengths around the chunk width, and a multi-block one.
+    const EDGE_LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, 1000, 2100];
+
+    #[test]
+    fn kernels_match_the_scalar_truth_table() {
+        let batch = BindingBatch::default();
+        let conjuncts = edge_conjuncts();
+        for n in EDGE_LENGTHS {
+            let table = edge_value_table(n);
+            let all: Vec<u32> = (0..n as u32).collect();
+            // Index candidates arrive in key order, not row order.
+            let shuffled: Vec<u32> =
+                (0..n as u32).rev().step_by(2).chain((0..n as u32).step_by(2)).collect();
+            let mut selection = Selection::default();
+            for conjunct in &conjuncts {
+                let kernel = Kernel::lower(conjunct, &table, &batch, 0);
+                let what = format!("n={n} {:?}", conjunct.kind);
+                selection.filter_range(&[kernel], n);
+                let expected = reference_rows(&table, std::slice::from_ref(conjunct), &all);
+                assert_eq!(selection.as_slice(), expected, "range, {what}");
+                let out = selection.room(shuffled.len());
+                out[..shuffled.len()].copy_from_slice(&shuffled);
+                selection.len = shuffled.len();
+                selection.filter_ids(&[kernel]);
+                let expected = reference_rows(&table, std::slice::from_ref(conjunct), &shuffled);
+                assert_eq!(selection.as_slice(), expected, "ids, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_conjuncts_match_one_at_a_time() {
+        let batch = BindingBatch::default();
+        let conjuncts = edge_conjuncts();
+        for n in EDGE_LENGTHS {
+            let table = edge_value_table(n);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut fused = Selection::default();
+            let mut stepwise = Selection::default();
+            for width in 1..=FUSED {
+                // Windows that mix both columns, operators and operands.
+                for start in (0..conjuncts.len()).step_by(37) {
+                    let group: Vec<ScanConjunct> = (0..width)
+                        .map(|k| conjuncts[(start + k * 101) % conjuncts.len()].clone())
+                        .collect();
+                    let kernels: Vec<Kernel<'_>> =
+                        group.iter().map(|c| Kernel::lower(c, &table, &batch, 0)).collect();
+                    fused.filter_range(&kernels, n);
+                    stepwise.filter_range(&kernels[..1], n);
+                    for kernel in &kernels[1..] {
+                        stepwise.filter_ids(std::slice::from_ref(kernel));
+                    }
+                    let what =
+                        format!("n={n} {:?}", group.iter().map(|c| &c.kind).collect::<Vec<_>>());
+                    assert_eq!(fused.as_slice(), stepwise.as_slice(), "{what}");
+                    assert_eq!(fused.as_slice(), reference_rows(&table, &group, &all), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
