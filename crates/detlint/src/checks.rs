@@ -495,17 +495,13 @@ fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Ve
             while let Some(rel) = code[from..].find(sink) {
                 let pos = from + rel;
                 from = pos + sink.len();
-                let Some(receiver) = trailing_ident(&code[..pos]) else { continue };
+                let (site, end) = receiver_end(lines, idx, pos);
+                let before = &lines[site].code[..end];
+                let Some(receiver) = trailing_ident(before) else { continue };
                 if !hashed.contains(&receiver) || flagged.contains(&receiver) {
                     continue;
                 }
-                if typed_as_unhashed(
-                    unit,
-                    hash_fields,
-                    idx,
-                    code[..pos].trim_end().len(),
-                    &receiver,
-                ) {
+                if typed_as_unhashed(unit, hash_fields, site, before.trim_end().len(), &receiver) {
                     continue;
                 }
                 let stmt = stmt_window(lines, idx);
@@ -547,6 +543,26 @@ fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Ve
             });
         }
     }
+}
+
+/// Where the receiver of the method call at byte `pos` of line `idx`
+/// ends: `(idx, pos)`, or, when the call opens its line (a chain rustfmt
+/// broke before `.method()`), the end of the nearest earlier line with
+/// code. Comment-only lines are passed over; a blank line ends the walk.
+fn receiver_end(lines: &[ScanLine], idx: usize, pos: usize) -> (usize, usize) {
+    if !lines[idx].code[..pos].trim().is_empty() {
+        return (idx, pos);
+    }
+    for j in (0..idx).rev() {
+        let code = lines[j].code.trim_end();
+        if !code.is_empty() {
+            return (j, code.len());
+        }
+        if lines[j].comment.trim().is_empty() {
+            break;
+        }
+    }
+    (idx, pos)
 }
 
 /// Position of the ` in ` that separates a `for` pattern from its

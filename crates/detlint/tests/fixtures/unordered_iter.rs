@@ -26,3 +26,19 @@ fn ordered(b: &BTreeMap<u32, String>) -> Vec<String> {
 fn leak(set: &HashSet<u32>) -> String {
     format!("{set:?}")
 }
+
+// rustfmt breaks a long chain before each call: the receiver is on the
+// line above the sink.
+fn broken_chain(m: &HashMap<u32, String>) -> Vec<String> {
+    m
+        .values()
+        .cloned()
+        .collect()
+}
+
+fn broken_count(m: &HashMap<u32, String>) -> usize {
+    m
+        // order-insensitive: only counts
+        .iter()
+        .count()
+}
