@@ -23,9 +23,7 @@ use workload::{CostIntervals, TargetDistribution};
 
 fn db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
-    })
+    DB.get_or_init(|| minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny()))
 }
 
 const SKELETONS: &[&str] = &[
@@ -63,8 +61,7 @@ fn converged_pair(
             conforming[j] += 1;
         }
     }
-    let (interval, &support) =
-        conforming.iter().enumerate().max_by_key(|&(_, &n)| n)?;
+    let (interval, &support) = conforming.iter().enumerate().max_by_key(|&(_, &n)| n)?;
     if support == 0 {
         return None;
     }
@@ -196,16 +193,14 @@ proptest! {
 fn amplified_distribution_matches_target_within_tolerance_at_100k() {
     let db = db();
     let n_target = 80u64;
-    let target =
-        TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), n_target as usize);
+    let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), n_target as usize);
     let specs = redset_template_specs(3);
     let n = 100_000u64;
     let mut config = SqlBarberConfig::fast_test();
     config.amplify = Some(sqlbarber::AmplifyConfig { n, shards: 0, batch: 0, out: None });
     let mut barber = SqlBarber::new(db, config);
-    let report = barber
-        .generate(&specs[..6], &target, CostType::Cardinality)
-        .expect("generation succeeds");
+    let report =
+        barber.generate(&specs[..6], &target, CostType::Cardinality).expect("generation succeeds");
     let amplify = report.amplify.as_ref().expect("amplify stage ran");
 
     assert_eq!(amplify.requested, n);

@@ -27,12 +27,7 @@ fn run_with(
 ) -> GenerationReport {
     let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 80);
     let specs = redset_template_specs(3);
-    let config = SqlBarberConfig {
-        threads,
-        transport,
-        retry,
-        ..SqlBarberConfig::fast_test()
-    };
+    let config = SqlBarberConfig { threads, transport, retry, ..SqlBarberConfig::fast_test() };
     let mut barber = SqlBarber::new(db, config);
     barber
         .generate(&specs[..6], &target, CostType::Cardinality)
@@ -78,8 +73,7 @@ fn storm_rate_00_is_invisible() {
     // byte-for-byte identical: the wrapper draws from its own RNG, never
     // the model's.
     let zero = run_at_rate(&db, 0.0, 1);
-    let none =
-        run_with(&db, TransportFaultConfig::none(), RetryPolicy::default(), 1);
+    let none = run_with(&db, TransportFaultConfig::none(), RetryPolicy::default(), 1);
     assert_eq!(flatten(&zero), flatten(&none), "rate-0 faults changed the workload");
     assert_eq!(zero.final_distance.to_bits(), none.final_distance.to_bits());
     assert!(zero.resilience.is_quiet(), "resilience fired on a healthy transport");
@@ -170,11 +164,8 @@ fn burst_outages_trip_the_breaker_and_the_run_survives() {
     };
     // A short cooldown keeps the virtual-clock run brisk while still
     // exercising open → half-open → closed transitions.
-    let retry = RetryPolicy {
-        breaker_threshold: 4,
-        breaker_cooldown_ms: 500,
-        ..RetryPolicy::default()
-    };
+    let retry =
+        RetryPolicy { breaker_threshold: 4, breaker_cooldown_ms: 500, ..RetryPolicy::default() };
     let report = run_with(&db, transport, retry, 1);
     assert_report_valid(&report);
     assert!(
@@ -190,10 +181,7 @@ fn burst_outages_trip_the_breaker_and_the_run_survives() {
 
     // Same weather with the breaker disabled: still terminates, still
     // valid, rides the bursts out with retries alone.
-    let no_breaker = RetryPolicy {
-        breaker_enabled: false,
-        ..RetryPolicy::default()
-    };
+    let no_breaker = RetryPolicy { breaker_enabled: false, ..RetryPolicy::default() };
     let report = run_with(&db, transport, no_breaker, 1);
     assert_report_valid(&report);
     assert_eq!(report.resilience.breaker_trips, 0);
@@ -211,8 +199,7 @@ fn storm_survives_a_mid_run_kill_and_resume() {
     let db = tpch();
     let baseline = run_at_rate(&db, 0.15, 1);
 
-    let dir = std::env::temp_dir()
-        .join(format!("sqlbarber-chaos-kill-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sqlbarber-chaos-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 80);
     let specs = redset_template_specs(3);
@@ -221,8 +208,7 @@ fn storm_survives_a_mid_run_kill_and_resume() {
         transport: TransportFaultConfig::uniform(0.15),
         ..SqlBarberConfig::fast_test()
     };
-    config.checkpoint =
-        Some(sqlbarber::CheckpointConfig { dir: dir.clone(), every: 1 });
+    config.checkpoint = Some(sqlbarber::CheckpointConfig { dir: dir.clone(), every: 1 });
     let err = SqlBarber::new(&db, config.clone())
         .with_kill_switch(sqlbarber::KillSwitch::parse("mid-search").unwrap())
         .generate(&specs[..6], &target, CostType::Cardinality)
@@ -233,10 +219,7 @@ fn storm_survives_a_mid_run_kill_and_resume() {
         .resume(&dir, &target, CostType::Cardinality)
         .expect("resume under storm succeeds");
     assert_eq!(flatten(&baseline), flatten(&resumed), "workload diverged");
-    assert_eq!(
-        baseline.final_distance.to_bits(),
-        resumed.final_distance.to_bits()
-    );
+    assert_eq!(baseline.final_distance.to_bits(), resumed.final_distance.to_bits());
     assert_eq!(
         baseline.resilience, resumed.resilience,
         "resilience ledger diverged — the snapshot lost LLM stack state"
@@ -245,10 +228,7 @@ fn storm_survives_a_mid_run_kill_and_resume() {
         baseline.degradation, resumed.degradation,
         "degradation ledger diverged across kill/resume"
     );
-    assert!(
-        baseline.resilience.failures > 0,
-        "the storm never fired; this test proved nothing"
-    );
+    assert!(baseline.resilience.failures > 0, "the storm never fired; this test proved nothing");
     assert_report_valid(&resumed);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,20 +10,14 @@
 use sqlbarber::cost::CostType;
 use sqlbarber::snapshot::{CheckpointDir, PhaseState, SchedState, Snapshot, TemplatePool};
 use sqlbarber::{
-    CheckpointConfig, GenerateError, GenerationReport, KillSwitch, SqlBarber,
-    SqlBarberConfig,
+    CheckpointConfig, GenerateError, GenerationReport, KillSwitch, SqlBarber, SqlBarberConfig,
 };
 use std::path::{Path, PathBuf};
 use workload::redset::redset_template_specs;
 use workload::{CostIntervals, TargetDistribution};
 
-const KILL_POINTS: [&str; 5] = [
-    "after-templates",
-    "after-profiling",
-    "after-refine",
-    "mid-search",
-    "after-search",
-];
+const KILL_POINTS: [&str; 5] =
+    ["after-templates", "after-profiling", "after-refine", "mid-search", "after-search"];
 
 fn tpch() -> minidb::Database {
     minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
@@ -47,11 +41,7 @@ fn generate(db: &minidb::Database, config: SqlBarberConfig) -> GenerationReport 
 }
 
 /// Run with the kill switch armed; the chaos switch must actually fire.
-fn generate_killed(
-    db: &minidb::Database,
-    config: SqlBarberConfig,
-    point: &str,
-) -> GenerateError {
+fn generate_killed(db: &minidb::Database, config: SqlBarberConfig, point: &str) -> GenerateError {
     let specs = redset_template_specs(3);
     let err = SqlBarber::new(db, config)
         .with_kill_switch(KillSwitch::parse(point).unwrap())
@@ -100,22 +90,13 @@ fn assert_identical(baseline: &GenerationReport, resumed: &GenerationReport, tag
     assert_eq!(baseline.distribution, resumed.distribution, "{tag}: histogram");
     assert_eq!(baseline.evaluations, resumed.evaluations, "{tag}: budget");
     assert_eq!(baseline.oracle_probes, resumed.oracle_probes, "{tag}: probes");
-    assert_eq!(
-        baseline.oracle_cache_hits, resumed.oracle_cache_hits,
-        "{tag}: cache hits"
-    );
-    assert_eq!(
-        baseline.scheduler_rounds, resumed.scheduler_rounds,
-        "{tag}: scheduler rounds"
-    );
+    assert_eq!(baseline.oracle_cache_hits, resumed.oracle_cache_hits, "{tag}: cache hits");
+    assert_eq!(baseline.scheduler_rounds, resumed.scheduler_rounds, "{tag}: scheduler rounds");
     assert_eq!(
         baseline.n_refined_templates, resumed.n_refined_templates,
         "{tag}: refined templates"
     );
-    assert_eq!(
-        baseline.skipped_intervals, resumed.skipped_intervals,
-        "{tag}: skipped intervals"
-    );
+    assert_eq!(baseline.skipped_intervals, resumed.skipped_intervals, "{tag}: skipped intervals");
     assert_eq!(baseline.resilience, resumed.resilience, "{tag}: resilience stats");
     assert_eq!(baseline.degradation, resumed.degradation, "{tag}: degradation stats");
     assert_eq!(
@@ -126,8 +107,7 @@ fn assert_identical(baseline: &GenerationReport, resumed: &GenerationReport, tag
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("sqlbarber-crash-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sqlbarber-crash-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

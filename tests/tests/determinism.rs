@@ -16,14 +16,10 @@ fn tpch() -> minidb::Database {
 fn run(db: &minidb::Database, threads: usize) -> (GenerationReport, OracleStats) {
     let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 80);
     let specs = redset_template_specs(3);
-    let config = SqlBarberConfig {
-        threads,
-        ..SqlBarberConfig::fast_test()
-    };
+    let config = SqlBarberConfig { threads, ..SqlBarberConfig::fast_test() };
     let mut barber = SqlBarber::new(db, config);
-    let report = barber
-        .generate(&specs[..6], &target, CostType::Cardinality)
-        .expect("generation succeeds");
+    let report =
+        barber.generate(&specs[..6], &target, CostType::Cardinality).expect("generation succeeds");
     let stats = OracleStats {
         logical_probes: report.oracle_probes,
         physical_evals: report.oracle_physical_evals,
@@ -74,10 +70,7 @@ fn end_to_end_is_bit_identical_across_thread_counts() {
     let (serial, serial_stats) = run(&db, 1);
     let serial_manifest = manifest_without_wallclock(&serial);
     assert!(serial_stats.logical_probes > 0, "oracle was never consulted");
-    assert_eq!(
-        serial_stats.cache_hits,
-        serial_stats.logical_probes - serial_stats.physical_evals
-    );
+    assert_eq!(serial_stats.cache_hits, serial_stats.logical_probes - serial_stats.physical_evals);
     assert_eq!(serial_stats.prepared_hits, serial_stats.cache_hits);
     assert_eq!(serial_stats.prepared_misses, serial_stats.physical_evals);
     assert!(serial_stats.scheduler_rounds > 0, "scheduler never ran a round");
@@ -95,11 +88,7 @@ fn end_to_end_is_bit_identical_across_thread_counts() {
             serial.final_distance,
             parallel.final_distance
         );
-        assert_eq!(
-            flatten(&serial),
-            flatten(&parallel),
-            "threads={threads}: query sets diverged"
-        );
+        assert_eq!(flatten(&serial), flatten(&parallel), "threads={threads}: query sets diverged");
         assert_eq!(
             serial.distribution, parallel.distribution,
             "threads={threads}: achieved histograms diverged"
@@ -138,10 +127,7 @@ fn amplified_output_is_bit_identical_across_threads_and_shards() {
         ));
         let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 80);
         let specs = redset_template_specs(3);
-        let mut config = SqlBarberConfig {
-            threads,
-            ..SqlBarberConfig::fast_test()
-        };
+        let mut config = SqlBarberConfig { threads, ..SqlBarberConfig::fast_test() };
         config.amplify = Some(sqlbarber::AmplifyConfig {
             n: 4_000,
             shards,

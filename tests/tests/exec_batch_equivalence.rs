@@ -18,9 +18,7 @@ use std::sync::{Arc, OnceLock};
 
 fn db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
-    })
+    DB.get_or_init(|| minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny()))
 }
 
 /// A template skeleton with its placeholders as `(id, is_int)` and the
@@ -180,9 +178,7 @@ fn binding_batch(
     batch
 }
 
-fn rows_strategy(
-    max_rows: usize,
-) -> impl Strategy<Value = Vec<(Vec<f64>, u32)>> {
+fn rows_strategy(max_rows: usize) -> impl Strategy<Value = Vec<(Vec<f64>, u32)>> {
     prop::collection::vec(
         (prop::collection::vec(-1_000.0f64..60_000.0, 3..4), 0u32..8),
         1..max_rows,

@@ -16,9 +16,7 @@ use std::sync::OnceLock;
 
 fn db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny())
-    })
+    DB.get_or_init(|| minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny()))
 }
 
 /// A template skeleton. `{EXTRA}` marks where randomly generated extra
@@ -130,10 +128,7 @@ const OPS: &[&str] = &[">", "<", ">=", "<="];
 /// Splice `n_extras` random conjuncts into a skeleton and collect the
 /// full `(placeholder id, is_int)` list. Extra placeholders start at 10
 /// so they never collide with the base ids.
-fn build_template(
-    skeleton: &Skeleton,
-    picks: &[(usize, usize)],
-) -> (String, Vec<(u32, bool)>) {
+fn build_template(skeleton: &Skeleton, picks: &[(usize, usize)]) -> (String, Vec<(u32, bool)>) {
     let mut kinds: Vec<(u32, bool)> = skeleton.kinds.to_vec();
     let mut extra = String::new();
     for (i, &(column_idx, op_idx)) in picks.iter().enumerate() {
