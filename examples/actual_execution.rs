@@ -33,8 +33,7 @@ fn main() {
     ];
 
     // Target: execution times (µs) spread over [0, 3 ms].
-    let target =
-        TargetDistribution::uniform(CostIntervals::new(0.0, 3_000.0, 6), 60);
+    let target = TargetDistribution::uniform(CostIntervals::new(0.0, 3_000.0, 6), 60);
 
     let mut barber = SqlBarber::new(&db, SqlBarberConfig::default());
     let report = barber

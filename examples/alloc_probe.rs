@@ -219,22 +219,17 @@ fn main() {
                 conforming[j] += 1;
             }
         }
-        let interval = conforming
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &n)| n)
-            .map(|(j, _)| j)
-            .unwrap();
+        let interval =
+            conforming.iter().enumerate().max_by_key(|(_, &n)| n).map(|(j, _)| j).unwrap();
         let handle = oracle.prepare(&profiled.template).unwrap();
-        let ctx =
-            PairContext::new(&profiled, handle, CostType::Cardinality, intervals, interval)
-                .expect("densest interval has conforming probes");
+        let ctx = PairContext::new(&profiled, handle, CostType::Cardinality, intervals, interval)
+            .expect("densest interval has conforming probes");
         let mut lane = Lane::new();
         let mut writer = workload::StreamingSqlWriter::new(std::io::sink());
         let run_batch = |lane: &mut Lane,
-                             writer: &mut workload::StreamingSqlWriter<std::io::Sink>,
-                             b: u64,
-                             limit: usize| {
+                         writer: &mut workload::StreamingSqlWriter<std::io::Sink>,
+                         b: u64,
+                         limit: usize| {
             lane.run(&db, &ctx, bayesopt::parallel::split_seed(9, b), DEFAULT_BATCH, limit)
                 .expect("recosts");
             let accepted = lane.accepts().len();

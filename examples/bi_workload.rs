@@ -33,9 +33,8 @@ fn main() {
     let target = TargetDistribution::snowset_cost(CostIntervals::paper_default(10), 300);
 
     let mut barber = SqlBarber::new(&db, SqlBarberConfig::default());
-    let report = barber
-        .generate(&specs, &target, CostType::PlanCost)
-        .expect("generation succeeded");
+    let report =
+        barber.generate(&specs, &target, CostType::PlanCost).expect("generation succeeded");
 
     println!("{}", report.summary());
     println!("\nseed templates honored the BI constraints:");
@@ -62,9 +61,5 @@ fn main() {
             no_join += 1;
         }
     }
-    println!(
-        "workload audit: {}/{} queries are join-free",
-        no_join,
-        report.queries.len()
-    );
+    println!("workload audit: {}/{} queries are join-free", no_join, report.queries.len());
 }

@@ -15,8 +15,7 @@
 //! ```
 
 use sqlbarber::{
-    CheckpointConfig, CostType, GenerationReport, KillSwitch, SqlBarber,
-    SqlBarberConfig,
+    CheckpointConfig, CostType, GenerationReport, KillSwitch, SqlBarber, SqlBarberConfig,
 };
 use std::path::PathBuf;
 use std::process::Command;
@@ -25,13 +24,8 @@ use workload::{CostIntervals, TargetDistribution};
 
 const KILL_ENV: &str = "SQLBARBER_KILL_AT";
 const DIR_ENV: &str = "SQLBARBER_CHECKPOINT_DIR";
-const KILL_POINTS: [&str; 5] = [
-    "after-templates",
-    "after-profiling",
-    "after-refine",
-    "mid-search",
-    "after-search",
-];
+const KILL_POINTS: [&str; 5] =
+    ["after-templates", "after-profiling", "after-refine", "mid-search", "after-search"];
 
 fn target() -> TargetDistribution {
     TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 60)
@@ -43,16 +37,17 @@ fn config(checkpoint: Option<CheckpointConfig>) -> SqlBarberConfig {
     config
 }
 
-fn pipeline(db: &minidb::Database, checkpoint: Option<CheckpointConfig>,
-            kill: Option<KillSwitch>) -> GenerationReport {
+fn pipeline(
+    db: &minidb::Database,
+    checkpoint: Option<CheckpointConfig>,
+    kill: Option<KillSwitch>,
+) -> GenerationReport {
     let specs = redset_template_specs(3);
     let mut barber = SqlBarber::new(db, config(checkpoint));
     if let Some(kill) = kill {
         barber = barber.with_kill_switch(kill);
     }
-    barber
-        .generate(&specs[..4], &target(), CostType::Cardinality)
-        .expect("generation succeeded")
+    barber.generate(&specs[..4], &target(), CostType::Cardinality).expect("generation succeeded")
 }
 
 /// Exact (SQL, cost-bits) fingerprint of a workload.
@@ -63,8 +58,7 @@ fn flatten(r: &GenerationReport) -> Vec<(String, u64)> {
 /// Child mode: run the pipeline and abort the process at the kill point.
 fn child(point: &str, dir: PathBuf) -> ! {
     let db = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig::tiny());
-    let kill = KillSwitch::parse(&format!("{point}:abort"))
-        .expect("valid kill point");
+    let kill = KillSwitch::parse(&format!("{point}:abort")).expect("valid kill point");
     // `every: 1` makes the mid-search boundary come due on the first
     // scheduler round regardless of how many rounds the search needs.
     let _ = pipeline(&db, Some(CheckpointConfig { dir, every: 1 }), Some(kill));
@@ -109,16 +103,12 @@ fn main() {
             continue;
         }
 
-        let snapshots = std::fs::read_dir(&dir)
-            .map(|entries| entries.count())
-            .unwrap_or(0);
+        let snapshots = std::fs::read_dir(&dir).map(|entries| entries.count()).unwrap_or(0);
         print!("  child died as planned ({snapshots} snapshot files); resuming… ");
-        let resumed = SqlBarber::new(&db, config(Some(CheckpointConfig {
-            dir: dir.clone(),
-            every: 1,
-        })))
-        .resume(&dir, &target(), CostType::Cardinality)
-        .expect("resume succeeds");
+        let resumed =
+            SqlBarber::new(&db, config(Some(CheckpointConfig { dir: dir.clone(), every: 1 })))
+                .resume(&dir, &target(), CostType::Cardinality)
+                .expect("resume succeeds");
 
         if flatten(&resumed) == reference_flat
             && resumed.final_distance.to_bits() == reference.final_distance.to_bits()

@@ -41,15 +41,19 @@ fn main() {
 
     // 4. Generate.
     let mut barber = SqlBarber::new(&db, SqlBarberConfig::default());
-    let report = barber
-        .generate(&specs, &target, CostType::Cardinality)
-        .expect("generation succeeded");
+    let report =
+        barber.generate(&specs, &target, CostType::Cardinality).expect("generation succeeded");
 
     println!("\n{}", report.summary());
     println!("\ntarget vs achieved per interval:");
     for (j, (t, d)) in report.target_counts.iter().zip(&report.distribution).enumerate() {
-        println!("  [{:>5.0}, {:>5.0})  target {:>3}  got {:>3}", j as f64 * 1000.0,
-                 (j + 1) as f64 * 1000.0, t, d);
+        println!(
+            "  [{:>5.0}, {:>5.0})  target {:>3}  got {:>3}",
+            j as f64 * 1000.0,
+            (j + 1) as f64 * 1000.0,
+            t,
+            d
+        );
     }
 
     println!("\nthree sample queries:");

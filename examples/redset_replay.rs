@@ -39,9 +39,8 @@ fn main() {
     let target = bench.target();
 
     let mut barber = SqlBarber::new(&db, SqlBarberConfig::default());
-    let report = barber
-        .generate(&specs, &target, CostType::PlanCost)
-        .expect("generation succeeded");
+    let report =
+        barber.generate(&specs, &target, CostType::PlanCost).expect("generation succeeded");
 
     println!("\n{}", report.summary());
     println!("\nrewrite loop (Algorithm 1) convergence:");
@@ -58,11 +57,6 @@ fn main() {
     println!("\ncost histogram (■ = 20 queries):");
     for (j, (t, d)) in report.target_counts.iter().zip(&report.distribution).enumerate() {
         let bar = "■".repeat((*d / 20.0).round() as usize);
-        println!(
-            "  {:<12} target {:>4.0} got {:>4.0} {bar}",
-            target.intervals.label(j),
-            t,
-            d
-        );
+        println!("  {:<12} target {:>4.0} got {:>4.0} {bar}", target.intervals.label(j), t, d);
     }
 }
