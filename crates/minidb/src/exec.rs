@@ -1837,7 +1837,17 @@ mod tests {
         let batch = BindingBatch::of(&ids, rows);
         let mut scratch = ExecScratch::new();
         let results = prepared.execute_batch(db, &batch, &mut scratch).unwrap();
-        assert_eq!(results.len(), rows.len());
+        assert_results_match_scalar(db, &template, &batch, results);
+    }
+
+    /// Assert `results` equal, bit for bit, the scalar path's per row.
+    fn assert_results_match_scalar(
+        db: &Database,
+        template: &sqlkit::Template,
+        batch: &BindingBatch,
+        results: &[ExecRowResult],
+    ) {
+        assert_eq!(results.len(), batch.len());
         for (row, result) in results.iter().enumerate() {
             let select = template.instantiate(batch.row(row)).unwrap();
             let expected = db.execute(&select).map(|r| (r.cardinality() as f64, r.work_micros()));
@@ -2137,6 +2147,55 @@ mod tests {
             let results = prepared.execute_batch(&db, &batch, &mut scratch).unwrap();
             let (cardinality, _) = results[0].clone().unwrap();
             assert_eq!(cardinality, all_rows as f64, "{sql}");
+        }
+    }
+
+    #[test]
+    fn invariant_builds_outlive_the_batch() {
+        let db = tpch();
+        // orders and partsupp are unfiltered, so their builds (the same
+        // scan and key column index in both plans) do not depend on the
+        // bindings; lineitem's filter is selective enough to probe them.
+        let join = parse_template(
+            "SELECT COUNT(*) FROM lineitem AS l JOIN orders AS o \
+             ON l.l_orderkey = o.o_orderkey \
+             WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
+        )
+        .unwrap();
+        let other = parse_template(
+            "SELECT COUNT(*) FROM lineitem AS l JOIN partsupp AS ps \
+             ON l.l_partkey = ps.ps_partkey WHERE l.l_extendedprice <= {p_2}",
+        )
+        .unwrap();
+        let (join_exec, other_exec) = (prepare(&db, &join), prepare(&db, &other));
+        let batch = |shift: i64| {
+            let rows: Vec<Vec<(u32, Value)>> = (0..8)
+                .map(|i| {
+                    vec![
+                        (1, Value::Int((i + shift) % 50)),
+                        (2, Value::Float(900.0 + ((i + shift) * 300) as f64)),
+                    ]
+                })
+                .collect();
+            BindingBatch::of(&[1, 2], &rows)
+        };
+        let mut scratch = ExecScratch::new();
+        // Consecutive batches of one plan, another plan in between, then
+        // the first plan again: every result matches the scalar path.
+        for (template, exec, shift) in [
+            (&join, &join_exec, 0),
+            (&join, &join_exec, 5),
+            (&other, &other_exec, 0),
+            (&join, &join_exec, 9),
+        ] {
+            let batch = batch(shift);
+            let results = exec.execute_batch(&db, &batch, &mut scratch).unwrap();
+            assert_results_match_scalar(&db, template, &batch, results);
+            assert!(
+                scratch.builds.iter().any(|build| build.reusable.is_some()),
+                "the orders build is kept for the next batch"
+            );
+            assert!(std::ptr::eq(scratch.builds_for.as_ptr(), Arc::as_ptr(&exec.plan)));
         }
     }
 

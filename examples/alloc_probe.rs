@@ -12,8 +12,10 @@
 //! demonstrates bounded memory at N = 1M (nothing proportional to the
 //! workload is retained); `--exec-batch 256` measures the vectorized
 //! executor (`PreparedExec::execute_batch`) warm path with a reused
-//! [`ExecScratch`], for a single-table filter and for a hash join with
-//! `GROUP BY`, asserting 0.000 allocs/probe in release builds
+//! [`ExecScratch`] over several consecutive batches, for single-table
+//! filters (two fused conjuncts on a seq scan), for a hash join with
+//! `GROUP BY`, and for a join whose unfiltered build side is kept across
+//! batches, asserting 0.000 allocs/probe in release builds
 //! (debug builds run the per-row scalar cross-check, which allocates
 //! by design).
 
@@ -148,10 +150,18 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok());
     if let Some(batch_size) = exec_batch_size {
-        // A single-table filter, a hash join feeding a GROUP BY, and text
-        // grouping keys (dictionary codes hashed by their bytes).
+        // Single-table filters, a hash join feeding a GROUP BY, text
+        // grouping keys (dictionary codes hashed by their bytes), and a
+        // join whose build side (orders, unfiltered) is binding-invariant.
         let templates = [
             "SELECT l.l_orderkey FROM lineitem AS l \
+             WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
+            // Two conjuncts on unindexed columns: a seq scan, one fused
+            // mask per chunk.
+            "SELECT COUNT(*) FROM lineitem AS l \
+             WHERE l.l_discount <= {p_1} AND l.l_extendedprice > {p_2}",
+            "SELECT COUNT(*) FROM lineitem AS l JOIN orders AS o \
+             ON l.l_orderkey = o.o_orderkey \
              WHERE l.l_quantity > {p_1} AND l.l_extendedprice <= {p_2}",
             "SELECT o.o_orderkey, COUNT(*) FROM orders AS o \
              JOIN lineitem AS l ON o.o_orderkey = l.l_orderkey \
@@ -162,34 +172,45 @@ fn main() {
              WHERE c.c_acctbal > {p_1} AND o.o_totalprice <= {p_2} \
              GROUP BY o.o_orderpriority",
         ];
-        let mut batch = BindingBatch::new(vec![1, 2]);
-        for i in 0..batch_size {
-            batch
-                .push_row(&[
-                    (1, sqlkit::Value::Int((i % 50) as i64)),
-                    (2, sqlkit::Value::Float(900.0 + i as f64 * 37.0)),
-                ])
-                .unwrap();
-        }
+        // Consecutive batches bind different values to the same plan.
+        let batches: Vec<BindingBatch> = (0..4)
+            .map(|shift| {
+                let mut batch = BindingBatch::new(vec![1, 2]);
+                for i in 0..batch_size {
+                    batch
+                        .push_row(&[
+                            (1, sqlkit::Value::Int(((i + shift) % 50) as i64)),
+                            (2, sqlkit::Value::Float(900.0 + (i + 7 * shift) as f64 * 37.0)),
+                        ])
+                        .unwrap();
+                }
+                batch
+            })
+            .collect();
         for sql in templates {
             let template = sqlkit::parse_template(sql).unwrap();
             let plan = minidb::PreparedTemplate::prepare(&db, &template).unwrap();
             let exec = minidb::PreparedExec::prepare(&db, std::sync::Arc::new(plan));
             assert_eq!(exec.tier(), "columnar", "probe template must take the kernel tier");
             let mut scratch = minidb::ExecScratch::new();
-            // Warm call: grows the selection vectors, join tables and
+            // Warm calls: grow the selection vectors, join tables and
             // result arena.
-            exec.execute_batch(&db, &batch, &mut scratch).unwrap();
+            for batch in &batches {
+                exec.execute_batch(&db, batch, &mut scratch).unwrap();
+            }
             let before = ALLOCS.load(Ordering::Relaxed);
             for _ in 0..ROUNDS {
-                let results = exec.execute_batch(&db, &batch, &mut scratch).unwrap();
-                assert_eq!(results.len(), batch.len());
+                for batch in &batches {
+                    let results = exec.execute_batch(&db, batch, &mut scratch).unwrap();
+                    assert_eq!(results.len(), batch.len());
+                }
             }
             let after = ALLOCS.load(Ordering::Relaxed);
-            let per = (after - before) as f64 / (ROUNDS * batch.len() as u64) as f64;
+            let probes = ROUNDS * (batches.len() * batch_size) as u64;
+            let per = (after - before) as f64 / probes as f64;
             println!(
-                "allocs per warm exec-batch probe (batch {}): {per:.3} — {}",
-                batch.len(),
+                "allocs per warm exec-batch probe ({} batches of {batch_size}): {per:.3} — {}",
+                batches.len(),
                 sql.split_whitespace().collect::<Vec<_>>().join(" ")
             );
             if cfg!(not(debug_assertions)) {
