@@ -641,11 +641,8 @@ impl ColumnarPlan {
         for (scan, ((step, table), selection)) in
             self.scans.iter().zip(tables).zip(selections.iter_mut()).enumerate()
         {
-            work += if step.conjuncts.is_empty() {
-                table.row_count()
-            } else {
-                step.fill_selection(db, table, batch, row, access_paths[scan], selection)
-            } as u64;
+            work +=
+                step.fill_selection(db, table, batch, row, access_paths[scan], selection) as u64;
         }
         let input = |scan: usize| self.scans[scan].input(tables[scan], &selections[scan]);
 
@@ -813,8 +810,9 @@ fn infallible_aggregate(
 impl ScanStep {
     /// Fill `selection` with this scan's passing row ids for one batch
     /// row, running its recorded access path; returns the candidates the
-    /// executor's scan would charge. An unfiltered scan fills nothing:
-    /// its input is the whole table ([`Input::All`]).
+    /// executor's scan would charge. An unfiltered scan leaves
+    /// `selection` as it is: its input is the whole table
+    /// ([`ScanStep::input`]).
     fn fill_selection(
         &self,
         db: &Database,
@@ -842,17 +840,13 @@ impl ScanStep {
             }
             let kernels = &kernels[..group.len()];
             if kernels.iter().any(|kernel| matches!(kernel, Kernel::Never)) {
-                selection.len = 0;
+                selection.assign(&[]);
                 break;
             }
             match (at, slice) {
                 (0, None) => selection.filter_range(kernels, n_rows),
                 (0, Some(slice)) => {
-                    let out = selection.room(slice.len());
-                    for (slot, &(_, id)) in out.iter_mut().zip(slice) {
-                        *slot = id;
-                    }
-                    selection.len = slice.len();
+                    selection.assign(slice);
                     selection.filter_ids(kernels);
                 }
                 _ => selection.filter_ids(kernels),
@@ -1749,6 +1743,15 @@ struct Selection {
 impl Selection {
     fn as_slice(&self) -> &[u32] {
         &self.ids[..self.len]
+    }
+
+    /// Select the row ids of `entries`, an index slice, in its order.
+    fn assign(&mut self, entries: &[(f64, u32)]) {
+        let out = self.room(entries.len());
+        for (slot, &(_, id)) in out.iter_mut().zip(entries) {
+            *slot = id;
+        }
+        self.len = entries.len();
     }
 
     /// Empty the selection and make room for `n` ids plus [`SLACK`].
