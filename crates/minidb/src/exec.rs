@@ -682,7 +682,7 @@ impl ColumnarPlan {
 
             let build = &mut builds[next];
             let build_key = KeyCol::of(&tables[next].columns[far.col]);
-            build.build_keys(build_key, right, far.col, keep_right);
+            build.build_keys(build_key, right, keep_right);
             let matches = build.probe_all(
                 KeyCol::of(&tables[near.scan].columns[near.col]),
                 build_key,
@@ -976,6 +976,16 @@ impl<'a> KeyCol<'a> {
         }
     }
 
+    /// The address and length of the column's validity vector: while
+    /// its database lives, no other column has them.
+    fn storage(self) -> (usize, usize) {
+        let (KeyCol::Int { valid, .. }
+        | KeyCol::Float { valid, .. }
+        | KeyCol::Str { valid, .. }
+        | KeyCol::Bool { valid, .. }) = self;
+        (valid.as_ptr() as usize, valid.len())
+    }
+
     /// Whether equal words mean the same key: true for all but text,
     /// whose word is a hash of its bytes.
     #[inline(always)]
@@ -1036,21 +1046,22 @@ struct JoinTable {
     rows: Vec<u32>,
     /// Key id of each selection entry, or [`NULL_KEY`].
     key_ids: Vec<u32>,
-    /// `(key column, with rows)` of a build over a whole table, which
-    /// later rows of this plan reuse.
-    reusable: Option<(usize, bool)>,
+    /// For a build over a whole table, which later rows of this plan
+    /// reuse: its key column's storage ([`KeyCol::storage`]) and whether
+    /// it holds rows.
+    reusable: Option<((usize, usize), bool)>,
 }
 
 impl JoinTable {
-    /// Build on `rows`, keyed by `key` (storage column `col`). A build
-    /// over a whole table is binding-invariant, so an earlier build of the
-    /// same column (with rows, if they are wanted) is reused.
-    fn build_keys(&mut self, key: KeyCol<'_>, rows: Input<'_>, col: usize, with_rows: bool) {
+    /// Build on `rows`, keyed by `key`. A build over a whole table is
+    /// binding-invariant, so an earlier build over the same storage
+    /// column (with rows, if they are wanted) is reused.
+    fn build_keys(&mut self, key: KeyCol<'_>, rows: Input<'_>, with_rows: bool) {
         let invariant = matches!(rows, Input::All(_));
         if invariant
             && self
                 .reusable
-                .is_some_and(|(built, has_rows)| built == col && (has_rows || !with_rows))
+                .is_some_and(|(built, has_rows)| built == key.storage() && (has_rows || !with_rows))
         {
             return;
         }
@@ -1058,7 +1069,7 @@ impl JoinTable {
             Input::All(n) => self.build_from(key, 0..n, with_rows),
             Input::Ids(ids) => self.build_from(key, ids.iter().copied(), with_rows),
         }
-        self.reusable = invariant.then_some((col, with_rows));
+        self.reusable = invariant.then_some((key.storage(), with_rows));
     }
 
     fn build_from(
