@@ -1938,6 +1938,21 @@ mod tests {
                 vec![(1, Value::Int(45)), (2, Value::Float(100.0))],
             ],
         );
+        // More conjuncts than one fused group: the rest filter the
+        // survivors, on a seq scan and on index candidates.
+        assert_batch_matches_scalar(
+            &db,
+            "SELECT COUNT(*) FROM lineitem AS l \
+             WHERE l.l_orderkey < {p_1} AND l.l_quantity > 5 \
+               AND l.l_extendedprice < {p_2} AND l.l_discount <= 0.08 \
+               AND l.l_linenumber BETWEEN 2 AND 6 AND l.l_quantity <> 30",
+            "columnar",
+            &[
+                vec![(1, Value::Int(100_000)), (2, Value::Float(50_000.0))],
+                vec![(1, Value::Int(40)), (2, Value::Float(30_000.0))],
+                vec![(1, Value::Int(3)), (2, Value::Null)],
+            ],
+        );
     }
 
     #[test]
