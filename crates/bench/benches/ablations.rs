@@ -54,22 +54,17 @@ fn ablation_warm_start(c: &mut Criterion) {
     // with and without warm-started history.
     use bayesopt::{BoConfig, Evaluation, Optimizer, Space};
     let space = Space::new(vec![bayesopt::Dimension::Float { lo: 0.0, hi: 1.0 }; 3]);
-    let objective = |p: &[f64]| {
-        sqlbarber::bo_search::interval_objective(response(p), 7_000.0, 7_500.0)
-    };
+    let objective =
+        |p: &[f64]| sqlbarber::bo_search::interval_objective(response(p), 7_000.0, 7_500.0);
     let evals_to_hit = |warm: bool, seed: u64| -> usize {
-        let mut bo = Optimizer::new(
-            space.clone(),
-            BoConfig { seed, init_samples: 8, ..Default::default() },
-        );
+        let mut bo =
+            Optimizer::new(space.clone(), BoConfig { seed, init_samples: 8, ..Default::default() });
         if warm {
             let mut rng = StdRng::seed_from_u64(seed ^ 77);
-            bo.warm_start(bayesopt::latin_hypercube(20, 3, &mut rng).into_iter().map(
-                |p| {
-                    let value = objective(&p);
-                    Evaluation { point: p, value }
-                },
-            ));
+            bo.warm_start(bayesopt::latin_hypercube(20, 3, &mut rng).into_iter().map(|p| {
+                let value = objective(&p);
+                Evaluation { point: p, value }
+            }));
         }
         for evals in 1..=300 {
             let p = bo.ask();

@@ -42,10 +42,7 @@ fn converged_state(db: &Database) -> (Vec<ProfiledTemplate>, TargetDistribution)
         profile_template(&oracle, template, CostType::Cardinality, 48, &mut rng)
     })
     .collect();
-    let max = profiled
-        .iter()
-        .flat_map(|t| t.costs.iter())
-        .fold(0.0f64, |a, &b| a.max(b));
+    let max = profiled.iter().flat_map(|t| t.costs.iter()).fold(0.0f64, |a, &b| a.max(b));
     let grid = CostIntervals::new(0.0, (max * 1.05).max(1.0), 5);
     let all: Vec<f64> = profiled.iter().flat_map(|t| t.costs.iter().copied()).collect();
     let target = TargetDistribution::from_samples(&all, grid, 200);

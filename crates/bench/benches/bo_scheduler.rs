@@ -107,11 +107,7 @@ fn run_bo_phase(
     // most of the pool and starve the round; 2 templates per task keeps
     // all eight intervals in flight. The tighter run budget caps how long
     // a straggler task can hold a round open past its siblings.
-    let config = BoSearchConfig {
-        weighted_sample: 2,
-        max_run_budget: 120,
-        ..Default::default()
-    };
+    let config = BoSearchConfig { weighted_sample: 2, max_run_budget: 120, ..Default::default() };
     let start = Instant::now();
     let result: SearchResult = bo_predicate_search(
         &oracle,
@@ -123,8 +119,7 @@ fn run_bo_phase(
         |_| {},
     );
     let elapsed = start.elapsed();
-    let fingerprint =
-        result.queries.into_iter().map(|q| (q.sql, q.cost.to_bits())).collect();
+    let fingerprint = result.queries.into_iter().map(|q| (q.sql, q.cost.to_bits())).collect();
     (fingerprint, elapsed, oracle.stats())
 }
 
@@ -142,10 +137,7 @@ fn speedup_table(db: &minidb::Database) {
         match &baseline {
             None => baseline = Some((fp_a, stats_a)),
             Some((fp_1, stats_1)) => {
-                assert_eq!(
-                    fp_1, &fp_a,
-                    "threads={threads}: workload diverged from the serial run"
-                );
+                assert_eq!(fp_1, &fp_a, "threads={threads}: workload diverged from the serial run");
                 assert_eq!(
                     stats_1, &stats_a,
                     "threads={threads}: counters diverged from the serial run"
@@ -199,20 +191,15 @@ fn bench(c: &mut Criterion) {
         move |iters: u64| {
             let mut total = Duration::ZERO;
             for _ in 0..iters {
-                let (fingerprint, elapsed, _) =
-                    run_bo_phase(db, threads, Duration::ZERO);
+                let (fingerprint, elapsed, _) = run_bo_phase(db, threads, Duration::ZERO);
                 std::hint::black_box(fingerprint);
                 total += elapsed;
             }
             total
         }
     };
-    c.bench_function("bo_scheduler/cpu_1_thread", |bencher| {
-        bencher.iter_custom(time_bo_phase(1))
-    });
-    c.bench_function("bo_scheduler/cpu_8_threads", |bencher| {
-        bencher.iter_custom(time_bo_phase(8))
-    });
+    c.bench_function("bo_scheduler/cpu_1_thread", |bencher| bencher.iter_custom(time_bo_phase(1)));
+    c.bench_function("bo_scheduler/cpu_8_threads", |bencher| bencher.iter_custom(time_bo_phase(8)));
 }
 
 criterion_group! {

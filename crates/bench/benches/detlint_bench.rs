@@ -25,8 +25,7 @@ fn full_scan(c: &mut Criterion) {
     let cfg = Config::at_root(workspace_root());
     let sources = workspace_sources(&cfg).expect("tree loads");
     let n_files = sources.len();
-    let total_lines: usize =
-        sources.iter().map(|(_, text)| text.lines().count()).sum();
+    let total_lines: usize = sources.iter().map(|(_, text)| text.lines().count()).sum();
 
     // Timed gate first, on a fresh end-to-end run (including file IO):
     // the CI lint job runs exactly this. Debug builds are an order of

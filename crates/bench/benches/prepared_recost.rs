@@ -105,17 +105,9 @@ fn recost_one_at_a_time(
 /// One warm-up to size the arenas, then one measured 256-row batch.
 fn batch_time(db: &Database, prepared: &PreparedTemplate, batch: &BindingBatch) -> Duration {
     let mut scratch = RecostScratch::new();
-    std::hint::black_box(
-        prepared
-            .recost_batch(db, batch, &mut scratch)
-            .expect("batch recosts"),
-    );
+    std::hint::black_box(prepared.recost_batch(db, batch, &mut scratch).expect("batch recosts"));
     let start = Instant::now();
-    std::hint::black_box(
-        prepared
-            .recost_batch(db, batch, &mut scratch)
-            .expect("batch recosts"),
-    );
+    std::hint::black_box(prepared.recost_batch(db, batch, &mut scratch).expect("batch recosts"));
     start.elapsed()
 }
 
@@ -177,27 +169,15 @@ fn speedup_table(db: &Database, points: &BindingBatch) {
     );
     println!("{:<30} {:>14} {:>12}", "path", "ns/probe", "speedup");
     let row = |name: &str, d: Duration, base: Duration| {
-        println!(
-            "{name:<30} {:>14.0} {:>11.2}x",
-            per_probe(d),
-            ratio(base, d)
-        );
+        println!("{name:<30} {:>14.0} {:>11.2}x", per_probe(d), ratio(base, d));
     };
     row("from_scratch", scratch, scratch);
     row("recost_batch_1", batch_one, scratch);
     row("recost_batch_256", batch_256, scratch);
     row("binding_memo_hit", binding_hit, scratch);
     println!("(same template plus `o.o_orderkey IN (SELECT … > {{p_3}})`)");
-    row(
-        "from_scratch_in_subquery",
-        scratch_in_subquery,
-        scratch_in_subquery,
-    );
-    row(
-        "recost_batch_256_in_subquery",
-        batch_in_subquery,
-        scratch_in_subquery,
-    );
+    row("from_scratch_in_subquery", scratch_in_subquery, scratch_in_subquery);
+    row("recost_batch_256_in_subquery", batch_in_subquery, scratch_in_subquery);
     // Acceptance bars for the fast path (debug builds cross-check every
     // row against the planner inside recost_batch, so only release
     // numbers are meaningful).
@@ -205,10 +185,7 @@ fn speedup_table(db: &Database, points: &BindingBatch) {
     {
         // Gate 1: a batch of one is at least 5x faster than planning
         // from scratch.
-        assert!(
-            speedup >= 5.0,
-            "recost_batch of one only {speedup:.2}x over from-scratch"
-        );
+        assert!(speedup >= 5.0, "recost_batch of one only {speedup:.2}x over from-scratch");
         // Gate 2: a 256-binding batch is at least 3x faster per probe
         // than 256 batches of one.
         assert!(
@@ -247,19 +224,14 @@ fn bench(c: &mut Criterion) {
     });
     for (name, sql) in [
         ("prepared/recost_batch_256", JOIN_AGG),
-        (
-            "prepared/recost_batch_256_in_subquery",
-            JOIN_AGG_IN_SUBQUERY,
-        ),
+        ("prepared/recost_batch_256_in_subquery", JOIN_AGG_IN_SUBQUERY),
     ] {
         c.bench_function(name, |bencher| {
             let prepared = PreparedTemplate::prepare(&db, &self::template(sql)).expect("prepares");
             let mut scratch = RecostScratch::new();
             bencher.iter(|| {
                 std::hint::black_box(
-                    prepared
-                        .recost_batch(&db, &points, &mut scratch)
-                        .expect("batch recosts"),
+                    prepared.recost_batch(&db, &points, &mut scratch).expect("batch recosts"),
                 );
             })
         });

@@ -96,12 +96,7 @@ fn bench(c: &mut Criterion) {
                 "customer".into(),
                 "c_custkey".into(),
             )])
-            .spec(
-                &sqlkit::TemplateSpec::new(1)
-                    .with_tables(2)
-                    .with_joins(1)
-                    .with_aggregations(1),
-            )
+            .spec(&sqlkit::TemplateSpec::new(1).with_tables(2).with_joins(1).with_aggregations(1))
             .build();
         let mut model = llm::SyntheticLlm::reliable(3);
         b.iter(|| std::hint::black_box(model.complete(&prompt)))

@@ -30,11 +30,11 @@
 //! single-run SQLBarber legs; the fig8b seed sweep never checkpoints.
 
 use serde::Serialize;
+use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
+use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
 use sqlbarber_bench::{
     apply_flags, load_db, run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun,
 };
-use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
-use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
 use workload::redset::redset_template_specs;
 use workload::{all_benchmarks, benchmark_by_name, CostType as BenchCostType};
 
@@ -130,8 +130,7 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
     );
     let mut all_runs: Vec<MethodRun> = Vec::new();
     for bench in all_benchmarks() {
-        let applicable =
-            bench.cost_type == metric || bench.cost_type == BenchCostType::Both;
+        let applicable = bench.cost_type == metric || bench.cost_type == BenchCostType::Both;
         if !applicable {
             continue;
         }
@@ -149,10 +148,7 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
 
 fn print_cell(bench: &str, db: &str, runs: &[MethodRun]) {
     println!("\n--- {bench} / {db} ---");
-    println!(
-        "{:<26} {:>12} {:>16} {:>9}",
-        "method", "E2E time (s)", "final distance", "queries"
-    );
+    println!("{:<26} {:>12} {:>16} {:>9}", "method", "E2E time (s)", "final distance", "queries");
     for run in runs {
         println!(
             "{:<26} {:>12.2} {:>16.1} {:>9}",
@@ -186,11 +182,8 @@ fn fig7(config: &HarnessConfig) {
 
     // (c)/(d): vary the number of intervals, 1000 queries.
     println!("\n-- varying #intervals (1000 queries) --");
-    let interval_counts: &[usize] = if config.baseline_evals_per_interval < 5_000 {
-        &[5, 10]
-    } else {
-        &[5, 10, 15, 20, 25]
-    };
+    let interval_counts: &[usize] =
+        if config.baseline_evals_per_interval < 5_000 { &[5, 10] } else { &[5, 10, 15, 20, 25] };
     for &k in interval_counts {
         let bench = base.scaled(1_000, k);
         eprintln!("[fig7] {k} intervals…");
@@ -213,16 +206,9 @@ fn fig8a(config: &HarnessConfig) {
     let mut llm = llm::SyntheticLlm::new(llm::FaultConfig::default(), config.seed);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(config.seed);
     let out = generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
-    println!(
-        "{:<18} {:>14} {:>16}",
-        "rewrite attempt", "spec-correct", "syntax-correct"
-    );
-    for (attempt, (spec, syntax)) in out
-        .stats
-        .spec_correct
-        .iter()
-        .zip(&out.stats.syntax_correct)
-        .enumerate()
+    println!("{:<18} {:>14} {:>16}", "rewrite attempt", "spec-correct", "syntax-correct");
+    for (attempt, (spec, syntax)) in
+        out.stats.spec_correct.iter().zip(&out.stats.syntax_correct).enumerate()
     {
         println!("{attempt:<18} {spec:>14} {syntax:>16}");
     }
@@ -272,8 +258,7 @@ fn fig8b(config: &HarnessConfig) {
                 // 18 variant×seed runs would trample one snapshot dir;
                 // checkpointing only applies to the single-run targets.
                 cfg.checkpoint = None;
-                let mut run =
-                    run_sqlbarber(&db, &bench, &target, CostType::PlanCost, cfg, None);
+                let mut run = run_sqlbarber(&db, &bench, &target, CostType::PlanCost, cfg, None);
                 run.method = name.to_string();
                 seed_runs.push(run);
             }
@@ -322,9 +307,8 @@ fn table2(config: &HarnessConfig) {
         let specs = redset_template_specs(workload::redset::DEFAULT_SEED);
         let mut barber = SqlBarber::new(&db, config.sqlbarber_config());
         eprintln!("[table2] {name}…");
-        let report = barber
-            .generate(&specs, &target, CostType::PlanCost)
-            .expect("generation succeeded");
+        let report =
+            barber.generate(&specs, &target, CostType::PlanCost).expect("generation succeeded");
         if !report.resilience.is_quiet() || !report.degradation.is_quiet() {
             println!("{}", report.resilience_summary());
         }

@@ -1,9 +1,7 @@
 //! Shared experiment harness: database loading, seed-template preparation,
 //! and one-call runners for SQLBarber and both baselines.
 
-use baselines::{
-    mutate_template_pool, BaselineConfig, HillClimbing, LearnedSqlGen, Scheduling,
-};
+use baselines::{mutate_template_pool, BaselineConfig, HillClimbing, LearnedSqlGen, Scheduling};
 use llm::SyntheticLlm;
 use minidb::Database;
 use rand::rngs::StdRng;
@@ -290,9 +288,9 @@ pub fn run_sqlbarber(
         Some(dir) => barber
             .resume(std::path::Path::new(dir), target, cost_type)
             .unwrap_or_else(|e| panic!("SQLBarber resume failed: {e}")),
-        None => barber
-            .generate(&specs, target, cost_type)
-            .expect("SQLBarber produced no templates"),
+        None => {
+            barber.generate(&specs, target, cost_type).expect("SQLBarber produced no templates")
+        }
     };
     if !report.resilience.is_quiet() || !report.degradation.is_quiet() {
         eprintln!("{}", report.resilience_summary());
@@ -387,9 +385,7 @@ pub fn run_all_methods(
         (BaselineKind::LearnedSqlGen, Scheduling::Order),
         (BaselineKind::LearnedSqlGen, Scheduling::Priority),
     ] {
-        runs.push(run_baseline(
-            kind, scheduling, db, bench, &target, cost_type, &seeds, harness,
-        ));
+        runs.push(run_baseline(kind, scheduling, db, bench, &target, cost_type, &seeds, harness));
     }
     runs.push(run_sqlbarber(
         db,
