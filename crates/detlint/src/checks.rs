@@ -495,7 +495,7 @@ fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Ve
             while let Some(rel) = code[from..].find(sink) {
                 let pos = from + rel;
                 from = pos + sink.len();
-                let (site, end) = receiver_end(lines, idx, pos);
+                let (site, end) = sink_receiver(lines, idx, pos);
                 let before = &lines[site].code[..end];
                 let Some(receiver) = trailing_ident(before) else { continue };
                 if !hashed.contains(&receiver) || flagged.contains(&receiver) {
@@ -542,6 +542,23 @@ fn check_unordered_iter(unit: &Unit, hash_fields: &HashFields, findings: &mut Ve
                 snippet: String::new(),
             });
         }
+    }
+}
+
+/// Calls that copy a container, keeping the order it iterates in.
+const ORDER_KEEPING_COPIES: [&str; 2] = [".clone()", ".to_owned()"];
+
+/// Where the receiver of the sink at byte `pos` of line `idx` ends, past
+/// any [`ORDER_KEEPING_COPIES`] between it and the sink: in
+/// `m.clone().into_values()` the receiver is `m`.
+fn sink_receiver(lines: &[ScanLine], idx: usize, pos: usize) -> (usize, usize) {
+    let (mut site, mut end) = receiver_end(lines, idx, pos);
+    loop {
+        let before = lines[site].code[..end].trim_end();
+        let Some(copy) = ORDER_KEEPING_COPIES.iter().find(|c| before.ends_with(*c)) else {
+            return (site, end);
+        };
+        (site, end) = receiver_end(lines, site, before.len() - copy.len());
     }
 }
 

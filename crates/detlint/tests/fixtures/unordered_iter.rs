@@ -42,3 +42,20 @@ fn broken_count(m: &HashMap<u32, String>) -> usize {
         .iter()
         .count()
 }
+
+// A copy iterates in the order of what it copies.
+fn cloned(m: &HashMap<u32, String>) -> Vec<String> {
+    m.clone().into_values().collect()
+}
+
+fn cloned_broken_chain(m: &HashMap<u32, String>) -> Vec<String> {
+    m
+        .to_owned()
+        .clone()
+        .into_values()
+        .collect()
+}
+
+fn cloned_count(m: &HashMap<u32, String>) -> usize {
+    m.clone().into_values().count()
+}
