@@ -305,9 +305,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// pipeline computes are the same). The worker-thread count and the
 /// amplification shard width are plumbing too: output is identical at
 /// any value, so they are recorded as 0, and snapshots of one run are
-/// byte-identical at every thread count.
+/// byte-identical at every thread count. The database counts through its
+/// schema summary (name, tables, row and distinct counts), which reads
+/// statistics only, no row: the same flags at another `--scale` build a
+/// different database, and its snapshot's costs would not hold there.
 fn config_fingerprint(
     config: &SqlBarberConfig,
+    db: &Database,
     target: &TargetDistribution,
     cost_type: CostType,
 ) -> u64 {
@@ -318,7 +322,8 @@ fn config_fingerprint(
         amplify.shards = 0;
         amplify.out = None;
     }
-    fnv1a(format!("{canon:?}|{target:?}|{cost_type:?}").as_bytes())
+    let schema = db.schema_summary();
+    fnv1a(format!("{canon:?}|{schema}|{target:?}|{cost_type:?}").as_bytes())
 }
 
 /// Live checkpoint sink for one run.
@@ -647,12 +652,12 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         target: &TargetDistribution,
         cost_type: CostType,
     ) -> Result<GenerationReport, GenerateError> {
-        let fingerprint = config_fingerprint(&self.config, target, cost_type);
+        let fingerprint = config_fingerprint(&self.config, self.db, target, cost_type);
         if fingerprint != snapshot.fingerprint {
             return Err(GenerateError::Checkpoint(format!(
                 "snapshot fingerprint {:016x} does not match this run's {:016x}; \
-                 resume with the same config, target, and cost type the \
-                 checkpoint was taken under",
+                 resume with the same config, database, target, and cost \
+                 type the checkpoint was taken under",
                 snapshot.fingerprint, fingerprint
             )));
         }
@@ -744,7 +749,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         Ok(Some(Checkpointer {
             dir,
             every: cfg.every.max(1),
-            fingerprint: config_fingerprint(&self.config, target, cost_type),
+            fingerprint: config_fingerprint(&self.config, self.db, target, cost_type),
         }))
     }
 
@@ -1139,15 +1144,16 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_plumbing_but_not_computation() {
+        let db = tpch();
         let target =
             TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
         let base = SqlBarberConfig::fast_test();
-        let fp = config_fingerprint(&base, &target, CostType::Cardinality);
+        let fp = config_fingerprint(&base, &db, &target, CostType::Cardinality);
 
         let mut with_ckpt = base.clone();
         with_ckpt.checkpoint =
             Some(CheckpointConfig { dir: PathBuf::from("/tmp/x"), every: 8 });
-        assert_eq!(fp, config_fingerprint(&with_ckpt, &target, CostType::Cardinality));
+        assert_eq!(fp, config_fingerprint(&with_ckpt, &db, &target, CostType::Cardinality));
 
         // Thread count and shard width never change output, so they are
         // not part of a run's identity.
@@ -1157,13 +1163,13 @@ mod tests {
             ..base.clone()
         };
         let [narrow, wide] = [(1, 1), (8, 3)]
-            .map(|(t, s)| config_fingerprint(&plumbed(t, s), &target, CostType::Cardinality));
+            .map(|(t, s)| config_fingerprint(&plumbed(t, s), &db, &target, CostType::Cardinality));
         assert_eq!(narrow, wide);
 
         let mut other_seed = base.clone();
         other_seed.seed = 43;
-        assert_ne!(fp, config_fingerprint(&other_seed, &target, CostType::Cardinality));
-        assert_ne!(fp, config_fingerprint(&base, &target, CostType::PlanCost));
+        assert_ne!(fp, config_fingerprint(&other_seed, &db, &target, CostType::Cardinality));
+        assert_ne!(fp, config_fingerprint(&base, &db, &target, CostType::PlanCost));
     }
 
     fn flat(report: &GenerationReport) -> Vec<(String, u64)> {
@@ -1236,6 +1242,17 @@ mod tests {
             .resume(&dir, &target, CostType::Cardinality)
             .unwrap_err();
         assert!(matches!(err, GenerateError::Checkpoint(_)), "{err}");
+
+        // The same config over a database at another scale: the snapshot's
+        // costs were measured on a different database.
+        let larger = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig {
+            scale_factor: minidb::datagen::tpch::TpchConfig::tiny().scale_factor * 2.0,
+            ..minidb::datagen::tpch::TpchConfig::tiny()
+        });
+        let err = SqlBarber::new(&larger, config)
+            .resume(&dir, &target, CostType::Cardinality)
+            .unwrap_err();
+        assert!(err.to_string().contains("does not match this run's"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
