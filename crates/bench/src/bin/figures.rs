@@ -5,54 +5,47 @@
 //!                                                         [--bo-rounds-concurrency K]
 //!                                                         [--amplify N] [--amplify-shards K] [--amplify-out PATH]
 //!                                                         [--transport-faults R] [--retry-budget N] [--no-circuit-breaker]
-//!                                                         [--checkpoint-dir DIR] [--checkpoint-every K] [--resume DIR]
 //!   targets: table1 | fig5 | fig6 | fig7 | fig8a | fig8b | table2 | all
 //! ```
 //!
 //! Each target prints the same rows/series the paper reports and writes a
 //! JSON artifact under `results/`. `--quick` (or `SQLBARBER_QUICK=1`)
-//! shrinks database scale and baseline budgets for smoke runs.
-//! `--threads N` sets the cost-oracle worker count (0 = all cores, at
-//! most 256); results are bit-identical at any thread count. Any other flag, a
-//! missing flag value or one that does not parse is a usage error (exit
-//! status 2). `--transport-faults R` injects
-//! LLM transport faults at rate R (deterministic per seed; SQLBarber's
-//! resilience layer absorbs them — the baselines never call the LLM);
-//! `--retry-budget N` and `--no-circuit-breaker` tune that layer.
-//! `--amplify N` appends a post-convergence amplification stage to every
-//! SQLBarber run (`--amplify-shards K`, at most 256, tunes speculation
-//! width without changing output; `--amplify-out PATH` streams the amplified workload
-//! to a file instead of a sink — runs sharing the path overwrite it).
-//! `--checkpoint-dir DIR` makes every SQLBarber run write durable
-//! snapshots (`--checkpoint-every K` sets the mid-search cadence), and
-//! `--resume DIR` restarts a killed run from its newest snapshot —
-//! byte-identical to the uninterrupted run. Both apply only to the
-//! single-run SQLBarber legs; the fig8b seed sweep never checkpoints.
+//! shrinks database scale and baseline budgets for smoke runs. The other
+//! flags configure every SQLBarber leg and mean what they mean to
+//! `sqlbarber generate`, through the same parser and checks
+//! (`sqlbarber::cli`). `--threads N` sets the cost-oracle worker count of
+//! every method (0 = all cores, at most 256); results are bit-identical at
+//! any thread count. `--transport-faults R` (R in [0, 1]) injects LLM
+//! transport faults, deterministic per seed; SQLBarber's resilience layer
+//! absorbs them, and the baselines never call the LLM. `--amplify N`
+//! appends a post-convergence amplification stage to every SQLBarber
+//! run; `--amplify-out PATH` streams it to a file instead of a sink, and
+//! runs sharing the path overwrite it.
+//!
+//! Any other flag, a missing flag value, or a value that does not parse
+//! or is out of range is a usage error (exit status 2), raised before any
+//! database is built. That includes `sqlbarber generate`'s checkpoint
+//! flags (`--checkpoint-dir`, `--checkpoint-every`, `--resume`): a target
+//! runs many SQLBarber legs, and one snapshot directory cannot hold them.
 
 use serde::Serialize;
+use sqlbarber::cli::Dataset;
 use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
-use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
-use sqlbarber_bench::{
-    apply_flags, load_db, run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun,
-};
+use sqlbarber::{outln, CostType, SqlBarber, SqlBarberConfig};
+use sqlbarber_bench::{run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun};
 use workload::redset::redset_template_specs;
-use workload::{all_benchmarks, benchmark_by_name, CostType as BenchCostType};
+use workload::{all_benchmarks, benchmark_by_name, Benchmark, CostType as BenchCostType};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if quick {
-        std::env::set_var("SQLBARBER_QUICK", "1");
-    }
-    let mut config = HarnessConfig::from_env();
-    let positional = match apply_flags(&mut config, &args) {
-        Ok(positional) => positional,
+    let (config, targets) = match HarnessConfig::from_args(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    let target = positional.first().copied().unwrap_or("all");
+    let target = targets.first().map_or("all", String::as_str);
 
     match target {
         "table1" => table1(),
@@ -81,10 +74,14 @@ fn main() {
 // ---------------------------------------------------------------- Table 1
 
 fn table1() {
-    println!("\n=== Table 1: Overview of Benchmarks ===");
-    println!(
+    outln!("\n=== Table 1: Overview of Benchmarks ===");
+    outln!(
         "{:<11} {:<24} {:<15} {:>8} {:>10}",
-        "Source", "Distribution", "Cost Type", "#Queries", "#Intervals"
+        "Source",
+        "Distribution",
+        "Cost Type",
+        "#Queries",
+        "#Intervals"
     );
     #[derive(Serialize)]
     struct Row {
@@ -96,7 +93,7 @@ fn table1() {
     }
     let mut rows = Vec::new();
     for bench in all_benchmarks() {
-        println!(
+        outln!(
             "{:<11} {:<24} {:<15} {:>8} {:>10}",
             bench.source.label(),
             bench.name,
@@ -123,7 +120,7 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
     } else {
         ("fig6", BenchCostType::PlanCost)
     };
-    println!(
+    outln!(
         "\n=== Figure {}: Performance Comparison ({}) ===",
         if cardinality { 5 } else { 6 },
         if cardinality { "Cardinality" } else { "Execution Plan Cost" }
@@ -135,8 +132,10 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
             continue;
         }
         let cost_type = CostType::from_benchmark(bench.cost_type, cardinality);
-        for db_name in ["tpch", "imdb"] {
-            let db = load_db(db_name, config);
+        for (dataset, scale) in
+            [(Dataset::Tpch, config.tpch_sf), (Dataset::Imdb, config.imdb_scale)]
+        {
+            let (db, db_name) = (dataset.generate(scale), dataset.name());
             eprintln!("[{fig}] {} on {db_name}…", bench.name);
             let runs = run_all_methods(&db, &bench, cost_type, config);
             print_cell(bench.name, db_name, &runs);
@@ -147,12 +146,15 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
 }
 
 fn print_cell(bench: &str, db: &str, runs: &[MethodRun]) {
-    println!("\n--- {bench} / {db} ---");
-    println!("{:<26} {:>12} {:>16} {:>9}", "method", "E2E time (s)", "final distance", "queries");
+    outln!("\n--- {bench} / {db} ---");
+    outln!("{:<26} {:>12} {:>16} {:>9}", "method", "E2E time (s)", "final distance", "queries");
     for run in runs {
-        println!(
+        outln!(
             "{:<26} {:>12.2} {:>16.1} {:>9}",
-            run.method, run.e2e_seconds, run.final_distance, run.queries
+            run.method,
+            run.e2e_seconds,
+            run.final_distance,
+            run.queries
         );
     }
 }
@@ -160,39 +162,32 @@ fn print_cell(bench: &str, db: &str, runs: &[MethodRun]) {
 // -------------------------------------------------------------- Figure 7
 
 fn fig7(config: &HarnessConfig) {
-    println!("\n=== Figure 7: Scalability Study (IMDB, Execution Plan Cost) ===");
-    let db = load_db("imdb", config);
+    outln!("\n=== Figure 7: Scalability Study (IMDB, Execution Plan Cost) ===");
+    let db = Dataset::Imdb.generate(config.imdb_scale);
     let base = benchmark_by_name("Redset_Cost_Hard").expect("benchmark exists");
     let mut all_runs: Vec<MethodRun> = Vec::new();
 
-    // (a)/(b): vary the number of queries, 10 intervals.
-    println!("\n-- varying #queries (10 intervals) --");
-    let query_counts: &[usize] =
-        if config.baseline_evals_per_interval < 5_000 { &[50, 500] } else { &[50, 500, 5_000] };
-    for &n in query_counts {
-        let bench = base.scaled(n, 10);
-        eprintln!("[fig7] {n} queries…");
+    let mut run_cell = |label: String, bench: Benchmark| {
+        eprintln!("[fig7] {label}…");
         let mut runs = run_all_methods(&db, &bench, CostType::PlanCost, config);
         for run in &mut runs {
-            run.benchmark = format!("Redset_Cost_Hard/queries={n}");
+            run.benchmark = format!("Redset_Cost_Hard/{label}");
         }
-        print_cell(&format!("queries={n}"), "imdb", &runs);
+        print_cell(&label, "imdb", &runs);
         all_runs.extend(runs);
+    };
+    let full = config.baseline_evals_per_interval >= 5_000;
+
+    // (a)/(b): vary the number of queries, 10 intervals.
+    outln!("\n-- varying #queries (10 intervals) --");
+    for &n in if full { &[50, 500, 5_000][..] } else { &[50, 500] } {
+        run_cell(format!("queries={n}"), base.scaled(n, 10));
     }
 
     // (c)/(d): vary the number of intervals, 1000 queries.
-    println!("\n-- varying #intervals (1000 queries) --");
-    let interval_counts: &[usize] =
-        if config.baseline_evals_per_interval < 5_000 { &[5, 10] } else { &[5, 10, 15, 20, 25] };
-    for &k in interval_counts {
-        let bench = base.scaled(1_000, k);
-        eprintln!("[fig7] {k} intervals…");
-        let mut runs = run_all_methods(&db, &bench, CostType::PlanCost, config);
-        for run in &mut runs {
-            run.benchmark = format!("Redset_Cost_Hard/intervals={k}");
-        }
-        print_cell(&format!("intervals={k}"), "imdb", &runs);
-        all_runs.extend(runs);
+    outln!("\n-- varying #intervals (1000 queries) --");
+    for &k in if full { &[5, 10, 15, 20, 25][..] } else { &[5, 10] } {
+        run_cell(format!("intervals={k}"), base.scaled(1_000, k));
     }
     write_json("fig7", &all_runs);
 }
@@ -200,19 +195,19 @@ fn fig7(config: &HarnessConfig) {
 // ------------------------------------------------------------ Figure 8a
 
 fn fig8a(config: &HarnessConfig) {
-    println!("\n=== Figure 8(a): Rewrite Analysis (IMDB, 24 Redset templates) ===");
-    let db = load_db("imdb", config);
+    outln!("\n=== Figure 8(a): Rewrite Analysis (IMDB, 24 Redset templates) ===");
+    let db = Dataset::Imdb.generate(config.imdb_scale);
     let specs = redset_template_specs(workload::redset::DEFAULT_SEED);
     let mut llm = llm::SyntheticLlm::new(llm::FaultConfig::default(), config.seed);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(config.seed);
     let out = generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
-    println!("{:<18} {:>14} {:>16}", "rewrite attempt", "spec-correct", "syntax-correct");
+    outln!("{:<18} {:>14} {:>16}", "rewrite attempt", "spec-correct", "syntax-correct");
     for (attempt, (spec, syntax)) in
         out.stats.spec_correct.iter().zip(&out.stats.syntax_correct).enumerate()
     {
-        println!("{attempt:<18} {spec:>14} {syntax:>16}");
+        outln!("{attempt:<18} {spec:>14} {syntax:>16}");
     }
-    println!("total templates: {}", out.stats.total);
+    outln!("total templates: {}", out.stats.total);
     #[derive(Serialize)]
     struct Fig8a {
         spec_correct: Vec<usize>,
@@ -232,22 +227,26 @@ fn fig8a(config: &HarnessConfig) {
 // ------------------------------------------------------------ Figure 8b
 
 fn fig8b(config: &HarnessConfig) {
-    println!("\n=== Figure 8(b): Convergence Analysis (IMDB, Redset_Cost) ===");
-    let db = load_db("imdb", config);
+    outln!("\n=== Figure 8(b): Convergence Analysis (IMDB, Redset_Cost) ===");
+    let db = Dataset::Imdb.generate(config.imdb_scale);
     let mut runs = Vec::new();
     for bench_name in ["Redset_Cost_Medium", "Redset_Cost_Hard"] {
         let bench = benchmark_by_name(bench_name).expect("benchmark exists");
         let target = bench.target();
-        let base_config = config.sqlbarber_config();
+        let base_config = config.sqlbarber.clone();
         let variants: [(&str, SqlBarberConfig); 3] = [
             ("SQLBarber", base_config.clone()),
             ("No-Refine-Prune", base_config.clone().without_refinement()),
             ("Naive-Search", base_config.with_random_search()),
         ];
-        println!("\n--- {bench_name} (mean of 3 seeds) ---");
-        println!(
+        outln!("\n--- {bench_name} (mean of 3 seeds) ---");
+        outln!(
             "{:<18} {:>12} {:>16} {:>9} {:>12}",
-            "variant", "E2E time (s)", "final distance", "queries", "oracle calls"
+            "variant",
+            "E2E time (s)",
+            "final distance",
+            "queries",
+            "oracle calls"
         );
         for (name, barber_config) in variants {
             let mut seed_runs = Vec::new();
@@ -255,10 +254,7 @@ fn fig8b(config: &HarnessConfig) {
                 eprintln!("[fig8b] {bench_name}: {name} (seed +{seed_offset})…");
                 let mut cfg = barber_config.clone();
                 cfg.seed = config.seed + seed_offset;
-                // 18 variant×seed runs would trample one snapshot dir;
-                // checkpointing only applies to the single-run targets.
-                cfg.checkpoint = None;
-                let mut run = run_sqlbarber(&db, &bench, &target, CostType::PlanCost, cfg, None);
+                let mut run = run_sqlbarber(&db, &bench, &target, CostType::PlanCost, cfg);
                 run.method = name.to_string();
                 seed_runs.push(run);
             }
@@ -274,9 +270,13 @@ fn fig8b(config: &HarnessConfig) {
             mean.final_distance /= n;
             mean.queries = (mean.queries as f64 / n) as usize;
             mean.evaluations = (mean.evaluations as f64 / n) as usize;
-            println!(
+            outln!(
                 "{:<18} {:>12.2} {:>16.1} {:>9} {:>12}",
-                mean.method, mean.e2e_seconds, mean.final_distance, mean.queries, mean.evaluations
+                mean.method,
+                mean.e2e_seconds,
+                mean.final_distance,
+                mean.queries,
+                mean.evaluations
             );
             runs.push(mean);
         }
@@ -287,11 +287,14 @@ fn fig8b(config: &HarnessConfig) {
 // -------------------------------------------------------------- Table 2
 
 fn table2(config: &HarnessConfig) {
-    println!("\n=== Table 2: SQLBarber Token Usage and Cost on IMDB ===");
-    let db = load_db("imdb", config);
-    println!(
+    outln!("\n=== Table 2: SQLBarber Token Usage and Cost on IMDB ===");
+    let db = Dataset::Imdb.generate(config.imdb_scale);
+    outln!(
         "{:<22} {:>11} {:>16} {:>11}",
-        "Benchmark", "Tokens (K)", "#SQL Templates", "Cost (USD)"
+        "Benchmark",
+        "Tokens (K)",
+        "#SQL Templates",
+        "Cost (USD)"
     );
     #[derive(Serialize)]
     struct Row {
@@ -305,15 +308,15 @@ fn table2(config: &HarnessConfig) {
         let bench = benchmark_by_name(name).expect("benchmark exists");
         let target = bench.target();
         let specs = redset_template_specs(workload::redset::DEFAULT_SEED);
-        let mut barber = SqlBarber::new(&db, config.sqlbarber_config());
+        let mut barber = SqlBarber::new(&db, config.sqlbarber.clone());
         eprintln!("[table2] {name}…");
         let report =
             barber.generate(&specs, &target, CostType::PlanCost).expect("generation succeeded");
         if !report.resilience.is_quiet() || !report.degradation.is_quiet() {
-            println!("{}", report.resilience_summary());
+            outln!("{}", report.resilience_summary());
         }
         if let Some(line) = report.amplify_summary() {
-            println!("{line}");
+            outln!("{line}");
         }
         let row = Row {
             benchmark: name.into(),
@@ -321,9 +324,12 @@ fn table2(config: &HarnessConfig) {
             n_templates: report.total_templates(),
             cost_usd: (report.llm_usage.cost_usd() * 100.0).round() / 100.0,
         };
-        println!(
+        outln!(
             "{:<22} {:>11} {:>16} {:>11.2}",
-            row.benchmark, row.tokens_k, row.n_templates, row.cost_usd
+            row.benchmark,
+            row.tokens_k,
+            row.n_templates,
+            row.cost_usd
         );
         rows.push(row);
     }

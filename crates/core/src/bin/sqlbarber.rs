@@ -26,11 +26,14 @@
 //! distribution is built from observed costs (one number per line) — the
 //! paper's production-statistics scenario.
 
-use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
+use sqlbarber::cli::{
+    load_database, pipeline_config, FlagTable, Flags, COMMON_FLAGS, EXPLAIN_FLAGS, GENERATE_FLAGS,
+    SCHEMA_FLAGS,
+};
+use sqlbarber::{out, outln, CostType, KillSwitch, SqlBarber};
 use sqlkit::TemplateSpec;
+use std::path::{Path, PathBuf};
 use workload::distribution::TargetDistribution;
-use sqlbarber::amplify::{MAX_BATCH, MAX_LANES};
-use sqlbarber::oracle::MAX_THREADS;
 use workload::intervals::MAX_INTERVALS;
 use workload::CostIntervals;
 
@@ -41,7 +44,7 @@ fn main() {
         Some("schema") => schema(&args[1..]),
         Some("explain") => explain(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            print!("{}", HELP);
+            out!("{HELP}");
             0
         }
         Some(other) => {
@@ -140,151 +143,10 @@ EXPLAIN OPTIONS:
   --analyze               also execute and report actuals
 ";
 
-/// `(flag, value count)` accepted by every command.
-const COMMON_FLAGS: &[(&str, usize)] =
-    &[("--db", 1), ("--scale", 1), ("--seed", 1), ("--threads", 1)];
-
-const GENERATE_FLAGS: &[(&str, usize)] = &[
-    ("--benchmark", 1),
-    ("--distribution", 1),
-    ("--samples", 1),
-    ("--queries", 1),
-    ("--intervals", 1),
-    ("--range", 2),
-    ("--cost-type", 1),
-    ("--spec", 1),
-    ("--bo-rounds-concurrency", 1),
-    ("--transport-faults", 1),
-    ("--retry-budget", 1),
-    ("--no-circuit-breaker", 0),
-    ("--out", 1),
-    ("--amplify", 1),
-    ("--amplify-shards", 1),
-    ("--amplify-batch", 1),
-    ("--amplify-out", 1),
-    ("--checkpoint-dir", 1),
-    ("--checkpoint-every", 1),
-    ("--resume", 1),
-    ("--kill-at", 1),
-];
-
-const SCHEMA_FLAGS: &[(&str, usize)] = &[];
-
-const EXPLAIN_FLAGS: &[(&str, usize)] = &[("--sql", 1), ("--analyze", 0)];
-
-struct Flags {
-    values: Vec<(String, Vec<String>)>,
-}
-
-impl Flags {
-    /// Parse `args` against the common flags plus `known` (the command's
-    /// own); an unknown flag is an error, so a typo or a removed flag
-    /// cannot swallow the next argument unnoticed.
-    fn parse(args: &[String], known: &[(&str, usize)]) -> Result<Flags, String> {
-        let mut values: Vec<(String, Vec<String>)> = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = &args[i];
-            if !flag.starts_with("--") {
-                return Err(format!("unexpected argument `{flag}`"));
-            }
-            let Some(&(_, arity)) =
-                COMMON_FLAGS.iter().chain(known).find(|(name, _)| name == flag)
-            else {
-                return Err(format!("unknown flag `{flag}`; see --help"));
-            };
-            if i + arity >= args.len() + usize::from(arity == 0) {
-                return Err(format!("missing value for `{flag}`"));
-            }
-            let flag_values = args[i + 1..i + 1 + arity].to_vec();
-            values.push((flag.clone(), flag_values));
-            i += 1 + arity;
-        }
-        Ok(Flags { values })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .rev()
-            .find(|(flag, _)| flag == name)
-            .and_then(|(_, v)| v.first())
-            .map(String::as_str)
-    }
-
-    fn get_all(&self, name: &str) -> Vec<&str> {
-        self.values
-            .iter()
-            .filter(|(flag, _)| flag == name)
-            .filter_map(|(_, v)| v.first())
-            .map(String::as_str)
-            .collect()
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.values.iter().any(|(flag, _)| flag == name)
-    }
-
-    fn get_pair(&self, name: &str) -> Option<(&str, &str)> {
-        self.values
-            .iter()
-            .rev()
-            .find(|(flag, _)| flag == name)
-            .and_then(|(_, v)| Some((v.first()?.as_str(), v.get(1)?.as_str())))
-    }
-
-    /// `--flag V` parsed as `T`: absent means `default`, present but
-    /// malformed is a usage error — never a silent fallback.
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for `{name}`")),
-        }
-    }
-
-    /// A count flag (default `default`) no larger than `cap`, checked
-    /// before anything starts threads or allocates by it.
-    fn parsed_at_most(&self, name: &str, default: usize, cap: usize) -> Result<usize, String> {
-        let n = self.parsed(name, default)?;
-        if n > cap {
-            let raw = self.get(name).unwrap_or_default();
-            return Err(format!("invalid value `{raw}` for `{name}`: must be at most {cap}"));
-        }
-        Ok(n)
-    }
-
-    /// Like [`Flags::parsed`] but with no default: absent means `None`.
-    fn parsed_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value `{raw}` for `{name}`")),
-        }
-    }
-
-    /// `--flag A B` with both values parsed as `T`.
-    fn parsed_pair<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: (T, T),
-    ) -> Result<(T, T), String> {
-        match self.get_pair(name) {
-            None => Ok(default),
-            Some((a, b)) => {
-                let a = a
-                    .parse()
-                    .map_err(|_| format!("invalid value `{a}` for `{name}`"))?;
-                let b = b
-                    .parse()
-                    .map_err(|_| format!("invalid value `{b}` for `{name}`"))?;
-                Ok((a, b))
-            }
-        }
-    }
+/// Parse one command's flags; an unknown flag points at `--help`.
+fn parse(args: &[String], table: FlagTable) -> Result<Flags, String> {
+    let flags = Flags::parse(args, &[COMMON_FLAGS, table]);
+    flags.map_err(|e| if e.starts_with("unknown flag") { format!("{e}; see --help") } else { e })
 }
 
 /// Unwrap a `Result` from flag parsing inside a `fn(..) -> i32` command,
@@ -301,20 +163,6 @@ macro_rules! try_flag {
     };
 }
 
-/// `--scale` (default `default`): a positive finite number. The
-/// generators would silently clamp anything else to their minimum row
-/// counts.
-fn positive_scale(flags: &Flags, default: f64) -> Result<f64, String> {
-    let scale: f64 = flags.parsed("--scale", default)?;
-    if scale > 0.0 && scale.is_finite() {
-        Ok(scale)
-    } else {
-        Err(format!(
-            "--scale must be a positive finite number, got {scale}"
-        ))
-    }
-}
-
 /// `--intervals` (default 10): from 1 to [`MAX_INTERVALS`], checked before
 /// anything allocates a vector of that length.
 fn interval_count(flags: &Flags) -> Result<usize, String> {
@@ -327,194 +175,86 @@ fn interval_count(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-fn load_db(flags: &Flags) -> Result<minidb::Database, String> {
-    let db = flags.get("--db").unwrap_or("tpch");
-    Ok(match db {
-        "imdb" => {
-            let scale = positive_scale(flags, 4.0)?;
-            minidb::datagen::imdb::generate(minidb::datagen::imdb::ImdbConfig {
-                scale,
-                seed: 1337,
-            })
-        }
-        "tpch" => {
-            let scale = positive_scale(flags, 0.05)?;
-            minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig {
-                scale_factor: scale,
-                seed: 42,
-            })
-        }
-        other => return Err(format!("unknown --db `{other}` (one of tpch, imdb)")),
-    })
-}
-
-fn generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, GENERATE_FLAGS) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let seed: u64 = try_flag!(flags.parsed("--seed", 42));
-    // Every flag is checked below before paying for database generation.
-    let fault_rate: f64 = try_flag!(flags.parsed("--transport-faults", 0.0));
-    if !(0.0..=1.0).contains(&fault_rate) {
-        eprintln!("--transport-faults must be in [0, 1], got {fault_rate}");
-        return 2;
-    }
-    // Validate output/checkpoint paths now, not after a long run.
-    let prefix = flags.get("--out").unwrap_or("workload").to_string();
-    let amplify_n: u64 = try_flag!(flags.parsed("--amplify", 0));
-    let amplify_out = flags
-        .get("--amplify-out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(format!("{prefix}.amplified.sql")));
-    if amplify_n > 0 {
-        if let Some(parent) = amplify_out.parent() {
-            if !parent.as_os_str().is_empty() && !parent.is_dir() {
-                eprintln!(
-                    "cannot write --amplify-out {}: parent directory {} does \
-                     not exist (create it first)",
-                    amplify_out.display(),
-                    parent.display()
-                );
-                return 2;
-            }
-        }
-    }
-    let resume_dir = flags.get("--resume").map(std::path::PathBuf::from);
-    // A resumed run keeps checkpointing into the directory it came from
-    // unless a different one is given explicitly.
-    let checkpoint_dir = flags
-        .get("--checkpoint-dir")
-        .map(std::path::PathBuf::from)
-        .or_else(|| resume_dir.clone());
-    let checkpoint_every: u64 = try_flag!(flags.parsed("--checkpoint-every", 8));
-    if let Some(dir) = &checkpoint_dir {
-        if !dir.is_dir() {
-            if let Some(parent) = dir.parent() {
-                if !parent.as_os_str().is_empty() && !parent.is_dir() {
-                    eprintln!(
-                        "cannot create --checkpoint-dir {}: parent directory \
-                         {} does not exist (create it first)",
-                        dir.display(),
-                        parent.display()
-                    );
-                    return 2;
-                }
-            }
-        }
-    }
-    let kill = match flags.get("--kill-at") {
-        Some(spec) => match sqlbarber::KillSwitch::parse(spec) {
-            Ok(kill) => Some(kill),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
-    // Target distribution shape.
-    let queries: usize = try_flag!(flags.parsed("--queries", 1000));
+/// The target distribution and cost type `--benchmark`, or else
+/// `--samples` / `--distribution` with `--queries`, `--intervals`,
+/// `--range` and `--cost-type`, ask for.
+fn target_of(flags: &Flags) -> Result<(TargetDistribution, CostType), String> {
+    let queries: usize = flags.parsed("--queries", 1000)?;
     if queries == 0 {
-        eprintln!("--queries must be at least 1");
-        return 2;
+        return Err("--queries must be at least 1".into());
     }
-    let intervals_n = try_flag!(interval_count(&flags));
-    let (lo, hi): (f64, f64) = try_flag!(flags.parsed_pair("--range", (0.0, 10_000.0)));
+    let intervals_n = interval_count(flags)?;
+    let (lo, hi): (f64, f64) = flags.parsed_pair("--range", (0.0, 10_000.0))?;
     if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-        eprintln!("--range needs finite bounds LO < HI, got {lo} {hi}");
-        return 2;
+        return Err(format!("--range needs finite bounds LO < HI, got {lo} {hi}"));
     }
     let grid = CostIntervals::new(lo, hi, intervals_n);
-
     let cost_type = match flags.get("--cost-type").unwrap_or("cardinality") {
         "cardinality" => CostType::Cardinality,
         "plan-cost" => CostType::PlanCost,
         "actual-cardinality" => CostType::ActualCardinality,
         "execution-time" => CostType::ExecutionTimeMicros,
-        other => {
-            eprintln!("unknown cost type `{other}`");
-            return 2;
-        }
+        other => return Err(format!("unknown cost type `{other}`")),
     };
-    let (target, cost_type) = if let Some(name) = flags.get("--benchmark") {
+    if let Some(name) = flags.get("--benchmark") {
         let Some(bench) = workload::benchmark_by_name(name) else {
-            eprintln!("unknown benchmark `{name}`; see `figures table1` for the registry");
-            return 2;
+            return Err(format!(
+                "unknown benchmark `{name}`; see `figures table1` for the registry"
+            ));
         };
         let cost_type =
             CostType::from_benchmark(bench.cost_type, cost_type == CostType::Cardinality);
-        (bench.target(), cost_type)
-    } else {
-        let target = if let Some(path) = flags.get("--samples") {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return 2;
-                }
-            };
-            let samples: Vec<f64> =
-                text.lines().filter_map(|l| l.trim().parse().ok()).collect();
-            if samples.is_empty() {
-                eprintln!("{path} holds no numeric samples");
-                return 2;
-            }
-            if grid.histogram(&samples).iter().sum::<f64>() == 0.0 {
-                eprintln!(
-                    "no sample in {path} falls inside the target range [{lo}, {hi}]"
-                );
-                return 2;
-            }
-            TargetDistribution::from_samples(&samples, grid, queries)
-        } else {
-            match flags.get("--distribution").unwrap_or("uniform") {
-                "uniform" => TargetDistribution::uniform(grid, queries),
-                "normal" => TargetDistribution::normal(grid, queries),
-                "snowset-card-1" => TargetDistribution::snowset_card_1(grid, queries),
-                "snowset-card-2" => TargetDistribution::snowset_card_2(grid, queries),
-                "snowset-cost" => TargetDistribution::snowset_cost(grid, queries),
-                "redset-cost" => TargetDistribution::redset_cost(grid, queries),
-                other => {
-                    eprintln!("unknown distribution `{other}`");
-                    return 2;
-                }
-            }
-        };
-        (target, cost_type)
-    };
-
-    // Template specifications.
-    let spec_texts = flags.get_all("--spec");
-    let specs: Vec<TemplateSpec> = if spec_texts.is_empty() {
-        workload::redset::redset_template_specs(workload::redset::DEFAULT_SEED)
-    } else {
-        try_flag!(spec_texts
-            .iter()
-            .enumerate()
-            .map(|(i, text)| {
-                TemplateSpec::try_parse_declarative(i as u32 + 1, text)
-                    .map_err(|e| format!("invalid value `{text}` for `--spec`: {e}"))
-            })
-            .collect::<Result<_, _>>())
-    };
-
-    let threads = try_flag!(flags.parsed_at_most("--threads", 0, MAX_THREADS));
-    let mut retry = llm::RetryPolicy::default();
-    if let Some(budget) = try_flag!(flags.parsed_opt("--retry-budget")) {
-        retry.retry_budget = budget;
+        return Ok((bench.target(), cost_type));
     }
-    retry.breaker_enabled = !flags.has("--no-circuit-breaker");
-    let rounds_concurrency: usize =
-        try_flag!(flags.parsed("--bo-rounds-concurrency", 0));
-    let amplify_shards = try_flag!(flags.parsed_at_most("--amplify-shards", 0, MAX_LANES));
-    let amplify_batch = try_flag!(flags.parsed_at_most("--amplify-batch", 0, MAX_BATCH));
+    let target = if let Some(path) = flags.get("--samples") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let samples: Vec<f64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
+        if samples.is_empty() {
+            return Err(format!("{path} holds no numeric samples"));
+        }
+        if grid.histogram(&samples).iter().sum::<f64>() == 0.0 {
+            return Err(format!("no sample in {path} falls inside the target range [{lo}, {hi}]"));
+        }
+        TargetDistribution::from_samples(&samples, grid, queries)
+    } else {
+        match flags.get("--distribution").unwrap_or("uniform") {
+            "uniform" => TargetDistribution::uniform(grid, queries),
+            "normal" => TargetDistribution::normal(grid, queries),
+            "snowset-card-1" => TargetDistribution::snowset_card_1(grid, queries),
+            "snowset-card-2" => TargetDistribution::snowset_card_2(grid, queries),
+            "snowset-cost" => TargetDistribution::snowset_cost(grid, queries),
+            "redset-cost" => TargetDistribution::redset_cost(grid, queries),
+            other => return Err(format!("unknown distribution `{other}`")),
+        }
+    };
+    Ok((target, cost_type))
+}
+
+/// The `--spec` templates, or the 24 Redset profiles when none is given.
+fn specs_of(flags: &Flags) -> Result<Vec<TemplateSpec>, String> {
+    let texts = flags.get_all("--spec");
+    if texts.is_empty() {
+        return Ok(workload::redset::redset_template_specs(workload::redset::DEFAULT_SEED));
+    }
+    let parse = |(i, text): (usize, &&str)| {
+        TemplateSpec::try_parse_declarative(i as u32 + 1, text)
+            .map_err(|e| format!("invalid value `{text}` for `--spec`: {e}"))
+    };
+    texts.iter().enumerate().map(parse).collect()
+}
+
+fn generate(args: &[String]) -> i32 {
+    let flags = try_flag!(parse(args, GENERATE_FLAGS));
+    // Every flag is checked before paying for database generation.
+    let prefix = flags.get("--out").unwrap_or("workload").to_string();
+    let amplify_out = PathBuf::from(format!("{prefix}.amplified.sql"));
+    let config = try_flag!(pipeline_config(&flags, 42, Some(amplify_out)));
+    let kill = try_flag!(flags.get("--kill-at").map(KillSwitch::parse).transpose());
+    let (target, cost_type) = try_flag!(target_of(&flags));
+    let specs = try_flag!(specs_of(&flags));
 
     eprintln!("loading database…");
-    let db = try_flag!(load_db(&flags));
+    let db = try_flag!(load_database(&flags));
 
     eprintln!(
         "generating {} queries over {} intervals ({:?})…",
@@ -522,34 +262,15 @@ fn generate(args: &[String]) -> i32 {
         target.intervals.count,
         cost_type
     );
-    let mut config = SqlBarberConfig {
-        seed,
-        threads,
-        transport: llm::TransportFaultConfig::uniform(fault_rate),
-        retry,
-        ..Default::default()
-    };
-    config.search.rounds_concurrency = rounds_concurrency;
-    if amplify_n > 0 {
-        config.amplify = Some(sqlbarber::AmplifyConfig {
-            n: amplify_n,
-            shards: amplify_shards,
-            batch: amplify_batch,
-            out: Some(amplify_out.clone()),
-        });
-    }
-    config.checkpoint = checkpoint_dir.map(|dir| sqlbarber::CheckpointConfig {
-        dir,
-        every: checkpoint_every,
-    });
+    let amplify_out = config.amplify.as_ref().and_then(|a| a.out.clone()).unwrap_or_default();
     let mut barber = SqlBarber::new(&db, config);
     if let Some(kill) = kill {
         barber = barber.with_kill_switch(kill);
     }
-    let outcome = match &resume_dir {
+    let outcome = match flags.get("--resume") {
         Some(dir) => {
-            eprintln!("resuming from {}…", dir.display());
-            barber.resume(dir, &target, cost_type)
+            eprintln!("resuming from {dir}…");
+            barber.resume(Path::new(dir), &target, cost_type)
         }
         None => barber.generate(&specs, &target, cost_type),
     };
@@ -560,16 +281,16 @@ fn generate(args: &[String]) -> i32 {
             return 1;
         }
     };
-    println!("{}", report.summary());
-    println!("{}", report.oracle_summary());
-    println!("{}", report.scheduler_summary());
-    println!("{}", report.resilience_summary());
+    outln!("{}", report.summary());
+    outln!("{}", report.oracle_summary());
+    outln!("{}", report.scheduler_summary());
+    outln!("{}", report.resilience_summary());
     if let Some(line) = report.amplify_summary() {
-        println!("{line}");
+        outln!("{line}");
         if let Some(a) = &report.amplify {
             let secs = report.phases.amplification.as_secs_f64();
             if a.emitted > 0 && secs > 0.0 {
-                println!(
+                outln!(
                     "amplified {} queries in {:.2}s ({:.2}M queries/s) -> {}",
                     a.emitted,
                     secs,
@@ -580,7 +301,7 @@ fn generate(args: &[String]) -> i32 {
         }
     }
     if !report.skipped_intervals.is_empty() {
-        println!("note: intervals given up on: {:?}", report.skipped_intervals);
+        outln!("note: intervals given up on: {:?}", report.skipped_intervals);
     }
 
     if let Err(e) = report.write_sql(format!("{prefix}.sql")) {
@@ -591,35 +312,23 @@ fn generate(args: &[String]) -> i32 {
         eprintln!("cannot write {prefix}.json: {e}");
         return 1;
     }
-    println!("wrote {prefix}.sql and {prefix}.json");
+    outln!("wrote {prefix}.sql and {prefix}.json");
     0
 }
 
 fn schema(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, SCHEMA_FLAGS) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    print!("{}", try_flag!(load_db(&flags)).schema_summary());
+    let flags = try_flag!(parse(args, SCHEMA_FLAGS));
+    out!("{}", try_flag!(load_database(&flags)).schema_summary());
     0
 }
 
 fn explain(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, EXPLAIN_FLAGS) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let flags = try_flag!(parse(args, EXPLAIN_FLAGS));
     let Some(sql) = flags.get("--sql") else {
         eprintln!("explain requires --sql \"SELECT …\"");
         return 2;
     };
-    let db = try_flag!(load_db(&flags));
+    let db = try_flag!(load_database(&flags));
     let select = match sqlkit::parse_select(sql) {
         Ok(s) => s,
         Err(e) => {
@@ -627,38 +336,37 @@ fn explain(args: &[String]) -> i32 {
             return 1;
         }
     };
-    if flags.has("--analyze") {
-        match db.explain_analyze(&select) {
-            Ok(analyzed) => print!("{analyzed}"),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        }
+    let plan = if flags.has("--analyze") {
+        db.explain_analyze(&select).map(|analyzed| analyzed.to_string())
     } else {
-        match db.explain(&select) {
-            Ok(explain) => print!("{explain}"),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
+        db.explain(&select).map(|explain| explain.to_string())
+    };
+    match plan {
+        Ok(text) => {
+            out!("{text}");
+            0
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            1
         }
     }
-    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlbarber::amplify::{MAX_BATCH, MAX_LANES};
+    use sqlbarber::oracle::MAX_THREADS;
 
     fn intervals(value: &str) -> Result<usize, String> {
         let args = ["--intervals".to_string(), value.to_string()];
-        interval_count(&Flags::parse(&args, GENERATE_FLAGS).unwrap())
+        interval_count(&parse(&args, GENERATE_FLAGS).unwrap())
     }
 
     #[test]
     fn interval_count_is_checked_against_its_cap() {
-        assert_eq!(interval_count(&Flags::parse(&[], GENERATE_FLAGS).unwrap()), Ok(10));
+        assert_eq!(interval_count(&parse(&[], GENERATE_FLAGS).unwrap()), Ok(10));
         assert_eq!(intervals("1"), Ok(1));
         assert_eq!(intervals("10000"), Ok(MAX_INTERVALS));
         assert_eq!(intervals("0").unwrap_err(), "--intervals must be at least 1");
@@ -673,9 +381,9 @@ mod tests {
 
     #[test]
     fn worker_counts_are_checked_against_their_caps() {
-        let capped = |name: &str, value: &str, cap: usize| {
+        let capped = |name: &str, value: &str| {
             let args = [name.to_string(), value.to_string()];
-            Flags::parse(&args, GENERATE_FLAGS).unwrap().parsed_at_most(name, 0, cap)
+            pipeline_config(&parse(&args, GENERATE_FLAGS).unwrap(), 42, None).map(|_| ())
         };
         let caps = [
             ("--threads", MAX_THREADS),
@@ -683,15 +391,15 @@ mod tests {
             ("--amplify-batch", MAX_BATCH),
         ];
         for (name, cap) in caps {
-            assert_eq!(capped(name, "0", cap), Ok(0));
-            assert_eq!(capped(name, &cap.to_string(), cap), Ok(cap));
+            assert_eq!(capped(name, "0"), Ok(()));
+            assert_eq!(capped(name, &cap.to_string()), Ok(()));
             for huge in [(cap + 1).to_string(), "18446744073709551615".to_string()] {
                 assert_eq!(
-                    capped(name, &huge, cap).unwrap_err(),
+                    capped(name, &huge).unwrap_err(),
                     format!("invalid value `{huge}` for `{name}`: must be at most {cap}")
                 );
             }
-            let negative = capped(name, "-1", cap).unwrap_err();
+            let negative = capped(name, "-1").unwrap_err();
             assert_eq!(negative, format!("invalid value `-1` for `{name}`"));
         }
         assert_eq!((MAX_THREADS, MAX_LANES, MAX_BATCH), (256, 256, 1 << 20));
@@ -701,8 +409,14 @@ mod tests {
     fn help_states_the_caps() {
         assert!(HELP.contains(&format!("cost intervals, 1 to {MAX_INTERVALS} ")));
         assert!(HELP.contains(&format!("is a whole number from 0 to {}\n", sqlkit::MAX_SPEC_COUNT)));
-        assert!(HELP.contains(&format!("worker threads,\n                          at most {MAX_THREADS};")));
-        assert!(HELP.contains(&format!("per wave,\n                          at most {MAX_LANES};")));
-        assert!(HELP.contains(&format!("mini-batch, at\n                          most {MAX_BATCH};")));
+        assert!(HELP.contains(&format!(
+            "worker threads,\n                          at most {MAX_THREADS};"
+        )));
+        assert!(
+            HELP.contains(&format!("per wave,\n                          at most {MAX_LANES};"))
+        );
+        assert!(
+            HELP.contains(&format!("mini-batch, at\n                          most {MAX_BATCH};"))
+        );
     }
 }

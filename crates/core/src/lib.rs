@@ -20,7 +20,8 @@
 //! [`driver`] wires everything into an end-to-end
 //! [`driver::SqlBarber`] with ablation switches (used to reproduce the
 //! paper's Figure 8b), and [`report`] collects the measurements every
-//! figure of the paper is drawn from.
+//! figure of the paper is drawn from. [`cli`] turns the flags of the
+//! `sqlbarber` and `figures` binaries into a [`SqlBarberConfig`].
 //!
 //! ## Quickstart
 //!
@@ -40,6 +41,7 @@
 
 pub mod amplify;
 pub mod bo_search;
+pub mod cli;
 pub mod cost;
 pub mod driver;
 pub mod join_path;

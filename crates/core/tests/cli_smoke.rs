@@ -301,3 +301,34 @@ fn generate_from_samples_file() {
     assert_eq!(target[2], 12.0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_run() {
+    // As in `sqlbarber explain … | head -0`: the reader is gone before the
+    // first write, which then fails with a broken pipe. That is no panic,
+    // and `generate` still writes its files.
+    let dir = std::env::temp_dir().join(format!("sqlbarber_cli_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = dir.join("wl");
+    let prefix = prefix.to_str().unwrap();
+    let generate = ["generate", "--scale", "0.001", "--queries", "20", "--intervals", "3"];
+    for args in [
+        &["explain", "--scale", "0.004", "--sql", "SELECT o.o_orderkey FROM orders AS o"][..],
+        &["schema", "--scale", "0.004"][..],
+        &[&generate[..], &["--spec", "tables=1 joins=0", "--out", prefix]].concat(),
+    ] {
+        let mut child = cli()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    assert!(std::fs::metadata(format!("{prefix}.sql")).is_ok_and(|m| m.len() > 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
