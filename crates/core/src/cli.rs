@@ -5,9 +5,9 @@
 //!
 //! Each binary has its own tables of accepted flags (`sqlbarber`'s are
 //! here, `figures`' in its harness); a flag outside them is a usage
-//! error. Every check here runs before a database is built,
-//! and every failure is an `Err(String)` that the binary prints and
-//! turns into exit status 2, never a panic.
+//! error. Every check here runs before a database is built, and every
+//! failure is an `Err(String)` that the binary prints and turns into exit
+//! status 2, never a panic.
 
 use crate::amplify::{AmplifyConfig, MAX_BATCH, MAX_LANES};
 use crate::oracle::MAX_THREADS;
@@ -55,7 +55,7 @@ pub const EXPLAIN_FLAGS: FlagTable = &[("--sql", 1), ("--analyze", 0)];
 
 /// The flags of one command line, in the order given, checked against
 /// the command's tables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Flags {
     values: Vec<(String, Vec<String>)>,
     /// Bare words (`figures` targets), in the order given.
