@@ -31,7 +31,7 @@
 use serde::Serialize;
 use sqlbarber::cli::Dataset;
 use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
-use sqlbarber::{outln, CostType, SqlBarber, SqlBarberConfig};
+use sqlbarber::{errln, outln, CostType, SqlBarber, SqlBarberConfig};
 use sqlbarber_bench::{run_all_methods, run_sqlbarber, write_json, HarnessConfig, MethodRun};
 use workload::redset::redset_template_specs;
 use workload::{all_benchmarks, benchmark_by_name, Benchmark, CostType as BenchCostType};
@@ -41,7 +41,7 @@ fn main() {
     let (config, targets) = match HarnessConfig::from_args(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             std::process::exit(2);
         }
     };
@@ -65,7 +65,7 @@ fn main() {
             fig5_or_6(&config, false);
         }
         other => {
-            eprintln!("unknown target {other}; use table1|fig5|fig6|fig7|fig8a|fig8b|table2|all");
+            errln!("unknown target {other}; use table1|fig5|fig6|fig7|fig8a|fig8b|table2|all");
             std::process::exit(2);
         }
     }
@@ -136,7 +136,7 @@ fn fig5_or_6(config: &HarnessConfig, cardinality: bool) {
             [(Dataset::Tpch, config.tpch_sf), (Dataset::Imdb, config.imdb_scale)]
         {
             let (db, db_name) = (dataset.generate(scale), dataset.name());
-            eprintln!("[{fig}] {} on {db_name}…", bench.name);
+            errln!("[{fig}] {} on {db_name}…", bench.name);
             let runs = run_all_methods(&db, &bench, cost_type, config);
             print_cell(bench.name, db_name, &runs);
             all_runs.extend(runs);
@@ -168,7 +168,7 @@ fn fig7(config: &HarnessConfig) {
     let mut all_runs: Vec<MethodRun> = Vec::new();
 
     let mut run_cell = |label: String, bench: Benchmark| {
-        eprintln!("[fig7] {label}…");
+        errln!("[fig7] {label}…");
         let mut runs = run_all_methods(&db, &bench, CostType::PlanCost, config);
         for run in &mut runs {
             run.benchmark = format!("Redset_Cost_Hard/{label}");
@@ -251,7 +251,7 @@ fn fig8b(config: &HarnessConfig) {
         for (name, barber_config) in variants {
             let mut seed_runs = Vec::new();
             for seed_offset in 0..3u64 {
-                eprintln!("[fig8b] {bench_name}: {name} (seed +{seed_offset})…");
+                errln!("[fig8b] {bench_name}: {name} (seed +{seed_offset})…");
                 let mut cfg = barber_config.clone();
                 cfg.seed = config.seed + seed_offset;
                 let mut run = run_sqlbarber(&db, &bench, &target, CostType::PlanCost, cfg);
@@ -309,7 +309,7 @@ fn table2(config: &HarnessConfig) {
         let target = bench.target();
         let specs = redset_template_specs(workload::redset::DEFAULT_SEED);
         let mut barber = SqlBarber::new(&db, config.sqlbarber.clone());
-        eprintln!("[table2] {name}…");
+        errln!("[table2] {name}…");
         let report =
             barber.generate(&specs, &target, CostType::PlanCost).expect("generation succeeded");
         if !report.resilience.is_quiet() || !report.degradation.is_quiet() {

@@ -10,7 +10,7 @@ use serde::Serialize;
 use sqlbarber::cli::{pipeline_config, Dataset, FlagTable, Flags};
 use sqlbarber::oracle::CostOracle;
 use sqlbarber::template_gen::{generate_templates, TemplateGenConfig};
-use sqlbarber::{CostType, SqlBarber, SqlBarberConfig};
+use sqlbarber::{errln, CostType, SqlBarber, SqlBarberConfig};
 use sqlkit::Template;
 use workload::redset::redset_template_specs;
 use workload::{Benchmark, TargetDistribution};
@@ -151,10 +151,10 @@ pub fn run_sqlbarber(
         .generate(&specs, target, cost_type)
         .expect("SQLBarber produced no templates");
     if !report.resilience.is_quiet() || !report.degradation.is_quiet() {
-        eprintln!("{}", report.resilience_summary());
+        errln!("{}", report.resilience_summary());
     }
     if let Some(line) = report.amplify_summary() {
-        eprintln!("{line}");
+        errln!("{line}");
     }
     MethodRun {
         method: "SQLBarber".into(),

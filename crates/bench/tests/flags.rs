@@ -90,3 +90,19 @@ fn figures_runs_a_target_that_builds_no_database() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("Table 1: Overview of Benchmarks"), "{stdout}");
 }
+
+#[test]
+fn figures_with_a_closed_stderr_keeps_its_exit_status() {
+    // As in `figures … 2>&1 | head -1`: the error line meets a broken
+    // pipe, which is no panic (exit 101); the usage status stands.
+    for args in [&["bogus-target"][..], &["fig7", "--resume", "ck"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stderr.take());
+        assert_eq!(child.wait().unwrap().code(), Some(2), "{args:?}");
+    }
+}

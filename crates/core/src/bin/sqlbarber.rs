@@ -30,7 +30,7 @@ use sqlbarber::cli::{
     load_database, pipeline_config, FlagTable, Flags, COMMON_FLAGS, EXPLAIN_FLAGS, GENERATE_FLAGS,
     SCHEMA_FLAGS,
 };
-use sqlbarber::{out, outln, CostType, KillSwitch, SqlBarber};
+use sqlbarber::{errln, out, outln, CostType, KillSwitch, SqlBarber};
 use sqlkit::TemplateSpec;
 use std::path::{Path, PathBuf};
 use workload::distribution::TargetDistribution;
@@ -48,7 +48,7 @@ fn main() {
             0
         }
         Some(other) => {
-            eprintln!("unknown command `{other}`; see --help");
+            errln!("unknown command `{other}`; see --help");
             2
         }
     };
@@ -156,7 +156,7 @@ macro_rules! try_flag {
         match $expr {
             Ok(v) => v,
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 return 2;
             }
         }
@@ -207,15 +207,8 @@ fn target_of(flags: &Flags) -> Result<(TargetDistribution, CostType), String> {
         return Ok((bench.target(), cost_type));
     }
     let target = if let Some(path) = flags.get("--samples") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let samples: Vec<f64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
-        if samples.is_empty() {
-            return Err(format!("{path} holds no numeric samples"));
-        }
-        if grid.histogram(&samples).iter().sum::<f64>() == 0.0 {
-            return Err(format!("no sample in {path} falls inside the target range [{lo}, {hi}]"));
-        }
-        TargetDistribution::from_samples(&samples, grid, queries)
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        samples_target(&bytes, path, grid, queries)?
     } else {
         match flags.get("--distribution").unwrap_or("uniform") {
             "uniform" => TargetDistribution::uniform(grid, queries),
@@ -228,6 +221,28 @@ fn target_of(flags: &Flags) -> Result<(TargetDistribution, CostType), String> {
         }
     };
     Ok((target, cost_type))
+}
+
+/// The target of a `--samples` file's bytes: one observed cost per line,
+/// spread over `grid` as `queries` queries. Lines that are not a number
+/// are skipped; a file that is not UTF-8, holds no number or no number
+/// inside the range is an error.
+fn samples_target(
+    bytes: &[u8],
+    path: &str,
+    grid: CostIntervals,
+    queries: usize,
+) -> Result<TargetDistribution, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let samples: Vec<f64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
+    if samples.is_empty() {
+        return Err(format!("{path} holds no numeric samples"));
+    }
+    if grid.histogram(&samples).iter().sum::<f64>() == 0.0 {
+        let (lo, hi) = (grid.lo, grid.hi);
+        return Err(format!("no sample in {path} falls inside the target range [{lo}, {hi}]"));
+    }
+    Ok(TargetDistribution::from_samples(&samples, grid, queries))
 }
 
 /// The `--spec` templates, or the 24 Redset profiles when none is given.
@@ -253,10 +268,10 @@ fn generate(args: &[String]) -> i32 {
     let (target, cost_type) = try_flag!(target_of(&flags));
     let specs = try_flag!(specs_of(&flags));
 
-    eprintln!("loading database…");
+    errln!("loading database…");
     let db = try_flag!(load_database(&flags));
 
-    eprintln!(
+    errln!(
         "generating {} queries over {} intervals ({:?})…",
         target.total(),
         target.intervals.count,
@@ -269,7 +284,7 @@ fn generate(args: &[String]) -> i32 {
     }
     let outcome = match flags.get("--resume") {
         Some(dir) => {
-            eprintln!("resuming from {dir}…");
+            errln!("resuming from {dir}…");
             barber.resume(Path::new(dir), &target, cost_type)
         }
         None => barber.generate(&specs, &target, cost_type),
@@ -277,7 +292,7 @@ fn generate(args: &[String]) -> i32 {
     let report = match outcome {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("generation failed: {e}");
+            errln!("generation failed: {e}");
             return 1;
         }
     };
@@ -305,11 +320,11 @@ fn generate(args: &[String]) -> i32 {
     }
 
     if let Err(e) = report.write_sql(format!("{prefix}.sql")) {
-        eprintln!("cannot write {prefix}.sql: {e}");
+        errln!("cannot write {prefix}.sql: {e}");
         return 1;
     }
     if let Err(e) = report.write_manifest(format!("{prefix}.json")) {
-        eprintln!("cannot write {prefix}.json: {e}");
+        errln!("cannot write {prefix}.json: {e}");
         return 1;
     }
     outln!("wrote {prefix}.sql and {prefix}.json");
@@ -325,14 +340,14 @@ fn schema(args: &[String]) -> i32 {
 fn explain(args: &[String]) -> i32 {
     let flags = try_flag!(parse(args, EXPLAIN_FLAGS));
     let Some(sql) = flags.get("--sql") else {
-        eprintln!("explain requires --sql \"SELECT …\"");
+        errln!("explain requires --sql \"SELECT …\"");
         return 2;
     };
     let db = try_flag!(load_database(&flags));
     let select = match sqlkit::parse_select(sql) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return 1;
         }
     };
@@ -347,7 +362,7 @@ fn explain(args: &[String]) -> i32 {
             0
         }
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             1
         }
     }
@@ -403,6 +418,50 @@ mod tests {
             assert_eq!(negative, format!("invalid value `-1` for `{name}`"));
         }
         assert_eq!((MAX_THREADS, MAX_LANES, MAX_BATCH), (256, 256, 1 << 20));
+    }
+
+    mod samples {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes of a `--samples` file: numbers of every kind, words,
+        /// separators and line ends, and often raw bytes that are not
+        /// UTF-8.
+        fn sample_bytes() -> impl Strategy<Value = Vec<u8>> {
+            let piece = prop::sample::select(vec![
+                "0", "1", "-1", "250", "2999.5", "3000", "3000.01", "1e3", "1e308", "1e999",
+                "-1e999", "inf", "-inf", "nan", "NaN", "-0", "+5", ".5", "5.", "0x10", "1_000",
+                " ", "\t", "\n", "\r\n", "\n\n", "abc", "é", "\u{0}", "\u{feff}",
+            ]);
+            let text = prop::collection::vec(piece, 0..24).prop_map(|p| p.concat().into_bytes());
+            let raw = prop::collection::vec(any::<u8>(), 0..64);
+            (text, raw, any::<bool>()).prop_map(|(mut bytes, raw, append)| {
+                if append {
+                    bytes.extend(raw);
+                }
+                bytes
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn any_samples_file_is_a_target_or_an_error(
+                bytes in sample_bytes(),
+                queries in 1usize..5_000,
+                intervals in 1usize..40,
+            ) {
+                let grid = CostIntervals::new(0.0, 3_000.0, intervals);
+                match samples_target(&bytes, "costs.txt", grid, queries) {
+                    Ok(target) => {
+                        prop_assert_eq!(target.total(), queries as f64);
+                        prop_assert_eq!(target.counts.len(), intervals);
+                    }
+                    Err(e) => prop_assert!(e.contains("costs.txt"), "{}", e),
+                }
+            }
+        }
     }
 
     #[test]

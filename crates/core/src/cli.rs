@@ -288,9 +288,18 @@ pub fn write_stdout(args: std::fmt::Arguments) {
     use std::io::Write;
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("cannot write to standard output: {e}");
+            write_stderr(format_args!("cannot write to standard output: {e}\n"));
         }
     }
+}
+
+/// Write a progress or error line's text to standard error. A closed
+/// standard error (`2>&1 | head -1`) ends the messages, not the run, as
+/// [`write_stdout`] does for the output; a message that cannot be
+/// written has nowhere else to go, so every write error is dropped.
+pub fn write_stderr(args: std::fmt::Arguments) {
+    use std::io::Write;
+    let _ = std::io::stderr().lock().write_fmt(args);
 }
 
 /// `print!` through [`write_stdout`].
@@ -306,6 +315,14 @@ macro_rules! out {
 macro_rules! outln {
     ($($arg:tt)*) => {
         $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` through [`write_stderr`].
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 

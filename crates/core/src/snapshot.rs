@@ -1013,7 +1013,7 @@ impl CheckpointDir {
             match attempt {
                 Ok(snapshot) => return Ok(snapshot),
                 Err(err) => {
-                    eprintln!(
+                    crate::errln!(
                         "sqlbarber: snapshot {} unusable ({err}); \
                          falling back to the previous generation",
                         path.display()

@@ -332,3 +332,47 @@ fn a_closed_stdout_ends_the_output_not_the_run() {
     assert!(std::fs::metadata(format!("{prefix}.sql")).is_ok_and(|m| m.len() > 0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stderr_ends_the_messages_not_the_run() {
+    // As in `sqlbarber generate … 2>&1 | head -1`: the reader of standard
+    // error is gone before the progress lines, so each write fails with a
+    // broken pipe. That is no panic (exit 101): `generate` still writes
+    // its files, and a failing command keeps its own exit status.
+    let dir = std::env::temp_dir().join(format!("sqlbarber_cli_stderr_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = dir.join("wl");
+    let prefix = prefix.to_str().unwrap();
+    let generate = [
+        "generate",
+        "--scale",
+        "0.001",
+        "--queries",
+        "20",
+        "--intervals",
+        "3",
+        "--spec",
+        "tables=1 joins=0",
+        "--out",
+        prefix,
+    ];
+    for (args, code) in [
+        (&generate[..], 0),
+        (&["explain", "--scale", "0.004", "--sql", "SELECT FROM"][..], 1),
+        (&["frobnicate"][..], 2),
+    ] {
+        let mut child = cli()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stderr.take());
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
+    for file in [format!("{prefix}.sql"), format!("{prefix}.json")] {
+        assert!(std::fs::metadata(&file).is_ok_and(|m| m.len() > 0), "{file} not written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,9 +8,9 @@
 //! recent). The many-table FK graph is what §4 Step 2's join-path
 //! enumeration exercises.
 
-use super::{load, powerlaw_index, synth_name, Loader};
+use super::{columns, load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
-use crate::storage::{Cell, DataType, Table};
+use crate::storage::{Column, Table, TextColumn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -41,18 +41,22 @@ fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale) as usize).max(20)
 }
 
+/// The `id` column of an `n`-row table: 1 to `n`.
+fn ids(n: usize) -> Column {
+    Column::ints((1..=n as i64).collect())
+}
+
 struct Gen {
     rng: StdRng,
 }
 
 impl Gen {
     fn dict_table(&mut self, name: &str, column: &str, values: &[&str]) -> Table {
-        let mut t =
-            Table::new(name, vec![("id".into(), DataType::Int), (column.into(), DataType::Str)]);
-        for (i, v) in values.iter().enumerate() {
-            t.push_row([Cell::Int(i as i64 + 1), Cell::Str(v)]);
+        let mut texts = TextColumn::with_capacity(values.len());
+        for value in values {
+            texts.push(value);
         }
-        t
+        Table::from_columns(name, vec![("id", ids(values.len())), (column, texts.finish())])
     }
 
     fn year(&mut self) -> i64 {
@@ -107,6 +111,7 @@ pub fn generate(config: ImdbConfig) -> Database {
 }
 
 /// Draw the 21 tables from one RNG stream, handing each to `loader`.
+/// Each table is drawn row by row into whole typed columns.
 fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     let mut g = Gen { rng: StdRng::seed_from_u64(config.seed) };
     let s = config.scale;
@@ -214,281 +219,252 @@ fn generate_tables(config: ImdbConfig, loader: &mut Loader<'_>) {
     loader.add_table(role_type, Some("id"), &[]);
 
     // -- entity tables -------------------------------------------------------
-    let mut title = Table::new(
-        "title",
-        vec![
-            ("id".into(), DataType::Int),
-            ("title".into(), DataType::Str),
-            ("kind_id".into(), DataType::Int),
-            ("production_year".into(), DataType::Int),
-            ("season_nr".into(), DataType::Int),
-            ("episode_nr".into(), DataType::Int),
-        ],
-    );
-    for i in 0..n_title {
+    let [mut kind_id, mut production_year] = columns(n_title);
+    let [mut season_nr, mut episode_nr] = columns(n_title);
+    let mut title = TextColumn::with_capacity(n_title);
+    for _ in 0..n_title {
         let kind = g.rng.gen_range(1..=7);
         let is_episode = kind == 7;
-        title.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "title", &mut text)),
-            Cell::Int(kind),
-            Cell::Int(g.year()),
-            if is_episode { Cell::Int(g.rng.gen_range(1..15)) } else { Cell::Null },
-            if is_episode { Cell::Int(g.rng.gen_range(1..25)) } else { Cell::Null },
-        ]);
+        title.push(synth_name(&mut g.rng, "title", &mut text));
+        kind_id.push(kind);
+        production_year.push(g.year());
+        season_nr.push(is_episode.then(|| g.rng.gen_range(1..15)));
+        episode_nr.push(is_episode.then(|| g.rng.gen_range(1..25)));
     }
+    let title = Table::from_columns(
+        "title",
+        vec![
+            ("id", ids(n_title)),
+            ("title", title.finish()),
+            ("kind_id", Column::ints(kind_id)),
+            ("production_year", Column::ints(production_year)),
+            ("season_nr", Column::nullable_ints(season_nr)),
+            ("episode_nr", Column::nullable_ints(episode_nr)),
+        ],
+    );
     loader.add_table(title, Some("id"), &["kind_id", "production_year"]);
 
-    let mut name = Table::new(
-        "name",
-        vec![
-            ("id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
-            ("gender".into(), DataType::Str),
-        ],
-    );
-    for i in 0..n_name {
-        let gender = match g.rng.gen_range(0..10) {
-            0..=4 => Cell::Str("m"),
-            5..=8 => Cell::Str("f"),
-            _ => Cell::Null,
-        };
-        name.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "person", &mut text)),
-            gender,
-        ]);
+    let [mut name, mut gender] = [(); 2].map(|_| TextColumn::with_capacity(n_name));
+    for _ in 0..n_name {
+        match g.rng.gen_range(0..10) {
+            0..=4 => gender.push("m"),
+            5..=8 => gender.push("f"),
+            _ => gender.push_null(),
+        }
+        name.push(synth_name(&mut g.rng, "person", &mut text));
     }
+    let name = Table::from_columns(
+        "name",
+        vec![("id", ids(n_name)), ("name", name.finish()), ("gender", gender.finish())],
+    );
     loader.add_table(name, Some("id"), &[]);
 
-    let mut char_name =
-        Table::new("char_name", vec![("id".into(), DataType::Int), ("name".into(), DataType::Str)]);
-    for i in 0..n_char {
-        char_name.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "char", &mut text)),
-        ]);
+    let mut char_name = TextColumn::with_capacity(n_char);
+    for _ in 0..n_char {
+        char_name.push(synth_name(&mut g.rng, "char", &mut text));
     }
+    let char_name =
+        Table::from_columns("char_name", vec![("id", ids(n_char)), ("name", char_name.finish())]);
     loader.add_table(char_name, Some("id"), &[]);
 
-    let mut company_name = Table::new(
+    const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
+    let [mut company, mut country_code] = [(); 2].map(|_| TextColumn::with_capacity(n_company));
+    for _ in 0..n_company {
+        company.push(synth_name(&mut g.rng, "company", &mut text));
+        country_code.push(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)]);
+    }
+    let company_name = Table::from_columns(
         "company_name",
         vec![
-            ("id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
-            ("country_code".into(), DataType::Str),
+            ("id", ids(n_company)),
+            ("name", company.finish()),
+            ("country_code", country_code.finish()),
         ],
     );
-    const COUNTRIES: [&str; 8] = ["[us]", "[gb]", "[de]", "[fr]", "[in]", "[jp]", "[ca]", "[it]"];
-    for i in 0..n_company {
-        company_name.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "company", &mut text)),
-            Cell::Str(COUNTRIES[powerlaw_index(&mut g.rng, COUNTRIES.len(), 0.8)]),
-        ]);
-    }
     loader.add_table(company_name, Some("id"), &["country_code"]);
 
-    let mut keyword = Table::new(
-        "keyword",
-        vec![("id".into(), DataType::Int), ("keyword".into(), DataType::Str)],
-    );
-    for i in 0..n_keyword {
-        keyword.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "kw", &mut text)),
-        ]);
+    let mut keyword = TextColumn::with_capacity(n_keyword);
+    for _ in 0..n_keyword {
+        keyword.push(synth_name(&mut g.rng, "kw", &mut text));
     }
+    let keyword =
+        Table::from_columns("keyword", vec![("id", ids(n_keyword)), ("keyword", keyword.finish())]);
     loader.add_table(keyword, Some("id"), &[]);
 
     // -- relationship tables -----------------------------------------------
-    let mut cast_info = Table::new(
+    let [mut person_id, mut movie_id, mut role_id, mut nr_order] = columns(n_cast);
+    let mut person_role_id = Vec::with_capacity(n_cast);
+    for _ in 0..n_cast {
+        let has_char = g.rng.gen_bool(0.4);
+        person_id.push(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1);
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        person_role_id.push(has_char.then(|| g.rng.gen_range(1..=n_char as i64)));
+        role_id.push(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1);
+        nr_order.push(g.rng.gen_range(1..100));
+    }
+    let cast_info = Table::from_columns(
         "cast_info",
         vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("person_role_id".into(), DataType::Int),
-            ("role_id".into(), DataType::Int),
-            ("nr_order".into(), DataType::Int),
+            ("id", ids(n_cast)),
+            ("person_id", Column::ints(person_id)),
+            ("movie_id", Column::ints(movie_id)),
+            ("person_role_id", Column::nullable_ints(person_role_id)),
+            ("role_id", Column::ints(role_id)),
+            ("nr_order", Column::ints(nr_order)),
         ],
     );
-    for i in 0..n_cast {
-        let has_char = g.rng.gen_bool(0.4);
-        cast_info.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            if has_char { Cell::Int(g.rng.gen_range(1..=n_char as i64)) } else { Cell::Null },
-            Cell::Int(powerlaw_index(&mut g.rng, 12, 1.0) as i64 + 1),
-            Cell::Int(g.rng.gen_range(1..100)),
-        ]);
-    }
     loader.add_table(cast_info, Some("id"), &["person_id", "movie_id", "role_id"]);
 
-    let mut movie_info = Table::new(
+    let [mut movie_id, mut info_type_id] = columns(n_movie_info);
+    let mut info = TextColumn::with_capacity(n_movie_info);
+    for _ in 0..n_movie_info {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        info_type_id.push(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1);
+        info.push(synth_name(&mut g.rng, "info", &mut text));
+    }
+    let movie_info = Table::from_columns(
         "movie_info",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
+            ("id", ids(n_movie_info)),
+            ("movie_id", Column::ints(movie_id)),
+            ("info_type_id", Column::ints(info_type_id)),
+            ("info", info.finish()),
         ],
     );
-    for i in 0..n_movie_info {
-        movie_info.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "info", &mut text)),
-        ]);
-    }
     loader.add_table(movie_info, Some("id"), &["movie_id", "info_type_id"]);
 
-    let mut movie_info_idx = Table::new(
+    let [mut movie_id, mut info_type_id] = columns(n_movie_info_idx);
+    let mut info = TextColumn::with_capacity(n_movie_info_idx);
+    for _ in 0..n_movie_info_idx {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        info_type_id.push(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1);
+        info.push(decimal(&mut text, g.rng.gen_range(10..100) as f64 / 10.0));
+    }
+    let movie_info_idx = Table::from_columns(
         "movie_info_idx",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
+            ("id", ids(n_movie_info_idx)),
+            ("movie_id", Column::ints(movie_id)),
+            ("info_type_id", Column::ints(info_type_id)),
+            ("info", info.finish()),
         ],
     );
-    for i in 0..n_movie_info_idx {
-        movie_info_idx.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Cell::Str(decimal(&mut text, g.rng.gen_range(10..100) as f64 / 10.0)),
-        ]);
-    }
     loader.add_table(movie_info_idx, Some("id"), &["movie_id", "info_type_id"]);
 
-    let mut movie_keyword = Table::new(
+    let [mut movie_id, mut keyword_id] = columns(n_movie_keyword);
+    for _ in 0..n_movie_keyword {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        keyword_id.push(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1);
+    }
+    let movie_keyword = Table::from_columns(
         "movie_keyword",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("keyword_id".into(), DataType::Int),
+            ("id", ids(n_movie_keyword)),
+            ("movie_id", Column::ints(movie_id)),
+            ("keyword_id", Column::ints(keyword_id)),
         ],
     );
-    for i in 0..n_movie_keyword {
-        movie_keyword.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_keyword, 0.7) as i64 + 1),
-        ]);
-    }
     loader.add_table(movie_keyword, Some("id"), &["movie_id", "keyword_id"]);
 
-    let mut movie_companies = Table::new(
+    let [mut movie_id, mut company_id, mut company_type_id] = columns(n_movie_companies);
+    for _ in 0..n_movie_companies {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        company_id.push(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1);
+        company_type_id.push(g.rng.gen_range(1..=4));
+    }
+    let movie_companies = Table::from_columns(
         "movie_companies",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("company_id".into(), DataType::Int),
-            ("company_type_id".into(), DataType::Int),
+            ("id", ids(n_movie_companies)),
+            ("movie_id", Column::ints(movie_id)),
+            ("company_id", Column::ints(company_id)),
+            ("company_type_id", Column::ints(company_type_id)),
         ],
     );
-    for i in 0..n_movie_companies {
-        movie_companies.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_company, 0.8) as i64 + 1),
-            Cell::Int(g.rng.gen_range(1..=4)),
-        ]);
-    }
     loader.add_table(movie_companies, Some("id"), &["movie_id", "company_id"]);
 
-    let mut person_info = Table::new(
+    let [mut person_id, mut info_type_id] = columns(n_person_info);
+    let mut info = TextColumn::with_capacity(n_person_info);
+    for _ in 0..n_person_info {
+        person_id.push(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1);
+        info_type_id.push(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1);
+        info.push(synth_name(&mut g.rng, "pinfo", &mut text));
+    }
+    let person_info = Table::from_columns(
         "person_info",
         vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("info_type_id".into(), DataType::Int),
-            ("info".into(), DataType::Str),
+            ("id", ids(n_person_info)),
+            ("person_id", Column::ints(person_id)),
+            ("info_type_id", Column::ints(info_type_id)),
+            ("info", info.finish()),
         ],
     );
-    for i in 0..n_person_info {
-        person_info.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, 113, 0.9) as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "pinfo", &mut text)),
-        ]);
-    }
     loader.add_table(person_info, Some("id"), &["person_id"]);
 
-    let mut aka_name = Table::new(
+    let mut person_id = Vec::with_capacity(n_aka_name);
+    let mut aka = TextColumn::with_capacity(n_aka_name);
+    for _ in 0..n_aka_name {
+        person_id.push(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1);
+        aka.push(synth_name(&mut g.rng, "aka", &mut text));
+    }
+    let aka_name = Table::from_columns(
         "aka_name",
         vec![
-            ("id".into(), DataType::Int),
-            ("person_id".into(), DataType::Int),
-            ("name".into(), DataType::Str),
+            ("id", ids(n_aka_name)),
+            ("person_id", Column::ints(person_id)),
+            ("name", aka.finish()),
         ],
     );
-    for i in 0..n_aka_name {
-        aka_name.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_name, 0.6) as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "aka", &mut text)),
-        ]);
-    }
     loader.add_table(aka_name, Some("id"), &["person_id"]);
 
-    let mut aka_title = Table::new(
+    let mut movie_id = Vec::with_capacity(n_aka_title);
+    let mut aka = TextColumn::with_capacity(n_aka_title);
+    for _ in 0..n_aka_title {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        aka.push(synth_name(&mut g.rng, "akat", &mut text));
+    }
+    let aka_title = Table::from_columns(
         "aka_title",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("title".into(), DataType::Str),
+            ("id", ids(n_aka_title)),
+            ("movie_id", Column::ints(movie_id)),
+            ("title", aka.finish()),
         ],
     );
-    for i in 0..n_aka_title {
-        aka_title.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Str(synth_name(&mut g.rng, "akat", &mut text)),
-        ]);
-    }
     loader.add_table(aka_title, Some("id"), &["movie_id"]);
 
-    let mut complete_cast = Table::new(
+    let [mut movie_id, mut subject_id, mut status_id] = columns(n_complete_cast);
+    for _ in 0..n_complete_cast {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        subject_id.push(g.rng.gen_range(1..=2));
+        status_id.push(g.rng.gen_range(3..=4));
+    }
+    let complete_cast = Table::from_columns(
         "complete_cast",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("subject_id".into(), DataType::Int),
-            ("status_id".into(), DataType::Int),
+            ("id", ids(n_complete_cast)),
+            ("movie_id", Column::ints(movie_id)),
+            ("subject_id", Column::ints(subject_id)),
+            ("status_id", Column::ints(status_id)),
         ],
     );
-    for i in 0..n_complete_cast {
-        complete_cast.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(g.rng.gen_range(1..=2)),
-            Cell::Int(g.rng.gen_range(3..=4)),
-        ]);
-    }
     loader.add_table(complete_cast, Some("id"), &["movie_id"]);
 
-    let mut movie_link = Table::new(
+    let [mut movie_id, mut linked_movie_id, mut link_type_id] = columns(n_movie_link);
+    for _ in 0..n_movie_link {
+        movie_id.push(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1);
+        linked_movie_id.push(g.rng.gen_range(1..=n_title as i64));
+        link_type_id.push(g.rng.gen_range(1..=18));
+    }
+    let movie_link = Table::from_columns(
         "movie_link",
         vec![
-            ("id".into(), DataType::Int),
-            ("movie_id".into(), DataType::Int),
-            ("linked_movie_id".into(), DataType::Int),
-            ("link_type_id".into(), DataType::Int),
+            ("id", ids(n_movie_link)),
+            ("movie_id", Column::ints(movie_id)),
+            ("linked_movie_id", Column::ints(linked_movie_id)),
+            ("link_type_id", Column::ints(link_type_id)),
         ],
     );
-    for i in 0..n_movie_link {
-        movie_link.push_row([
-            Cell::Int(i as i64 + 1),
-            Cell::Int(powerlaw_index(&mut g.rng, n_title, 0.5) as i64 + 1),
-            Cell::Int(g.rng.gen_range(1..=n_title as i64)),
-            Cell::Int(g.rng.gen_range(1..=18)),
-        ]);
-    }
     loader.add_table(movie_link, Some("id"), &["movie_id", "linked_movie_id"]);
 }
 

@@ -180,6 +180,12 @@ impl Drop for Close<'_> {
     }
 }
 
+/// `N` empty vectors with room for `rows` values each: the columns of a
+/// table a generator draws into.
+fn columns<T, const N: usize>(rows: usize) -> [Vec<T>; N] {
+    std::array::from_fn(|_| Vec::with_capacity(rows))
+}
+
 /// Sample an index in `[0, n)` with a power-law (Zipf-like) skew.
 /// `skew = 0` is uniform; larger values concentrate mass on low indices.
 pub fn powerlaw_index(rng: &mut StdRng, n: usize, skew: f64) -> usize {

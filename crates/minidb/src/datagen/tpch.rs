@@ -6,9 +6,9 @@
 //! heavy-tailed prices, cyclic dates, low-cardinality flag columns, and
 //! the full PK/FK graph for join-path enumeration.
 
-use super::{heavy_tail, load, powerlaw_index, synth_name, Loader};
+use super::{columns, heavy_tail, load, powerlaw_index, synth_name, Loader};
 use crate::catalog::Database;
-use crate::storage::{Cell, DataType, Table};
+use crate::storage::{Column, Table, TextColumn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,6 +72,7 @@ pub fn generate(config: TpchConfig) -> Database {
 }
 
 /// Draw the eight tables from one RNG stream, handing each to `loader`.
+/// Each table is drawn row by row into whole typed columns.
 fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let sf = config.scale_factor;
@@ -86,170 +87,181 @@ fn generate_tables(config: TpchConfig, loader: &mut Loader<'_>) {
     let mut name = String::new();
 
     // region ------------------------------------------------------------
-    let mut region = Table::new(
-        "region",
-        vec![("r_regionkey".into(), DataType::Int), ("r_name".into(), DataType::Str)],
-    );
-    for (i, r_name) in ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"].iter().enumerate() {
-        region.push_row([Cell::Int(i as i64), Cell::Str(r_name)]);
+    let regions = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+    let mut r_name = TextColumn::with_capacity(regions.len());
+    for region in regions {
+        r_name.push(region);
     }
+    let region = Table::from_columns(
+        "region",
+        vec![("r_regionkey", Column::ints((0..5).collect())), ("r_name", r_name.finish())],
+    );
     loader.add_table(region, Some("r_regionkey"), &[]);
 
     // nation ------------------------------------------------------------
-    let mut nation = Table::new(
+    let mut n_name = TextColumn::with_capacity(25);
+    for i in 0..25 {
+        n_name.push(&format!("NATION_{i:02}"));
+    }
+    let nation = Table::from_columns(
         "nation",
         vec![
-            ("n_nationkey".into(), DataType::Int),
-            ("n_name".into(), DataType::Str),
-            ("n_regionkey".into(), DataType::Int),
+            ("n_nationkey", Column::ints((0..25).collect())),
+            ("n_name", n_name.finish()),
+            ("n_regionkey", Column::ints((0..25).map(|i| i % 5).collect())),
         ],
     );
-    for i in 0..25 {
-        nation.push_row([Cell::Int(i), Cell::Str(&format!("NATION_{i:02}")), Cell::Int(i % 5)]);
-    }
     loader.add_table(nation, Some("n_nationkey"), &["n_regionkey"]);
 
     // supplier ----------------------------------------------------------
-    let mut supplier = Table::new(
+    let [mut s_suppkey, mut s_nationkey] = columns(n_supplier);
+    let mut s_name = TextColumn::with_capacity(n_supplier);
+    let mut s_acctbal = Vec::with_capacity(n_supplier);
+    for i in 0..n_supplier {
+        s_suppkey.push(i as i64);
+        s_name.push(synth_name(&mut rng, "supplier", &mut name));
+        s_nationkey.push(rng.gen_range(0..25));
+        s_acctbal.push((rng.gen_range(-99_999..1_000_000) as f64) / 100.0);
+    }
+    let supplier = Table::from_columns(
         "supplier",
         vec![
-            ("s_suppkey".into(), DataType::Int),
-            ("s_name".into(), DataType::Str),
-            ("s_nationkey".into(), DataType::Int),
-            ("s_acctbal".into(), DataType::Float),
+            ("s_suppkey", Column::ints(s_suppkey)),
+            ("s_name", s_name.finish()),
+            ("s_nationkey", Column::ints(s_nationkey)),
+            ("s_acctbal", Column::floats(s_acctbal)),
         ],
     );
-    for i in 0..n_supplier {
-        supplier.push_row([
-            Cell::Int(i as i64),
-            Cell::Str(synth_name(&mut rng, "supplier", &mut name)),
-            Cell::Int(rng.gen_range(0..25)),
-            Cell::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
-        ]);
-    }
     loader.add_table(supplier, Some("s_suppkey"), &["s_nationkey"]);
 
     // customer ----------------------------------------------------------
-    let mut customer = Table::new(
+    let [mut c_custkey, mut c_nationkey] = columns(n_customer);
+    let [mut c_name, mut c_mktsegment] = [(); 2].map(|_| TextColumn::with_capacity(n_customer));
+    let mut c_acctbal = Vec::with_capacity(n_customer);
+    for i in 0..n_customer {
+        c_custkey.push(i as i64);
+        c_name.push(synth_name(&mut rng, "customer", &mut name));
+        c_nationkey.push(rng.gen_range(0..25));
+        c_acctbal.push((rng.gen_range(-99_999..1_000_000) as f64) / 100.0);
+        c_mktsegment.push(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())]);
+    }
+    let customer = Table::from_columns(
         "customer",
         vec![
-            ("c_custkey".into(), DataType::Int),
-            ("c_name".into(), DataType::Str),
-            ("c_nationkey".into(), DataType::Int),
-            ("c_acctbal".into(), DataType::Float),
-            ("c_mktsegment".into(), DataType::Str),
+            ("c_custkey", Column::ints(c_custkey)),
+            ("c_name", c_name.finish()),
+            ("c_nationkey", Column::ints(c_nationkey)),
+            ("c_acctbal", Column::floats(c_acctbal)),
+            ("c_mktsegment", c_mktsegment.finish()),
         ],
     );
-    for i in 0..n_customer {
-        customer.push_row([
-            Cell::Int(i as i64),
-            Cell::Str(synth_name(&mut rng, "customer", &mut name)),
-            Cell::Int(rng.gen_range(0..25)),
-            Cell::Float((rng.gen_range(-99_999..1_000_000) as f64) / 100.0),
-            Cell::Str(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())]),
-        ]);
-    }
     loader.add_table(customer, Some("c_custkey"), &["c_nationkey"]);
 
     // part ----------------------------------------------------------------
-    let mut part = Table::new(
+    let [mut p_partkey, mut p_size] = columns(n_part);
+    let [mut p_name, mut p_brand] = [(); 2].map(|_| TextColumn::with_capacity(n_part));
+    let mut p_retailprice = Vec::with_capacity(n_part);
+    for i in 0..n_part {
+        p_partkey.push(i as i64);
+        p_name.push(synth_name(&mut rng, "part", &mut name));
+        p_brand.push(BRANDS[rng.gen_range(0..BRANDS.len())]);
+        p_size.push(rng.gen_range(1..=50));
+        p_retailprice.push(heavy_tail(&mut rng, 1_000.0, 0.4, 20_000.0).round() / 1.0);
+    }
+    let part = Table::from_columns(
         "part",
         vec![
-            ("p_partkey".into(), DataType::Int),
-            ("p_name".into(), DataType::Str),
-            ("p_brand".into(), DataType::Str),
-            ("p_size".into(), DataType::Int),
-            ("p_retailprice".into(), DataType::Float),
+            ("p_partkey", Column::ints(p_partkey)),
+            ("p_name", p_name.finish()),
+            ("p_brand", p_brand.finish()),
+            ("p_size", Column::ints(p_size)),
+            ("p_retailprice", Column::floats(p_retailprice)),
         ],
     );
-    for i in 0..n_part {
-        part.push_row([
-            Cell::Int(i as i64),
-            Cell::Str(synth_name(&mut rng, "part", &mut name)),
-            Cell::Str(BRANDS[rng.gen_range(0..BRANDS.len())]),
-            Cell::Int(rng.gen_range(1..=50)),
-            Cell::Float(heavy_tail(&mut rng, 1_000.0, 0.4, 20_000.0).round() / 1.0),
-        ]);
-    }
     loader.add_table(part, Some("p_partkey"), &["p_brand", "p_size"]);
 
     // partsupp ------------------------------------------------------------
-    let mut partsupp = Table::new(
+    let [mut ps_partkey, mut ps_suppkey, mut ps_availqty] = columns(n_partsupp);
+    let mut ps_supplycost = Vec::with_capacity(n_partsupp);
+    for i in 0..n_partsupp {
+        ps_partkey.push((i % n_part) as i64);
+        ps_suppkey.push(rng.gen_range(0..n_supplier) as i64);
+        ps_availqty.push(rng.gen_range(1..10_000));
+        ps_supplycost.push((rng.gen_range(100..100_000) as f64) / 100.0);
+    }
+    let partsupp = Table::from_columns(
         "partsupp",
         vec![
-            ("ps_partkey".into(), DataType::Int),
-            ("ps_suppkey".into(), DataType::Int),
-            ("ps_availqty".into(), DataType::Int),
-            ("ps_supplycost".into(), DataType::Float),
+            ("ps_partkey", Column::ints(ps_partkey)),
+            ("ps_suppkey", Column::ints(ps_suppkey)),
+            ("ps_availqty", Column::ints(ps_availqty)),
+            ("ps_supplycost", Column::floats(ps_supplycost)),
         ],
     );
-    for i in 0..n_partsupp {
-        partsupp.push_row([
-            Cell::Int((i % n_part) as i64),
-            Cell::Int(rng.gen_range(0..n_supplier) as i64),
-            Cell::Int(rng.gen_range(1..10_000)),
-            Cell::Float((rng.gen_range(100..100_000) as f64) / 100.0),
-        ]);
-    }
     loader.add_table(partsupp, None, &["ps_partkey", "ps_suppkey"]);
 
     // orders ---------------------------------------------------------------
-    let mut orders = Table::new(
-        "orders",
-        vec![
-            ("o_orderkey".into(), DataType::Int),
-            ("o_custkey".into(), DataType::Int),
-            ("o_orderstatus".into(), DataType::Str),
-            ("o_totalprice".into(), DataType::Float),
-            ("o_orderdate".into(), DataType::Int),
-            ("o_orderpriority".into(), DataType::Str),
-        ],
-    );
+    let [mut o_orderkey, mut o_custkey, mut o_orderdate] = columns(n_orders);
+    let [mut o_orderstatus, mut o_orderpriority] =
+        [(); 2].map(|_| TextColumn::with_capacity(n_orders));
+    let mut o_totalprice = Vec::with_capacity(n_orders);
     for i in 0..n_orders {
         // customers have power-law order counts (realistic hot keys).
         let cust = powerlaw_index(&mut rng, n_customer, 0.4);
-        orders.push_row([
-            Cell::Int(i as i64),
-            Cell::Int(cust as i64),
-            Cell::Str(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())]),
-            Cell::Float(heavy_tail(&mut rng, 30_000.0, 0.6, 600_000.0).round()),
-            Cell::Int(rng.gen_range(8_766..11_322)), // 1994-01-01 .. 2000-12-31 in days
-            Cell::Str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
-        ]);
+        o_orderkey.push(i as i64);
+        o_custkey.push(cust as i64);
+        o_orderstatus.push(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())]);
+        o_totalprice.push(heavy_tail(&mut rng, 30_000.0, 0.6, 600_000.0).round());
+        o_orderdate.push(rng.gen_range(8_766..11_322)); // 1994-01-01 .. 2000-12-31 in days
+        o_orderpriority.push(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
     }
+    let orders = Table::from_columns(
+        "orders",
+        vec![
+            ("o_orderkey", Column::ints(o_orderkey)),
+            ("o_custkey", Column::ints(o_custkey)),
+            ("o_orderstatus", o_orderstatus.finish()),
+            ("o_totalprice", Column::floats(o_totalprice)),
+            ("o_orderdate", Column::ints(o_orderdate)),
+            ("o_orderpriority", o_orderpriority.finish()),
+        ],
+    );
     loader.add_table(orders, Some("o_orderkey"), &["o_custkey", "o_orderdate"]);
 
     // lineitem ---------------------------------------------------------------
-    let mut lineitem = Table::new(
-        "lineitem",
-        vec![
-            ("l_orderkey".into(), DataType::Int),
-            ("l_partkey".into(), DataType::Int),
-            ("l_suppkey".into(), DataType::Int),
-            ("l_linenumber".into(), DataType::Int),
-            ("l_quantity".into(), DataType::Float),
-            ("l_extendedprice".into(), DataType::Float),
-            ("l_discount".into(), DataType::Float),
-            ("l_shipdate".into(), DataType::Int),
-            ("l_returnflag".into(), DataType::Str),
-            ("l_linestatus".into(), DataType::Str),
-        ],
-    );
+    let [mut l_orderkey, mut l_partkey, mut l_suppkey, mut l_linenumber, mut l_shipdate] =
+        columns(n_lineitem);
+    let [mut l_quantity, mut l_extendedprice, mut l_discount] = columns(n_lineitem);
+    let [mut l_returnflag, mut l_linestatus] =
+        [(); 2].map(|_| TextColumn::with_capacity(n_lineitem));
     for i in 0..n_lineitem {
         let order = (i * n_orders / n_lineitem).min(n_orders - 1);
-        lineitem.push_row([
-            Cell::Int(order as i64),
-            Cell::Int(powerlaw_index(&mut rng, n_part, 0.3) as i64),
-            Cell::Int(rng.gen_range(0..n_supplier) as i64),
-            Cell::Int((i % 7) as i64 + 1),
-            Cell::Float(rng.gen_range(1..=50) as f64),
-            Cell::Float(heavy_tail(&mut rng, 20_000.0, 0.7, 110_000.0).round()),
-            Cell::Float((rng.gen_range(0..=10) as f64) / 100.0),
-            Cell::Int(rng.gen_range(8_766..11_322)),
-            Cell::Str(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())]),
-            Cell::Str(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())]),
-        ]);
+        l_orderkey.push(order as i64);
+        l_partkey.push(powerlaw_index(&mut rng, n_part, 0.3) as i64);
+        l_suppkey.push(rng.gen_range(0..n_supplier) as i64);
+        l_linenumber.push((i % 7) as i64 + 1);
+        l_quantity.push(rng.gen_range(1..=50) as f64);
+        l_extendedprice.push(heavy_tail(&mut rng, 20_000.0, 0.7, 110_000.0).round());
+        l_discount.push((rng.gen_range(0..=10) as f64) / 100.0);
+        l_shipdate.push(rng.gen_range(8_766..11_322));
+        l_returnflag.push(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())]);
+        l_linestatus.push(LINE_STATUS[rng.gen_range(0..LINE_STATUS.len())]);
     }
+    let lineitem = Table::from_columns(
+        "lineitem",
+        vec![
+            ("l_orderkey", Column::ints(l_orderkey)),
+            ("l_partkey", Column::ints(l_partkey)),
+            ("l_suppkey", Column::ints(l_suppkey)),
+            ("l_linenumber", Column::ints(l_linenumber)),
+            ("l_quantity", Column::floats(l_quantity)),
+            ("l_extendedprice", Column::floats(l_extendedprice)),
+            ("l_discount", Column::floats(l_discount)),
+            ("l_shipdate", Column::ints(l_shipdate)),
+            ("l_returnflag", l_returnflag.finish()),
+            ("l_linestatus", l_linestatus.finish()),
+        ],
+    );
     loader.add_table(lineitem, None, &["l_orderkey", "l_partkey", "l_shipdate"]);
 }
 

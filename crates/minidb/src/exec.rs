@@ -2061,7 +2061,7 @@ mod tests {
     /// `2^53`/`2^53 + 1` and U+0001 cells (`t1`, `t2`), and one text
     /// under several dictionary codes (`t3`).
     fn edge_key_db() -> Database {
-        use crate::storage::{Cell, DataType, Table};
+        use crate::storage::{DataType, Table};
         let two53 = 9_007_199_254_740_992i64;
         let mut t1 = Table::new(
             "t1",
@@ -2116,7 +2116,7 @@ mod tests {
             .chain(fillers.iter().map(String::as_str))
             .chain(["a", "x"]);
         for (id, text) in texts.enumerate() {
-            t3.push_row([Cell::Int(id as i64), Cell::Str(text)]);
+            t3.push_row([Value::Int(id as i64), Value::Str(text.into())]);
         }
         let Column::Str { dict, .. } = &t3.columns[1] else { unreachable!() };
         assert!(dict.len() > 304, "t3.s repeats no entry");

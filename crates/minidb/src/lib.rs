@@ -67,4 +67,4 @@ pub use exec::{ExecScratch, PreparedExec};
 pub use explain::Explain;
 pub use prepared::{BindingBatch, PreparedTemplate, RecostScratch};
 pub use stats::{ColumnStats, TableStats};
-pub use storage::{AsCell, Cell, Column, DataType, Dictionary, Table};
+pub use storage::{Column, DataType, Dictionary, Table, TextColumn};

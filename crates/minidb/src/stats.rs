@@ -314,7 +314,7 @@ fn assemble<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{Cell, DataType};
+    use crate::storage::{DataType, TextColumn};
 
     fn int_table(values: Vec<Option<i64>>) -> Table {
         let mut t = Table::new("t", vec![("x".into(), DataType::Int)]);
@@ -710,11 +710,14 @@ mod tests {
 
     /// A `Str` table of `texts` (`None` is NULL).
     fn text_table<'a>(texts: impl IntoIterator<Item = Option<&'a str>>) -> Table {
-        let mut t = Table::new("t", vec![("s".into(), DataType::Str)]);
+        let mut column = TextColumn::with_capacity(0);
         for text in texts {
-            t.push_row([text.map_or(Cell::Null, Cell::Str)]);
+            match text {
+                Some(text) => column.push(text),
+                None => column.push_null(),
+            }
         }
-        t
+        Table::from_columns("t", vec![("s", column.finish())])
     }
 
     /// Entries of the dictionary of `table`'s only column.

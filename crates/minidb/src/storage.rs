@@ -3,9 +3,12 @@
 //! Tables store one [`Column`] per attribute; each column is a typed dense
 //! vector with a validity vector. Text columns hold one `u32` code per
 //! cell into a per-column [`Dictionary`], whose texts share one arena.
-//! Loading takes borrowed [`Cell`]s, so a loader allocates nothing per
-//! cell; cell access materializes a [`sqlkit::Value`] so the expression
-//! evaluator and the frontend share one value type.
+//! The dataset generators build whole columns ([`Column::ints`],
+//! [`Column::floats`], [`Column::nullable_ints`], [`TextColumn`]) and
+//! assemble them with [`Table::from_columns`]; tests and fixtures load
+//! [`Value`] rows through [`Table::push_row`]. Cell access materializes a
+//! [`sqlkit::Value`] so the expression evaluator and the frontend share
+//! one value type.
 
 use sqlkit::Value;
 use std::fmt;
@@ -43,39 +46,6 @@ impl DataType {
             DataType::Float => "double precision",
             DataType::Str => "text",
             DataType::Bool => "boolean",
-        }
-    }
-}
-
-/// One cell to load: a [`Value`] that borrows its text.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Cell<'a> {
-    Null,
-    Int(i64),
-    Float(f64),
-    Str(&'a str),
-    Bool(bool),
-}
-
-/// Borrows a row item as the [`Cell`] that [`Table::push_row`] loads.
-pub trait AsCell {
-    fn as_cell(&self) -> Cell<'_>;
-}
-
-impl AsCell for Cell<'_> {
-    fn as_cell(&self) -> Cell<'_> {
-        *self
-    }
-}
-
-impl AsCell for Value {
-    fn as_cell(&self) -> Cell<'_> {
-        match self {
-            Value::Null => Cell::Null,
-            Value::Int(v) => Cell::Int(*v),
-            Value::Float(v) => Cell::Float(*v),
-            Value::Str(s) => Cell::Str(s),
-            Value::Bool(b) => Cell::Bool(*b),
         }
     }
 }
@@ -236,47 +206,66 @@ impl Column {
         self.len() == 0
     }
 
-    /// Append a cell; `Cell::Null` appends a null of this column's type.
+    /// A never-null `Int` column of `values`.
+    pub fn ints(values: Vec<i64>) -> Column {
+        let valid = vec![true; values.len()];
+        Column::Int { values, valid }
+    }
+
+    /// A never-null `Float` column of `values`.
+    pub fn floats(values: Vec<f64>) -> Column {
+        let valid = vec![true; values.len()];
+        Column::Float { values, valid }
+    }
+
+    /// An `Int` column with a NULL where `cells` holds `None`.
+    pub fn nullable_ints(cells: Vec<Option<i64>>) -> Column {
+        let values = cells.iter().map(|cell| cell.unwrap_or(0)).collect();
+        let valid = cells.iter().map(Option::is_some).collect();
+        Column::Int { values, valid }
+    }
+
+    /// Append a cell; `Value::Null` appends a null of this column's type.
     /// `Int` cells coerce into `Float` columns.
     ///
     /// # Panics
-    /// Panics on a type mismatch — loading is an internal, generator-driven
-    /// path, so a mismatch is a programming error rather than user input.
-    pub fn push(&mut self, cell: Cell<'_>) {
+    /// Panics on a type mismatch — loading is an internal path, so a
+    /// mismatch is a programming error rather than user input.
+    pub fn push(&mut self, cell: &Value) {
         match (self, cell) {
-            (Column::Int { values, valid }, Cell::Int(v)) => {
-                values.push(v);
+            (Column::Int { values, valid }, Value::Int(v)) => {
+                values.push(*v);
                 valid.push(true);
             }
-            (Column::Int { values, valid }, Cell::Null) => {
+            (Column::Int { values, valid }, Value::Null) => {
                 values.push(0);
                 valid.push(false);
             }
-            (Column::Float { values, valid }, Cell::Float(v)) => {
-                values.push(v);
+            (Column::Float { values, valid }, Value::Float(v)) => {
+                values.push(*v);
                 valid.push(true);
             }
-            (Column::Float { values, valid }, Cell::Int(v)) => {
-                values.push(v as f64);
+            (Column::Float { values, valid }, Value::Int(v)) => {
+                values.push(*v as f64);
                 valid.push(true);
             }
-            (Column::Float { values, valid }, Cell::Null) => {
+            (Column::Float { values, valid }, Value::Null) => {
                 values.push(0.0);
                 valid.push(false);
             }
-            (Column::Str { codes, dict, valid }, Cell::Str(text)) => {
+            (Column::Str { codes, dict, valid }, Value::Str(text)) => {
                 codes.push(dict.intern(text));
                 valid.push(true);
             }
-            (Column::Str { codes, valid, .. }, Cell::Null) => {
+            (Column::Str { codes, valid, .. }, Value::Null) => {
                 codes.push(0);
                 valid.push(false);
             }
-            (Column::Bool { values, valid }, Cell::Bool(v)) => {
-                values.push(v);
+            (Column::Bool { values, valid }, Value::Bool(v)) => {
+                values.push(*v);
                 valid.push(true);
             }
-            (Column::Bool { values, valid }, Cell::Null) => {
+            (Column::Bool { values, valid }, Value::Null) => {
                 values.push(false);
                 valid.push(false);
             }
@@ -364,6 +353,19 @@ impl Table {
         }
     }
 
+    /// A table of whole columns, named and in position order.
+    ///
+    /// # Panics
+    /// Panics if the columns differ in length.
+    pub fn from_columns(name: impl Into<String>, columns: Vec<(&str, Column)>) -> Table {
+        let (column_names, columns): (Vec<String>, Vec<Column>) =
+            columns.into_iter().map(|(name, column)| (name.to_string(), column)).unzip();
+        if let Some(first) = columns.first() {
+            assert!(columns.iter().all(|c| c.len() == first.len()), "column length mismatch");
+        }
+        Table { name: name.into(), column_names, columns }
+    }
+
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.columns.first().map_or(0, Column::len)
@@ -379,10 +381,8 @@ impl Table {
         self.column_names.iter().position(|c| c == name)
     }
 
-    /// Append one row, one cell per column in position order: [`Cell`]s,
-    /// or [`Value`]s, each borrowed into a cell. Takes any exact-size
-    /// iterable, so loaders can pass a stack array (`[..]`) instead of
-    /// allocating a `Vec` per row.
+    /// Append one row of [`Value`]s, one per column in position order.
+    /// Takes any exact-size iterable: a `Vec` or a stack array (`[..]`).
     ///
     /// # Panics
     /// Panics if the cell count does not match the column count (checked
@@ -390,15 +390,52 @@ impl Table {
     /// column.
     pub fn push_row<I>(&mut self, row: I)
     where
-        I: IntoIterator,
-        I::Item: AsCell,
+        I: IntoIterator<Item = Value>,
         I::IntoIter: ExactSizeIterator,
     {
         let row = row.into_iter();
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         for (column, value) in self.columns.iter_mut().zip(row) {
-            column.push(value.as_cell());
+            column.push(&value);
         }
+    }
+}
+
+/// Builds a `Str` column text by text: each text is interned as it is
+/// fed, in row order, so the codes and the dictionary are the ones
+/// [`Table::push_row`] gives the same texts.
+pub struct TextColumn {
+    codes: Vec<u32>,
+    dict: Dictionary,
+    /// Rows fed as NULL, ascending.
+    nulls: Vec<usize>,
+}
+
+impl TextColumn {
+    /// An empty builder with room for `rows` cells.
+    pub fn with_capacity(rows: usize) -> TextColumn {
+        TextColumn { codes: Vec::with_capacity(rows), dict: Dictionary::new(), nulls: Vec::new() }
+    }
+
+    /// Append `text`.
+    #[inline]
+    pub fn push(&mut self, text: &str) {
+        self.codes.push(self.dict.intern(text));
+    }
+
+    /// Append a NULL.
+    pub fn push_null(&mut self) {
+        self.nulls.push(self.codes.len());
+        self.codes.push(0);
+    }
+
+    /// The finished column.
+    pub fn finish(self) -> Column {
+        let mut valid = vec![true; self.codes.len()];
+        for row in self.nulls {
+            valid[row] = false;
+        }
+        Column::Str { codes: self.codes, dict: self.dict, valid }
     }
 }
 
@@ -442,13 +479,56 @@ mod tests {
     }
 
     #[test]
-    fn cells_and_values_load_the_same_row() {
-        let layout = || vec![("a".into(), DataType::Float), ("s".into(), DataType::Str)];
-        let mut from_cells = Table::new("t", layout());
-        let mut from_values = Table::new("t", layout());
-        from_cells.push_row([Cell::Int(7), Cell::Str("x")]);
-        from_values.push_row([Value::Int(7), Value::Str("x".into())]);
-        assert_eq!(from_cells.columns, from_values.columns);
+    fn typed_columns_load_what_value_rows_load() {
+        // Text repeats both inside and beyond the load cache, and NULLs.
+        let words: Vec<String> = (0..3 * RECENT_SLOTS).map(|i| format!("w{}", i % 400)).collect();
+        let layout = vec![
+            ("i".into(), DataType::Int),
+            ("f".into(), DataType::Float),
+            ("n".into(), DataType::Int),
+            ("s".into(), DataType::Str),
+        ];
+        let mut rows = Table::new("t", layout);
+        let (mut i, mut f, mut n) = (Vec::new(), Vec::new(), Vec::new());
+        let mut s = TextColumn::with_capacity(words.len());
+        for (row, word) in words.iter().enumerate() {
+            let null = row % 5 == 3;
+            let (int, float) = (row as i64 - 40, row as f64 / 8.0 - 1.0);
+            let cell = (!null).then_some(int);
+            rows.push_row([
+                Value::Int(int),
+                Value::Float(float),
+                cell.map_or(Value::Null, Value::Int),
+                if null { Value::Null } else { Value::Str(word.clone()) },
+            ]);
+            i.push(int);
+            f.push(float);
+            n.push(cell);
+            if null {
+                s.push_null();
+            } else {
+                s.push(word);
+            }
+        }
+        let typed = Table::from_columns(
+            "t",
+            vec![
+                ("i", Column::ints(i)),
+                ("f", Column::floats(f)),
+                ("n", Column::nullable_ints(n)),
+                ("s", s.finish()),
+            ],
+        );
+        assert_eq!(typed.column_names, rows.column_names);
+        assert_eq!(typed.columns, rows.columns);
+        let Column::Str { dict, .. } = &typed.columns[3] else { unreachable!() };
+        assert!(dict.len() > 400, "no text was evicted");
+    }
+
+    #[test]
+    #[should_panic(expected = "column length mismatch")]
+    fn columns_of_unequal_length_panic() {
+        Table::from_columns("t", vec![("a", Column::ints(vec![1])), ("b", Column::ints(vec![]))]);
     }
 
     fn texts(column: &Column) -> Vec<Option<String>> {
@@ -463,10 +543,15 @@ mod tests {
     #[test]
     fn text_round_trips_through_the_dictionary() {
         let cells = ["", "a", "é", "a", "", "Brand#11", "ü日本", "a"];
-        let mut column = Column::new(DataType::Str);
+        let mut builder = TextColumn::with_capacity(cells.len());
         for (i, text) in cells.iter().enumerate() {
-            column.push(if i == 2 { Cell::Null } else { Cell::Str(text) });
+            if i == 2 {
+                builder.push_null();
+            } else {
+                builder.push(text);
+            }
         }
+        let column = builder.finish();
         let expected: Vec<Option<String>> =
             cells.iter().enumerate().map(|(i, t)| (i != 2).then(|| t.to_string())).collect();
         assert_eq!(texts(&column), expected);
@@ -480,11 +565,11 @@ mod tests {
         // More distinct texts than cache slots evict the early ones, so
         // their repeats get second entries.
         let distinct: Vec<String> = (0..4 * RECENT_SLOTS).map(|i| format!("v{i}")).collect();
-        let mut column = Column::new(DataType::Str);
+        let mut builder = TextColumn::with_capacity(2 * distinct.len());
         for text in distinct.iter().chain(&distinct) {
-            column.push(Cell::Str(text));
+            builder.push(text);
         }
-        let Column::Str { codes, dict, .. } = &column else { unreachable!() };
+        let Column::Str { codes, dict, .. } = &builder.finish() else { unreachable!() };
         assert!(dict.len() > distinct.len(), "no text was evicted");
         for (row, &code) in codes.iter().enumerate() {
             assert_eq!(dict.get(code), distinct[row % distinct.len()]);
@@ -501,7 +586,7 @@ mod tests {
     #[test]
     fn int_coerces_into_float_column() {
         let mut c = Column::new(DataType::Float);
-        c.push(Cell::Int(3));
+        c.push(&Value::Int(3));
         assert_eq!(c.get(0), Value::Float(3.0));
     }
 
@@ -509,7 +594,7 @@ mod tests {
     #[should_panic(expected = "type mismatch")]
     fn type_mismatch_panics() {
         let mut c = Column::new(DataType::Int);
-        c.push(Cell::Str("nope"));
+        c.push(&Value::Str("nope".into()));
     }
 
     #[test]

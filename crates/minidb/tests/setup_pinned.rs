@@ -6,9 +6,11 @@
 //! went in. A changed constant means datagen, ANALYZE or an index build
 //! no longer reproduces the original database.
 //!
-//! At benchmark scale (ignored by default; CI runs it in release) the
-//! generators' two-thread load must build what sequential
-//! `Database::add_table` calls build from the same tables.
+//! At benchmark scale (TPC-H SF 0.05 and IMDB scale 4; ignored by
+//! default, CI runs them in release) the generators' two-thread load must
+//! build what sequential `Database::add_table` calls build from the same
+//! tables, and both hashes are pinned to constants recorded before the
+//! generators built typed columns instead of pushing rows.
 
 use minidb::datagen::{imdb, tpch};
 use minidb::{DataType, Database};
@@ -178,10 +180,12 @@ fn rebuilt_sequentially(db: &Database) -> Database {
     rebuilt
 }
 
-/// Two builds of `generate` are identical, and equal what `add_table`
-/// builds from their tables.
-fn assert_loads_exactly(generate: impl Fn() -> Database) {
+/// Two builds of `generate` are identical, equal what `add_table` builds
+/// from their tables, and hash to `pinned`: `(database_hash, debug_hash)`.
+fn assert_loads_exactly(generate: impl Fn() -> Database, pinned: (u64, u64)) {
     let first = generate();
+    let hashes = (database_hash(&first), debug_hash(&first));
+    assert_eq!(hashes, pinned, "{} changed at benchmark scale", first.name());
     let second = generate();
     let reference = rebuilt_sequentially(&first);
     for db in [&second, &reference] {
@@ -193,11 +197,17 @@ fn assert_loads_exactly(generate: impl Fn() -> Database) {
 #[test]
 #[ignore = "benchmark scale: seconds in release; run with --include-ignored"]
 fn benchmark_scale_tpch_loads_as_add_table_does() {
-    assert_loads_exactly(|| tpch::generate(tpch::TpchConfig { scale_factor: 0.05, seed: 42 }));
+    assert_loads_exactly(
+        || tpch::generate(tpch::TpchConfig { scale_factor: 0.05, seed: 42 }),
+        (0xe06b_548d_986a_b3c1, 0xd7c6_b615_9a54_5244),
+    );
 }
 
 #[test]
 #[ignore = "benchmark scale: seconds in release; run with --include-ignored"]
 fn benchmark_scale_imdb_loads_as_add_table_does() {
-    assert_loads_exactly(|| imdb::generate(imdb::ImdbConfig { scale: 4.0, seed: 1337 }));
+    assert_loads_exactly(
+        || imdb::generate(imdb::ImdbConfig { scale: 4.0, seed: 1337 }),
+        (0x3390_f3ec_3abe_c8eb, 0x3c15_60f4_a97c_61aa),
+    );
 }

@@ -671,6 +671,32 @@ mod tests {
                     }
                 }
             }
+
+            #[test]
+            fn arbitrary_bytes_and_text_parse_or_give_a_typed_error(
+                bytes in prop::collection::vec(any::<u8>(), 0..96),
+                points in prop::collection::vec(any::<u32>(), 0..48),
+            ) {
+                // Bytes as a `--spec` argument that is not UTF-8 reaches
+                // the parser, and any Unicode scalar values.
+                let lossy = String::from_utf8_lossy(&bytes).into_owned();
+                let unicode: String = points
+                    .iter()
+                    .map(|&p| if p % 2 == 0 { char::from((p >> 1) as u8 & 0x7f) } else {
+                        char::from_u32((p >> 1) % 0x11_0000).unwrap_or(char::REPLACEMENT_CHARACTER)
+                    })
+                    .collect();
+                for text in [lossy, unicode] {
+                    let lenient = TemplateSpec::parse_declarative(3, &text);
+                    match TemplateSpec::try_parse_declarative(3, &text) {
+                        Ok(checked) => prop_assert_eq!(&checked, &lenient),
+                        Err(SpecError::MalformedCount { key, value }
+                        | SpecError::CountAboveCap { key, value }) => {
+                            prop_assert!(text.contains(&value), "{} {}", key, text);
+                        }
+                    }
+                }
+            }
         }
     }
 
