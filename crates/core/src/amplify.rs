@@ -314,9 +314,8 @@ impl RenderedSkeleton {
         for (i, segment) in self.segments.iter().enumerate() {
             out.push_str(segment);
             if let Some(&id) = self.slots.get(i) {
-                let value = batch
-                    .value_of(id, row)
-                    .expect("template placeholder has a batch column");
+                let value =
+                    batch.value_of(id, row).expect("template placeholder has a batch column");
                 let _ = write!(out, "{value}");
             }
         }
@@ -567,13 +566,9 @@ pub fn amplify_workload<W: Write>(
             let Ok(handle) = oracle.prepare(&profiled[t].template) else {
                 continue;
             };
-            let Some(ctx) = PairContext::new(
-                &profiled[t],
-                handle,
-                cost_type,
-                target.intervals.clone(),
-                j,
-            ) else {
+            let Some(ctx) =
+                PairContext::new(&profiled[t], handle, cost_type, target.intervals.clone(), j)
+            else {
                 continue;
             };
             // Seed chained on (interval, template) identity, not pair
@@ -660,13 +655,9 @@ pub fn amplify_workload<W: Write>(
     if target_mass > 0.0 {
         let scale = config.n as f64 / target_mass;
         let scaled: Vec<f64> = target.counts.iter().map(|c| c * scale).collect();
-        stats.wasserstein =
-            wasserstein_distance(&scaled, acc.counts(), target.intervals.width());
+        stats.wasserstein = wasserstein_distance(&scaled, acc.counts(), target.intervals.width());
     }
-    writer.comment(&format!(
-        "amplified: {} emitted, {} short",
-        stats.emitted, stats.shortfall
-    ))?;
+    writer.comment(&format!("amplified: {} emitted, {} short", stats.emitted, stats.shortfall))?;
     writer.finish()?;
     stats.oracle_misses = oracle.stats().physical_evals - physical_before;
     Ok(stats)
@@ -704,10 +695,7 @@ mod tests {
 
     fn sample_target(db: &Database, profiled: &[ProfiledTemplate]) -> TargetDistribution {
         let _ = db;
-        let max = profiled
-            .iter()
-            .flat_map(|t| t.costs.iter())
-            .fold(0.0f64, |a, &b| a.max(b));
+        let max = profiled.iter().flat_map(|t| t.costs.iter()).fold(0.0f64, |a, &b| a.max(b));
         let grid = CostIntervals::new(0.0, (max * 1.05).max(1.0), 5);
         let all: Vec<f64> = profiled.iter().flat_map(|t| t.costs.iter().copied()).collect();
         TargetDistribution::from_samples(&all, grid, 200)
@@ -956,10 +944,9 @@ mod tests {
                 let oracle = CostOracle::new(&db, threads);
                 let config = AmplifyConfig { n: 400, shards, batch: 64, out: None };
                 let mut buf = Vec::new();
-                let stats = amplify_workload(
-                    &oracle, &profiled, &target, cost_type, &config, 7, &mut buf,
-                )
-                .unwrap();
+                let stats =
+                    amplify_workload(&oracle, &profiled, &target, cost_type, &config, 7, &mut buf)
+                        .unwrap();
                 assert!(stats.emitted > 0, "{cost_type:?}: nothing amplified");
                 assert_eq!(
                     stats.oracle_misses, 0,

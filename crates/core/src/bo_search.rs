@@ -248,7 +248,14 @@ pub(crate) fn predicate_search(
             on_progress(&accepted.d);
             if !config.use_bo {
                 return naive_random_search(
-                    oracle, templates, target, cost_type, config, rng, accepted, on_progress,
+                    oracle,
+                    templates,
+                    target,
+                    cost_type,
+                    config,
+                    rng,
+                    accepted,
+                    on_progress,
                 );
             }
             SchedState::new(rng.gen(), accepted)
@@ -298,9 +305,8 @@ fn naive_random_search(
     let mut evaluations = 0usize;
     let mut drawn = 0usize;
     'runs: while drawn < budget {
-        let remaining: f64 = (0..target.intervals.count)
-            .map(|j| (target.counts[j] - state.d[j]).max(0.0))
-            .sum();
+        let remaining: f64 =
+            (0..target.intervals.count).map(|j| (target.counts[j] - state.d[j]).max(0.0)).sum();
         if remaining <= 0.0 {
             break;
         }
@@ -348,21 +354,15 @@ fn naive_random_search(
             if evaluations.is_multiple_of(256) {
                 on_progress(&state.d);
             }
-            let remaining: f64 = (0..target.intervals.count)
-                .map(|j| (target.counts[j] - state.d[j]).max(0.0))
-                .sum();
+            let remaining: f64 =
+                (0..target.intervals.count).map(|j| (target.counts[j] - state.d[j]).max(0.0)).sum();
             if remaining <= 0.0 {
                 break 'runs;
             }
         }
     }
     on_progress(&state.d);
-    SearchResult {
-        queries: state.queries,
-        distribution: state.d,
-        skipped: Vec::new(),
-        evaluations,
-    }
+    SearchResult { queries: state.queries, distribution: state.d, skipped: Vec::new(), evaluations }
 }
 
 /// Weighted sampling without replacement, proportional to closeness.
@@ -442,10 +442,7 @@ mod tests {
             )
         })
         .collect();
-        let target = workload::TargetDistribution::uniform(
-            CostIntervals::new(0.0, 6000.0, 6),
-            60,
-        );
+        let target = workload::TargetDistribution::uniform(CostIntervals::new(0.0, 6000.0, 6), 60);
         let result = bo_predicate_search(
             &oracle,
             &mut templates,
@@ -489,16 +486,10 @@ mod tests {
                 &mut rng,
             )];
             // Narrow target: needs directed search.
-            let target = workload::TargetDistribution::uniform(
-                CostIntervals::new(4000.0, 4600.0, 2),
-                30,
-            );
+            let target =
+                workload::TargetDistribution::uniform(CostIntervals::new(4000.0, 4600.0, 2), 30);
             let mut evaluations = 0;
-            let config = BoSearchConfig {
-                use_bo,
-                max_run_budget: 60,
-                ..Default::default()
-            };
+            let config = BoSearchConfig { use_bo, max_run_budget: 60, ..Default::default() };
             let result = bo_predicate_search(
                 &oracle,
                 &mut templates,
@@ -533,10 +524,8 @@ mod tests {
             10,
             &mut rng,
         )];
-        let target = workload::TargetDistribution::uniform(
-            CostIntervals::new(5000.0, 10_000.0, 2),
-            20,
-        );
+        let target =
+            workload::TargetDistribution::uniform(CostIntervals::new(5000.0, 10_000.0, 2), 20);
         let result = bo_predicate_search(
             &oracle,
             &mut templates,

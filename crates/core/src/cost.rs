@@ -76,14 +76,8 @@ mod tests {
 
     #[test]
     fn benchmark_mapping_respects_both() {
-        assert_eq!(
-            CostType::from_benchmark(workload::CostType::Both, true),
-            CostType::Cardinality
-        );
-        assert_eq!(
-            CostType::from_benchmark(workload::CostType::Both, false),
-            CostType::PlanCost
-        );
+        assert_eq!(CostType::from_benchmark(workload::CostType::Both, true), CostType::Cardinality);
+        assert_eq!(CostType::from_benchmark(workload::CostType::Both, false), CostType::PlanCost);
         assert_eq!(
             CostType::from_benchmark(workload::CostType::PlanCost, true),
             CostType::PlanCost

@@ -28,9 +28,7 @@ use crate::snapshot::{
     CheckpointDir, OracleState, PhaseState, ProfiledState, ReportAcc, SchedState, Snapshot,
     StoredResult, TemplatePool,
 };
-use crate::template_gen::{
-    generate_templates, template_alignment_accuracy, TemplateGenConfig,
-};
+use crate::template_gen::{generate_templates, template_alignment_accuracy, TemplateGenConfig};
 use llm::{
     FaultConfig, FaultyTransport, LanguageModel, ResilientLlm, RetryPolicy, SyntheticLlm,
     TransportFaultConfig,
@@ -254,9 +252,7 @@ impl KillSwitch {
             Some((name, "abort")) => (name, KillMode::Abort),
             Some((name, "unwind")) => (name, KillMode::Unwind),
             Some((_, other)) => {
-                return Err(format!(
-                    "unknown kill mode {other:?} (use :unwind or :abort)"
-                ))
+                return Err(format!("unknown kill mode {other:?} (use :unwind or :abort)"))
             }
             None => (spec, KillMode::Unwind),
         };
@@ -275,9 +271,7 @@ impl KillSwitch {
         }
         self.fired = true;
         match self.mode {
-            KillMode::Unwind => {
-                Err(GenerateError::Killed(point.name().to_string()))
-            }
+            KillMode::Unwind => Err(GenerateError::Killed(point.name().to_string())),
             KillMode::Abort => std::process::abort(),
         }
     }
@@ -359,12 +353,7 @@ fn pool_of(profiled: &[ProfiledTemplate]) -> TemplatePool {
 fn acc_of(report: &GenerationReport) -> ReportAcc {
     ReportAcc {
         spec_correct: report.rewrite_stats.spec_correct.iter().map(|&v| v as u64).collect(),
-        syntax_correct: report
-            .rewrite_stats
-            .syntax_correct
-            .iter()
-            .map(|&v| v as u64)
-            .collect(),
+        syntax_correct: report.rewrite_stats.syntax_correct.iter().map(|&v| v as u64).collect(),
         rewrite_total: report.rewrite_stats.total as u64,
         alignment_accuracy: report.alignment_accuracy,
         n_seed_templates: report.n_seed_templates as u64,
@@ -380,14 +369,10 @@ fn acc_of(report: &GenerationReport) -> ReportAcc {
 
 /// Inverse of [`acc_of`]: a fresh report carrying the accumulated fields.
 fn report_from_acc(acc: &ReportAcc, target: &TargetDistribution) -> GenerationReport {
-    let mut report = GenerationReport {
-        target_counts: target.counts.clone(),
-        ..Default::default()
-    };
-    report.rewrite_stats.spec_correct =
-        acc.spec_correct.iter().map(|&v| v as usize).collect();
-    report.rewrite_stats.syntax_correct =
-        acc.syntax_correct.iter().map(|&v| v as usize).collect();
+    let mut report =
+        GenerationReport { target_counts: target.counts.clone(), ..Default::default() };
+    report.rewrite_stats.spec_correct = acc.spec_correct.iter().map(|&v| v as usize).collect();
+    report.rewrite_stats.syntax_correct = acc.syntax_correct.iter().map(|&v| v as usize).collect();
     report.rewrite_stats.total = acc.rewrite_total as usize;
     report.alignment_accuracy = acc.alignment_accuracy;
     report.n_seed_templates = acc.n_seed_templates as usize;
@@ -492,10 +477,7 @@ fn write_checkpoint(
         oracle: oracle.map(|o| o.export_state()),
         phase,
     };
-    ckpt.dir
-        .store(&snapshot)
-        .map(|_| ())
-        .map_err(|e| GenerateError::Checkpoint(e.to_string()))
+    ckpt.dir.store(&snapshot).map(|_| ()).map_err(|e| GenerateError::Checkpoint(e.to_string()))
 }
 
 fn fire_kill(kill: &mut Option<KillSwitch>, point: KillPoint) -> Result<(), GenerateError> {
@@ -519,8 +501,7 @@ impl<'a> SqlBarber<'a, DefaultLlm> {
     /// them: all LLM traffic is sequential).
     pub fn new(db: &'a Database, config: SqlBarberConfig) -> Self {
         let model = SyntheticLlm::new(config.faults, config.seed ^ 0x5ba8_bebe);
-        let transport =
-            FaultyTransport::new(model, config.transport, config.seed ^ 0x7a17_5eed);
+        let transport = FaultyTransport::new(model, config.transport, config.seed ^ 0x7a17_5eed);
         let llm = ResilientLlm::new(transport, config.retry, config.seed ^ 0x0b0f_f5e7);
         let rng = StdRng::seed_from_u64(config.seed);
         SqlBarber { db, config, llm, rng, kill: None }
@@ -556,10 +537,8 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         // detlint::allow(ambient_nondet): run timing is reporting-only; no bit-compared artifact depends on it
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut report = GenerationReport {
-            target_counts: target.counts.clone(),
-            ..Default::default()
-        };
+        let mut report =
+            GenerationReport { target_counts: target.counts.clone(), ..Default::default() };
 
         // Phase 1: customized template generation (Algorithm 1).
         // detlint::allow(ambient_nondet): phase timing is reporting-only
@@ -580,8 +559,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
         if generated.seeds.is_empty() {
             return Err(GenerateError::NoValidTemplates);
         }
-        let templates: Vec<Template> =
-            generated.seeds.into_iter().map(|s| s.template).collect();
+        let templates: Vec<Template> = generated.seeds.into_iter().map(|s| s.template).collect();
 
         self.run_cost_aware(
             Stage::Profile { seeds: templates },
@@ -662,9 +640,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
             )));
         }
         check_resumable(&snapshot.phase, target, self.config.search.use_bo)?;
-        self.llm
-            .import_state(&snapshot.llm)
-            .map_err(GenerateError::Checkpoint)?;
+        self.llm.import_state(&snapshot.llm).map_err(GenerateError::Checkpoint)?;
         self.rng = StdRng::from_state(snapshot.rng);
         let report = report_from_acc(&snapshot.acc, target);
         // detlint::allow(ambient_nondet): run timing is reporting-only; no bit-compared artifact depends on it
@@ -699,14 +675,12 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     PhaseState::AfterRefine { round } => {
                         Stage::Search { round: *round as usize, sched: None }
                     }
-                    PhaseState::MidSearch { round, sched } => Stage::Search {
-                        round: *round as usize,
-                        sched: Some(sched.clone()),
-                    },
-                    PhaseState::AfterSearch { round, result } => Stage::Decide {
-                        round: *round as usize,
-                        result: result_from_stored(result),
-                    },
+                    PhaseState::MidSearch { round, sched } => {
+                        Stage::Search { round: *round as usize, sched: Some(sched.clone()) }
+                    }
+                    PhaseState::AfterSearch { round, result } => {
+                        Stage::Decide { round: *round as usize, result: result_from_stored(result) }
+                    }
                 };
                 (stage, profiled)
             }
@@ -744,8 +718,8 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     .into(),
             ));
         }
-        let dir = CheckpointDir::open(&cfg.dir)
-            .map_err(|e| GenerateError::Checkpoint(e.to_string()))?;
+        let dir =
+            CheckpointDir::open(&cfg.dir).map_err(|e| GenerateError::Checkpoint(e.to_string()))?;
         Ok(Some(Checkpointer {
             dir,
             every: cfg.every.max(1),
@@ -793,9 +767,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                         &self.rng,
                         None,
                         &report,
-                        TemplatePool::Seeds(
-                            seeds.iter().map(|t| t.sql().to_string()).collect(),
-                        ),
+                        TemplatePool::Seeds(seeds.iter().map(|t| t.sql().to_string()).collect()),
                         PhaseState::AfterTemplates,
                     )?;
                     fire_kill(&mut self.kill, KillPoint::AfterTemplates)?;
@@ -923,8 +895,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                             // boundary (or any boundary when checkpointing
                             // is off).
                             if due || ckpt.is_none() {
-                                if let Err(e) = fire_kill(&mut self.kill, KillPoint::MidSearch)
-                                {
+                                if let Err(e) = fire_kill(&mut self.kill, KillPoint::MidSearch) {
                                     pending = Some(e);
                                     return RoundControl::Stop;
                                 }
@@ -958,11 +929,8 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     // "This process continues until the generated cost
                     // distribution adequately matches the target" (§5.3) —
                     // bounded by `max_outer_rounds`.
-                    let distance = wasserstein_distance(
-                        &target.counts,
-                        &result.distribution,
-                        width,
-                    );
+                    let distance =
+                        wasserstein_distance(&target.counts, &result.distribution, width);
                     let can_retry = distance > 0.0
                         && !result.skipped.is_empty()
                         && self.config.enable_refine
@@ -1003,10 +971,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                                 )
                                 .map_err(|e| GenerateError::AmplifyIo(e.to_string()))?;
                                 file.commit().map_err(|e| {
-                                    GenerateError::AmplifyIo(format!(
-                                        "{}: {e}",
-                                        path.display()
-                                    ))
+                                    GenerateError::AmplifyIo(format!("{}: {e}", path.display()))
                                 })?;
                                 stats
                             }
@@ -1026,8 +991,7 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     }
 
                     report.n_final_templates = profiled.len();
-                    report.evaluations =
-                        profiled.iter().map(|t| t.consumed as usize).sum();
+                    report.evaluations = profiled.iter().map(|t| t.consumed as usize).sum();
                     let stats = oracle.stats();
                     report.oracle_probes = stats.logical_probes;
                     report.oracle_physical_evals = stats.physical_evals;
@@ -1039,11 +1003,8 @@ impl<'a, M: LanguageModel> SqlBarber<'a, M> {
                     report.scheduler_tasks = stats.scheduler_tasks;
                     report.scheduler_peak_tasks = stats.scheduler_peak_tasks;
                     report.scheduler_overadmissions = stats.scheduler_overadmissions;
-                    report.final_distance = wasserstein_distance(
-                        &target.counts,
-                        &result.distribution,
-                        width,
-                    );
+                    report.final_distance =
+                        wasserstein_distance(&target.counts, &result.distribution, width);
                     report.distribution = result.distribution;
                     report.skipped_intervals = result.skipped;
                     report.queries = result.queries;
@@ -1070,12 +1031,10 @@ mod tests {
     #[test]
     fn end_to_end_uniform_cardinality_converges() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 100);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 100);
         let specs = redset_template_specs(3);
         let mut barber = SqlBarber::new(&db, SqlBarberConfig::fast_test());
-        let report =
-            barber.generate(&specs[..8], &target, CostType::Cardinality).unwrap();
+        let report = barber.generate(&specs[..8], &target, CostType::Cardinality).unwrap();
         assert!(
             report.final_distance < 300.0,
             "distance {} (d={:?}, skipped={:?})",
@@ -1095,26 +1054,21 @@ mod tests {
     #[test]
     fn templates_can_be_supplied_directly() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
-        let templates = vec![
-            sqlkit::parse_template(
-                "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_extendedprice > {p_1}",
-            )
-            .unwrap(),
-        ];
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
+        let templates = vec![sqlkit::parse_template(
+            "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_extendedprice > {p_1}",
+        )
+        .unwrap()];
         let mut barber = SqlBarber::new(&db, SqlBarberConfig::fast_test());
-        let report = barber
-            .generate_from_templates(templates, &target, CostType::Cardinality)
-            .unwrap();
+        let report =
+            barber.generate_from_templates(templates, &target, CostType::Cardinality).unwrap();
         assert!(report.queries.len() >= 30, "{} queries", report.queries.len());
     }
 
     #[test]
     fn empty_inputs_error() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(5), 10);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(5), 10);
         let mut barber = SqlBarber::new(&db, SqlBarberConfig::fast_test());
         assert!(matches!(
             barber.generate_from_templates(vec![], &target, CostType::Cardinality),
@@ -1145,14 +1099,12 @@ mod tests {
     #[test]
     fn fingerprint_ignores_plumbing_but_not_computation() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
         let base = SqlBarberConfig::fast_test();
         let fp = config_fingerprint(&base, &db, &target, CostType::Cardinality);
 
         let mut with_ckpt = base.clone();
-        with_ckpt.checkpoint =
-            Some(CheckpointConfig { dir: PathBuf::from("/tmp/x"), every: 8 });
+        with_ckpt.checkpoint = Some(CheckpointConfig { dir: PathBuf::from("/tmp/x"), every: 8 });
         assert_eq!(fp, config_fingerprint(&with_ckpt, &db, &target, CostType::Cardinality));
 
         // Thread count and shard width never change output, so they are
@@ -1179,8 +1131,7 @@ mod tests {
     #[test]
     fn kill_and_resume_reproduces_the_uninterrupted_run() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 60);
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 60);
         let template = || {
             vec![sqlkit::parse_template(
                 "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_extendedprice > {p_1}",
@@ -1191,8 +1142,8 @@ mod tests {
             .generate_from_templates(template(), &target, CostType::Cardinality)
             .unwrap();
 
-        let dir = std::env::temp_dir()
-            .join(format!("sqlbarber-driver-resume-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("sqlbarber-driver-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = SqlBarberConfig::fast_test();
         config.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 2 });
@@ -1202,14 +1153,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, GenerateError::Killed(_)), "{err}");
 
-        let resumed = SqlBarber::new(&db, config)
-            .resume(&dir, &target, CostType::Cardinality)
-            .unwrap();
+        let resumed =
+            SqlBarber::new(&db, config).resume(&dir, &target, CostType::Cardinality).unwrap();
         assert_eq!(flat(&baseline), flat(&resumed));
-        assert_eq!(
-            baseline.final_distance.to_bits(),
-            resumed.final_distance.to_bits()
-        );
+        assert_eq!(baseline.final_distance.to_bits(), resumed.final_distance.to_bits());
         assert_eq!(baseline.scheduler_rounds, resumed.scheduler_rounds);
         assert_eq!(baseline.oracle_probes, resumed.oracle_probes);
         assert_eq!(baseline.oracle_cache_hits, resumed.oracle_cache_hits);
@@ -1221,10 +1168,8 @@ mod tests {
     #[test]
     fn resume_refuses_a_different_configuration() {
         let db = tpch();
-        let target =
-            TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
-        let dir = std::env::temp_dir()
-            .join(format!("sqlbarber-driver-fp-{}", std::process::id()));
+        let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 5), 40);
+        let dir = std::env::temp_dir().join(format!("sqlbarber-driver-fp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = SqlBarberConfig::fast_test();
         config.checkpoint = Some(CheckpointConfig { dir: dir.clone(), every: 4 });
@@ -1238,9 +1183,8 @@ mod tests {
 
         let mut other = config.clone();
         other.seed = 7;
-        let err = SqlBarber::new(&db, other)
-            .resume(&dir, &target, CostType::Cardinality)
-            .unwrap_err();
+        let err =
+            SqlBarber::new(&db, other).resume(&dir, &target, CostType::Cardinality).unwrap_err();
         assert!(matches!(err, GenerateError::Checkpoint(_)), "{err}");
 
         // The same config over a database at another scale: the snapshot's

@@ -37,8 +37,7 @@ pub fn sample_join_path(db: &Database, num_joins: u32, rng: &mut StdRng) -> Opti
     // uniform edge choice would anchor most templates on tiny dimension
     // tables.
     let rows = |table: &str| db.stats(table).map(|s| s.row_count as f64).unwrap_or(1.0);
-    let edge_weight =
-        |step: &JoinStep| (rows(&step.0) + rows(&step.2)).max(1.0).sqrt();
+    let edge_weight = |step: &JoinStep| (rows(&step.0) + rows(&step.2)).max(1.0).sqrt();
 
     'attempt: for _ in 0..64 {
         let mut path: Vec<JoinStep> = Vec::with_capacity(num_joins as usize);
@@ -64,8 +63,7 @@ pub fn sample_join_path(db: &Database, num_joins: u32, rng: &mut StdRng) -> Opti
                 continue 'attempt;
             }
             let step = pick_weighted(&frontier, edge_weight, rng).clone();
-            let new_table =
-                if tables.contains(&step.0) { step.2.clone() } else { step.0.clone() };
+            let new_table = if tables.contains(&step.0) { step.2.clone() } else { step.0.clone() };
             tables.push(new_table);
             path.push(step);
         }
@@ -75,11 +73,7 @@ pub fn sample_join_path(db: &Database, num_joins: u32, rng: &mut StdRng) -> Opti
 }
 
 /// Weighted random choice (weights need not be normalized).
-fn pick_weighted<'a, T>(
-    items: &'a [T],
-    weight: impl Fn(&T) -> f64,
-    rng: &mut StdRng,
-) -> &'a T {
+fn pick_weighted<'a, T>(items: &'a [T], weight: impl Fn(&T) -> f64, rng: &mut StdRng) -> &'a T {
     let total: f64 = items.iter().map(&weight).sum();
     if total <= 0.0 {
         return &items[rng.gen_range(0..items.len())];

@@ -58,8 +58,7 @@ pub mod template_gen;
 pub use amplify::{amplify_workload, AmplifyConfig, AmplifyStats};
 pub use cost::CostType;
 pub use driver::{
-    CheckpointConfig, GenerateError, KillMode, KillPoint, KillSwitch, SqlBarber,
-    SqlBarberConfig,
+    CheckpointConfig, GenerateError, KillMode, KillPoint, KillSwitch, SqlBarber, SqlBarberConfig,
 };
 pub use oracle::{ColumnarScratch, CostOracle, OracleStats, PreparedHandle};
 pub use report::GenerationReport;

@@ -60,8 +60,7 @@ use crate::cost::CostType;
 use crate::lockorder::TrackedMutex;
 use bayesopt::parallel::parallel_map;
 use minidb::{
-    BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate,
-    RecostScratch,
+    BindingBatch, Database, DbError, ExecScratch, PreparedExec, PreparedTemplate, RecostScratch,
 };
 use sqlkit::{Template, Value};
 use std::collections::HashMap;
@@ -1349,8 +1348,7 @@ mod tests {
         // future.
         let db = tpch();
         let template =
-            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
-                .unwrap();
+            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}").unwrap();
         let divide = parse_template(DIVIDE).unwrap();
         let warm = |oracle: &CostOracle| -> PreparedHandle {
             let handle = oracle.prepare(&template).unwrap();
@@ -1456,8 +1454,7 @@ mod tests {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
         let template =
-            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}")
-                .unwrap();
+            parse_template("SELECT nation.n_name FROM nation WHERE nation.n_name > {p_1}").unwrap();
         let handle = oracle.prepare(&template).unwrap();
         cost(&oracle, &handle, &p1([Value::Str("N01".into())]), CostType::Cardinality);
         let state = oracle.export_state();

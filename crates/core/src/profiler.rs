@@ -89,11 +89,7 @@ impl ProfiledTemplate {
         crate::snapshot::ProfiledState {
             sql: self.template.sql(),
             costs: self.costs.clone(),
-            evaluations: self
-                .evaluations
-                .iter()
-                .map(|e| (e.point.clone(), e.value))
-                .collect(),
+            evaluations: self.evaluations.iter().map(|e| (e.point.clone(), e.value)).collect(),
             consumed: self.consumed,
         }
     }
@@ -223,13 +219,11 @@ mod tests {
     fn profiling_produces_varied_costs() {
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let template = parse_template(
-            "SELECT COUNT(*) FROM lineitem WHERE lineitem.l_extendedprice > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT COUNT(*) FROM lineitem WHERE lineitem.l_extendedprice > {p_1}")
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let profiled =
-            profile_template(&oracle, template, CostType::PlanCost, 20, &mut rng);
+        let profiled = profile_template(&oracle, template, CostType::PlanCost, 20, &mut rng);
         assert_eq!(profiled.costs.len(), 20);
         assert!(profiled.variety() > 0.5, "variety {}", profiled.variety());
         assert_eq!(profiled.consumed, 20.0);
@@ -245,8 +239,7 @@ mod tests {
              WHERE l.l_extendedprice > {p_1} AND l.l_quantity <= {p_2}",
         )
         .unwrap();
-        for cost_type in [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality]
-        {
+        for cost_type in [CostType::Cardinality, CostType::PlanCost, CostType::ActualCardinality] {
             let oracle = CostOracle::new(&db, 2);
             let mut rng = StdRng::seed_from_u64(11);
             let profiled = profile_template(&oracle, template.clone(), cost_type, 24, &mut rng);
@@ -283,8 +276,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let profiled =
-            profile_template(&oracle, template, CostType::Cardinality, 30, &mut rng);
+        let profiled = profile_template(&oracle, template, CostType::Cardinality, 30, &mut rng);
         let min = profiled.costs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = profiled.costs.iter().cloned().fold(0.0, f64::max);
         // The widened bounds should reach (near-)empty and (near-)full.
@@ -327,8 +319,7 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let template = parse_template("SELECT COUNT(*) FROM nation").unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let profiled =
-            profile_template(&oracle, template, CostType::PlanCost, 15, &mut rng);
+        let profiled = profile_template(&oracle, template, CostType::PlanCost, 15, &mut rng);
         assert_eq!(profiled.costs.len(), 1);
     }
 
@@ -340,8 +331,7 @@ mod tests {
             parse_template("SELECT * FROM orders WHERE orders.o_totalprice > {p_1}").unwrap(),
             parse_template("SELECT * FROM customer WHERE customer.c_acctbal > {p_1}").unwrap(),
         ];
-        let batch =
-            profile_batch(&oracle, templates, CostType::PlanCost, 100, 0.15, 4);
+        let batch = profile_batch(&oracle, templates, CostType::PlanCost, 100, 0.15, 4);
         assert_eq!(batch.len(), 2);
         // 15 total / 2 templates ≈ 7 each
         assert!(batch.iter().all(|p| (5..=9).contains(&p.costs.len())));
@@ -352,10 +342,8 @@ mod tests {
         let db = tpch();
         let templates = || {
             vec![
-                parse_template("SELECT * FROM orders WHERE orders.o_totalprice > {p_1}")
-                    .unwrap(),
-                parse_template("SELECT * FROM customer WHERE customer.c_acctbal > {p_1}")
-                    .unwrap(),
+                parse_template("SELECT * FROM orders WHERE orders.o_totalprice > {p_1}").unwrap(),
+                parse_template("SELECT * FROM customer WHERE customer.c_acctbal > {p_1}").unwrap(),
                 parse_template(
                     "SELECT l.l_orderkey FROM lineitem AS l \
                      WHERE l.l_extendedprice > {p_1}",
@@ -366,13 +354,10 @@ mod tests {
         };
         let run = |threads: usize| {
             let oracle = CostOracle::new(&db, threads);
-            let batch =
-                profile_batch(&oracle, templates(), CostType::Cardinality, 200, 0.15, 99);
+            let batch = profile_batch(&oracle, templates(), CostType::Cardinality, 200, 0.15, 99);
             let flat: Vec<(Vec<u64>, f64)> = batch
                 .iter()
-                .map(|p| {
-                    (p.costs.iter().map(|c| c.to_bits()).collect(), p.consumed)
-                })
+                .map(|p| (p.costs.iter().map(|c| c.to_bits()).collect(), p.consumed))
                 .collect();
             (flat, oracle.stats())
         };
@@ -390,17 +375,13 @@ mod tests {
         // physical-eval count stays flat.
         let db = tpch();
         let oracle = CostOracle::new(&db, 1);
-        let template = parse_template(
-            "SELECT * FROM orders WHERE orders.o_totalprice > {p_1}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT * FROM orders WHERE orders.o_totalprice > {p_1}").unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let first =
-            profile_template(&oracle, template.clone(), CostType::PlanCost, 12, &mut rng);
+        let first = profile_template(&oracle, template.clone(), CostType::PlanCost, 12, &mut rng);
         let physical_after_first = oracle.stats().physical_evals;
         let mut rng = StdRng::seed_from_u64(7); // same points again
-        let second =
-            profile_template(&oracle, template, CostType::PlanCost, 12, &mut rng);
+        let second = profile_template(&oracle, template, CostType::PlanCost, 12, &mut rng);
         assert_eq!(first.consumed, second.consumed, "hits must not deflate consumed");
         assert_eq!(second.consumed, 12.0);
         let stats = oracle.stats();

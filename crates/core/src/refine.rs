@@ -43,10 +43,7 @@ pub struct RefineConfig {
 
 impl Default for RefineConfig {
     fn default() -> Self {
-        RefineConfig {
-            phases: vec![(0.2, 3, 3, false), (0.1, 5, 5, true)],
-            profile_samples: 10,
-        }
+        RefineConfig { phases: vec![(0.2, 3, 3, false), (0.1, 5, 5, true)], profile_samples: 10 }
     }
 }
 
@@ -125,8 +122,7 @@ pub fn refine_and_prune<M: LanguageModel>(
     // Final sweep (Figure 4, Step 3): drop templates that cannot produce
     // any cost inside the working range at all.
     templates.retain(|t| {
-        !t.costs.is_empty()
-            && t.costs.iter().any(|&c| target.intervals.interval_of(c).is_some())
+        !t.costs.is_empty() && t.costs.iter().any(|&c| target.intervals.interval_of(c).is_some())
     });
     outcome
 }
@@ -156,11 +152,8 @@ fn refine_for_intervals<M: LanguageModel>(
         let calls_before = outcome.refine_calls;
 
         // Rank existing templates by closeness to interval j (Eq. 2).
-        let mut scored: Vec<(usize, f64)> = templates
-            .iter()
-            .enumerate()
-            .map(|(idx, t)| (idx, t.closeness(lo, hi)))
-            .collect();
+        let mut scored: Vec<(usize, f64)> =
+            templates.iter().enumerate().map(|(idx, t)| (idx, t.closeness(lo, hi))).collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         let top: Vec<usize> = scored.iter().take(m).map(|(idx, _)| *idx).collect();
 
@@ -199,8 +192,7 @@ fn refine_for_intervals<M: LanguageModel>(
             if oracle.db().validate_template(&new_template).is_err() {
                 continue;
             }
-            let profiled =
-                profile_template(oracle, new_template, cost_type, profile_samples, rng);
+            let profiled = profile_template(oracle, new_template, cost_type, profile_samples, rng);
 
             if should_prune(&profiled, templates, target, target_intervals) {
                 outcome.pruned += 1;
@@ -269,27 +261,17 @@ mod tests {
         ]
         .iter()
         .map(|sql| {
-            profile_template(
-                oracle,
-                parse_template(sql).unwrap(),
-                CostType::Cardinality,
-                12,
-                rng,
-            )
+            profile_template(oracle, parse_template(sql).unwrap(), CostType::Cardinality, 12, rng)
         })
         .collect()
     }
 
     #[test]
     fn coverage_counts_in_range_costs_only() {
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(10), 100);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(10), 100);
         let t = ProfiledTemplate {
             template: parse_template("SELECT * FROM t").unwrap(),
-            space: crate::sampler::PlaceholderSpace {
-                dims: vec![],
-                space: Default::default(),
-            },
+            space: crate::sampler::PlaceholderSpace { dims: vec![], space: Default::default() },
             costs: vec![500.0, 1500.0, 50_000.0],
             evaluations: vec![],
             consumed: 3.0,
@@ -306,11 +288,9 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let mut rng = StdRng::seed_from_u64(17);
         let mut templates = pool(&oracle, &mut rng);
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(10), 200);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(10), 200);
         let before_cover = coverage(&templates, &target);
-        let missing_before =
-            before_cover.iter().filter(|&&c| c == 0.0).count();
+        let missing_before = before_cover.iter().filter(|&&c| c == 0.0).count();
 
         let mut llm = SyntheticLlm::reliable(17);
         let outcome = refine_and_prune(
@@ -325,10 +305,7 @@ mod tests {
         let after_cover = coverage(&templates, &target);
         let missing_after = after_cover.iter().filter(|&&c| c == 0.0).count();
         assert!(outcome.refine_calls > 0);
-        assert!(
-            missing_after <= missing_before,
-            "missing {missing_before} → {missing_after}"
-        );
+        assert!(missing_after <= missing_before, "missing {missing_before} → {missing_after}");
         assert!(outcome.accepted > 0, "no refined template accepted");
     }
 
@@ -338,8 +315,7 @@ mod tests {
         let oracle = CostOracle::new(&db, 1);
         let mut rng = StdRng::seed_from_u64(29);
         let mut templates = pool(&oracle, &mut rng);
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(10), 200);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(10), 200);
         // A lossy transport with no retry layer: most refine calls die.
         let mut llm = llm::FaultyTransport::new(
             SyntheticLlm::reliable(29),
@@ -367,14 +343,10 @@ mod tests {
 
     #[test]
     fn pruning_rejects_useless_candidates() {
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(10), 100);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(10), 100);
         let make = |costs: Vec<f64>| ProfiledTemplate {
             template: parse_template("SELECT * FROM t").unwrap(),
-            space: crate::sampler::PlaceholderSpace {
-                dims: vec![],
-                space: Default::default(),
-            },
+            space: crate::sampler::PlaceholderSpace { dims: vec![], space: Default::default() },
             costs,
             evaluations: vec![],
             consumed: 1.0,
@@ -397,17 +369,13 @@ mod tests {
         let mut templates = pool(&oracle, &mut rng);
         templates.push(ProfiledTemplate {
             template: parse_template("SELECT * FROM t").unwrap(),
-            space: crate::sampler::PlaceholderSpace {
-                dims: vec![],
-                space: Default::default(),
-            },
+            space: crate::sampler::PlaceholderSpace { dims: vec![], space: Default::default() },
             costs: vec![1e9],
             evaluations: vec![],
             consumed: 1.0,
         });
         let before = templates.len();
-        let target =
-            TargetDistribution::uniform(CostIntervals::paper_default(10), 50);
+        let target = TargetDistribution::uniform(CostIntervals::paper_default(10), 50);
         let mut llm = SyntheticLlm::reliable(5);
         refine_and_prune(
             &oracle,
@@ -419,8 +387,6 @@ mod tests {
             &mut rng,
         );
         assert!(templates.len() < before + 1, "sweep should drop the outlier");
-        assert!(templates
-            .iter()
-            .all(|t| t.costs.iter().any(|&c| c <= 10_000.0)));
+        assert!(templates.iter().all(|t| t.costs.iter().any(|&c| c <= 10_000.0)));
     }
 }

@@ -163,10 +163,7 @@ impl GenerationReport {
             self.scheduler_rounds, self.scheduler_tasks, self.scheduler_peak_tasks,
         );
         if self.scheduler_overadmissions > 0 {
-            line.push_str(&format!(
-                ", {} over-admissions resolved",
-                self.scheduler_overadmissions
-            ));
+            line.push_str(&format!(", {} over-admissions resolved", self.scheduler_overadmissions));
         }
         line
     }
@@ -222,19 +219,13 @@ impl GenerationReport {
             ));
         }
         if r.budget_exhausted > 0 {
-            line.push_str(&format!(
-                "; retry budget exhausted on {} calls",
-                r.budget_exhausted
-            ));
+            line.push_str(&format!("; retry budget exhausted on {} calls", r.budget_exhausted));
         }
         if !d.is_quiet() {
             line.push_str(&format!(
                 "\ndegraded: {} specs abandoned, {} intervals skipped, \
                  {} malformed responses, {} failed calls absorbed",
-                d.abandoned_specs,
-                d.abandoned_intervals,
-                d.malformed_responses,
-                d.llm_failures,
+                d.abandoned_specs, d.abandoned_intervals, d.malformed_responses, d.llm_failures,
             ));
         }
         line
@@ -305,8 +296,7 @@ mod tests {
         assert!(text.contains("12 rounds"), "{text}");
         assert!(text.contains("30 tasks (peak 4 concurrent)"), "{text}");
         assert!(!text.contains("over-admissions"), "zero over-admissions stay quiet");
-        let noisy = GenerationReport { scheduler_overadmissions: 3, ..report }
-            .scheduler_summary();
+        let noisy = GenerationReport { scheduler_overadmissions: 3, ..report }.scheduler_summary();
         assert!(noisy.contains("3 over-admissions resolved"), "{noisy}");
     }
 
@@ -543,10 +533,7 @@ mod export_tests {
         assert_eq!(value["queries"].as_array().unwrap().len(), 2);
         assert_eq!(value["queries"][0]["cost"], 10.5);
         assert_eq!(value["final_distance"], 0.0);
-        assert!(
-            value.get("amplify").is_none(),
-            "no amplify section when the stage did not run"
-        );
+        assert!(value.get("amplify").is_none(), "no amplify section when the stage did not run");
     }
 
     #[test]

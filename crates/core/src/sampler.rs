@@ -125,22 +125,15 @@ fn decode_dim(dim: &PlaceholderDim, unit: f64) -> Value {
         DataType::Bool => Value::Bool(raw >= 0.5),
         DataType::Str => {
             let idx = (raw as usize).min(dim.choices.len().saturating_sub(1));
-            dim.choices
-                .get(idx)
-                .cloned()
-                .map(Value::Str)
-                .unwrap_or(Value::Str(String::new()))
+            dim.choices.get(idx).cloned().map(Value::Str).unwrap_or(Value::Str(String::new()))
         }
     }
 }
 
 /// Scope-aware recursive walk associating placeholders with columns.
 fn collect(db: &Database, select: &Select, out: &mut HashMap<u32, PlaceholderDim>) {
-    let bindings: Vec<(String, String)> = select
-        .table_refs()
-        .iter()
-        .map(|t| (t.binding().to_string(), t.table.clone()))
-        .collect();
+    let bindings: Vec<(String, String)> =
+        select.table_refs().iter().map(|t| (t.binding().to_string(), t.table.clone())).collect();
 
     let mut visit = |expr: &Expr| match expr {
         Expr::Binary { left, op, right } if op.is_comparison() => {
@@ -180,9 +173,7 @@ fn dim_for_column(
     placeholder: u32,
 ) -> Option<PlaceholderDim> {
     let table = match &column.table {
-        Some(binding) => {
-            bindings.iter().find(|(b, _)| b == binding).map(|(_, t)| t.clone())?
-        }
+        Some(binding) => bindings.iter().find(|(b, _)| b == binding).map(|(_, t)| t.clone())?,
         None => bindings
             .iter()
             .find(|(_, t)| {
@@ -210,9 +201,7 @@ fn dim_for_column(
             Dimension::Float { lo: lo - margin, hi: hi + margin }
         }
         DataType::Bool => Dimension::Categorical { cardinality: 2 },
-        DataType::Str => Dimension::Categorical {
-            cardinality: stats.mcvs.len().max(1),
-        },
+        DataType::Str => Dimension::Categorical { cardinality: stats.mcvs.len().max(1) },
     };
     let choices = if data_type == DataType::Str {
         stats
@@ -331,10 +320,9 @@ mod tests {
     fn unknown_placeholder_gets_default_range() {
         let db = tpch();
         // p_1 appears only inside arithmetic — no direct column pairing.
-        let template = parse_template(
-            "SELECT * FROM lineitem WHERE lineitem.l_quantity > {p_1} + {p_2}",
-        )
-        .unwrap();
+        let template =
+            parse_template("SELECT * FROM lineitem WHERE lineitem.l_quantity > {p_1} + {p_2}")
+                .unwrap();
         let space = PlaceholderSpace::build(&db, &template);
         assert_eq!(space.arity(), 2);
         assert!(matches!(space.dims[0].dimension, Dimension::Float { .. }));

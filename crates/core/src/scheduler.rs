@@ -43,8 +43,8 @@
 //! ([`CostOracle::cost_prepared_batch_columnar_on`]).
 
 use crate::bo_search::{
-    interval_objective, weighted_sample, BoSearchConfig, SearchResult,
-    SearchState, BATCH_EXPLORE, BATCH_HARVEST,
+    interval_objective, weighted_sample, BoSearchConfig, SearchResult, SearchState, BATCH_EXPLORE,
+    BATCH_HARVEST,
 };
 use crate::cost::CostType;
 use crate::oracle::{ColumnarScratch, CostOracle};
@@ -243,9 +243,7 @@ pub(crate) fn deficit_schedule(
             let (lo, hi) = target.intervals.bounds(j);
             let mut candidates: Vec<(usize, f64)> = (0..n_templates)
                 .filter(|&idx| !state.bad.contains(&(j, idx)))
-                .filter(|&idx| {
-                    templates[idx].remaining_space() >= config.space_factor * delta
-                })
+                .filter(|&idx| templates[idx].remaining_space() >= config.space_factor * delta)
                 .filter(|&idx| {
                     templates[idx].variety() >= config.min_variety
                         || templates[idx].costs.len() < 10
@@ -266,8 +264,7 @@ pub(crate) fn deficit_schedule(
                 continue;
             }
             let mut sel_rng = StdRng::seed_from_u64(split_seed(round_seed, 2 * j as u64));
-            let selected =
-                weighted_sample(&mut candidates, config.weighted_sample, &mut sel_rng);
+            let selected = weighted_sample(&mut candidates, config.weighted_sample, &mut sel_rng);
             claimed_templates.extend(selected.iter().copied());
             tasks.push(RoundTask {
                 interval: j,
@@ -399,17 +396,13 @@ fn run_task(
     config: &BoSearchConfig,
     inner_threads: usize,
 ) -> TaskOutcome {
-    let mut view = LocalView {
-        d: round_d.to_vec(),
-        global_seen: frozen_seen,
-        new_seen: HashSet::new(),
-    };
+    let mut view =
+        LocalView { d: round_d.to_vec(), global_seen: frozen_seen, new_seen: HashSet::new() };
     let budget = ((config.budget_factor * task.delta).ceil() as usize)
         .clamp(config.min_run_budget.min(config.max_run_budget), config.max_run_budget);
     let mut runs = Vec::with_capacity(claimed.len());
     for (template_idx, template) in claimed.iter_mut() {
-        let mut run_rng =
-            StdRng::seed_from_u64(split_seed(task.seed, *template_idx as u64));
+        let mut run_rng = StdRng::seed_from_u64(split_seed(task.seed, *template_idx as u64));
         let (generated, accepts) = execute_run(
             oracle,
             template,
@@ -494,8 +487,8 @@ fn execute_run(
     let mut spent = 0;
     'runs: while spent < budget {
         // Batch size depends only on search state, never on thread count.
-        let batch_size = if conforming.is_empty() { BATCH_EXPLORE } else { BATCH_HARVEST }
-            .min(budget - spent);
+        let batch_size =
+            if conforming.is_empty() { BATCH_EXPLORE } else { BATCH_HARVEST }.min(budget - spent);
         let mut points: Vec<Vec<f64>> = Vec::with_capacity(batch_size);
         for _ in 0..batch_size {
             spent += 1;
@@ -617,8 +610,7 @@ mod tests {
                     }
                 }
             }
-            let mut sqls: Vec<String> =
-                state.queries.iter().map(|q| q.sql.clone()).collect();
+            let mut sqls: Vec<String> = state.queries.iter().map(|q| q.sql.clone()).collect();
             sqls.sort();
             (state.d, sqls, overadmissions)
         };
@@ -641,11 +633,8 @@ mod tests {
         let target = TargetDistribution::uniform(CostIntervals::new(0.0, 200.0, 2), 8);
         let mut global_seen = HashSet::new();
         global_seen.insert("SELECT old".to_string());
-        let mut view = LocalView {
-            d: vec![1.0, 2.0],
-            global_seen: &global_seen,
-            new_seen: HashSet::new(),
-        };
+        let mut view =
+            LocalView { d: vec![1.0, 2.0], global_seen: &global_seen, new_seen: HashSet::new() };
         assert!(!view.try_accept("SELECT old", 50.0, &target), "globally seen");
         assert!(view.try_accept("SELECT x", 50.0, &target));
         assert!(!view.try_accept("SELECT x", 150.0, &target), "locally seen");

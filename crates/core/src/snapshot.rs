@@ -880,8 +880,7 @@ impl Snapshot {
             return Err(SnapshotError::BadVersion(version));
         }
         let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let payload_len =
-            usize::try_from(payload_len).map_err(|_| SnapshotError::Truncated)?;
+        let payload_len = usize::try_from(payload_len).map_err(|_| SnapshotError::Truncated)?;
         let expected = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
         let rest = &bytes[HEADER_LEN..];
         if rest.len() != payload_len {
@@ -895,10 +894,7 @@ impl Snapshot {
         let mut dec = Dec { data: rest, pos: 0, model_depth: 0 };
         let snapshot = <Snapshot as Codec>::decode(&mut dec)?;
         if dec.remaining() != 0 {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                dec.remaining()
-            )));
+            return Err(SnapshotError::Malformed(format!("{} trailing bytes", dec.remaining())));
         }
         Ok(snapshot)
     }
@@ -925,8 +921,8 @@ fn generation_path(dir: &Path, generation: u64) -> PathBuf {
 
 /// Existing snapshot generations in `dir`, ascending.
 fn scan_generations(dir: &Path) -> Result<Vec<u64>, SnapshotError> {
-    let entries = fs::read_dir(dir)
-        .map_err(|e| SnapshotError::Io(format!("{}: {e}", dir.display())))?;
+    let entries =
+        fs::read_dir(dir).map_err(|e| SnapshotError::Io(format!("{}: {e}", dir.display())))?;
     let mut generations: Vec<u64> = entries
         .filter_map(|entry| entry.ok())
         .filter_map(|entry| generation_of(&entry.file_name().to_string_lossy()))
@@ -951,8 +947,7 @@ impl CheckpointDir {
                 ))
             })?;
         }
-        let next_generation =
-            scan_generations(dir)?.last().map(|&g| g + 1).unwrap_or(0);
+        let next_generation = scan_generations(dir)?.last().map(|&g| g + 1).unwrap_or(0);
         Ok(CheckpointDir { dir: dir.to_path_buf(), next_generation })
     }
 
@@ -972,9 +967,8 @@ impl CheckpointDir {
         let final_path = generation_path(&self.dir, generation);
         let tmp_path = self.dir.join(format!(".snapshot-{generation:06}.bin.tmp"));
 
-        let io_err = |path: &Path, e: std::io::Error| {
-            SnapshotError::Io(format!("{}: {e}", path.display()))
-        };
+        let io_err =
+            |path: &Path, e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
         let mut file = fs::File::create(&tmp_path).map_err(|e| io_err(&tmp_path, e))?;
         file.write_all(&bytes).map_err(|e| io_err(&tmp_path, e))?;
         file.sync_all().map_err(|e| io_err(&tmp_path, e))?;
@@ -1048,11 +1042,7 @@ mod tests {
                 },
                 inner: Box::new(ModelState::Synthetic(SyntheticState {
                     rng: [9, 10, 11, 12],
-                    usage: TokenUsage {
-                        input_tokens: 10_000,
-                        output_tokens: 2_000,
-                        requests: 36,
-                    },
+                    usage: TokenUsage { input_tokens: 10_000, output_tokens: 2_000, requests: 36 },
                     attempts: vec![(1, 2), (3, 1)],
                 })),
             }),
@@ -1078,8 +1068,7 @@ mod tests {
                 degradation: [1, 0, 2, 0],
             },
             pool: TemplatePool::Profiled(vec![ProfiledState {
-                sql: "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}"
-                    .into(),
+                sql: "SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_quantity > {p_1}".into(),
                 costs: vec![10.0, f64::NAN, -0.0],
                 evaluations: vec![(vec![0.25, 0.75], 10.0), (vec![], 3.5)],
                 consumed: 17.0,
@@ -1129,7 +1118,6 @@ mod tests {
             },
         }
     }
-
 
     fn model_with(breaker: BreakerSnapshot) -> ModelState {
         let ModelState::Resilient { mut layer, inner } = sample_model() else {
@@ -1309,10 +1297,7 @@ mod tests {
         for byte in (0..bytes.len()).step_by(7) {
             let mut corrupt = bytes.clone();
             corrupt[byte] ^= 0x10;
-            assert!(
-                Snapshot::decode(&corrupt).is_err(),
-                "flip at byte {byte} went undetected"
-            );
+            assert!(Snapshot::decode(&corrupt).is_err(), "flip at byte {byte} went undetected");
         }
     }
 
@@ -1362,16 +1347,10 @@ mod tests {
 
     #[test]
     fn store_load_and_corruption_fallback() {
-        let dir = std::env::temp_dir().join(format!(
-            "sqlbarber-snap-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("sqlbarber-snap-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut ckpt = CheckpointDir::open(&dir).unwrap();
-        assert!(matches!(
-            CheckpointDir::load_latest(&dir),
-            Err(SnapshotError::NoSnapshot)
-        ));
+        assert!(matches!(CheckpointDir::load_latest(&dir), Err(SnapshotError::NoSnapshot)));
 
         let mut first = sample_snapshot();
         first.fingerprint = 1;
@@ -1416,8 +1395,7 @@ mod tests {
         let err = CheckpointDir::open(&missing).unwrap_err();
         let text = err.to_string();
         assert!(
-            text.contains("cannot create checkpoint directory")
-                && text.contains("parent"),
+            text.contains("cannot create checkpoint directory") && text.contains("parent"),
             "unhelpful error: {text}"
         );
     }

@@ -30,8 +30,8 @@
 use crate::join_path::{compressed_summary, sample_join_path, JoinStep};
 use crate::report::DegradationStats;
 use llm::protocol::{
-    parse_sql_response, PromptBuilder, ValidationVerdict, TASK_FIX_EXECUTION,
-    TASK_FIX_SEMANTICS, TASK_GENERATE, TASK_VALIDATE,
+    parse_sql_response, PromptBuilder, ValidationVerdict, TASK_FIX_EXECUTION, TASK_FIX_SEMANTICS,
+    TASK_GENERATE, TASK_VALIDATE,
 };
 use llm::{LanguageModel, LlmError};
 use minidb::Database;
@@ -151,10 +151,8 @@ pub fn generate_templates<M: LanguageModel>(
             // Phase 1: specification compliance via the LLM judge. A
             // failed or malformed verdict consumes the attempt without a
             // semantic fix — the executability phase still runs.
-            let validate_prompt = PromptBuilder::new(TASK_VALIDATE)
-                .spec(spec)
-                .template(&sql)
-                .build();
+            let validate_prompt =
+                PromptBuilder::new(TASK_VALIDATE).spec(spec).template(&sql).build();
             let verdict = match llm.complete(&validate_prompt) {
                 Ok(response) => match ValidationVerdict::parse(&response) {
                     Some(verdict) => Some(verdict),
@@ -207,9 +205,7 @@ pub fn generate_templates<M: LanguageModel>(
     }
 
     let cumulative = |firsts: &[Option<usize>]| -> Vec<usize> {
-        (0..attempts)
-            .map(|a| firsts.iter().filter(|f| f.is_some_and(|x| x <= a)).count())
-            .collect()
+        (0..attempts).map(|a| firsts.iter().filter(|f| f.is_some_and(|x| x <= a)).count()).collect()
     };
     GeneratedTemplates {
         seeds,
@@ -266,10 +262,7 @@ pub fn template_alignment_accuracy(seeds: &[SeedTemplate]) -> f64 {
     if seeds.is_empty() {
         return 0.0;
     }
-    let aligned = seeds
-        .iter()
-        .filter(|s| s.spec.is_satisfied_by(&s.template.features()))
-        .count();
+    let aligned = seeds.iter().filter(|s| s.spec.is_satisfied_by(&s.template.features())).count();
     aligned as f64 / seeds.len() as f64
 }
 
@@ -303,15 +296,10 @@ mod tests {
     fn transport_faults_degrade_the_batch_without_aborting() {
         let db = tpch();
         let inner = SyntheticLlm::reliable(7);
-        let mut llm = llm::FaultyTransport::new(
-            inner,
-            llm::TransportFaultConfig::uniform(0.5),
-            41,
-        );
+        let mut llm = llm::FaultyTransport::new(inner, llm::TransportFaultConfig::uniform(0.5), 41);
         let specs = redset_template_specs(7);
         let mut rng = StdRng::seed_from_u64(7);
-        let out =
-            generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
+        let out = generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
         // No retry layer here, so half the calls fail outright: specs are
         // abandoned and fix attempts burned, but the batch still finishes
         // and every surviving seed is fully valid.
@@ -334,8 +322,7 @@ mod tests {
         let mut llm = SyntheticLlm::new(FaultConfig::default(), 13);
         let specs = redset_template_specs(13);
         let mut rng = StdRng::seed_from_u64(13);
-        let out =
-            generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
+        let out = generate_templates(&db, &mut llm, &specs, TemplateGenConfig::default(), &mut rng);
         let stats = &out.stats;
         assert_eq!(stats.total, 24);
         // Initial generation: few compliant, some executable.
@@ -350,11 +337,7 @@ mod tests {
         assert!(stats.syntax_correct.windows(2).all(|w| w[0] <= w[1]));
         let last = stats.spec_correct.len() - 1;
         assert!(stats.spec_correct[last] >= 22, "final spec {}", stats.spec_correct[last]);
-        assert!(
-            stats.syntax_correct[last] >= 22,
-            "final syntax {}",
-            stats.syntax_correct[last]
-        );
+        assert!(stats.syntax_correct[last] >= 22, "final syntax {}", stats.syntax_correct[last]);
         // Seeds are exactly the fully-valid templates.
         assert!(out.seeds.len() >= 22);
         assert_eq!(template_alignment_accuracy(&out.seeds), 1.0);

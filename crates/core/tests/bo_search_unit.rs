@@ -22,13 +22,7 @@ fn pool(oracle: &CostOracle, rng: &mut rand::rngs::StdRng) -> Vec<ProfiledTempla
     ]
     .iter()
     .map(|sql| {
-        profile_template(
-            oracle,
-            parse_template(sql).unwrap(),
-            CostType::Cardinality,
-            12,
-            rng,
-        )
+        profile_template(oracle, parse_template(sql).unwrap(), CostType::Cardinality, 12, rng)
     })
     .collect()
 }
@@ -49,13 +43,8 @@ fn distribution_counts_equal_accepted_queries_and_respect_targets() {
         &mut rng,
         |_| {},
     );
-    assert_eq!(
-        result.distribution.iter().sum::<f64>() as usize,
-        result.queries.len()
-    );
-    for (j, (&got, &want)) in
-        result.distribution.iter().zip(&target.counts).enumerate()
-    {
+    assert_eq!(result.distribution.iter().sum::<f64>() as usize, result.queries.len());
+    for (j, (&got, &want)) in result.distribution.iter().zip(&target.counts).enumerate() {
         assert!(got <= want, "interval {j} overfilled: {got} > {want}");
     }
     // every reported query cost falls in the interval it was counted for
@@ -86,10 +75,7 @@ fn progress_callback_sees_monotone_distance() {
         |d| distances.push(workload::wasserstein_distance(&target.counts, d, width)),
     );
     assert!(distances.len() >= 2);
-    assert!(
-        distances.windows(2).all(|w| w[1] <= w[0] + 1e-9),
-        "distance increased: {distances:?}"
-    );
+    assert!(distances.windows(2).all(|w| w[1] <= w[0] + 1e-9), "distance increased: {distances:?}");
 }
 
 #[test]
@@ -125,15 +111,8 @@ fn naive_search_respects_its_budget() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let mut templates = pool(&oracle, &mut rng);
     // an impossible target (cardinality beyond tiny TPC-H) burns budget
-    let target = TargetDistribution::uniform(
-        CostIntervals::new(50_000.0, 60_000.0, 2),
-        10,
-    );
-    let config = BoSearchConfig {
-        use_bo: false,
-        naive_budget_factor: 30.0,
-        ..Default::default()
-    };
+    let target = TargetDistribution::uniform(CostIntervals::new(50_000.0, 60_000.0, 2), 10);
+    let config = BoSearchConfig { use_bo: false, naive_budget_factor: 30.0, ..Default::default() };
     let result = bo_predicate_search(
         &oracle,
         &mut templates,

@@ -20,19 +20,18 @@ use workload::{CostIntervals, TargetDistribution};
 #[test]
 #[ignore = "timing measurement, not a correctness gate"]
 fn bo_phase_checkpoint_overhead() {
-    let db = minidb::datagen::tpch::generate(
-        minidb::datagen::tpch::TpchConfig { scale_factor: 0.01, seed: 42 },
-    );
-    let target =
-        TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 30), 1200);
+    let db = minidb::datagen::tpch::generate(minidb::datagen::tpch::TpchConfig {
+        scale_factor: 0.01,
+        seed: 42,
+    });
+    let target = TargetDistribution::uniform(CostIntervals::new(0.0, 5000.0, 30), 1200);
     let specs = redset_template_specs(1);
     let run = |checkpoint: Option<CheckpointConfig>| {
         let mut config = SqlBarberConfig { seed: 3, ..Default::default() };
         config.search.rounds_concurrency = 1;
         config.checkpoint = checkpoint;
-        let report = SqlBarber::new(&db, config)
-            .generate(&specs, &target, CostType::Cardinality)
-            .unwrap();
+        let report =
+            SqlBarber::new(&db, config).generate(&specs, &target, CostType::Cardinality).unwrap();
         (report.phases.predicate_search, report.scheduler_rounds)
     };
     let dir = std::env::temp_dir().join("sqlbarber-checkpoint-overhead");
@@ -41,11 +40,9 @@ fn bo_phase_checkpoint_overhead() {
     for rep in 0..7 {
         let (bo_none, rounds) = run(None);
         let _ = std::fs::remove_dir_all(&dir);
-        let (bo_every8, _) =
-            run(Some(CheckpointConfig { dir: dir.clone(), every: 8 }));
+        let (bo_every8, _) = run(Some(CheckpointConfig { dir: dir.clone(), every: 8 }));
         let _ = std::fs::remove_dir_all(&dir);
-        let (bo_every1, _) =
-            run(Some(CheckpointConfig { dir: dir.clone(), every: 1 }));
+        let (bo_every1, _) = run(Some(CheckpointConfig { dir: dir.clone(), every: 1 }));
         let _ = std::fs::remove_dir_all(&dir);
         println!(
             "rep {rep}: rounds={rounds} bo_none={bo_none:?} \

@@ -29,10 +29,8 @@ fn removed_escape_hatch_flags_are_usage_errors() {
     // the next argument (`--threads` here) as its value.
     for hatch in ["prepared", "columnar"] {
         let flag = format!("--no-{hatch}");
-        let out = cli()
-            .args(["generate", &flag, "--threads", "4", "--out", "unused"])
-            .output()
-            .unwrap();
+        let out =
+            cli().args(["generate", &flag, "--threads", "4", "--out", "unused"]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
@@ -64,12 +62,7 @@ fn degenerate_target_flags_are_usage_errors() {
         (&["--range", "5000", "0"][..], "--range needs finite bounds"),
         (&["--range", "0", "nan"][..], "--range needs finite bounds"),
     ] {
-        let out = cli()
-            .arg("generate")
-            .args(flags)
-            .args(["--out", "unused"])
-            .output()
-            .unwrap();
+        let out = cli().arg("generate").args(flags).args(["--out", "unused"]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flags:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(message), "{flags:?}: {err}");
@@ -149,10 +142,7 @@ fn non_positive_scale_is_a_usage_error() {
         let out = cli().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("--scale must be a positive finite number"),
-            "{args:?}: {err}"
-        );
+        assert!(err.contains("--scale must be a positive finite number"), "{args:?}: {err}");
     }
 }
 
@@ -163,13 +153,7 @@ fn nan_samples_fall_inside_no_interval() {
     let samples = dir.join("costs.txt");
     std::fs::write(&samples, "nan\nNaN\n").unwrap();
     let out = cli()
-        .args([
-            "generate",
-            "--scale",
-            "0.001",
-            "--samples",
-            samples.to_str().unwrap(),
-        ])
+        .args(["generate", "--scale", "0.001", "--samples", samples.to_str().unwrap()])
         .args(["--out", dir.join("wl").to_str().unwrap()])
         .output()
         .unwrap();
@@ -242,11 +226,7 @@ fn generate_writes_sql_and_manifest() {
         ])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let sql = std::fs::read_to_string(format!("{}.sql", prefix.display())).unwrap();
     assert!(sql.contains("SELECT"), "{sql}");
     let manifest: serde_json::Value = serde_json::from_str(
@@ -285,11 +265,7 @@ fn generate_from_samples_file() {
         ])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let manifest: serde_json::Value = serde_json::from_str(
         &std::fs::read_to_string(format!("{}.json", prefix.display())).unwrap(),
     )

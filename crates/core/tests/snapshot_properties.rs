@@ -24,8 +24,7 @@ fn f64_strategy() -> BoxedStrategy<f64> {
 }
 
 fn words_strategy() -> impl Strategy<Value = [u64; 4]> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())
-        .prop_map(|(a, b, c, d)| [a, b, c, d])
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c, d)| [a, b, c, d])
 }
 
 fn sql_strategy() -> BoxedStrategy<String> {
@@ -72,12 +71,7 @@ fn phase_strategy() -> BoxedStrategy<PhaseState> {
         )
             .prop_map(|(round, queries, distribution)| PhaseState::AfterSearch {
                 round,
-                result: StoredResult {
-                    queries,
-                    distribution,
-                    skipped: vec![],
-                    evaluations: 7,
-                },
+                result: StoredResult { queries, distribution, skipped: vec![], evaluations: 7 },
             }),
     ]
 }
@@ -91,32 +85,30 @@ fn snapshot_strategy() -> BoxedStrategy<Snapshot> {
         prop::collection::vec(any::<u64>(), 0..4),
         phase_strategy(),
     )
-        .prop_map(|(fingerprint, rng, attempts, seeds, spec_correct, phase)| {
-            Snapshot {
-                fingerprint,
+        .prop_map(|(fingerprint, rng, attempts, seeds, spec_correct, phase)| Snapshot {
+            fingerprint,
+            rng,
+            llm: ModelState::Synthetic(SyntheticState {
                 rng,
-                llm: ModelState::Synthetic(SyntheticState {
-                    rng,
-                    usage: TokenUsage {
-                        input_tokens: fingerprint.rotate_left(13),
-                        output_tokens: fingerprint.rotate_right(7),
-                        requests: 3,
-                    },
-                    attempts,
-                }),
-                acc: ReportAcc {
-                    spec_correct: spec_correct.clone(),
-                    syntax_correct: spec_correct,
-                    rewrite_total: 9,
-                    alignment_accuracy: 0.5,
-                    n_seed_templates: 4,
-                    n_refined_templates: 1,
-                    degradation: [0, 1, 2, 3],
+                usage: TokenUsage {
+                    input_tokens: fingerprint.rotate_left(13),
+                    output_tokens: fingerprint.rotate_right(7),
+                    requests: 3,
                 },
-                pool: TemplatePool::Seeds(seeds),
-                oracle: None,
-                phase,
-            }
+                attempts,
+            }),
+            acc: ReportAcc {
+                spec_correct: spec_correct.clone(),
+                syntax_correct: spec_correct,
+                rewrite_total: 9,
+                alignment_accuracy: 0.5,
+                n_seed_templates: 4,
+                n_refined_templates: 1,
+                degradation: [0, 1, 2, 3],
+            },
+            pool: TemplatePool::Seeds(seeds),
+            oracle: None,
+            phase,
         })
         .boxed()
 }
