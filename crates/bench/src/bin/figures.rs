@@ -37,8 +37,8 @@ use workload::redset::redset_template_specs;
 use workload::{all_benchmarks, benchmark_by_name, Benchmark, CostType as BenchCostType};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, targets) = match HarnessConfig::from_args(&args) {
+    let args = sqlbarber::cli::args();
+    let (config, targets) = match args.and_then(|args| HarnessConfig::from_args(&args)) {
         Ok(parsed) => parsed,
         Err(e) => {
             errln!("{e}");

@@ -85,6 +85,18 @@ fn figures_refuses_bad_flags_before_building_a_database() {
 }
 
 #[test]
+fn figures_refuses_an_argument_that_is_not_utf8() {
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg(std::ffi::OsStr::from_bytes(b"fig\xff"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("argument `fig\u{fffd}` is not valid UTF-8"), "{err}");
+}
+
+#[test]
 fn figures_runs_a_target_that_builds_no_database() {
     let (code, stdout, stderr) = figures("table1", &["table1", "--threads", "1"]);
     assert_eq!(code, Some(0), "{stderr}");

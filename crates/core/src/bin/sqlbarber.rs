@@ -38,7 +38,13 @@ use workload::intervals::MAX_INTERVALS;
 use workload::CostIntervals;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = match sqlbarber::cli::args() {
+        Ok(args) => args,
+        Err(e) => {
+            errln!("{e}");
+            std::process::exit(2);
+        }
+    };
     let code = match args.first().map(String::as_str) {
         Some("generate") => generate(&args[1..]),
         Some("schema") => schema(&args[1..]),

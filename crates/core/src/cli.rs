@@ -280,6 +280,17 @@ pub fn load_database(flags: &Flags) -> Result<Database, String> {
     Ok(dataset.generate(scale))
 }
 
+/// The program's arguments after its name. An argument that is not
+/// UTF-8 is an error naming it (lossily), where `std::env::args` would
+/// panic.
+pub fn args() -> Result<Vec<String>, String> {
+    let utf8 = |arg: std::ffi::OsString| {
+        arg.into_string()
+            .map_err(|arg| format!("argument `{}` is not valid UTF-8", arg.to_string_lossy()))
+    };
+    std::env::args_os().skip(1).map(utf8).collect()
+}
+
 /// Write to standard output. A reader that closes the pipe early
 /// (`| head -1`) ends the output, not the run: the command still writes
 /// its files and exits with its own status. Any other write error is

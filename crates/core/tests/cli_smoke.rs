@@ -122,6 +122,22 @@ fn spec_counts_are_checked_before_the_database_loads() {
 }
 
 #[test]
+fn a_spec_that_is_not_utf8_is_a_usage_error() {
+    // `std::env::args` panics on such an argument (exit 101).
+    use std::os::unix::ffi::OsStrExt;
+    let spec = std::ffi::OsStr::from_bytes(b"tables=1 \xff");
+    let out = cli()
+        .args(["generate", "--db", "imdb", "--out", "unused", "--spec"])
+        .arg(spec)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("argument `tables=1 \u{fffd}` is not valid UTF-8"), "{err}");
+    assert!(!err.contains("loading database"), "{err}");
+}
+
+#[test]
 fn explain_rejects_nesting_past_the_parser_limit() {
     let sql = format!("SELECT {}1{} FROM orders", "(".repeat(5000), ")".repeat(5000));
     let out = cli().args(["explain", "--scale", "0.001", "--sql", &sql]).output().unwrap();
